@@ -4,7 +4,7 @@ Three variants of the same HierAdMo worker-iteration loop on the
 small-MLP bench federation:
 
 * ``untraced`` — a replica of the iteration body with no telemetry calls
-  at all (the pre-telemetry code, kept inline here as the baseline);
+  at all, on the same batched ``gradient_all`` backend as the live code;
 * ``disabled`` — the live instrumented code with the null tracer
   installed (the default), which must stay within 2% of ``untraced``;
 * ``enabled``  — the live code with a recording tracer, to document what
@@ -33,13 +33,23 @@ MAX_DISABLED_OVERHEAD = 0.02
 
 def _time_min(fn, repeats=9, iters=20):
     """Best-of-repeats mean iteration time (robust to scheduler noise)."""
-    best = math.inf
+    return _time_interleaved([fn], repeats, iters)[0]
+
+
+def _time_interleaved(fns, repeats=15, iters=20):
+    """Best-of-repeats mean iteration time of each function.
+
+    The repeats alternate between the functions, so a slow stretch of
+    the machine hits all of them instead of one.
+    """
+    best = [math.inf] * len(fns)
     for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(iters):
-            fn()
-        best = min(best, time.perf_counter() - start)
-    return best / iters
+        for index, fn in enumerate(fns):
+            start = time.perf_counter()
+            for _ in range(iters):
+                fn()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return [value / iters for value in best]
 
 
 def _make_bench_federation(num_edges=4, per_edge=6):
@@ -65,18 +75,18 @@ def _make_algo():
 
 
 def _untraced_iteration(fed, algo):
-    """The worker-iteration body with no telemetry calls, for baseline."""
+    """The worker-iteration body with no telemetry calls, for baseline.
+
+    Same backend as the live path: one batched ``gradient_all`` pass.
+    """
     grads = algo._grads
-    total_loss = 0.0
-    for worker in range(fed.num_workers):
-        _, loss = fed.gradient(worker, algo.x[worker], out=grads[worker])
-        total_loss += loss
+    losses = fed.gradient_all(algo.x, out=grads)
     y_new = algo.x - algo.eta * grads
     velocity = y_new - algo.y
     algo.controller.accumulate_all(grads, algo.y, velocity)
     algo.x = y_new + algo.gamma * velocity
     algo.y = y_new
-    return total_loss / fed.num_workers
+    return float(losses.mean())
 
 
 def test_bench_null_tracer_overhead():
@@ -89,8 +99,9 @@ def test_bench_null_tracer_overhead():
 
     untraced()  # warm-up both paths
     algo._worker_iteration()
-    untraced_time = _time_min(untraced)
-    disabled_time = _time_min(algo._worker_iteration)
+    untraced_time, disabled_time = _time_interleaved(
+        [untraced, algo._worker_iteration]
+    )
 
     with telemetry.tracing():
         algo._worker_iteration()  # warm-up the recording path

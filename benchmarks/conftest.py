@@ -2,8 +2,8 @@
 
 Every bench runs its experiment exactly once via ``run_once`` (the
 experiments are minutes-scale; statistical repetition belongs to the
-micro-benchmarks in bench_substrate.py) and prints the paper-style table
-so the run log doubles as the reproduction record.
+overhead micro-benchmarks such as bench_telemetry.py) and prints the
+paper-style table so the run log doubles as the reproduction record.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Machine-readable bench results: merge entries into BENCH_<stem>.json.
 
-Each bench test calls :func:`record_bench` with a stem (``substrate``,
+Each bench test calls :func:`record_bench` with a stem (``batched``,
 ``telemetry``), an entry name and a JSON-able payload.  Entries merge
 into ``BENCH_<stem>.json`` at the repo root, so re-running a single
 bench refreshes only its own entry and the files double as the

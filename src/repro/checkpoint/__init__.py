@@ -27,10 +27,12 @@ from repro.checkpoint.manager import (
 from repro.checkpoint.state import (
     federation_state,
     injector_state,
+    pack_rng,
     restore_federation,
     restore_injector,
     rng_state,
     set_rng_state,
+    unpack_rng,
 )
 
 __all__ = [
@@ -49,6 +51,8 @@ __all__ = [
     "restore",
     "rng_state",
     "set_rng_state",
+    "pack_rng",
+    "unpack_rng",
     "federation_state",
     "restore_federation",
     "injector_state",

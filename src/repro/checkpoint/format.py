@@ -7,7 +7,12 @@ checkpoint stays a single self-describing archive).  The manifest
 records the format name/version and, for every array, its dtype, shape
 and CRC-32 — :func:`read_checkpoint` re-verifies all three, so silent
 corruption surfaces as :class:`CheckpointError` instead of a wrong
-resume.
+resume.  The CRC hashes each array's buffer in place, so a large
+checkpoint is not copied to be checksummed.
+
+Version 2 stores per-client and per-worker state as columnar tables
+(a few members per thousand clients, not a few per client); a reader
+refuses every other version, version 1 included.
 
 Durability comes from write-then-rename: the archive is written to a
 temp file *in the destination directory* (same filesystem), flushed and
@@ -43,7 +48,7 @@ __all__ = [
 ]
 
 FORMAT_NAME = "repro-checkpoint"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # Reserved npz key carrying the JSON manifest as raw bytes.
 MANIFEST_KEY = "__manifest__"
@@ -62,7 +67,8 @@ def checkpoint_path(directory: str | Path, iteration: int) -> Path:
 
 
 def _crc(array: np.ndarray) -> int:
-    return crc32(np.ascontiguousarray(array).tobytes())
+    # zlib reads the array's buffer directly: no tobytes() copy.
+    return crc32(np.ascontiguousarray(array))
 
 
 def write_checkpoint(

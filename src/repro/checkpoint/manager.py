@@ -91,7 +91,9 @@ class RestoredRun:
 
         Must run *after* the driver called ``algorithm._setup()`` (the
         snapshot overwrites freshly allocated state in place) and after
-        ``faults.reset()`` when an injector is attached.
+        ``faults.reset()`` when an injector is attached.  A population
+        binder adopts its carry tables from ``self.arrays`` without
+        copying them, so apply a loaded checkpoint once.
         """
         manifest = self.manifest
         if manifest["algorithm"] != algorithm.name:

@@ -5,10 +5,14 @@ matrices lives here:
 
 * **RNG streams** — a ``numpy`` :class:`~numpy.random.Generator` round-
   trips through ``bit_generator.state``, a plain JSON-able dict (Python
-  ``json`` handles the 128-bit PCG64 integers natively);
+  ``json`` handles the 128-bit PCG64 integers natively), or packs into
+  one ``uint64`` row of :data:`RNG_WORDS` words (:func:`pack_rng` /
+  :func:`unpack_rng`) so that many streams store as one table;
 * **data samplers** — a :class:`~repro.data.loader.BatchSampler` is its
   generator state plus the current permutation and cursor (stateless
-  full-batch samplers serialize as ``None``);
+  full-batch samplers serialize as ``None``).  A federation's samplers
+  store as three tables: packed RNG rows, and the permutations as one
+  flat array plus offsets (shards differ in length);
 * **model buffers** — BatchNorm running statistics, which live outside
   the flat parameter vector and advance during training;
 * **fault injectors** — realized-event counters, the monotone message
@@ -27,9 +31,14 @@ from collections import deque
 
 import numpy as np
 
+from repro.checkpoint.format import CheckpointError
+
 __all__ = [
+    "RNG_WORDS",
     "rng_state",
     "set_rng_state",
+    "pack_rng",
+    "unpack_rng",
     "federation_state",
     "restore_federation",
     "injector_state",
@@ -48,6 +57,50 @@ def rng_state(generator: np.random.Generator) -> dict:
 def set_rng_state(generator: np.random.Generator, state: dict) -> None:
     """Inverse of :func:`rng_state` (the bit generators must match)."""
     generator.bit_generator.state = state
+
+
+# A packed PCG64 state: the 128-bit ``state`` and ``inc`` as (high, low)
+# 64-bit halves, then ``has_uint32`` and the buffered ``uinteger``.
+RNG_WORDS = 6
+_LOW = (1 << 64) - 1
+
+
+def pack_rng(generator: np.random.Generator) -> np.ndarray:
+    """A PCG64 generator's state as one ``uint64`` row of RNG_WORDS words."""
+    state = generator.bit_generator.state
+    if state["bit_generator"] != "PCG64":
+        raise CheckpointError(
+            f"cannot pack a {state['bit_generator']} generator: "
+            "checkpoints store PCG64 streams only"
+        )
+    core = state["state"]
+    return np.array(
+        [
+            core["state"] >> 64,
+            core["state"] & _LOW,
+            core["inc"] >> 64,
+            core["inc"] & _LOW,
+            state["has_uint32"],
+            state["uinteger"],
+        ],
+        dtype=np.uint64,
+    )
+
+
+def unpack_rng(words: np.ndarray) -> dict:
+    """Inverse of :func:`pack_rng`: the ``bit_generator.state`` dict."""
+    hi_state, lo_state, hi_inc, lo_inc, has_uint32, uinteger = (
+        int(word) for word in words
+    )
+    return {
+        "bit_generator": "PCG64",
+        "state": {
+            "state": hi_state << 64 | lo_state,
+            "inc": hi_inc << 64 | lo_inc,
+        },
+        "has_uint32": has_uint32,
+        "uinteger": uinteger,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -75,18 +128,30 @@ def _dropout_layers(model):
 
 def federation_state(federation) -> tuple[dict, dict[str, np.ndarray]]:
     """Snapshot sampler RNG cursors, BatchNorm buffers and dropout RNGs."""
-    values: dict = {"samplers": []}
-    arrays: dict[str, np.ndarray] = {}
-    for index, sampler in enumerate(federation.samplers):
-        rng = getattr(sampler, "rng", None)
-        if rng is None:
-            # FullBatchSampler and friends: nothing to capture.
-            values["samplers"].append(None)
-            continue
-        values["samplers"].append(
-            {"rng": rng_state(rng), "cursor": int(sampler._cursor)}
-        )
-        arrays[f"fed:sampler{index}:order"] = np.asarray(sampler._order)
+    # FullBatchSampler and friends have nothing to capture: ``None``.
+    cursors = [
+        None if getattr(sampler, "rng", None) is None else int(sampler._cursor)
+        for sampler in federation.samplers
+    ]
+    stateful = [
+        sampler
+        for sampler, cursor in zip(federation.samplers, cursors)
+        if cursor is not None
+    ]
+    values: dict = {"samplers": cursors}
+    orders = [np.asarray(sampler._order) for sampler in stateful]
+    arrays: dict[str, np.ndarray] = {
+        "fed:sampler:rng": np.array(
+            [pack_rng(sampler.rng) for sampler in stateful],
+            dtype=np.uint64,
+        ).reshape(-1, RNG_WORDS),
+        "fed:sampler:order": (
+            np.concatenate(orders) if orders else np.zeros(0, np.int64)
+        ),
+        "fed:sampler:offsets": np.cumsum(
+            [0] + [order.size for order in orders], dtype=np.int64
+        ),
+    }
     for index, layer in enumerate(_norm_layers(federation.model)):
         for key, buffer in layer.get_buffers().items():
             arrays[f"fed:bn{index}:{key}"] = np.asarray(buffer)
@@ -113,14 +178,17 @@ def restore_federation(
             f"checkpoint has {len(entries)} samplers, federation has "
             f"{len(federation.samplers)}"
         )
-    for index, (sampler, entry) in enumerate(
-        zip(federation.samplers, entries)
-    ):
-        if entry is None:
+    rngs = arrays["fed:sampler:rng"]
+    order = arrays["fed:sampler:order"]
+    offsets = arrays["fed:sampler:offsets"]
+    row = 0
+    for sampler, cursor in zip(federation.samplers, entries):
+        if cursor is None:
             continue
-        set_rng_state(sampler.rng, entry["rng"])
-        sampler._order = np.array(arrays[f"fed:sampler{index}:order"])
-        sampler._cursor = int(entry["cursor"])
+        set_rng_state(sampler.rng, unpack_rng(rngs[row]))
+        sampler._order = order[offsets[row]:offsets[row + 1]].copy()
+        sampler._cursor = int(cursor)
+        row += 1
     for index, layer in enumerate(_norm_layers(federation.model)):
         buffers = layer.get_buffers()
         restored = {
@@ -128,9 +196,7 @@ def restore_federation(
             for key in buffers
         }
         layer.set_buffers(restored)
-    # ``.get``: checkpoints written before dropout-RNG capture restore
-    # everything else (they could not have trained live dropout models
-    # bit-exactly anyway).
+    # ``.get``: only models with live dropout layers record the key.
     dropout_states = values.get("dropout")
     if dropout_states:
         layers = _dropout_layers(federation.model)

@@ -14,8 +14,9 @@ Slot-pool lifecycle (per edge block, each rebind period):
   state rows, mini-batch sampler, everything stays in place (the
   LRU-ish fast path; at full participation every client is retained and
   a virtual run is bit-identical to a classic federation);
-* **departing** clients save a compact carry-forward record: the rows
-  of the algorithm's declared ``CLIENT_STATE`` arrays (its per-client
+* **departing** clients save a compact carry-forward record into the
+  columnar :class:`~repro.population.carry.CarryStore`: the rows of the
+  algorithm's declared ``CLIENT_STATE`` arrays (its per-client
   momentum/optimizer buffers) plus the client's mini-batch sampler
   state.  The model row ``x`` is deliberately *not* carried — a client
   rejoining adopts the current broadcast model, exactly like
@@ -39,10 +40,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.checkpoint.state import rng_state, set_rng_state
+from repro.checkpoint.state import pack_rng, set_rng_state
 from repro.core.federation import Federation
 from repro.data.loader import BatchSampler
 from repro.monitoring.monitor import get_monitor
+from repro.population.carry import CarryStore
 from repro.population.registry import ClientRegistry
 from repro.population.sampling import CohortSampler
 from repro.utils.rng import child_seed
@@ -74,10 +76,10 @@ class PopulationBinder:
         self.fed: Federation | None = None
         # slot -> client id for the currently materialized cohort.
         self.slot_client: np.ndarray | None = None
-        # client id -> carry-forward record for evicted clients:
-        # {"rows": [per-CLIENT_STATE-array row copies],
-        #  "sampler": {"rng": state, "cursor": int, "order": ndarray}}
-        self.carry: dict[int, dict] = {}
+        # Evicted clients' state in columnar tables; ``carry[client_id]``
+        # reads back {"rows": [per-CLIENT_STATE-array row copies],
+        #  "sampler": {"rng": state, "cursor": int, "order": ndarray}}.
+        self.carry = CarryStore()
         # Distinct clients ever materialized (gauge only).
         self._seen: set[int] = set()
 
@@ -145,17 +147,13 @@ class PopulationBinder:
 
     def _save_carry(self, algorithm, slot: int, client_id: int) -> None:
         sampler = self.fed.samplers[slot]
-        self.carry[client_id] = {
-            "rows": [
-                array[slot].copy()
-                for array in self._state_arrays(algorithm)
-            ],
-            "sampler": {
-                "rng": rng_state(sampler.rng),
-                "cursor": int(sampler._cursor),
-                "order": np.array(sampler._order),
-            },
-        }
+        self.carry.add(
+            client_id,
+            [array[slot] for array in self._state_arrays(algorithm)],
+            pack_rng(sampler.rng),
+            sampler._cursor,
+            sampler._order,
+        )
 
     def _bind_client(
         self, algorithm, slot: int, client_id: int
@@ -163,7 +161,7 @@ class PopulationBinder:
         """Materialize ``client_id`` into ``slot`` (carry or adopt)."""
         dataset = self.shards.shard(client_id)
         sampler = self._client_sampler(client_id, dataset)
-        record = self.carry.pop(client_id, None)
+        record = self.carry.pop(client_id)
         if record is not None:
             for array, row in zip(
                 self._state_arrays(algorithm), record["rows"]
@@ -171,8 +169,8 @@ class PopulationBinder:
                 array[slot] = row
             saved = record["sampler"]
             set_rng_state(sampler.rng, saved["rng"])
-            sampler._order = np.array(saved["order"])
-            sampler._cursor = int(saved["cursor"])
+            sampler._order = saved["order"]
+            sampler._cursor = saved["cursor"]
         # Fresh client: CLIENT_STATE rows are adopted as-is (equal to
         # the post-round broadcast at fault-free boundaries).
         self.fed.rebind_worker(slot, dataset, sampler)
@@ -251,25 +249,14 @@ class PopulationBinder:
     # ------------------------------------------------------------------
     def state(self) -> tuple[dict, dict[str, np.ndarray]]:
         """(manifest values, archive arrays) for the checkpoint."""
+        carry_values, arrays = self.carry.state("pop:carry:")
         values: dict = {
             "slot_client": [int(c) for c in self.slot_client],
-            "carry": {},
+            "carry": carry_values,
         }
-        arrays: dict[str, np.ndarray] = {
-            "pop:seen": np.fromiter(
-                sorted(self._seen), dtype=np.int64, count=len(self._seen)
-            ),
-        }
-        for client_id, record in self.carry.items():
-            key = str(client_id)
-            values["carry"][key] = {
-                "rng": record["sampler"]["rng"],
-                "cursor": record["sampler"]["cursor"],
-                "rows": len(record["rows"]),
-            }
-            arrays[f"pop:carry:{key}:order"] = record["sampler"]["order"]
-            for index, row in enumerate(record["rows"]):
-                arrays[f"pop:carry:{key}:row{index}"] = row
+        arrays["pop:seen"] = np.fromiter(
+            sorted(self._seen), dtype=np.int64, count=len(self._seen)
+        )
         return values, arrays
 
     def restore(
@@ -282,7 +269,8 @@ class PopulationBinder:
         disturb them, hence ``carry``-free rebinding) and *before* the
         federation's sampler states are applied (which then overwrite
         the freshly derived per-client sampler streams with the exact
-        checkpointed cursors).
+        checkpointed cursors).  The carry store adopts its tables from
+        ``arrays`` rather than copying them.
         """
         self.carry.clear()
         target = np.asarray(values["slot_client"], dtype=np.int64)
@@ -300,18 +288,6 @@ class PopulationBinder:
             rebound = True
         if rebound and self.registry.weights is not None:
             self.fed.refresh_weights()
-        self._seen = set(int(c) for c in arrays["pop:seen"])
-        self._seen.update(int(c) for c in target)
-        for key, meta in values["carry"].items():
-            client_id = int(key)
-            self.carry[client_id] = {
-                "rows": [
-                    np.array(arrays[f"pop:carry:{key}:row{index}"])
-                    for index in range(int(meta["rows"]))
-                ],
-                "sampler": {
-                    "rng": meta["rng"],
-                    "cursor": int(meta["cursor"]),
-                    "order": np.array(arrays[f"pop:carry:{key}:order"]),
-                },
-            }
+        self._seen = set(arrays["pop:seen"].tolist())
+        self._seen.update(target.tolist())
+        self.carry.restore(values["carry"], arrays, "pop:carry:")

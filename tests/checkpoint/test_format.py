@@ -33,7 +33,7 @@ def sample_arrays(rng_seed=0):
     rng = np.random.default_rng(rng_seed)
     return {
         "algo:x": rng.normal(size=(4, 17)),
-        "fed:sampler0:order": rng.permutation(50),
+        "fed:sampler:order": rng.permutation(50),
         "inj:mask:3": rng.random(4) < 0.5,
         "empty": np.zeros((0, 3)),
     }
@@ -115,19 +115,26 @@ class TestIntegrity:
         with pytest.raises(CheckpointError, match="no manifest"):
             read_checkpoint(path)
 
-    def test_future_format_version_rejected(self, tmp_path):
-        manifest = {
-            "format": FORMAT_NAME,
-            "version": FORMAT_VERSION + 1,
-            "arrays": {},
-        }
+    def write_versioned(self, tmp_path, version):
+        manifest = {"format": FORMAT_NAME, "version": version, "arrays": {}}
         blob = np.frombuffer(
             json.dumps(manifest).encode("utf-8"), dtype=np.uint8
         )
         path = checkpoint_path(tmp_path, 2)
         with open(path, "wb") as handle:
             np.savez(handle, __manifest__=blob)
+        return path
+
+    def test_future_format_version_rejected(self, tmp_path):
+        path = self.write_versioned(tmp_path, FORMAT_VERSION + 1)
         with pytest.raises(CheckpointError, match="version"):
+            read_checkpoint(path)
+
+    def test_v1_per_client_format_rejected(self, tmp_path):
+        """Version 1 stored one member per client; v2 readers refuse it."""
+        assert FORMAT_VERSION == 2
+        path = self.write_versioned(tmp_path, 1)
+        with pytest.raises(CheckpointError, match="version 1"):
             read_checkpoint(path)
 
     def test_archive_manifest_disagreement_rejected(self, tmp_path):

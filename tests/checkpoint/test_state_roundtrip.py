@@ -17,14 +17,18 @@ import json
 import numpy as np
 import pytest
 
-from repro.checkpoint import CheckpointManager
+from repro.checkpoint import CheckpointError, CheckpointManager
+from repro.checkpoint.format import read_checkpoint, write_checkpoint
 from repro.checkpoint.state import (
+    RNG_WORDS,
     federation_state,
     injector_state,
+    pack_rng,
     restore_federation,
     restore_injector,
     rng_state,
     set_rng_state,
+    unpack_rng,
 )
 from repro.faults import FaultInjector, FaultPlan
 from tests.integration.test_golden_trajectories import (
@@ -81,6 +85,40 @@ class TestRngStreams:
         fresh = np.random.default_rng(0)
         set_rng_state(fresh, snapshot)
         assert np.array_equal(fresh.random(5), golden)
+
+    def test_packed_state_roundtrips_bit_for_bit(self, tmp_path):
+        """128-bit state/inc words and a buffered 32-bit half survive
+        pack -> archive -> unpack exactly."""
+        generator = np.random.default_rng(0)
+        generator.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": (1 << 128) - 3, "inc": (1 << 127) | 5},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        # An odd number of 32-bit draws leaves half a word buffered.
+        generator.integers(0, 1 << 32, size=3, dtype=np.uint32)
+        state = rng_state(generator)
+        assert state["has_uint32"] == 1
+        assert state["state"]["state"] >> 64 and state["state"]["inc"] >> 64
+
+        packed = pack_rng(generator)
+        assert packed.dtype == np.uint64 and packed.shape == (RNG_WORDS,)
+        write_checkpoint(tmp_path, 1, {}, {"rng": packed})
+        _, arrays = read_checkpoint(tmp_path / "ckpt-00000001.npz")
+        assert unpack_rng(arrays["rng"]) == state
+
+        golden = generator.integers(0, 1 << 32, size=5, dtype=np.uint32)
+        fresh = np.random.default_rng(1)
+        set_rng_state(fresh, unpack_rng(arrays["rng"]))
+        assert np.array_equal(
+            fresh.integers(0, 1 << 32, size=5, dtype=np.uint32), golden
+        )
+
+    def test_non_pcg64_generator_refused(self):
+        generator = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(CheckpointError, match="PCG64"):
+            pack_rng(generator)
 
     def test_batch_samplers_resume_mid_epoch(self):
         federation = build_federation()

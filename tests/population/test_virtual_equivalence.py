@@ -23,6 +23,7 @@ from repro.algorithms import AsyncFedAvg, AsyncHierAdMo, FedADC, FedNAG
 from repro.checkpoint import CheckpointManager
 from repro.core import HierAdMo
 from repro.data import (
+    Dataset,
     make_synthetic_mnist,
     partition_xclass,
     train_test_split,
@@ -123,15 +124,30 @@ ASYNC_SAMPLED_CASES = {
 }
 
 
-def make_sampled_algorithm(cls, kwargs):
-    """Fresh 64-client federation, cohort 3 per edge (rebinds happen)."""
+def make_sampled_algorithm(cls, kwargs, *, uneven=False):
+    """Fresh 64-client federation, cohort 3 per edge (rebinds happen).
+
+    ``uneven`` keeps 24 clients (so carried clients return often) and
+    cuts their shards to 8, 12 or 16 samples, so their sampler
+    permutations (and aggregation weights) differ in length.
+    """
     shards = PrototypeShards(
         64, num_features=24, num_classes=6, samples_per_client=20, seed=9
     )
+    test_set = shards.test_set(80)
+    if uneven:
+        shards = ListShards(
+            [
+                Dataset(shard.x[:size], shard.y[:size], shard.num_classes)
+                for shard, size in (
+                    (shards.shard(c), (8, 12, 16)[c % 3]) for c in range(24)
+                )
+            ]
+        )
     registry = ClientRegistry.from_shards(shards, 2)
     binder = PopulationBinder(registry, shards, cohort_per_edge=3, seed=9)
     model = make_logistic_regression(24, 6, rng=4)
-    binder.build_federation(model, shards.test_set(80), batch_size=8)
+    binder.build_federation(model, test_set, batch_size=8)
     algorithm = cls(binder.fed, **kwargs)
     algorithm.attach_population(binder)
     return algorithm
@@ -177,23 +193,30 @@ def test_sampled_cohort_crash_resume_is_bit_exact(name, tmp_path):
 
 
 @pytest.mark.checkpoint
-@pytest.mark.parametrize("name", sorted(SAMPLED_CASES))
+@pytest.mark.parametrize(
+    "name", sorted(SAMPLED_CASES) + ["HierAdMo-uneven"]
+)
 def test_sampled_resume_restores_binder_state(name, tmp_path):
     """Uninterrupted and crash-resumed runs end with identical slot
-    pools and carry stores, not just identical histories."""
-    cls, kwargs = SAMPLED_CASES[name]
-    golden_algorithm = make_sampled_algorithm(cls, kwargs)
+    pools and carry stores, not just identical histories.  The uneven
+    case carries permutations of different lengths through the
+    checkpoint."""
+    cls, kwargs = SAMPLED_CASES[name.removesuffix("-uneven")]
+    uneven = name.endswith("-uneven")
+    golden_algorithm = make_sampled_algorithm(cls, kwargs, uneven=uneven)
     golden_algorithm.run(24, eval_every=6)
 
-    crashing = make_sampled_algorithm(cls, kwargs)
+    crashing = make_sampled_algorithm(cls, kwargs, uneven=uneven)
     crashing.attach_faults(
         replace(FaultPlan(), crash_iterations=(17,))
     )
     manager = CheckpointManager(tmp_path, every=5)
     with pytest.raises(InjectedCrash):
         crashing.run(24, eval_every=6, checkpoints=manager)
-    resumed = make_sampled_algorithm(cls, kwargs)
-    resumed.run(24, eval_every=6, resume_from=manager.load_latest())
+    restored = manager.load_latest()
+    assert restored.manifest["population"]["carry"]["entries"] > 0
+    resumed = make_sampled_algorithm(cls, kwargs, uneven=uneven)
+    resumed.run(24, eval_every=6, resume_from=restored)
 
     golden_binder = golden_algorithm.population
     resumed_binder = resumed.population
@@ -207,9 +230,15 @@ def test_sampled_resume_restores_binder_state(name, tmp_path):
             record["rows"], resumed_record["rows"]
         ):
             np.testing.assert_array_equal(row, resumed_row)
-        assert (
-            record["sampler"]["rng"] == resumed_record["sampler"]["rng"]
-        )
+        saved, resumed_saved = record["sampler"], resumed_record["sampler"]
+        assert saved["rng"] == resumed_saved["rng"]
+        assert saved["cursor"] == resumed_saved["cursor"]
+        np.testing.assert_array_equal(saved["order"], resumed_saved["order"])
+    lengths = {
+        record["sampler"]["order"].size
+        for record in golden_binder.carry.values()
+    }
+    assert len(lengths) == (3 if uneven else 1)
 
 
 @pytest.mark.eventsim

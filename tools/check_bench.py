@@ -57,10 +57,6 @@ GATES = {
     "population": {
         "bounded_memory": [("rss_ratio_1m_over_10k", "within_threshold")],
     },
-    "substrate": {
-        "hieradmo_iteration": [("speedup", "higher_better")],
-        "plumbing_round": [("speedup", "higher_better")],
-    },
     "telemetry": {
         "null_tracer_overhead": [("disabled_overhead", "within_threshold")],
     },
