@@ -21,9 +21,6 @@ relaxed gate (no slower than loop) lives in
 
 from __future__ import annotations
 
-import math
-import time
-
 import numpy as np
 import pytest
 
@@ -32,6 +29,7 @@ from repro.data import Dataset
 from repro.nn.models import make_cnn, make_mlp
 
 from .recorder import record_bench
+from .timing import time_min
 
 pytestmark = pytest.mark.batched
 
@@ -51,17 +49,6 @@ CNN_NUM_EDGES = 8
 CNN_WORKERS_PER_EDGE = 4  # 32 workers total
 CNN_IMAGE_SIZE = 8
 CNN_BATCH_SIZE = 4
-
-
-def _time_min(fn, repeats=9, iters=20):
-    """Best-of-repeats mean iteration time (robust to scheduler noise)."""
-    best = math.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(iters):
-            fn()
-        best = min(best, time.perf_counter() - start)
-    return best / iters
 
 
 def _reference_federation(backend):
@@ -99,8 +86,8 @@ def test_bench_batched_gradient_pass():
 
     batched.gradient_all(params, out=out)  # warm-up both paths
     loop.gradient_all(params, out=out)
-    batched_time = _time_min(lambda: batched.gradient_all(params, out=out))
-    loop_time = _time_min(lambda: loop.gradient_all(params, out=out))
+    batched_time = time_min(lambda: batched.gradient_all(params, out=out))
+    loop_time = time_min(lambda: loop.gradient_all(params, out=out))
 
     speedup = loop_time / batched_time
     print(
@@ -161,10 +148,10 @@ def test_bench_batched_cnn_gradient_pass():
 
     batched.gradient_all(params, out=out)  # warm-up both paths
     loop.gradient_all(params, out=out)
-    batched_time = _time_min(
+    batched_time = time_min(
         lambda: batched.gradient_all(params, out=out), repeats=5, iters=10
     )
-    loop_time = _time_min(
+    loop_time = time_min(
         lambda: loop.gradient_all(params, out=out), repeats=5, iters=10
     )
 

@@ -4,7 +4,8 @@ Two gates on the run-event stream:
 
 * ``null_monitor_overhead`` — the instrumented HierAdMo step under the
   null monitor (the default) against an unmonitored replica of the same
-  step body; the guard must cost ≤ 2%;
+  step body, timed A/B interleaved; the guard must cost ≤ 2% (best of
+  repeats), and the per-pair overhead quartiles are recorded beside it;
 * ``jsonl_sink_throughput`` — events per second through a live
   :class:`RunMonitor` into a line-buffered JSONL sink, pinned to a
   floor so streaming never silently becomes the bottleneck.
@@ -14,7 +15,6 @@ Results land in ``BENCH_monitor.json`` at the repo root.
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
@@ -26,6 +26,7 @@ from repro.monitoring import JSONLStreamSink, RunMonitor, set_monitor
 from repro.nn.models import make_mlp
 
 from .recorder import record_bench
+from .timing import time_interleaved
 
 # Acceptance threshold for the disabled-monitoring ("null monitor") path.
 MAX_DISABLED_OVERHEAD = 0.02
@@ -33,17 +34,6 @@ MAX_DISABLED_OVERHEAD = 0.02
 # ~85k/s on the reference container; the pin sits far below so only a
 # real regression (per-event re-serialization, unbuffered writes) trips.
 MIN_SINK_EVENTS_PER_SEC = 20_000
-
-
-def _time_min(fn, repeats=9, iters=20):
-    """Best-of-repeats mean iteration time (robust to scheduler noise)."""
-    best = math.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(iters):
-            fn()
-        best = min(best, time.perf_counter() - start)
-    return best / iters
 
 
 def _make_bench_federation(num_edges=4, per_edge=6):
@@ -96,14 +86,23 @@ def test_bench_null_monitor_overhead():
 
     unmonitored()  # warm-up both paths
     live()
-    unmonitored_time = _time_min(unmonitored)
-    disabled_time = _time_min(live)
+    # A/B interleaved: a slow stretch of the machine hits both sides.
+    unmonitored_runs, live_runs = time_interleaved([unmonitored, live])
+    unmonitored_time, disabled_time = min(unmonitored_runs), min(live_runs)
 
     overhead = disabled_time / unmonitored_time - 1.0
+    # Overhead of each interleaved repeat pair: the spread the gated
+    # best-of ratio sits in.
+    pairs = np.quantile(
+        np.array(live_runs) / np.array(unmonitored_runs) - 1.0,
+        [0.25, 0.5, 0.75],
+    )
     print(
         f"\n[bench] monitoring overhead, {fed.num_workers} workers, "
         f"dim={fed.dim}: unmonitored {unmonitored_time * 1e6:.0f} us, "
-        f"null monitor {disabled_time * 1e6:.0f} us ({overhead:+.1%})"
+        f"null monitor {disabled_time * 1e6:.0f} us ({overhead:+.1%}; "
+        f"per-pair quartiles {pairs[0]:+.1%} / {pairs[1]:+.1%} / "
+        f"{pairs[2]:+.1%})"
     )
     record_bench("monitor", "null_monitor_overhead", {
         "workers": fed.num_workers,
@@ -111,6 +110,7 @@ def test_bench_null_monitor_overhead():
         "unmonitored_us": unmonitored_time * 1e6,
         "disabled_us": disabled_time * 1e6,
         "disabled_overhead": overhead,
+        "pair_overhead_quartiles": pairs.tolist(),
         "threshold": MAX_DISABLED_OVERHEAD,
     })
     assert overhead <= MAX_DISABLED_OVERHEAD, (

@@ -15,9 +15,6 @@ Results land in ``BENCH_telemetry.json`` at the repo root.
 
 from __future__ import annotations
 
-import math
-import time
-
 import numpy as np
 
 from repro import telemetry
@@ -26,30 +23,10 @@ from repro.data import Dataset
 from repro.nn.models import make_mlp
 
 from .recorder import record_bench
+from .timing import time_interleaved, time_min
 
 # The acceptance threshold for the disabled-tracer ("null tracer") path.
 MAX_DISABLED_OVERHEAD = 0.02
-
-
-def _time_min(fn, repeats=9, iters=20):
-    """Best-of-repeats mean iteration time (robust to scheduler noise)."""
-    return _time_interleaved([fn], repeats, iters)[0]
-
-
-def _time_interleaved(fns, repeats=15, iters=20):
-    """Best-of-repeats mean iteration time of each function.
-
-    The repeats alternate between the functions, so a slow stretch of
-    the machine hits all of them instead of one.
-    """
-    best = [math.inf] * len(fns)
-    for _ in range(repeats):
-        for index, fn in enumerate(fns):
-            start = time.perf_counter()
-            for _ in range(iters):
-                fn()
-            best[index] = min(best[index], time.perf_counter() - start)
-    return [value / iters for value in best]
 
 
 def _make_bench_federation(num_edges=4, per_edge=6):
@@ -99,13 +76,13 @@ def test_bench_null_tracer_overhead():
 
     untraced()  # warm-up both paths
     algo._worker_iteration()
-    untraced_time, disabled_time = _time_interleaved(
-        [untraced, algo._worker_iteration]
+    untraced_time, disabled_time = map(
+        min, time_interleaved([untraced, algo._worker_iteration])
     )
 
     with telemetry.tracing():
         algo._worker_iteration()  # warm-up the recording path
-        enabled_time = _time_min(algo._worker_iteration)
+        enabled_time = time_min(algo._worker_iteration)
 
     overhead = disabled_time / untraced_time - 1.0
     enabled_overhead = enabled_time / untraced_time - 1.0
@@ -145,10 +122,10 @@ def test_bench_span_primitives():
         with null.span("bench"):
             pass
 
-    span_ns = _time_min(one_span, iters=1000) * 1e9
-    null_ns = _time_min(one_null_span, iters=1000) * 1e9
-    count_ns = _time_min(lambda: tracer.count("c"), iters=1000) * 1e9
-    observe_ns = _time_min(lambda: tracer.observe("h", 1.0), iters=1000) * 1e9
+    span_ns = time_min(one_span, iters=1000) * 1e9
+    null_ns = time_min(one_null_span, iters=1000) * 1e9
+    count_ns = time_min(lambda: tracer.count("c"), iters=1000) * 1e9
+    observe_ns = time_min(lambda: tracer.observe("h", 1.0), iters=1000) * 1e9
     print(
         f"\n[bench] span {span_ns:.0f} ns, null span {null_ns:.0f} ns, "
         f"count {count_ns:.0f} ns, observe {observe_ns:.0f} ns"

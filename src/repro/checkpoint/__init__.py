@@ -28,6 +28,7 @@ from repro.checkpoint.state import (
     federation_state,
     injector_state,
     pack_rng,
+    pack_rngs,
     restore_federation,
     restore_injector,
     rng_state,
@@ -52,6 +53,7 @@ __all__ = [
     "rng_state",
     "set_rng_state",
     "pack_rng",
+    "pack_rngs",
     "unpack_rng",
     "federation_state",
     "restore_federation",

@@ -38,6 +38,7 @@ __all__ = [
     "rng_state",
     "set_rng_state",
     "pack_rng",
+    "pack_rngs",
     "unpack_rng",
     "federation_state",
     "restore_federation",
@@ -65,26 +66,31 @@ RNG_WORDS = 6
 _LOW = (1 << 64) - 1
 
 
-def pack_rng(generator: np.random.Generator) -> np.ndarray:
-    """A PCG64 generator's state as one ``uint64`` row of RNG_WORDS words."""
-    state = generator.bit_generator.state
-    if state["bit_generator"] != "PCG64":
-        raise CheckpointError(
-            f"cannot pack a {state['bit_generator']} generator: "
-            "checkpoints store PCG64 streams only"
-        )
-    core = state["state"]
-    return np.array(
-        [
+def pack_rngs(generators) -> np.ndarray:
+    """PCG64 generators' states as an ``(n, RNG_WORDS)`` ``uint64`` table."""
+    words = []
+    for generator in generators:
+        state = generator.bit_generator.state
+        if state["bit_generator"] != "PCG64":
+            raise CheckpointError(
+                f"cannot pack a {state['bit_generator']} generator: "
+                "checkpoints store PCG64 streams only"
+            )
+        core = state["state"]
+        words += (
             core["state"] >> 64,
             core["state"] & _LOW,
             core["inc"] >> 64,
             core["inc"] & _LOW,
             state["has_uint32"],
             state["uinteger"],
-        ],
-        dtype=np.uint64,
-    )
+        )
+    return np.array(words, dtype=np.uint64).reshape(-1, RNG_WORDS)
+
+
+def pack_rng(generator: np.random.Generator) -> np.ndarray:
+    """A PCG64 generator's state as one ``uint64`` row of RNG_WORDS words."""
+    return pack_rngs([generator])[0]
 
 
 def unpack_rng(words: np.ndarray) -> dict:
@@ -141,10 +147,7 @@ def federation_state(federation) -> tuple[dict, dict[str, np.ndarray]]:
     values: dict = {"samplers": cursors}
     orders = [np.asarray(sampler._order) for sampler in stateful]
     arrays: dict[str, np.ndarray] = {
-        "fed:sampler:rng": np.array(
-            [pack_rng(sampler.rng) for sampler in stateful],
-            dtype=np.uint64,
-        ).reshape(-1, RNG_WORDS),
+        "fed:sampler:rng": pack_rngs(sampler.rng for sampler in stateful),
         "fed:sampler:order": (
             np.concatenate(orders) if orders else np.zeros(0, np.int64)
         ),

@@ -20,15 +20,18 @@ Two providers cover the library's needs:
   O(prototypes + one shard), independent of the registered population.
 
 Both providers expose ``shard_size(client_id)`` without materializing
-the shard, which the population layer uses for aggregation weights.
+the shard, which the population layer uses for aggregation weights,
+and ``shards(client_ids)``, which yields a cohort's shards in order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro.data.base import Dataset
-from repro.utils.rng import child_seed
+from repro.utils.rng import child_seed, child_seeds, default_rng_states
 from repro.utils.validation import check_positive_int
 
 __all__ = ["ListShards", "PrototypeShards"]
@@ -48,6 +51,10 @@ class ListShards:
 
     def shard(self, client_id: int) -> Dataset:
         return self.datasets[client_id]
+
+    def shards(self, client_ids) -> Iterator[Dataset]:
+        """The datasets of ``client_ids``, in order."""
+        return (self.datasets[c] for c in np.asarray(client_ids).tolist())
 
     def shard_size(self, client_id: int) -> int:
         return len(self.datasets[client_id])
@@ -96,24 +103,49 @@ class PrototypeShards:
         )
 
     def shard(self, client_id: int) -> Dataset:
-        if not 0 <= client_id < self.num_clients:
+        return next(self.shards([client_id]))
+
+    def shards(self, client_ids) -> Iterator[Dataset]:
+        """The shards of ``client_ids``, in order, drawn as they are taken.
+
+        Each client still draws from its own stream; the streams are
+        seeded in one batch (:func:`~repro.utils.rng.default_rng_states`)
+        and one generator is pointed at each of them in turn.  A caller
+        that binds each shard in place of an old one holds one new
+        shard at a time, not the whole batch.
+        """
+        ids = np.asarray(client_ids, dtype=np.int64).reshape(-1)
+        outside = ids[(ids < 0) | (ids >= self.num_clients)]
+        if outside.size:
             raise IndexError(
-                f"client {client_id} out of range [0, {self.num_clients})"
+                f"client {outside[0]} out of range [0, {self.num_clients})"
             )
-        rng = np.random.default_rng(
-            child_seed(self.seed, "shard", client_id)
-        )
-        if self.classes_per_client is None:
-            classes = np.arange(self.num_classes)
-        else:
-            classes = rng.choice(
-                self.num_classes, size=self.classes_per_client, replace=False
-            )
-        y = rng.choice(classes, size=self.samples_per_client)
-        x = self.prototypes[y] + self.noise * rng.normal(
-            size=(self.samples_per_client, self.num_features)
-        )
-        return Dataset(x, y, self.num_classes, name=f"shard{client_id}")
+        states = default_rng_states(child_seeds(self.seed, "shard", ids=ids))
+        return self._draw(ids.tolist(), states)
+
+    def _draw(self, clients: list[int], states: list[dict]):
+        rng = np.random.default_rng(0)
+        all_classes = np.arange(self.num_classes)
+        shape = (self.samples_per_client, self.num_features)
+        for client, state in zip(clients, states):
+            rng.bit_generator.state = state
+            classes = all_classes
+            if self.classes_per_client is not None:
+                classes = rng.choice(
+                    self.num_classes,
+                    size=self.classes_per_client,
+                    replace=False,
+                )
+            # The same draws as rng.choice(classes, size=...), without
+            # its argument handling.
+            y = classes[
+                rng.integers(0, classes.size, size=self.samples_per_client)
+            ]
+            # In place, the same bits as prototypes[y] + noise * normal.
+            x = rng.standard_normal(shape)
+            x *= self.noise
+            x += self.prototypes[y]
+            yield Dataset(x, y, self.num_classes, name=f"shard{client}")
 
     def shard_size(self, client_id: int) -> int:
         return self.samples_per_client

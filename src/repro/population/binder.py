@@ -34,20 +34,27 @@ client ``c`` always samples from ``child_seed(seed, "sampler", c)``,
 the stream a fully materialized federation would give worker ``c`` —
 this identity is what makes full-participation virtual runs reproduce
 the golden trajectories.
+
+A rebind handles the whole slot pool as one batch: one set difference
+finds every edge's departures and arrivals, the departures enter the
+carry store in one :meth:`~repro.population.carry.CarryStore.extend`,
+and the arrivals' sampler and shard streams are seeded together
+(:func:`~repro.utils.rng.default_rng_states`).  The per-client work
+left is each client's own random draws.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.checkpoint.state import pack_rng, set_rng_state
+from repro.checkpoint.state import pack_rngs, set_rng_state
 from repro.core.federation import Federation
 from repro.data.loader import BatchSampler
 from repro.monitoring.monitor import get_monitor
 from repro.population.carry import CarryStore
 from repro.population.registry import ClientRegistry
 from repro.population.sampling import CohortSampler
-from repro.utils.rng import child_seed
+from repro.utils.rng import child_seeds, default_rng_states
 
 __all__ = ["PopulationBinder"]
 
@@ -105,13 +112,13 @@ class PopulationBinder:
         """
         cohort = self.sampler.draw(0)
         k = self.sampler.cohort_per_edge
-        partitions = [
-            [self.shards.shard(int(c)) for c in cohort[e * k:(e + 1) * k]]
-            for e in range(self.registry.num_edges)
-        ]
+        datasets = list(self.shards.shards(cohort))
         fed = Federation(
             model,
-            partitions,
+            [
+                datasets[e * k:(e + 1) * k]
+                for e in range(self.registry.num_edges)
+            ],
             test_set,
             batch_size=batch_size,
             seed=self.seed,
@@ -119,21 +126,8 @@ class PopulationBinder:
         )
         self.fed = fed
         self.slot_client = cohort.copy()
-        self._seen.update(int(c) for c in cohort)
-        for slot, client in enumerate(cohort):
-            fed.samplers[slot] = self._client_sampler(
-                int(client), fed.worker_datasets[slot]
-            )
+        self._bind_clients(None, np.arange(cohort.size), cohort, datasets)
         return fed
-
-    def _client_sampler(self, client_id: int, dataset) -> BatchSampler:
-        return BatchSampler(
-            dataset,
-            self.fed.batch_size,
-            np.random.default_rng(
-                child_seed(self.seed, "sampler", client_id)
-            ),
-        )
 
     # ------------------------------------------------------------------
     # Carry-forward state access
@@ -145,36 +139,56 @@ class PopulationBinder:
             arrays.append(getattr(obj, leaf))
         return arrays
 
-    def _save_carry(self, algorithm, slot: int, client_id: int) -> None:
-        sampler = self.fed.samplers[slot]
-        self.carry.add(
-            client_id,
-            [array[slot] for array in self._state_arrays(algorithm)],
-            pack_rng(sampler.rng),
-            sampler._cursor,
-            sampler._order,
+    def _save_carry(self, algorithm, slots, clients) -> None:
+        """Store the departing ``clients`` bound to ``slots``."""
+        samplers = [self.fed.samplers[slot] for slot in slots]
+        self.carry.extend(
+            clients,
+            self._state_arrays(algorithm),
+            slots,
+            pack_rngs(sampler.rng for sampler in samplers),
+            [sampler._cursor for sampler in samplers],
+            [sampler._order for sampler in samplers],
         )
 
-    def _bind_client(
-        self, algorithm, slot: int, client_id: int
-    ) -> None:
-        """Materialize ``client_id`` into ``slot`` (carry or adopt)."""
-        dataset = self.shards.shard(client_id)
-        sampler = self._client_sampler(client_id, dataset)
-        record = self.carry.pop(client_id)
-        if record is not None:
-            for array, row in zip(
-                self._state_arrays(algorithm), record["rows"]
-            ):
-                array[slot] = row
-            saved = record["sampler"]
-            set_rng_state(sampler.rng, saved["rng"])
-            sampler._order = saved["order"]
-            sampler._cursor = saved["cursor"]
-        # Fresh client: CLIENT_STATE rows are adopted as-is (equal to
-        # the post-round broadcast at fault-free boundaries).
-        self.fed.rebind_worker(slot, dataset, sampler)
-        self._seen.add(client_id)
+    def _bind_clients(self, algorithm, slots, clients, datasets) -> None:
+        """Materialize ``clients`` into ``slots`` (carry or adopt).
+
+        A slot keeps its generator object: the client leaving it has
+        been stored (or is being replaced wholesale), so the generator
+        is re-pointed at the arriving client's stream instead of a new
+        one being seeded.  Fresh clients' streams are seeded in one
+        batch.
+        """
+        fed = self.fed
+        records = [self.carry.pop(client) for client in clients.tolist()]
+        fresh = [i for i, record in enumerate(records) if record is None]
+        states = iter(
+            default_rng_states(
+                child_seeds(self.seed, "sampler", ids=clients[fresh])
+            )
+        )
+        for slot, dataset, record in zip(slots.tolist(), datasets, records):
+            rng = fed.samplers[slot].rng
+            if record is None:
+                # Fresh client: CLIENT_STATE rows are adopted as-is
+                # (equal to the post-round broadcast at fault-free
+                # boundaries).
+                set_rng_state(rng, next(states))
+            sampler = BatchSampler(dataset, fed.batch_size, rng)
+            if record is not None:
+                for array, row in zip(
+                    self._state_arrays(algorithm), record["rows"]
+                ):
+                    array[slot] = row
+                saved = record["sampler"]
+                set_rng_state(rng, saved["rng"])
+                sampler._order = saved["order"]
+                sampler._cursor = saved["cursor"]
+            fed.rebind_worker(slot, dataset, sampler)
+        self._seen.update(clients.tolist())
+        if self.registry.weights is not None:
+            fed.refresh_weights()
 
     # ------------------------------------------------------------------
     # Rebinding
@@ -211,37 +225,23 @@ class PopulationBinder:
     def _rebind(
         self, algorithm, cohort: np.ndarray, *, save_carry: bool
     ) -> np.ndarray:
+        """Rebind every slot whose client left, all edges in one batch.
+
+        Each edge owns a contiguous client-id range and keeps ``k``
+        slots, so the freed slots in slot order and the sorted arrivals
+        pair up edge by edge: each edge's arrivals land in its own freed
+        slots, in sorted order.
+        """
         current = self.slot_client
-        if np.array_equal(cohort, current):
-            return cohort
-        k = self.sampler.cohort_per_edge
-        rebound = False
-        for edge in range(self.registry.num_edges):
-            block = slice(edge * k, (edge + 1) * k)
-            old = current[block]
-            new = cohort[block]
-            incoming = set(int(c) for c in new)
-            free_slots = [
-                edge * k + i
-                for i, c in enumerate(old)
-                if int(c) not in incoming
-            ]
-            arriving = sorted(
-                set(int(c) for c in new) - set(int(c) for c in old)
-            )
-            if not arriving:
-                continue
-            rebound = True
+        slots = np.flatnonzero(~np.isin(current, cohort))
+        if slots.size:
+            arriving = np.setdiff1d(cohort, current)
             if save_carry:
-                for slot in free_slots:
-                    self._save_carry(
-                        algorithm, slot, int(current[slot])
-                    )
-            for slot, client in zip(free_slots, arriving):
-                self._bind_client(algorithm, slot, client)
-                current[slot] = client
-        if rebound and self.registry.weights is not None:
-            self.fed.refresh_weights()
+                self._save_carry(algorithm, slots, current[slots])
+            self._bind_clients(
+                algorithm, slots, arriving, self.shards.shards(arriving)
+            )
+            current[slots] = arriving
         return cohort
 
     # ------------------------------------------------------------------
@@ -279,15 +279,13 @@ class PopulationBinder:
         # a one-shot sorted-arrival reconstruction can permute.  The
         # carry store is empty so every bind takes the adopt path and
         # leaves the already-restored state rows untouched.
-        rebound = False
-        for slot, client in enumerate(target):
-            if int(self.slot_client[slot]) == int(client):
-                continue
-            self._bind_client(algorithm, slot, int(client))
-            self.slot_client[slot] = client
-            rebound = True
-        if rebound and self.registry.weights is not None:
-            self.fed.refresh_weights()
+        slots = np.flatnonzero(self.slot_client != target)
+        if slots.size:
+            clients = target[slots]
+            self._bind_clients(
+                algorithm, slots, clients, self.shards.shards(clients)
+            )
+            self.slot_client[slots] = clients
         self._seen = set(arrays["pop:seen"].tolist())
         self._seen.update(target.tolist())
         self.carry.restore(values["carry"], arrays, "pop:carry:")

@@ -77,18 +77,28 @@ class _Block:
     def order_of(self, row: int) -> np.ndarray:
         return self.order[self.offsets[row]:self.offsets[row + 1]]
 
+    def _reserve(self, size: int, keep: int) -> None:
+        """Grow the order buffer to ``size`` values, keeping ``keep``."""
+        if size > self.order.size:
+            grown = np.empty(max(size, 2 * self.order.size), dtype=np.int64)
+            grown[:keep] = self.order[:keep]
+            self.order = grown
+
+    def append_orders(self, row: int, orders) -> None:
+        """Permutations of new entries from ``row`` on (the block's end)."""
+        start = self.offsets[row]
+        ends = start + np.cumsum([order.size for order in orders])
+        self._reserve(int(ends[-1]), start)
+        self.order[start:ends[-1]] = np.concatenate(orders)
+        self.offsets[row + 1:row + 1 + len(orders)] = ends
+
     def put_order(self, row: int, used: int, values: np.ndarray) -> None:
         """Replace row ``row``'s permutation, shifting the rows after it."""
         start, stop = self.offsets[row], self.offsets[row + 1]
         end = self.offsets[used]
         shift = values.size - (stop - start)
         if shift:
-            if end + shift > self.order.size:
-                grown = np.empty(
-                    max(end + shift, 2 * self.order.size), dtype=np.int64
-                )
-                grown[:end] = self.order[:end]
-                self.order = grown
+            self._reserve(end + shift, end)
             self.order[stop + shift:end + shift] = self.order[stop:end]
             self.offsets[row + 1:used + 1] += shift
         self.order[start:start + values.size] = values
@@ -104,14 +114,15 @@ class CarryStore(Mapping):
     """``Mapping[client_id, record]`` over columnar tables.
 
     The mapping view is read-only; the binder writes through
-    :meth:`add` (a client departs) and :meth:`pop` (it returns).
+    :meth:`extend` (a cohort's departing clients) and :meth:`pop` (a
+    client returns).
     """
 
     def __init__(self, block: int = BLOCK):
         self.block = int(block)
         self._blocks: list[_Block] = []
         self._index: dict[int, int] = {}
-        # (shape, dtype) per CLIENT_STATE array, fixed by the first add.
+        # (shape, dtype) per CLIENT_STATE array, fixed by the first extend.
         self._row_specs: list[tuple[tuple, np.dtype]] | None = None
 
     # ------------------------------------------------------------------
@@ -144,28 +155,43 @@ class CarryStore(Mapping):
     # ------------------------------------------------------------------
     # Mutation (the binder's side)
     # ------------------------------------------------------------------
-    def add(self, client_id: int, rows, rng, cursor: int, order) -> None:
-        """Store one departing client (replacing an older entry)."""
-        client_id = int(client_id)
-        if client_id in self._index:
-            self._remove(self._index.pop(client_id))
+    def extend(self, clients, sources, rows, rng, cursors, orders) -> None:
+        """Store a batch of departing clients after the last entry.
+
+        ``clients`` are distinct ids (an id already stored is replaced).
+        Their state is row ``rows[i]`` of each array in ``sources`` (one
+        per ``CLIENT_STATE`` array), copied straight into the tables;
+        ``rng`` is their packed generators ``(n, RNG_WORDS)``, and
+        ``cursors``/``orders`` are their sampler cursors and
+        permutations.  Each block the batch reaches takes one slice
+        assignment per table.
+        """
+        clients = [int(client) for client in clients]
+        for client in clients:
+            if client in self._index:
+                self._remove(self._index.pop(client))
         if self._row_specs is None:
             self._row_specs = [
-                (np.shape(row), np.asarray(row).dtype) for row in rows
+                (source.shape[1:], source.dtype) for source in sources
             ]
-        entry = len(self._index)
-        if entry == len(self._blocks) * self.block:
-            self._blocks.append(_Block.empty(self.block, self._row_specs))
-        block, row = self._locate(entry)
-        columns = block.columns
-        columns["client"][row] = client_id
-        columns["cursor"][row] = cursor
-        columns["rng"][row] = rng
-        for index, value in enumerate(rows):
-            columns[f"row{index}"][row] = value
-        block.offsets[row + 1] = block.offsets[row]
-        block.put_order(row, row + 1, np.asarray(order))
-        self._index[client_id] = entry
+        first = len(self._index)
+        done = 0
+        while done < len(clients):
+            entry = first + done
+            if entry == len(self._blocks) * self.block:
+                self._blocks.append(_Block.empty(self.block, self._row_specs))
+            block, row = self._locate(entry)
+            take = min(self.block - row, len(clients) - done)
+            part = slice(done, done + take)
+            columns = block.columns
+            columns["client"][row:row + take] = clients[part]
+            columns["cursor"][row:row + take] = cursors[part]
+            columns["rng"][row:row + take] = rng[part]
+            for index, source in enumerate(sources):
+                columns[f"row{index}"][row:row + take] = source[rows[part]]
+            block.append_orders(row, orders[part])
+            done += take
+        self._index.update(zip(clients, range(first, first + len(clients))))
 
     def pop(self, client_id: int) -> dict | None:
         """Remove and return one client's record (``None`` if absent)."""

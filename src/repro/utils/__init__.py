@@ -6,7 +6,13 @@ from repro.utils.flatten import (
     zeros_like_flat,
 )
 from repro.utils.io import atomic_write_text, replace_into
-from repro.utils.rng import RngStreams, child_seed, make_rng
+from repro.utils.rng import (
+    RngStreams,
+    child_seed,
+    child_seeds,
+    default_rng_states,
+    make_rng,
+)
 from repro.utils.validation import (
     check_fraction,
     check_in_range,
@@ -18,6 +24,8 @@ from repro.utils.validation import (
 __all__ = [
     "RngStreams",
     "child_seed",
+    "child_seeds",
+    "default_rng_states",
     "make_rng",
     "flatten_arrays",
     "unflatten_like",

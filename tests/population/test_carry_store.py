@@ -65,11 +65,22 @@ def _churn(store, oracle, rng, steps):
                 record["sampler"]["order"], expected["sampler"]["order"]
             )
         else:
-            # Ids repeat, so some adds replace a stored entry.
-            client_id = int(rng.integers(0, 60))
-            entry = _entry(rng, client_id)
-            store.add(client_id, *entry)
-            oracle[client_id] = _record(*entry)
+            # Batches of distinct ids, up to a block and more; ids repeat
+            # across batches, so some entries replace a stored one.
+            size = int(rng.integers(1, 6))
+            clients = rng.choice(60, size=size, replace=False)
+            entries = [_entry(rng, client_id) for client_id in clients]
+            rows, rngs, cursors, orders = zip(*entries)
+            store.extend(
+                clients,
+                [np.array(column) for column in zip(*rows)],
+                np.arange(clients.size),
+                np.array(rngs),
+                list(cursors),
+                list(orders),
+            )
+            for client_id, entry in zip(clients.tolist(), entries):
+                oracle[client_id] = _record(*entry)
 
 
 def test_random_churn_matches_dict_oracle():
@@ -84,7 +95,7 @@ def test_random_churn_matches_dict_oracle():
 def test_snapshot_roundtrip_then_keeps_working(tmp_path):
     rng = np.random.default_rng(1)
     store, oracle = CarryStore(block=3), {}
-    _churn(store, oracle, rng, 60)
+    _churn(store, oracle, rng, 50)
     # Several blocks, the last one partly used.
     assert len(oracle) > 6 and len(oracle) % 3
     values, arrays = store.state("carry:")
@@ -125,10 +136,8 @@ def _binder_with_carry(carried: int):
     algorithm.attach_population(binder)
     algorithm._setup()
     binder.reset(algorithm)
-    for client_id in range(100, 100 + carried):
-        binder._save_carry(
-            algorithm, client_id % binder.fed.num_workers, client_id
-        )
+    clients = np.arange(100, 100 + carried)
+    binder._save_carry(algorithm, clients % binder.fed.num_workers, clients)
     return binder
 
 

@@ -23,6 +23,7 @@ from repro.monitoring import monitoring
 from repro.nn.models import make_logistic_regression
 from repro.population import ClientRegistry, CohortSampler, PopulationBinder
 from repro.utils.memory import current_rss_bytes, peak_rss_bytes
+from repro.utils.rng import child_seed
 
 pytestmark = pytest.mark.population
 
@@ -156,6 +157,44 @@ class TestPrototypeShards:
         np.testing.assert_array_equal(
             shards.test_set(64).x, shards.test_set(64).x
         )
+
+    @pytest.mark.parametrize("classes_per_client", [None, 3])
+    def test_batch_matches_per_client_reference(self, classes_per_client):
+        shards = PrototypeShards(
+            5000, num_features=7, num_classes=6, samples_per_client=9,
+            classes_per_client=classes_per_client, seed=11,
+        )
+        clients = np.random.default_rng(2).choice(5000, size=40, replace=False)
+        for client, shard in zip(clients, shards.shards(clients)):
+            x, y = _reference_shard(shards, int(client))
+            # Bit for bit, not just close.
+            np.testing.assert_array_equal(
+                shard.x.view(np.uint64), x.view(np.uint64)
+            )
+            np.testing.assert_array_equal(shard.y, y)
+            assert shard.name == f"shard{client}"
+
+    def test_out_of_range_client_refused(self):
+        shards = PrototypeShards(10, samples_per_client=4, seed=0)
+        with pytest.raises(IndexError, match="out of range"):
+            shards.shards([3, 10])
+        with pytest.raises(IndexError, match="out of range"):
+            shards.shard(-1)
+
+
+def _reference_shard(shards, client_id):
+    """Client ``c``'s shard from its own freshly seeded generator."""
+    rng = np.random.default_rng(child_seed(shards.seed, "shard", client_id))
+    classes = np.arange(shards.num_classes)
+    if shards.classes_per_client is not None:
+        classes = rng.choice(
+            shards.num_classes, size=shards.classes_per_client, replace=False
+        )
+    y = rng.choice(classes, size=shards.samples_per_client)
+    x = shards.prototypes[y] + shards.noise * rng.normal(
+        size=(shards.samples_per_client, shards.num_features)
+    )
+    return x, y
 
 
 # ----------------------------------------------------------------------
@@ -293,21 +332,26 @@ class _RecordingBinder(PopulationBinder):
         self.saved: dict[int, tuple] = {}
         self.rebound: list[tuple] = []
 
-    def _save_carry(self, algorithm, slot, client_id):
-        super()._save_carry(algorithm, slot, client_id)
-        record = self.carry[client_id]
-        self.saved[client_id] = (
-            [row.copy() for row in record["rows"]],
-            copy.deepcopy(record["sampler"]),
-        )
+    def _save_carry(self, algorithm, slots, clients):
+        super()._save_carry(algorithm, slots, clients)
+        for client_id in clients.tolist():
+            record = self.carry[client_id]
+            self.saved[client_id] = (
+                [row.copy() for row in record["rows"]],
+                copy.deepcopy(record["sampler"]),
+            )
 
-    def _bind_client(self, algorithm, slot, client_id):
-        returning = client_id in self.carry
-        # Snapshot the *current* save record: the client may depart
+    def _bind_clients(self, algorithm, slots, clients, datasets):
+        returning = [client in self.carry for client in clients.tolist()]
+        # Snapshot the *current* save records: a client may depart
         # again later and overwrite ``saved`` before the test asserts.
-        expected = self.saved.get(client_id)
-        super()._bind_client(algorithm, slot, client_id)
-        if returning:
+        expected = [self.saved.get(client) for client in clients.tolist()]
+        super()._bind_clients(algorithm, slots, clients, datasets)
+        for slot, client_id, back, saved in zip(
+            slots.tolist(), clients.tolist(), returning, expected
+        ):
+            if not back:
+                continue
             sampler = self.fed.samplers[slot]
             self.rebound.append(
                 (
@@ -321,7 +365,7 @@ class _RecordingBinder(PopulationBinder):
                         "cursor": int(sampler._cursor),
                         "order": np.array(sampler._order),
                     },
-                    expected,
+                    saved,
                 )
             )
 

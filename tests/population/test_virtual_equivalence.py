@@ -1,11 +1,14 @@
 """Virtual-federation equivalence batteries.
 
-Two acceptance guarantees of the population layer:
+Three acceptance guarantees of the population layer:
 
 * **Full participation is the identity** — a virtual federation whose
   cohort covers the whole registered population must reproduce every
   golden trajectory at rtol 1e-8 on both gradient backends (same
   worker order, same derived sampler streams, zero rebinds);
+* **The batched rebind is the per-client loop** — sampled runs through
+  :class:`PopulationBinder` and the reference :class:`LoopBinder` end
+  bit-identical;
 * **Sampled cohorts survive crashes** — a cohort-sampled run that
   crashes mid-training and resumes from its last durable checkpoint
   reproduces the uninterrupted run bit for bit, carry store included.
@@ -21,6 +24,7 @@ import pytest
 
 from repro.algorithms import AsyncFedAvg, AsyncHierAdMo, FedADC, FedNAG
 from repro.checkpoint import CheckpointManager
+from repro.checkpoint.state import pack_rng, rng_state, set_rng_state
 from repro.core import HierAdMo
 from repro.data import (
     Dataset,
@@ -28,10 +32,12 @@ from repro.data import (
     partition_xclass,
     train_test_split,
 )
+from repro.data.loader import BatchSampler
 from repro.data.shards import ListShards, PrototypeShards
 from repro.faults import FaultPlan, InjectedCrash
 from repro.nn.models import make_logistic_regression
 from repro.population import ClientRegistry, PopulationBinder
+from repro.utils.rng import child_seed
 from tests.integration.test_golden_trajectories import (
     ALGORITHMS,
     EVAL_EVERY,
@@ -124,7 +130,56 @@ ASYNC_SAMPLED_CASES = {
 }
 
 
-def make_sampled_algorithm(cls, kwargs, *, uneven=False):
+class LoopBinder(PopulationBinder):
+    """Reference rebind: edge by edge and client by client.
+
+    Each departing client is stored on its own, and each arriving client
+    gets its own shard and a generator seeded by ``default_rng`` — the
+    per-client loop the batched rebind must reproduce bit for bit.
+    """
+
+    def _rebind(self, algorithm, cohort, *, save_carry):
+        current = self.slot_client
+        k = self.sampler.cohort_per_edge
+        arrays = self._state_arrays(algorithm)
+        rebound = False
+        for edge in range(self.registry.num_edges):
+            old = current[edge * k:(edge + 1) * k].tolist()
+            new = cohort[edge * k:(edge + 1) * k].tolist()
+            free = [edge * k + i for i, c in enumerate(old) if c not in new]
+            arriving = sorted(set(new) - set(old))
+            rebound = rebound or bool(arriving)
+            for slot in free if save_carry else ():
+                sampler = self.fed.samplers[slot]
+                self.carry.extend(
+                    [current[slot]], arrays, [slot],
+                    pack_rng(sampler.rng)[None],
+                    [sampler._cursor], [sampler._order],
+                )
+            for slot, client in zip(free, arriving):
+                dataset = self.shards.shard(client)
+                seed = child_seed(self.seed, "sampler", client)
+                sampler = BatchSampler(
+                    dataset, self.fed.batch_size, np.random.default_rng(seed)
+                )
+                record = self.carry.pop(client)
+                if record is not None:
+                    for array, row in zip(arrays, record["rows"]):
+                        array[slot] = row
+                    set_rng_state(sampler.rng, record["sampler"]["rng"])
+                    sampler._order = record["sampler"]["order"]
+                    sampler._cursor = record["sampler"]["cursor"]
+                self.fed.rebind_worker(slot, dataset, sampler)
+                current[slot] = client
+                self._seen.add(client)
+        if rebound and self.registry.weights is not None:
+            self.fed.refresh_weights()
+        return cohort
+
+
+def make_sampled_algorithm(
+    cls, kwargs, *, uneven=False, binder_cls=PopulationBinder
+):
     """Fresh 64-client federation, cohort 3 per edge (rebinds happen).
 
     ``uneven`` keeps 24 clients (so carried clients return often) and
@@ -145,7 +200,7 @@ def make_sampled_algorithm(cls, kwargs, *, uneven=False):
             ]
         )
     registry = ClientRegistry.from_shards(shards, 2)
-    binder = PopulationBinder(registry, shards, cohort_per_edge=3, seed=9)
+    binder = binder_cls(registry, shards, cohort_per_edge=3, seed=9)
     model = make_logistic_regression(24, 6, rng=4)
     binder.build_federation(model, test_set, batch_size=8)
     algorithm = cls(binder.fed, **kwargs)
@@ -169,6 +224,51 @@ def assert_histories_match(golden, resumed):
         atol=1e-10,
     )
     assert resumed.gamma_trace == golden.gamma_trace
+
+
+def assert_same_carry(store, expected):
+    assert sorted(store) == sorted(expected)
+    for client_id, record in expected.items():
+        other = store[client_id]
+        for row, other_row in zip(record["rows"], other["rows"]):
+            np.testing.assert_array_equal(row, other_row)
+        saved, other_saved = record["sampler"], other["sampler"]
+        assert saved["rng"] == other_saved["rng"]
+        assert saved["cursor"] == other_saved["cursor"]
+        np.testing.assert_array_equal(saved["order"], other_saved["order"])
+
+
+@pytest.mark.parametrize(
+    "name", sorted(SAMPLED_CASES) + ["HierAdMo-uneven"]
+)
+def test_batched_rebind_matches_per_client_loop(name):
+    """The batched rebind and the per-client reference loop leave the
+    same trajectory, slot pool, carry store and sampler streams."""
+    cls, kwargs = SAMPLED_CASES[name.removesuffix("-uneven")]
+    uneven = name.endswith("-uneven")
+    runs = []
+    for binder_cls in (PopulationBinder, LoopBinder):
+        algorithm = make_sampled_algorithm(
+            cls, kwargs, uneven=uneven, binder_cls=binder_cls
+        )
+        history = algorithm.run(36, eval_every=6)
+        runs.append((algorithm, history))
+    (batched, batched_history), (loop, loop_history) = runs
+    assert batched_history.test_loss == loop_history.test_loss
+    assert batched_history.train_loss[1:] == loop_history.train_loss[1:]
+    for key, array in loop.checkpoint_arrays().items():
+        np.testing.assert_array_equal(batched.checkpoint_arrays()[key], array)
+    np.testing.assert_array_equal(
+        batched.population.slot_client, loop.population.slot_client
+    )
+    assert batched.population._seen == loop.population._seen
+    assert len(loop.population.carry) > 0
+    assert_same_carry(batched.population.carry, loop.population.carry)
+    for sampler, other in zip(batched.fed.samplers, loop.fed.samplers):
+        assert rng_state(sampler.rng) == rng_state(other.rng)
+        assert sampler._cursor == other._cursor
+        np.testing.assert_array_equal(sampler._order, other._order)
+        np.testing.assert_array_equal(sampler.dataset.x, other.dataset.x)
 
 
 @pytest.mark.checkpoint
@@ -223,17 +323,7 @@ def test_sampled_resume_restores_binder_state(name, tmp_path):
     np.testing.assert_array_equal(
         resumed_binder.slot_client, golden_binder.slot_client
     )
-    assert sorted(resumed_binder.carry) == sorted(golden_binder.carry)
-    for client_id, record in golden_binder.carry.items():
-        resumed_record = resumed_binder.carry[client_id]
-        for row, resumed_row in zip(
-            record["rows"], resumed_record["rows"]
-        ):
-            np.testing.assert_array_equal(row, resumed_row)
-        saved, resumed_saved = record["sampler"], resumed_record["sampler"]
-        assert saved["rng"] == resumed_saved["rng"]
-        assert saved["cursor"] == resumed_saved["cursor"]
-        np.testing.assert_array_equal(saved["order"], resumed_saved["order"])
+    assert_same_carry(resumed_binder.carry, golden_binder.carry)
     lengths = {
         record["sampler"]["order"].size
         for record in golden_binder.carry.values()

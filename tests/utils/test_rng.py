@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.rng import RngStreams, child_seed, make_rng
+from repro.utils.rng import (
+    RngStreams,
+    child_seed,
+    child_seeds,
+    default_rng_states,
+    make_rng,
+)
 
 
 class TestMakeRng:
@@ -44,6 +50,41 @@ class TestChildSeed:
         seed = child_seed(root, name)
         # Must be accepted by numpy as a seed.
         np.random.default_rng(seed)
+
+
+class TestBatchedSeeding:
+    """The batched helpers against numpy's own per-seed construction."""
+
+    def test_child_seeds_match_child_seed(self):
+        ids = np.array([0, 1, 9, 10, 12345, 999_999, 2**40])
+        expected = [child_seed(7, "shard", int(i)) for i in ids]
+        assert child_seeds(7, "shard", ids=ids).tolist() == expected
+        assert child_seeds(7, ids=ids).tolist() == [
+            child_seed(7, int(i)) for i in ids
+        ]
+        assert child_seeds(7, "shard", ids=[]).size == 0
+
+    def test_default_rng_states_match_numpy(self):
+        # Random 63-bit seeds plus the one- and two-word boundaries of
+        # numpy's SeedSequence entropy coercion.
+        seeds = np.random.default_rng(3).integers(0, 2**63, size=300).tolist()
+        seeds += [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**64 - 1]
+        states = default_rng_states(np.array(seeds, dtype=np.uint64))
+        assert len(states) == len(seeds)
+        for seed, state in zip(seeds, states):
+            assert state == np.random.default_rng(seed).bit_generator.state
+
+    def test_seeded_state_draws_like_default_rng(self):
+        generator = np.random.default_rng(0)
+        generator.bit_generator.state = default_rng_states([42])[0]
+        assert np.array_equal(
+            generator.standard_normal(8),
+            np.random.default_rng(42).standard_normal(8),
+        )
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            default_rng_states([3, -1])
 
 
 class TestRngStreams:

@@ -56,6 +56,7 @@ GATES = {
     },
     "population": {
         "bounded_memory": [("rss_ratio_1m_over_10k", "within_threshold")],
+        "rebind_cost": [("rebind_over_draws", "within_threshold")],
     },
     "telemetry": {
         "null_tracer_overhead": [("disabled_overhead", "within_threshold")],
