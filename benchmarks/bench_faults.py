@@ -1,8 +1,9 @@
 """Fault-injection overhead benchmark (PR acceptance: zero plan ≤ 2%).
 
 Attaching the all-zero :class:`~repro.faults.FaultPlan` keeps the
-injector inactive, so every algorithm runs its literal original code
-path — the numerics are bit-exact (see ``tests/faults``) and the
+injector inactive: it draws nothing, every round resolves to all
+candidates at their cached weights through the same code a run with no
+plan takes, and the numerics are bit-exact (see ``tests/faults``).  The
 runtime must stay within 2% of a run with no plan attached at all.
 This bench times full short HierAdMo runs both ways on identically
 seeded federations and records the ratio to ``BENCH_faults.json``.

@@ -52,17 +52,20 @@ def _make_algo():
 
 
 def _untraced_iteration(fed, algo):
-    """The worker-iteration body with no telemetry calls, for baseline.
+    """The live worker-iteration body, minus its telemetry span.
 
-    Same backend as the live path: one batched ``gradient_all`` pass.
+    Same step as ``HierAdMo._worker_iteration``: one batched
+    ``gradient_all`` pass over the selected rows, then lines 5–6.
     """
-    grads = algo._grads
-    losses = fed.gradient_all(algo.x, out=grads)
-    y_new = algo.x - algo.eta * grads
-    velocity = y_new - algo.y
-    algo.controller.accumulate_all(grads, algo.y, velocity)
-    algo.x = y_new + algo.gamma * velocity
-    algo.y = y_new
+    rows = algo._iteration_rows()
+    losses = fed.gradient_all(algo.x, rows=rows, out=algo._grads)
+    g = algo._grads[rows]
+    y_prev = algo.y[rows]
+    y_new = algo.x[rows] - algo.eta * g
+    velocity = y_new - y_prev
+    algo.controller.accumulate_step(rows, g, y_prev, velocity)
+    algo.x[rows] = y_new + algo.gamma * velocity
+    algo.y[rows] = y_new
     return float(losses.mean())
 
 

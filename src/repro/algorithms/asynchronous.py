@@ -16,12 +16,15 @@ arrived when the edge quorum is met.  Two variants ship:
   an ancient velocity cannot re-accelerate the edge momentum, and the
   adaptive γℓ (eqs. 6–7) is measured over the fresh arrivals only.
 
-With ``quorum=1.0`` and no faults, every closure takes the pristine
-branch — the exact lockstep expressions over all members — so the
-event-driven run reproduces the golden trajectories (pinned at rtol
-1e-8 by the equivalence battery).  Histories gain a simulated-time axis
-(``eval_times``), which makes the paper's Fig. 2 h/l time-to-accuracy
-comparison emergent rather than re-priced after the fact.
+Every closure runs one aggregation over whatever arrived: the fresh
+members (a ``slice(None)`` selector when everyone arrived) and any
+buffered stale snapshots, at their data weights renormalized over that
+set.  With ``quorum=1.0`` and no faults every member arrives fresh and
+nothing is stale, so the event-driven run reproduces the golden
+trajectories (pinned at rtol 1e-8 by the equivalence battery).
+Histories gain a simulated-time axis (``eval_times``), which makes the
+paper's Fig. 2 h/l time-to-accuracy comparison emergent rather than
+re-priced after the fact.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import numpy as np
 from repro.core.federation import Federation
 from repro.core.hieradmo import HierAdMo
 from repro.algorithms.twotier import FedAvg
+from repro.faults import EVERYONE, block_rows
 from repro.metrics.history import TrainingHistory
 from repro.monitoring.health import MonitorAbort
 from repro.monitoring.monitor import get_monitor
@@ -174,6 +178,13 @@ class AsyncExecutionMixin:
 
     def _global_eval_params(self) -> np.ndarray:
         return self.fed.global_average_workers(self._eval_x)
+
+    @staticmethod
+    def _fresh_rows(block: slice, fresh: tuple[int, ...]):
+        """Selector (within ``block``) of a closure's fresh arrivals."""
+        if len(fresh) == block.stop - block.start:
+            return EVERYONE
+        return np.asarray(fresh, dtype=int) - block.start
 
     # ------------------------------------------------------------------
     # Checkpoint protocol (engine-side state rides along with the
@@ -477,58 +488,41 @@ class AsyncHierAdMo(AsyncExecutionMixin, HierAdMo):
                     self.history.comm.record_worker_edge(events, rounds=0)
                 return
             rows = fed.edge_slices[group]
-            full_weights = fed.worker_w_in_edge[group]
-            x_plus_prev = self.edge_x_plus[group]
-            if len(fresh) == rows.stop - rows.start and not stale:
-                # Full barrier: the exact lockstep pristine expressions.
+            sel = self._fresh_rows(rows, fresh)
+            fresh_ids = block_rows(rows, sel)
+            w_fresh = fed.worker_w_in_edge[group][sel]
+            if fresh:
+                # γℓ measures *current* agreement, so only fresh
+                # accumulators enter eq. 6.
                 gamma_edge = self._adapt_edge_gamma(
-                    group, rows, full_weights
+                    group, fresh_ids, w_fresh / w_fresh.sum()
                 )
-                self.controller.reset_workers(rows)
-                y_minus = full_weights @ self.y[rows]
-                y_plus = x_plus_prev - full_weights @ (
-                    x_plus_prev - self.x[rows]
-                )
+                self.controller.reset_workers(fresh_ids)
             else:
-                fresh_ids = np.asarray(fresh, dtype=int)
-                decay = self.staleness_decay
-                y_ref = self.edge_y_minus[group]
-                blocks_y, blocks_x, blocks_w = [], [], []
-                if fresh_ids.size:
-                    blocks_y.append(self.y[fresh_ids])
-                    blocks_x.append(self.x[fresh_ids])
-                    blocks_w.append(full_weights[fresh_ids - rows.start])
-                for w_id, s in stale:
-                    x_snap, y_snap = self._stale_store.pop(w_id)
-                    # Stale-momentum correction: contract the buffered
-                    # momentum toward the last distributed aggregate so
-                    # an s-rounds-old velocity cannot re-accelerate the
-                    # edge momentum at full strength.
-                    blocks_y.append(
-                        (y_ref + decay**s * (y_snap - y_ref))[None, :]
-                    )
-                    blocks_x.append(x_snap[None, :])
-                    blocks_w.append(
-                        np.array(
-                            [full_weights[w_id - rows.start] * decay**s]
-                        )
-                    )
-                y_rows = np.vstack(blocks_y)
-                x_rows = np.vstack(blocks_x)
-                weights = np.concatenate(blocks_w)
-                weights = weights / weights.sum()
-                if fresh_ids.size:
-                    # γℓ measures *current* agreement, so only fresh
-                    # accumulators enter eq. 6.
-                    w_fresh = full_weights[fresh_ids - rows.start]
-                    gamma_edge = self._adapt_edge_gamma(
-                        group, fresh_ids, w_fresh / w_fresh.sum()
-                    )
-                    self.controller.reset_workers(fresh_ids)
-                else:
-                    gamma_edge = self._gamma_state[group]
-                y_minus = weights @ y_rows
-                y_plus = x_plus_prev - weights @ (x_plus_prev - x_rows)
+                gamma_edge = self._gamma_state[group]
+            decay = self.staleness_decay
+            y_ref = self.edge_y_minus[group]
+            blocks_y, blocks_x = [self.y[fresh_ids]], [self.x[fresh_ids]]
+            blocks_w = [w_fresh]
+            for w_id, s in stale:
+                x_snap, y_snap = self._stale_store.pop(w_id)
+                # Stale-momentum correction: contract the buffered
+                # momentum toward the last distributed aggregate so an
+                # s-rounds-old velocity cannot re-accelerate the edge
+                # momentum at full strength.
+                blocks_y.append((y_ref + decay**s * (y_snap - y_ref))[None])
+                blocks_x.append(x_snap[None])
+                blocks_w.append(
+                    fed.worker_w_in_edge[group][[w_id - rows.start]]
+                    * decay**s
+                )
+            weights = np.concatenate(blocks_w)
+            weights = weights / weights.sum()
+            x_plus_prev = self.edge_x_plus[group]
+            y_minus = weights @ np.vstack(blocks_y)
+            y_plus = x_plus_prev - weights @ (
+                x_plus_prev - np.vstack(blocks_x)
+            )
             x_plus = y_plus + gamma_edge * (
                 y_plus - self.edge_y_plus[group]
             )
@@ -553,14 +547,9 @@ class AsyncHierAdMo(AsyncExecutionMixin, HierAdMo):
             self.edge_y_minus[:] = y_bar
             self.edge_x_plus[:] = x_bar
             recv = np.asarray(receivers, dtype=int)
-            if recv.size == fed.num_workers:
-                self.y[:] = y_bar
-                self.x[:] = x_bar
-                self._eval_x[:] = x_bar
-            else:
-                self.y[recv] = y_bar
-                self.x[recv] = x_bar
-                self._eval_x[recv] = x_bar
+            self.y[recv] = y_bar
+            self.x[recv] = x_bar
+            self._eval_x[recv] = x_bar
             self.history.comm.record_edge_cloud(2 * fed.num_edges)
             if recv.size:
                 self.history.comm.record_worker_edge(recv.size, rounds=0)
@@ -619,23 +608,16 @@ class AsyncFedAvg(AsyncExecutionMixin, FedAvg):
                 if events:
                     self.history.comm.record_edge_cloud(events, rounds=0)
                 return
-            if len(fresh) == fed.num_workers and not stale:
-                x_bar = fed.global_average_workers(self.x)
-            else:
-                fresh_ids = np.asarray(fresh, dtype=int)
-                decay = self.staleness_decay
-                blocks_x, blocks_w = [], []
-                if fresh_ids.size:
-                    blocks_x.append(self.x[fresh_ids])
-                    blocks_w.append(fed.global_worker_w[fresh_ids])
-                for w_id, s in stale:
-                    blocks_x.append(self._stale_store.pop(w_id)[None, :])
-                    blocks_w.append(
-                        np.array([fed.global_worker_w[w_id] * decay**s])
-                    )
-                x_rows = np.vstack(blocks_x)
-                weights = np.concatenate(blocks_w)
-                x_bar = (weights / weights.sum()) @ x_rows
+            sel = self._fresh_rows(slice(0, fed.num_workers), fresh)
+            blocks_x = [self.x[sel]]
+            blocks_w = [fed.global_worker_w[sel]]
+            for w_id, s in stale:
+                blocks_x.append(self._stale_store.pop(w_id)[None])
+                blocks_w.append(
+                    fed.global_worker_w[[w_id]] * self.staleness_decay**s
+                )
+            weights = np.concatenate(blocks_w)
+            x_bar = (weights / weights.sum()) @ np.vstack(blocks_x)
             self._server_x = x_bar
             if recv.size:
                 self.x[recv] = x_bar

@@ -23,7 +23,6 @@ import numpy as np
 from repro.algorithms.hierarchical import HierFAVG
 from repro.compression import Compressor, NoCompression
 from repro.core.federation import Federation
-from repro.faults import degrade_round
 from repro.telemetry import get_tracer
 
 __all__ = ["QuantizedHierFAVG"]
@@ -79,164 +78,69 @@ class QuantizedHierFAVG(HierFAVG):
         if state is not None:
             self.compressor.rng.bit_generator.state = state
 
-    def _edge_aggregate(self, redistribute: bool = True, *, t: int = 0) -> None:
+    def _compressed_average(
+        self, weights: np.ndarray, deltas: np.ndarray
+    ) -> tuple[np.ndarray, float]:
+        """``Σ wᵢ·C(Δᵢ)`` over the uploaded deltas, and its wire bytes."""
+        aggregate_delta = np.zeros(self.fed.dim)
+        payload = 0.0
+        for weight, delta in zip(weights, deltas):
+            result = self.compressor.compress(delta)
+            payload += result.payload_bytes
+            aggregate_delta += weight * result.vector
+        return aggregate_delta, payload
+
+    def _note_uplink(self, round_bytes: float) -> None:
+        # The ledger counts logical exchanges at full payload; the
+        # actual wire bytes after compression live in
+        # ``uplink_payload_bytes`` and the tracer counter below.
+        self.uplink_payload_bytes += round_bytes
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.count("comm.compressed_uplink_bytes", round_bytes)
+
+    def _edge_aggregate(self, t: int) -> None:
         with get_tracer().span("edge_agg"):
-            fed = self.fed
-            faults = self.faults
             round_bytes = 0.0
-            if faults is None or not faults.active:
-                for edge in range(fed.num_edges):
-                    rows = fed.edge_slices[edge]
-                    indices = fed.topology.edge_worker_indices(edge)
-                    weights = fed.worker_w_in_edge[edge]
-                    aggregate_delta = np.zeros(fed.dim)
-                    for weight, index in zip(weights, indices):
-                        delta = self.x[index] - self.worker_sync[index]
-                        result = self.compressor.compress(delta)
-                        round_bytes += result.payload_bytes
-                        aggregate_delta += weight * result.vector
-                    # All of an edge's workers share the same sync point.
-                    edge_model = (
-                        self.worker_sync[indices[0]] + aggregate_delta
-                    )
-                    self.edge_models[edge] = edge_model
-                    if redistribute:
-                        self.x[rows] = edge_model
-                        self.worker_sync[rows] = edge_model
-                transfers = fed.num_workers
-                if redistribute:
-                    transfers += fed.num_workers
-            else:
-                edge_up = faults.edge_mask(t // self.tau)
-                up_mask = self._up_mask
-                transfers = 0
-                for edge in range(fed.num_edges):
-                    rows = fed.edge_slices[edge]
-                    indices = fed.topology.edge_worker_indices(edge)
-                    weights = fed.worker_w_in_edge[edge]
-                    if edge_up is not None and not edge_up[edge]:
-                        faults.note_round("skipped")
-                        continue
-                    up = None if up_mask is None else up_mask[rows]
-                    outcome = degrade_round(
-                        faults,
-                        self.degradation,
-                        weights,
-                        up,
-                        downloads=redistribute,
-                    )
-                    if outcome.skip:
-                        continue
-                    if outcome.pristine:
-                        agg = np.arange(rows.start, rows.stop)
-                        agg_weights = weights
-                        receivers = rows
-                        transfers += (rows.stop - rows.start) * (
-                            2 if redistribute else 1
-                        )
-                    else:
-                        agg = rows.start + outcome.agg_rows
-                        agg_weights = outcome.agg_weights
-                        receivers = rows.start + outcome.receivers
-                        transfers += outcome.events
-                    aggregate_delta = np.zeros(fed.dim)
-                    for weight, index in zip(agg_weights, agg):
-                        delta = self.x[index] - self.worker_sync[index]
-                        result = self.compressor.compress(delta)
-                        round_bytes += result.payload_bytes
-                        aggregate_delta += weight * result.vector
-                    # Sync points diverge under partial redistribution, so
-                    # reconstruct against the weighted sync average instead
-                    # of a shared reference.
-                    base = agg_weights @ self.worker_sync[agg]
-                    edge_model = base + aggregate_delta
-                    self.edge_models[edge] = edge_model
-                    if redistribute:
-                        self.x[receivers] = edge_model
-                        self.worker_sync[receivers] = edge_model
-            self.uplink_payload_bytes += round_bytes
-            # The ledger counts logical exchanges at full payload; the
-            # actual wire bytes after compression live in
-            # ``uplink_payload_bytes`` and the tracer counter below.
+            transfers = 0
+            for edge, rows, outcome in self._edge_rounds(t):
+                agg, weights = outcome.agg_rows, outcome.agg_weights
+                x, sync = self.x[rows], self.worker_sync[rows]
+                aggregate_delta, payload = self._compressed_average(
+                    weights, x[agg] - sync[agg]
+                )
+                round_bytes += payload
+                # Sync points diverge under partial redistribution, so
+                # reconstruct against the weighted sync average.
+                edge_model = weights @ sync[agg] + aggregate_delta
+                self.edge_models[edge] = edge_model
+                x[outcome.receivers] = edge_model
+                sync[outcome.receivers] = edge_model
+                transfers += outcome.events
+            self._note_uplink(round_bytes)
             if transfers:
                 self.history.comm.record_worker_edge(transfers)
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.count("comm.compressed_uplink_bytes", round_bytes)
 
-    def _cloud_aggregate(self, to_workers: bool = True, *, t: int = 0) -> None:
+    def _cloud_aggregate(self, t: int):
         with get_tracer().span("cloud_agg"):
-            fed = self.fed
-            faults = self.faults
-            if faults is None or not faults.active:
-                round_bytes = 0.0
-                aggregate_delta = np.zeros(fed.dim)
-                for edge in range(fed.num_edges):
-                    delta = self.edge_models[edge] - self.edge_sync[edge]
-                    result = self.compressor.compress(delta)
-                    round_bytes += result.payload_bytes
-                    aggregate_delta += fed.edge_w[edge] * result.vector
-                global_model = self.edge_sync[0] + aggregate_delta
-                self.edge_models[:] = global_model
-                self.edge_sync[:] = global_model
-                self.uplink_payload_bytes += round_bytes
-                self.history.comm.record_edge_cloud(2 * fed.num_edges)
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.count("comm.compressed_uplink_bytes", round_bytes)
-                if to_workers:
-                    self.x[:] = global_model
-                    self.worker_sync[:] = global_model
-                    self.history.comm.record_worker_edge(
-                        fed.num_workers, rounds=0
-                    )
-                return
-            edge_up = faults.edge_mask(t // self.tau)
-            outcome = degrade_round(
-                faults, self.degradation, fed.edge_w, edge_up
-            )
+            outcome = self._cloud_round(t)
             if outcome.skip:
-                return
-            models = faults.stale_substitute("cloud.models", self.edge_models)
-            if outcome.pristine:
-                agg = np.arange(fed.num_edges)
-                agg_weights = fed.edge_w
-                receivers = agg
-                events = 2 * fed.num_edges
-            else:
-                agg = outcome.agg_rows
-                agg_weights = outcome.agg_weights
-                receivers = outcome.receivers
-                events = outcome.events
-            round_bytes = 0.0
-            aggregate_delta = np.zeros(fed.dim)
-            for weight, edge in zip(agg_weights, agg):
-                delta = models[edge] - self.edge_sync[edge]
-                result = self.compressor.compress(delta)
-                round_bytes += result.payload_bytes
-                aggregate_delta += weight * result.vector
+                return np.empty(0, dtype=int)
+            agg, weights = outcome.agg_rows, outcome.agg_weights
+            models = self._cloud_upload("cloud.models", self.edge_models)
+            aggregate_delta, round_bytes = self._compressed_average(
+                weights, models[agg] - self.edge_sync[agg]
+            )
             # As on the edge tier, sync points can diverge under faults —
             # reconstruct against the weighted sync average.
-            global_model = agg_weights @ self.edge_sync[agg] + aggregate_delta
-            self.edge_models[receivers] = global_model
-            self.edge_sync[receivers] = global_model
-            self.uplink_payload_bytes += round_bytes
-            self.history.comm.record_edge_cloud(events)
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.count("comm.compressed_uplink_bytes", round_bytes)
-            if to_workers:
-                reached = 0
-                up_mask = self._up_mask
-                for edge in receivers:
-                    rows = fed.edge_slices[edge]
-                    if up_mask is None:
-                        widx = rows
-                        reached += rows.stop - rows.start
-                    else:
-                        widx = rows.start + np.flatnonzero(up_mask[rows])
-                        reached += widx.size
-                    self.x[widx] = global_model
-                    self.worker_sync[widx] = global_model
-                if reached:
-                    self.history.comm.record_worker_edge(reached, rounds=0)
+            global_model = weights @ self.edge_sync[agg] + aggregate_delta
+            self.edge_models[outcome.receivers] = global_model
+            self.edge_sync[outcome.receivers] = global_model
+            self.history.comm.record_edge_cloud(outcome.events)
+            self._note_uplink(round_bytes)
+            workers, reached = self._cloud_receivers(outcome.receivers)
+            self.x[workers] = global_model
+            self.worker_sync[workers] = global_model
+            if reached:
+                self.history.comm.record_worker_edge(reached, rounds=0)
+            return outcome.receivers

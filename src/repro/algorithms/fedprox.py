@@ -48,25 +48,17 @@ class FedProx(TwoTierAlgorithm):
 
     def _step(self, t: int) -> float:
         with get_tracer().span("worker_step"):
-            grads = self._grads
             rows = self._iteration_rows()
-            if rows is not None:
-                loss = self._gradient_rows(rows)
-                proximal = self.mu * (self.x[rows] - self.global_params)
-                self.x[rows] -= self.eta * (grads[rows] + proximal)
-            else:
-                loss = self._gradient_iteration(self.x)
-                proximal = self.mu * (self.x - self.global_params)
-                self.x -= self.eta * (grads + proximal)
+            loss = self._gradient_iteration(self.x, rows)
+            proximal = self.mu * (self.x[rows] - self.global_params)
+            self.x[rows] -= self.eta * (self._grads[rows] + proximal)
         if t % self.tau == 0:
             with get_tracer().span("cloud_agg"):
                 outcome = self._round_outcome()
                 if not outcome.skip:
                     self.global_params = self._round_average(self.x, outcome)
-                    self.x[self._round_receivers(outcome)] = (
-                        self.global_params
-                    )
-                    self._record_round(outcome=outcome, t=t)
+                    self.x[outcome.receivers] = self.global_params
+                    self._record_round(outcome, t)
         return loss
 
     def _global_params(self) -> np.ndarray:

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.core.base import FLAlgorithm
 from repro.core.federation import Federation
-from repro.faults import degrade_round
 from repro.monitoring.monitor import get_monitor
 from repro.telemetry import get_tracer
 from repro.utils.validation import check_positive_int
@@ -57,143 +56,56 @@ class HierFAVG(FLAlgorithm):
 
     def _local_iteration(self) -> float:
         with get_tracer().span("worker_step"):
-            grads = self._grads
             rows = self._iteration_rows()
-            if rows is not None:
-                mean_loss = self._gradient_iteration(self.x, rows)
-                self.x[rows] -= self.eta * grads[rows]
-                return mean_loss
-            mean_loss = self._gradient_iteration(self.x)
-            self.x -= self.eta * grads
+            mean_loss = self._gradient_iteration(self.x, rows)
+            self.x[rows] -= self.eta * self._grads[rows]
             return mean_loss
 
-    def _edge_aggregate(self, redistribute: bool = True, *, t: int = 0) -> None:
+    def _merge_edge(self, edge: int, fresh: np.ndarray) -> np.ndarray:
+        """The edge model an edge round stores and redistributes."""
+        return fresh
+
+    def _edge_aggregate(self, t: int) -> None:
         with get_tracer().span("edge_agg"):
-            fed = self.fed
-            faults = self.faults
-            if faults is None or not faults.active:
-                fed.edge_average_all(self.x, out=self.edge_models)
-                transfers = fed.num_workers  # uploads
-                if redistribute:
-                    for edge in range(fed.num_edges):
-                        self.x[fed.edge_slices[edge]] = self.edge_models[edge]
-                    transfers += fed.num_workers  # downloads
-                self.history.comm.record_worker_edge(transfers)
-                return
-            edge_up = faults.edge_mask(t // self.tau)
-            up_mask = self._up_mask
             transfers = 0
-            for edge in range(fed.num_edges):
-                rows = fed.edge_slices[edge]
-                if edge_up is not None and not edge_up[edge]:
-                    faults.note_round("skipped")
-                    continue
-                up = None if up_mask is None else up_mask[rows]
-                outcome = degrade_round(
-                    faults,
-                    self.degradation,
-                    fed.worker_w_in_edge[edge],
-                    up,
-                    downloads=redistribute,
+            for edge, rows, outcome in self._edge_rounds(t):
+                x = self.x[rows]
+                edge_model = self._merge_edge(
+                    edge, outcome.agg_weights @ x[outcome.agg_rows]
                 )
-                if outcome.skip:
-                    continue
-                if outcome.pristine:
-                    edge_model = fed.edge_average(edge, self.x)
-                    receivers = rows
-                    transfers += (rows.stop - rows.start) * (
-                        2 if redistribute else 1
-                    )
-                else:
-                    edge_model = fed.partial_average(
-                        self.x,
-                        rows.start + outcome.agg_rows,
-                        outcome.agg_weights,
-                    )
-                    receivers = rows.start + outcome.receivers
-                    transfers += outcome.events
                 self.edge_models[edge] = edge_model
-                if redistribute:
-                    self.x[receivers] = edge_model
+                x[outcome.receivers] = edge_model
+                transfers += outcome.events
             if transfers:
                 self.history.comm.record_worker_edge(transfers)
 
-    def _push_cloud_model(self, edges, global_model: np.ndarray) -> int:
-        """Broadcast the cloud model to the up workers of ``edges``.
+    def _cloud_aggregate(self, t: int, *, to_workers: bool = True):
+        """Cloud round at ``t``; returns the selector of receiving edges.
 
-        Returns the number of workers reached (LAN download events).
+        ``to_workers`` pushes the cloud model on down to the up workers
+        under the receiving edges (LAN traffic; CFL skips exactly this).
+        A skipped round reaches no edge.
         """
-        fed = self.fed
-        up_mask = self._up_mask
-        reached = 0
-        for edge in edges:
-            rows = fed.edge_slices[edge]
-            if up_mask is None:
-                self.x[rows] = global_model
-                reached += rows.stop - rows.start
-            else:
-                widx = rows.start + np.flatnonzero(up_mask[rows])
-                self.x[widx] = global_model
-                reached += widx.size
-        return reached
-
-    def _cloud_aggregate(self, to_workers: bool = True, *, t: int = 0) -> None:
         with get_tracer().span("cloud_agg"):
-            fed = self.fed
-            faults = self.faults
-            if faults is None or not faults.active:
-                global_model = fed.cloud_average_edges(self.edge_models)
-                self.edge_models[:] = global_model
-                self.history.comm.record_edge_cloud(2 * fed.num_edges)
-                if to_workers:
-                    self.x[:] = global_model
-                    # Post-cloud broadcast down to workers (LAN traffic;
-                    # CFL skips exactly this).
-                    self.history.comm.record_worker_edge(
-                        fed.num_workers, rounds=0
-                    )
-                return
-            edge_up = faults.edge_mask(t // self.tau)
-            outcome = degrade_round(
-                faults, self.degradation, fed.edge_w, edge_up
-            )
+            outcome = self._cloud_round(t)
             if outcome.skip:
-                return
-            # Staleness hits the WAN uploads even when the round is
-            # otherwise pristine.
-            models = faults.stale_substitute("cloud.models", self.edge_models)
-            if outcome.pristine:
-                global_model = fed.cloud_average_edges(models)
-                self.edge_models[:] = global_model
-                self.history.comm.record_edge_cloud(2 * fed.num_edges)
-                if to_workers:
-                    # All edges up, but the LAN push still skips workers
-                    # that are down this iteration.
-                    reached = self._push_cloud_model(
-                        range(fed.num_edges), global_model
-                    )
-                    if reached:
-                        self.history.comm.record_worker_edge(
-                            reached, rounds=0
-                        )
-                return
-            global_model = fed.partial_average(
-                models, outcome.agg_rows, outcome.agg_weights
-            )
+                return np.empty(0, dtype=int)
+            models = self._cloud_upload("cloud.models", self.edge_models)
+            global_model = outcome.agg_weights @ models[outcome.agg_rows]
             self.edge_models[outcome.receivers] = global_model
             self.history.comm.record_edge_cloud(outcome.events)
             if to_workers:
-                reached = self._push_cloud_model(
-                    outcome.receivers, global_model
-                )
+                workers, reached = self._cloud_receivers(outcome.receivers)
+                self.x[workers] = global_model
                 if reached:
                     self.history.comm.record_worker_edge(reached, rounds=0)
+            return outcome.receivers
 
     def _step(self, t: int) -> float:
         loss = self._local_iteration()
         monitor = get_monitor()
         if t % self.tau == 0:
-            self._edge_aggregate(t=t)
+            self._edge_aggregate(t)
             if monitor.enabled:
                 monitor.emit(
                     "edge_round",
@@ -202,7 +114,7 @@ class HierFAVG(FLAlgorithm):
                     edges=self.fed.num_edges,
                 )
         if t % (self.tau * self.pi) == 0:
-            self._cloud_aggregate(t=t)
+            self._cloud_aggregate(t)
             if monitor.enabled:
                 monitor.emit(
                     "cloud_round",
@@ -237,82 +149,18 @@ class CFL(HierFAVG):
         super()._setup()
         self._cloud_pending = [False] * self.fed.num_edges
 
-    def _step(self, t: int) -> float:
-        loss = self._local_iteration()
-        monitor = get_monitor()
-        if t % self.tau == 0:
-            with get_tracer().span("edge_agg"):
-                self._cfl_edge_round(t)
-            if monitor.enabled:
-                monitor.emit(
-                    "edge_round",
-                    iteration=t,
-                    tier="edge",
-                    edges=self.fed.num_edges,
-                )
-        if t % (self.tau * self.pi) == 0:
-            self._cloud_aggregate(to_workers=False, t=t)
-            self._cloud_pending = [True] * self.fed.num_edges
-            if monitor.enabled:
-                monitor.emit(
-                    "cloud_round",
-                    iteration=t,
-                    tier="cloud",
-                    edges=self.fed.num_edges,
-                )
-        return loss
+    def _merge_edge(self, edge: int, fresh: np.ndarray) -> np.ndarray:
+        if self._cloud_pending[edge]:
+            # Fold in the cloud model the workers never received.
+            self._cloud_pending[edge] = False
+            return 0.5 * (fresh + self.edge_models[edge])
+        return fresh
 
-    def _cfl_edge_round(self, t: int) -> None:
-        fed = self.fed
-        faults = self.faults
-        if faults is None or not faults.active:
-            for edge in range(fed.num_edges):
-                fresh = fed.edge_average(edge, self.x)
-                if self._cloud_pending[edge]:
-                    # Fold in the cloud model the workers never
-                    # received.
-                    merged = 0.5 * (fresh + self.edge_models[edge])
-                    self._cloud_pending[edge] = False
-                else:
-                    merged = fresh
-                self.edge_models[edge] = merged
-                self.x[fed.edge_slices[edge]] = merged
-            self.history.comm.record_worker_edge(2 * fed.num_workers)
-            return
-        edge_up = faults.edge_mask(t // self.tau)
-        up_mask = self._up_mask
-        transfers = 0
-        for edge in range(fed.num_edges):
-            rows = fed.edge_slices[edge]
-            if edge_up is not None and not edge_up[edge]:
-                # A dark edge keeps its pending cloud model for the next
-                # round it is back up.
-                faults.note_round("skipped")
-                continue
-            up = None if up_mask is None else up_mask[rows]
-            outcome = degrade_round(
-                faults, self.degradation, fed.worker_w_in_edge[edge], up
-            )
-            if outcome.skip:
-                continue
-            if outcome.pristine:
-                fresh = fed.edge_average(edge, self.x)
-                receivers = rows
-                transfers += 2 * (rows.stop - rows.start)
-            else:
-                fresh = fed.partial_average(
-                    self.x,
-                    rows.start + outcome.agg_rows,
-                    outcome.agg_weights,
-                )
-                receivers = rows.start + outcome.receivers
-                transfers += outcome.events
-            if self._cloud_pending[edge]:
-                merged = 0.5 * (fresh + self.edge_models[edge])
-                self._cloud_pending[edge] = False
-            else:
-                merged = fresh
-            self.edge_models[edge] = merged
-            self.x[receivers] = merged
-        if transfers:
-            self.history.comm.record_worker_edge(transfers)
+    def _cloud_aggregate(self, t: int):
+        received = super()._cloud_aggregate(t, to_workers=False)
+        # Only edges whose stored model took the aggregate hold a cloud
+        # model to fold in; dark, download-failed and skipped-round edges
+        # keep what they had.
+        for edge in np.arange(self.fed.num_edges)[received]:
+            self._cloud_pending[edge] = True
+        return received

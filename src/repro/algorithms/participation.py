@@ -66,35 +66,29 @@ class SampledFedAvg(TwoTierAlgorithm):
 
     def _step(self, t: int) -> float:
         with get_tracer().span("worker_step"):
-            grads = self._grads
             rows = np.asarray(self._train_rows())
             mean_loss = self._gradient_iteration(self.x, rows)
-            self.x[rows] -= self.eta * grads[rows]
+            self.x[rows] -= self.eta * self._grads[rows]
         if t % self.tau == 0:
             with get_tracer().span("cloud_agg"):
-                weights = self.fed.global_worker_w[self.active]
-                weights = weights / weights.sum()
+                # Only the sampled workers exchange state this round.
+                active = np.asarray(self.active)
+                weights = self.fed.global_worker_w[active]
                 up = self._up_mask
                 outcome = degrade_round(
                     self.faults,
                     self.degradation,
-                    weights,
-                    None if up is None else up[self.active],
+                    weights / weights.sum(),
+                    None if up is None else up[active],
                 )
-                if outcome.pristine:
-                    self.server_params = weights @ self.x[self.active]
-                    # Only the sampled workers exchange state this round.
-                    self._record_round(len(self.active), t=t)
-                    self._sample_round()
-                elif not outcome.skip:
-                    active = np.asarray(self.active)
-                    self.server_params = (
-                        outcome.agg_weights @ self.x[active[outcome.agg_rows]]
-                    )
-                    self._record_round(outcome=outcome, t=t)
-                    self._sample_round()
                 # A skipped round keeps this round's participants training
                 # until the next scheduled aggregation.
+                if not outcome.skip:
+                    self.server_params = self._round_average(
+                        self.x[active], outcome
+                    )
+                    self._record_round(outcome, t)
+                    self._sample_round()
         return mean_loss
 
     def _train_rows(self) -> list[int]:

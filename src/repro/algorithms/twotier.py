@@ -78,49 +78,27 @@ class TwoTierAlgorithm(FLAlgorithm):
     def _global_params(self) -> np.ndarray:
         return self._average_models()
 
-    def _record_round(
-        self,
-        participants: int | None = None,
-        *,
-        outcome: RoundOutcome | None = None,
-        t: int = 0,
-    ) -> None:
+    def _record_round(self, outcome: RoundOutcome, t: int) -> None:
         """Ledger entry (and monitor event) for one aggregation round.
 
-        Two-tier workers talk to the cloud directly, so a round is one
-        upload + one download per participating worker on the
-        edge↔cloud (WAN) tier.  A degraded round bills the transfer
-        events its :class:`RoundOutcome` realized instead (attempted
-        uploads, retransmissions, duplicates, successful downloads).
-        This is the one chokepoint every two-tier algorithm's round
-        passes through, so the monitor's ``cloud_round`` event is
-        emitted here for all of them.
+        Two-tier workers talk to the cloud directly, so a round bills
+        the transfer events its :class:`RoundOutcome` realized on the
+        edge↔cloud (WAN) tier: one upload and one download per
+        participant when no fault touched it.  This is the one
+        chokepoint every two-tier algorithm's round passes through, so
+        the monitor's ``cloud_round`` event is emitted here for all of
+        them.
         """
-        if outcome is not None and not outcome.pristine:
-            self.history.comm.record_edge_cloud(outcome.events)
-            transfers = outcome.events
-            participants = len(outcome.agg_rows)
-        else:
-            if participants is None:
-                participants = self.fed.num_workers
-            transfers = 2 * participants
-            self.history.comm.record_edge_cloud(transfers)
+        self.history.comm.record_edge_cloud(outcome.events)
         monitor = get_monitor()
         if monitor.enabled:
             monitor.emit(
                 "cloud_round",
                 iteration=t,
                 tier="cloud",
-                participants=int(participants),
-                transfers=int(transfers),
+                participants=len(outcome.agg_weights),
+                transfers=int(outcome.events),
             )
-
-    # ------------------------------------------------------------------
-    # Fault-plan plumbing (all no-ops without an attached plan)
-    # ------------------------------------------------------------------
-    def _gradient_rows(self, rows: np.ndarray) -> float:
-        """Gradient pass over the up workers only; returns their mean loss."""
-        return self._gradient_iteration(self.x, rows)
 
     def _round_outcome(self) -> RoundOutcome:
         """This round's membership over all workers under the fault plan."""
@@ -131,32 +109,29 @@ class TwoTierAlgorithm(FLAlgorithm):
             self._up_mask,
         )
 
+    @staticmethod
     def _round_average(
-        self, matrix: np.ndarray, outcome: RoundOutcome
+        matrix: np.ndarray, outcome: RoundOutcome
     ) -> np.ndarray:
         """Round aggregate of ``matrix`` under the resolved membership."""
-        if outcome.pristine:
-            return self.fed.global_average_workers(matrix)
-        return self.fed.partial_average(
-            matrix, outcome.agg_rows, outcome.agg_weights
-        )
-
-    @staticmethod
-    def _round_receivers(outcome: RoundOutcome):
-        """Rows the round's redistribution writes to."""
-        return slice(None) if outcome.pristine else outcome.receivers
+        return outcome.agg_weights @ matrix[outcome.agg_rows]
 
     def _local_sgd_iteration(self) -> float:
-        """One plain SGD step on every worker; returns mean batch loss."""
+        """One plain SGD step on every up worker; returns their mean loss."""
         with get_tracer().span("worker_step"):
-            grads = self._grads
             rows = self._iteration_rows()
-            if rows is not None:
-                mean_loss = self._gradient_rows(rows)
-                self.x[rows] -= self.eta * grads[rows]
-                return mean_loss
-            mean_loss = self._gradient_iteration(self.x)
-            self.x -= self.eta * grads
+            mean_loss = self._gradient_iteration(self.x, rows)
+            self.x[rows] -= self.eta * self._grads[rows]
+            return mean_loss
+
+    def _nag_iteration(self) -> float:
+        """One local NAG step per up worker (needs ``gamma`` and ``y``)."""
+        with get_tracer().span("worker_step"):
+            rows = self._iteration_rows()
+            mean_loss = self._gradient_iteration(self.x, rows)
+            y_new = self.x[rows] - self.eta * self._grads[rows]
+            self.x[rows] = y_new + self.gamma * (y_new - self.y[rows])
+            self.y[rows] = y_new
             return mean_loss
 
 
@@ -171,10 +146,10 @@ class FedAvg(TwoTierAlgorithm):
             with get_tracer().span("cloud_agg"):
                 outcome = self._round_outcome()
                 if not outcome.skip:
-                    self.x[self._round_receivers(outcome)] = (
-                        self._round_average(self.x, outcome)
+                    self.x[outcome.receivers] = self._round_average(
+                        self.x, outcome
                     )
-                    self._record_round(outcome=outcome, t=t)
+                    self._record_round(outcome, t)
         return loss
 
 
@@ -209,33 +184,16 @@ class FedNAG(TwoTierAlgorithm):
         super()._setup()
         self.y = self.x.copy()
 
-    def _nag_iteration(self) -> float:
-        """One local NAG step per up worker; returns their mean loss."""
-        with get_tracer().span("worker_step"):
-            grads = self._grads
-            rows = self._iteration_rows()
-            if rows is not None:
-                mean_loss = self._gradient_rows(rows)
-                y_new = self.x[rows] - self.eta * grads[rows]
-                self.x[rows] = y_new + self.gamma * (y_new - self.y[rows])
-                self.y[rows] = y_new
-                return mean_loss
-            mean_loss = self._gradient_iteration(self.x)
-            y_new = self.x - self.eta * grads
-            self.x = y_new + self.gamma * (y_new - self.y)
-            self.y = y_new
-            return mean_loss
-
     def _step(self, t: int) -> float:
         loss = self._nag_iteration()
         if t % self.tau == 0:
             with get_tracer().span("cloud_agg"):
                 outcome = self._round_outcome()
                 if not outcome.skip:
-                    recv = self._round_receivers(outcome)
+                    recv = outcome.receivers
                     self.x[recv] = self._round_average(self.x, outcome)
                     self.y[recv] = self._round_average(self.y, outcome)
-                    self._record_round(outcome=outcome, t=t)
+                    self._record_round(outcome, t)
         return loss
 
 
@@ -286,10 +244,8 @@ class FedMom(TwoTierAlgorithm):
                     self.server_params = (
                         self.server_params - self.server_momentum
                     )
-                    self.x[self._round_receivers(outcome)] = (
-                        self.server_params
-                    )
-                    self._record_round(outcome=outcome, t=t)
+                    self.x[outcome.receivers] = self.server_params
+                    self._record_round(outcome, t)
         return loss
 
     def _global_params(self) -> np.ndarray:
@@ -347,10 +303,8 @@ class SlowMo(TwoTierAlgorithm):
                         self.server_params
                         - self.alpha * self.eta * self.slow_momentum
                     )
-                    self.x[self._round_receivers(outcome)] = (
-                        self.server_params
-                    )
-                    self._record_round(outcome=outcome, t=t)
+                    self.x[outcome.receivers] = self.server_params
+                    self._record_round(outcome, t)
         return loss
 
     def _global_params(self) -> np.ndarray:
@@ -391,44 +345,35 @@ class Mime(TwoTierAlgorithm):
         self.server_state = np.zeros(self.fed.dim)
 
     def _step(self, t: int) -> float:
+        grads = self._grads
         with get_tracer().span("worker_step"):
-            grads = self._grads
             rows = self._iteration_rows()
-            if rows is not None:
-                loss = self._gradient_rows(rows)
-                self.x[rows] -= self.eta * (
-                    (1.0 - self.beta) * grads[rows]
-                    + self.beta * self.server_state
-                )
-            else:
-                loss = self._gradient_iteration(self.x)
-                self.x -= self.eta * (
-                    (1.0 - self.beta) * grads + self.beta * self.server_state
-                )
+            loss = self._gradient_iteration(self.x, rows)
+            self.x[rows] -= self.eta * (
+                (1.0 - self.beta) * grads[rows]
+                + self.beta * self.server_state
+            )
         if t % self.tau == 0:
             with get_tracer().span("cloud_agg"):
                 outcome = self._round_outcome()
                 if not outcome.skip:
                     x_bar = self._round_average(self.x, outcome)
-                    shared = np.broadcast_to(x_bar, grads.shape)
-                    if outcome.pristine:
-                        self.fed.gradient_all(shared, out=grads)
-                        mean_grad = self.fed.global_average_workers(grads)
-                    else:
-                        # Only the reachable workers can evaluate a fresh
-                        # gradient at the aggregate for the refresh.
-                        present = outcome.present
-                        self.fed.gradient_all(shared, rows=present, out=grads)
-                        w = self.fed.global_worker_w[present]
-                        mean_grad = self.fed.partial_average(
-                            grads, present, w / w.sum()
-                        )
+                    # Only the reachable workers can evaluate a fresh
+                    # gradient at the aggregate for the refresh.
+                    present = outcome.present
+                    self.fed.gradient_all(
+                        np.broadcast_to(x_bar, grads.shape),
+                        rows=present,
+                        out=grads,
+                    )
+                    weights = self.fed.global_worker_w[present]
+                    mean_grad = (weights / weights.sum()) @ grads[present]
                     self.server_state = (
                         (1.0 - self.beta) * mean_grad
                         + self.beta * self.server_state
                     )
-                    self.x[self._round_receivers(outcome)] = x_bar
-                    self._record_round(outcome=outcome, t=t)
+                    self.x[outcome.receivers] = x_bar
+                    self._record_round(outcome, t)
         return loss
 
 
@@ -475,18 +420,13 @@ class FedADC(TwoTierAlgorithm):
 
     def _step(self, t: int) -> float:
         with get_tracer().span("worker_step"):
-            grads = self._grads
             rows = self._iteration_rows()
-            if rows is not None:
-                loss = self._gradient_rows(rows)
-                self.local_momentum[rows] = (
-                    self.beta * self.local_momentum[rows] + grads[rows]
-                )
-                self.x[rows] -= self.eta * self.local_momentum[rows]
-            else:
-                loss = self._gradient_iteration(self.x)
-                self.local_momentum = self.beta * self.local_momentum + grads
-                self.x -= self.eta * self.local_momentum
+            loss = self._gradient_iteration(self.x, rows)
+            momentum = (
+                self.beta * self.local_momentum[rows] + self._grads[rows]
+            )
+            self.local_momentum[rows] = momentum
+            self.x[rows] -= self.eta * momentum
         if t % self.tau == 0:
             with get_tracer().span("cloud_agg"):
                 outcome = self._round_outcome()
@@ -500,10 +440,10 @@ class FedADC(TwoTierAlgorithm):
                         + (1.0 - self.beta) * pseudo_grad
                     )
                     self.server_params = avg
-                    recv = self._round_receivers(outcome)
+                    recv = outcome.receivers
                     self.x[recv] = self.server_params
                     self.local_momentum[recv] = self.server_momentum
-                    self._record_round(outcome=outcome, t=t)
+                    self._record_round(outcome, t)
         return loss
 
     def _global_params(self) -> np.ndarray:
@@ -559,19 +499,7 @@ class FastSlowMo(TwoTierAlgorithm):
         self.slow_momentum = np.zeros(self.fed.dim)
 
     def _step(self, t: int) -> float:
-        with get_tracer().span("worker_step"):
-            grads = self._grads
-            rows = self._iteration_rows()
-            if rows is not None:
-                loss = self._gradient_rows(rows)
-                y_new = self.x[rows] - self.eta * grads[rows]
-                self.x[rows] = y_new + self.gamma * (y_new - self.y[rows])
-                self.y[rows] = y_new
-            else:
-                loss = self._gradient_iteration(self.x)
-                y_new = self.x - self.eta * grads
-                self.x = y_new + self.gamma * (y_new - self.y)
-                self.y = y_new
+        loss = self._nag_iteration()
         if t % self.tau == 0:
             with get_tracer().span("cloud_agg"):
                 outcome = self._round_outcome()
@@ -586,10 +514,10 @@ class FastSlowMo(TwoTierAlgorithm):
                         self.server_params
                         - self.alpha * self.eta * self.slow_momentum
                     )
-                    recv = self._round_receivers(outcome)
+                    recv = outcome.receivers
                     self.x[recv] = self.server_params
                     self.y[recv] = y_bar
-                    self._record_round(outcome=outcome, t=t)
+                    self._record_round(outcome, t)
         return loss
 
     def _global_params(self) -> np.ndarray:

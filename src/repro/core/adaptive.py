@@ -81,8 +81,8 @@ class AdaptiveGammaController:
 
     One controller instance serves all edges: the accumulators live in
     stacked ``(num_workers, dim)`` matrices, filled either one worker at
-    a time via :meth:`accumulate` or for all workers at once via
-    :meth:`accumulate_all`; each edge aggregation calls
+    a time via :meth:`accumulate` or for a selection of workers at once
+    via :meth:`accumulate_step`; each edge aggregation calls
     :meth:`gamma_for_edge` then :meth:`reset_workers`.
     """
 
@@ -118,53 +118,34 @@ class AdaptiveGammaController:
             self.grad_sums[worker] += grad
             self.momentum_sums[worker] += y_prev
 
-    def accumulate_all(
+    def accumulate_step(
         self,
+        rows,
         grads: np.ndarray,
         y_prev: np.ndarray,
         velocities: np.ndarray,
     ) -> None:
-        """Record one local iteration for *all* workers at once.
+        """Record one local iteration of the workers ``rows`` selects.
 
-        Arguments are stacked ``(num_workers, dim)`` matrices; equivalent
-        to calling :meth:`accumulate` per worker, without the Python loop.
+        ``rows`` is a row selector (``slice(None)`` or flat worker ids);
+        the matrices hold the selected rows' values in selection order.
+        Equivalent to calling :meth:`accumulate` per selected worker.
+        Unselected (absent) workers take no step: their boundary flags,
+        like their accumulators, stay untouched.
         """
-        if self.mode == "velocity":
-            active = ~self._boundary
-            if active.all():
-                self.grad_sums += grads
-                self.momentum_sums += velocities
-            else:
-                self.grad_sums[active] += grads[active]
-                self.momentum_sums[active] += velocities[active]
-                self._boundary[:] = False
-        else:
-            self.grad_sums += grads
-            self.momentum_sums += y_prev
-
-    def accumulate_rows(
-        self,
-        rows: np.ndarray,
-        grads: np.ndarray,
-        y_prev: np.ndarray,
-        velocities: np.ndarray,
-    ) -> None:
-        """Record one local iteration for a *subset* of workers.
-
-        ``rows`` holds flat worker ids; the matrices are the stacked
-        per-row values aligned to ``rows``.  Used by the fault-injected
-        worker loops, where absent workers take no step (their boundary
-        flag, like their accumulators, stays untouched).
-        """
-        if self.mode == "velocity":
-            active = ~self._boundary[rows]
-            taking = rows[active]
-            self.grad_sums[taking] += grads[active]
-            self.momentum_sums[taking] += velocities[active]
-            self._boundary[rows] = False
-        else:
+        if self.mode == "y":
             self.grad_sums[rows] += grads
             self.momentum_sums[rows] += y_prev
+            return
+        active = ~self._boundary[rows]
+        if active.all():
+            self.grad_sums[rows] += grads
+            self.momentum_sums[rows] += velocities
+            return
+        taking = np.arange(len(self._boundary))[rows][active]
+        self.grad_sums[taking] += grads[active]
+        self.momentum_sums[taking] += velocities[active]
+        self._boundary[rows] = False
 
     def gamma_for_edge(
         self, worker_indices, weights: np.ndarray

@@ -18,7 +18,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.federation import Federation
-from repro.faults import FaultInjector, FaultPlan, check_policy
+from repro.faults import (
+    EVERYONE,
+    FaultInjector,
+    FaultPlan,
+    RoundOutcome,
+    check_policy,
+    degrade_round,
+)
 from repro.metrics.history import TrainingHistory
 from repro.monitoring.events import CHECKPOINT_RESTORED
 from repro.monitoring.health import MonitorAbort
@@ -109,23 +116,90 @@ class FLAlgorithm:
         self.population = binder
         return binder
 
-    def _iteration_rows(self) -> np.ndarray | None:
-        """Up-worker indices this iteration (``None`` = all workers)."""
+    def _iteration_rows(self) -> slice | np.ndarray:
+        """Selector of this iteration's up workers (:data:`EVERYONE` = all)."""
         mask = self._up_mask
-        return None if mask is None else np.flatnonzero(mask)
+        return EVERYONE if mask is None else np.flatnonzero(mask)
 
     def _gradient_iteration(
-        self, params: np.ndarray, rows: np.ndarray | None = None
+        self, params: np.ndarray, rows: slice | np.ndarray
     ) -> float:
-        """All (up) workers' gradients into ``self._grads``; mean loss.
+        """The ``rows`` workers' gradients into ``self._grads``; mean loss.
 
         The shared inner-loop step every algorithm's ``_step`` builds
         on: one :meth:`Federation.gradient_all` call (batched engine
-        when available, per-worker loop otherwise) filling the stacked
-        gradient matrix in place.
+        when available, per-worker loop otherwise) filling the selected
+        rows of the stacked gradient matrix.
         """
         losses = self.fed.gradient_all(params, rows=rows, out=self._grads)
         return float(losses.mean())
+
+    # ------------------------------------------------------------------
+    # Round membership (three-tier algorithms with ``tau``)
+    # ------------------------------------------------------------------
+    def _edge_rounds(self, t: int):
+        """Yield ``(edge, rows, outcome)`` for each edge round held at ``t``.
+
+        ``rows`` is the edge's worker block; ``outcome`` selects within
+        it.  A dark edge holds no round (no aggregation, no traffic):
+        its workers keep training on local state until it is back.
+        """
+        fed = self.fed
+        faults = self.faults
+        edge_up = self._edge_mask(t)
+        up_mask = self._up_mask
+        for edge, rows in enumerate(fed.edge_slices):
+            if edge_up is not None and not edge_up[edge]:
+                faults.note_round("skipped")
+                continue
+            outcome = degrade_round(
+                faults,
+                self.degradation,
+                fed.worker_w_in_edge[edge],
+                None if up_mask is None else up_mask[rows],
+            )
+            if not outcome.skip:
+                yield edge, rows, outcome
+
+    def _cloud_round(self, t: int) -> RoundOutcome:
+        """The cloud round at ``t``, resolved over the edges."""
+        return degrade_round(
+            self.faults, self.degradation, self.fed.edge_w, self._edge_mask(t)
+        )
+
+    def _edge_mask(self, t: int) -> np.ndarray | None:
+        """Edge availability in the interval of ``t`` (``None`` = all up)."""
+        if self.faults is None:
+            return None
+        return self.faults.edge_mask(t // self.tau)
+
+    def _cloud_upload(self, label: str, matrix: np.ndarray) -> np.ndarray:
+        """The edge-state ``matrix`` as the cloud receives it.
+
+        Staleness hits the WAN uploads whatever else the round realized.
+        """
+        if self.faults is None:
+            return matrix
+        return self.faults.stale_substitute(label, matrix)
+
+    def _cloud_receivers(self, edges) -> tuple[slice | np.ndarray, int]:
+        """Worker selector the cloud result reaches, and its size.
+
+        The result travels down through the receiving ``edges`` (an
+        edge selector) to the workers that are up this iteration.
+        """
+        fed = self.fed
+        reached = np.zeros(fed.num_edges, dtype=bool)
+        reached[edges] = True
+        mask = np.repeat(
+            reached, [rows.stop - rows.start for rows in fed.edge_slices]
+        )
+        if self._up_mask is not None:
+            mask &= self._up_mask
+        count = int(mask.sum())
+        if count == fed.num_workers:
+            return EVERYONE, count
+        return np.flatnonzero(mask), count
 
     # ------------------------------------------------------------------
     # Checkpoint protocol

@@ -221,18 +221,18 @@ class Federation:
         self,
         params: np.ndarray,
         *,
-        rows: np.ndarray | None = None,
+        rows: slice | np.ndarray = slice(None),
         out: np.ndarray,
     ) -> np.ndarray:
-        """Every worker's gradient on its next mini-batch, in one pass.
+        """The selected workers' gradients on their next mini-batches.
 
         ``params`` is the stacked ``(num_workers, dim)`` parameter
         matrix (one row per worker; a broadcast view works for shared
-        parameters).  ``out`` receives each worker's gradient in the
-        matching row.  ``rows``, when given, restricts the pass to that
-        worker subset (fault-masked iterations); only those samplers
-        are consumed and only those ``out`` rows written.  Returns the
-        per-worker batch losses aligned with ``rows`` order.
+        parameters).  ``rows`` selects the workers to run (all of them
+        by default; an index array on fault-masked iterations): only
+        their samplers are consumed and only their ``out`` rows are
+        written, each with that worker's gradient.  Returns the
+        per-worker batch losses in selection order.
 
         Uses the batched engine when available, consuming each sampler
         in worker order so the mini-batch streams are identical to the
@@ -242,21 +242,19 @@ class Federation:
         """
         params = np.asarray(params)
         if self._engine is not None:
-            if rows is None:
-                stacked_params, stacked_grads = params, out
-            else:
-                stacked_params = params[rows]
-                stacked_grads = np.empty_like(stacked_params)
+            stacked_params = params[rows]
             if np.isfinite(stacked_params).all():
                 xs, ys = self._stacked_batches(rows)
                 tracer = get_tracer()
                 if tracer.enabled:
                     tracer.count("worker_step.backend.batched")
+                grads = out[rows]
                 losses = self._engine.gradient_all(
-                    stacked_params, xs, ys, stacked_grads
+                    stacked_params, xs, ys, grads
                 )
-                if rows is not None:
-                    out[rows] = stacked_grads
+                if not isinstance(rows, slice):
+                    # An index array gathered a copy; scatter it back.
+                    out[rows] = grads
                 return losses
         tracer = get_tracer()
         if tracer.enabled:
@@ -265,7 +263,7 @@ class Federation:
                 tracer.count(
                     f"worker_step.backend.fallback.{self.lowering_reason}"
                 )
-        workers = range(self.num_workers) if rows is None else rows
+        workers = np.arange(self.num_workers)[rows]
         losses = np.empty(len(workers))
         for position, worker in enumerate(workers):
             _, losses[position] = self.gradient(
@@ -274,7 +272,7 @@ class Federation:
         return losses
 
     def _stacked_batches(
-        self, rows: np.ndarray | None
+        self, rows: slice | np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Stack the selected workers' next mini-batches into (R, B, ...)."""
         if isinstance(self.samplers[0], FullBatchSampler):
@@ -284,11 +282,11 @@ class Federation:
                     np.stack([ds.y for ds in self.worker_datasets]),
                 )
             xs, ys = self._full_batch_stack
-            if rows is None:
-                return xs, ys
             return xs[rows], ys[rows]
-        workers = range(self.num_workers) if rows is None else rows
-        batches = [self.samplers[worker].next_batch() for worker in workers]
+        batches = [
+            self.samplers[worker].next_batch()
+            for worker in np.arange(self.num_workers)[rows]
+        ]
         return (
             np.stack([x for x, _ in batches]),
             np.stack([y for _, y in batches]),
@@ -332,16 +330,6 @@ class Federation:
     def global_average_workers(self, vectors) -> np.ndarray:
         """Weighted over-all-workers average Σ (D_{i,ℓ}/D) vᵢℓ."""
         return self.global_worker_w @ np.asarray(vectors)
-
-    def partial_average(self, vectors, rows, weights) -> np.ndarray:
-        """Weighted average over an explicit row subset.
-
-        Used by the degraded aggregation rounds of the fault-injection
-        subsystem, where ``rows``/``weights`` come from a resolved
-        :class:`repro.faults.RoundOutcome` rather than a cached full
-        weight vector.
-        """
-        return np.asarray(weights) @ np.asarray(vectors)[rows]
 
     # ------------------------------------------------------------------
     # Evaluation

@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.adaptive import AdaptiveGammaController
 from repro.core.base import FLAlgorithm
 from repro.core.federation import Federation
-from repro.faults import degrade_round
+from repro.faults import block_rows
 from repro.monitoring.monitor import get_monitor
 from repro.telemetry import get_tracer
 from repro.utils.validation import check_fraction, check_positive_int
@@ -141,55 +141,29 @@ class HierAdMo(FLAlgorithm):
 
     # ------------------------------------------------------------------
     def _worker_iteration(self) -> float:
-        """Lines 4–6 for every worker; returns the mean batch loss."""
+        """Lines 4–6 for every up worker; returns their mean batch loss.
+
+        Dropped workers take no step: state, sampler and γℓ-accumulator
+        all stay frozen until they come back.
+        """
         with get_tracer().span("worker_step"):
-            grads = self._grads
             rows = self._iteration_rows()
-            if rows is not None:
-                return self._masked_worker_iteration(rows)
-            mean_loss = self._gradient_iteration(self.x)
-            y_new = self.x - self.eta * grads  # line 5, all workers at once
-            velocity = y_new - self.y
-            self.controller.accumulate_all(grads, self.y, velocity)
+            mean_loss = self._gradient_iteration(self.x, rows)
+            g = self._grads[rows]
+            y_prev = self.y[rows]
+            y_new = self.x[rows] - self.eta * g  # line 5
+            velocity = y_new - y_prev
+            self.controller.accumulate_step(rows, g, y_prev, velocity)
             if self.track_mu:
                 self.velocity_norms.extend(
                     np.linalg.norm(self.gamma * velocity, axis=1).tolist()
                 )
                 self.gradient_step_norms.extend(
-                    np.linalg.norm(self.eta * grads, axis=1).tolist()
+                    np.linalg.norm(self.eta * g, axis=1).tolist()
                 )
-            self.x = y_new + self.gamma * velocity  # line 6
-            self.y = y_new
+            self.x[rows] = y_new + self.gamma * velocity  # line 6
+            self.y[rows] = y_new
             return mean_loss
-
-    def _masked_worker_iteration(self, rows: np.ndarray) -> float:
-        """Lines 4–6 restricted to the up workers under a fault plan.
-
-        Dropped workers take no step: state, sampler and γℓ-accumulator
-        all stay frozen until they come back.
-        """
-        grads = self._grads
-        mean_loss = self._gradient_iteration(self.x, rows)
-        g = grads[rows]
-        y_prev = self.y[rows]
-        y_new = self.x[rows] - self.eta * g
-        velocity = y_new - y_prev
-        self.controller.accumulate_rows(rows, g, y_prev, velocity)
-        if self.track_mu:
-            self.velocity_norms.extend(
-                np.linalg.norm(self.gamma * velocity, axis=1).tolist()
-            )
-            self.gradient_step_norms.extend(
-                np.linalg.norm(self.eta * g, axis=1).tolist()
-            )
-        self.x[rows] = y_new + self.gamma * velocity
-        self.y[rows] = y_new
-        return mean_loss
-
-    def _edge_update(self, t: int) -> dict[int, float]:
-        """Lines 8–15 for every edge; returns the γℓ used per edge."""
-        with get_tracer().span("edge_agg"):
-            return self._edge_update_body(t)
 
     def _adapt_edge_gamma(self, edge: int, rows, weights) -> float:
         """Line 10: adapt γℓ (or keep it fixed for HierAdMo-R)."""
@@ -211,42 +185,34 @@ class HierAdMo(FLAlgorithm):
         self._gamma_state[edge] = gamma_edge
         return gamma_edge
 
-    def _edge_update_body(self, t: int) -> dict[int, float]:
-        fed = self.fed
-        faults = self.faults
-        edge_up = None
-        if faults is not None:
-            edge_up = faults.edge_mask(t // self.tau)
-        up_mask = self._up_mask
-        gammas: dict[int, float] = {}
-        transfers = 0
-        for edge in range(fed.num_edges):
-            rows = fed.edge_slices[edge]
-            weights = fed.worker_w_in_edge[edge]
-            if edge_up is not None and not edge_up[edge]:
-                # Dark edge: no aggregation, no traffic; its workers keep
-                # training on local state until the edge comes back.
-                faults.note_round("skipped")
-                continue
-            up = None if up_mask is None else up_mask[rows]
-            outcome = degrade_round(faults, self.degradation, weights, up)
-            if outcome.skip:
-                continue
-            if outcome.pristine:
-                gamma_edge = self._adapt_edge_gamma(edge, rows, weights)
+    def _edge_update(self, t: int) -> dict[int, float]:
+        """Lines 8–15 for every edge; returns the γℓ used per edge.
+
+        Each edge aggregates its outcome's members, then resets and
+        redistributes to the workers that get the result.
+        """
+        with get_tracer().span("edge_agg"):
+            gammas: dict[int, float] = {}
+            transfers = 0
+            for edge, rows, outcome in self._edge_rounds(t):
+                agg, weights = outcome.agg_rows, outcome.agg_weights
+                x, y = self.x[rows], self.y[rows]
+                gamma_edge = self._adapt_edge_gamma(
+                    edge, block_rows(rows, agg), weights
+                )
                 gammas[edge] = gamma_edge
-                self.controller.reset_workers(rows)
+                self.controller.reset_workers(
+                    block_rows(rows, outcome.receivers)
+                )
 
                 # Line 11: worker momentum edge aggregation (one GEMV).
-                y_minus = weights @ self.y[rows]
+                y_minus = weights @ y[agg]
 
                 # Line 12: edge momentum update (written exactly as the
                 # paper, although it algebraically equals the aggregated
                 # worker model).
                 x_plus_prev = self.edge_x_plus[edge]
-                y_plus = x_plus_prev - weights @ (
-                    x_plus_prev - self.x[rows]
-                )
+                y_plus = x_plus_prev - weights @ (x_plus_prev - x[agg])
 
                 # Line 13: edge model update.
                 x_plus = y_plus + gamma_edge * (
@@ -258,115 +224,35 @@ class HierAdMo(FLAlgorithm):
                 self.edge_y_minus[edge] = y_minus
 
                 # Lines 14–15: redistribution (row broadcast).
-                self.y[rows] = y_minus
-                self.x[rows] = x_plus
-                transfers += 2 * (rows.stop - rows.start)
-                continue
-
-            # Degraded round: aggregate the outcome's membership, reset
-            # and redistribute only to the workers that get the result.
-            agg = rows.start + outcome.agg_rows
-            recv = rows.start + outcome.receivers
-            gamma_edge = self._adapt_edge_gamma(
-                edge, agg, outcome.agg_weights
-            )
-            gammas[edge] = gamma_edge
-            self.controller.reset_workers(recv)
-
-            y_minus = outcome.agg_weights @ self.y[agg]
-            x_plus_prev = self.edge_x_plus[edge]
-            y_plus = x_plus_prev - outcome.agg_weights @ (
-                x_plus_prev - self.x[agg]
-            )
-            x_plus = y_plus + gamma_edge * (y_plus - self.edge_y_plus[edge])
-
-            self.edge_y_plus[edge] = y_plus
-            self.edge_x_plus[edge] = x_plus
-            self.edge_y_minus[edge] = y_minus
-
-            self.y[recv] = y_minus
-            self.x[recv] = x_plus
-            transfers += outcome.events
-        if transfers:
-            self.history.comm.record_worker_edge(transfers)
-        return gammas
+                y[outcome.receivers] = y_minus
+                x[outcome.receivers] = x_plus
+                transfers += outcome.events
+            if transfers:
+                self.history.comm.record_worker_edge(transfers)
+            return gammas
 
     def _cloud_update(self, t: int) -> None:
         """Lines 17–23."""
         with get_tracer().span("cloud_agg"):
-            fed = self.fed
-            faults = self.faults
-            if faults is None or not faults.active:
-                y_bar = fed.cloud_average_edges(self.edge_y_minus)  # l. 18
-                x_bar = fed.cloud_average_edges(self.edge_x_plus)  # l. 19
-                self.edge_y_minus[:] = y_bar  # line 20
-                self.edge_x_plus[:] = x_bar  # line 21
-                self.y[:] = y_bar  # line 22
-                self.x[:] = x_bar  # line 23
-                # Each edge uploads and downloads over the WAN; lines
-                # 22–23 then push the merged state down to every worker
-                # over the LAN (extra worker↔edge traffic, but not an
-                # edge round).
-                self.history.comm.record_edge_cloud(2 * fed.num_edges)
-                self.history.comm.record_worker_edge(
-                    fed.num_workers, rounds=0
-                )
-                return
-            edge_up = faults.edge_mask(t // self.tau)
-            outcome = degrade_round(
-                faults, self.degradation, fed.edge_w, edge_up
-            )
+            outcome = self._cloud_round(t)
             if outcome.skip:
                 return
-            # Staleness hits the WAN uploads whether or not anything else
-            # degraded the round (a stale round can otherwise be pristine).
-            y_up = faults.stale_substitute("cloud.y", self.edge_y_minus)
-            x_up = faults.stale_substitute("cloud.x", self.edge_x_plus)
-            up_mask = self._up_mask
-            if outcome.pristine:
-                y_bar = fed.cloud_average_edges(y_up)
-                x_bar = fed.cloud_average_edges(x_up)
-                self.edge_y_minus[:] = y_bar
-                self.edge_x_plus[:] = x_bar
-                self.history.comm.record_edge_cloud(2 * fed.num_edges)
-                # All edges up, but the LAN push still skips workers that
-                # are down this iteration.
-                if up_mask is None:
-                    self.y[:] = y_bar
-                    self.x[:] = x_bar
-                    self.history.comm.record_worker_edge(
-                        fed.num_workers, rounds=0
-                    )
-                else:
-                    widx = np.flatnonzero(up_mask)
-                    self.y[widx] = y_bar
-                    self.x[widx] = x_bar
-                    self.history.comm.record_worker_edge(
-                        widx.size, rounds=0
-                    )
-                return
-            y_bar = outcome.agg_weights @ y_up[outcome.agg_rows]
-            x_bar = outcome.agg_weights @ x_up[outcome.agg_rows]
-            recv = outcome.receivers
-            self.edge_y_minus[recv] = y_bar
-            self.edge_x_plus[recv] = x_bar
-            # Push down only through the receiving edges, and only to the
-            # workers that are up this iteration.
-            recv_workers = 0
-            for edge in recv:
-                rows = fed.edge_slices[edge]
-                if up_mask is None:
-                    self.y[rows] = y_bar
-                    self.x[rows] = x_bar
-                    recv_workers += rows.stop - rows.start
-                else:
-                    widx = rows.start + np.flatnonzero(up_mask[rows])
-                    self.y[widx] = y_bar
-                    self.x[widx] = x_bar
-                    recv_workers += widx.size
+            agg, weights = outcome.agg_rows, outcome.agg_weights
+            y_up = self._cloud_upload("cloud.y", self.edge_y_minus)
+            x_up = self._cloud_upload("cloud.x", self.edge_x_plus)
+            y_bar = weights @ y_up[agg]  # line 18
+            x_bar = weights @ x_up[agg]  # line 19
+            self.edge_y_minus[outcome.receivers] = y_bar  # line 20
+            self.edge_x_plus[outcome.receivers] = x_bar  # line 21
+            # Lines 22–23 push the merged state down through the
+            # receiving edges to their up workers over the LAN (extra
+            # worker↔edge traffic, but not an edge round).
+            workers, reached = self._cloud_receivers(outcome.receivers)
+            self.y[workers] = y_bar
+            self.x[workers] = x_bar
             self.history.comm.record_edge_cloud(outcome.events)
-            if recv_workers:
-                self.history.comm.record_worker_edge(recv_workers, rounds=0)
+            if reached:
+                self.history.comm.record_worker_edge(reached, rounds=0)
 
     # ------------------------------------------------------------------
     def _step(self, t: int) -> float:

@@ -28,7 +28,12 @@ from repro.faults.injector import (
     TransferOutcome,
 )
 from repro.faults.plan import DEGRADATION_POLICIES, FaultPlan, check_policy
-from repro.faults.rounds import PRISTINE_ROUND, RoundOutcome, degrade_round
+from repro.faults.rounds import (
+    EVERYONE,
+    RoundOutcome,
+    block_rows,
+    degrade_round,
+)
 
 __all__ = [
     "FaultPlan",
@@ -39,6 +44,7 @@ __all__ = [
     "DEGRADATION_POLICIES",
     "check_policy",
     "RoundOutcome",
-    "PRISTINE_ROUND",
+    "EVERYONE",
+    "block_rows",
     "degrade_round",
 ]

@@ -7,13 +7,12 @@ derived through :func:`repro.utils.rng.child_seed` — so a replay of the
 same plan on the same topology realizes the identical fault sequence,
 and two queries for the same iteration agree even across processes.
 
-Fast paths keep the zero-fault overhead negligible:
-
-* an all-zero plan marks the injector inactive — every query returns
-  the shared "nothing happened" sentinel without touching an RNG;
-* an active plan still returns ``None`` masks when an iteration
-  realizes no dropout, so algorithms fall through to their pristine
-  (bit-exact) aggregation path whenever nobody is actually absent.
+An all-zero plan marks the injector inactive: every query answers
+"nothing happened" without touching an RNG, and no round is tallied,
+so a run with the zero plan attached is bit-identical to a run with no
+plan.  Masks are ``None`` whenever nobody is down, which
+:func:`~repro.faults.degrade_round` resolves to every candidate at the
+caller's own weights.
 
 Realized events are double-counted on purpose: into the injector's own
 ``counts`` dict (always, so the ``repro faults`` summary works without
@@ -104,10 +103,9 @@ class FaultInjector:
         self.plan = plan
         self.num_workers = check_positive_int(num_workers, "num_workers")
         self.num_edges = check_positive_int(num_edges, "num_edges")
-        # Inactive injectors answer every query from the no-op fast
-        # path; algorithms then run their pristine code bit-for-bit.
-        # Crashes are deliberately not part of ``active``: a crash-only
-        # plan keeps every numeric query on the pristine path.
+        # Inactive injectors answer every query with "nothing
+        # happened" and draw nothing.  Crashes are deliberately not part
+        # of ``active``: a crash-only plan perturbs no numeric query.
         self.active = not plan.is_zero
         self._crash_at = frozenset(plan.crash_iterations)
         self.reset()
@@ -132,8 +130,13 @@ class FaultInjector:
                 tracer.count(name, value)
 
     def note_round(self, kind: str) -> None:
-        """Record one aggregation round outcome (pristine/degraded/skipped)."""
-        self._count(f"round.{kind}", 1)
+        """Record one aggregation round outcome (pristine/degraded/skipped).
+
+        An inactive injector realizes nothing and tallies nothing, the
+        same as the event engine, which never consults one.
+        """
+        if self.active:
+            self._count(f"round.{kind}", 1)
 
     # ------------------------------------------------------------------
     # Scripted crashes (checkpoint/recovery testing)
@@ -157,11 +160,11 @@ class FaultInjector:
     def worker_mask(self, t: int) -> np.ndarray | None:
         """Availability of every worker at iteration ``t``.
 
-        Returns ``None`` when everyone is up (the common case and the
-        bit-exact fast path), else a boolean ``(num_workers,)`` array
-        with ``True`` = up.  At least one worker is always kept up — a
-        federation with zero reachable workers cannot make progress, so
-        the lowest-index victim is resurrected (and not counted).
+        Returns ``None`` when everyone is up (the common case), else a
+        boolean ``(num_workers,)`` array with ``True`` = up.  At least
+        one worker is always kept up — a federation with zero reachable
+        workers cannot make progress, so the lowest-index victim is
+        resurrected (and not counted).
         """
         if not self.active:
             return None

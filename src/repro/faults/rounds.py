@@ -13,10 +13,13 @@ applies upload-loss outcomes and the degradation policy and returns a
 * how many ledger transfer events the round actually caused (attempted
   uploads + retransmissions + duplicates + successful downloads).
 
-The ``pristine`` outcome is a shared sentinel meaning "nothing was
-degraded — run the original code path"; it guarantees bit-exact
-numerics whenever no fault is realized, which is what makes the
-zero-fault golden-trajectory acceptance hold by construction.
+Rows are *selectors* into the candidate set: :data:`EVERYONE`
+(``slice(None)``) or an index array.  Every round is resolved, faulted
+or not.  A round no fault touches selects :data:`EVERYONE` at the
+caller's own weight vector and bills one upload and one download per
+candidate, so NumPy hands the aggregation views of the stacked state
+and the fault-free arithmetic runs through the same expressions as a
+degraded round, with nothing copied.
 """
 
 from __future__ import annotations
@@ -28,32 +31,45 @@ import numpy as np
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import check_policy
 
-__all__ = ["RoundOutcome", "PRISTINE_ROUND", "degrade_round"]
+__all__ = ["EVERYONE", "RoundOutcome", "block_rows", "degrade_round"]
+
+# The selector of every candidate; indexing with it returns a view.
+EVERYONE = slice(None)
 
 
 @dataclass(frozen=True)
 class RoundOutcome:
     """Resolved membership and accounting for one aggregation round."""
 
-    pristine: bool = False
-    skip: bool = False
-    # Rows (indices into the candidate set) whose state enters the
+    # Rows (selector into the candidate set) whose state enters the
     # weighted average, with the aligned effective weights.
-    agg_rows: np.ndarray | None = None
-    agg_weights: np.ndarray | None = None
+    agg_rows: slice | np.ndarray
+    agg_weights: np.ndarray | None
     # Rows that actually uploaded this round (reachable survivors) —
     # differs from agg_rows under carry_forward, where stale state of
     # absent rows is aggregated without any new message.
-    present: np.ndarray | None = None
+    present: slice | np.ndarray
     # Rows that receive the redistributed result.
-    receivers: np.ndarray | None = None
+    receivers: slice | np.ndarray
     # Ledger transfer events: uploads (incl. retries/duplicates) plus
     # successful downloads.
     events: int = 0
+    skip: bool = False
 
 
-PRISTINE_ROUND = RoundOutcome(pristine=True)
-_SKIPPED_ROUND = RoundOutcome(skip=True)
+_NOBODY = np.empty(0, dtype=int)
+_SKIPPED_ROUND = RoundOutcome(_NOBODY, None, _NOBODY, _NOBODY, skip=True)
+
+
+def block_rows(block: slice, selector: slice | np.ndarray):
+    """Flat rows of ``selector`` taken within the contiguous ``block``.
+
+    :data:`EVERYONE` stays a slice (the whole block, read as a view);
+    an index array is offset to the block's start.
+    """
+    if isinstance(selector, slice):
+        return block
+    return block.start + selector
 
 
 def degrade_round(
@@ -61,19 +77,22 @@ def degrade_round(
     policy: str,
     weights: np.ndarray,
     up: np.ndarray | None,
-    *,
-    downloads: bool = True,
 ) -> RoundOutcome:
     """Resolve one round over ``len(weights)`` candidates.
 
     ``up`` is the iteration's availability mask restricted to the
-    candidates (``None`` = everyone up).  Returns :data:`PRISTINE_ROUND`
-    when no fault touches the round, a ``skip`` outcome when the policy
-    abandons it (or no survivor remains), else the degraded membership.
+    candidates (``None`` = everyone up).  Returns a ``skip`` outcome
+    when the policy abandons the round (or no survivor remains), else
+    the round's membership; a round no fault touches (always the case
+    for ``faults=None``) selects :data:`EVERYONE` at ``weights`` itself
+    and bills two transfer events per candidate.
     """
-    if faults is None or not faults.active:
-        return PRISTINE_ROUND
     count = len(weights)
+    everyone = RoundOutcome(
+        EVERYONE, weights, EVERYONE, EVERYONE, events=2 * count
+    )
+    if faults is None:
+        return everyone
     candidates = np.arange(count)
     available = candidates if up is None else candidates[up]
 
@@ -89,9 +108,9 @@ def degrade_round(
     upload_events = available.size + outcome.extra_events
 
     if present.size == count and not outcome.extra_events:
-        # Nobody absent, nothing lost or duplicated: bit-exact path.
+        # Nobody absent, nothing lost or duplicated.
         faults.note_round("pristine")
-        return PRISTINE_ROUND
+        return everyone
 
     check_policy(policy)
     degraded = present.size < count
@@ -110,31 +129,26 @@ def degrade_round(
     else:
         # carry_forward (or nothing absent, only retries/duplicates):
         # every candidate's last-known state at its original weight.
-        agg_rows = candidates
+        agg_rows = EVERYONE
         agg_weights = weights
 
     # Redistribution reaches the reachable survivors whose download
-    # also gets through.
+    # also gets through.  Lost downloads were still transmitted: bill
+    # initial attempts for every present row plus all retransmissions
+    # and duplicates.
     receivers = present
-    events = upload_events
-    if downloads:
-        download = faults.transfer_outcome(present.size)
-        if download.failed:
-            got = np.ones(present.size, dtype=bool)
-            got[list(download.failed)] = False
-            receivers = present[got]
-            degraded = True
-        # Lost downloads were still transmitted: bill initial attempts
-        # for every present row plus all retransmissions/duplicates.
-        events += present.size + download.extra_events
+    download = faults.transfer_outcome(present.size)
+    if download.failed:
+        got = np.ones(present.size, dtype=bool)
+        got[list(download.failed)] = False
+        receivers = present[got]
+        degraded = True
 
     faults.note_round("degraded" if degraded else "pristine")
     return RoundOutcome(
-        pristine=False,
-        skip=False,
         agg_rows=agg_rows,
         agg_weights=agg_weights,
         present=present,
         receivers=receivers,
-        events=events,
+        events=upload_events + present.size + download.extra_events,
     )

@@ -11,7 +11,7 @@ queue drives training itself.  Four event kinds circulate:
 * ``upload_arrived`` — a finished interval's state reached the
   aggregator over the LAN/WAN (message loss, duplication and staleness
   fates from an attached :class:`~repro.faults.FaultInjector` are
-  realized per upload, replacing the lockstep ``degrade_round`` path),
+  realized per upload, where lockstep rounds call ``degrade_round``),
 * ``edge_quorum_met`` — enough fresh uploads arrived to close the
   aggregation round; whatever versions arrived are aggregated,
 * ``cloud_sync`` — every ``pi``-th round the edge groups meet at the
@@ -228,11 +228,11 @@ class EventLoopRunner:
         self.total_iterations = check_positive_int(
             total_iterations, "total_iterations"
         )
-        # An inactive injector realizes nothing; skip it entirely so the
-        # zero-fault path stays bit-exact and draw-free.  Scripted
-        # crashes are exempt: they must fire even from a crash-only
-        # (numerically pristine) plan, so the original injector is kept
-        # under a separate name.
+        # An inactive injector realizes nothing, so the runner drops it:
+        # a zero plan draws nothing and tallies nothing, as in lockstep
+        # runs.  Scripted crashes are exempt: they must fire even from a
+        # crash-only plan (which perturbs no numerics), so the original
+        # injector is kept under a separate name.
         self._crash_faults = faults
         self.faults = faults if faults is not None and faults.active else None
         self.rng = make_rng(rng)

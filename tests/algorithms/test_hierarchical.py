@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import CFL, FedAvg, HierFAVG
+from repro.faults import FaultPlan
 
 from tests.conftest import build_tiny_federation
 
@@ -86,6 +87,28 @@ class TestCFL:
             algo._step(t)
         # Cloud round at t=4 set pending; the edge round at t=6 blended it
         # (and no new cloud round has fired yet).
+        assert not any(algo._cloud_pending)
+
+    def test_cloud_pending_only_on_receiving_edges(self, tiny_federation):
+        """An edge that missed the cloud round has no cloud model to fold.
+
+        Edge 0 is dark in interval 2, so the t=4 cloud round reaches
+        edge 1 only; edge 0's next edge round must not blend its own
+        stale edge model in as if it were the cloud's.
+        """
+        algo = CFL(tiny_federation, eta=0.05, tau=2, pi=2)
+        algo.attach_faults(FaultPlan(scripted_edge_down=((0, 2, 2),)))
+        algo.history = tiny_federation.new_history("x", {})
+        algo._setup()
+        for t in range(1, 5):
+            algo._step(t)
+        assert algo._cloud_pending == [False, True]
+        algo._step(5)
+        # The t=6 edge round stores edge 0's plain worker average.
+        algo._local_iteration()
+        fresh = tiny_federation.worker_w_in_edge[0] @ algo.x[0:2]
+        algo._edge_aggregate(6)
+        assert np.array_equal(algo.edge_models[0], fresh)
         assert not any(algo._cloud_pending)
 
     def test_comm_rounds_match_hierfavg(self, tiny_federation):

@@ -88,6 +88,63 @@ class TestReductionsToFedAvg:
         assert np.allclose(a.test_loss, b.test_loss, atol=1e-10)
 
 
+def _relative_gap(a, b) -> float:
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+class TestSlowMoIsFedMom:
+    """SlowMo with α=1 and a constant η is algebraically FedMom.
+
+    SlowMo keeps ``u ← β·u + (w − x̄)/η`` and steps ``w ← w − α·η·u``.
+    With η constant, ``η·u`` follows FedMom's ``m ← β·m + (w − x̄)``
+    from the same zero start, so ``u = m/η`` and α=1 gives ``w − m``:
+    the two train identically (their Table II rows match).  A decaying
+    learning rate or α≠1 breaks the identity.
+    """
+
+    ETA = 0.05
+
+    def _run_pair(self, factory, *, alpha=1.0, eta_schedule=None):
+        fedmom = FedMom(factory(), eta=self.ETA, tau=4, beta=0.5)
+        slowmo = SlowMo(
+            factory(), eta=self.ETA, tau=4, beta=0.5, alpha=alpha
+        )
+        histories = []
+        for algo in (fedmom, slowmo):
+            algo.eta_schedule = eta_schedule
+            histories.append(algo.run(48, eval_every=8))
+        return (fedmom, slowmo), histories
+
+    def test_constant_eta_alpha_one_is_fedmom(self, federation_factory):
+        (fedmom, slowmo), (a, b) = self._run_pair(federation_factory)
+        assert _relative_gap(
+            slowmo.server_params, fedmom.server_params
+        ) <= 1e-12
+        assert _relative_gap(
+            self.ETA * slowmo.slow_momentum, fedmom.server_momentum
+        ) <= 1e-12
+        np.testing.assert_allclose(b.test_loss, a.test_loss, rtol=1e-12)
+        np.testing.assert_allclose(
+            b.train_loss[1:], a.train_loss[1:], rtol=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "alpha, eta_schedule",
+        [(1.0, lambda t: 0.05 * 0.95**t), (0.5, None)],
+        ids=["decaying-eta", "alpha-half"],
+    )
+    def test_identity_needs_constant_eta_and_unit_alpha(
+        self, federation_factory, alpha, eta_schedule
+    ):
+        (fedmom, slowmo), (a, b) = self._run_pair(
+            federation_factory, alpha=alpha, eta_schedule=eta_schedule
+        )
+        assert _relative_gap(
+            slowmo.server_params, fedmom.server_params
+        ) > 1e-3
+        assert not np.allclose(b.test_loss, a.test_loss, rtol=1e-3)
+
+
 class TestServerMomentumAlgorithms:
     @pytest.mark.parametrize("cls", [FedMom, SlowMo, Mime, FedADC])
     def test_learns(self, tiny_federation, cls):

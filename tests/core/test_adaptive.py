@@ -167,27 +167,43 @@ class TestController:
             AdaptiveGammaController(1, 2, mode="delta")
 
     @pytest.mark.parametrize("mode", ["velocity", "y"])
-    def test_accumulate_all_matches_per_worker(self, mode):
-        """The stacked fast path is step-for-step equal to the loop."""
+    def test_accumulate_step_matches_per_worker(self, mode):
+        """The selector step is step-for-step equal to the loop.
+
+        Alternates ``slice(None)`` with index-array selectors, and resets
+        workers between steps so both kinds of selector meet rows still
+        on their boundary step (and rows that are not).
+        """
         rng = np.random.default_rng(0)
-        stacked = AdaptiveGammaController(3, 4, mode=mode)
-        looped = AdaptiveGammaController(3, 4, mode=mode)
-        for step in range(4):
-            grads = rng.normal(size=(3, 4))
-            y_prev = rng.normal(size=(3, 4))
-            velocity = rng.normal(size=(3, 4))
-            stacked.accumulate_all(grads, y_prev, velocity)
-            for worker in range(3):
+        stacked = AdaptiveGammaController(4, 3, mode=mode)
+        looped = AdaptiveGammaController(4, 3, mode=mode)
+        schedule = [
+            (slice(None), [1, 2]),  # every row on its first step
+            (np.array([0, 2, 3]), []),  # 2 on its boundary step
+            (slice(None), [0, 3]),  # 1 on its boundary step
+            (np.array([0, 1]), []),  # 0 on its boundary step
+            (np.array([3]), []),  # 3 on its boundary step
+            (slice(None), []),  # nobody on a boundary step
+        ]
+        for rows, reset in schedule:
+            chosen = np.arange(4)[rows]
+            grads = rng.normal(size=(chosen.size, 3))
+            y_prev = rng.normal(size=(chosen.size, 3))
+            velocity = rng.normal(size=(chosen.size, 3))
+            stacked.accumulate_step(rows, grads, y_prev, velocity)
+            for position, worker in enumerate(chosen):
                 looped.accumulate(
-                    worker, grads[worker], y_prev[worker], velocity[worker]
+                    worker,
+                    grads[position],
+                    y_prev[position],
+                    velocity[position],
                 )
-            if step == 1:
-                # Stagger boundaries so the masked path is exercised too.
-                stacked.reset_workers([1])
-                looped.reset_workers([1])
+            stacked.reset_workers(reset)
+            looped.reset_workers(reset)
+            assert np.array_equal(stacked._boundary, looped._boundary)
         assert np.array_equal(stacked.grad_sums, looped.grad_sums)
         assert np.array_equal(stacked.momentum_sums, looped.momentum_sums)
-        assert np.array_equal(stacked._boundary, looped._boundary)
+        assert stacked.grad_sums.any()
 
     def test_gamma_for_edge_accepts_slice(self):
         controller = AdaptiveGammaController(3, 2, mode="y")

@@ -4,7 +4,9 @@ Two layers:
 
 * ``degrade_round`` invariants over 21 random plans — survivor weights
   always renormalize to 1, membership sets nest correctly, billing never
-  undercounts;
+  undercounts — checked on every resolved round, untouched ones too;
+* the no-fault resolution: every row selected, the caller's weights
+  kept as they are, two transfer events billed per candidate;
 * end-to-end finiteness — HierAdMo completes with finite losses and
   parameters under random nonzero plans for every degradation policy;
 * the all-zero plan attached to every golden algorithm reproduces the
@@ -52,7 +54,11 @@ def random_plan(seed: int) -> FaultPlan:
 
 @pytest.mark.parametrize("seed", range(21))
 def test_degrade_round_invariants(seed):
-    """Membership/weight/billing invariants hold for random plans."""
+    """Membership/weight/billing invariants hold for random plans.
+
+    Every outcome that is not skipped is checked, including the rounds
+    no fault touched; selectors resolve through ``np.arange(count)``.
+    """
     plan = random_plan(seed)
     injector = FaultInjector(plan, num_workers=10, num_edges=3)
     rng = np.random.default_rng(1000 + seed)
@@ -67,18 +73,50 @@ def test_degrade_round_invariants(seed):
             outcome = degrade_round(
                 injector, policy, weights, None if up.all() else up
             )
-            if outcome.pristine or outcome.skip:
+            if outcome.skip:
                 continue
+            rows = np.arange(count)
+            agg = rows[outcome.agg_rows]
+            present = rows[outcome.present]
+            receivers = rows[outcome.receivers]
             # Survivor weights always form a convex combination.
             assert outcome.agg_weights.sum() == pytest.approx(1.0)
             assert (outcome.agg_weights >= 0).all()
-            assert outcome.agg_rows.shape == outcome.agg_weights.shape
+            assert agg.shape == outcome.agg_weights.shape
             # present ⊆ available ∩ candidates, receivers ⊆ present.
             available = np.flatnonzero(up)
-            assert np.isin(outcome.present, available).all()
-            assert np.isin(outcome.receivers, outcome.present).all()
+            assert np.isin(present, available).all()
+            assert np.isin(receivers, present).all()
             # Billing covers at least every attempted upload.
             assert outcome.events >= available.size
+
+
+@pytest.mark.parametrize(
+    "plan", [None, FaultPlan(seed=3)], ids=["no-plan", "zero-plan"]
+)
+def test_untouched_round_selects_everyone(plan):
+    """No injector (or the zero plan) resolves to every row, as is.
+
+    The selectors are ``slice(None)`` (views of the stacked state), the
+    weights are the caller's own vector, not renormalized, and the bill
+    is one upload and one download per candidate.  The zero plan draws
+    nothing and tallies nothing.
+    """
+    injector = None
+    if plan is not None:
+        injector = FaultInjector(plan, num_workers=5, num_edges=2)
+    weights = np.array([0.1, 0.2, 0.3, 0.25])  # sums to 0.85
+    outcome = degrade_round(injector, "renormalize", weights, None)
+    assert not outcome.skip
+    rows = np.arange(weights.size)
+    for selector in (outcome.agg_rows, outcome.present, outcome.receivers):
+        assert selector == slice(None)
+        assert np.array_equal(rows[selector], rows)
+    assert outcome.agg_weights is weights
+    assert outcome.events == 2 * weights.size
+    if injector is not None:
+        assert injector._msg_sequence == 0
+        assert all(value == 0 for value in injector.counts.values())
 
 
 @pytest.mark.parametrize("seed", range(7))

@@ -4,11 +4,12 @@ The authoritative ≤2% bound lives in ``benchmarks/bench_telemetry.py``
 (min-of-many timing on a quiet machine); this test asserts a relaxed
 10% bound so CI noise cannot flake it while still catching a regression
 that puts real work (dict churn, clock reads) on the disabled path.
+The baseline replays the live batched step without its span, so the
+median per-pair overhead sits near zero and the bound can fire.
 """
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
@@ -24,14 +25,26 @@ pytestmark = pytest.mark.telemetry
 RELAXED_OVERHEAD = 0.10
 
 
-def _time_min(fn, repeats=7, iters=10):
-    best = math.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(iters):
-            fn()
-        best = min(best, time.perf_counter() - start)
-    return best / iters
+def _pair_overheads(baseline, candidate, pairs=31, iters=10):
+    """Per-pair overhead of ``candidate`` over ``baseline``.
+
+    Each pair times both functions back to back, in alternating order,
+    so a slow stretch of a shared machine hits both halves of a pair;
+    the median over pairs then shrugs off the stretches that split one.
+    """
+    overheads = []
+    for pair in range(pairs):
+        first, second = (
+            (baseline, candidate) if pair % 2 == 0 else (candidate, baseline)
+        )
+        elapsed = {}
+        for fn in (first, second):
+            start = time.perf_counter()
+            for _ in range(iters):
+                fn()
+            elapsed[fn] = time.perf_counter() - start
+        overheads.append(elapsed[candidate] / elapsed[baseline] - 1.0)
+    return overheads
 
 
 def _make_algo():
@@ -52,18 +65,21 @@ def _make_algo():
 
 
 def _untraced_iteration(fed, algo):
-    """Replica of the worker-iteration body without telemetry calls."""
-    grads = algo._grads
-    total_loss = 0.0
-    for worker in range(fed.num_workers):
-        _, loss = fed.gradient(worker, algo.x[worker], out=grads[worker])
-        total_loss += loss
-    y_new = algo.x - algo.eta * grads
-    velocity = y_new - algo.y
-    algo.controller.accumulate_all(grads, algo.y, velocity)
-    algo.x = y_new + algo.gamma * velocity
-    algo.y = y_new
-    return total_loss / fed.num_workers
+    """The live worker-iteration body, minus its telemetry span.
+
+    Same step as ``HierAdMo._worker_iteration``: one batched
+    ``gradient_all`` pass over the selected rows, then lines 5–6.
+    """
+    rows = algo._iteration_rows()
+    losses = fed.gradient_all(algo.x, rows=rows, out=algo._grads)
+    g = algo._grads[rows]
+    y_prev = algo.y[rows]
+    y_new = algo.x[rows] - algo.eta * g
+    velocity = y_new - y_prev
+    algo.controller.accumulate_step(rows, g, y_prev, velocity)
+    algo.x[rows] = y_new + algo.gamma * velocity
+    algo.y[rows] = y_new
+    return float(losses.mean())
 
 
 def test_disabled_tracer_overhead_smoke():
@@ -73,14 +89,13 @@ def test_disabled_tracer_overhead_smoke():
     def untraced():
         _untraced_iteration(fed, algo)
 
+    disabled = algo._worker_iteration
     untraced()
-    algo._worker_iteration()
-    untraced_time = _time_min(untraced)
-    disabled_time = _time_min(algo._worker_iteration)
-
-    overhead = disabled_time / untraced_time - 1.0
+    disabled()
+    overhead = float(np.median(_pair_overheads(untraced, disabled)))
     assert overhead <= RELAXED_OVERHEAD, (
         f"null-tracer path {overhead:+.1%} over the untraced baseline "
-        f"(relaxed CI budget {RELAXED_OVERHEAD:.0%}; the strict 2% bound "
-        "is enforced by benchmarks/bench_telemetry.py)"
+        f"(median of interleaved pairs; relaxed CI budget "
+        f"{RELAXED_OVERHEAD:.0%}; the strict 2% bound is enforced by "
+        "benchmarks/bench_telemetry.py)"
     )
