@@ -89,6 +89,7 @@ class _BatchedDense:
         "b_start",
         "b_stop",
         "covered",
+        "needs_input_grad",
         "_w",
         "_params",
         "_grads",
@@ -98,6 +99,7 @@ class _BatchedDense:
     def __init__(self, layer: Dense, offsets: dict[int, int]):
         self.in_features = layer.in_features
         self.out_features = layer.out_features
+        self.needs_input_grad = True
         self.w_start = offsets[id(layer.weight)]
         self.w_stop = self.w_start + layer.weight.size
         self.covered = layer.weight.size
@@ -143,6 +145,8 @@ class _BatchedDense:
                 axis=1
             )
         self._x = None
+        if not self.needs_input_grad:
+            return None
         return np.matmul(grad_output, self._w)
 
 
@@ -168,6 +172,7 @@ class _BatchedConv2d:
         "b_start",
         "b_stop",
         "covered",
+        "needs_input_grad",
         "_w",
         "_params",
         "_grads",
@@ -179,6 +184,7 @@ class _BatchedConv2d:
     def __init__(self, layer: Conv2d, offsets: dict[int, int]):
         self.in_channels = layer.in_channels
         self.out_channels = layer.out_channels
+        self.needs_input_grad = True
         self.kernel_size = layer.kernel_size
         self.stride = layer.stride
         self.padding = layer.padding
@@ -252,13 +258,15 @@ class _BatchedConv2d:
         if self.b_start is not None:
             self._grads[:, self.b_start : self.b_stop] = grad_mat.sum(axis=1)
 
-        grad_cols = np.matmul(grad_mat, self._w)
         r, b, c, h, w = self._x_shape
+        self._cols = None
+        self._x_shape = None
+        if not self.needs_input_grad:
+            return None
+        grad_cols = np.matmul(grad_mat, self._w)
         grad_input = col2im(
             grad_cols.reshape(-1, patch), (r * b, c, h, w), k, k, s, p
         )
-        self._cols = None
-        self._x_shape = None
         return grad_input.reshape(r, b, c, h, w)
 
 
@@ -810,6 +818,10 @@ def _lower_model(model) -> tuple[BatchedProgram | None, str | None]:
         # Some parameter lives outside the lowered layers; the batched
         # backward would leave its gradient stale.
         return None, "params:uncovered"
+    if layers and isinstance(layers[0], (_BatchedDense, _BatchedConv2d)):
+        # gradient_all discards the gradient w.r.t. the input batch, so
+        # the first layer skips its input-gradient GEMM (and col2im).
+        layers[0].needs_input_grad = False
     return BatchedProgram(model, layers, loss), None
 
 

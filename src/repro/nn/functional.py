@@ -42,9 +42,13 @@ def im2col(
 
     Returns an array of shape ``(N * out_h * out_w, C * kernel_h * kernel_w)``
     where each row is one receptive field.  ``out``, when given, must be
-    a C-contiguous array of exactly that shape and receives the patch
-    rows in place (layers pass a cached scratch buffer so repeated
-    same-shape forwards allocate nothing).
+    a C-contiguous array of exactly that shape and of ``x``'s dtype, and
+    receives the patch rows in place (layers pass a cached scratch
+    buffer so repeated same-shape forwards allocate nothing).
+
+    The whole rearrangement is one gather: every image reads its patch
+    rows through the same cached per-image fold index (see
+    :func:`_fold_indices`), which does not depend on the batch size.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
@@ -62,30 +66,36 @@ def im2col(
     shape = (n * out_h * out_w, c * kernel_h * kernel_w)
     if out is None:
         out = np.empty(shape, dtype=x.dtype)
-    elif out.shape != shape:
+    elif (
+        out.shape != shape
+        or out.dtype != x.dtype
+        or not out.flags.c_contiguous
+    ):
+        # A non-contiguous ``out`` would reshape to a copy below and
+        # silently lose the patch rows.
         raise ValueError(
-            f"im2col out buffer has shape {out.shape}, needs {shape}"
+            f"im2col out buffer must be a C-contiguous {x.dtype} array "
+            f"of shape {shape}, got {out.dtype} {out.shape} "
+            f"(C-contiguous: {out.flags.c_contiguous})"
         )
-    # Write straight into the final (n, oh, ow, c, kh, kw) patch-row
-    # layout: no intermediate (n, c, kh, kw, oh, ow) tensor and no
-    # transpose copy on the way out.
-    cols = out.reshape(n, out_h, out_w, c, kernel_h, kernel_w)
-    for i in range(kernel_h):
-        i_end = i + stride * out_h
-        for j in range(kernel_w):
-            j_end = j + stride * out_w
-            cols[:, :, :, :, i, j] = x[
-                :, :, i:i_end:stride, j:j_end:stride
-            ].transpose(0, 2, 3, 1)
-
+    indices = _fold_indices(
+        (1, c, h, w), kernel_h, kernel_w, stride, padding, out_h, out_w
+    )
+    # The index is built from the geometry, so every entry is in range:
+    # mode="clip" skips numpy's buffered per-element bounds check.
+    np.take(
+        x.reshape(n, -1), indices, axis=1, out=out.reshape(n, -1),
+        mode="clip",
+    )
     return out
 
 
-# Fold-index buffers for col2im, keyed by the full geometry.  Each
-# buffer maps every patch element (in the natural (n, oh, ow, c, kh,
-# kw) im2col row layout) to its flat destination in the padded image,
-# so the scatter-add is a single ``np.bincount`` pass with no
-# transpose copy.  Geometries are few (one per conv/pool layer shape),
+# Fold-index buffers, keyed by the full geometry.  Each buffer maps
+# every patch element (in the natural (n, oh, ow, c, kh, kw) im2col row
+# layout) to its flat position in the padded image: im2col gathers
+# through the per-image (n=1) map, and col2im's scatter-add is a single
+# ``np.bincount`` pass over the batch-sized map with no transpose copy.
+# Geometries are few (one per conv/pool layer shape and batch size),
 # but the cache is bounded anyway so pathological callers cannot leak.
 _FOLD_INDEX_CACHE: dict[tuple, np.ndarray] = {}
 _FOLD_INDEX_CACHE_MAX = 64

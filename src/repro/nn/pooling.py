@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import conv_output_size, im2col
+from repro.nn.functional import _fold_indices, col2im, conv_output_size, im2col
 from repro.nn.module import Module
 from repro.utils.validation import check_positive_int
 
@@ -25,26 +25,14 @@ class _Pool2d(Module):
 
     def _patches(self, x: np.ndarray) -> np.ndarray:
         """Return patches shaped (N*OH*OW*C, K*K)."""
-        n, c, h, w = x.shape
+        _, _, h, w = x.shape
         k, s = self.kernel_size, self.stride
         out_h = conv_output_size(h, k, s, 0)
         out_w = conv_output_size(w, k, s, 0)
         self._x_shape = x.shape
         self._out_hw = (out_h, out_w)
-        cols = im2col(x, k, k, s, 0)  # (N*OH*OW, C*K*K)
-        return cols.reshape(-1, c, k * k).reshape(-1, k * k)
-
-    def _scatter(self, grad_patches: np.ndarray) -> np.ndarray:
-        """Scatter per-patch gradients (N*OH*OW*C, K*K) back to the input."""
-        n, c, h, w = self._x_shape
-        k, s = self.kernel_size, self.stride
-        out_h, out_w = self._out_hw
-        grad_cols = grad_patches.reshape(-1, c, k * k).reshape(
-            n * out_h * out_w, c * k * k
-        )
-        from repro.nn.functional import col2im
-
-        return col2im(grad_cols, self._x_shape, k, k, s, 0)
+        # (N*OH*OW, C*K*K) patch rows split into one row per channel.
+        return im2col(x, k, k, s, 0).reshape(-1, k * k)
 
 
 class MaxPool2d(_Pool2d):
@@ -52,25 +40,37 @@ class MaxPool2d(_Pool2d):
 
     def __init__(self, kernel_size: int, stride: int | None = None):
         super().__init__(kernel_size, stride)
-        self._argmax: np.ndarray | None = None
+        # Flat patch-element position of each window's winner.
+        self._winners: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         patches = self._patches(x)
-        self._argmax = patches.argmax(axis=1)
-        out = patches[np.arange(patches.shape[0]), self._argmax]
+        rows, taps = patches.shape
+        self._winners = np.arange(0, rows * taps, taps) + patches.argmax(axis=1)
+        out = np.take(patches, self._winners)
         n, c, _, _ = self._x_shape
         out_h, out_w = self._out_hw
         return out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._argmax is None:
+        if self._winners is None:
             raise RuntimeError("backward called before forward")
-        k = self.kernel_size
-        grad_flat = grad_output.transpose(0, 2, 3, 1).ravel()
-        grad_patches = np.zeros((grad_flat.shape[0], k * k), dtype=np.float64)
-        grad_patches[np.arange(grad_flat.shape[0]), self._argmax] = grad_flat
-        self._argmax = None
-        return self._scatter(grad_patches)
+        n, c, h, w = self._x_shape
+        k, s = self.kernel_size, self.stride
+        out_h, out_w = self._out_hw
+        # Only winners receive gradient, so the scatter-add runs over
+        # them alone: every other patch element would add +0.0, which
+        # never changes a bincount sum that starts at +0.0.
+        destinations = _fold_indices(
+            self._x_shape, k, k, s, 0, out_h, out_w
+        )[self._winners]
+        grad = np.bincount(
+            destinations,
+            weights=grad_output.transpose(0, 2, 3, 1).ravel(),
+            minlength=n * c * h * w,
+        ).reshape(n, c, h, w)
+        self._winners = None
+        return grad.astype(grad_output.dtype, copy=False)
 
 
 class AvgPool2d(_Pool2d):
@@ -86,12 +86,14 @@ class AvgPool2d(_Pool2d):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._x_shape is None:
             raise RuntimeError("backward called before forward")
-        k = self.kernel_size
+        k, s = self.kernel_size, self.stride
         grad_flat = grad_output.transpose(0, 2, 3, 1).ravel()
+        # (N*OH*OW*C, K*K) per-window shares are the (N*OH*OW, C*K*K)
+        # patch rows col2im folds back.
         grad_patches = np.repeat(
             grad_flat[:, None] / (k * k), k * k, axis=1
         )
-        return self._scatter(grad_patches)
+        return col2im(grad_patches, self._x_shape, k, k, s, 0)
 
 
 class GlobalAvgPool2d(Module):

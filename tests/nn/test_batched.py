@@ -322,6 +322,113 @@ def test_cnn_nan_loss_rows_get_nan_gradients():
 
 
 # ----------------------------------------------------------------------
+# The first layer computes no input gradient
+# ----------------------------------------------------------------------
+class _Passthrough:
+    """Stand-in for a tracing wrapper: forwards every call to ``inner``."""
+
+    __slots__ = ("inner", "covered")
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.covered = inner.covered
+
+    def bind(self, params, grads):
+        self.inner.bind(params, grads)
+
+    def forward(self, x):
+        return self.inner.forward(x)
+
+    def backward(self, grad_output):
+        return self.inner.backward(grad_output)
+
+
+def _wrap(layer):
+    """Wrap a lowered layer the way the e2e benchmark's tracer does:
+    chains get their children wrapped, blocks get their slots wrapped
+    and are wrapped themselves."""
+    children = getattr(layer, "layers", None)
+    if isinstance(children, list):
+        children[:] = [_wrap(child) for child in children]
+        return layer
+    if isinstance(layer, batched_module._BatchedBasicBlock):
+        for slot in (
+            "conv1", "bn1", "relu1", "conv2", "bn2", "relu2",
+            "proj_conv", "proj_bn",
+        ):
+            child = getattr(layer, slot)
+            if child is not None:
+                setattr(layer, slot, _wrap(child))
+    return _Passthrough(layer)
+
+
+@pytest.mark.parametrize("wrapped", [False, True], ids=["bare", "wrapped"])
+@pytest.mark.parametrize(
+    "factory,col2im_calls",
+    [
+        # Two convs; only the second folds an input gradient.
+        (lambda: make_cnn(1, IMAGE_SIZE, CLASSES, width=3, hidden=16, rng=20), 1),
+        # Stem + 8 blocks x 2 convs + 3 projections = 20 convs.
+        (
+            lambda: make_resnet("resnet18", 1, CLASSES, width_multiplier=1 / 16, rng=23),
+            19,
+        ),
+    ],
+    ids=["cnn", "resnet18"],
+)
+def test_first_layer_skips_input_gradient(
+    factory, col2im_calls, wrapped, monkeypatch
+):
+    """The stem conv runs no input-gradient GEMM or col2im, also after
+    the program's layers are wrapped, and the gradients still match
+    the loop oracle."""
+    model = factory()
+    program = lower_supervised_model(model)
+    if wrapped:
+        program.layers[:] = [_wrap(layer) for layer in program.layers]
+    calls = []
+    real_col2im = batched_module.col2im
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_col2im(*args, **kwargs)
+
+    monkeypatch.setattr(batched_module, "col2im", counted)
+
+    rng = np.random.default_rng(77)
+    xs, ys = _image_inputs(rng, tabular=False)
+    params = rng.normal(size=(IMAGE_WORKERS, model.num_params), scale=0.4)
+    grads = np.empty_like(params)
+    losses = program.gradient_all(params, xs, ys, grads)
+    assert len(calls) == col2im_calls
+    ref_grads, ref_losses = _loop_reference(model, params, xs, ys)
+    np.testing.assert_allclose(losses, ref_losses, rtol=1e-10, atol=1e-14)
+    np.testing.assert_allclose(grads, ref_grads, rtol=1e-10, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "module,flags",
+    [
+        (make_cnn(1, IMAGE_SIZE, CLASSES, width=3, hidden=16, rng=0).module,
+         [False, True, True, True]),
+        (make_mlp(FEATURES, (8,), CLASSES, rng=0).module, [False, True]),
+        (Dense(FEATURES, CLASSES, rng=0), [False]),
+        # A parameterless first layer leaves every Dense computing it.
+        (Sequential(Flatten(), Dense(FEATURES, CLASSES, rng=0)), [True]),
+    ],
+    ids=["cnn", "mlp", "bare_dense", "flatten_first"],
+)
+def test_only_a_leading_conv_or_dense_skips_input_gradient(module, flags):
+    program = lower_supervised_model(SupervisedModel(module))
+    got = [
+        layer.needs_input_grad
+        for layer in program.layers
+        if hasattr(layer, "needs_input_grad")
+    ]
+    assert got == flags
+
+
+# ----------------------------------------------------------------------
 # Lowering rules
 # ----------------------------------------------------------------------
 def test_conv_model_lowers():

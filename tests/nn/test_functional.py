@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nn import functional
 from repro.nn.functional import (
     col2im,
     conv_output_size,
@@ -63,6 +64,26 @@ class TestIm2Col:
                             x[n, :, i : i + 3, j : j + 3] * weight[f]
                         )
         assert np.allclose(out, naive)
+
+    def test_out_buffer_must_be_c_contiguous(self):
+        x = np.ones((2, 3, 4, 4))
+        fortran = np.empty((2 * 9, 3 * 4), order="F")
+        with pytest.raises(ValueError, match="C-contiguous"):
+            im2col(x, 2, 2, 1, 0, out=fortran)
+
+    def test_out_buffer_dtype_and_shape_checked(self):
+        x = np.ones((2, 3, 4, 4))
+        with pytest.raises(ValueError):
+            im2col(x, 2, 2, 1, 0, out=np.empty((18, 12), dtype=np.float32))
+        with pytest.raises(ValueError):
+            im2col(x, 2, 2, 1, 0, out=np.empty((18, 13)))
+
+    def test_index_shared_across_batch_sizes(self, monkeypatch):
+        """Training and eval batch sizes gather through one index entry."""
+        monkeypatch.setattr(functional, "_FOLD_INDEX_CACHE", {})
+        for batch in (8, 4, 3):
+            im2col(np.ones((batch, 2, 5, 7)), 3, 3, 1, 1)
+        assert len(functional._FOLD_INDEX_CACHE) == 1
 
     @given(
         st.integers(1, 3),  # kernel

@@ -99,6 +99,14 @@ class TestPooling:
         expected[1, 1] = expected[1, 3] = expected[3, 1] = expected[3, 3] = 1
         assert np.array_equal(grad[0, 0], expected)
 
+    @pytest.mark.parametrize("pool", [MaxPool2d, AvgPool2d])
+    def test_float32_gradient_stays_float32(self, pool):
+        x = np.random.default_rng(0).normal(size=(2, 3, 4, 6))
+        layer = pool(2)
+        out = layer.forward(x.astype(np.float32))
+        assert out.dtype == np.float32
+        assert layer.backward(np.ones_like(out)).dtype == np.float32
+
     def test_global_pool_requires_4d(self):
         with pytest.raises(ValueError):
             GlobalAvgPool2d().forward(np.zeros((2, 3)))
