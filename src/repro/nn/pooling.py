@@ -35,6 +35,32 @@ class _Pool2d(Module):
         return im2col(x, k, k, s, 0).reshape(-1, k * k)
 
 
+def _first_max(patches: np.ndarray) -> np.ndarray:
+    """Flat position of each row's first maximum: ``argmax`` row by row.
+
+    numpy's ``argmax(axis=1)`` walks each short row separately; this
+    sweeps the K*K tap columns instead.  A running maximum finds each
+    row's top value, and a shrinking "not found yet" mask, summed into
+    the row offsets, counts the columns before the first one equal to
+    it.  ±0.0 compare equal, as they do for ``argmax``.  Only ``argmax``
+    knows its rule that the first NaN wins, so a NaN anywhere in the
+    maxima sends the whole call to it.
+    """
+    rows, taps = patches.shape
+    winners = np.arange(0, rows * taps, taps)
+    top = patches[:, 0].copy()
+    for tap in range(1, taps):
+        np.maximum(top, patches[:, tap], out=top)
+    if np.isnan(top).any():
+        return winners + patches.argmax(axis=1)
+    not_found = patches[:, 0] != top
+    winners += not_found
+    for tap in range(1, taps - 1):
+        not_found &= patches[:, tap] != top
+        winners += not_found
+    return winners
+
+
 class MaxPool2d(_Pool2d):
     """Max pooling; gradient routes to the argmax element of each window."""
 
@@ -45,8 +71,7 @@ class MaxPool2d(_Pool2d):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         patches = self._patches(x)
-        rows, taps = patches.shape
-        self._winners = np.arange(0, rows * taps, taps) + patches.argmax(axis=1)
+        self._winners = _first_max(patches)
         out = np.take(patches, self._winners)
         n, c, _, _ = self._x_shape
         out_h, out_w = self._out_hw

@@ -5,8 +5,13 @@ import pytest
 
 from repro.algorithms import FedAvg
 from repro.core import Federation
-from repro.data import Dataset
-from repro.nn.models import make_linear_regression
+from repro.data import (
+    Dataset,
+    make_synthetic_mnist,
+    partition_xclass,
+    train_test_split,
+)
+from repro.nn.models import make_cnn, make_linear_regression
 
 
 def mse_federation(seed=0):
@@ -27,6 +32,18 @@ def mse_federation(seed=0):
     return Federation(model, edges, edges[0][0], batch_size=8, seed=seed)
 
 
+def cnn_federation(backend):
+    """Conv/ReLU/max-pool model: 2 edges x 2 workers on 8x8 images."""
+    corpus = make_synthetic_mnist(240, image_size=8, rng=21)
+    train, test = train_test_split(corpus, 0.25, rng=22)
+    parts = partition_xclass(train, 4, 3, rng=23)
+    model = make_cnn(1, 8, 10, width=3, hidden=16, rng=24)
+    return Federation(
+        model, [parts[0:2], parts[2:4]], test, batch_size=8, seed=25,
+        backend=backend,
+    )
+
+
 class TestDivergenceGuard:
     def test_huge_lr_diverges_and_stops(self):
         algo = FedAvg(mse_federation(), eta=1e6, tau=5)
@@ -35,6 +52,17 @@ class TestDivergenceGuard:
         assert history.diverged_at is not None
         assert history.iterations[-1] == history.diverged_at
         assert history.diverged_at < 50
+        assert not np.isfinite(history.train_loss[-1])
+
+    @pytest.mark.parametrize("backend", ["batched", "loop"])
+    def test_huge_lr_cnn_diverges_and_stops(self, backend):
+        """NaN and inf pass through ReLU and max pooling to the loss."""
+        federation = cnn_federation(backend)
+        assert federation.gradient_backend == backend
+        history = FedAvg(federation, eta=1e6, tau=3).run(30, eval_every=10)
+        assert history.diverged
+        assert history.diverged_at == 5
+        assert history.iterations == [0, 5]
         assert not np.isfinite(history.train_loss[-1])
 
     def test_guard_can_be_disabled(self):

@@ -1,13 +1,17 @@
-"""Bit-exact oracles for the gather-based conv and pool kernels.
+"""Bit-exact oracles for the gather-based conv and pool kernels and ReLU.
 
 ``im2col`` is one gather through a cached per-image index, and
-``MaxPool2d`` reads each window's winner with one flat ``take`` and
-routes its gradient with one ``np.bincount`` over the winners only.
-The references below are the kernels those replaced: the per-tap
-strided-copy ``im2col``, and the max pool that picks winners by 2-D
-fancy indexing and folds a dense ``(N*OH*OW*C, K*K)`` gradient scratch
-with ``col2im``.  Every result must match them bit for bit
-(``.view(np.int64)`` equality), not merely within a tolerance.
+``MaxPool2d`` finds each window's first maximum with a sweep over the
+tap columns, reads the winner with one flat ``take`` and routes its
+gradient with one ``np.bincount`` over the winners only.  ``ReLU`` is
+``np.maximum`` into a C-contiguous output plus a mask multiply.  The
+references below are the kernels those replaced: the per-tap
+strided-copy ``im2col``; the max pool that picks winners with
+``argmax`` and 2-D fancy indexing and folds a dense
+``(N*OH*OW*C, K*K)`` gradient scratch with ``col2im``; and the
+``np.where`` ReLU.  Every result must match them bit for bit
+(``.view(np.int64)`` equality), not merely within a tolerance, except
+where a test states the difference.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.nn import MaxPool2d
+from repro.nn import MaxPool2d, ReLU
 from repro.nn.functional import col2im, conv_output_size, im2col
 
 SPECIALS = (0.0, -0.0, np.nan, np.inf, -np.inf)
@@ -62,12 +66,19 @@ def reference_maxpool(x, kernel, stride, grad_output):
     return out.transpose(0, 3, 1, 2), grad
 
 
-def assert_same_bits(got, want):
+def reference_relu(x, grad_output):
+    """The ``np.where`` ReLU forward and backward."""
+    mask = x > 0
+    return np.where(mask, x, 0.0), np.where(mask, grad_output, 0.0)
+
+
+def assert_same_bits(got, want, dtype=np.float64):
     assert got.shape == want.shape
-    assert got.dtype == want.dtype == np.float64
+    assert got.dtype == want.dtype == dtype
+    ints = np.int64 if dtype == np.float64 else np.int32
     np.testing.assert_array_equal(
-        np.ascontiguousarray(got).view(np.int64),
-        np.ascontiguousarray(want).view(np.int64),
+        np.ascontiguousarray(got).view(ints),
+        np.ascontiguousarray(want).view(ints),
     )
 
 
@@ -106,26 +117,149 @@ class TestIm2colOracle:
         )
 
 
+def check_maxpool(x, kernel, stride, rng):
+    """Forward and backward against the argmax reference; returns out."""
+    batch, channels, h, w = x.shape
+    out_h = conv_output_size(h, kernel, stride, 0)
+    out_w = conv_output_size(w, kernel, stride, 0)
+    grad_output = rng.normal(size=(batch, channels, out_h, out_w))
+    grad_output[rng.random(grad_output.shape) < 0.1] = -0.0
+
+    want_out, want_grad = reference_maxpool(x, kernel, stride, grad_output)
+    pool = MaxPool2d(kernel, stride)
+    out = pool.forward(x)
+    assert_same_bits(out, want_out)
+    assert_same_bits(pool.backward(grad_output), want_grad)
+    return out
+
+
+POOL_GEOMETRIES = pytest.mark.parametrize(
+    "kernel,stride", [(2, 2), (3, 1), (3, 2)],
+    ids=["disjoint", "overlap-s1", "overlap-s2"],
+)
+# A few distinct levels make tied maxima common; ±0.0 and ±inf tie with
+# each other or win, and no NaN sends the call to the argmax fallback.
+NAN_FREE_LEVELS = np.array((-1.0, 1.0, 2.0, 0.0, -0.0, np.inf, -np.inf))
+
+
 class TestMaxPoolOracle:
     @pytest.mark.parametrize("batch", [1, 3, 64])
-    @pytest.mark.parametrize(
-        "kernel,stride", [(2, 2), (3, 1), (3, 2)],
-        ids=["disjoint", "overlap-s1", "overlap-s2"],
-    )
+    @POOL_GEOMETRIES
     def test_matches_dense_scratch(self, kernel, stride, batch):
         rng = np.random.default_rng(10 * kernel + stride + batch)
         shape = (batch, 2, 6, 7)  # H != W
-        # A few distinct levels make tied maxima common; ±0.0, NaN and
-        # ±inf exercise argmax's first-winner rule on special values.
+        # With NaN among the levels nearly every case holds one, so
+        # these exercise argmax's first-NaN rule through the fallback.
         x = rng.choice(
             np.array((-1.0, 1.0, 2.0) + SPECIALS), size=shape
         )
-        out_h = conv_output_size(shape[2], kernel, stride, 0)
-        out_w = conv_output_size(shape[3], kernel, stride, 0)
-        grad_output = rng.normal(size=(batch, 2, out_h, out_w))
-        grad_output[rng.random(grad_output.shape) < 0.1] = -0.0
+        check_maxpool(x, kernel, stride, rng)
 
-        want_out, want_grad = reference_maxpool(x, kernel, stride, grad_output)
-        pool = MaxPool2d(kernel, stride)
-        assert_same_bits(pool.forward(x), want_out)
-        assert_same_bits(pool.backward(grad_output), want_grad)
+    @pytest.mark.parametrize("batch", [1, 3, 64])
+    @POOL_GEOMETRIES
+    def test_nan_free_ties_take_the_first_maximum(self, kernel, stride, batch):
+        rng = np.random.default_rng(1000 + 10 * kernel + stride + batch)
+        x = rng.choice(NAN_FREE_LEVELS, size=(batch, 2, 6, 7))
+        check_maxpool(x, kernel, stride, rng)
+
+    @POOL_GEOMETRIES
+    def test_single_nan_window(self, kernel, stride):
+        rng = np.random.default_rng(2000 + 10 * kernel + stride)
+        x = rng.choice(NAN_FREE_LEVELS, size=(3, 2, 6, 7))
+        # The top-left corner is tap 0 of window (0, 0) and of no other
+        # window, so one window holds the NaN, and it wins there even
+        # though larger taps follow it.
+        x[1, 1, 0, 0] = np.nan
+        out = check_maxpool(x, kernel, stride, rng)
+        assert np.isnan(out[1, 1, 0, 0])
+        assert np.isnan(out).sum() == 1
+
+
+RELU_SPECIALS = (0.0, -0.0, np.inf, -np.inf)
+# Memory layouts ReLU reads: C-contiguous NCHW, the (N, C, H, W) view of
+# a conv's channels-last GEMM output, and the lowered program's
+# (R, B, C, H, W) view of the same.
+RELU_LAYOUTS = {
+    "c-contiguous": ((2, 3, 4, 5), None),
+    "channels-last": ((2, 4, 5, 3), (0, 3, 1, 2)),
+    "worker-channels-last": ((2, 3, 4, 5, 3), (0, 1, 4, 2, 3)),
+}
+
+
+def relu_case(rng, layout, dtype):
+    """Input with ±0.0 and ±inf in ``layout``; NCHW gradient with −0.0."""
+    memory, axes = RELU_LAYOUTS[layout]
+    x = rng.normal(size=memory)
+    spots = rng.random(memory) < 0.2
+    x[spots] = rng.choice(RELU_SPECIALS, size=int(spots.sum()))
+    x = x.astype(dtype)
+    if axes is not None:
+        x = x.transpose(axes)
+    grad_output = rng.normal(size=x.shape).astype(dtype)
+    grad_output[rng.random(x.shape) < 0.2] = -0.0
+    return x, grad_output
+
+
+class TestReLUOracle:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("layout", sorted(RELU_LAYOUTS))
+    def test_matches_where(self, layout, dtype):
+        rng = np.random.default_rng(len(layout))
+        x, grad_output = relu_case(rng, layout, dtype)
+        want_out, want_grad = reference_relu(x, grad_output)
+        relu = ReLU()
+        assert_same_bits(relu.forward(x), want_out, dtype)
+        grad = relu.backward(grad_output)
+        on = x > 0
+        assert_same_bits(grad[on], want_grad[on], dtype)
+        # Masked off, both forms give a zero, but ``grad * 0.0`` keeps
+        # the gradient's sign where ``np.where`` wrote +0.0.
+        off = ~on
+        assert off.any() and (grad_output[off] != 0).any()
+        assert (grad[off] == want_grad[off]).all()
+        np.testing.assert_array_equal(
+            np.signbit(grad[off]), np.signbit(grad_output[off])
+        )
+
+    def test_nan_input_propagates(self):
+        x = np.array([np.nan, -1.0, 2.0, -0.0])
+        assert reference_relu(x, x)[0][0] == 0.0  # where the old form differs
+        relu = ReLU()
+        out = relu.forward(x)
+        assert np.isnan(out[0])
+        np.testing.assert_array_equal(out[1:], [0.0, 2.0, 0.0])
+        assert not np.signbit(out[3])
+        # NaN is not > 0, so it is masked off in the backward.
+        np.testing.assert_array_equal(relu.backward(np.ones(4)), [0, 0, 1, 0])
+
+    def test_masked_off_gradient_semantics(self):
+        x = np.array([-1.0, -1.0, -1.0, -1.0, 3.0])
+        grad_output = np.array([-2.0, 2.0, -np.inf, np.nan, -5.0])
+        want = reference_relu(x, grad_output)[1]
+        relu = ReLU()
+        relu.forward(x)
+        # inf * 0.0 sets numpy's "invalid" flag; the model's gradient
+        # paths run under np.errstate and ignore it.
+        with np.errstate(invalid="ignore"):
+            grad = relu.backward(grad_output)
+        # A negative gradient gives -0.0 (was +0.0) ...
+        assert grad[0] == 0.0 and np.signbit(grad[0])
+        assert want[0] == 0.0 and not np.signbit(want[0])
+        assert grad[1] == 0.0 and not np.signbit(grad[1])
+        # ... and an infinite or NaN one gives NaN (was 0.0).
+        assert np.isnan(grad[2:4]).all()
+        assert (want[2:4] == 0.0).all()
+        assert grad[4] == -5.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("layout", sorted(RELU_LAYOUTS))
+    def test_layout_and_dtype_contract(self, layout, dtype):
+        rng = np.random.default_rng(3)
+        x, grad_output = relu_case(rng, layout, dtype)
+        assert x.flags.c_contiguous == (layout == "c-contiguous")
+        relu = ReLU()
+        out = relu.forward(x)
+        assert out.flags.c_contiguous and out.dtype == dtype
+        assert relu._mask.flags.c_contiguous
+        grad = relu.backward(grad_output)
+        assert grad.flags.c_contiguous and grad.dtype == dtype

@@ -1,9 +1,11 @@
-"""Tests for the repo tooling (docs generator, bench gate checker)."""
+"""Tests for the repo tooling (docs generator, bench gate checker, run fingerprint)."""
 
 import importlib.util
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -109,3 +111,65 @@ class TestCheckBench:
         assert tool.main(["--fresh", str(fresh)]) == 0
         out = capsys.readouterr().out
         assert "skipped" in out
+
+
+class TestFingerprint:
+    """``tools/fingerprint.py`` makes "bit-exact" a diff that can fail."""
+
+    RUNS = ["sync/HierAdMo/batched", "sync/FedAvg/loop"]
+
+    def test_matrix_covers_goldens_and_workloads(self):
+        tool = load_tool("fingerprint")
+        kinds = [name.split("/")[0] for name in tool.MATRIX]
+        # 15 sync and 3 CNN goldens on two backends; 4 workloads x 2 seeds.
+        assert (kinds.count("sync"), kinds.count("cnn"), kinds.count("e2e")) == (
+            30, 6, 8,
+        )
+
+    def test_identical_runs_give_empty_diff(self, tmp_path, capsys):
+        tool = load_tool("fingerprint")
+        a = tool.fingerprint(self.RUNS)
+        b = tool.fingerprint(self.RUNS)
+        assert tool.diff(a, b) == []
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path, document in zip(paths, (a, b)):
+            path.write_text(json.dumps(document))
+        assert tool.main(["--diff", *map(str, paths)]) == 0
+        assert "no field moved in 2 runs" in capsys.readouterr().out
+
+    def test_one_ulp_nudge_is_reported_for_that_run_alone(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.core import Federation
+
+        tool = load_tool("fingerprint")
+        a = tool.fingerprint(self.RUNS)
+        clean = tool.fingerprint(self.RUNS[:1])
+        original = Federation.gradient_all
+        calls = []
+
+        def nudged(fed, params, *, rows=slice(None), out):
+            losses = original(fed, params, rows=rows, out=out)
+            if not calls:  # one ulp, once, on worker 0's gradient row
+                out[0] = np.nextafter(out[0], np.inf)
+            calls.append(1)
+            return losses
+
+        monkeypatch.setattr(Federation, "gradient_all", nudged)
+        touched = tool.fingerprint(self.RUNS[1:])
+        b = {**clean, "runs": {**clean["runs"], **touched["runs"]}}
+
+        moved = tool.diff(a, b)
+        assert {run for run, _, _ in moved} == {self.RUNS[1]}
+        fields = {field: text for _, field, text in moved}
+        assert fields["arrays.x"] == "sha256 changed"
+        assert fields["history.train_loss"].startswith("max rel change ")
+
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path, document in zip(paths, (a, b)):
+            path.write_text(json.dumps(document))
+        assert tool.main(["--diff", *map(str, paths)]) == 1
+        out = capsys.readouterr().out
+        assert f"moved: {self.RUNS[1]}" in out
+        assert self.RUNS[0] not in out
+        assert "1 of 2 runs moved" in out
