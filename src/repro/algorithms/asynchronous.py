@@ -1,8 +1,8 @@
 """Staleness-aware asynchronous algorithm variants.
 
-These run under the event-driven engine
+These run ``FLAlgorithm.run`` on the event clock
 (:class:`repro.simulation.engine.EventLoopRunner`) instead of the
-lockstep driver: each worker's gradient steps fire at its simulated
+lockstep clock: each worker's gradient steps fire at its simulated
 completion time, and aggregation closes on whatever model versions have
 arrived when the edge quorum is met.  Two variants ship:
 
@@ -20,16 +20,21 @@ Every closure runs one aggregation over whatever arrived: the fresh
 members (a ``slice(None)`` selector when everyone arrived) and any
 buffered stale snapshots, at their data weights renormalized over that
 set.  With ``quorum=1.0`` and no faults every member arrives fresh and
-nothing is stale, so the event-driven run reproduces the golden
-trajectories (pinned at rtol 1e-8 by the equivalence battery).
+nothing is stale, so the event-driven run takes the lockstep schedule.
+Its evaluations match lockstep only where they fall on cloud barriers:
+the goldens (``eval_every`` = τ·π) are reproduced bit for bit and
+pinned at rtol 1e-8 by the equivalence battery.  An evaluation between
+cloud barriers can differ: ``round_complete(r)`` fires once every group
+finished round r, but a faster group may already have written round
+r+1 into the evaluation view ``_eval_x``.  On the golden HierAdMo
+federation (T=30) ``eval_every=3`` moves the test loss by up to 19.6%
+relative against lockstep; ``eval_every=6`` matches bit for bit.
 Histories gain a simulated-time axis (``eval_times``), which makes the
 paper's Fig. 2 h/l time-to-accuracy comparison emergent rather than
 re-priced after the fact.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -38,12 +43,10 @@ from repro.core.hieradmo import HierAdMo
 from repro.algorithms.twotier import FedAvg
 from repro.faults import EVERYONE, block_rows
 from repro.metrics.history import TrainingHistory
-from repro.monitoring.health import MonitorAbort
-from repro.monitoring.monitor import get_monitor
 from repro.simulation.devices import worker_device_pool
 from repro.simulation.engine import AsyncDeployment, EventLoopRunner
 from repro.telemetry import get_tracer
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import check_positive
 
 __all__ = ["AsyncExecutionMixin", "AsyncFedAvg", "AsyncHierAdMo"]
 
@@ -51,12 +54,14 @@ __all__ = ["AsyncExecutionMixin", "AsyncFedAvg", "AsyncHierAdMo"]
 class AsyncExecutionMixin:
     """Event-driven execution for an existing lockstep algorithm.
 
-    Mix in *before* the algorithm class.  Replaces ``run`` with the
-    event-loop driver and implements the runner's client protocol; the
-    numeric hooks (``_async_worker_step``, ``close_round``,
-    ``cloud_sync``) come from the concrete subclass.
+    Mix in *before* the algorithm class.  Swaps the run's lockstep clock
+    for the event clock (``FLAlgorithm.run`` stays the driver) and
+    implements the runner's client protocol; the numeric hooks
+    (``_async_worker_step``, ``close_round``, ``cloud_sync``) come from
+    the concrete subclass.
     """
 
+    DRIVER_KIND = "event"
     # Two-tier subclasses set True: one all-worker group uploading over
     # the WAN, with no separate cloud barrier.
     FLAT = False
@@ -85,7 +90,6 @@ class AsyncExecutionMixin:
             )
         self.staleness_decay = float(staleness_decay)
         self.sim_rng = sim_rng
-        self.simulation = None
         self.runner: EventLoopRunner | None = None
 
     def config(self) -> dict:
@@ -94,6 +98,65 @@ class AsyncExecutionMixin:
             "quorum": self.deployment.quorum,
             "staleness_decay": self.staleness_decay,
         }
+
+    @property
+    def simulation(self):
+        """The last run's :class:`~repro.simulation.events.EventSimulation`."""
+        return None if self.runner is None else self.runner.result
+
+    # ------------------------------------------------------------------
+    # The event clock (FLAlgorithm.run's clock hooks)
+    # ------------------------------------------------------------------
+    def _setup(self) -> None:
+        super()._setup()
+        # Last model each worker *received* — the evaluation view.  The
+        # live ``x`` rows of mid-interval workers are private state no
+        # deployment could actually read.
+        self._eval_x = self.x.copy()
+        self._stale_store: dict[int, tuple] = {}
+        self._gamma_pending: dict[int, dict[int, float]] = {}
+        self.runner = None
+
+    def _global_params(self) -> np.ndarray:
+        return self.fed.global_average_workers(self._eval_x)
+
+    def _run_clock(
+        self, state: dict | None, stop_on_divergence: bool
+    ) -> tuple[int, float] | None:
+        """Run the event loop; round barriers call back ``round_complete``.
+
+        Resuming restores the full engine state — event queue, in-flight
+        uploads, simulation RNG — and replays the remaining events
+        bit-exact with an uninterrupted run.
+        """
+        runner = self.runner = EventLoopRunner(
+            self,
+            self.deployment,
+            tau=self.tau,
+            pi=getattr(self, "pi", 1),
+            total_iterations=self._total_iterations,
+            faults=self.faults,
+            rng=self.sim_rng,
+            flat=self.FLAT,
+            stop_on_divergence=stop_on_divergence,
+        )
+        if state is not None:
+            runner.load_state_dict(state)
+        if self._checkpoints is not None:
+            runner.checkpoint_hook = self._maybe_checkpoint
+        runner.run(resume=state is not None)
+        if stop_on_divergence and runner.diverged_at is not None:
+            return runner.diverged_at, runner.diverged_loss
+        return None
+
+    def _barrier_stride(self) -> int:
+        return self.tau
+
+    def _clock_state(self, t: int) -> dict:
+        return self.runner.state_dict()
+
+    def _sim_time(self) -> float:
+        return 0.0 if self.runner is None else self.runner.last_event_time
 
     # ------------------------------------------------------------------
     # Runner client protocol (scheduling side)
@@ -115,9 +178,8 @@ class AsyncExecutionMixin:
             )
         with get_tracer().span("worker_step"):
             loss = float(self._async_worker_step(int(worker)))
-        if np.isfinite(loss):
-            self._loss_sum += loss
-            self._loss_count += 1
+        self._loss_sum += loss
+        self._loss_count += 1
         return loss
 
     def round_complete(self, round_index: int, time: float) -> None:
@@ -126,33 +188,13 @@ class AsyncExecutionMixin:
             self.history.record_gammas(
                 self._gamma_pending.pop(round_index, {})
             )
-        t = min(round_index * self.tau, self._total_iterations)
-        if t % self._eval_every == 0 or t == self._total_iterations:
-            accuracy, loss = self.fed.evaluate(self._global_eval_params())
-            train = (
-                self._loss_sum / self._loss_count
-                if self._loss_count
-                else float("nan")
-            )
-            self.history.record_eval(t, accuracy, loss, train_loss=train)
-            self.history.eval_times.append(float(time))
-            self._loss_sum = 0.0
-            self._loss_count = 0
-            self._emit_eval(t, accuracy, loss, train, sim_time=float(time))
-        # Round barriers are the async analogue of the lockstep rebind
-        # point: every group has aggregated and redistributed, so slot
-        # adoption sees broadcast-coherent rows.  Runs before the
-        # engine's checkpoint hook for the same snapshot-after-rebind
-        # guarantee the lockstep driver gives.
-        population = self.population
-        if (
-            population is not None
-            and t % population.resample_every == 0
-            and t < self._total_iterations
-        ):
-            population.resample(
-                self, t // population.resample_every, iteration=t
-            )
+        # Every group has aggregated and redistributed, so a cohort
+        # rebind here sees broadcast-coherent rows; the engine calls the
+        # checkpoint hook only after this returns.
+        self._round_barrier(
+            min(round_index * self.tau, self._total_iterations),
+            sim_time=float(time),
+        )
 
     def monitor_round_data(self, group: int, round_index: int) -> dict:
         """Algorithm payload for the engine's ``edge_round`` events."""
@@ -162,22 +204,6 @@ class AsyncExecutionMixin:
         if gamma is None:
             return {}
         return {"gammas": {str(group): float(gamma)}}
-
-    # ------------------------------------------------------------------
-    # Driver
-    # ------------------------------------------------------------------
-    def _async_setup(self) -> None:
-        # Last model each worker *received* — the evaluation view.  The
-        # live ``x`` rows of mid-interval workers are private state no
-        # deployment could actually read.
-        self._eval_x = self.x.copy()
-        self._stale_store: dict[int, tuple] = {}
-        self._gamma_pending: dict[int, dict[int, float]] = {}
-        self._loss_sum = 0.0
-        self._loss_count = 0
-
-    def _global_eval_params(self) -> np.ndarray:
-        return self.fed.global_average_workers(self._eval_x)
 
     @staticmethod
     def _fresh_rows(block: slice, fresh: tuple[int, ...]):
@@ -231,162 +257,16 @@ class AsyncExecutionMixin:
             str(r): {str(g): float(v) for g, v in groups.items()}
             for r, groups in self._gamma_pending.items()
         }
-        values["async:loss_sum"] = self._loss_sum
-        values["async:loss_count"] = self._loss_count
         return values
 
     def restore_values(self, values: dict) -> None:
         values = dict(values)
         pending = values.pop("async:gamma_pending")
-        self._loss_sum = float(values.pop("async:loss_sum"))
-        self._loss_count = int(values.pop("async:loss_count"))
         super().restore_values(values)
         self._gamma_pending = {
             int(r): {int(g): float(v) for g, v in groups.items()}
             for r, groups in pending.items()
         }
-
-    def run(
-        self,
-        total_iterations: int,
-        *,
-        eval_every: int | None = None,
-        history: TrainingHistory | None = None,
-        stop_on_divergence: bool = True,
-        checkpoints=None,
-        resume_from=None,
-    ) -> TrainingHistory:
-        """Train for ``total_iterations`` under the event-driven engine.
-
-        Evaluations only happen at round-complete barriers (the only
-        points with a coherent global model), so ``eval_every`` is
-        rounded up to a multiple of ``tau``.  The same applies to
-        ``checkpoints``: snapshots land at the first barrier whose
-        nominal iteration the manager's schedule selects.  Resuming from
-        a snapshot (``resume_from``) restores the full engine state —
-        event queue, in-flight uploads, simulation RNG — and replays the
-        remaining events bit-exact with an uninterrupted run.
-        """
-        total_iterations = check_positive_int(
-            total_iterations, "total_iterations"
-        )
-        if eval_every is None:
-            eval_every = max(1, total_iterations // 10)
-        eval_every = check_positive_int(eval_every, "eval_every")
-        eval_every = int(math.ceil(eval_every / self.tau)) * self.tau
-
-        if resume_from is not None:
-            if resume_from.driver_kind != "event":
-                raise ValueError(
-                    f"checkpoint was written by the "
-                    f"{resume_from.driver_kind!r} driver, not the event "
-                    f"driver"
-                )
-            history = resume_from.build_history()
-        if history is None:
-            history = self.fed.new_history(self.name, self.config())
-        self.history = history
-        history.comm.configure(
-            dim=self.fed.dim, payload_multiplier=self.payload_multiplier
-        )
-        faults = self.faults
-        if faults is not None:
-            faults.reset()
-        self._up_mask = None
-
-        self._setup()
-        self._async_setup()
-        self._eval_every = eval_every
-        self._total_iterations = total_iterations
-        if self.population is not None:
-            self.population.reset(self)
-        if resume_from is not None:
-            resume_from.apply(self)
-        self._emit_run_start(total_iterations, eval_every)
-        alerts_seen = self._alert_mark
-
-        if resume_from is None:
-            accuracy, loss = self.fed.evaluate(self._global_eval_params())
-            history.record_eval(0, accuracy, loss, train_loss=float("nan"))
-            history.eval_times.append(0.0)
-
-        runner = EventLoopRunner(
-            self,
-            self.deployment,
-            tau=self.tau,
-            pi=getattr(self, "pi", 1),
-            total_iterations=total_iterations,
-            faults=faults,
-            rng=self.sim_rng,
-            flat=self.FLAT,
-            stop_on_divergence=stop_on_divergence,
-        )
-        self.runner = runner
-        if resume_from is not None:
-            runner.load_state_dict(resume_from.driver_state)
-        if checkpoints is not None:
-
-            def checkpoint_hook(active_runner) -> None:
-                nonlocal alerts_seen
-                monitor = get_monitor()
-                alerts_now = len(monitor.alerts) if monitor.enabled else 0
-                t = min(
-                    active_runner._notified * self.tau, total_iterations
-                )
-                periodic = checkpoints.should_save(t)
-                if not periodic and alerts_now <= alerts_seen:
-                    return
-                checkpoints.save(
-                    self,
-                    iteration=t,
-                    driver={
-                        "kind": "event",
-                        "state": active_runner.state_dict(),
-                    },
-                    total_iterations=total_iterations,
-                    eval_every=eval_every,
-                    reason="periodic" if periodic else "alert",
-                )
-                alerts_seen = alerts_now
-
-            runner.checkpoint_hook = checkpoint_hook
-        try:
-            if resume_from is None:
-                self._emit_eval(0, accuracy, loss, float("nan"), sim_time=0.0)
-            else:
-                self._emit_checkpoint_restored(resume_from)
-            self.simulation = runner.run(resume=resume_from is not None)
-            if stop_on_divergence and runner.diverged_at is not None:
-                history.diverged = True
-                history.diverged_at = runner.diverged_at
-                accuracy, loss = self.fed.evaluate(self._global_eval_params())
-                history.record_eval(
-                    runner.diverged_at,
-                    accuracy,
-                    loss,
-                    train_loss=runner.diverged_loss,
-                )
-                history.eval_times.append(runner.last_event_time)
-                self._emit_eval(
-                    runner.diverged_at,
-                    accuracy,
-                    loss,
-                    runner.diverged_loss,
-                    sim_time=runner.last_event_time,
-                )
-        except MonitorAbort as abort:
-            # The runner's finally-clause built ``result`` from the
-            # rounds completed before the abort.
-            self.simulation = runner.result
-            history.aborted_by = abort.alert.monitor
-            iteration = abort.alert.iteration
-            if not history.iterations or history.iterations[-1] != iteration:
-                accuracy, loss = self.fed.evaluate(self._global_eval_params())
-                history.record_eval(
-                    iteration, accuracy, loss, train_loss=float("nan")
-                )
-                history.eval_times.append(runner.last_event_time)
-        return self._finish_run(history)
 
     # ------------------------------------------------------------------
     # Run digests

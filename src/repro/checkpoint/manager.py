@@ -1,11 +1,12 @@
 """Checkpoint orchestration: when to save, what to keep, how to resume.
 
-A :class:`CheckpointManager` is handed to a run driver
-(``FLAlgorithm.run(..., checkpoints=manager)`` or the async mixin's
-``run``); the driver asks :meth:`CheckpointManager.should_save` at each
-completed iteration/round and calls :meth:`CheckpointManager.save` on
-periodic boundaries and whenever a health monitor raised a fresh alert.
-One save captures, into a single atomic archive
+A :class:`CheckpointManager` is handed to the run driver
+(``FLAlgorithm.run(..., checkpoints=manager)``, on either clock); the
+driver asks :meth:`CheckpointManager.should_save` at each round barrier
+(every iteration on the lockstep clock, every completed round on the
+event clock) and calls :meth:`CheckpointManager.save` on periodic
+boundaries and whenever a health monitor raised a fresh alert.  One
+save captures, into a single atomic archive
 (:mod:`repro.checkpoint.format`):
 
 * the algorithm's declared state (``CKPT_ARRAYS`` matrices, JSON-able
@@ -15,8 +16,14 @@ One save captures, into a single atomic archive
 * the attached fault injector's realized-event state (when present);
 * the full :class:`~repro.metrics.history.TrainingHistory`, communication
   ledger included;
-* the driver's loop state, so resume restarts at exactly the next
-  iteration.
+* the driver's state under ``manifest["driver"]``: ``kind`` names the
+  clock (``"lockstep"`` or ``"event"``), and ``state`` holds the
+  clock's own state (lockstep: the ``iteration``; event: the engine's
+  whole ``state_dict()``) plus the train-loss window shared by both
+  clocks (``running_loss`` and ``since_eval``, the sum and count of
+  step losses since the last evaluation), so resume restarts at
+  exactly the next step.  A run refuses a checkpoint of the other
+  clock.
 
 Resume is symmetric: :meth:`CheckpointManager.load_latest` (or
 :func:`load_resume` on a specific file) returns a :class:`RestoredRun`

@@ -46,7 +46,8 @@ def cosine_agreement(
     lists of flat vectors).  Workers whose accumulated vectors are
     (numerically) zero are *dropped*: their weight is excluded from the
     sum rather than renormalized over the remaining workers — there is
-    no direction to agree or disagree with, so they contribute 0.
+    no direction to agree or disagree with, so they contribute 0.  The
+    same holds for workers whose norms overflowed to a non-finite value.
     """
     grads = np.asarray(grad_sums, dtype=np.float64)
     momenta = np.asarray(momentum_sums, dtype=np.float64)
@@ -56,9 +57,16 @@ def cosine_agreement(
             f"mismatched lengths: {grads.shape[0]} grads, "
             f"{momenta.shape[0]} momenta, {weights.shape[0]} weights"
         )
-    grad_norms = np.linalg.norm(grads, axis=1)
-    momentum_norms = np.linalg.norm(momenta, axis=1)
-    valid = (grad_norms >= 1e-12) & (momentum_norms >= 1e-12)
+    # The norms of a diverging run overflow; the mask drops them.
+    with np.errstate(over="ignore"):
+        grad_norms = np.linalg.norm(grads, axis=1)
+        momentum_norms = np.linalg.norm(momenta, axis=1)
+    valid = (
+        np.isfinite(grad_norms)
+        & np.isfinite(momentum_norms)
+        & (grad_norms >= 1e-12)
+        & (momentum_norms >= 1e-12)
+    )
     if not valid.any():
         return 0.0
     dots = np.einsum("ij,ij->i", -grads[valid], momenta[valid])

@@ -9,11 +9,22 @@ Subclasses implement three hooks:
 * ``_global_params()`` — the algorithm's current notion of the global
   model (evaluated on the test set at each evaluation point).
 
-``run`` drives the iteration loop, the evaluation schedule and history
-recording so individual algorithms stay close to their paper pseudocode.
+``run`` is the one run driver.  It owns the lifecycle (history, fault
+and population resets, resume, the initial evaluation, the divergence
+stop, monitor aborts) and advances time through one clock method,
+``_run_clock``.  The lockstep clock here loops ``_step(t)`` over the
+iterations; the event clock of
+:class:`repro.algorithms.AsyncExecutionMixin` runs the
+:class:`~repro.simulation.engine.EventLoopRunner`.  Both clocks end each
+round at a barrier where the shared helpers run: the scheduled
+evaluation, the cohort rebind and the periodic-or-alert checkpoint,
+which stores the clock's state with the train-loss window.  Individual
+algorithms stay close to their paper pseudocode.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -278,38 +289,6 @@ class FLAlgorithm:
     # ------------------------------------------------------------------
     # Monitoring
     # ------------------------------------------------------------------
-    def _emit_eval(
-        self,
-        iteration: int,
-        accuracy: float,
-        test_loss: float,
-        train_loss: float,
-        *,
-        sim_time: float | None = None,
-    ) -> None:
-        """Stream one evaluation point to the active monitor.
-
-        Reads state only (losses already computed, ledger counters) so
-        monitored and unmonitored runs stay bit-exact.  May raise
-        :class:`MonitorAbort` when an aborting health monitor fires.
-        """
-        monitor = get_monitor()
-        if not monitor.enabled:
-            return
-        comm = self.history.comm
-        data = {
-            "accuracy": float(accuracy),
-            "test_loss": float(test_loss),
-            "train_loss": float(train_loss),
-            "worker_edge_bytes": comm.worker_edge_bytes,
-            "edge_cloud_bytes": comm.edge_cloud_bytes,
-            "total_bytes": comm.total_bytes,
-            "peak_rss_bytes": peak_rss_bytes(),
-        }
-        if self.faults is not None:
-            data["fault_events"] = int(sum(self.faults.counts.values()))
-        monitor.emit("eval", iteration=iteration, sim_time=sim_time, **data)
-
     def _emit_run_start(self, total_iterations: int, eval_every: int) -> None:
         monitor = get_monitor()
         if not monitor.enabled:
@@ -335,27 +314,15 @@ class FLAlgorithm:
             path=str(restored.path),
         )
 
-    def _abort_run(
-        self, history: TrainingHistory, abort: MonitorAbort
-    ) -> TrainingHistory:
-        """Clean end-of-run path when a monitor raised :class:`MonitorAbort`.
-
-        Records one final evaluation point (unless the abort fired on an
-        eval event already recorded at that iteration) so the history
-        ends at the abort, then finishes normally.
-        """
-        history.aborted_by = abort.alert.monitor
-        iteration = abort.alert.iteration
-        if not history.iterations or history.iterations[-1] != iteration:
-            accuracy, loss = self.fed.evaluate(self._global_params())
-            history.record_eval(
-                iteration, accuracy, loss, train_loss=float("nan")
-            )
-        return self._finish_run(history)
-
     # ------------------------------------------------------------------
     # Driver
     # ------------------------------------------------------------------
+    # The clock a run advances on, named in its checkpoints.  "lockstep"
+    # is below: every worker takes iteration t's step together and every
+    # iteration ends at a barrier.  The event clock
+    # (repro.algorithms.AsyncExecutionMixin) overrides the clock hooks.
+    DRIVER_KIND = "lockstep"
+
     def run(
         self,
         total_iterations: int,
@@ -369,7 +336,9 @@ class FLAlgorithm:
         """Train for ``total_iterations`` local iterations (the paper's T).
 
         ``eval_every`` defaults to ten evaluations per run.  The final
-        iteration is always evaluated.
+        iteration is always evaluated.  Evaluations happen only at round
+        barriers, so on the event clock ``eval_every`` is rounded up to
+        a multiple of ``tau``.
 
         With ``stop_on_divergence`` (default), a non-finite training
         loss ends the run early and marks ``history.diverged`` instead
@@ -377,11 +346,11 @@ class FLAlgorithm:
 
         ``checkpoints`` takes a
         :class:`~repro.checkpoint.CheckpointManager`: the driver saves a
-        durable snapshot after each iteration the manager's schedule
-        selects, and additionally whenever a health monitor raised a
-        fresh alert.  ``resume_from`` takes a
-        :class:`~repro.checkpoint.RestoredRun`; the run then continues
-        from the snapshot's next iteration, bit-exact with an
+        durable snapshot at each barrier whose iteration the manager's
+        schedule selects, and additionally whenever a health monitor
+        raised a fresh alert.  ``resume_from`` takes a
+        :class:`~repro.checkpoint.RestoredRun` written by the same clock;
+        the run then continues from the snapshot, bit-exact with an
         uninterrupted run (the ``history`` argument is ignored in favor
         of the checkpointed one).
         """
@@ -391,12 +360,15 @@ class FLAlgorithm:
         if eval_every is None:
             eval_every = max(1, total_iterations // 10)
         eval_every = check_positive_int(eval_every, "eval_every")
+        stride = self._barrier_stride()
+        eval_every = int(math.ceil(eval_every / stride)) * stride
 
         if resume_from is not None:
-            if resume_from.driver_kind != "lockstep":
+            if resume_from.driver_kind != self.DRIVER_KIND:
                 raise ValueError(
                     f"checkpoint was written by the "
-                    f"{resume_from.driver_kind!r} driver, not lockstep"
+                    f"{resume_from.driver_kind!r} driver, not the "
+                    f"{self.DRIVER_KIND!r} driver"
                 )
             history = resume_from.build_history()
         if history is None:
@@ -405,108 +377,184 @@ class FLAlgorithm:
         history.comm.configure(
             dim=self.fed.dim, payload_multiplier=self.payload_multiplier
         )
-
-        faults = self.faults
-        if faults is not None:
-            faults.reset()
+        if self.faults is not None:
+            self.faults.reset()
         self._up_mask = None
+        self._total_iterations = total_iterations
+        self._eval_every = eval_every
+        self._checkpoints = checkpoints
+        # The train-loss window: sum and count of the step losses since
+        # the last evaluation, checkpointed with the clock's state.
+        self._loss_sum, self._loss_count = 0.0, 0
 
         self._setup()
-        population = self.population
-        if population is not None:
-            population.reset(self)
+        if self.population is not None:
+            self.population.reset(self)
+        clock_state = None
         if resume_from is not None:
             resume_from.apply(self)
+            clock_state = resume_from.driver_state
+            self._loss_sum = float(clock_state["running_loss"])
+            self._loss_count = int(clock_state["since_eval"])
         self._emit_run_start(total_iterations, eval_every)
-        alerts_seen = self._alert_mark
-
-        start_iteration = 1
-        running_loss = 0.0
-        since_eval = 0
-        if resume_from is None:
-            accuracy, loss = self.fed.evaluate(self._global_params())
-            # No training batches have run at iteration 0, so there is
-            # no training loss to report (recording the test loss here,
-            # as the seed implementation did, conflated the two series).
-            history.record_eval(0, accuracy, loss, train_loss=float("nan"))
-        else:
-            state = resume_from.driver_state
-            start_iteration = int(state["iteration"]) + 1
-            running_loss = float(state["running_loss"])
-            since_eval = int(state["since_eval"])
+        self._alerts_seen = self._alert_mark
 
         try:
             if resume_from is None:
-                self._emit_eval(0, accuracy, loss, float("nan"))
+                # No training batches have run at iteration 0, so there
+                # is no training loss to report (recording the test loss
+                # here, as the seed implementation did, conflated the
+                # two series).
+                self._record_eval(0, float("nan"))
             else:
                 self._emit_checkpoint_restored(resume_from)
-            for t in range(start_iteration, total_iterations + 1):
-                if faults is not None:
-                    faults.maybe_crash(t)
-                if self.eta_schedule is not None:
-                    self.eta = check_positive(
-                        self.eta_schedule(t - 1), "scheduled eta"
-                    )
-                if faults is not None:
-                    self._up_mask = faults.worker_mask(t)
-                step_loss = self._step(t)
-                if stop_on_divergence and not np.isfinite(step_loss):
-                    history.diverged = True
-                    history.diverged_at = t
-                    accuracy, loss = self.fed.evaluate(self._global_params())
-                    history.record_eval(
-                        t, accuracy, loss, train_loss=step_loss
-                    )
-                    self._emit_eval(t, accuracy, loss, step_loss)
-                    return self._finish_run(history)
-                running_loss += step_loss
-                since_eval += 1
-                if t % eval_every == 0 or t == total_iterations:
-                    accuracy, loss = self.fed.evaluate(self._global_params())
-                    train_loss = running_loss / since_eval
-                    history.record_eval(
-                        t, accuracy, loss, train_loss=train_loss
-                    )
-                    self._emit_eval(t, accuracy, loss, train_loss)
-                    running_loss = 0.0
-                    since_eval = 0
-                # Cohort rebinding runs before the checkpoint block so
-                # a snapshot at t always captures the post-rebind slot
-                # pool and resume never misses a membership change.
-                if (
-                    population is not None
-                    and t % population.resample_every == 0
-                    and t < total_iterations
-                ):
-                    population.resample(
-                        self, t // population.resample_every, iteration=t
-                    )
-                if checkpoints is not None:
-                    monitor = get_monitor()
-                    alerts_now = (
-                        len(monitor.alerts) if monitor.enabled else 0
-                    )
-                    periodic = checkpoints.should_save(t)
-                    if periodic or alerts_now > alerts_seen:
-                        checkpoints.save(
-                            self,
-                            iteration=t,
-                            driver={
-                                "kind": "lockstep",
-                                "state": {
-                                    "iteration": t,
-                                    "running_loss": running_loss,
-                                    "since_eval": since_eval,
-                                },
-                            },
-                            total_iterations=total_iterations,
-                            eval_every=eval_every,
-                            reason="periodic" if periodic else "alert",
-                        )
-                        alerts_seen = alerts_now
+            diverged = self._run_clock(clock_state, stop_on_divergence)
+            if diverged is not None:
+                history.diverged = True
+                history.diverged_at, step_loss = diverged
+                self._record_eval(history.diverged_at, step_loss)
         except MonitorAbort as abort:
-            return self._abort_run(history, abort)
+            # End the history at the abort: one final evaluation point,
+            # unless the abort fired on an eval already recorded there.
+            history.aborted_by = abort.alert.monitor
+            iteration = abort.alert.iteration
+            if not history.iterations or history.iterations[-1] != iteration:
+                self._record_eval(iteration, float("nan"), emit=False)
         return self._finish_run(history)
+
+    # ------------------------------------------------------------------
+    # Clock hooks (the lockstep clock; the event clock overrides them)
+    # ------------------------------------------------------------------
+    def _run_clock(
+        self, state: dict | None, stop_on_divergence: bool
+    ) -> tuple[int, float] | None:
+        """Advance the run to the end; ``(t, loss)`` if it diverged.
+
+        ``state`` is the checkpointed clock state when resuming.
+        """
+        faults = self.faults
+        start = 1 if state is None else int(state["iteration"]) + 1
+        for t in range(start, self._total_iterations + 1):
+            if faults is not None:
+                faults.maybe_crash(t)
+            if self.eta_schedule is not None:
+                self.eta = check_positive(
+                    self.eta_schedule(t - 1), "scheduled eta"
+                )
+            if faults is not None:
+                self._up_mask = faults.worker_mask(t)
+            step_loss = self._step(t)
+            if stop_on_divergence and not np.isfinite(step_loss):
+                return t, step_loss
+            self._loss_sum += step_loss
+            self._loss_count += 1
+            self._round_barrier(t)
+            if self._checkpoints is not None:
+                self._maybe_checkpoint(t)
+        return None
+
+    def _barrier_stride(self) -> int:
+        """Iterations between two round barriers."""
+        return 1
+
+    def _clock_state(self, t: int) -> dict:
+        """JSON-able clock state of a checkpoint at barrier ``t``."""
+        return {"iteration": t}
+
+    def _sim_time(self) -> float | None:
+        """The clock's simulated time now (``None``: it has none)."""
+        return None
+
+    # ------------------------------------------------------------------
+    # Round-barrier work shared by both clocks
+    # ------------------------------------------------------------------
+    def _round_barrier(self, t: int, sim_time: float | None = None) -> None:
+        """Scheduled evaluation and cohort rebind at the barrier ending ``t``.
+
+        Rebinding runs before the barrier's checkpoint so a snapshot at
+        ``t`` always captures the post-rebind slot pool and resume never
+        misses a membership change.
+        """
+        total = self._total_iterations
+        if t % self._eval_every == 0 or t == total:
+            count = self._loss_count
+            train_loss = self._loss_sum / count if count else float("nan")
+            self._record_eval(t, train_loss, sim_time=sim_time)
+            self._loss_sum, self._loss_count = 0.0, 0
+        population = self.population
+        if (
+            population is not None
+            and t % population.resample_every == 0
+            and t < total
+        ):
+            population.resample(
+                self, t // population.resample_every, iteration=t
+            )
+
+    def _record_eval(
+        self,
+        t: int,
+        train_loss: float,
+        *,
+        sim_time: float | None = None,
+        emit: bool = True,
+    ) -> None:
+        """Evaluate the global model into the history at iteration ``t``.
+
+        ``eval_times`` gains an entry only when the clock has simulated
+        time (``sim_time`` defaults to the clock's time now).
+        """
+        accuracy, loss = self.fed.evaluate(self._global_params())
+        history = self.history
+        history.record_eval(t, accuracy, loss, train_loss=train_loss)
+        if sim_time is None:
+            sim_time = self._sim_time()
+        if sim_time is not None:
+            history.eval_times.append(sim_time)
+        monitor = get_monitor()
+        if not (emit and monitor.enabled):
+            return
+        # Reads state only (losses already computed, ledger counters),
+        # so monitored and unmonitored runs stay bit-exact.  May raise
+        # MonitorAbort when an aborting health monitor fires.
+        comm = history.comm
+        data = {
+            "accuracy": float(accuracy),
+            "test_loss": float(loss),
+            "train_loss": float(train_loss),
+            "worker_edge_bytes": comm.worker_edge_bytes,
+            "edge_cloud_bytes": comm.edge_cloud_bytes,
+            "total_bytes": comm.total_bytes,
+            "peak_rss_bytes": peak_rss_bytes(),
+        }
+        if self.faults is not None:
+            data["fault_events"] = int(sum(self.faults.counts.values()))
+        monitor.emit("eval", iteration=t, sim_time=sim_time, **data)
+
+    def _maybe_checkpoint(self, t: int) -> None:
+        """Save at barrier ``t`` if it is periodic or an alert is new."""
+        checkpoints = self._checkpoints
+        monitor = get_monitor()
+        alerts_now = len(monitor.alerts) if monitor.enabled else 0
+        periodic = checkpoints.should_save(t)
+        if not periodic and alerts_now <= self._alerts_seen:
+            return
+        checkpoints.save(
+            self,
+            iteration=t,
+            driver={
+                "kind": self.DRIVER_KIND,
+                "state": {
+                    **self._clock_state(t),
+                    "running_loss": self._loss_sum,
+                    "since_eval": self._loss_count,
+                },
+            },
+            total_iterations=self._total_iterations,
+            eval_every=self._eval_every,
+            reason="periodic" if periodic else "alert",
+        )
+        self._alerts_seen = alerts_now
 
     def _finish_run(self, history: TrainingHistory) -> TrainingHistory:
         """Attach tracer/fault/monitor digests when the run recorded them."""

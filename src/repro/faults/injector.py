@@ -144,7 +144,7 @@ class FaultInjector:
     def maybe_crash(self, t: int) -> None:
         """Raise :class:`InjectedCrash` when ``t`` is a scripted kill.
 
-        Checked by both drivers at the top of iteration/round ``t``,
+        Checked by both run clocks at the top of iteration/round ``t``,
         before any state mutates — so everything already checkpointed
         is exactly the state an uninterrupted run had at that point.
         Fires even on an otherwise-inactive injector (crash-only plans

@@ -9,10 +9,11 @@ counts in the metrics registry, and attaches to the run's
 
 A monitor constructed with ``abort=True`` additionally stops the run:
 the hub raises :class:`MonitorAbort` after dispatching the alert, and
-both drivers (lockstep ``FLAlgorithm.run`` and the event-driven
-``AsyncExecutionMixin.run``) catch it, record a final evaluation point
-and finish the history cleanly (``history.aborted_by`` names the
-monitor) instead of burning the remaining iteration budget.
+the run driver ``FLAlgorithm.run`` catches it on either clock (lockstep
+or event-driven), records a final evaluation point (on the event clock
+at the simulated time of the last event) and finishes the history
+cleanly (``history.aborted_by`` names the monitor) instead of burning
+the remaining iteration budget.
 
 Monitors are stateful per run; build a fresh set per monitoring session
 (:func:`default_monitors`).  Each one re-arms after the condition

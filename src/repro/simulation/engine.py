@@ -17,13 +17,16 @@ queue drives training itself.  Four event kinds circulate:
 * ``cloud_sync`` — every ``pi``-th round the edge groups meet at the
   cloud barrier.
 
-The runner owns time, ordering and bookkeeping; the *client* (an
-algorithm mixing in :class:`repro.algorithms.AsyncExecutionMixin`) owns
-the numerics.  A client is duck-typed and provides::
+The runner owns time, ordering and bookkeeping; the *client* owns the
+numerics.  The runner is the event clock of the one run driver,
+``FLAlgorithm.run``: an algorithm mixing in
+:class:`repro.algorithms.AsyncExecutionMixin` builds a runner in its
+clock method and is its client.  A client is duck-typed and provides::
 
     group_members          list of flat worker-id arrays, one per group
     local_step(w, t)       one gradient step of worker w at nominal
-                           iteration t; returns the batch loss
+                           iteration t; adds the batch loss to the
+                           driver's train-loss window and returns it
     snapshot_stale(w)      buffer worker w's state for a later stale fold
     resync_worker(w, g)    worker w downloads group g's current model
     close_round(g, r, fresh, stale, receivers, upload_events, dark)
@@ -32,7 +35,13 @@ the numerics.  A client is duck-typed and provides::
                            to the receivers; bill upload_events transfers
     cloud_sync(k, receivers)   cloud round k over all groups
     round_complete(r, time)    barrier notification: every group's round
-                           r state is final (evaluation hook)
+                           r state is final; the driver's shared barrier
+                           work runs here (scheduled eval at simulated
+                           ``time``, cohort rebind)
+
+The optional ``checkpoint_hook(t)`` runs between events after a barrier
+at nominal iteration ``t``; the driver saves the runner's
+:meth:`EventLoopRunner.state_dict` there as the clock's state.
 
 Per-node message buffers (the arrived-but-not-yet-folded uploads) follow
 the per-node mailbox idiom of asynchronous FL simulators: a late or
@@ -298,9 +307,10 @@ class EventLoopRunner:
 
         self.queue = EventQueue()
         # Optional durability hook, set by the client before ``run``:
-        # called with the runner between events whenever a round barrier
-        # advanced ``_notified`` — the only points where the client's
-        # history is coherent with the engine state.
+        # called with the barrier's nominal iteration between events
+        # whenever a round barrier advanced ``_notified`` — the only
+        # points where the client's history is coherent with the engine
+        # state.
         self.checkpoint_hook = None
         self._ckpt_notified = 0
         self.result: EventSimulation | None = None
@@ -345,7 +355,9 @@ class EventLoopRunner:
                     # Between events, right after a round barrier: the
                     # client evaluated, every group's state is final.
                     self._ckpt_notified = self._notified
-                    self.checkpoint_hook(self)
+                    self.checkpoint_hook(
+                        min(self._notified * self.tau, self.total_iterations)
+                    )
                 if self._notified >= self.total_rounds:
                     break
                 event = self.queue.pop()

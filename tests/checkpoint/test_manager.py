@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.algorithms import AsyncHierAdMo
 from repro.checkpoint import (
     CheckpointManager,
     load_resume,
@@ -40,6 +41,10 @@ def make_algorithm(workers_per_edge=2):
     return HierAdMo(
         build_federation(workers_per_edge), eta=0.05, tau=3, pi=2
     )
+
+
+def make_async_algorithm():
+    return AsyncHierAdMo(build_federation(), eta=0.05, tau=3, pi=2)
 
 
 def names_in(directory):
@@ -164,13 +169,23 @@ class TestApplyValidation:
         with pytest.raises(CheckpointError, match="geometry"):
             load_resume(path).apply(wider)
 
-    def test_wrong_driver_kind_rejected(self, tmp_path, warm_algorithm):
+    @pytest.mark.parametrize(
+        "make, written_by, expected",
+        [
+            (make_algorithm, "event", "lockstep"),
+            (make_async_algorithm, "lockstep", "event"),
+        ],
+        ids=["lockstep", "event"],
+    )
+    def test_wrong_driver_kind_rejected(
+        self, tmp_path, warm_algorithm, make, written_by, expected
+    ):
         manager = CheckpointManager(tmp_path)
         save_with_accuracy(manager, warm_algorithm, 3, 0.5)
-        fresh = make_algorithm()
+        fresh = make()
         restored = manager.load_latest()
-        restored.manifest["driver"]["kind"] = "event"
-        with pytest.raises(ValueError, match="lockstep"):
+        restored.manifest["driver"]["kind"] = written_by
+        with pytest.raises(ValueError, match=f"not the '{expected}' driver"):
             fresh.run(6, eval_every=3, resume_from=restored)
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.algorithms import FedAvg
-from repro.core import Federation
+from repro.algorithms import AsyncFedAvg, AsyncHierAdMo, FedAvg
+from repro.core import Federation, HierAdMo
 from repro.data import (
     Dataset,
     make_synthetic_mnist,
@@ -44,15 +44,37 @@ def cnn_federation(backend):
     )
 
 
+# name -> (class, kwargs, the iteration whose step loss is first
+# non-finite at eta=1e6).  Each lockstep algorithm runs next to its
+# event-clock twin, which must stop at the same step.
+HUGE_LR_CASES = {
+    "FedAvg": (FedAvg, {"tau": 5}, 27),
+    "AsyncFedAvg": (AsyncFedAvg, {"tau": 5}, 27),
+    "HierAdMo": (HierAdMo, {"tau": 5, "pi": 2}, 26),
+    "AsyncHierAdMo": (AsyncHierAdMo, {"tau": 5, "pi": 2}, 26),
+}
+
+
+def huge_lr_run(name, **run_kwargs):
+    cls, kwargs, _ = HUGE_LR_CASES[name]
+    algo = cls(mse_federation(), eta=1e6, **kwargs)
+    return algo.run(50, eval_every=10, **run_kwargs)
+
+
 class TestDivergenceGuard:
-    def test_huge_lr_diverges_and_stops(self):
-        algo = FedAvg(mse_federation(), eta=1e6, tau=5)
-        history = algo.run(50, eval_every=10)
+    @pytest.mark.parametrize("name", sorted(HUGE_LR_CASES))
+    def test_huge_lr_diverges_and_stops(self, name):
+        history = huge_lr_run(name)
+        diverged_at = HUGE_LR_CASES[name][2]
         assert history.diverged
-        assert history.diverged_at is not None
-        assert history.iterations[-1] == history.diverged_at
-        assert history.diverged_at < 50
+        assert history.diverged_at == diverged_at
+        assert history.iterations == [0, 10, 20, diverged_at]
         assert not np.isfinite(history.train_loss[-1])
+        # Only the event clock has simulated time to put on the axis.
+        on_event_clock = name.startswith("Async")
+        assert len(history.eval_times) == (
+            len(history.iterations) if on_event_clock else 0
+        )
 
     @pytest.mark.parametrize("backend", ["batched", "loop"])
     def test_huge_lr_cnn_diverges_and_stops(self, backend):
@@ -65,11 +87,16 @@ class TestDivergenceGuard:
         assert history.iterations == [0, 5]
         assert not np.isfinite(history.train_loss[-1])
 
-    def test_guard_can_be_disabled(self):
-        algo = FedAvg(mse_federation(), eta=1e6, tau=5)
-        history = algo.run(10, eval_every=5, stop_on_divergence=False)
+    @pytest.mark.parametrize("name", sorted(HUGE_LR_CASES))
+    def test_guard_can_be_disabled(self, name):
+        history = huge_lr_run(name, stop_on_divergence=False)
         assert not history.diverged
-        assert history.iterations[-1] == 10
+        assert history.iterations[-1] == 50
+        # Both clocks keep non-finite step losses in the train-loss
+        # window, so the first evaluation after divergence reports it.
+        assert not np.isfinite(
+            history.train_loss[history.iterations.index(30)]
+        )
 
     def test_healthy_run_not_flagged(self, tiny_federation):
         history = FedAvg(tiny_federation, eta=0.05, tau=5).run(

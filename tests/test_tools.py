@@ -121,10 +121,14 @@ class TestFingerprint:
     def test_matrix_covers_goldens_and_workloads(self):
         tool = load_tool("fingerprint")
         kinds = [name.split("/")[0] for name in tool.MATRIX]
-        # 15 sync and 3 CNN goldens on two backends; 4 workloads x 2 seeds.
-        assert (kinds.count("sync"), kinds.count("cnn"), kinds.count("e2e")) == (
-            30, 6, 8,
-        )
+        counts = {kind: kinds.count(kind) for kind in kinds}
+        # 15 sync and 3 CNN goldens on two backends; 4 workloads x 2 seeds;
+        # 2 async algorithms x 2 quorums x clean/faults; 4 populations;
+        # both clocks with checkpoints and monitor, and crash-resumed.
+        assert counts == {
+            "sync": 30, "cnn": 6, "e2e": 8, "async": 8, "population": 4,
+            "lifecycle": 2, "resume": 2,
+        }
 
     def test_identical_runs_give_empty_diff(self, tmp_path, capsys):
         tool = load_tool("fingerprint")
@@ -173,3 +177,32 @@ class TestFingerprint:
         assert f"moved: {self.RUNS[1]}" in out
         assert self.RUNS[0] not in out
         assert "1 of 2 runs moved" in out
+
+    def test_checkpoint_schedule_moves_monitor_events_alone(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Saving every 6 iterations instead of every 5 changes no
+        numerics; the diff reports the moved ``checkpoint_saved`` events."""
+        tool = load_tool("fingerprint")
+        run = "lifecycle/lockstep"
+        a = tool.fingerprint([run])
+        monkeypatch.setattr(tool, "CHECKPOINT_EVERY", 6)
+        b = tool.fingerprint([run])
+        assert [(r, field) for r, field, _ in tool.diff(a, b)] == [
+            (run, "monitor.events")
+        ]
+        saved = [
+            [event[1] for event in doc["runs"][run]["monitor.events"]
+             if event[0] == "checkpoint_saved"]
+            for doc in (a, b)
+        ]
+        assert saved == [[5, 10, 15, 20], [6, 12, 18, 24]]
+
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path, document in zip(paths, (a, b)):
+            path.write_text(json.dumps(document))
+        assert tool.main(["--diff", *map(str, paths)]) == 1
+        out = capsys.readouterr().out
+        assert f"moved: {run}" in out
+        assert "monitor.events: changed" in out
+        assert "1 of 1 runs moved (1 fields)" in out

@@ -23,15 +23,32 @@ The matrix (``MATRIX``):
 * ``cnn/<name>/<backend>``: the 3 CNN goldens, on both backends;
 * ``e2e/<workload>/seed<s>``: the four ``benchmarks/e2e`` workloads at
   seeds 1 and 2, built by ``benchmarks.e2e.workloads.build`` at their
-  full plan, run without checkpoints or the monitor.
+  full plan, run without checkpoints or the monitor;
+* ``async/<name>/q<quorum>/<clean|faults>``: AsyncHierAdMo and
+  AsyncFedAvg on the golden federation at quorum 1.0 (the default
+  deployment) and 0.5 (the stragglers of
+  ``tests/algorithms/test_async_equivalence.py``), without and with
+  ``ASYNC_FAULTS``;
+* ``population/<name>``: HierAdMo, FedNAG, FedADC and AsyncHierAdMo on
+  the sampled 24-client population with uneven ``ListShards`` of
+  ``tests/population/test_virtual_equivalence.py``;
+* ``lifecycle/<clock>``: HierAdMo on the lockstep clock and
+  AsyncHierAdMo at quorum 0.5 with faults on the event clock, run under
+  a ring-buffer monitor with the default health monitors and a
+  ``CheckpointManager`` saving every ``CHECKPOINT_EVERY`` iterations;
+* ``resume/<clock>``: the same two runs crash at an iteration that is
+  not a checkpoint, and a fresh instance resumes from the latest one.
 
 Each run records its history series as ``float.hex`` (iterations,
 accuracies, losses, ``eval_times``, ``gamma_trace``), the divergence
 flags, the comm ledger, ``fault_summary``, a sha256 per
 ``checkpoint_arrays()`` entry, ``checkpoint_values()``, and every
-batch-norm running buffer.  ``--diff`` names every run and field that
-moved, with the largest relative change of each moved series, and
-exits 1 when anything moved.
+batch-norm running buffer.  Lifecycle runs add ``monitor.events``: each
+event's kind, iteration and simulated time (``float.hex``), plus the
+reason of each ``checkpoint_saved``; wall time, RSS, paths and sizes
+vary from run to run and are left out.  ``--diff`` names every run and
+field that moved, with the largest relative change of each moved
+series, and exits 1 when anything moved.
 """
 
 from __future__ import annotations
@@ -42,8 +59,10 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
 import traceback
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -59,18 +78,43 @@ if __name__ == "__main__":
 import numpy as np  # noqa: E402
 
 from benchmarks.e2e.workloads import WORKLOADS, build as build_workload  # noqa: E402
+from repro.algorithms import ASYNC_ALGORITHM_REGISTRY  # noqa: E402
+from repro.checkpoint import CheckpointManager  # noqa: E402
+from repro.faults import FaultPlan, InjectedCrash  # noqa: E402
+from repro.monitoring import RingBufferSink, default_monitors, monitoring  # noqa: E402
+from tests.algorithms.test_async_equivalence import straggler_deployment  # noqa: E402
 from tests.integration import test_golden_trajectories as goldens  # noqa: E402
+from tests.population import test_virtual_equivalence as population  # noqa: E402
 
 SERIES = ("iterations", "test_accuracy", "test_loss", "train_loss", "eval_times")
 BACKENDS = ("batched", "loop")
 E2E_SEEDS = (1, 2)
+ASYNC_NAMES = ("AsyncHierAdMo", "AsyncFedAvg")
+# Stale uploads three rounds deep trip the staleness monitor, so the
+# event-clock lifecycle row also saves checkpoints for alerts.
+ASYNC_FAULTS = FaultPlan(
+    seed=7, worker_dropout=0.1, edge_outage=0.05, msg_loss=0.1,
+    msg_duplication=0.05, msg_staleness=0.2, staleness_intervals=3,
+)
+POPULATION = {**population.SAMPLED_CASES, **population.ASYNC_SAMPLED_CASES}
+POPULATION_NAMES = ("HierAdMo", "FedNAG", "FedADC", "AsyncHierAdMo")
+CLOCKS = ("lockstep", "event")
+CHECKPOINT_EVERY = 5
+# Crash points that are not checkpoint iterations.  The event clock's
+# fast groups run ahead of its barriers, so it crashes later than the
+# first checkpoint it must have written.
+CRASH_AT = {"lockstep": 17, "event": 22}
 
 
 # ----------------------------------------------------------------------
-# The matrix: run name -> builder returning (algorithm, iterations,
-# eval_every) on a fresh, fully seeded federation.
+# The matrix: run name -> callable that builds, runs and digests one
+# run on a fresh, fully seeded federation.
 # ----------------------------------------------------------------------
-def _golden(name: str, backend: str, cnn: bool):
+def _ran(algorithm, iterations: int, eval_every: int) -> dict:
+    return digest(algorithm, algorithm.run(iterations, eval_every=eval_every))
+
+
+def _golden(name: str, backend: str, cnn: bool) -> dict:
     if cnn:
         cls, kwargs = goldens.CNN_ALGORITHMS[name]
         federation = goldens.build_cnn_federation(backend)
@@ -79,13 +123,104 @@ def _golden(name: str, backend: str, cnn: bool):
         cls, kwargs = goldens.ALGORITHMS[name]
         federation = goldens.build_federation(backend)
         iterations = goldens.TOTAL_ITERATIONS
-    return cls(federation, **kwargs), iterations, goldens.EVAL_EVERY
+    return _ran(cls(federation, **kwargs), iterations, goldens.EVAL_EVERY)
 
 
-def _workload(name: str, seed: int):
+def _workload(name: str, seed: int) -> dict:
     spec = WORKLOADS[name]
     _, algorithm = build_workload(spec, seed, spec.full)
-    return algorithm, spec.full.iterations, spec.full.eval_every
+    return _ran(algorithm, spec.full.iterations, spec.full.eval_every)
+
+
+def _async_algorithm(name: str, quorum: float):
+    _, kwargs = goldens.ALGORITHMS[name.removeprefix("Async")]
+    deployment = None if quorum == 1.0 else straggler_deployment(quorum)
+    return ASYNC_ALGORITHM_REGISTRY[name](
+        goldens.build_federation("auto"), deployment=deployment, **kwargs
+    )
+
+
+def _async(name: str, quorum: float, faulted: bool) -> dict:
+    algorithm = _async_algorithm(name, quorum)
+    if faulted:
+        algorithm.attach_faults(ASYNC_FAULTS)
+    return _ran(algorithm, goldens.TOTAL_ITERATIONS, goldens.EVAL_EVERY)
+
+
+def _population(name: str) -> dict:
+    cls, kwargs = POPULATION[name]
+    algorithm = population.make_sampled_algorithm(cls, kwargs, uneven=True)
+    return _ran(algorithm, 36, 6)
+
+
+def _clock_algorithm(clock: str, crash_at: int | None = None):
+    """HierAdMo on the lockstep clock; on the event clock, AsyncHierAdMo
+    at quorum 0.5 with ``ASYNC_FAULTS``.  ``crash_at`` adds a crash."""
+    if clock == "lockstep":
+        cls, kwargs = goldens.ALGORITHMS["HierAdMo"]
+        algorithm = cls(goldens.build_federation("auto"), **kwargs)
+        plan = None
+    else:
+        algorithm = _async_algorithm("AsyncHierAdMo", 0.5)
+        plan = ASYNC_FAULTS
+    if crash_at is not None:
+        plan = replace(plan or FaultPlan(), crash_iterations=(crash_at,))
+    if plan is not None:
+        algorithm.attach_faults(plan)
+    return algorithm
+
+
+def _event_digest(event) -> list:
+    entry = [
+        event.kind,
+        event.iteration,
+        None if event.sim_time is None else _hex(event.sim_time),
+    ]
+    if event.kind == "checkpoint_saved":
+        entry.append(event.data["reason"])
+    return entry
+
+
+def _lifecycle(clock: str) -> dict:
+    algorithm = _clock_algorithm(clock)
+    sink = RingBufferSink()
+    with tempfile.TemporaryDirectory() as tmp, monitoring(
+        sinks=[sink], monitors=default_monitors()
+    ):
+        history = algorithm.run(
+            goldens.TOTAL_ITERATIONS,
+            eval_every=goldens.EVAL_EVERY,
+            checkpoints=CheckpointManager(tmp, every=CHECKPOINT_EVERY),
+        )
+    if sink.dropped:
+        raise RuntimeError(f"the monitor ring dropped {sink.dropped} events")
+    record = digest(algorithm, history)
+    record["monitor.events"] = [_event_digest(e) for e in sink.snapshot()]
+    return record
+
+
+def _resume(clock: str) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        manager = CheckpointManager(tmp, every=CHECKPOINT_EVERY)
+        crashing = _clock_algorithm(clock, crash_at=CRASH_AT[clock])
+        try:
+            crashing.run(
+                goldens.TOTAL_ITERATIONS,
+                eval_every=goldens.EVAL_EVERY,
+                checkpoints=manager,
+            )
+        except InjectedCrash:
+            pass
+        else:
+            raise RuntimeError(f"no crash at iteration {CRASH_AT[clock]}")
+        restored = manager.load_latest()
+    resumed = _clock_algorithm(clock)
+    history = resumed.run(
+        goldens.TOTAL_ITERATIONS,
+        eval_every=goldens.EVAL_EVERY,
+        resume_from=restored,
+    )
+    return digest(resumed, history)
 
 
 MATRIX = {
@@ -104,6 +239,20 @@ MATRIX = {
         for name in WORKLOADS
         for seed in E2E_SEEDS
     },
+    **{
+        f"async/{name}/q{quorum}/{'faults' if faulted else 'clean'}": partial(
+            _async, name, quorum, faulted
+        )
+        for name in ASYNC_NAMES
+        for quorum in (1.0, 0.5)
+        for faulted in (False, True)
+    },
+    **{
+        f"population/{name}": partial(_population, name)
+        for name in POPULATION_NAMES
+    },
+    **{f"lifecycle/{clock}": partial(_lifecycle, clock) for clock in CLOCKS},
+    **{f"resume/{clock}": partial(_resume, clock) for clock in CLOCKS},
 }
 
 
@@ -179,9 +328,7 @@ def fingerprint(names=None, *, progress=None) -> dict:
     for name in names if names is not None else MATRIX:
         started = time.perf_counter()
         try:
-            algorithm, iterations, eval_every = MATRIX[name]()
-            history = algorithm.run(iterations, eval_every=eval_every)
-            runs[name] = digest(algorithm, history)
+            runs[name] = MATRIX[name]()
         except Exception:
             runs[name] = {"error": traceback.format_exc()}
         seconds[name] = round(time.perf_counter() - started, 3)
