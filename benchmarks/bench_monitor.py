@@ -24,6 +24,7 @@ from repro.core import Federation, HierAdMo
 from repro.data import Dataset
 from repro.monitoring import JSONLStreamSink, RunMonitor, set_monitor
 from repro.nn.models import make_mlp
+from repro.telemetry import get_tracer
 
 from .recorder import record_bench
 from .timing import time_interleaved
@@ -61,13 +62,33 @@ def _make_algo():
 
 
 def _unmonitored_step(algo, t):
-    """The ``_step`` body with no monitoring calls, for the baseline."""
-    loss = algo._worker_iteration()
+    """``FLAlgorithm._step`` with no monitoring calls, for the baseline.
+
+    The three-tier ``_aggregate`` inlined minus its monitor guard and
+    emits; everything else, spans included, is the live code.
+    """
+    tracer = get_tracer()
+    with tracer.span("worker_step"):
+        rows = algo._iteration_rows()
+        loss = algo._gradient_iteration(rows)
+        algo._local_update(rows)
     if t % algo.tau == 0:
-        gammas = algo._edge_update(t)
-        algo.history.record_gammas(gammas)
+        with tracer.span("edge_agg"):
+            held = {}
+            transfers = 0
+            for edge, rows, outcome in algo._edge_rounds(t):
+                held[edge] = algo._edge_merge(edge, rows, outcome)
+                transfers += outcome.events
+            if transfers:
+                algo.history.comm.record_worker_edge(transfers)
+        if algo._records_gammas:
+            algo.history.record_gammas(held)
     if t % (algo.tau * algo.pi) == 0:
-        algo._cloud_update(t)
+        with tracer.span("cloud_agg"):
+            outcome = algo._cloud_round(t)
+            if not outcome.skip:
+                algo._cloud_merge(outcome)
+                algo.history.comm.record_edge_cloud(outcome.events)
     return loss
 
 

@@ -1,10 +1,10 @@
 """Telemetry overhead benchmarks (PR acceptance: disabled ≤ 2%).
 
-Three variants of the same HierAdMo worker-iteration loop on the
-small-MLP bench federation:
+Three variants of the same HierAdMo lockstep step (``tau`` large
+enough that no round fires) on the small-MLP bench federation:
 
-* ``untraced`` — a replica of the iteration body with no telemetry calls
-  at all, on the same batched ``gradient_all`` backend as the live code;
+* ``untraced`` — a replica of ``_step`` with no telemetry calls at all,
+  calling the same hooks on the same batched ``gradient_all`` backend;
 * ``disabled`` — the live instrumented code with the null tracer
   installed (the default), which must stay within 2% of ``untraced``;
 * ``enabled``  — the live code with a recording tracer, to document what
@@ -51,41 +51,41 @@ def _make_algo():
     return fed, algo
 
 
-def _untraced_iteration(fed, algo):
-    """The live worker-iteration body, minus its telemetry span.
+def _untraced_step(algo, t):
+    """``FLAlgorithm._step`` minus its telemetry span.
 
-    Same step as ``HierAdMo._worker_iteration``: one batched
-    ``gradient_all`` pass over the selected rows, then lines 5–6.
+    The same hooks as the live step: one batched ``gradient_all`` pass
+    over the selected rows, the worker rule (lines 5–6), and the
+    aggregation schedule (idle at this ``tau``).
     """
     rows = algo._iteration_rows()
-    losses = fed.gradient_all(algo.x, rows=rows, out=algo._grads)
-    g = algo._grads[rows]
-    y_prev = algo.y[rows]
-    y_new = algo.x[rows] - algo.eta * g
-    velocity = y_new - y_prev
-    algo.controller.accumulate_step(rows, g, y_prev, velocity)
-    algo.x[rows] = y_new + algo.gamma * velocity
-    algo.y[rows] = y_new
-    return float(losses.mean())
+    loss = algo._gradient_iteration(rows)
+    algo._local_update(rows)
+    algo._aggregate(t)
+    return loss
 
 
 def test_bench_null_tracer_overhead():
     """Disabled-tracer iteration within 2% of the untraced replica."""
     telemetry.disable()
     fed, algo = _make_algo()
+    clock = iter(range(1, 10**9))
 
     def untraced():
-        _untraced_iteration(fed, algo)
+        _untraced_step(algo, next(clock))
+
+    def live():
+        algo._step(next(clock))
 
     untraced()  # warm-up both paths
-    algo._worker_iteration()
+    live()
     untraced_time, disabled_time = map(
-        min, time_interleaved([untraced, algo._worker_iteration])
+        min, time_interleaved([untraced, live])
     )
 
     with telemetry.tracing():
-        algo._worker_iteration()  # warm-up the recording path
-        enabled_time = time_min(algo._worker_iteration)
+        live()  # warm-up the recording path
+        enabled_time = time_min(live)
 
     overhead = disabled_time / untraced_time - 1.0
     enabled_overhead = enabled_time / untraced_time - 1.0

@@ -56,17 +56,16 @@ class AsyncExecutionMixin:
 
     Mix in *before* the algorithm class.  Swaps the run's lockstep clock
     for the event clock (``FLAlgorithm.run`` stays the driver) and
-    implements the runner's client protocol; the numeric hooks
-    (``_async_worker_step``, ``close_round``, ``cloud_sync``) come from
-    the concrete subclass.
+    implements the runner's client protocol.  Each worker event applies
+    the lockstep worker rule ``_local_update`` to that worker's row; the
+    round hooks (``close_round``, ``cloud_sync``) come from the concrete
+    subclass.
     """
 
     DRIVER_KIND = "event"
     # Two-tier subclasses set True: one all-worker group uploading over
     # the WAN, with no separate cloud barrier.
     FLAT = False
-    # True for subclasses that record a γℓ trace per round.
-    _records_gammas = False
 
     def __init__(
         self,
@@ -177,7 +176,11 @@ class AsyncExecutionMixin:
                 self.eta_schedule(t - 1), "scheduled eta"
             )
         with get_tracer().span("worker_step"):
-            loss = float(self._async_worker_step(int(worker)))
+            _, loss = self.fed.gradient(
+                worker, self.x[worker], out=self._grads[worker]
+            )
+            self._local_update(slice(worker, worker + 1))
+        loss = float(loss)
         self._loss_sum += loss
         self._loss_count += 1
         return loss
@@ -302,29 +305,6 @@ class AsyncHierAdMo(AsyncExecutionMixin, HierAdMo):
     """Event-driven HierAdMo with stale-momentum correction."""
 
     name = "AsyncHierAdMo"
-    _records_gammas = True
-
-    # ------------------------------------------------------------------
-    # Per-event numerics
-    # ------------------------------------------------------------------
-    def _async_worker_step(self, worker: int) -> float:
-        """Lines 4–6 for one worker (row-wise lockstep expressions)."""
-        g = self._grads[worker]
-        _, loss = self.fed.gradient(worker, self.x[worker], out=g)
-        y_prev = self.y[worker]
-        y_new = self.x[worker] - self.eta * g
-        velocity = y_new - y_prev
-        self.controller.accumulate(worker, g, y_prev, velocity)
-        if self.track_mu:
-            self.velocity_norms.append(
-                float(np.linalg.norm(self.gamma * velocity))
-            )
-            self.gradient_step_norms.append(
-                float(np.linalg.norm(self.eta * g))
-            )
-        self.x[worker] = y_new + self.gamma * velocity
-        self.y[worker] = y_new
-        return float(loss)
 
     def snapshot_stale(self, worker: int) -> None:
         self._stale_store[worker] = (
@@ -397,18 +377,13 @@ class AsyncHierAdMo(AsyncExecutionMixin, HierAdMo):
                     * decay**s
                 )
             weights = np.concatenate(blocks_w)
-            weights = weights / weights.sum()
-            x_plus_prev = self.edge_x_plus[group]
-            y_minus = weights @ np.vstack(blocks_y)
-            y_plus = x_plus_prev - weights @ (
-                x_plus_prev - np.vstack(blocks_x)
+            y_minus, x_plus = self._edge_momentum(
+                group,
+                weights / weights.sum(),
+                np.vstack(blocks_y),
+                np.vstack(blocks_x),
+                gamma_edge,
             )
-            x_plus = y_plus + gamma_edge * (
-                y_plus - self.edge_y_plus[group]
-            )
-            self.edge_y_plus[group] = y_plus
-            self.edge_x_plus[group] = x_plus
-            self.edge_y_minus[group] = y_minus
             if recv.size:
                 self.y[recv] = y_minus
                 self.x[recv] = x_plus
@@ -448,15 +423,6 @@ class AsyncFedAvg(AsyncExecutionMixin, FedAvg):
         # The server's last distributed model (rebroadcast target when a
         # round closes empty, download source for late-worker resyncs).
         self._server_x = self.fed.initial_params()
-
-    # ------------------------------------------------------------------
-    # Per-event numerics
-    # ------------------------------------------------------------------
-    def _async_worker_step(self, worker: int) -> float:
-        g = self._grads[worker]
-        _, loss = self.fed.gradient(worker, self.x[worker], out=g)
-        self.x[worker] -= self.eta * g
-        return float(loss)
 
     def snapshot_stale(self, worker: int) -> None:
         self._stale_store[worker] = self.x[worker].copy()

@@ -90,57 +90,41 @@ class QuantizedHierFAVG(HierFAVG):
             aggregate_delta += weight * result.vector
         return aggregate_delta, payload
 
-    def _note_uplink(self, round_bytes: float) -> None:
+    def _note_uplink(self, payload: float) -> None:
         # The ledger counts logical exchanges at full payload; the
         # actual wire bytes after compression live in
         # ``uplink_payload_bytes`` and the tracer counter below.
-        self.uplink_payload_bytes += round_bytes
+        self.uplink_payload_bytes += payload
         tracer = get_tracer()
         if tracer.enabled:
-            tracer.count("comm.compressed_uplink_bytes", round_bytes)
+            tracer.count("comm.compressed_uplink_bytes", payload)
 
-    def _edge_aggregate(self, t: int) -> None:
-        with get_tracer().span("edge_agg"):
-            round_bytes = 0.0
-            transfers = 0
-            for edge, rows, outcome in self._edge_rounds(t):
-                agg, weights = outcome.agg_rows, outcome.agg_weights
-                x, sync = self.x[rows], self.worker_sync[rows]
-                aggregate_delta, payload = self._compressed_average(
-                    weights, x[agg] - sync[agg]
-                )
-                round_bytes += payload
-                # Sync points diverge under partial redistribution, so
-                # reconstruct against the weighted sync average.
-                edge_model = weights @ sync[agg] + aggregate_delta
-                self.edge_models[edge] = edge_model
-                x[outcome.receivers] = edge_model
-                sync[outcome.receivers] = edge_model
-                transfers += outcome.events
-            self._note_uplink(round_bytes)
-            if transfers:
-                self.history.comm.record_worker_edge(transfers)
+    def _edge_merge(self, edge: int, rows: slice, outcome) -> None:
+        agg, weights = outcome.agg_rows, outcome.agg_weights
+        x, sync = self.x[rows], self.worker_sync[rows]
+        aggregate_delta, payload = self._compressed_average(
+            weights, x[agg] - sync[agg]
+        )
+        self._note_uplink(payload)
+        # Sync points diverge under partial redistribution, so
+        # reconstruct against the weighted sync average.
+        edge_model = weights @ sync[agg] + aggregate_delta
+        self.edge_models[edge] = edge_model
+        x[outcome.receivers] = edge_model
+        sync[outcome.receivers] = edge_model
 
-    def _cloud_aggregate(self, t: int):
-        with get_tracer().span("cloud_agg"):
-            outcome = self._cloud_round(t)
-            if outcome.skip:
-                return np.empty(0, dtype=int)
-            agg, weights = outcome.agg_rows, outcome.agg_weights
-            models = self._cloud_upload("cloud.models", self.edge_models)
-            aggregate_delta, round_bytes = self._compressed_average(
-                weights, models[agg] - self.edge_sync[agg]
-            )
-            # As on the edge tier, sync points can diverge under faults —
-            # reconstruct against the weighted sync average.
-            global_model = weights @ self.edge_sync[agg] + aggregate_delta
-            self.edge_models[outcome.receivers] = global_model
-            self.edge_sync[outcome.receivers] = global_model
-            self.history.comm.record_edge_cloud(outcome.events)
-            self._note_uplink(round_bytes)
-            workers, reached = self._cloud_receivers(outcome.receivers)
-            self.x[workers] = global_model
-            self.worker_sync[workers] = global_model
-            if reached:
-                self.history.comm.record_worker_edge(reached, rounds=0)
-            return outcome.receivers
+    def _cloud_merge(self, outcome) -> None:
+        agg, weights = outcome.agg_rows, outcome.agg_weights
+        models = self._cloud_upload("cloud.models", self.edge_models)
+        aggregate_delta, payload = self._compressed_average(
+            weights, models[agg] - self.edge_sync[agg]
+        )
+        self._note_uplink(payload)
+        # As on the edge tier, sync points can diverge under faults —
+        # reconstruct against the weighted sync average.
+        global_model = weights @ self.edge_sync[agg] + aggregate_delta
+        self.edge_models[outcome.receivers] = global_model
+        self.edge_sync[outcome.receivers] = global_model
+        workers = self._cloud_push(outcome.receivers)
+        self.x[workers] = global_model
+        self.worker_sync[workers] = global_model

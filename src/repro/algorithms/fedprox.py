@@ -9,11 +9,8 @@ between aggregations.  μ = 0 reduces exactly to FedAvg (tested).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.algorithms.twotier import TwoTierAlgorithm
 from repro.core.federation import Federation
-from repro.telemetry import get_tracer
 from repro.utils.validation import check_positive
 
 __all__ = ["FedProx"]
@@ -46,20 +43,10 @@ class FedProx(TwoTierAlgorithm):
         super()._setup()
         self.global_params = self.fed.initial_params()
 
-    def _step(self, t: int) -> float:
-        with get_tracer().span("worker_step"):
-            rows = self._iteration_rows()
-            loss = self._gradient_iteration(self.x, rows)
-            proximal = self.mu * (self.x[rows] - self.global_params)
-            self.x[rows] -= self.eta * (self._grads[rows] + proximal)
-        if t % self.tau == 0:
-            with get_tracer().span("cloud_agg"):
-                outcome = self._round_outcome()
-                if not outcome.skip:
-                    self.global_params = self._round_average(self.x, outcome)
-                    self.x[outcome.receivers] = self.global_params
-                    self._record_round(outcome, t)
-        return loss
+    def _local_update(self, rows) -> None:
+        proximal = self.mu * (self.x[rows] - self.global_params)
+        self.x[rows] -= self.eta * (self._grads[rows] + proximal)
 
-    def _global_params(self) -> np.ndarray:
-        return self._average_models()
+    def _server_update(self, outcome) -> None:
+        self.global_params = self._round_average(self.x, outcome)
+        self.x[outcome.receivers] = self.global_params

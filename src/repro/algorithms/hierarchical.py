@@ -20,8 +20,6 @@ import numpy as np
 
 from repro.core.base import FLAlgorithm
 from repro.core.federation import Federation
-from repro.monitoring.monitor import get_monitor
-from repro.telemetry import get_tracer
 from repro.utils.validation import check_positive_int
 
 __all__ = ["HierFAVG", "CFL"]
@@ -54,78 +52,23 @@ class HierFAVG(FLAlgorithm):
         self.edge_models = self.fed.initial_edge_matrix()
         self._grads = np.empty_like(self.x)
 
-    def _local_iteration(self) -> float:
-        with get_tracer().span("worker_step"):
-            rows = self._iteration_rows()
-            mean_loss = self._gradient_iteration(self.x, rows)
-            self.x[rows] -= self.eta * self._grads[rows]
-            return mean_loss
-
-    def _merge_edge(self, edge: int, fresh: np.ndarray) -> np.ndarray:
+    def _edge_model(self, edge: int, fresh: np.ndarray) -> np.ndarray:
         """The edge model an edge round stores and redistributes."""
         return fresh
 
-    def _edge_aggregate(self, t: int) -> None:
-        with get_tracer().span("edge_agg"):
-            transfers = 0
-            for edge, rows, outcome in self._edge_rounds(t):
-                x = self.x[rows]
-                edge_model = self._merge_edge(
-                    edge, outcome.agg_weights @ x[outcome.agg_rows]
-                )
-                self.edge_models[edge] = edge_model
-                x[outcome.receivers] = edge_model
-                transfers += outcome.events
-            if transfers:
-                self.history.comm.record_worker_edge(transfers)
+    def _edge_merge(self, edge: int, rows: slice, outcome) -> None:
+        x = self.x[rows]
+        edge_model = self._edge_model(
+            edge, outcome.agg_weights @ x[outcome.agg_rows]
+        )
+        self.edge_models[edge] = edge_model
+        x[outcome.receivers] = edge_model
 
-    def _cloud_aggregate(self, t: int, *, to_workers: bool = True):
-        """Cloud round at ``t``; returns the selector of receiving edges.
-
-        ``to_workers`` pushes the cloud model on down to the up workers
-        under the receiving edges (LAN traffic; CFL skips exactly this).
-        A skipped round reaches no edge.
-        """
-        with get_tracer().span("cloud_agg"):
-            outcome = self._cloud_round(t)
-            if outcome.skip:
-                return np.empty(0, dtype=int)
-            models = self._cloud_upload("cloud.models", self.edge_models)
-            global_model = outcome.agg_weights @ models[outcome.agg_rows]
-            self.edge_models[outcome.receivers] = global_model
-            self.history.comm.record_edge_cloud(outcome.events)
-            if to_workers:
-                workers, reached = self._cloud_receivers(outcome.receivers)
-                self.x[workers] = global_model
-                if reached:
-                    self.history.comm.record_worker_edge(reached, rounds=0)
-            return outcome.receivers
-
-    def _step(self, t: int) -> float:
-        loss = self._local_iteration()
-        monitor = get_monitor()
-        if t % self.tau == 0:
-            self._edge_aggregate(t)
-            if monitor.enabled:
-                monitor.emit(
-                    "edge_round",
-                    iteration=t,
-                    tier="edge",
-                    edges=self.fed.num_edges,
-                )
-        if t % (self.tau * self.pi) == 0:
-            self._cloud_aggregate(t)
-            if monitor.enabled:
-                monitor.emit(
-                    "cloud_round",
-                    iteration=t,
-                    tier="cloud",
-                    edges=self.fed.num_edges,
-                )
-        return loss
-
-    def _global_params(self) -> np.ndarray:
-        return self.fed.global_average_workers(self.x)
+    def _cloud_merge(self, outcome) -> None:
+        models = self._cloud_upload("cloud.models", self.edge_models)
+        global_model = outcome.agg_weights @ models[outcome.agg_rows]
+        self.edge_models[outcome.receivers] = global_model
+        self.x[self._cloud_push(outcome.receivers)] = global_model
 
 
 class CFL(HierFAVG):
@@ -149,18 +92,21 @@ class CFL(HierFAVG):
         super()._setup()
         self._cloud_pending = [False] * self.fed.num_edges
 
-    def _merge_edge(self, edge: int, fresh: np.ndarray) -> np.ndarray:
+    def _edge_model(self, edge: int, fresh: np.ndarray) -> np.ndarray:
         if self._cloud_pending[edge]:
             # Fold in the cloud model the workers never received.
             self._cloud_pending[edge] = False
             return 0.5 * (fresh + self.edge_models[edge])
         return fresh
 
-    def _cloud_aggregate(self, t: int):
-        received = super()._cloud_aggregate(t, to_workers=False)
+    def _cloud_merge(self, outcome) -> None:
+        """HierFAVG's cloud rule, stopping at the edges."""
+        models = self._cloud_upload("cloud.models", self.edge_models)
+        self.edge_models[outcome.receivers] = (
+            outcome.agg_weights @ models[outcome.agg_rows]
+        )
         # Only edges whose stored model took the aggregate hold a cloud
         # model to fold in; dark, download-failed and skipped-round edges
         # keep what they had.
-        for edge in np.arange(self.fed.num_edges)[received]:
+        for edge in np.arange(self.fed.num_edges)[outcome.receivers]:
             self._cloud_pending[edge] = True
-        return received

@@ -16,7 +16,6 @@ import numpy as np
 from repro.algorithms.twotier import TwoTierAlgorithm
 from repro.core.federation import Federation
 from repro.faults import degrade_round
-from repro.telemetry import get_tracer
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_in_range
 
@@ -64,40 +63,33 @@ class SampledFedAvg(TwoTierAlgorithm):
         # Participants start from the server model.
         self.x[self.active] = self.server_params
 
-    def _step(self, t: int) -> float:
-        with get_tracer().span("worker_step"):
-            rows = np.asarray(self._train_rows())
-            mean_loss = self._gradient_iteration(self.x, rows)
-            self.x[rows] -= self.eta * self._grads[rows]
-        if t % self.tau == 0:
-            with get_tracer().span("cloud_agg"):
-                # Only the sampled workers exchange state this round.
-                active = np.asarray(self.active)
-                weights = self.fed.global_worker_w[active]
-                up = self._up_mask
-                outcome = degrade_round(
-                    self.faults,
-                    self.degradation,
-                    weights / weights.sum(),
-                    None if up is None else up[active],
-                )
-                # A skipped round keeps this round's participants training
-                # until the next scheduled aggregation.
-                if not outcome.skip:
-                    self.server_params = self._round_average(
-                        self.x[active], outcome
-                    )
-                    self._record_round(outcome, t)
-                    self._sample_round()
-        return mean_loss
-
-    def _train_rows(self) -> list[int]:
+    def _iteration_rows(self) -> np.ndarray:
         """This iteration's training set: sampled ∩ up (never empty)."""
         up = self._up_mask
         if up is None:
-            return self.active
+            return np.asarray(self.active)
         rows = [worker for worker in self.active if up[worker]]
-        return rows or self.active[:1]
+        return np.asarray(rows or self.active[:1])
+
+    def _round_outcome(self):
+        """Only the sampled workers exchange state this round."""
+        active = np.asarray(self.active)
+        weights = self.fed.global_worker_w[active]
+        up = self._up_mask
+        return degrade_round(
+            self.faults,
+            self.degradation,
+            weights / weights.sum(),
+            None if up is None else up[active],
+        )
+
+    def _server_update(self, outcome) -> None:
+        # A skipped round never gets here: this round's participants
+        # train on until the next scheduled aggregation.
+        self.server_params = self._round_average(
+            self.x[self.active], outcome
+        )
+        self._sample_round()
 
     def _global_params(self) -> np.ndarray:
         return self.server_params.copy()

@@ -6,22 +6,26 @@ All of them ignore the edge level of the federation: aggregation runs over
 paper's fair comparison, callers set this ``tau`` equal to the three-tier
 algorithms' ``τ·π``.
 
-Update rules implemented (one class per published algorithm):
+Each algorithm is a worker rule (``_local_update``) plus a server rule
+(``_server_update``) on :class:`TwoTierAlgorithm`'s one-round schedule,
+the worker/server momentum decomposition HierMo and FedNAG use to
+describe these baselines.  The defaults are local SGD and the model
+average:
 
-* :class:`FedAvg`       — local SGD + periodic model averaging [4].
+* :class:`FedAvg`       — the defaults [4].
 * :class:`FedNAG`       — local Nesterov momentum; model *and* momentum
   are averaged and redistributed at each round [21].
-* :class:`FedMom`       — server Polyak momentum over the round
-  pseudo-gradient [19].
 * :class:`SlowMo`       — local SGD + server "slow momentum" with slow
   learning rate α [20].
+* :class:`FedMom`       — server Polyak momentum over the round
+  pseudo-gradient [19]: SlowMo's server rule at unit scale.
 * :class:`Mime`         — workers apply the *server's* momentum statistic
   in every local step; the server refreshes the statistic with the
   average gradient at the aggregated model (MimeLite-style) [22].
 * :class:`FedADC`       — drift control: workers seed their local momentum
   buffer from the server's accumulated momentum each round [24].
-* :class:`FastSlowMo`   — combined worker NAG (fast) + server slow
-  momentum [23].
+* :class:`FastSlowMo`   — FedNAG's worker rule (fast) + SlowMo's server
+  rule (slow) [23].
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ __all__ = [
 
 
 class TwoTierAlgorithm(FLAlgorithm):
-    """Shared plumbing: stacked (num_workers, dim) models + global averaging."""
+    """One global round every ``tau`` iterations around a server rule."""
 
     # Checkpoint state: the stacked worker models; subclasses extend
     # with their momentum buffers / server vectors.
@@ -69,36 +73,32 @@ class TwoTierAlgorithm(FLAlgorithm):
         self.x = self.fed.initial_worker_matrix()
         self._grads = np.empty_like(self.x)
 
-    def _average_models(self) -> np.ndarray:
-        return self.fed.global_average_workers(self.x)
-
-    def _broadcast(self, params: np.ndarray) -> None:
-        self.x[:] = params
-
-    def _global_params(self) -> np.ndarray:
-        return self._average_models()
-
-    def _record_round(self, outcome: RoundOutcome, t: int) -> None:
-        """Ledger entry (and monitor event) for one aggregation round.
+    def _aggregate(self, t: int) -> None:
+        """The global round at ``t``, if one is scheduled.
 
         Two-tier workers talk to the cloud directly, so a round bills
         the transfer events its :class:`RoundOutcome` realized on the
         edge↔cloud (WAN) tier: one upload and one download per
-        participant when no fault touched it.  This is the one
-        chokepoint every two-tier algorithm's round passes through, so
-        the monitor's ``cloud_round`` event is emitted here for all of
-        them.
+        participant when no fault touched it.  It emits the monitor's
+        ``cloud_round`` event.
         """
-        self.history.comm.record_edge_cloud(outcome.events)
-        monitor = get_monitor()
-        if monitor.enabled:
-            monitor.emit(
-                "cloud_round",
-                iteration=t,
-                tier="cloud",
-                participants=len(outcome.agg_weights),
-                transfers=int(outcome.events),
-            )
+        if t % self.tau:
+            return
+        with get_tracer().span("cloud_agg"):
+            outcome = self._round_outcome()
+            if outcome.skip:
+                return
+            self._server_update(outcome)
+            self.history.comm.record_edge_cloud(outcome.events)
+            monitor = get_monitor()
+            if monitor.enabled:
+                monitor.emit(
+                    "cloud_round",
+                    iteration=t,
+                    tier="cloud",
+                    participants=len(outcome.agg_weights),
+                    transfers=int(outcome.events),
+                )
 
     def _round_outcome(self) -> RoundOutcome:
         """This round's membership over all workers under the fault plan."""
@@ -109,6 +109,10 @@ class TwoTierAlgorithm(FLAlgorithm):
             self._up_mask,
         )
 
+    def _server_update(self, outcome: RoundOutcome) -> None:
+        """The server rule: the receivers adopt the model average."""
+        self.x[outcome.receivers] = self._round_average(self.x, outcome)
+
     @staticmethod
     def _round_average(
         matrix: np.ndarray, outcome: RoundOutcome
@@ -116,41 +120,11 @@ class TwoTierAlgorithm(FLAlgorithm):
         """Round aggregate of ``matrix`` under the resolved membership."""
         return outcome.agg_weights @ matrix[outcome.agg_rows]
 
-    def _local_sgd_iteration(self) -> float:
-        """One plain SGD step on every up worker; returns their mean loss."""
-        with get_tracer().span("worker_step"):
-            rows = self._iteration_rows()
-            mean_loss = self._gradient_iteration(self.x, rows)
-            self.x[rows] -= self.eta * self._grads[rows]
-            return mean_loss
-
-    def _nag_iteration(self) -> float:
-        """One local NAG step per up worker (needs ``gamma`` and ``y``)."""
-        with get_tracer().span("worker_step"):
-            rows = self._iteration_rows()
-            mean_loss = self._gradient_iteration(self.x, rows)
-            y_new = self.x[rows] - self.eta * self._grads[rows]
-            self.x[rows] = y_new + self.gamma * (y_new - self.y[rows])
-            self.y[rows] = y_new
-            return mean_loss
-
 
 class FedAvg(TwoTierAlgorithm):
     """McMahan et al.: local SGD, average the models every τ iterations."""
 
     name = "FedAvg"
-
-    def _step(self, t: int) -> float:
-        loss = self._local_sgd_iteration()
-        if t % self.tau == 0:
-            with get_tracer().span("cloud_agg"):
-                outcome = self._round_outcome()
-                if not outcome.skip:
-                    self.x[outcome.receivers] = self._round_average(
-                        self.x, outcome
-                    )
-                    self._record_round(outcome, t)
-        return loss
 
 
 class FedNAG(TwoTierAlgorithm):
@@ -184,72 +158,16 @@ class FedNAG(TwoTierAlgorithm):
         super()._setup()
         self.y = self.x.copy()
 
-    def _step(self, t: int) -> float:
-        loss = self._nag_iteration()
-        if t % self.tau == 0:
-            with get_tracer().span("cloud_agg"):
-                outcome = self._round_outcome()
-                if not outcome.skip:
-                    recv = outcome.receivers
-                    self.x[recv] = self._round_average(self.x, outcome)
-                    self.y[recv] = self._round_average(self.y, outcome)
-                    self._record_round(outcome, t)
-        return loss
+    def _local_update(self, rows) -> None:
+        """One NAG step per selected worker."""
+        y_new = self.x[rows] - self.eta * self._grads[rows]
+        self.x[rows] = y_new + self.gamma * (y_new - self.y[rows])
+        self.y[rows] = y_new
 
-
-class FedMom(TwoTierAlgorithm):
-    """Huo et al.: server-side Polyak momentum on the round pseudo-gradient.
-
-    Per round: Δ = w_prev − mean(worker models); m ← β·m + Δ;
-    w ← w_prev − m.  β=0 reduces to FedAvg (unit-tested).
-    """
-
-    name = "FedMom"
-    CKPT_ARRAYS = TwoTierAlgorithm.CKPT_ARRAYS + (
-        "server_params",
-        "server_momentum",
-    )
-
-    def __init__(
-        self,
-        federation: Federation,
-        *,
-        eta: float = 0.01,
-        tau: int = 20,
-        beta: float = 0.5,
-    ):
-        super().__init__(federation, eta=eta, tau=tau)
-        self.beta = check_fraction(beta, "beta")
-
-    def config(self) -> dict:
-        return {**super().config(), "beta": self.beta}
-
-    def _setup(self) -> None:
-        super()._setup()
-        self.server_params = self.fed.initial_params()
-        self.server_momentum = np.zeros(self.fed.dim)
-
-    def _step(self, t: int) -> float:
-        loss = self._local_sgd_iteration()
-        if t % self.tau == 0:
-            with get_tracer().span("cloud_agg"):
-                outcome = self._round_outcome()
-                if not outcome.skip:
-                    delta = self.server_params - self._round_average(
-                        self.x, outcome
-                    )
-                    self.server_momentum = (
-                        self.beta * self.server_momentum + delta
-                    )
-                    self.server_params = (
-                        self.server_params - self.server_momentum
-                    )
-                    self.x[outcome.receivers] = self.server_params
-                    self._record_round(outcome, t)
-        return loss
-
-    def _global_params(self) -> np.ndarray:
-        return self.server_params.copy()
+    def _server_update(self, outcome: RoundOutcome) -> None:
+        recv = outcome.receivers
+        self.x[recv] = self._round_average(self.x, outcome)
+        self.y[recv] = self._round_average(self.y, outcome)
 
 
 class SlowMo(TwoTierAlgorithm):
@@ -262,7 +180,7 @@ class SlowMo(TwoTierAlgorithm):
     name = "SlowMo"
     CKPT_ARRAYS = TwoTierAlgorithm.CKPT_ARRAYS + (
         "server_params",
-        "slow_momentum",
+        "server_momentum",
     )
 
     def __init__(
@@ -284,31 +202,53 @@ class SlowMo(TwoTierAlgorithm):
     def _setup(self) -> None:
         super()._setup()
         self.server_params = self.fed.initial_params()
-        self.slow_momentum = np.zeros(self.fed.dim)
+        self.server_momentum = np.zeros(self.fed.dim)
 
-    def _step(self, t: int) -> float:
-        loss = self._local_sgd_iteration()
-        if t % self.tau == 0:
-            with get_tracer().span("cloud_agg"):
-                outcome = self._round_outcome()
-                if not outcome.skip:
-                    pseudo_grad = (
-                        self.server_params
-                        - self._round_average(self.x, outcome)
-                    ) / self.eta
-                    self.slow_momentum = (
-                        self.beta * self.slow_momentum + pseudo_grad
-                    )
-                    self.server_params = (
-                        self.server_params
-                        - self.alpha * self.eta * self.slow_momentum
-                    )
-                    self.x[outcome.receivers] = self.server_params
-                    self._record_round(outcome, t)
-        return loss
+    def _pseudo_gradient_scale(self) -> float:
+        """The η the round pseudo-gradient is divided by."""
+        return self.eta
+
+    def _server_update(self, outcome: RoundOutcome) -> None:
+        scale = self._pseudo_gradient_scale()
+        pseudo_grad = (
+            self.server_params - self._round_average(self.x, outcome)
+        ) / scale
+        self.server_momentum = self.beta * self.server_momentum + pseudo_grad
+        self.server_params = (
+            self.server_params - self.alpha * scale * self.server_momentum
+        )
+        self.x[outcome.receivers] = self.server_params
 
     def _global_params(self) -> np.ndarray:
         return self.server_params.copy()
+
+
+class FedMom(SlowMo):
+    """Huo et al.: server-side Polyak momentum on the round pseudo-gradient.
+
+    Per round: Δ = w_prev − mean(worker models); m ← β·m + Δ;
+    w ← w_prev − m.  β=0 reduces to FedAvg (unit-tested).  This is
+    SlowMo's server rule with α=1 at unit scale: ``Δ/1.0`` and
+    ``1.0·1.0·m`` are exact, so the two forms agree bit for bit.
+    """
+
+    name = "FedMom"
+
+    def __init__(
+        self,
+        federation: Federation,
+        *,
+        eta: float = 0.01,
+        tau: int = 20,
+        beta: float = 0.5,
+    ):
+        super().__init__(federation, eta=eta, tau=tau, beta=beta)
+
+    def config(self) -> dict:
+        return {**TwoTierAlgorithm.config(self), "beta": self.beta}
+
+    def _pseudo_gradient_scale(self) -> float:
+        return 1.0
 
 
 class Mime(TwoTierAlgorithm):
@@ -344,37 +284,27 @@ class Mime(TwoTierAlgorithm):
         super()._setup()
         self.server_state = np.zeros(self.fed.dim)
 
-    def _step(self, t: int) -> float:
+    def _local_update(self, rows) -> None:
+        self.x[rows] -= self.eta * (
+            (1.0 - self.beta) * self._grads[rows]
+            + self.beta * self.server_state
+        )
+
+    def _server_update(self, outcome: RoundOutcome) -> None:
         grads = self._grads
-        with get_tracer().span("worker_step"):
-            rows = self._iteration_rows()
-            loss = self._gradient_iteration(self.x, rows)
-            self.x[rows] -= self.eta * (
-                (1.0 - self.beta) * grads[rows]
-                + self.beta * self.server_state
-            )
-        if t % self.tau == 0:
-            with get_tracer().span("cloud_agg"):
-                outcome = self._round_outcome()
-                if not outcome.skip:
-                    x_bar = self._round_average(self.x, outcome)
-                    # Only the reachable workers can evaluate a fresh
-                    # gradient at the aggregate for the refresh.
-                    present = outcome.present
-                    self.fed.gradient_all(
-                        np.broadcast_to(x_bar, grads.shape),
-                        rows=present,
-                        out=grads,
-                    )
-                    weights = self.fed.global_worker_w[present]
-                    mean_grad = (weights / weights.sum()) @ grads[present]
-                    self.server_state = (
-                        (1.0 - self.beta) * mean_grad
-                        + self.beta * self.server_state
-                    )
-                    self.x[outcome.receivers] = x_bar
-                    self._record_round(outcome, t)
-        return loss
+        x_bar = self._round_average(self.x, outcome)
+        # Only the reachable workers can evaluate a fresh gradient at
+        # the aggregate for the refresh.
+        present = outcome.present
+        self.fed.gradient_all(
+            np.broadcast_to(x_bar, grads.shape), rows=present, out=grads
+        )
+        weights = self.fed.global_worker_w[present]
+        mean_grad = (weights / weights.sum()) @ grads[present]
+        self.server_state = (
+            (1.0 - self.beta) * mean_grad + self.beta * self.server_state
+        )
+        self.x[outcome.receivers] = x_bar
 
 
 class FedADC(TwoTierAlgorithm):
@@ -418,54 +348,36 @@ class FedADC(TwoTierAlgorithm):
         self.server_momentum = np.zeros(self.fed.dim)
         self.local_momentum = np.zeros((self.fed.num_workers, self.fed.dim))
 
-    def _step(self, t: int) -> float:
-        with get_tracer().span("worker_step"):
-            rows = self._iteration_rows()
-            loss = self._gradient_iteration(self.x, rows)
-            momentum = (
-                self.beta * self.local_momentum[rows] + self._grads[rows]
-            )
-            self.local_momentum[rows] = momentum
-            self.x[rows] -= self.eta * momentum
-        if t % self.tau == 0:
-            with get_tracer().span("cloud_agg"):
-                outcome = self._round_outcome()
-                if not outcome.skip:
-                    avg = self._round_average(self.x, outcome)
-                    pseudo_grad = (
-                        self.server_params - avg
-                    ) / (self.eta * self.tau)
-                    self.server_momentum = (
-                        self.beta * self.server_momentum
-                        + (1.0 - self.beta) * pseudo_grad
-                    )
-                    self.server_params = avg
-                    recv = outcome.receivers
-                    self.x[recv] = self.server_params
-                    self.local_momentum[recv] = self.server_momentum
-                    self._record_round(outcome, t)
-        return loss
+    def _local_update(self, rows) -> None:
+        momentum = self.beta * self.local_momentum[rows] + self._grads[rows]
+        self.local_momentum[rows] = momentum
+        self.x[rows] -= self.eta * momentum
 
-    def _global_params(self) -> np.ndarray:
-        return self._average_models()
+    def _server_update(self, outcome: RoundOutcome) -> None:
+        avg = self._round_average(self.x, outcome)
+        pseudo_grad = (self.server_params - avg) / (self.eta * self.tau)
+        self.server_momentum = (
+            self.beta * self.server_momentum
+            + (1.0 - self.beta) * pseudo_grad
+        )
+        self.server_params = avg
+        recv = outcome.receivers
+        self.x[recv] = self.server_params
+        self.local_momentum[recv] = self.server_momentum
 
 
-class FastSlowMo(TwoTierAlgorithm):
+class FastSlowMo(SlowMo):
     """Yang et al. TAI'22: combined worker (fast) and server (slow) momenta.
 
-    Workers run NAG locally (as FedNAG); every round the server aggregates
-    model and momentum, then applies a SlowMo-style slow-momentum step to
-    the aggregated model before redistribution.
+    Workers run FedNAG's NAG rule locally; every round the server
+    aggregates model and momentum, then applies SlowMo's slow-momentum
+    step to the aggregated model before redistribution.
     """
 
     name = "FastSlowMo"
     # Ships the worker model and its NAG momentum every round.
     payload_multiplier = 2.0
-    CKPT_ARRAYS = TwoTierAlgorithm.CKPT_ARRAYS + (
-        "y",
-        "server_params",
-        "slow_momentum",
-    )
+    CKPT_ARRAYS = SlowMo.CKPT_ARRAYS + ("y",)
     # The fast (worker NAG) momentum row follows the client.
     CLIENT_STATE = ("y",)
 
@@ -479,14 +391,12 @@ class FastSlowMo(TwoTierAlgorithm):
         beta: float = 0.5,
         alpha: float = 1.0,
     ):
-        super().__init__(federation, eta=eta, tau=tau)
+        super().__init__(federation, eta=eta, tau=tau, beta=beta, alpha=alpha)
         self.gamma = check_fraction(gamma, "gamma")
-        self.beta = check_fraction(beta, "beta")
-        self.alpha = check_positive(alpha, "alpha")
 
     def config(self) -> dict:
         return {
-            **super().config(),
+            **TwoTierAlgorithm.config(self),
             "gamma": self.gamma,
             "beta": self.beta,
             "alpha": self.alpha,
@@ -495,30 +405,10 @@ class FastSlowMo(TwoTierAlgorithm):
     def _setup(self) -> None:
         super()._setup()
         self.y = self.x.copy()
-        self.server_params = self.fed.initial_params()
-        self.slow_momentum = np.zeros(self.fed.dim)
 
-    def _step(self, t: int) -> float:
-        loss = self._nag_iteration()
-        if t % self.tau == 0:
-            with get_tracer().span("cloud_agg"):
-                outcome = self._round_outcome()
-                if not outcome.skip:
-                    x_bar = self._round_average(self.x, outcome)
-                    y_bar = self._round_average(self.y, outcome)
-                    pseudo_grad = (self.server_params - x_bar) / self.eta
-                    self.slow_momentum = (
-                        self.beta * self.slow_momentum + pseudo_grad
-                    )
-                    self.server_params = (
-                        self.server_params
-                        - self.alpha * self.eta * self.slow_momentum
-                    )
-                    recv = outcome.receivers
-                    self.x[recv] = self.server_params
-                    self.y[recv] = y_bar
-                    self._record_round(outcome, t)
-        return loss
+    _local_update = FedNAG._local_update
 
-    def _global_params(self) -> np.ndarray:
-        return self.server_params.copy()
+    def _server_update(self, outcome: RoundOutcome) -> None:
+        y_bar = self._round_average(self.y, outcome)
+        super()._server_update(outcome)
+        self.y[outcome.receivers] = y_bar

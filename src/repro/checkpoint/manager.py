@@ -124,6 +124,12 @@ class RestoredRun:
             for name, array in self.arrays.items()
             if name.startswith(_ALGO_PREFIX)
         }
+        missing = [n for n in algorithm.CKPT_ARRAYS if n not in algo_arrays]
+        if missing:
+            raise CheckpointError(
+                f"checkpoint lacks the {algorithm.name} state arrays "
+                f"{missing}"
+            )
         algorithm.restore_arrays(algo_arrays)
         algorithm.restore_values(manifest["state"]["values"])
         algorithm.restore_extra(manifest["state"]["extra"])

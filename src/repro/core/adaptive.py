@@ -88,10 +88,11 @@ class AdaptiveGammaController:
     """Per-edge γℓ adaptation with interval accumulators.
 
     One controller instance serves all edges: the accumulators live in
-    stacked ``(num_workers, dim)`` matrices, filled either one worker at
-    a time via :meth:`accumulate` or for a selection of workers at once
-    via :meth:`accumulate_step`; each edge aggregation calls
-    :meth:`gamma_for_edge` then :meth:`reset_workers`.
+    stacked ``(num_workers, dim)`` matrices, filled for a selection of
+    workers at once via :meth:`accumulate_step` (one row per event on
+    the event clock; :meth:`accumulate` is its per-worker reference);
+    each edge aggregation calls :meth:`gamma_for_edge` then
+    :meth:`reset_workers`.
     """
 
     def __init__(self, num_workers: int, dim: int, mode: str = "velocity"):
@@ -145,11 +146,14 @@ class AdaptiveGammaController:
             self.grad_sums[rows] += grads
             self.momentum_sums[rows] += y_prev
             return
-        active = ~self._boundary[rows]
-        if active.all():
+        boundary = self._boundary[rows]
+        # count_nonzero skips the ufunc-reduction overhead that would
+        # dominate a one-row step of the event clock.
+        if not np.count_nonzero(boundary):
             self.grad_sums[rows] += grads
             self.momentum_sums[rows] += velocities
             return
+        active = ~boundary
         taking = np.arange(len(self._boundary))[rows][active]
         self.grad_sums[taking] += grads[active]
         self.momentum_sums[taking] += velocities[active]

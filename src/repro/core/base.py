@@ -1,13 +1,26 @@
 """Base class shared by every federated-learning algorithm.
 
-Subclasses implement three hooks:
+An algorithm is a set of rules on one schedule.  ``_step(t)`` is the
+schedule's iteration: it computes the up workers' gradients, applies the
+worker rule and hands ``t`` to ``_aggregate``, which here runs the
+three-tier schedule of the paper's Algorithm 1 (an edge round every
+``tau`` iterations, a cloud round every ``tau·pi``) with the fault
+plumbing, γℓ recording, ledger billing and monitor events done once.
+Subclasses implement the rules:
 
-* ``_setup()`` — allocate per-worker / per-edge / server state,
-* ``_step(t)`` — one local iteration across all workers plus whatever
-  aggregation the algorithm schedules at ``t``; returns the mean training
-  batch loss of the iteration,
+* ``_setup()`` — allocate per-worker / per-edge / server state;
+* ``_local_update(rows)`` — the worker rule on the ``rows`` workers,
+  whose fresh gradients sit in ``self._grads`` (local SGD by default);
+* ``_edge_merge(edge, rows, outcome)`` — the edge rule for one edge
+  round (returns the edge's γℓ when it adapts one);
+* ``_cloud_merge(outcome)`` — the cloud rule; ``_cloud_push(edges)``
+  gives it (and bills) the workers its result reaches;
 * ``_global_params()`` — the algorithm's current notion of the global
-  model (evaluated on the test set at each evaluation point).
+  model (the data-weighted worker average by default), evaluated on
+  the test set at each evaluation point.
+
+Two-tier algorithms (:class:`repro.algorithms.TwoTierAlgorithm`) swap
+``_aggregate`` for one global round around a server rule.
 
 ``run`` is the one run driver.  It owns the lifecycle (history, fault
 and population resets, resume, the initial evaluation, the divergence
@@ -15,11 +28,11 @@ stop, monitor aborts) and advances time through one clock method,
 ``_run_clock``.  The lockstep clock here loops ``_step(t)`` over the
 iterations; the event clock of
 :class:`repro.algorithms.AsyncExecutionMixin` runs the
-:class:`~repro.simulation.engine.EventLoopRunner`.  Both clocks end each
-round at a barrier where the shared helpers run: the scheduled
-evaluation, the cohort rebind and the periodic-or-alert checkpoint,
-which stores the clock's state with the train-loss window.  Individual
-algorithms stay close to their paper pseudocode.
+:class:`~repro.simulation.engine.EventLoopRunner` and applies the same
+worker rule to one worker per event.  Both clocks end each round at a
+barrier where the shared helpers run: the scheduled evaluation, the
+cohort rebind and the periodic-or-alert checkpoint, which stores the
+clock's state with the train-loss window.
 """
 
 from __future__ import annotations
@@ -58,6 +71,10 @@ class FLAlgorithm:
     # (or another server statistic) on every exchange.  Feeds both the
     # run's communication ledger and the Fig. 2 timing replay.
     payload_multiplier = 1.0
+    # True for algorithms whose edge rule adapts a γℓ per edge round:
+    # the rounds then land in ``history.gamma_trace`` and the monitor's
+    # ``edge_round`` events.
+    _records_gammas = False
 
     def __init__(
         self,
@@ -132,18 +149,32 @@ class FLAlgorithm:
         mask = self._up_mask
         return EVERYONE if mask is None else np.flatnonzero(mask)
 
-    def _gradient_iteration(
-        self, params: np.ndarray, rows: slice | np.ndarray
-    ) -> float:
+    def _gradient_iteration(self, rows: slice | np.ndarray) -> float:
         """The ``rows`` workers' gradients into ``self._grads``; mean loss.
 
-        The shared inner-loop step every algorithm's ``_step`` builds
-        on: one :meth:`Federation.gradient_all` call (batched engine
-        when available, per-worker loop otherwise) filling the selected
-        rows of the stacked gradient matrix.
+        One :meth:`Federation.gradient_all` call at ``self.x`` (batched
+        engine when available, per-worker loop otherwise) filling the
+        selected rows of the stacked gradient matrix.
         """
-        losses = self.fed.gradient_all(params, rows=rows, out=self._grads)
+        losses = self.fed.gradient_all(self.x, rows=rows, out=self._grads)
         return float(losses.mean())
+
+    def _step(self, t: int) -> float:
+        """Iteration ``t`` on the lockstep clock; the mean batch loss.
+
+        Dropped workers take no step: their state and sampler stay
+        frozen until they come back.
+        """
+        with get_tracer().span("worker_step"):
+            rows = self._iteration_rows()
+            loss = self._gradient_iteration(rows)
+            self._local_update(rows)
+        self._aggregate(t)
+        return loss
+
+    def _local_update(self, rows: slice | np.ndarray) -> None:
+        """The worker rule on the ``rows`` workers: local SGD."""
+        self.x[rows] -= self.eta * self._grads[rows]
 
     # ------------------------------------------------------------------
     # Round membership (three-tier algorithms with ``tau``)
@@ -193,11 +224,12 @@ class FLAlgorithm:
             return matrix
         return self.faults.stale_substitute(label, matrix)
 
-    def _cloud_receivers(self, edges) -> tuple[slice | np.ndarray, int]:
-        """Worker selector the cloud result reaches, and its size.
+    def _cloud_push(self, edges) -> slice | np.ndarray:
+        """Worker selector the cloud result reaches; bills the LAN leg.
 
         The result travels down through the receiving ``edges`` (an
-        edge selector) to the workers that are up this iteration.
+        edge selector) to the workers that are up this iteration: extra
+        worker↔edge traffic, but not an edge round.
         """
         fed = self.fed
         reached = np.zeros(fed.num_edges, dtype=bool)
@@ -208,9 +240,55 @@ class FLAlgorithm:
         if self._up_mask is not None:
             mask &= self._up_mask
         count = int(mask.sum())
-        if count == fed.num_workers:
-            return EVERYONE, count
-        return np.flatnonzero(mask), count
+        if count:
+            self.history.comm.record_worker_edge(count, rounds=0)
+        return EVERYONE if count == fed.num_workers else np.flatnonzero(mask)
+
+    def _aggregate(self, t: int) -> None:
+        """The three-tier schedule's rounds at ``t``.
+
+        Every ``tau`` iterations each edge that holds a round applies
+        the edge rule and the round bills its LAN transfers; every
+        ``tau·pi`` the cloud rule runs over the edges and bills the WAN.
+        One monitor event per tier and round.
+        """
+        tracer = get_tracer()
+        monitor = get_monitor()
+        if t % self.tau == 0:
+            with tracer.span("edge_agg"):
+                held: dict[int, float | None] = {}
+                transfers = 0
+                for edge, rows, outcome in self._edge_rounds(t):
+                    held[edge] = self._edge_merge(edge, rows, outcome)
+                    transfers += outcome.events
+                if transfers:
+                    self.history.comm.record_worker_edge(transfers)
+            if self._records_gammas:
+                self.history.record_gammas(held)
+            if monitor.enabled:
+                data = {}
+                if self._records_gammas:
+                    data["gammas"] = {str(k): v for k, v in held.items()}
+                monitor.emit(
+                    "edge_round",
+                    iteration=t,
+                    tier="edge",
+                    **data,
+                    edges=len(held),
+                )
+        if t % (self.tau * self.pi) == 0:
+            with tracer.span("cloud_agg"):
+                outcome = self._cloud_round(t)
+                if not outcome.skip:
+                    self._cloud_merge(outcome)
+                    self.history.comm.record_edge_cloud(outcome.events)
+            if monitor.enabled:
+                monitor.emit(
+                    "cloud_round",
+                    iteration=t,
+                    tier="cloud",
+                    edges=self.fed.num_edges,
+                )
 
     # ------------------------------------------------------------------
     # Checkpoint protocol
@@ -276,11 +354,16 @@ class FLAlgorithm:
     def _setup(self) -> None:
         raise NotImplementedError
 
-    def _step(self, t: int) -> float:
+    def _edge_merge(self, edge: int, rows: slice, outcome: RoundOutcome):
+        """The edge rule for ``edge``'s round; its γℓ, if it adapts one."""
+        raise NotImplementedError
+
+    def _cloud_merge(self, outcome: RoundOutcome) -> None:
         raise NotImplementedError
 
     def _global_params(self) -> np.ndarray:
-        raise NotImplementedError
+        """Data-weighted average of the current worker models."""
+        return self.fed.global_average_workers(self.x)
 
     def config(self) -> dict:
         """Hyper-parameters recorded into the history."""

@@ -304,25 +304,6 @@ class Federation:
         matrix = np.asarray(vectors)
         return self.worker_w_in_edge[edge] @ matrix[self.edge_slices[edge]]
 
-    def edge_average_all(
-        self, vectors, *, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """All edges' within-edge averages as one ``(num_edges, dim)``.
-
-        ``out``, when given, receives each edge's GEMV in the matching
-        row (no intermediate per-edge vectors, no final stack copy).
-        """
-        matrix = np.asarray(vectors)
-        if out is None:
-            out = np.empty((self.num_edges, matrix.shape[1]))
-        for edge in range(self.num_edges):
-            np.matmul(
-                self.worker_w_in_edge[edge],
-                matrix[self.edge_slices[edge]],
-                out=out[edge],
-            )
-        return out
-
     def cloud_average_edges(self, vectors) -> np.ndarray:
         """Weighted over-edges average Σℓ (Dℓ/D) vℓ."""
         return self.edge_w @ np.asarray(vectors)

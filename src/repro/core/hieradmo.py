@@ -1,14 +1,16 @@
 """HierAdMo — the paper's Algorithm 1, line for line.
 
-Three nested schedules over ``T = K·τ = P·τ·π`` local iterations:
+Three rules, which :class:`~repro.core.base.FLAlgorithm`'s three-tier
+schedule runs over ``T = K·τ = P·τ·π`` local iterations:
 
-* every iteration, each worker runs a NAG step (lines 5–6),
-* every ``τ`` iterations, each edge node adapts γℓ (lines 10, eqs. 6–7),
-  aggregates worker momentum (line 11), applies the edge momentum update
-  (lines 12–13) and redistributes (lines 14–15),
-* every ``τ·π`` iterations, the cloud averages the edges' aggregated
-  worker momenta and edge models and redistributes both all the way down
-  (lines 18–23).
+* the worker rule, every iteration: a NAG step (lines 5–6);
+* the edge rule, every ``τ`` iterations: each edge node adapts γℓ
+  (line 10, eqs. 6–7), aggregates worker momentum (line 11), applies
+  the edge momentum update (lines 12–13) and redistributes (lines
+  14–15);
+* the cloud rule, every ``τ·π`` iterations: the cloud averages the
+  edges' aggregated worker momenta and edge models and redistributes
+  both all the way down (lines 18–23).
 
 ``HierAdMoR`` (the paper's HierAdMo-R ablation) is HierAdMo with a fixed
 edge momentum factor instead of the adaptive one.
@@ -22,8 +24,6 @@ from repro.core.adaptive import AdaptiveGammaController
 from repro.core.base import FLAlgorithm
 from repro.core.federation import Federation
 from repro.faults import block_rows
-from repro.monitoring.monitor import get_monitor
-from repro.telemetry import get_tracer
 from repro.utils.validation import check_fraction, check_positive_int
 
 __all__ = ["HierAdMo", "HierAdMoR"]
@@ -35,6 +35,7 @@ class HierAdMo(FLAlgorithm):
     name = "HierAdMo"
     # Every exchange ships the model and its momentum state (x and y).
     payload_multiplier = 2.0
+    _records_gammas = True
 
     # Full training state for checkpoint/resume: worker and edge
     # parameter/momentum matrices, the γℓ agreement controller's
@@ -140,30 +141,22 @@ class HierAdMo(FLAlgorithm):
         self.gradient_step_norms: list[float] = []
 
     # ------------------------------------------------------------------
-    def _worker_iteration(self) -> float:
-        """Lines 4–6 for every up worker; returns their mean batch loss.
-
-        Dropped workers take no step: state, sampler and γℓ-accumulator
-        all stay frozen until they come back.
-        """
-        with get_tracer().span("worker_step"):
-            rows = self._iteration_rows()
-            mean_loss = self._gradient_iteration(self.x, rows)
-            g = self._grads[rows]
-            y_prev = self.y[rows]
-            y_new = self.x[rows] - self.eta * g  # line 5
-            velocity = y_new - y_prev
-            self.controller.accumulate_step(rows, g, y_prev, velocity)
-            if self.track_mu:
-                self.velocity_norms.extend(
-                    np.linalg.norm(self.gamma * velocity, axis=1).tolist()
-                )
-                self.gradient_step_norms.extend(
-                    np.linalg.norm(self.eta * g, axis=1).tolist()
-                )
-            self.x[rows] = y_new + self.gamma * velocity  # line 6
-            self.y[rows] = y_new
-            return mean_loss
+    def _local_update(self, rows) -> None:
+        """Lines 5–6 (NAG) on the ``rows`` workers, feeding eq. 6's sums."""
+        g = self._grads[rows]
+        y_prev = self.y[rows]
+        y_new = self.x[rows] - self.eta * g  # line 5
+        velocity = y_new - y_prev
+        self.controller.accumulate_step(rows, g, y_prev, velocity)
+        if self.track_mu:
+            self.velocity_norms.extend(
+                np.linalg.norm(self.gamma * velocity, axis=1).tolist()
+            )
+            self.gradient_step_norms.extend(
+                np.linalg.norm(self.eta * g, axis=1).tolist()
+            )
+        self.x[rows] = y_new + self.gamma * velocity  # line 6
+        self.y[rows] = y_new
 
     def _adapt_edge_gamma(self, edge: int, rows, weights) -> float:
         """Line 10: adapt γℓ (or keep it fixed for HierAdMo-R)."""
@@ -185,104 +178,61 @@ class HierAdMo(FLAlgorithm):
         self._gamma_state[edge] = gamma_edge
         return gamma_edge
 
-    def _edge_update(self, t: int) -> dict[int, float]:
-        """Lines 8–15 for every edge; returns the γℓ used per edge.
+    def _edge_momentum(
+        self, edge: int, weights, y_members, x_members, gamma_edge: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Lines 11–13 at ``edge``; returns the ``(y, x)`` to redistribute.
 
-        Each edge aggregates its outcome's members, then resets and
-        redistributes to the workers that get the result.
+        ``y_members`` / ``x_members`` are the aggregated workers' rows,
+        aligned with ``weights``.
         """
-        with get_tracer().span("edge_agg"):
-            gammas: dict[int, float] = {}
-            transfers = 0
-            for edge, rows, outcome in self._edge_rounds(t):
-                agg, weights = outcome.agg_rows, outcome.agg_weights
-                x, y = self.x[rows], self.y[rows]
-                gamma_edge = self._adapt_edge_gamma(
-                    edge, block_rows(rows, agg), weights
-                )
-                gammas[edge] = gamma_edge
-                self.controller.reset_workers(
-                    block_rows(rows, outcome.receivers)
-                )
+        # Line 11: worker momentum edge aggregation (one GEMV).
+        y_minus = weights @ y_members
+        # Line 12: edge momentum update (written exactly as the paper,
+        # although it algebraically equals the aggregated worker model).
+        x_plus_prev = self.edge_x_plus[edge]
+        y_plus = x_plus_prev - weights @ (x_plus_prev - x_members)
+        # Line 13: edge model update.
+        x_plus = y_plus + gamma_edge * (y_plus - self.edge_y_plus[edge])
+        self.edge_y_plus[edge] = y_plus
+        self.edge_x_plus[edge] = x_plus
+        self.edge_y_minus[edge] = y_minus
+        return y_minus, x_plus
 
-                # Line 11: worker momentum edge aggregation (one GEMV).
-                y_minus = weights @ y[agg]
+    def _edge_merge(self, edge: int, rows: slice, outcome) -> float:
+        """Lines 8–15; returns the edge's γℓ.
 
-                # Line 12: edge momentum update (written exactly as the
-                # paper, although it algebraically equals the aggregated
-                # worker model).
-                x_plus_prev = self.edge_x_plus[edge]
-                y_plus = x_plus_prev - weights @ (x_plus_prev - x[agg])
+        Aggregates the outcome's members, then resets and redistributes
+        to the workers that get the result.
+        """
+        agg, weights = outcome.agg_rows, outcome.agg_weights
+        x, y = self.x[rows], self.y[rows]
+        gamma_edge = self._adapt_edge_gamma(
+            edge, block_rows(rows, agg), weights
+        )
+        self.controller.reset_workers(block_rows(rows, outcome.receivers))
+        y_minus, x_plus = self._edge_momentum(
+            edge, weights, y[agg], x[agg], gamma_edge
+        )
+        # Lines 14–15: redistribution (row broadcast).
+        y[outcome.receivers] = y_minus
+        x[outcome.receivers] = x_plus
+        return gamma_edge
 
-                # Line 13: edge model update.
-                x_plus = y_plus + gamma_edge * (
-                    y_plus - self.edge_y_plus[edge]
-                )
-
-                self.edge_y_plus[edge] = y_plus
-                self.edge_x_plus[edge] = x_plus
-                self.edge_y_minus[edge] = y_minus
-
-                # Lines 14–15: redistribution (row broadcast).
-                y[outcome.receivers] = y_minus
-                x[outcome.receivers] = x_plus
-                transfers += outcome.events
-            if transfers:
-                self.history.comm.record_worker_edge(transfers)
-            return gammas
-
-    def _cloud_update(self, t: int) -> None:
+    def _cloud_merge(self, outcome) -> None:
         """Lines 17–23."""
-        with get_tracer().span("cloud_agg"):
-            outcome = self._cloud_round(t)
-            if outcome.skip:
-                return
-            agg, weights = outcome.agg_rows, outcome.agg_weights
-            y_up = self._cloud_upload("cloud.y", self.edge_y_minus)
-            x_up = self._cloud_upload("cloud.x", self.edge_x_plus)
-            y_bar = weights @ y_up[agg]  # line 18
-            x_bar = weights @ x_up[agg]  # line 19
-            self.edge_y_minus[outcome.receivers] = y_bar  # line 20
-            self.edge_x_plus[outcome.receivers] = x_bar  # line 21
-            # Lines 22–23 push the merged state down through the
-            # receiving edges to their up workers over the LAN (extra
-            # worker↔edge traffic, but not an edge round).
-            workers, reached = self._cloud_receivers(outcome.receivers)
-            self.y[workers] = y_bar
-            self.x[workers] = x_bar
-            self.history.comm.record_edge_cloud(outcome.events)
-            if reached:
-                self.history.comm.record_worker_edge(reached, rounds=0)
-
-    # ------------------------------------------------------------------
-    def _step(self, t: int) -> float:
-        loss = self._worker_iteration()
-        monitor = get_monitor()
-        if t % self.tau == 0:
-            gammas = self._edge_update(t)
-            self.history.record_gammas(gammas)
-            if monitor.enabled:
-                monitor.emit(
-                    "edge_round",
-                    iteration=t,
-                    tier="edge",
-                    gammas={str(k): v for k, v in gammas.items()},
-                    edges=len(gammas),
-                )
-        if t % (self.tau * self.pi) == 0:
-            self._cloud_update(t)
-            if monitor.enabled:
-                monitor.emit(
-                    "cloud_round",
-                    iteration=t,
-                    tier="cloud",
-                    edges=self.fed.num_edges,
-                )
-        return loss
-
-    def _global_params(self) -> np.ndarray:
-        """Data-weighted average of the current worker models."""
-        return self.fed.global_average_workers(self.x)
+        agg, weights = outcome.agg_rows, outcome.agg_weights
+        y_up = self._cloud_upload("cloud.y", self.edge_y_minus)
+        x_up = self._cloud_upload("cloud.x", self.edge_x_plus)
+        y_bar = weights @ y_up[agg]  # line 18
+        x_bar = weights @ x_up[agg]  # line 19
+        self.edge_y_minus[outcome.receivers] = y_bar  # line 20
+        self.edge_x_plus[outcome.receivers] = x_bar  # line 21
+        # Lines 22–23 push the merged state down through the receiving
+        # edges to their up workers.
+        workers = self._cloud_push(outcome.receivers)
+        self.y[workers] = y_bar
+        self.x[workers] = x_bar
 
 
 class HierAdMoR(HierAdMo):

@@ -105,9 +105,11 @@ class TestCFL:
         assert algo._cloud_pending == [False, True]
         algo._step(5)
         # The t=6 edge round stores edge 0's plain worker average.
-        algo._local_iteration()
+        rows = algo._iteration_rows()
+        algo._gradient_iteration(rows)
+        algo._local_update(rows)
         fresh = tiny_federation.worker_w_in_edge[0] @ algo.x[0:2]
-        algo._edge_aggregate(6)
+        algo._aggregate(6)
         assert np.array_equal(algo.edge_models[0], fresh)
         assert not any(algo._cloud_pending)
 

@@ -121,7 +121,7 @@ class TestSlowMoIsFedMom:
             slowmo.server_params, fedmom.server_params
         ) <= 1e-12
         assert _relative_gap(
-            self.ETA * slowmo.slow_momentum, fedmom.server_momentum
+            self.ETA * slowmo.server_momentum, fedmom.server_momentum
         ) <= 1e-12
         np.testing.assert_allclose(b.test_loss, a.test_loss, rtol=1e-12)
         np.testing.assert_allclose(

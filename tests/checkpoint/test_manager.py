@@ -16,7 +16,12 @@ from repro.checkpoint import (
     load_resume,
     restore,
 )
-from repro.checkpoint.format import CheckpointError, list_checkpoints
+from repro.checkpoint.format import (
+    CheckpointError,
+    list_checkpoints,
+    read_checkpoint,
+    write_checkpoint,
+)
 from repro.core import Federation, HierAdMo
 from repro.data import make_synthetic_mnist, partition_xclass, train_test_split
 from repro.experiments.config import ExperimentConfig
@@ -187,6 +192,24 @@ class TestApplyValidation:
         restored.manifest["driver"]["kind"] = written_by
         with pytest.raises(ValueError, match=f"not the '{expected}' driver"):
             fresh.run(6, eval_every=3, resume_from=restored)
+
+    def test_missing_state_array_rejected(self, tmp_path):
+        """A checkpoint without a declared array names it, e.g. a SlowMo
+        checkpoint written before ``slow_momentum`` was renamed."""
+        from repro.algorithms import SlowMo
+
+        manager = CheckpointManager(tmp_path / "run", every=6)
+        SlowMo(build_federation(), eta=0.05, tau=6).run(
+            12, eval_every=6, checkpoints=manager
+        )
+        manifest, arrays = read_checkpoint(manager.load_latest().path)
+        del arrays["algo:server_momentum"]
+        path = write_checkpoint(
+            tmp_path / "old", manifest["iteration"], manifest, arrays
+        )
+        fresh = SlowMo(build_federation(), eta=0.05, tau=6)
+        with pytest.raises(CheckpointError, match="'server_momentum'"):
+            fresh.run(18, eval_every=6, resume_from=load_resume(path))
 
 
 class TestRestoreFromConfig:

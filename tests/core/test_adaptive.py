@@ -170,9 +170,10 @@ class TestController:
     def test_accumulate_step_matches_per_worker(self, mode):
         """The selector step is step-for-step equal to the loop.
 
-        Alternates ``slice(None)`` with index-array selectors, and resets
-        workers between steps so both kinds of selector meet rows still
-        on their boundary step (and rows that are not).
+        Alternates ``slice(None)`` with index-array and one-row slice
+        selectors, and resets workers between steps so every kind of
+        selector meets rows still on their boundary step (and rows that
+        are not).
         """
         rng = np.random.default_rng(0)
         stacked = AdaptiveGammaController(4, 3, mode=mode)
@@ -184,6 +185,8 @@ class TestController:
             (np.array([0, 1]), []),  # 0 on its boundary step
             (np.array([3]), []),  # 3 on its boundary step
             (slice(None), []),  # nobody on a boundary step
+            (slice(2, 3), [2]),  # one-row slice, as the event clock steps
+            (slice(2, 3), []),  # one-row slice on its boundary step
         ]
         for rows, reset in schedule:
             chosen = np.arange(4)[rows]

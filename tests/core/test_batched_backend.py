@@ -289,27 +289,6 @@ class TestSamplerPathEquivalence:
 # Vectorized aggregation and evaluation
 # ----------------------------------------------------------------------
 class TestAggregationAndEval:
-    def test_edge_average_all_matches_per_edge(self):
-        fed = _tabular_federation()
-        vectors = np.random.default_rng(13).normal(
-            size=(fed.num_workers, fed.dim)
-        )
-        stacked = fed.edge_average_all(vectors)
-        for edge in range(fed.num_edges):
-            np.testing.assert_allclose(
-                stacked[edge], fed.edge_average(edge, vectors), rtol=1e-12
-            )
-
-    def test_edge_average_all_writes_into_out(self):
-        fed = _tabular_federation()
-        vectors = np.random.default_rng(14).normal(
-            size=(fed.num_workers, fed.dim)
-        )
-        out = np.empty((fed.num_edges, fed.dim))
-        result = fed.edge_average_all(vectors, out=out)
-        assert result is out
-        np.testing.assert_allclose(out, fed.edge_average_all(vectors))
-
     def test_evaluate_matches_two_pass_reference(self):
         fed = _tabular_federation()
         params = fed.initial_params()

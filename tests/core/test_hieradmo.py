@@ -153,7 +153,7 @@ class TestEquivalentUpdate:
         samplers_snapshot = copy.deepcopy(fed.samplers)
 
         for t in range(1, 6):
-            algo._worker_iteration()
+            algo._step(t)
         paper_x = [value.copy() for value in algo.x]
 
         fed.samplers = samplers_snapshot

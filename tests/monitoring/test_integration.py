@@ -10,6 +10,7 @@ import pytest
 
 from repro.algorithms import AsyncHierAdMo, HierFAVG
 from repro.core import HierAdMo
+from repro.faults import FaultPlan
 from repro.metrics import history_from_dict, history_to_dict
 from repro.monitoring import (
     PlateauMonitor,
@@ -156,6 +157,26 @@ class TestOtherAlgorithms:
         kinds = [e.kind for e in sink.snapshot()]
         assert kinds.count("edge_round") == 6
         assert kinds.count("cloud_round") == 2
+
+    @pytest.mark.parametrize(
+        "cls", [HierAdMo, HierFAVG], ids=lambda cls: cls.name
+    )
+    def test_edge_round_counts_edges_that_held_one(
+        self, federation_factory, cls
+    ):
+        """A dark edge holds no round, so ``edges`` leaves it out."""
+        algorithm = cls(federation_factory(), eta=0.05, tau=2, pi=2)
+        # Edge 0 is dark in intervals 1 and 2: the rounds at t=2 and 4.
+        algorithm.attach_faults(FaultPlan(scripted_edge_down=((0, 1, 2),)))
+        sink = RingBufferSink()
+        with monitoring(sinks=[sink]):
+            algorithm.run(8, eval_every=8)
+        edges = {
+            e.iteration: e.data["edges"]
+            for e in sink.snapshot()
+            if e.kind == "edge_round"
+        }
+        assert edges == {2: 1, 4: 1, 6: 2, 8: 2}
 
     def test_two_tier_emits_cloud_rounds(self, federation_factory):
         from repro.algorithms import FedAvg

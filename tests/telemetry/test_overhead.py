@@ -64,32 +64,31 @@ def _make_algo():
     return fed, algo
 
 
-def _untraced_iteration(fed, algo):
-    """The live worker-iteration body, minus its telemetry span.
+def _untraced_step(algo, t):
+    """``FLAlgorithm._step`` minus its telemetry span.
 
-    Same step as ``HierAdMo._worker_iteration``: one batched
-    ``gradient_all`` pass over the selected rows, then lines 5–6.
+    The same hooks as the live step: one batched ``gradient_all`` pass
+    over the selected rows, the worker rule (lines 5–6), and the
+    aggregation schedule (idle at this ``tau``).
     """
     rows = algo._iteration_rows()
-    losses = fed.gradient_all(algo.x, rows=rows, out=algo._grads)
-    g = algo._grads[rows]
-    y_prev = algo.y[rows]
-    y_new = algo.x[rows] - algo.eta * g
-    velocity = y_new - y_prev
-    algo.controller.accumulate_step(rows, g, y_prev, velocity)
-    algo.x[rows] = y_new + algo.gamma * velocity
-    algo.y[rows] = y_new
-    return float(losses.mean())
+    loss = algo._gradient_iteration(rows)
+    algo._local_update(rows)
+    algo._aggregate(t)
+    return loss
 
 
 def test_disabled_tracer_overhead_smoke():
     telemetry.disable()
-    fed, algo = _make_algo()
+    _, algo = _make_algo()
+    clock = iter(range(1, 10**9))
 
     def untraced():
-        _untraced_iteration(fed, algo)
+        _untraced_step(algo, next(clock))
 
-    disabled = algo._worker_iteration
+    def disabled():
+        algo._step(next(clock))
+
     untraced()
     disabled()
     overhead = float(np.median(_pair_overheads(untraced, disabled)))

@@ -125,10 +125,38 @@ class TestFingerprint:
         # 15 sync and 3 CNN goldens on two backends; 4 workloads x 2 seeds;
         # 2 async algorithms x 2 quorums x clean/faults; 4 populations;
         # both clocks with checkpoints and monitor, and crash-resumed.
+        # Fault rows: the zero plan per golden, then 5 single-kind plans
+        # x 3 policies on the 6 three-tier goldens and 3 plans x 3
+        # policies on the 9 two-tier ones.
         assert counts == {
-            "sync": 30, "cnn": 6, "e2e": 8, "async": 8, "population": 4,
-            "lifecycle": 2, "resume": 2,
+            "sync": 30, "cnn": 6, "faults": 15 + 6 * 15 + 9 * 9, "e2e": 8,
+            "async": 8, "population": 4, "lifecycle": 2, "resume": 2,
         }
+
+    def test_every_fault_plan_realizes_and_moves_its_row(self):
+        """Each single-kind plan fires at least once and moves the
+        history or the comm ledger away from the zero-plan row."""
+        tool = load_tool("fingerprint")
+        for name, plans in (
+            ("HierFAVG", ["dropout", "outage", "loss", "duplication", "staleness"]),
+            ("FedAvg", ["dropout", "loss", "duplication"]),
+        ):
+            runs = tool.fingerprint(
+                [f"faults/{name}/zero/renormalize"]
+                + [f"faults/{name}/{plan}/renormalize" for plan in plans]
+            )["runs"]
+            zero = runs.pop(f"faults/{name}/zero/renormalize")
+            assert sorted(run.split("/")[2] for run in runs) == sorted(plans)
+            for run, record in runs.items():
+                assert "error" not in record, record.get("error")
+                _, counter = tool.FAULT_PLANS[run.split("/")[2]]
+                assert record["fault_summary"]["events"][counter] > 0, run
+                moved = [
+                    field for field in record
+                    if field.startswith(("history.", "comm"))
+                    and record[field] != zero[field]
+                ]
+                assert moved, run
 
     def test_identical_runs_give_empty_diff(self, tmp_path, capsys):
         tool = load_tool("fingerprint")

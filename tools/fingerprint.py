@@ -21,6 +21,12 @@ The matrix (``MATRIX``):
   ``tests/integration/test_golden_trajectories.py``, on the batched and
   the loop backend;
 * ``cnn/<name>/<backend>``: the 3 CNN goldens, on both backends;
+* ``faults/<name>/<plan>/<policy>``: the 15 sync goldens under a fault
+  plan: the zero plan once per golden, and each single-kind plan of
+  ``FAULT_PLANS`` under every degradation policy.  The two-tier goldens
+  leave out the edge-outage and staleness plans: their rounds read
+  neither the edge mask nor the staleness buffer.  A row whose plan
+  realized no event of its kind is recorded as an error;
 * ``e2e/<workload>/seed<s>``: the four ``benchmarks/e2e`` workloads at
   seeds 1 and 2, built by ``benchmarks.e2e.workloads.build`` at their
   full plan, run without checkpoints or the monitor;
@@ -78,9 +84,9 @@ if __name__ == "__main__":
 import numpy as np  # noqa: E402
 
 from benchmarks.e2e.workloads import WORKLOADS, build as build_workload  # noqa: E402
-from repro.algorithms import ASYNC_ALGORITHM_REGISTRY  # noqa: E402
+from repro.algorithms import ASYNC_ALGORITHM_REGISTRY, TwoTierAlgorithm  # noqa: E402
 from repro.checkpoint import CheckpointManager  # noqa: E402
-from repro.faults import FaultPlan, InjectedCrash  # noqa: E402
+from repro.faults import DEGRADATION_POLICIES, FaultPlan, InjectedCrash  # noqa: E402
 from repro.monitoring import RingBufferSink, default_monitors, monitoring  # noqa: E402
 from tests.algorithms.test_async_equivalence import straggler_deployment  # noqa: E402
 from tests.integration import test_golden_trajectories as goldens  # noqa: E402
@@ -96,6 +102,18 @@ ASYNC_FAULTS = FaultPlan(
     seed=7, worker_dropout=0.1, edge_outage=0.05, msg_loss=0.1,
     msg_duplication=0.05, msg_staleness=0.2, staleness_intervals=3,
 )
+# One plan per fault kind, with the counter that shows it realized.
+# The loss plan allows no retries: at this rate the default three
+# deliver nearly every transfer, so no two-tier history would move.
+FAULT_PLANS = {
+    "zero": (FaultPlan(), None),
+    "dropout": (FaultPlan(seed=2, worker_dropout=0.2), "fault.worker_drop"),
+    "outage": (FaultPlan(seed=2, edge_outage=0.3), "fault.edge_outage"),
+    "loss": (FaultPlan(seed=2, msg_loss=0.3, max_retries=0), "fault.msg_loss"),
+    "duplication": (FaultPlan(seed=2, msg_duplication=0.3), "fault.msg_dup"),
+    "staleness": (FaultPlan(seed=2, msg_staleness=0.5), "fault.msg_stale"),
+}
+THREE_TIER_PLANS = ("outage", "staleness")
 POPULATION = {**population.SAMPLED_CASES, **population.ASYNC_SAMPLED_CASES}
 POPULATION_NAMES = ("HierAdMo", "FedNAG", "FedADC", "AsyncHierAdMo")
 CLOCKS = ("lockstep", "event")
@@ -124,6 +142,28 @@ def _golden(name: str, backend: str, cnn: bool) -> dict:
         federation = goldens.build_federation(backend)
         iterations = goldens.TOTAL_ITERATIONS
     return _ran(cls(federation, **kwargs), iterations, goldens.EVAL_EVERY)
+
+
+def _faulted(name: str, plan_name: str, policy: str) -> dict:
+    cls, kwargs = goldens.ALGORITHMS[name]
+    algorithm = cls(goldens.build_federation("auto"), **kwargs)
+    plan, counter = FAULT_PLANS[plan_name]
+    algorithm.attach_faults(plan, policy=policy)
+    record = _ran(algorithm, goldens.TOTAL_ITERATIONS, goldens.EVAL_EVERY)
+    if counter is not None and not record["fault_summary"]["events"][counter]:
+        raise RuntimeError(f"the {plan_name} plan realized no {counter}")
+    return record
+
+
+def _fault_rows(name: str) -> list[tuple[str, str]]:
+    """``(plan, policy)`` of every fault row of the golden ``name``."""
+    two_tier = issubclass(goldens.ALGORITHMS[name][0], TwoTierAlgorithm)
+    return [("zero", DEGRADATION_POLICIES[0])] + [
+        (plan, policy)
+        for plan in FAULT_PLANS
+        if plan != "zero" and not (two_tier and plan in THREE_TIER_PLANS)
+        for policy in DEGRADATION_POLICIES
+    ]
 
 
 def _workload(name: str, seed: int) -> dict:
@@ -233,6 +273,11 @@ MATRIX = {
         f"cnn/{name}/{backend}": partial(_golden, name, backend, True)
         for name in sorted(goldens.CNN_ALGORITHMS)
         for backend in BACKENDS
+    },
+    **{
+        f"faults/{name}/{plan}/{policy}": partial(_faulted, name, plan, policy)
+        for name in sorted(goldens.ALGORITHMS)
+        for plan, policy in _fault_rows(name)
     },
     **{
         f"e2e/{name}/seed{seed}": partial(_workload, name, seed)
