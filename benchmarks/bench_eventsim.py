@@ -98,13 +98,16 @@ def test_quorum_under_stragglers(benchmark):
             late = sum(
                 len(record.workers_late) for record in result.edge_rounds
             )
-            out[quorum] = (result.total_time, late)
+            folded = sum(
+                len(record.workers_stale) for record in result.edge_rounds
+            )
+            out[quorum] = (result.total_time, late, folded)
         return out
 
     results = run_once(benchmark, evaluate)
-    print("\nquorum   total time   late uploads dropped")
-    for quorum, (total, late) in results.items():
-        print(f"{quorum:6.2f} {total:10.1f}s   {late}")
+    print("\nquorum   total time   late uploads   folded stale")
+    for quorum, (total, late, folded) in results.items():
+        print(f"{quorum:6.2f} {total:10.1f}s   {late:12d}   {folded:12d}")
     assert results[0.5][0] < results[1.0][0]
     assert results[0.75][0] < results[1.0][0]
 

@@ -57,9 +57,10 @@ class AsyncExecutionMixin:
     Mix in *before* the algorithm class.  Swaps the run's lockstep clock
     for the event clock (``FLAlgorithm.run`` stays the driver) and
     implements the runner's client protocol.  Each worker event applies
-    the lockstep worker rule ``_local_update`` to that worker's row; the
-    round hooks (``close_round``, ``cloud_sync``) come from the concrete
-    subclass.
+    the lockstep worker rule ``_local_update`` to that worker's row.  A
+    closure that aggregates calls the concrete subclass's
+    ``_merge_arrivals``; ``resync_worker`` and ``cloud_sync`` come from
+    the subclass too.
     """
 
     DRIVER_KIND = "event"
@@ -112,7 +113,9 @@ class AsyncExecutionMixin:
         # live ``x`` rows of mid-interval workers are private state no
         # deployment could actually read.
         self._eval_x = self.x.copy()
-        self._stale_store: dict[int, tuple] = {}
+        # Row w: worker w's last upload that missed its quorum, buffered
+        # until a closure folds it (the runner tracks which rows do).
+        self._stale_x = np.zeros_like(self.x)
         self._gamma_pending: dict[int, dict[int, float]] = {}
         self.runner = None
 
@@ -215,45 +218,53 @@ class AsyncExecutionMixin:
             return EVERYONE
         return np.asarray(fresh, dtype=int) - block.start
 
-    # ------------------------------------------------------------------
-    # Checkpoint protocol (engine-side state rides along with the
-    # algorithm's declared CKPT_ARRAYS/CKPT_VALUES)
-    # ------------------------------------------------------------------
-    def checkpoint_arrays(self) -> dict[str, np.ndarray]:
-        arrays = dict(super().checkpoint_arrays())
-        arrays["async:eval_x"] = self._eval_x
-        for worker, snap in self._stale_store.items():
-            parts = snap if isinstance(snap, tuple) else (snap,)
-            for slot, part in enumerate(parts):
-                arrays[f"async:stale:{worker}:{slot}"] = part
-        return arrays
+    def snapshot_stale(self, worker: int) -> None:
+        self._stale_x[worker] = self.x[worker]
 
-    def restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        super().restore_arrays(
-            {
-                name: array
-                for name, array in arrays.items()
-                if not name.startswith("async:")
-            }
-        )
-        np.copyto(self._eval_x, arrays["async:eval_x"])
-        slots: dict[int, dict[int, np.ndarray]] = {}
-        for name, array in arrays.items():
-            if not name.startswith("async:stale:"):
-                continue
-            _, _, worker, slot = name.split(":")
-            slots.setdefault(int(worker), {})[int(slot)] = array.copy()
-        # Single-slot snapshots are bare arrays (AsyncFedAvg), multi-slot
-        # ones tuples (AsyncHierAdMo) — mirroring ``snapshot_stale``.
-        self._stale_store = {
-            worker: (
-                parts[0]
-                if len(parts) == 1
-                else tuple(parts[i] for i in range(len(parts)))
-            )
-            for worker, parts in slots.items()
-        }
+    def close_round(
+        self,
+        group: int,
+        round_index: int,
+        fresh: tuple[int, ...],
+        stale: tuple[tuple[int, int], ...],
+        receivers: tuple[int, ...],
+        upload_events: int,
+        *,
+        dark: bool = False,
+    ) -> None:
+        """Aggregate round ``round_index`` from whatever arrived.
 
+        A dark or empty closure aggregates nothing: each receiver
+        resyncs to the group's last distributed model.
+        """
+        with get_tracer().span("cloud_agg" if self.FLAT else "edge_agg"):
+            if dark or not (fresh or stale):
+                for worker in receivers:
+                    self.resync_worker(worker, group)
+                if upload_events:
+                    self._bill(upload_events, rounds=0)
+                return
+            recv = np.asarray(receivers, dtype=int)
+            self._merge_arrivals(group, round_index, fresh, stale, recv)
+            self._bill(upload_events + recv.size)
+
+    def _bill(self, transfers: int, *, rounds: int = 1) -> None:
+        """Bill worker transfers on their link: the WAN if flat."""
+        comm = self.history.comm
+        record = comm.record_edge_cloud if self.FLAT else comm.record_worker_edge
+        record(transfers, rounds=rounds)
+
+    def _stale_rows(self, stale: tuple[tuple[int, int], ...]):
+        """Worker ids of a closure's stale pairs, and ``decay**s`` each."""
+        ids = np.array([w for w, _ in stale], dtype=int)
+        decays = np.array([self.staleness_decay**s for _, s in stale])
+        return ids, decays
+
+    # ------------------------------------------------------------------
+    # Checkpoint protocol: ``_eval_x`` and the stale rows are declared
+    # CKPT_ARRAYS of the concrete classes; the γℓ values wait here for
+    # their barrier.
+    # ------------------------------------------------------------------
     def checkpoint_values(self) -> dict:
         values = dict(super().checkpoint_values())
         values["async:gamma_pending"] = {
@@ -305,12 +316,15 @@ class AsyncHierAdMo(AsyncExecutionMixin, HierAdMo):
     """Event-driven HierAdMo with stale-momentum correction."""
 
     name = "AsyncHierAdMo"
+    CKPT_ARRAYS = HierAdMo.CKPT_ARRAYS + ("_eval_x", "_stale_x", "_stale_y")
+
+    def _setup(self) -> None:
+        super()._setup()
+        self._stale_y = np.zeros_like(self.y)
 
     def snapshot_stale(self, worker: int) -> None:
-        self._stale_store[worker] = (
-            self.x[worker].copy(),
-            self.y[worker].copy(),
-        )
+        super().snapshot_stale(worker)
+        self._stale_y[worker] = self.y[worker]
 
     def resync_worker(self, worker: int, group: int) -> None:
         """A late worker downloads the edge's current state and restarts."""
@@ -318,80 +332,54 @@ class AsyncHierAdMo(AsyncExecutionMixin, HierAdMo):
         self.x[worker] = self.edge_x_plus[group]
         self._eval_x[worker] = self.edge_x_plus[group]
         self.controller.reset_workers([worker])
-        self.history.comm.record_worker_edge(1, rounds=0)
+        self._bill(1, rounds=0)
 
-    def close_round(
+    def _merge_arrivals(
         self,
         group: int,
         round_index: int,
         fresh: tuple[int, ...],
         stale: tuple[tuple[int, int], ...],
-        receivers: tuple[int, ...],
-        upload_events: int,
-        *,
-        dark: bool = False,
+        recv: np.ndarray,
     ) -> None:
         """Lines 8–15 on whatever arrived at this edge's quorum."""
         fed = self.fed
-        recv = np.asarray(receivers, dtype=int)
-        with get_tracer().span("edge_agg"):
-            if dark or (not fresh and not stale):
-                # No aggregate this round: rebroadcast the edge's last
-                # state so the barrier's workers restart coherently.
-                if recv.size:
-                    self.y[recv] = self.edge_y_minus[group]
-                    self.x[recv] = self.edge_x_plus[group]
-                    self._eval_x[recv] = self.edge_x_plus[group]
-                    self.controller.reset_workers(recv)
-                events = upload_events + recv.size
-                if events:
-                    self.history.comm.record_worker_edge(events, rounds=0)
-                return
-            rows = fed.edge_slices[group]
-            sel = self._fresh_rows(rows, fresh)
-            fresh_ids = block_rows(rows, sel)
-            w_fresh = fed.worker_w_in_edge[group][sel]
-            if fresh:
-                # γℓ measures *current* agreement, so only fresh
-                # accumulators enter eq. 6.
-                gamma_edge = self._adapt_edge_gamma(
-                    group, fresh_ids, w_fresh / w_fresh.sum()
-                )
-                self.controller.reset_workers(fresh_ids)
-            else:
-                gamma_edge = self._gamma_state[group]
-            decay = self.staleness_decay
-            y_ref = self.edge_y_minus[group]
-            blocks_y, blocks_x = [self.y[fresh_ids]], [self.x[fresh_ids]]
-            blocks_w = [w_fresh]
-            for w_id, s in stale:
-                x_snap, y_snap = self._stale_store.pop(w_id)
-                # Stale-momentum correction: contract the buffered
-                # momentum toward the last distributed aggregate so an
-                # s-rounds-old velocity cannot re-accelerate the edge
-                # momentum at full strength.
-                blocks_y.append((y_ref + decay**s * (y_snap - y_ref))[None])
-                blocks_x.append(x_snap[None])
-                blocks_w.append(
-                    fed.worker_w_in_edge[group][[w_id - rows.start]]
-                    * decay**s
-                )
-            weights = np.concatenate(blocks_w)
-            y_minus, x_plus = self._edge_momentum(
-                group,
-                weights / weights.sum(),
-                np.vstack(blocks_y),
-                np.vstack(blocks_x),
-                gamma_edge,
+        rows = fed.edge_slices[group]
+        sel = self._fresh_rows(rows, fresh)
+        fresh_ids = block_rows(rows, sel)
+        w_fresh = fed.worker_w_in_edge[group][sel]
+        if fresh:
+            # γℓ measures *current* agreement, so only fresh
+            # accumulators enter eq. 6.
+            gamma_edge = self._adapt_edge_gamma(
+                group, fresh_ids, w_fresh / w_fresh.sum()
             )
-            if recv.size:
-                self.y[recv] = y_minus
-                self.x[recv] = x_plus
-                self._eval_x[recv] = x_plus
-            self._gamma_pending.setdefault(round_index, {})[group] = (
-                gamma_edge
-            )
-            self.history.comm.record_worker_edge(upload_events + recv.size)
+            self.controller.reset_workers(fresh_ids)
+        else:
+            gamma_edge = self._gamma_state[group]
+        stale_ids, decays = self._stale_rows(stale)
+        # Stale-momentum correction: contract each buffered momentum
+        # toward the last distributed aggregate so an s-rounds-old
+        # velocity cannot re-accelerate the edge momentum at full
+        # strength.
+        y_ref = self.edge_y_minus[group]
+        y_stale = y_ref + decays[:, None] * (self._stale_y[stale_ids] - y_ref)
+        weights = np.concatenate([
+            w_fresh,
+            fed.worker_w_in_edge[group][stale_ids - rows.start] * decays,
+        ])
+        y_minus, x_plus = self._edge_momentum(
+            group,
+            weights / weights.sum(),
+            np.vstack([self.y[fresh_ids], y_stale]),
+            np.vstack([self.x[fresh_ids], self._stale_x[stale_ids]]),
+            gamma_edge,
+        )
+        if recv.size:
+            self.y[recv] = y_minus
+            self.x[recv] = x_plus
+            self._eval_x[recv] = x_plus
+        self._gamma_pending.setdefault(round_index, {})[group] = gamma_edge
 
     def cloud_sync(self, index: int, receivers: tuple[int, ...]) -> None:
         """Lines 17–23 at the cloud barrier."""
@@ -416,7 +404,7 @@ class AsyncFedAvg(AsyncExecutionMixin, FedAvg):
     name = "AsyncFedAvg"
     FLAT = True
 
-    CKPT_ARRAYS = FedAvg.CKPT_ARRAYS + ("_server_x",)
+    CKPT_ARRAYS = FedAvg.CKPT_ARRAYS + ("_server_x", "_eval_x", "_stale_x")
 
     def _setup(self) -> None:
         super()._setup()
@@ -424,51 +412,33 @@ class AsyncFedAvg(AsyncExecutionMixin, FedAvg):
         # round closes empty, download source for late-worker resyncs).
         self._server_x = self.fed.initial_params()
 
-    def snapshot_stale(self, worker: int) -> None:
-        self._stale_store[worker] = self.x[worker].copy()
-
     def resync_worker(self, worker: int, group: int) -> None:
         self.x[worker] = self._server_x
         self._eval_x[worker] = self._server_x
-        self.history.comm.record_edge_cloud(1, rounds=0)
+        self._bill(1, rounds=0)
 
-    def close_round(
+    def _merge_arrivals(
         self,
         group: int,
         round_index: int,
         fresh: tuple[int, ...],
         stale: tuple[tuple[int, int], ...],
-        receivers: tuple[int, ...],
-        upload_events: int,
-        *,
-        dark: bool = False,
+        recv: np.ndarray,
     ) -> None:
+        """Staleness-decayed average of the arrivals at the cloud."""
         fed = self.fed
-        recv = np.asarray(receivers, dtype=int)
-        with get_tracer().span("cloud_agg"):
-            if dark or (not fresh and not stale):
-                if recv.size:
-                    self.x[recv] = self._server_x
-                    self._eval_x[recv] = self._server_x
-                events = upload_events + recv.size
-                if events:
-                    self.history.comm.record_edge_cloud(events, rounds=0)
-                return
-            sel = self._fresh_rows(slice(0, fed.num_workers), fresh)
-            blocks_x = [self.x[sel]]
-            blocks_w = [fed.global_worker_w[sel]]
-            for w_id, s in stale:
-                blocks_x.append(self._stale_store.pop(w_id)[None])
-                blocks_w.append(
-                    fed.global_worker_w[[w_id]] * self.staleness_decay**s
-                )
-            weights = np.concatenate(blocks_w)
-            x_bar = (weights / weights.sum()) @ np.vstack(blocks_x)
-            self._server_x = x_bar
-            if recv.size:
-                self.x[recv] = x_bar
-                self._eval_x[recv] = x_bar
-            self.history.comm.record_edge_cloud(upload_events + recv.size)
+        sel = self._fresh_rows(slice(0, fed.num_workers), fresh)
+        stale_ids, decays = self._stale_rows(stale)
+        weights = np.concatenate([
+            fed.global_worker_w[sel], fed.global_worker_w[stale_ids] * decays
+        ])
+        x_bar = (weights / weights.sum()) @ np.vstack(
+            [self.x[sel], self._stale_x[stale_ids]]
+        )
+        self._server_x = x_bar
+        if recv.size:
+            self.x[recv] = x_bar
+            self._eval_x[recv] = x_bar
 
     def cloud_sync(self, index: int, receivers: tuple[int, ...]) -> None:
         raise RuntimeError(

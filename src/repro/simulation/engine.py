@@ -1,9 +1,9 @@
 """Event-driven asynchronous execution engine.
 
-Inverts the relationship between training and the delay simulation: the
-discrete-event machinery in :mod:`repro.simulation.events` *prices* a
-finished lockstep run after the fact, whereas this module's shared event
-queue drives training itself.  Four event kinds circulate:
+A shared event queue drives training itself: worker steps, uploads and
+aggregations fire at their simulated times.  The deployment simulator
+:class:`~repro.simulation.events.EventDrivenSimulator` runs the same
+engine with a client that computes nothing.  Four event kinds circulate:
 
 * ``worker_compute_done`` — one worker finished one local iteration at
   its simulated completion time; the algorithm's gradient step for that
@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -177,9 +177,9 @@ class EventQueue:
 class AsyncDeployment:
     """Physical deployment an event-driven run executes on.
 
-    Bundles the device and link profiles of
-    :class:`~repro.simulation.events.EventDrivenSimulator` plus the edge
-    quorum, so algorithm constructors take one argument instead of six.
+    Bundles the worker, edge and cloud devices, the LAN and WAN links
+    and the edge quorum, so constructors take one argument instead of
+    seven.
     """
 
     worker_devices: list[DeviceProfile]
@@ -211,7 +211,8 @@ class EventLoopRunner:
 
     After :meth:`run`, ``result`` holds the
     :class:`~repro.simulation.events.EventSimulation` (edge/cloud round
-    records with staleness fields), ``stale_log`` the realized
+    records with staleness fields; a flat run records each closure as
+    its cloud round too), ``stale_log`` the realized
     ``(group, round, worker, staleness)`` folds, and
     ``diverged_at``/``diverged_loss`` the abort point when a non-finite
     loss stopped the run.
@@ -277,7 +278,7 @@ class EventLoopRunner:
         ]
 
         # Per-worker state.
-        self._clock = np.zeros(self.num_workers)
+        self._clock = [0.0] * self.num_workers
         self._phase = [_COMPUTING] * self.num_workers
         self._version = [0] * self.num_workers
         self._steps_left = [0] * self.num_workers
@@ -643,6 +644,9 @@ class EventLoopRunner:
                 workers_stale=stale_recorded,
             )
         )
+        if self.flat:
+            # A flat closure is the cloud round.
+            self._record_cloud_round(round_index, start, finish)
 
         monitor = get_monitor()
         if monitor.enabled:
@@ -714,16 +718,7 @@ class EventLoopRunner:
             set().union(*(recv for _, recv in self._cloud_wait.values()))
         )
         self.client.cloud_sync(index, tuple(all_receivers))
-        stale_ids = sorted(set().union(*self._stale_since_cloud))
-        self._cloud_records.append(
-            CloudRoundRecord(
-                round_index=index,
-                start_time=float(start),
-                finish_time=float(finish),
-                edges_included=tuple(range(self.num_groups)),
-                stale_uploads=tuple(int(w) for w in stale_ids),
-            )
-        )
+        stale_ids = self._record_cloud_round(index, start, finish)
         monitor = get_monitor()
         if monitor.enabled:
             monitor.emit(
@@ -739,7 +734,6 @@ class EventLoopRunner:
                 receivers=len(all_receivers),
             )
         for group in range(self.num_groups):
-            self._stale_since_cloud[group] = set()
             boundary = self._next_round[group] - 1
             _, receivers = self._cloud_wait[group]
             wan_down = self.dep.wan.transfer_time(
@@ -756,6 +750,24 @@ class EventLoopRunner:
         self._cloud_round = index
         self._notify(finish)
 
+    def _record_cloud_round(
+        self, index: int, start: float, finish: float
+    ) -> tuple[int, ...]:
+        """Record cloud round ``index`` with the uploads that missed a
+        quorum since the previous one; returns those workers."""
+        stale_ids = tuple(sorted(set().union(*self._stale_since_cloud)))
+        self._cloud_records.append(
+            CloudRoundRecord(
+                round_index=index,
+                start_time=float(start),
+                finish_time=float(finish),
+                edges_included=tuple(range(self.num_groups)),
+                stale_uploads=stale_ids,
+            )
+        )
+        self._stale_since_cloud = [set() for _ in range(self.num_groups)]
+        return stale_ids
+
     # ------------------------------------------------------------------
     # Round-barrier notifications
     # ------------------------------------------------------------------
@@ -768,6 +780,18 @@ class EventLoopRunner:
     # ------------------------------------------------------------------
     # Durable snapshots (checkpoint/restore)
     # ------------------------------------------------------------------
+    # The fields run() consults, each named once and grouped by JSON
+    # shape: scalar lists, per-group worker sets, per-group worker-keyed
+    # maps, scalars, and the round records (via dataclasses.asdict).
+    _LISTS = ("_clock", "_phase", "_version", "_steps_left",
+              "_pending_transfers", "_closing", "_next_round", "_completed")
+    _WORKER_SETS = ("_lost", "_inflight", "_stale_since_cloud")
+    _WORKER_MAPS = ("_fresh", "_stale")
+    _SCALARS = ("_cloud_round", "_notified", "uploads_sent",
+                "last_event_time", "diverged_at", "diverged_loss")
+    _RECORDS = {"_edge_records": EdgeRoundRecord,
+                "_cloud_records": CloudRoundRecord}
+
     def state_dict(self) -> dict:
         """JSON-able snapshot of the complete engine state.
 
@@ -777,137 +801,71 @@ class EventLoopRunner:
         :meth:`load_state_dict` and run with ``resume=True`` replays the
         remaining events bit-for-bit.
         """
-        return {
-            "clock": self._clock.tolist(),
-            "phase": list(self._phase),
-            "version": list(self._version),
-            "steps_left": list(self._steps_left),
-            "fresh": [
-                {str(w): float(t) for w, t in group.items()}
-                for group in self._fresh
-            ],
-            "stale": [
-                {str(w): int(v) for w, v in group.items()}
-                for group in self._stale
-            ],
-            "lost": [sorted(int(w) for w in s) for s in self._lost],
-            "inflight": [sorted(int(w) for w in s) for s in self._inflight],
-            "pending_transfers": list(self._pending_transfers),
-            "closing": list(self._closing),
-            "next_round": list(self._next_round),
-            "completed": list(self._completed),
-            "stale_since_cloud": [
-                sorted(int(w) for w in s) for s in self._stale_since_cloud
-            ],
-            "cloud_wait": {
-                str(g): [float(ready), sorted(int(w) for w in recv)]
-                for g, (ready, recv) in self._cloud_wait.items()
+        state = {}
+        for name in self._LISTS:
+            state[_key(name)] = list(getattr(self, name))
+        for name in self._WORKER_SETS:
+            state[_key(name)] = [sorted(s) for s in getattr(self, name)]
+        for name in self._WORKER_MAPS:
+            state[_key(name)] = [
+                {str(w): value for w, value in group.items()}
+                for group in getattr(self, name)
+            ]
+        for name in self._SCALARS:
+            state[_key(name)] = getattr(self, name)
+        for name in self._RECORDS:
+            state[_key(name)] = [asdict(r) for r in getattr(self, name)]
+        state.update(
+            cloud_wait={
+                str(g): [ready, sorted(receivers)]
+                for g, (ready, receivers) in self._cloud_wait.items()
             },
-            "cloud_round": self._cloud_round,
-            "notified": self._notified,
-            "worker_masks": {
+            worker_masks={
                 str(t): None if mask is None else mask.tolist()
                 for t, mask in self._worker_masks.items()
             },
-            "queue": self.queue.state_dict(),
-            "stale_log": [list(entry) for entry in self.stale_log],
-            "uploads_sent": self.uploads_sent,
-            "last_event_time": self.last_event_time,
-            "diverged_at": self.diverged_at,
-            "diverged_loss": self.diverged_loss,
-            "edge_records": [
-                {
-                    "edge": r.edge,
-                    "round_index": r.round_index,
-                    "start_time": r.start_time,
-                    "finish_time": r.finish_time,
-                    "workers_included": list(r.workers_included),
-                    "workers_late": list(r.workers_late),
-                    "workers_stale": list(r.workers_stale),
-                }
-                for r in self._edge_records
-            ],
-            "cloud_records": [
-                {
-                    "round_index": r.round_index,
-                    "start_time": r.start_time,
-                    "finish_time": r.finish_time,
-                    "edges_included": list(r.edges_included),
-                    "stale_uploads": list(r.stale_uploads),
-                }
-                for r in self._cloud_records
-            ],
-            "rng": self.rng.bit_generator.state,
-        }
+            queue=self.queue.state_dict(),
+            stale_log=[list(entry) for entry in self.stale_log],
+            rng=self.rng.bit_generator.state,
+        )
+        return state
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot into this runner."""
-        self._clock = np.asarray(state["clock"], dtype=float)
-        self._phase = [int(p) for p in state["phase"]]
-        self._version = [int(v) for v in state["version"]]
-        self._steps_left = [int(s) for s in state["steps_left"]]
-        self._fresh = [
-            {int(w): float(t) for w, t in group.items()}
-            for group in state["fresh"]
-        ]
-        self._stale = [
-            {int(w): int(v) for w, v in group.items()}
-            for group in state["stale"]
-        ]
-        self._lost = [{int(w) for w in s} for s in state["lost"]]
-        self._inflight = [{int(w) for w in s} for s in state["inflight"]]
-        self._pending_transfers = [
-            int(n) for n in state["pending_transfers"]
-        ]
-        self._closing = [bool(c) for c in state["closing"]]
-        self._next_round = [int(r) for r in state["next_round"]]
-        self._completed = [int(r) for r in state["completed"]]
-        self._stale_since_cloud = [
-            {int(w) for w in s} for s in state["stale_since_cloud"]
-        ]
+        for name in self._LISTS:
+            setattr(self, name, list(state[_key(name)]))
+        for name in self._WORKER_SETS:
+            setattr(self, name, [set(s) for s in state[_key(name)]])
+        for name in self._WORKER_MAPS:
+            setattr(self, name, [
+                {int(w): value for w, value in group.items()}
+                for group in state[_key(name)]
+            ])
+        for name in self._SCALARS:
+            setattr(self, name, state[_key(name)])
+        for name, record in self._RECORDS.items():
+            setattr(self, name, [
+                record(**{
+                    attr: tuple(value) if isinstance(value, list) else value
+                    for attr, value in saved.items()
+                })
+                for saved in state[_key(name)]
+            ])
         self._cloud_wait = {
-            int(g): (float(ready), {int(w) for w in recv})
-            for g, (ready, recv) in state["cloud_wait"].items()
+            int(g): (ready, set(receivers))
+            for g, (ready, receivers) in state["cloud_wait"].items()
         }
-        self._cloud_round = int(state["cloud_round"])
-        self._notified = int(state["notified"])
         self._worker_masks = {
             int(t): None if mask is None else np.asarray(mask, dtype=bool)
             for t, mask in state["worker_masks"].items()
         }
         self.queue.load_state_dict(state["queue"])
-        self.stale_log = [
-            tuple(int(x) for x in entry) for entry in state["stale_log"]
-        ]
-        self.uploads_sent = int(state["uploads_sent"])
-        self.last_event_time = float(state["last_event_time"])
-        raw = state["diverged_at"]
-        self.diverged_at = None if raw is None else int(raw)
-        self.diverged_loss = float(state["diverged_loss"])
-        self._edge_records = [
-            EdgeRoundRecord(
-                edge=int(r["edge"]),
-                round_index=int(r["round_index"]),
-                start_time=float(r["start_time"]),
-                finish_time=float(r["finish_time"]),
-                workers_included=tuple(
-                    int(w) for w in r["workers_included"]
-                ),
-                workers_late=tuple(int(w) for w in r["workers_late"]),
-                workers_stale=tuple(int(w) for w in r["workers_stale"]),
-            )
-            for r in state["edge_records"]
-        ]
-        self._cloud_records = [
-            CloudRoundRecord(
-                round_index=int(r["round_index"]),
-                start_time=float(r["start_time"]),
-                finish_time=float(r["finish_time"]),
-                edges_included=tuple(int(e) for e in r["edges_included"]),
-                stale_uploads=tuple(int(w) for w in r["stale_uploads"]),
-            )
-            for r in state["cloud_records"]
-        ]
+        self.stale_log = [tuple(entry) for entry in state["stale_log"]]
         self.rng.bit_generator.state = state["rng"]
         # Don't immediately re-save the round we restored from.
         self._ckpt_notified = self._notified
+
+
+def _key(name: str) -> str:
+    """Snapshot key of a runner field: its name without the underscore."""
+    return name.lstrip("_")

@@ -4,20 +4,24 @@ The replay timelines in :mod:`repro.simulation.timeline` advance a single
 global clock per iteration (max over workers), which slightly
 over-synchronizes: real workers only meet at aggregation barriers, so a
 fast worker can be several iterations ahead within an edge interval.
-This module simulates the deployment at event granularity:
+This module simulates the deployment at event granularity, on the event
+engine of :mod:`repro.simulation.engine` with a client that computes
+nothing:
 
 * each worker is an independent process computing its τ local
   iterations (per-iteration delays sampled from its device profile),
   then uploading to its edge node;
 * an edge node aggregates when its quorum is met — all workers for the
   paper's synchronous setting (``quorum=1.0``), or a fraction for
-  asynchronous-flavoured deployments — then downloads the result back;
+  asynchronous-flavoured deployments — then downloads the result back.
+  A late upload is buffered and folded into a later round with its
+  staleness, and its sender resumes from the current round;
 * every π edge rounds the edges synchronize with the cloud over the WAN.
 
-Outputs per-round completion times plus per-worker iteration counts, so
-time-to-accuracy studies can also quantify how much a straggler quorum
-buys.  Statistics match the barrier structure of Algorithm 1 exactly
-when ``quorum=1.0``.
+Outputs the engine's per-round records plus per-iteration completion
+times, so time-to-accuracy studies can also quantify how much a
+straggler quorum buys.  Statistics match the barrier structure of
+Algorithm 1 exactly when ``quorum=1.0``.
 """
 
 from __future__ import annotations
@@ -27,15 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.simulation.devices import DeviceProfile
-from repro.simulation.links import LINK_PRESETS, LinkProfile
-from repro.simulation.devices import DEVICE_PRESETS
+from repro.simulation.links import LinkProfile
 from repro.topology import Topology
-from repro.utils.rng import make_rng
-from repro.utils.validation import (
-    check_positive,
-    check_positive_int,
-    check_quorum,
-)
 
 __all__ = ["EdgeRoundRecord", "CloudRoundRecord", "EventSimulation",
            "EventDrivenSimulator"]
@@ -51,9 +48,9 @@ class EdgeRoundRecord:
     finish_time: float
     workers_included: tuple[int, ...]
     workers_late: tuple[int, ...]
-    # Workers whose *buffered stale* uploads were folded into this round
-    # with a decayed weight (event-driven engine only; the post-hoc
-    # simulator discards late uploads instead of buffering them).
+    # Workers whose *buffered stale* uploads (late for an earlier round)
+    # were folded into this round; a training client weights them by
+    # their staleness.
     workers_stale: tuple[int, ...] = ()
 
 
@@ -67,10 +64,10 @@ class CloudRoundRecord:
     # Edges whose state entered the cloud average (all of them under the
     # full-barrier cloud sync; recorded so degraded variants can differ).
     edges_included: tuple[int, ...] = ()
-    # Workers whose uploads missed their edge quorum at some point since
-    # the previous cloud sync: the contribution the cloud round built on
-    # was computed without them (stale/discarded work the ledger and the
-    # async algorithms must still account for).
+    # Workers whose uploads missed their quorum at some point since the
+    # previous cloud round (every closure of a flat deployment is one):
+    # the contribution the cloud round built on was computed without
+    # them, or with their work folded in late.
     stale_uploads: tuple[int, ...] = ()
 
 
@@ -80,8 +77,10 @@ class EventSimulation:
 
     edge_rounds: list[EdgeRoundRecord] = field(default_factory=list)
     cloud_rounds: list[CloudRoundRecord] = field(default_factory=list)
-    # iteration_times[t] = time when every worker finished local
-    # iteration t (1-indexed entry t-1); the sync-equivalent curve.
+    # iteration_times[t-1]: the running maximum, over steps 1..t, of the
+    # time the last worker first finished that step.  A worker resynced
+    # after missing a quorum can skip or repeat steps; at quorum 1.0
+    # every worker runs every step once and the curve strictly rises.
     iteration_times: np.ndarray | None = None
 
     @property
@@ -94,12 +93,12 @@ class EventSimulation:
         return max(last_edge, last_cloud)
 
     def time_at_iteration(self, t: int) -> float:
-        """Global time when iteration ``t`` was complete everywhere.
+        """Global time by which iteration ``t`` was complete.
 
         ``t`` is the paper's 1-indexed iteration count, matching the
-        ``iteration_done`` convention above ("1-indexed entry t-1") and
-        the replay timelines' ``times[t]`` axis: ``t=0`` is the start of
-        the run (time 0.0) and ``t=T`` the final iteration.
+        ``iteration_times`` convention above (entry t-1) and the replay
+        timelines' ``times[t]`` axis: ``t=0`` is the start of the run
+        (time 0.0) and ``t=T`` the final iteration.
         """
         if self.iteration_times is None:
             raise ValueError("simulation did not record iteration times")
@@ -113,7 +112,12 @@ class EventSimulation:
 
 
 class EventDrivenSimulator:
-    """Simulate a three-tier deployment at event granularity."""
+    """Simulate a three-tier deployment at event granularity.
+
+    The simulation is an :class:`~repro.simulation.engine.EventLoopRunner`
+    run whose client does no numerics: it only records when each worker
+    first finished each local step.
+    """
 
     def __init__(
         self,
@@ -127,21 +131,25 @@ class EventDrivenSimulator:
         wan: LinkProfile | None = None,
         quorum: float = 1.0,
     ):
+        # Imported here: the engine imports this module's round records.
+        from repro.simulation.engine import AsyncDeployment
+
         if len(worker_devices) != topology.num_workers:
             raise ValueError(
                 f"{len(worker_devices)} devices for "
                 f"{topology.num_workers} workers"
             )
         self.topology = topology
-        self.worker_devices = worker_devices
-        self.payload_bytes = check_positive(payload_bytes, "payload_bytes")
-        self.edge_device = edge_device or DEVICE_PRESETS["macbook_pro_i7"]
-        self.cloud_device = cloud_device or DEVICE_PRESETS["gpu_tower_2080ti"]
-        self.lan = lan or LINK_PRESETS["wifi_5ghz"]
-        self.wan = wan or LINK_PRESETS["wan_internet"]
-        self.quorum = check_quorum(quorum)
+        self.deployment = AsyncDeployment(
+            worker_devices,
+            payload_bytes,
+            edge_device=edge_device,
+            cloud_device=cloud_device,
+            lan=lan,
+            wan=wan,
+            quorum=quorum,
+        )
 
-    # ------------------------------------------------------------------
     def simulate(
         self,
         total_iterations: int,
@@ -150,102 +158,53 @@ class EventDrivenSimulator:
         rng: np.random.Generator | int | None = None,
     ) -> EventSimulation:
         """Run the deployment for ``total_iterations`` local iterations."""
-        check_positive_int(total_iterations, "total_iterations")
-        check_positive_int(tau, "tau")
-        check_positive_int(pi, "pi")
-        rng = make_rng(rng)
-        topo = self.topology
-        result = EventSimulation()
+        from repro.simulation.engine import EventLoopRunner
 
-        # Per-worker clock and completed-iteration times.
-        worker_clock = np.zeros(topo.num_workers)
-        iteration_done = np.zeros((topo.num_workers, total_iterations))
-        # Edge clocks advance at aggregation events.
-        edge_round = 0
-        completed = 0
-        # Uploads that missed their edge quorum since the last cloud
-        # sync: the cloud round then aggregates edge states computed
-        # without them, so the discarded work is recorded on the
-        # CloudRoundRecord instead of silently vanishing.
-        late_since_cloud: set[int] = set()
-
-        while completed < total_iterations:
-            interval = min(tau, total_iterations - completed)
-            # Phase 1: independent local compute within the interval.
-            for worker in range(topo.num_workers):
-                delays = self.worker_devices[worker].sample_iterations(
-                    interval, rng
-                )
-                for step, delay in enumerate(delays):
-                    worker_clock[worker] += delay
-                    iteration_done[worker, completed + step] = worker_clock[
-                        worker
-                    ]
-            completed += interval
-
-            # Phase 2: per-edge aggregation with quorum semantics.
-            edge_round += 1
-            edge_finish = np.zeros(topo.num_edges)
-            for edge in range(topo.num_edges):
-                indices = topo.edge_worker_indices(edge)
-                arrivals = {
-                    index: worker_clock[index]
-                    + self.lan.transfer_time(self.payload_bytes, rng)
-                    for index in indices
-                }
-                needed = max(1, int(np.ceil(self.quorum * len(indices))))
-                ordered = sorted(arrivals, key=arrivals.get)
-                included = tuple(ordered[:needed])
-                late = tuple(ordered[needed:])
-                start = max(arrivals[index] for index in included)
-                finish = start + self.edge_device.sample_aggregation(rng)
-                # Download: every worker (even late ones) resumes after
-                # receiving the new model.
-                download_done = {
-                    index: max(finish, arrivals[index])
-                    + self.lan.transfer_time(self.payload_bytes, rng)
-                    for index in indices
-                }
-                for index in indices:
-                    worker_clock[index] = download_done[index]
-                late_since_cloud.update(late)
-                edge_finish[edge] = finish
-                result.edge_rounds.append(
-                    EdgeRoundRecord(
-                        edge=edge,
-                        round_index=edge_round,
-                        start_time=float(start),
-                        finish_time=float(finish),
-                        workers_included=included,
-                        workers_late=late,
-                    )
-                )
-
-            # Phase 3: cloud synchronization every pi edge rounds.
-            if edge_round % pi == 0:
-                uploads = [
-                    edge_finish[edge]
-                    + self.wan.transfer_time(self.payload_bytes, rng)
-                    for edge in range(topo.num_edges)
-                ]
-                start = max(uploads)
-                finish = start + self.cloud_device.sample_aggregation(rng)
-                result.cloud_rounds.append(
-                    CloudRoundRecord(
-                        round_index=edge_round // pi,
-                        start_time=float(start),
-                        finish_time=float(finish),
-                        edges_included=tuple(range(topo.num_edges)),
-                        stale_uploads=tuple(sorted(late_since_cloud)),
-                    )
-                )
-                late_since_cloud.clear()
-                for worker in range(topo.num_workers):
-                    worker_clock[worker] = max(
-                        worker_clock[worker],
-                        finish
-                        + self.wan.transfer_time(self.payload_bytes, rng),
-                    )
-
-        result.iteration_times = iteration_done.max(axis=0)
+        client = _StepClock(self.topology)
+        runner = EventLoopRunner(
+            client,
+            self.deployment,
+            tau=tau,
+            pi=pi,
+            total_iterations=total_iterations,
+            rng=rng,
+        )
+        client.bind(runner)
+        result = runner.run()
+        result.iteration_times = np.maximum.accumulate(
+            client.first_done.max(axis=0)
+        )
         return result
+
+
+class _StepClock:
+    """Runner client that times the steps and computes nothing.
+
+    The engine's schedule does not depend on the numerics, so every
+    hook but ``local_step`` is a no-op.
+    """
+
+    def __init__(self, topology: Topology):
+        self.group_members = [
+            topology.edge_worker_indices(edge)
+            for edge in range(topology.num_edges)
+        ]
+
+    def bind(self, runner) -> None:
+        self.runner = runner
+        # first_done[w, t-1]: when worker w first finished step t (0.0
+        # if it skipped it after a resync).
+        self.first_done = np.zeros(
+            (runner.num_workers, runner.total_iterations)
+        )
+
+    def local_step(self, worker: int, t: int) -> float:
+        if not self.first_done[worker, t - 1]:
+            self.first_done[worker, t - 1] = self.runner.last_event_time
+        return 0.0
+
+    def _ignore(self, *args, **kwargs) -> None:
+        pass
+
+    snapshot_stale = resync_worker = close_round = _ignore
+    cloud_sync = round_complete = _ignore

@@ -177,6 +177,26 @@ class TestStalenessProperties:
         assert np.all(np.diff(history.eval_times) > 0)
         assert len(history.eval_times) == len(history.iterations)
 
+    def test_flat_run_tallies_stale_uploads(self):
+        """Each AsyncFedAvg closure is its cloud round, so the fault
+        summary tallies the uploads that missed their quorum (regression:
+        the tally read only cloud-sync records, which a flat run never
+        writes, and always read zero)."""
+        plan = FaultPlan(
+            seed=7, worker_dropout=0.1, edge_outage=0.05, msg_loss=0.1,
+            msg_duplication=0.05, msg_staleness=0.2, staleness_intervals=3,
+        )
+        history, algorithm = run_async(
+            "FedAvg", deployment=straggler_deployment(0.5), plan=plan
+        )
+        tally = history.fault_summary["stale_uploads"]
+        runner = algorithm.runner
+        assert tally["uploads"] > 0
+        assert tally["cloud_rounds"] == runner.total_rounds
+        assert runner.stale_log
+        folded = {worker for _, _, worker, _ in runner.stale_log}
+        assert folded <= set(tally["workers"])
+
     @settings(max_examples=6, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**16),

@@ -211,6 +211,23 @@ class TestApplyValidation:
         with pytest.raises(CheckpointError, match="'server_momentum'"):
             fresh.run(18, eval_every=6, resume_from=load_resume(path))
 
+    def test_old_async_checkpoint_rejected(self, tmp_path):
+        """An event-clock checkpoint that stored the evaluation view as
+        ``async:eval_x`` (with ``async:stale:<w>:<slot>`` entries for
+        buffered uploads, none here at quorum 1.0) is refused."""
+        manager = CheckpointManager(tmp_path / "run", every=6)
+        make_async_algorithm().run(12, eval_every=6, checkpoints=manager)
+        manifest, arrays = read_checkpoint(manager.load_latest().path)
+        arrays["algo:async:eval_x"] = arrays.pop("algo:_eval_x")
+        del arrays["algo:_stale_x"], arrays["algo:_stale_y"]
+        path = write_checkpoint(
+            tmp_path / "old", manifest["iteration"], manifest, arrays
+        )
+        with pytest.raises(CheckpointError, match="'_eval_x'"):
+            make_async_algorithm().run(
+                18, eval_every=6, resume_from=load_resume(path)
+            )
+
 
 class TestRestoreFromConfig:
     CONFIG = ExperimentConfig(

@@ -156,7 +156,8 @@ class TestRunnerStructure:
         client = StubClient(flat=True)
         result = make_runner(client, pi=1, flat=True).run()
         assert not client.synced
-        assert not result.cloud_rounds
+        # Each flat closure is the cloud round: one record apiece.
+        assert [r.round_index for r in result.cloud_rounds] == [1, 2, 3, 4]
         assert [entry[1] for entry in client.closed] == [1, 2, 3, 4]
 
     def test_tail_interval_shorter_than_tau(self):

@@ -124,13 +124,15 @@ class TestFingerprint:
         counts = {kind: kinds.count(kind) for kind in kinds}
         # 15 sync and 3 CNN goldens on two backends; 4 workloads x 2 seeds;
         # 2 async algorithms x 2 quorums x clean/faults; 4 populations;
-        # both clocks with checkpoints and monitor, and crash-resumed.
-        # Fault rows: the zero plan per golden, then 5 single-kind plans
-        # x 3 policies on the 6 three-tier goldens and 3 plans x 3
-        # policies on the 9 two-tier ones.
+        # both clocks with checkpoints and monitor, and crash-resumed;
+        # the event simulator at 3 quorums.  Fault rows: the zero plan
+        # per golden, then 5 single-kind plans x 3 policies on the 6
+        # three-tier goldens and 3 plans x 3 policies on the 9 two-tier
+        # ones.
         assert counts == {
             "sync": 30, "cnn": 6, "faults": 15 + 6 * 15 + 9 * 9, "e2e": 8,
             "async": 8, "population": 4, "lifecycle": 2, "resume": 2,
+            "sim": 3,
         }
 
     def test_every_fault_plan_realizes_and_moves_its_row(self):
@@ -210,14 +212,15 @@ class TestFingerprint:
         self, tmp_path, capsys, monkeypatch
     ):
         """Saving every 6 iterations instead of every 5 changes no
-        numerics; the diff reports the moved ``checkpoint_saved`` events."""
+        numerics; the diff reports the moved ``checkpoint_saved`` events
+        and the saved driver states (their iterations moved)."""
         tool = load_tool("fingerprint")
         run = "lifecycle/lockstep"
         a = tool.fingerprint([run])
         monkeypatch.setattr(tool, "CHECKPOINT_EVERY", 6)
         b = tool.fingerprint([run])
         assert [(r, field) for r, field, _ in tool.diff(a, b)] == [
-            (run, "monitor.events")
+            (run, "checkpoints.driver"), (run, "monitor.events")
         ]
         saved = [
             [event[1] for event in doc["runs"][run]["monitor.events"]
@@ -233,4 +236,4 @@ class TestFingerprint:
         out = capsys.readouterr().out
         assert f"moved: {run}" in out
         assert "monitor.events: changed" in out
-        assert "1 of 1 runs moved (1 fields)" in out
+        assert "1 of 1 runs moved (2 fields)" in out

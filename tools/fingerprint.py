@@ -43,7 +43,9 @@ The matrix (``MATRIX``):
   a ring-buffer monitor with the default health monitors and a
   ``CheckpointManager`` saving every ``CHECKPOINT_EVERY`` iterations;
 * ``resume/<clock>``: the same two runs crash at an iteration that is
-  not a checkpoint, and a fresh instance resumes from the latest one.
+  not a checkpoint, and a fresh instance resumes from the latest one;
+* ``sim/q<quorum>``: ``EventDrivenSimulator`` on 16 workers under 4
+  edges with stragglers, at quorum 1.0, 0.75 and 0.5.
 
 Each run records its history series as ``float.hex`` (iterations,
 accuracies, losses, ``eval_times``, ``gamma_trace``), the divergence
@@ -52,9 +54,12 @@ flags, the comm ledger, ``fault_summary``, a sha256 per
 batch-norm running buffer.  Lifecycle runs add ``monitor.events``: each
 event's kind, iteration and simulated time (``float.hex``), plus the
 reason of each ``checkpoint_saved``; wall time, RSS, paths and sizes
-vary from run to run and are left out.  ``--diff`` names every run and
-field that moved, with the largest relative change of each moved
-series, and exits 1 when anything moved.
+vary from run to run and are left out.  Lifecycle and resume runs add
+``checkpoints.driver``: the sha256 of each saved checkpoint's driver
+state, as canonical JSON.  Simulator rows digest the edge and cloud
+round records and ``iteration_times`` (floats as ``float.hex``).
+``--diff`` names every run and field that moved, with the largest
+relative change of each moved series, and exits 1 when anything moved.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ import sys
 import tempfile
 import time
 import traceback
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
@@ -86,8 +91,11 @@ import numpy as np  # noqa: E402
 from benchmarks.e2e.workloads import WORKLOADS, build as build_workload  # noqa: E402
 from repro.algorithms import ASYNC_ALGORITHM_REGISTRY, TwoTierAlgorithm  # noqa: E402
 from repro.checkpoint import CheckpointManager  # noqa: E402
+from repro.checkpoint.format import read_manifest  # noqa: E402
 from repro.faults import DEGRADATION_POLICIES, FaultPlan, InjectedCrash  # noqa: E402
 from repro.monitoring import RingBufferSink, default_monitors, monitoring  # noqa: E402
+from repro.simulation import EventDrivenSimulator, add_stragglers, worker_device_pool  # noqa: E402
+from repro.topology import Topology  # noqa: E402
 from tests.algorithms.test_async_equivalence import straggler_deployment  # noqa: E402
 from tests.integration import test_golden_trajectories as goldens  # noqa: E402
 from tests.population import test_virtual_equivalence as population  # noqa: E402
@@ -122,6 +130,7 @@ CHECKPOINT_EVERY = 5
 # fast groups run ahead of its barriers, so it crashes later than the
 # first checkpoint it must have written.
 CRASH_AT = {"lockstep": 17, "event": 22}
+SIM_QUORUMS = (1.0, 0.75, 0.5)
 
 
 # ----------------------------------------------------------------------
@@ -221,27 +230,47 @@ def _event_digest(event) -> list:
     return entry
 
 
+class _DigestingManager(CheckpointManager):
+    """Saves every ``CHECKPOINT_EVERY`` iterations and keeps the sha256
+    of each saved driver state, read back from the file as canonical
+    JSON (retention may delete the file later)."""
+
+    def __init__(self, directory):
+        super().__init__(directory, every=CHECKPOINT_EVERY)
+        self.driver_digests = []
+
+    def save(self, algorithm, **kwargs):
+        path = super().save(algorithm, **kwargs)
+        driver = json.dumps(
+            read_manifest(path)["driver"], sort_keys=True, separators=(",", ":")
+        )
+        self.driver_digests.append(hashlib.sha256(driver.encode()).hexdigest())
+        return path
+
+
 def _lifecycle(clock: str) -> dict:
     algorithm = _clock_algorithm(clock)
     sink = RingBufferSink()
     with tempfile.TemporaryDirectory() as tmp, monitoring(
         sinks=[sink], monitors=default_monitors()
     ):
+        manager = _DigestingManager(tmp)
         history = algorithm.run(
             goldens.TOTAL_ITERATIONS,
             eval_every=goldens.EVAL_EVERY,
-            checkpoints=CheckpointManager(tmp, every=CHECKPOINT_EVERY),
+            checkpoints=manager,
         )
     if sink.dropped:
         raise RuntimeError(f"the monitor ring dropped {sink.dropped} events")
     record = digest(algorithm, history)
     record["monitor.events"] = [_event_digest(e) for e in sink.snapshot()]
+    record["checkpoints.driver"] = manager.driver_digests
     return record
 
 
 def _resume(clock: str) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        manager = CheckpointManager(tmp, every=CHECKPOINT_EVERY)
+        manager = _DigestingManager(tmp)
         crashing = _clock_algorithm(clock, crash_at=CRASH_AT[clock])
         try:
             crashing.run(
@@ -260,7 +289,22 @@ def _resume(clock: str) -> dict:
         eval_every=goldens.EVAL_EVERY,
         resume_from=restored,
     )
-    return digest(resumed, history)
+    record = digest(resumed, history)
+    record["checkpoints.driver"] = manager.driver_digests
+    return record
+
+
+def _simulated(quorum: float) -> dict:
+    topology = Topology.uniform(4, 4, 100)
+    devices = add_stragglers(worker_device_pool(topology.num_workers), 0.15, 10.0)
+    result = EventDrivenSimulator(
+        topology, devices, 8e5, quorum=quorum
+    ).simulate(200, tau=10, pi=2, rng=1)
+    return {
+        "sim.edge_rounds": canonical([asdict(r) for r in result.edge_rounds]),
+        "sim.cloud_rounds": canonical([asdict(r) for r in result.cloud_rounds]),
+        "sim.iteration_times": [_hex(v) for v in result.iteration_times],
+    }
 
 
 MATRIX = {
@@ -298,6 +342,7 @@ MATRIX = {
     },
     **{f"lifecycle/{clock}": partial(_lifecycle, clock) for clock in CLOCKS},
     **{f"resume/{clock}": partial(_resume, clock) for clock in CLOCKS},
+    **{f"sim/q{quorum}": partial(_simulated, quorum) for quorum in SIM_QUORUMS},
 }
 
 
