@@ -8,11 +8,11 @@ matrices lives here:
   ``json`` handles the 128-bit PCG64 integers natively), or packs into
   one ``uint64`` row of :data:`RNG_WORDS` words (:func:`pack_rng` /
   :func:`unpack_rng`) so that many streams store as one table;
-* **data samplers** — a :class:`~repro.data.loader.BatchSampler` is its
-  generator state plus the current permutation and cursor (stateless
-  full-batch samplers serialize as ``None``).  A federation's samplers
-  store as three tables: packed RNG rows, and the permutations as one
-  flat array plus offsets (shards differ in length);
+* **batch streams** — each row of a federation's
+  :class:`~repro.data.loader.SampleStore` is its generator state plus
+  its current permutation and cursor.  They store as a list of cursors
+  and three tables: packed RNG rows, and the permutations' used
+  prefixes as one flat array plus offsets (shards differ in length);
 * **model buffers** — BatchNorm running statistics, which live outside
   the flat parameter vector and advance during training;
 * **fault injectors** — realized-event counters, the monotone message
@@ -110,7 +110,7 @@ def unpack_rng(words: np.ndarray) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Federation: data samplers + model buffers
+# Federation: batch streams + model buffers
 # ----------------------------------------------------------------------
 def _norm_layers(model):
     from repro.nn.norm import _BatchNorm
@@ -132,27 +132,20 @@ def _dropout_layers(model):
     ]
 
 
+def _used(store) -> np.ndarray:
+    """Mask of each row's permutation prefix, in row-major order."""
+    return np.arange(store.width) < store.size[:, None]
+
+
 def federation_state(federation) -> tuple[dict, dict[str, np.ndarray]]:
-    """Snapshot sampler RNG cursors, BatchNorm buffers and dropout RNGs."""
-    # FullBatchSampler and friends have nothing to capture: ``None``.
-    cursors = [
-        None if getattr(sampler, "rng", None) is None else int(sampler._cursor)
-        for sampler in federation.samplers
-    ]
-    stateful = [
-        sampler
-        for sampler, cursor in zip(federation.samplers, cursors)
-        if cursor is not None
-    ]
-    values: dict = {"samplers": cursors}
-    orders = [np.asarray(sampler._order) for sampler in stateful]
+    """Snapshot batch-stream cursors, BatchNorm buffers and dropout RNGs."""
+    store = federation.store
+    values: dict = {"samplers": store.cursor.tolist()}
     arrays: dict[str, np.ndarray] = {
-        "fed:sampler:rng": pack_rngs(sampler.rng for sampler in stateful),
-        "fed:sampler:order": (
-            np.concatenate(orders) if orders else np.zeros(0, np.int64)
-        ),
+        "fed:sampler:rng": pack_rngs(store.rngs),
+        "fed:sampler:order": store.order[_used(store)],
         "fed:sampler:offsets": np.cumsum(
-            [0] + [order.size for order in orders], dtype=np.int64
+            np.concatenate(([0], store.size)), dtype=np.int64
         ),
     }
     for index, layer in enumerate(_norm_layers(federation.model)):
@@ -175,23 +168,22 @@ def restore_federation(
     worker count, datasets and model architecture); shape mismatches
     surface as errors rather than silent drift.
     """
-    entries = values["samplers"]
-    if len(entries) != len(federation.samplers):
+    store = federation.store
+    cursors = values["samplers"]
+    if len(cursors) != len(store.rngs):
         raise ValueError(
-            f"checkpoint has {len(entries)} samplers, federation has "
-            f"{len(federation.samplers)}"
+            f"checkpoint has {len(cursors)} samplers, federation has "
+            f"{len(store.rngs)}"
         )
-    rngs = arrays["fed:sampler:rng"]
-    order = arrays["fed:sampler:order"]
-    offsets = arrays["fed:sampler:offsets"]
-    row = 0
-    for sampler, cursor in zip(federation.samplers, entries):
-        if cursor is None:
-            continue
-        set_rng_state(sampler.rng, unpack_rng(rngs[row]))
-        sampler._order = order[offsets[row]:offsets[row + 1]].copy()
-        sampler._cursor = int(cursor)
-        row += 1
+    if not np.array_equal(np.diff(arrays["fed:sampler:offsets"]), store.size):
+        raise ValueError(
+            "checkpoint sampler permutations do not match the "
+            "federation's dataset sizes"
+        )
+    for rng, words in zip(store.rngs, arrays["fed:sampler:rng"]):
+        set_rng_state(rng, unpack_rng(words))
+    store.order[_used(store)] = arrays["fed:sampler:order"]
+    store.cursor[:] = cursors
     for index, layer in enumerate(_norm_layers(federation.model)):
         buffers = layer.get_buffers()
         restored = {

@@ -1,4 +1,4 @@
-"""Federation runtime: workers, samplers, weights and evaluation.
+"""Federation runtime: workers, batch streams, weights and evaluation.
 
 A :class:`Federation` bundles everything an FL algorithm needs to run:
 
@@ -6,7 +6,9 @@ A :class:`Federation` bundles everything an FL algorithm needs to run:
   stateless gradient oracle (parameters are set explicitly before every
   use, so one module instance serves all workers — far cheaper than N
   deep copies and numerically identical),
-* one seeded mini-batch sampler per worker,
+* one :class:`~repro.data.loader.SampleStore` holding every worker's
+  samples and seeded mini-batch stream as one row of fixed-width
+  arrays (worker ``w`` samples from ``child_seed(seed, "sampler", w)``),
 * the :class:`~repro.topology.Topology` with its aggregation weights,
 * the held-out test set for evaluation.
 
@@ -21,14 +23,16 @@ runs one worker's pass through the shared model; the hot path is
 :meth:`Federation.gradient_all`, which evaluates *all* workers in one
 batched program over a leading worker axis (see
 :mod:`repro.nn.batched` — the whole Table II zoo lowers, including the
-conv/pool/batch-norm families) and falls back to the per-worker loop
-for models that cannot be lowered (live dropout, custom losses/modules)
-or on heterogeneous per-worker batch shapes; the fallback reason is
-recorded on :attr:`Federation.lowering_reason` and counted on the
-tracer (``worker_step.backend.fallback.<reason>``).  ``backend=``
-selects the behaviour: ``"auto"`` (default) batches when possible,
-``"loop"`` forces the per-worker loop, ``"batched"`` raises if the
-model cannot be lowered.
+conv/pool/batch-norm families), its inputs gathered from the store in
+one ``np.take``.  It falls back to the per-worker loop for models that
+cannot be lowered (live dropout, custom losses/modules), and while the
+workers' batch lengths differ (a shard shorter than the batch), which
+the store re-derives on every bind; the fallback reason is
+:attr:`Federation.lowering_reason` and is counted on the tracer
+(``worker_step.backend.fallback.<reason>``).  ``backend=`` selects the
+behaviour: ``"auto"`` (default) batches when possible, ``"loop"``
+forces the per-worker loop, ``"batched"`` raises if the model cannot be
+lowered or the initial batches differ in length.
 """
 
 from __future__ import annotations
@@ -36,13 +40,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.base import Dataset
-from repro.data.loader import BatchSampler, FullBatchSampler
+from repro.data.loader import SampleStore
 from repro.metrics.history import TrainingHistory
 from repro.nn.batched import lower_supervised_model
 from repro.nn.supervised import SupervisedModel
 from repro.telemetry import get_tracer
 from repro.topology import Topology
-from repro.utils.rng import RngStreams
+from repro.utils.rng import child_seeds
 from repro.utils.validation import check_positive_int
 
 __all__ = ["Federation"]
@@ -59,7 +63,6 @@ class Federation:
         *,
         batch_size: int = 64,
         seed: int = 0,
-        full_batch: bool = False,
         backend: str = "auto",
     ):
         if not edge_partitions or any(not edge for edge in edge_partitions):
@@ -67,104 +70,62 @@ class Federation:
                              "non-empty worker lists")
         self.model = model
         self.test_set = test_set
-        self.topology = Topology.from_partitions(edge_partitions)
         self.batch_size = check_positive_int(batch_size, "batch_size")
-        self.streams = RngStreams(seed)
-
-        self.worker_datasets: list[Dataset] = [
-            worker for edge in edge_partitions for worker in edge
-        ]
-        if full_batch:
-            self.samplers = [
-                FullBatchSampler(ds) for ds in self.worker_datasets
-            ]
-        else:
-            self.samplers = [
-                BatchSampler(ds, batch_size, self.streams.get("sampler", i))
-                for i, ds in enumerate(self.worker_datasets)
-            ]
-
+        datasets = [worker for edge in edge_partitions for worker in edge]
+        streams = child_seeds(seed, "sampler", ids=np.arange(len(datasets)))
+        self.store = SampleStore(
+            datasets,
+            batch_size,
+            [np.random.default_rng(stream) for stream in streams.tolist()],
+        )
         self._initial_params = model.get_flat_params()
-        # Cached weights.
-        self.edge_w = self.topology.edge_weights()
-        self.worker_w_in_edge = [
-            self.topology.worker_weights(edge)
-            for edge in range(self.topology.num_edges)
-        ]
-        self.global_worker_w = self.topology.global_worker_weights()
         # Workers of an edge occupy a contiguous row block in the stacked
         # (num_workers, dim) state, so each edge's rows are a slice.
         self.edge_slices: list[slice] = []
         start = 0
-        for edge in range(self.topology.num_edges):
-            stop = start + self.topology.workers_in_edge(edge)
-            self.edge_slices.append(slice(start, stop))
-            start = stop
+        for edge in edge_partitions:
+            self.edge_slices.append(slice(start, start + len(edge)))
+            start += len(edge)
+        self.refresh_weights()
 
         # Batched gradient engine (see module docstring).
         if backend not in ("auto", "batched", "loop"):
             raise ValueError(
                 f"backend must be 'auto', 'batched' or 'loop', got {backend!r}"
             )
-        self._engine = None
-        self.lowering_reason: str | None = None
+        self._engine, self._refusal = None, None
         if backend != "loop":
-            program, reason = lower_supervised_model(model, explain=True)
-            if program is not None and not self._stackable():
-                program, reason = None, "batches:heterogeneous"
-            if program is not None:
-                self._engine = program
-            else:
-                self.lowering_reason = reason
-                if backend == "batched":
-                    raise ValueError(
-                        "backend='batched' but the model cannot be lowered "
-                        f"to the batched engine ({reason}); use "
-                        "backend='auto' for transparent fallback"
-                    )
-        # Full-batch samplers always return the same arrays, so their
-        # stacked (W, B, ...) tensor is built once and cached.
-        self._full_batch_stack: tuple[np.ndarray, np.ndarray] | None = None
+            self._engine, self._refusal = lower_supervised_model(
+                model, explain=True
+            )
+            if backend == "batched" and self.lowering_reason is not None:
+                raise ValueError(
+                    "backend='batched' but the model cannot be lowered "
+                    f"to the batched engine ({self.lowering_reason}); use "
+                    "backend='auto' for transparent fallback"
+                )
 
-    # ------------------------------------------------------------------
-    # Worker rebinding (virtual populations)
-    # ------------------------------------------------------------------
-    def rebind_worker(self, slot, dataset, sampler) -> None:
-        """Swap one worker slot's dataset and mini-batch sampler.
-
-        The population layer materializes cohort clients into existing
-        worker slots; only the data binding changes — stacked state
-        rows, topology position and engine stay put.  Invalidates the
-        cached full-batch stack (the slot's arrays changed).
-        """
-        self.worker_datasets[slot] = dataset
-        self.samplers[slot] = sampler
-        self._full_batch_stack = None
+    @property
+    def worker_datasets(self) -> list[Dataset]:
+        """Each worker's samples, as views into the store's rows."""
+        return self.store.datasets
 
     def refresh_weights(self) -> None:
-        """Recompute aggregation weights from the current datasets.
+        """Derive the topology and weights from the workers' sample counts.
 
-        Called after rebinding when shard sizes differ across clients:
-        the weights then reflect the materialized cohort's sample
+        Also called after rebinding when shard sizes differ across
+        clients: the weights then reflect the materialized cohort's sample
         counts (renormalized within edge and globally, the same
         re-weighting ``SampledFedAvg`` applies to its participants).
         """
-        partitions = [
-            self.worker_datasets[block] for block in self.edge_slices
-        ]
-        self.topology = Topology.from_partitions(partitions)
+        sizes = self.store.size.tolist()
+        self.topology = Topology([sizes[block] for block in self.edge_slices])
         self.edge_w = self.topology.edge_weights()
         self.worker_w_in_edge = [
             self.topology.worker_weights(edge)
             for edge in range(self.topology.num_edges)
         ]
         self.global_worker_w = self.topology.global_worker_weights()
-
-    def _stackable(self) -> bool:
-        """True when every worker's batches stack into one (W, B, ...)."""
-        sizes = {sampler.batch_size for sampler in self.samplers}
-        shapes = {ds.x.shape[1:] for ds in self.worker_datasets}
-        return len(sizes) == 1 and len(shapes) == 1
 
     # ------------------------------------------------------------------
     # Shape shortcuts
@@ -183,9 +144,22 @@ class Federation:
         return self._initial_params.size
 
     @property
+    def lowering_reason(self) -> str | None:
+        """Why :meth:`gradient_all` runs the loop, ``None`` if it batches.
+
+        The model's lowering refusal, or ``"batches:heterogeneous"``
+        while the workers' batch lengths differ; ``None`` also when the
+        loop was forced.
+        """
+        if self._engine is None:
+            return self._refusal
+        return None if self.store.uniform else "batches:heterogeneous"
+
+    @property
     def gradient_backend(self) -> str:
         """Active gradient backend: ``"batched"`` or ``"loop"``."""
-        return "loop" if self._engine is None else "batched"
+        batched = self._engine is not None and self.store.uniform
+        return "batched" if batched else "loop"
 
     def initial_params(self) -> np.ndarray:
         """Copy of the shared initial parameter vector x⁰."""
@@ -214,7 +188,7 @@ class Federation:
         ``out``, when given, receives the gradient in place (the stacked
         hot path passes its grad-matrix row to avoid an allocation).
         """
-        x, y = self.samplers[worker].next_batch()
+        x, y = self.store.next_batch(worker)
         return self.model.gradient(x, y, params, out=out)
 
     def gradient_all(
@@ -230,21 +204,22 @@ class Federation:
         matrix (one row per worker; a broadcast view works for shared
         parameters).  ``rows`` selects the workers to run (all of them
         by default; an index array on fault-masked iterations): only
-        their samplers are consumed and only their ``out`` rows are
+        their batch streams advance and only their ``out`` rows are
         written, each with that worker's gradient.  Returns the
         per-worker batch losses in selection order.
 
-        Uses the batched engine when available, consuming each sampler
-        in worker order so the mini-batch streams are identical to the
-        per-worker loop; falls back to the loop for non-lowerable
-        models or non-finite parameters (whose divergence semantics
+        Uses the batched engine when available, gathering every
+        selected worker's batch from the store in one call, so the
+        mini-batch streams are identical to the per-worker loop; falls
+        back to the loop for non-lowerable models, heterogeneous batch
+        lengths or non-finite parameters (whose divergence semantics
         are per-worker).
         """
         params = np.asarray(params)
-        if self._engine is not None:
+        if self._engine is not None and self.store.uniform:
             stacked_params = params[rows]
             if np.isfinite(stacked_params).all():
-                xs, ys = self._stacked_batches(rows)
+                xs, ys = self.store.gather(rows)
                 tracer = get_tracer()
                 if tracer.enabled:
                     tracer.count("worker_step.backend.batched")
@@ -259,10 +234,9 @@ class Federation:
         tracer = get_tracer()
         if tracer.enabled:
             tracer.count("worker_step.backend.loop")
-            if self.lowering_reason is not None:
-                tracer.count(
-                    f"worker_step.backend.fallback.{self.lowering_reason}"
-                )
+            reason = self.lowering_reason
+            if reason is not None:
+                tracer.count(f"worker_step.backend.fallback.{reason}")
         workers = np.arange(self.num_workers)[rows]
         losses = np.empty(len(workers))
         for position, worker in enumerate(workers):
@@ -270,27 +244,6 @@ class Federation:
                 worker, params[worker], out=out[worker]
             )
         return losses
-
-    def _stacked_batches(
-        self, rows: slice | np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stack the selected workers' next mini-batches into (R, B, ...)."""
-        if isinstance(self.samplers[0], FullBatchSampler):
-            if self._full_batch_stack is None:
-                self._full_batch_stack = (
-                    np.stack([ds.x for ds in self.worker_datasets]),
-                    np.stack([ds.y for ds in self.worker_datasets]),
-                )
-            xs, ys = self._full_batch_stack
-            return xs[rows], ys[rows]
-        batches = [
-            self.samplers[worker].next_batch()
-            for worker in np.arange(self.num_workers)[rows]
-        ]
-        return (
-            np.stack([x for x, _ in batches]),
-            np.stack([y for _, y in batches]),
-        )
 
     # ------------------------------------------------------------------
     # Aggregation helpers (each one GEMM over stacked state)

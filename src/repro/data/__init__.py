@@ -6,7 +6,7 @@ from repro.data.diagnostics import (
     js_divergence_from_global,
     label_distribution_matrix,
 )
-from repro.data.loader import BatchSampler, FullBatchSampler
+from repro.data.loader import BatchSampler, SampleStore
 from repro.data.real import (
     load_mnist_idx,
     load_or_synthesize,
@@ -35,7 +35,7 @@ __all__ = [
     "Dataset",
     "train_test_split",
     "BatchSampler",
-    "FullBatchSampler",
+    "SampleStore",
     "partition",
     "partition_iid",
     "partition_xclass",

@@ -21,6 +21,7 @@ Two providers cover the library's needs:
 
 Both providers expose ``shard_size(client_id)`` without materializing
 the shard, which the population layer uses for aggregation weights,
+``max_shard_size``, the width of the federation's sample-store rows,
 and ``shards(client_ids)``, which yields a cohort's shards in order.
 """
 
@@ -58,6 +59,10 @@ class ListShards:
 
     def shard_size(self, client_id: int) -> int:
         return len(self.datasets[client_id])
+
+    @property
+    def max_shard_size(self) -> int:
+        return max(map(len, self.datasets))
 
 
 class PrototypeShards:
@@ -148,6 +153,10 @@ class PrototypeShards:
             yield Dataset(x, y, self.num_classes, name=f"shard{client}")
 
     def shard_size(self, client_id: int) -> int:
+        return self.samples_per_client
+
+    @property
+    def max_shard_size(self) -> int:
         return self.samples_per_client
 
     def test_set(self, num_samples: int, *, seed_name: str = "test") -> Dataset:

@@ -11,20 +11,21 @@ draws new cohorts.
 Slot-pool lifecycle (per edge block, each rebind period):
 
 * **retained** clients — sampled again — keep their slot untouched:
-  state rows, mini-batch sampler, everything stays in place (the
+  state rows, sample-store row, everything stays in place (the
   LRU-ish fast path; at full participation every client is retained and
   a virtual run is bit-identical to a classic federation);
 * **departing** clients save a compact carry-forward record into the
   columnar :class:`~repro.population.carry.CarryStore`: the rows of the
   algorithm's declared ``CLIENT_STATE`` arrays (its per-client
-  momentum/optimizer buffers) plus the client's mini-batch sampler
-  state.  The model row ``x`` is deliberately *not* carried — a client
-  rejoining adopts the current broadcast model, exactly like
-  ``SampledFedAvg`` participants start from the server model;
+  momentum/optimizer buffers), its store row's permutation and cursor,
+  and its generator state.  The model row ``x`` is deliberately *not*
+  carried — a client rejoining adopts the current broadcast model,
+  exactly like ``SampledFedAvg`` participants start from the server
+  model;
 * **arriving** clients take the freed slots in sorted order
   (deterministic slot assignment).  A *returning* client restores its
-  carry record bit-exactly — same momentum rows, same sampler RNG
-  state, as if it had been frozen (the faults ``carry_forward`` policy
+  carry record bit-exactly — same momentum rows, same batch stream, as
+  if it had been frozen (the faults ``carry_forward`` policy
   generalized across cohort membership).  A *fresh* client adopts the
   slot's current rows, which at fault-free round boundaries equal the
   post-round broadcast.
@@ -38,9 +39,12 @@ the golden trajectories.
 A rebind handles the whole slot pool as one batch: one set difference
 finds every edge's departures and arrivals, the departures enter the
 carry store in one :meth:`~repro.population.carry.CarryStore.extend`,
-and the arrivals' sampler and shard streams are seeded together
-(:func:`~repro.utils.rng.default_rng_states`).  The per-client work
-left is each client's own random draws.
+the arrivals' sampler and shard streams are seeded together
+(:func:`~repro.utils.rng.default_rng_states`), and their shards enter
+the federation's :class:`~repro.data.loader.SampleStore` in one
+:meth:`~repro.data.loader.SampleStore.bind`.  The store's rows are as
+wide as the shard provider's longest shard, so any client fits any
+slot.  The per-client work left is each client's own random draws.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import numpy as np
 
 from repro.checkpoint.state import pack_rngs, set_rng_state
 from repro.core.federation import Federation
-from repro.data.loader import BatchSampler
+from repro.data.loader import SampleStore
 from repro.monitoring.monitor import get_monitor
 from repro.population.carry import CarryStore
 from repro.population.registry import ClientRegistry
@@ -84,8 +88,8 @@ class PopulationBinder:
         # slot -> client id for the currently materialized cohort.
         self.slot_client: np.ndarray | None = None
         # Evicted clients' state in columnar tables; ``carry[client_id]``
-        # reads back {"rows": [per-CLIENT_STATE-array row copies],
-        #  "sampler": {"rng": state, "cursor": int, "order": ndarray}}.
+        # reads back {"rows": [one row per ``_carried`` array],
+        #  "rng": generator state}.
         self.carry = CarryStore()
         # Distinct clients ever materialized (gauge only).
         self._seen: set[int] = set()
@@ -103,12 +107,12 @@ class PopulationBinder:
     ) -> Federation:
         """Materialize period-0's cohort into a fresh federation.
 
-        The federation is built over the initial cohort's shards and
-        every slot's sampler is immediately rebound to its *client's*
-        stream (``child_seed(seed, "sampler", client_id)``).  At full
-        participation slot ``i`` binds client ``i``, so the rebinding
-        is an identity and the federation matches the classic
-        construction bit for bit.
+        The federation is built over the initial cohort's shards, and
+        its sample store is rebuilt at the provider's longest shard,
+        every slot sampling from its *client's* stream
+        (``child_seed(seed, "sampler", client_id)``).  At full
+        participation slot ``i`` binds client ``i``, so the federation
+        matches the classic construction bit for bit.
         """
         cohort = self.sampler.draw(0)
         k = self.sampler.cohort_per_edge
@@ -124,31 +128,39 @@ class PopulationBinder:
             seed=self.seed,
             backend=backend,
         )
+        rngs = fed.store.rngs
+        streams = child_seeds(self.seed, "sampler", ids=cohort)
+        for rng, state in zip(rngs, default_rng_states(streams)):
+            set_rng_state(rng, state)
+        fed.store = SampleStore(
+            datasets, batch_size, rngs, width=self.shards.max_shard_size
+        )
         self.fed = fed
         self.slot_client = cohort.copy()
-        self._bind_clients(None, np.arange(cohort.size), cohort, datasets)
+        self._seen.update(cohort.tolist())
         return fed
 
     # ------------------------------------------------------------------
     # Carry-forward state access
     # ------------------------------------------------------------------
-    def _state_arrays(self, algorithm) -> list[np.ndarray]:
+    def _carried(self, algorithm) -> list[np.ndarray]:
+        """The slot-indexed arrays a departing client leaves behind:
+        the algorithm's ``CLIENT_STATE``, then its store row's
+        permutation and cursor."""
         arrays = []
         for name in algorithm.CLIENT_STATE:
             obj, leaf = algorithm._ckpt_resolve(name)
             arrays.append(getattr(obj, leaf))
-        return arrays
+        return arrays + [self.fed.store.order, self.fed.store.cursor]
 
     def _save_carry(self, algorithm, slots, clients) -> None:
         """Store the departing ``clients`` bound to ``slots``."""
-        samplers = [self.fed.samplers[slot] for slot in slots]
+        rngs = self.fed.store.rngs
         self.carry.extend(
             clients,
-            self._state_arrays(algorithm),
+            self._carried(algorithm),
             slots,
-            pack_rngs(sampler.rng for sampler in samplers),
-            [sampler._cursor for sampler in samplers],
-            [sampler._order for sampler in samplers],
+            pack_rngs(rngs[slot] for slot in slots.tolist()),
         )
 
     def _bind_clients(self, algorithm, slots, clients, datasets) -> None:
@@ -158,37 +170,26 @@ class PopulationBinder:
         been stored (or is being replaced wholesale), so the generator
         is re-pointed at the arriving client's stream instead of a new
         one being seeded.  Fresh clients' streams are seeded in one
-        batch.
+        batch, every arrival's shard enters the store in one call, and
+        returning clients then get their carried rows back.
         """
-        fed = self.fed
+        store = self.fed.store
         records = [self.carry.pop(client) for client in clients.tolist()]
-        fresh = [i for i, record in enumerate(records) if record is None]
-        states = iter(
-            default_rng_states(
-                child_seeds(self.seed, "sampler", ids=clients[fresh])
-            )
-        )
-        for slot, dataset, record in zip(slots.tolist(), datasets, records):
-            rng = fed.samplers[slot].rng
-            if record is None:
-                # Fresh client: CLIENT_STATE rows are adopted as-is
-                # (equal to the post-round broadcast at fault-free
-                # boundaries).
-                set_rng_state(rng, next(states))
-            sampler = BatchSampler(dataset, fed.batch_size, rng)
+        fresh = np.array([record is None for record in records], dtype=bool)
+        streams = child_seeds(self.seed, "sampler", ids=clients[fresh])
+        states = default_rng_states(streams)
+        for slot, state in zip(slots[fresh].tolist(), states):
+            set_rng_state(store.rngs[slot], state)
+        store.bind(slots, datasets)
+        carried = self._carried(algorithm) if not fresh.all() else []
+        for slot, record in zip(slots.tolist(), records):
             if record is not None:
-                for array, row in zip(
-                    self._state_arrays(algorithm), record["rows"]
-                ):
+                for array, row in zip(carried, record["rows"]):
                     array[slot] = row
-                saved = record["sampler"]
-                set_rng_state(rng, saved["rng"])
-                sampler._order = saved["order"]
-                sampler._cursor = saved["cursor"]
-            fed.rebind_worker(slot, dataset, sampler)
+                set_rng_state(store.rngs[slot], record["rng"])
         self._seen.update(clients.tolist())
         if self.registry.weights is not None:
-            fed.refresh_weights()
+            self.fed.refresh_weights()
 
     # ------------------------------------------------------------------
     # Rebinding
@@ -267,10 +268,10 @@ class PopulationBinder:
         Runs after the algorithm's arrays are restored (the slot rows
         already hold the checkpointed cohort's state — binding must not
         disturb them, hence ``carry``-free rebinding) and *before* the
-        federation's sampler states are applied (which then overwrite
-        the freshly derived per-client sampler streams with the exact
-        checkpointed cursors).  The carry store adopts its tables from
-        ``arrays`` rather than copying them.
+        federation's batch streams are restored (which then overwrite
+        the freshly derived per-client streams with the exact
+        checkpointed permutations and cursors).  The carry store adopts
+        its tables from ``arrays`` rather than copying them.
         """
         self.carry.clear()
         target = np.asarray(values["slot_client"], dtype=np.int64)

@@ -122,25 +122,27 @@ class TestRngStreams:
 
     def test_batch_samplers_resume_mid_epoch(self):
         federation = build_federation()
-        for sampler in federation.samplers:
+        store = federation.store
+        workers = range(federation.num_workers)
+        for worker in workers:
             for _ in range(5):
-                sampler.next_batch()
+                store.next_batch(worker)
         values, arrays = federation_state(federation)
         # Golden tail crosses an epoch boundary, so the generator
         # state (not just order + cursor) must round-trip too.
         golden = [
-            [sampler.next_batch() for _ in range(4)]
-            for sampler in federation.samplers
+            [store.next_batch(worker) for _ in range(4)]
+            for worker in workers
         ]
 
         fresh = build_federation()
-        for sampler in fresh.samplers:
+        for worker in workers:
             for _ in range(2):  # desynchronize on purpose
-                sampler.next_batch()
+                fresh.store.next_batch(worker)
         restore_federation(fresh, values, arrays)
-        for sampler, expected in zip(fresh.samplers, golden):
+        for worker, expected in zip(workers, golden):
             for x, y in expected:
-                batch_x, batch_y = sampler.next_batch()
+                batch_x, batch_y = fresh.store.next_batch(worker)
                 assert np.array_equal(batch_x, x)
                 assert np.array_equal(batch_y, y)
 
@@ -149,6 +151,16 @@ class TestRngStreams:
         values, arrays = federation_state(federation)
         values = dict(values, samplers=values["samplers"][:-1])
         with pytest.raises(ValueError, match="samplers"):
+            restore_federation(federation, values, arrays)
+
+    def test_permutation_sizes_must_match_the_datasets(self):
+        """Same total length, one sample moved between two workers."""
+        federation = build_federation()
+        values, arrays = federation_state(federation)
+        offsets = arrays["fed:sampler:offsets"].copy()
+        offsets[1] += 1
+        arrays = dict(arrays, **{"fed:sampler:offsets": offsets})
+        with pytest.raises(ValueError, match="dataset sizes"):
             restore_federation(federation, values, arrays)
 
 

@@ -98,24 +98,6 @@ class TestGradientOracle:
         grad_b0, _ = fed_b.gradient(0, params)
         assert np.array_equal(grad_a0, grad_b0)
 
-    def test_full_batch_mode(self):
-        fed = small_federation()
-        from repro.data.loader import FullBatchSampler
-
-        fed_full = Federation(
-            fed.model,
-            [[ds] for ds in fed.worker_datasets[:2]],
-            fed.test_set,
-            full_batch=True,
-        )
-        assert all(
-            isinstance(s, FullBatchSampler) for s in fed_full.samplers
-        )
-        params = fed_full.initial_params()
-        a, _ = fed_full.gradient(0, params)
-        b, _ = fed_full.gradient(0, params)
-        assert np.array_equal(a, b)  # deterministic full batch
-
 
 class TestEvaluate:
     def test_accuracy_loss_types(self):

@@ -149,14 +149,14 @@ class TestEquivalentUpdate:
         x = [algo.x[w].copy() for w in range(fed.num_workers)]
         v = [np.zeros(fed.dim) for _ in range(fed.num_workers)]
 
-        # Clone the samplers so both forms see the same batches.
-        samplers_snapshot = copy.deepcopy(fed.samplers)
+        # Snapshot the sample store so both forms see the same batches.
+        store_snapshot = copy.deepcopy(fed.store)
 
         for t in range(1, 6):
             algo._step(t)
         paper_x = [value.copy() for value in algo.x]
 
-        fed.samplers = samplers_snapshot
+        fed.store = store_snapshot
         for t in range(1, 6):
             for w in range(fed.num_workers):
                 grad, _ = fed.gradient(w, x[w])

@@ -2,8 +2,9 @@
 
 The oracle is a plain dict of records kept alongside the store: every
 add/pop sequence (small blocks, so entries move across block
-boundaries, and permutations of different lengths) must leave the two
-holding the same records, also after a checkpoint round trip.
+boundaries, and permutations of different lengths padded to one width)
+must leave the two holding the same records, also after a checkpoint
+round trip.
 """
 
 from __future__ import annotations
@@ -13,31 +14,43 @@ import zipfile
 import numpy as np
 import pytest
 
+from repro.checkpoint import CheckpointError, CheckpointManager
 from repro.checkpoint.format import read_checkpoint, write_checkpoint
+from repro.checkpoint.manager import load_resume
 from repro.checkpoint.state import pack_rng, unpack_rng
 from repro.core import HierAdMo
 from repro.data.shards import PrototypeShards
 from repro.nn.models import make_logistic_regression
 from repro.population import ClientRegistry, PopulationBinder
 from repro.population.carry import CarryStore
+from tests.population.test_virtual_equivalence import (
+    SAMPLED_CASES,
+    make_sampled_algorithm,
+)
 
 pytestmark = pytest.mark.population
 
 
+WIDTH = 8
+
+
 def _entry(rng, client_id):
-    """A departing client's (rows, packed rng, cursor, order)."""
+    """A departing client's (rows, packed rng): two state rows, a flag,
+    then its permutation padded to ``WIDTH`` and its cursor."""
     generator = np.random.default_rng(client_id)
     generator.random(int(rng.integers(0, 5)))
-    order = generator.permutation(int(rng.choice([3, 5, 8])))
-    rows = [rng.normal(size=4), rng.normal(size=(2, 3)), rng.random() < 0.5]
-    return rows, pack_rng(generator), int(rng.integers(0, order.size)), order
+    size = int(rng.choice([3, 5, WIDTH]))
+    order = np.zeros(WIDTH, dtype=np.int64)
+    order[:size] = generator.permutation(size)
+    rows = [
+        rng.normal(size=4), rng.normal(size=(2, 3)), rng.random() < 0.5,
+        order, np.int64(rng.integers(0, size)),
+    ]
+    return rows, pack_rng(generator)
 
 
-def _record(rows, rng, cursor, order):
-    return {
-        "rows": [np.array(row) for row in rows],
-        "sampler": {"rng": unpack_rng(rng), "cursor": cursor, "order": order},
-    }
+def _record(rows, rng):
+    return {"rows": [np.array(row) for row in rows], "rng": unpack_rng(rng)}
 
 
 def assert_same(store: CarryStore, oracle: dict) -> None:
@@ -46,13 +59,10 @@ def assert_same(store: CarryStore, oracle: dict) -> None:
     for client_id, expected in oracle.items():
         assert client_id in store
         record = store[client_id]
+        assert len(record["rows"]) == len(expected["rows"])
         for row, want in zip(record["rows"], expected["rows"]):
             np.testing.assert_array_equal(row, want)
-        assert record["sampler"]["rng"] == expected["sampler"]["rng"]
-        assert record["sampler"]["cursor"] == expected["sampler"]["cursor"]
-        np.testing.assert_array_equal(
-            record["sampler"]["order"], expected["sampler"]["order"]
-        )
+        assert record["rng"] == expected["rng"]
 
 
 def _churn(store, oracle, rng, steps):
@@ -61,23 +71,21 @@ def _churn(store, oracle, rng, steps):
             client_id = int(rng.choice(sorted(oracle)))
             record = store.pop(client_id)
             expected = oracle.pop(client_id)
-            np.testing.assert_array_equal(
-                record["sampler"]["order"], expected["sampler"]["order"]
-            )
+            for row, want in zip(record["rows"], expected["rows"]):
+                np.testing.assert_array_equal(row, want)
+            assert record["rng"] == expected["rng"]
         else:
             # Batches of distinct ids, up to a block and more; ids repeat
             # across batches, so some entries replace a stored one.
             size = int(rng.integers(1, 6))
             clients = rng.choice(60, size=size, replace=False)
             entries = [_entry(rng, client_id) for client_id in clients]
-            rows, rngs, cursors, orders = zip(*entries)
+            rows, rngs = zip(*entries)
             store.extend(
                 clients,
                 [np.array(column) for column in zip(*rows)],
                 np.arange(clients.size),
                 np.array(rngs),
-                list(cursors),
-                list(orders),
             )
             for client_id, entry in zip(clients.tolist(), entries):
                 oracle[client_id] = _record(*entry)
@@ -153,3 +161,32 @@ def test_checkpoint_members_do_not_grow_with_carried_clients(tmp_path):
         with zipfile.ZipFile(path) as archive:
             counts.append(len(archive.namelist()))
     assert counts[0] == counts[1]
+
+
+def test_old_population_checkpoint_rejected(tmp_path):
+    """A sampled-population checkpoint whose carry blocks keep sampler
+    cursors and concatenated permutations as their own members (the
+    ragged format) is refused, not misread."""
+    cls, kwargs = SAMPLED_CASES["HierAdMo"]
+    manager = CheckpointManager(tmp_path / "run", every=6)
+    make_sampled_algorithm(cls, kwargs).run(
+        12, eval_every=6, checkpoints=manager
+    )
+    manifest, arrays = read_checkpoint(manager.load_latest().path)
+    carry = manifest["population"]["carry"]
+    assert carry["entries"] > 0
+    rows = carry["rows"] - 2
+    for block in range(-(-carry["entries"] // carry["block"])):
+        key = f"pop:carry:{block}:"
+        orders = arrays.pop(f"{key}row{rows}")
+        arrays[key + "cursor"] = arrays.pop(f"{key}row{rows + 1}")
+        arrays[key + "order"] = orders.ravel()
+        arrays[key + "offsets"] = np.arange(len(orders) + 1) * orders.shape[1]
+    carry["rows"] = rows
+    path = write_checkpoint(
+        tmp_path / "old", manifest["iteration"], manifest, arrays
+    )
+    with pytest.raises(CheckpointError, match="carry format"):
+        make_sampled_algorithm(cls, kwargs).run(
+            18, eval_every=6, resume_from=load_resume(path)
+        )

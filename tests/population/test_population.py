@@ -8,11 +8,10 @@ here against live algorithm runs via a recording binder subclass.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.algorithms import FedADC, FedNAG
 from repro.core import HierAdMo
 from repro.core.federation import Federation
@@ -257,9 +256,14 @@ class TestBinder:
         )
         binder = algorithm.population
         binder.reset(algorithm)
-        samplers = list(binder.fed.samplers)
+        store = binder.fed.store
+        before = [store.x.copy(), store.order.copy(), store.cursor.copy()]
+        states = [rng_state(rng) for rng in store.rngs]
         binder.resample(algorithm, 5)
-        assert list(binder.fed.samplers) == samplers  # same objects
+        assert binder.fed.store is store
+        for array, after in zip(before, (store.x, store.order, store.cursor)):
+            np.testing.assert_array_equal(after, array)
+        assert [rng_state(rng) for rng in store.rngs] == states
         np.testing.assert_array_equal(binder.slot_client, np.arange(6))
         assert binder.carry == {}
 
@@ -321,11 +325,74 @@ class TestBinder:
         )
 
 
+def _short_shard_algorithm(backend: str) -> HierAdMo:
+    """Shards of 40 and 5 samples at batch 16.  The seed-3 cohort starts
+    on the four 5-sample shards, so every batch has 5 samples, and the
+    first rebind brings in a 40-sample shard."""
+    rng = np.random.default_rng(0)
+    shards = ListShards(
+        [
+            Dataset(rng.normal(size=(n, 6)), rng.integers(0, 3, n), 3)
+            for n in (40, 40, 5, 5, 40, 40, 5, 5)
+        ]
+    )
+    binder = PopulationBinder(
+        ClientRegistry.from_shards(shards, 2), shards,
+        cohort_per_edge=2, seed=3,
+    )
+    test = Dataset(rng.normal(size=(16, 6)), rng.integers(0, 3, 16), 3)
+    binder.build_federation(
+        make_logistic_regression(6, 3, rng=4), test,
+        batch_size=16, backend=backend,
+    )
+    algorithm = HierAdMo(binder.fed, eta=0.05, tau=2, pi=2)
+    algorithm.attach_population(binder)
+    return algorithm
+
+
+def test_rebind_to_mixed_batch_lengths_falls_back_to_the_loop():
+    """Equal batch lengths are re-derived on every bind: a rebind that
+    mixes 5- and 16-sample batches takes the loop instead of stacking
+    them, and the run equals the forced loop bit for bit."""
+    algorithm = _short_shard_algorithm("auto")
+    assert algorithm.population.slot_client.tolist() == [2, 3, 6, 7]
+    assert algorithm.fed.gradient_backend == "batched"
+    with telemetry.tracing() as tracer:
+        history = algorithm.run(12, eval_every=4)
+    counters = tracer.counters
+    assert counters.get("worker_step.backend.batched", 0) > 0
+    assert counters.get(
+        "worker_step.backend.fallback.batches:heterogeneous", 0
+    ) > 0
+    loop = _short_shard_algorithm("loop").run(12, eval_every=4)
+    for series in ("test_accuracy", "test_loss", "train_loss"):
+        np.testing.assert_array_equal(
+            getattr(history, series), getattr(loop, series)
+        )
+
+
 # ----------------------------------------------------------------------
 # Carry-forward bit-exactness (the tentpole property)
 # ----------------------------------------------------------------------
+def _slot_state(binder, algorithm, slot) -> tuple:
+    """A slot's client state, read from the federation, not the carry
+    store: its ``CLIENT_STATE`` rows and its batch stream."""
+    rows = []
+    for name in algorithm.CLIENT_STATE:
+        obj, leaf = algorithm._ckpt_resolve(name)
+        rows.append(getattr(obj, leaf)[slot].copy())
+    store = binder.fed.store
+    stream = {
+        "rng": rng_state(store.rngs[slot]),
+        "cursor": int(store.cursor[slot]),
+        "order": store.order[slot, :store.size[slot]].copy(),
+    }
+    return rows, stream
+
+
 class _RecordingBinder(PopulationBinder):
-    """Snapshots carry records at save time and re-bind time."""
+    """Snapshots a client's slot state when it departs and when it is
+    bound again."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -333,13 +400,9 @@ class _RecordingBinder(PopulationBinder):
         self.rebound: list[tuple] = []
 
     def _save_carry(self, algorithm, slots, clients):
+        for slot, client_id in zip(slots.tolist(), clients.tolist()):
+            self.saved[client_id] = _slot_state(self, algorithm, slot)
         super()._save_carry(algorithm, slots, clients)
-        for client_id in clients.tolist():
-            record = self.carry[client_id]
-            self.saved[client_id] = (
-                [row.copy() for row in record["rows"]],
-                copy.deepcopy(record["sampler"]),
-            )
 
     def _bind_clients(self, algorithm, slots, clients, datasets):
         returning = [client in self.carry for client in clients.tolist()]
@@ -350,24 +413,10 @@ class _RecordingBinder(PopulationBinder):
         for slot, client_id, back, saved in zip(
             slots.tolist(), clients.tolist(), returning, expected
         ):
-            if not back:
-                continue
-            sampler = self.fed.samplers[slot]
-            self.rebound.append(
-                (
-                    client_id,
-                    [
-                        array[slot].copy()
-                        for array in self._state_arrays(algorithm)
-                    ],
-                    {
-                        "rng": rng_state(sampler.rng),
-                        "cursor": int(sampler._cursor),
-                        "order": np.array(sampler._order),
-                    },
-                    saved,
+            if back:
+                self.rebound.append(
+                    (client_id, *_slot_state(self, algorithm, slot), saved)
                 )
-            )
 
 
 @pytest.mark.parametrize(

@@ -130,18 +130,34 @@ ASYNC_SAMPLED_CASES = {
 }
 
 
+def assert_row_is_sampler(store, row, sampler) -> None:
+    """The store row holds the sampler's data, permutation, cursor and
+    generator state."""
+    size = len(sampler.dataset)
+    assert store.size[row] == size
+    assert store.cursor[row] == sampler._cursor
+    np.testing.assert_array_equal(store.order[row, :size], sampler._order)
+    np.testing.assert_array_equal(store.x[row, :size], sampler.dataset.x)
+    np.testing.assert_array_equal(store.y[row, :size], sampler.dataset.y)
+    assert rng_state(store.rngs[row]) == rng_state(sampler.rng)
+
+
 class LoopBinder(PopulationBinder):
     """Reference rebind: edge by edge and client by client.
 
     Each departing client is stored on its own, and each arriving client
-    gets its own shard and a generator seeded by ``default_rng`` — the
-    per-client loop the batched rebind must reproduce bit for bit.
+    gets its own shard, its own store bind and a generator seeded by
+    ``default_rng`` — the per-client loop the batched rebind must
+    reproduce bit for bit.  An independent :class:`BatchSampler` per
+    arriving client, given the same stream (or carried state), must
+    hold what the client's store row holds.
     """
 
     def _rebind(self, algorithm, cohort, *, save_carry):
         current = self.slot_client
         k = self.sampler.cohort_per_edge
-        arrays = self._state_arrays(algorithm)
+        store = self.fed.store
+        arrays = self._carried(algorithm)
         rebound = False
         for edge in range(self.registry.num_edges):
             old = current[edge * k:(edge + 1) * k].tolist()
@@ -150,11 +166,9 @@ class LoopBinder(PopulationBinder):
             arriving = sorted(set(new) - set(old))
             rebound = rebound or bool(arriving)
             for slot in free if save_carry else ():
-                sampler = self.fed.samplers[slot]
                 self.carry.extend(
                     [current[slot]], arrays, [slot],
-                    pack_rng(sampler.rng)[None],
-                    [sampler._cursor], [sampler._order],
+                    pack_rng(store.rngs[slot])[None],
                 )
             for slot, client in zip(free, arriving):
                 dataset = self.shards.shard(client)
@@ -162,14 +176,17 @@ class LoopBinder(PopulationBinder):
                 sampler = BatchSampler(
                     dataset, self.fed.batch_size, np.random.default_rng(seed)
                 )
+                store.rngs[slot] = np.random.default_rng(seed)
+                store.bind([slot], [dataset])
                 record = self.carry.pop(client)
                 if record is not None:
                     for array, row in zip(arrays, record["rows"]):
                         array[slot] = row
-                    set_rng_state(sampler.rng, record["sampler"]["rng"])
-                    sampler._order = record["sampler"]["order"]
-                    sampler._cursor = record["sampler"]["cursor"]
-                self.fed.rebind_worker(slot, dataset, sampler)
+                    set_rng_state(store.rngs[slot], record["rng"])
+                    set_rng_state(sampler.rng, record["rng"])
+                    sampler._order = record["rows"][-2][:len(dataset)]
+                    sampler._cursor = int(record["rows"][-1])
+                assert_row_is_sampler(store, slot, sampler)
                 current[slot] = client
                 self._seen.add(client)
         if rebound and self.registry.weights is not None:
@@ -183,8 +200,8 @@ def make_sampled_algorithm(
     """Fresh 64-client federation, cohort 3 per edge (rebinds happen).
 
     ``uneven`` keeps 24 clients (so carried clients return often) and
-    cuts their shards to 8, 12 or 16 samples, so their sampler
-    permutations (and aggregation weights) differ in length.
+    cuts their shards to 8, 12 or 16 samples, so their permutations
+    (and aggregation weights) differ in length.
     """
     shards = PrototypeShards(
         64, num_features=24, num_classes=6, samples_per_client=20, seed=9
@@ -230,12 +247,10 @@ def assert_same_carry(store, expected):
     assert sorted(store) == sorted(expected)
     for client_id, record in expected.items():
         other = store[client_id]
+        assert len(record["rows"]) == len(other["rows"])
         for row, other_row in zip(record["rows"], other["rows"]):
             np.testing.assert_array_equal(row, other_row)
-        saved, other_saved = record["sampler"], other["sampler"]
-        assert saved["rng"] == other_saved["rng"]
-        assert saved["cursor"] == other_saved["cursor"]
-        np.testing.assert_array_equal(saved["order"], other_saved["order"])
+        assert record["rng"] == other["rng"]
 
 
 @pytest.mark.parametrize(
@@ -264,11 +279,12 @@ def test_batched_rebind_matches_per_client_loop(name):
     assert batched.population._seen == loop.population._seen
     assert len(loop.population.carry) > 0
     assert_same_carry(batched.population.carry, loop.population.carry)
-    for sampler, other in zip(batched.fed.samplers, loop.fed.samplers):
-        assert rng_state(sampler.rng) == rng_state(other.rng)
-        assert sampler._cursor == other._cursor
-        np.testing.assert_array_equal(sampler._order, other._order)
-        np.testing.assert_array_equal(sampler.dataset.x, other.dataset.x)
+    store, other = batched.fed.store, loop.fed.store
+    for name in ("x", "y", "order", "cursor", "size", "batch"):
+        np.testing.assert_array_equal(getattr(store, name), getattr(other, name))
+    assert [rng_state(rng) for rng in store.rngs] == [
+        rng_state(rng) for rng in other.rngs
+    ]
 
 
 @pytest.mark.checkpoint
@@ -324,11 +340,14 @@ def test_sampled_resume_restores_binder_state(name, tmp_path):
         resumed_binder.slot_client, golden_binder.slot_client
     )
     assert_same_carry(resumed_binder.carry, golden_binder.carry)
-    lengths = {
-        record["sampler"]["order"].size
-        for record in golden_binder.carry.values()
-    }
-    assert len(lengths) == (3 if uneven else 1)
+    sizes = set()
+    for client_id, record in golden_binder.carry.items():
+        size = golden_binder.shards.shard_size(client_id)
+        order = record["rows"][-2]
+        np.testing.assert_array_equal(np.sort(order[:size]), np.arange(size))
+        assert not order[size:].any()
+        sizes.add(size)
+    assert len(sizes) == (3 if uneven else 1)
 
 
 @pytest.mark.eventsim

@@ -123,7 +123,8 @@ class TestFingerprint:
         kinds = [name.split("/")[0] for name in tool.MATRIX]
         counts = {kind: kinds.count(kind) for kind in kinds}
         # 15 sync and 3 CNN goldens on two backends; 4 workloads x 2 seeds;
-        # 2 async algorithms x 2 quorums x clean/faults; 4 populations;
+        # 2 async algorithms x 2 quorums x clean/faults; 4 populations
+        # and the short-shards one;
         # both clocks with checkpoints and monitor, and crash-resumed;
         # the event simulator at 3 quorums.  Fault rows: the zero plan
         # per golden, then 5 single-kind plans x 3 policies on the 6
@@ -131,7 +132,7 @@ class TestFingerprint:
         # ones.
         assert counts == {
             "sync": 30, "cnn": 6, "faults": 15 + 6 * 15 + 9 * 9, "e2e": 8,
-            "async": 8, "population": 4, "lifecycle": 2, "resume": 2,
+            "async": 8, "population": 5, "lifecycle": 2, "resume": 2,
             "sim": 3,
         }
 

@@ -37,7 +37,10 @@ The matrix (``MATRIX``):
   ``ASYNC_FAULTS``;
 * ``population/<name>``: HierAdMo, FedNAG, FedADC and AsyncHierAdMo on
   the sampled 24-client population with uneven ``ListShards`` of
-  ``tests/population/test_virtual_equivalence.py``;
+  ``tests/population/test_virtual_equivalence.py``, and
+  ``population/HierAdMo/short-shards``: 8 clients with shards of 40 and
+  5 samples at batch 16, whose rebinds switch between equal and mixed
+  batch lengths;
 * ``lifecycle/<clock>``: HierAdMo on the lockstep clock and
   AsyncHierAdMo at quorum 0.5 with faults on the event clock, run under
   a ring-buffer monitor with the default health monitors and a
@@ -92,8 +95,13 @@ from benchmarks.e2e.workloads import WORKLOADS, build as build_workload  # noqa:
 from repro.algorithms import ASYNC_ALGORITHM_REGISTRY, TwoTierAlgorithm  # noqa: E402
 from repro.checkpoint import CheckpointManager  # noqa: E402
 from repro.checkpoint.format import read_manifest  # noqa: E402
+from repro.core import HierAdMo  # noqa: E402
+from repro.data import Dataset  # noqa: E402
+from repro.data.shards import ListShards  # noqa: E402
 from repro.faults import DEGRADATION_POLICIES, FaultPlan, InjectedCrash  # noqa: E402
 from repro.monitoring import RingBufferSink, default_monitors, monitoring  # noqa: E402
+from repro.nn.models import make_logistic_regression  # noqa: E402
+from repro.population import ClientRegistry, PopulationBinder  # noqa: E402
 from repro.simulation import EventDrivenSimulator, add_stragglers, worker_device_pool  # noqa: E402
 from repro.topology import Topology  # noqa: E402
 from tests.algorithms.test_async_equivalence import straggler_deployment  # noqa: E402
@@ -200,6 +208,26 @@ def _population(name: str) -> dict:
     cls, kwargs = POPULATION[name]
     algorithm = population.make_sampled_algorithm(cls, kwargs, uneven=True)
     return _ran(algorithm, 36, 6)
+
+
+def _short_shards() -> dict:
+    """The seed-3 cohort starts on the four 5-sample shards (uniform
+    batches of 5); the first rebind brings in a 40-sample shard."""
+    rng = np.random.default_rng(0)
+    shards = ListShards(
+        [
+            Dataset(rng.normal(size=(n, 6)), rng.integers(0, 3, n), 3)
+            for n in (40, 40, 5, 5, 40, 40, 5, 5)
+        ]
+    )
+    binder = PopulationBinder(
+        ClientRegistry.from_shards(shards, 2), shards, cohort_per_edge=2, seed=3
+    )
+    test = Dataset(rng.normal(size=(16, 6)), rng.integers(0, 3, 16), 3)
+    binder.build_federation(make_logistic_regression(6, 3, rng=4), test, batch_size=16)
+    algorithm = HierAdMo(binder.fed, eta=0.05, tau=2, pi=2)
+    algorithm.attach_population(binder)
+    return _ran(algorithm, 12, 4)
 
 
 def _clock_algorithm(clock: str, crash_at: int | None = None):
@@ -340,6 +368,7 @@ MATRIX = {
         f"population/{name}": partial(_population, name)
         for name in POPULATION_NAMES
     },
+    "population/HierAdMo/short-shards": _short_shards,
     **{f"lifecycle/{clock}": partial(_lifecycle, clock) for clock in CLOCKS},
     **{f"resume/{clock}": partial(_resume, clock) for clock in CLOCKS},
     **{f"sim/q{quorum}": partial(_simulated, quorum) for quorum in SIM_QUORUMS},
