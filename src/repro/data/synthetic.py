@@ -35,6 +35,10 @@ __all__ = [
     "DATASET_BUILDERS",
 ]
 
+# Elements per block of samples placed at once: the gathered prototypes
+# of one block, the largest temporary, take 512 KiB.
+_BLOCK_ELEMENTS = 1 << 16
+
 
 def _smooth_field(
     rng: np.random.Generator, channels: int, size: int, num_blobs: int = 4
@@ -51,17 +55,6 @@ def _smooth_field(
                 -((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * sigma**2)
             )
     return field
-
-
-def _jitter(
-    rng: np.random.Generator, image: np.ndarray, max_shift: int
-) -> np.ndarray:
-    """Random circular shift: cheap stand-in for translation variation."""
-    if max_shift <= 0:
-        return image
-    dx = int(rng.integers(-max_shift, max_shift + 1))
-    dy = int(rng.integers(-max_shift, max_shift + 1))
-    return np.roll(np.roll(image, dy, axis=-2), dx, axis=-1)
 
 
 def make_blob_dataset(
@@ -82,6 +75,13 @@ def make_blob_dataset(
     prototype; ``jitter`` is the max circular shift in pixels;
     ``scale_spread`` multiplies each sample's prototype by
     ``1 + U(-spread, spread)`` for amplitude variation.
+
+    Each sample draws its scale (when ``scale_spread > 0``), its column
+    shift dx and row shift dy (when ``jitter > 0``), then its noise, in
+    that order.  The prototypes are then placed in blocks of samples:
+    one gather applies every sample's circular shift, so the result is
+    bit-identical to rolling each scaled prototype by dy rows and dx
+    columns and adding its noise.
     """
     check_positive_int(num_samples, "num_samples")
     check_positive_int(num_classes, "num_classes")
@@ -99,14 +99,38 @@ def make_blob_dataset(
             proto /= rms
 
     labels = rng.integers(0, num_classes, size=num_samples)
-    x = np.empty((num_samples, channels, image_size, image_size))
-    for index, label in enumerate(labels):
-        sample = prototypes[label]
+    shape = (channels, image_size, image_size)
+    x = np.empty((num_samples, *shape))
+    scales = np.ones(num_samples)
+    shifts = np.zeros((num_samples, 2), dtype=np.int64)
+    # Each sample's draws, in stream order: scale, dx, dy, then the noise,
+    # which lands in ``x`` and gets the placed prototype added below.
+    for index in range(num_samples):
         if scale_spread > 0:
-            sample = sample * (1.0 + rng.uniform(-scale_spread, scale_spread))
+            scales[index] = 1.0 + rng.uniform(-scale_spread, scale_spread)
         if jitter > 0:
-            sample = _jitter(rng, sample, jitter)
-        x[index] = sample + rng.normal(0.0, noise, size=sample.shape)
+            shifts[index, 0] = rng.integers(-jitter, jitter + 1)
+            shifts[index, 1] = rng.integers(-jitter, jitter + 1)
+        x[index] = rng.normal(0.0, noise, size=shape)
+
+    # A circular shift by k is a gather: shifted position r reads position
+    # ``(r - k) % image_size``, and ``wrap[k]`` lists those positions.
+    wrap = (np.arange(image_size) - np.arange(image_size)[:, None]) % image_size
+    channel = np.arange(channels)[:, None, None]
+    block = max(1, _BLOCK_ELEMENTS // x[0].size)
+    for start in range(0, num_samples, block):
+        part = slice(start, start + block)
+        rows = wrap[shifts[part, 1] % image_size]
+        cols = wrap[shifts[part, 0] % image_size]
+        placed = prototypes[
+            labels[part, None, None, None],
+            channel,
+            rows[:, None, :, None],
+            cols[:, None, None, :],
+        ]
+        if scale_spread > 0:
+            placed *= scales[part, None, None, None]
+        x[part] += placed
 
     return Dataset(x, labels, num_classes, name)
 

@@ -11,7 +11,8 @@ gives a strictly tighter ``j`` and hence a tighter Theorem-4 bound.  The
 functions here compute those moments exactly (including the 0.99-cap
 correction the paper drops) and for arbitrary cosine distributions via
 quadrature, so the property tests can verify the paper's claim and its
-robustness beyond the uniform example.
+robustness beyond the uniform example.  Only the quadrature helper needs
+scipy, and it imports ``scipy.integrate`` when called.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from repro.core.adaptive import GAMMA_CAP, adapt_gamma
 
@@ -60,7 +60,11 @@ def moments_for_distribution(
 
     The paper notes "the same proof process holds for other
     distributions"; this quadrature version makes that claim checkable.
+    ``scipy.integrate`` is imported on the first call, so importing
+    :mod:`repro` does not load scipy.
     """
+    from scipy import integrate
+
     low, high = support
     if not low < high:
         raise ValueError(f"invalid support {support}")

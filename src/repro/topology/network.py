@@ -3,15 +3,20 @@
 Captures the paper's §III-A structure — which workers sit under which edge
 node and how many samples each holds — and derives the aggregation weights
 ``D_{i,ℓ}/D_ℓ`` (worker within edge) and ``D_ℓ/D`` (edge within cloud)
-used throughout Algorithm 1.
+used throughout Algorithm 1.  :meth:`Topology.to_networkx` is the only
+code that needs networkx, and it imports networkx when called.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.utils.validation import check_positive_int
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Topology"]
 
@@ -146,6 +151,8 @@ class Topology:
     # ------------------------------------------------------------------
     def to_networkx(self) -> nx.Graph:
         """Graph view: cloud -- edge ℓ -- worker (i, ℓ), with sample attrs."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_node("cloud", tier="cloud")
         for edge in range(self.num_edges):

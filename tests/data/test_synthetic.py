@@ -12,7 +12,45 @@ from repro.data import (
     make_synthetic_imagenet,
     make_synthetic_mnist,
 )
+from repro.data.synthetic import _smooth_field
 from repro.nn.models import make_logistic_regression
+
+
+def reference_blobs(
+    num_samples, num_classes, *, channels=1, image_size=8, noise=0.5,
+    jitter=0, scale_spread=0.0, rng,
+):
+    """The generator as a per-sample loop: the oracle for its placement.
+
+    Each sample is its class prototype, optionally scaled, rolled by dy
+    along rows and then by dx along columns, plus Gaussian noise; the
+    draws per sample are the scale, dx, dy and the noise, in that order.
+    """
+    prototypes = np.stack(
+        [_smooth_field(rng, channels, image_size) for _ in range(num_classes)]
+    )
+    for proto in prototypes:
+        proto /= np.sqrt(np.mean(proto**2))
+    labels = rng.integers(0, num_classes, size=num_samples)
+    x = np.empty((num_samples, channels, image_size, image_size))
+    for index, label in enumerate(labels):
+        sample = prototypes[label]
+        if scale_spread > 0:
+            sample = sample * (1.0 + rng.uniform(-scale_spread, scale_spread))
+        if jitter > 0:
+            dx = int(rng.integers(-jitter, jitter + 1))
+            dy = int(rng.integers(-jitter, jitter + 1))
+            sample = np.roll(np.roll(sample, dy, axis=-2), dx, axis=-1)
+        x[index] = sample + rng.normal(0.0, noise, size=sample.shape)
+    return x, labels
+
+
+def assert_same_bits(dataset, rng, reference, reference_rng):
+    x, labels = reference
+    assert dataset.x.shape == x.shape
+    assert np.array_equal(dataset.x.view(np.int64), x.view(np.int64))
+    assert np.array_equal(dataset.y, labels)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 class TestBlobDataset:
@@ -50,6 +88,64 @@ class TestBlobDataset:
             make_blob_dataset(0, 3)
         with pytest.raises(ValueError):
             make_blob_dataset(10, 0)
+
+
+class TestBitOracle:
+    """The vectorized placement reproduces the per-sample loop bit for bit."""
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("jitter", [0, 1, 2, 11])
+    @pytest.mark.parametrize("scale_spread", [0.0, 0.3])
+    def test_matches_per_sample_loop(self, channels, jitter, scale_spread):
+        kwargs = dict(
+            channels=channels, noise=0.7, jitter=jitter,
+            scale_spread=scale_spread,
+        )
+        for num_samples in (1, 2, 17, 500):
+            for seed in (0, 5, 2024):
+                rng = np.random.default_rng(seed)
+                reference_rng = np.random.default_rng(seed)
+                assert_same_bits(
+                    make_blob_dataset(num_samples, 4, rng=rng, **kwargs),
+                    rng,
+                    reference_blobs(
+                        num_samples, 4, rng=reference_rng, **kwargs
+                    ),
+                    reference_rng,
+                )
+
+    @pytest.mark.parametrize(
+        "name, num_classes, kwargs",
+        [
+            ("mnist", 10, dict(image_size=10, noise=0.6, jitter=1)),
+            (
+                "cifar10", 10,
+                dict(
+                    channels=3, image_size=10, noise=1.1, jitter=2,
+                    scale_spread=0.3,
+                ),
+            ),
+            (
+                "imagenet", 20,
+                dict(
+                    channels=3, image_size=12, noise=1.2, jitter=2,
+                    scale_spread=0.4,
+                ),
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [1, 9])
+    def test_stand_ins_match_per_sample_loop(
+        self, name, num_classes, kwargs, seed
+    ):
+        rng = np.random.default_rng(seed)
+        reference_rng = np.random.default_rng(seed)
+        assert_same_bits(
+            make_dataset(name, 1500, rng=rng),
+            rng,
+            reference_blobs(1500, num_classes, rng=reference_rng, **kwargs),
+            reference_rng,
+        )
 
 
 class TestNamedDatasets:

@@ -101,6 +101,45 @@ class TestCheckBench:
         (fresh / "BENCH_monitor.json").write_text(json.dumps(document))
         assert tool.main(["--fresh", str(fresh)]) == 0
 
+    UNJUDGED_BY_SELF_CHECK = [
+        "batched/batched_cnn.speedup",
+        "batched/gradient_pass_16worker_mlp.speedup",
+        "eventsim/engine_event_throughput.events_per_second",
+        "monitor/jsonl_sink_throughput.events_per_sec",
+    ]
+
+    def test_self_check_names_the_keys_it_cannot_judge(self, capsys):
+        tool = load_tool("check_bench")
+        assert tool.main([]) == 0
+        unjudged = [
+            line.removeprefix("note: ").split(":")[0]
+            for line in capsys.readouterr().out.splitlines()
+            if "not judged" in line and "needs --fresh" in line
+        ]
+        assert sorted(unjudged) == self.UNJUDGED_BY_SELF_CHECK
+
+    def test_fresh_directory_judges_those_keys(self, tmp_path, capsys):
+        tool = load_tool("check_bench")
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        for path in REPO.glob("BENCH_*.json"):
+            (fresh / path.name).write_text(path.read_text())
+        assert tool.main(["--fresh", str(fresh)]) == 0
+        assert "not judged" not in capsys.readouterr().out
+        for name in self.UNJUDGED_BY_SELF_CHECK:
+            stem_entry, key = name.split(".")
+            stem, entry = stem_entry.split("/")
+            path = fresh / f"BENCH_{stem}.json"
+            document = json.loads(path.read_text())
+            document["entries"][entry][key] *= 0.5
+            path.write_text(json.dumps(document))
+        assert tool.main(["--fresh", str(fresh)]) == 1
+        regressions = capsys.readouterr().err.splitlines()
+        assert sorted(
+            line.removeprefix("REGRESSION: ").split(":")[0]
+            for line in regressions
+        ) == self.UNJUDGED_BY_SELF_CHECK
+
     def test_missing_entries_skip_not_fail(self, tmp_path, capsys):
         tool = load_tool("check_bench")
         fresh = tmp_path / "fresh"

@@ -15,7 +15,10 @@ against the committed baselines and fails on a real regression:
 Raw microsecond timings are deliberately *not* gated: they shift with
 the machine, while ratios (speedup, overhead) are self-normalizing.
 Missing files, entries or keys are reported but never fail the check —
-a partial bench run only validates what it measured.
+a partial bench run only validates what it measured.  With no
+``--fresh`` the committed files are compared with themselves, so each
+``higher_better`` key would compare a number with itself: the checker
+skips it with a note that names it and says it needs ``--fresh``.
 
 Usage::
 
@@ -75,8 +78,13 @@ def compare_entry(
     baseline: dict,
     *,
     tolerance: float = TOLERANCE,
+    self_check: bool = False,
 ) -> tuple[list[str], list[str]]:
-    """Gate one bench entry; returns (failures, notes)."""
+    """Gate one bench entry; returns (failures, notes).
+
+    ``self_check`` says ``fresh`` and ``baseline`` come from one file,
+    which leaves the ``higher_better`` keys nothing to judge.
+    """
     failures: list[str] = []
     notes: list[str] = []
     for key, kind in GATES[stem][entry]:
@@ -85,6 +93,12 @@ def compare_entry(
             notes.append(f"{stem}/{entry}: key {key!r} missing, skipped")
             continue
         if kind == "higher_better":
+            if self_check:
+                notes.append(
+                    f"{stem}/{entry}.{key}: not judged, the fresh and "
+                    "baseline files are the same; needs --fresh"
+                )
+                continue
             reference = baseline.get(key)
             if reference is None:
                 notes.append(
@@ -133,6 +147,7 @@ def check(
         baseline_entries = (
             _load_entries(baseline_path) if baseline_path.exists() else {}
         )
+        self_check = fresh_path.resolve() == baseline_path.resolve()
         for entry in sorted(entries):
             fresh_entry = fresh_entries.get(entry)
             if fresh_entry is None:
@@ -144,6 +159,7 @@ def check(
                 fresh_entry,
                 baseline_entries.get(entry, {}),
                 tolerance=tolerance,
+                self_check=self_check,
             )
             failures.extend(entry_failures)
             notes.extend(entry_notes)
