@@ -1,11 +1,16 @@
 """Monitoring overhead benchmarks (PR acceptance: disabled ≤ 2%).
 
-Two gates on the run-event stream:
+Three gates on the run-event stream:
 
-* ``null_monitor_overhead`` — the instrumented HierAdMo step under the
-  null monitor (the default) against an unmonitored replica of the same
-  step body, timed A/B interleaved; the guard must cost ≤ 2% (best of
-  repeats), and the per-pair overhead quartiles are recorded beside it;
+* ``null_monitor_overhead`` — the instrumented HierAdMo step with the
+  null slot installed (the default) against an unmonitored replica of
+  the same step body, timed A/B interleaved; the guards must cost ≤ 2%
+  (best of repeats), and the per-pair overhead quartiles are recorded
+  beside it;
+* ``null_monitor_calls`` — the same step's Python calls into the
+  instrumentation modules, counted exactly, at most
+  ``MAX_NULL_CALLS_PER_STEP``: the timing gate's deterministic
+  companion, which fails on any host when a call joins the null path;
 * ``jsonl_sink_throughput`` — events per second through a live
   :class:`RunMonitor` into a line-buffered JSONL sink, pinned to a
   floor so streaming never silently becomes the bottleneck.
@@ -19,18 +24,20 @@ import time
 
 import numpy as np
 
-from repro import telemetry
 from repro.core import Federation, HierAdMo
 from repro.data import Dataset
-from repro.monitoring import JSONLStreamSink, RunMonitor, set_monitor
+from repro.monitoring import JSONLStreamSink, RunMonitor
 from repro.nn.models import make_mlp
-from repro.telemetry import get_tracer
+from repro.telemetry import get_tracer, set_tracer
 
 from .recorder import record_bench
-from .timing import time_interleaved
+from .timing import instrumentation_calls, time_interleaved
 
 # Acceptance threshold for the disabled-monitoring ("null monitor") path.
 MAX_DISABLED_OVERHEAD = 0.02
+# Calls into the instrumentation modules per step at tau=pi=1: the
+# slot's getter and one null span per phase and per adapted edge.
+MAX_NULL_CALLS_PER_STEP = 28
 # Floor for streaming-sink throughput (events per second).  Measured
 # ~85k/s on the reference container; the pin sits far below so only a
 # real regression (per-event re-serialization, unbuffered writes) trips.
@@ -64,8 +71,8 @@ def _make_algo():
 def _unmonitored_step(algo, t):
     """``FLAlgorithm._step`` with no monitoring calls, for the baseline.
 
-    The three-tier ``_aggregate`` inlined minus its monitor guard and
-    emits; everything else, spans included, is the live code.
+    The three-tier ``_aggregate`` inlined minus its ``tracer.monitored``
+    guards and emits; everything else, spans included, is the live code.
     """
     tracer = get_tracer()
     with tracer.span("worker_step"):
@@ -94,8 +101,7 @@ def _unmonitored_step(algo, t):
 
 def test_bench_null_monitor_overhead():
     """Null-monitor step within 2% of the unmonitored replica."""
-    telemetry.disable()
-    set_monitor(None)  # the default, stated explicitly
+    set_tracer(None)  # the default, stated explicitly
     fed, algo = _make_algo()
     clock = iter(range(10**9))
 
@@ -137,6 +143,24 @@ def test_bench_null_monitor_overhead():
     assert overhead <= MAX_DISABLED_OVERHEAD, (
         f"null-monitor step {overhead:+.1%} over the unmonitored "
         f"baseline (budget {MAX_DISABLED_OVERHEAD:.0%})"
+    )
+
+
+def test_bench_null_monitor_calls():
+    """Instrumentation calls of one null-slot step stay at the pin."""
+    set_tracer(None)
+    _, algo = _make_algo()
+    calls = instrumentation_calls(algo)
+    print(f"\n[bench] null instrumentation: {calls} calls per step")
+    record_bench("monitor", "null_monitor_calls", {
+        "tau": algo.tau,
+        "pi": algo.pi,
+        "calls_per_step": calls,
+        "threshold": MAX_NULL_CALLS_PER_STEP,
+    })
+    assert calls <= MAX_NULL_CALLS_PER_STEP, (
+        f"null-slot step makes {calls} instrumentation calls "
+        f"(pin {MAX_NULL_CALLS_PER_STEP})"
     )
 
 

@@ -10,6 +10,10 @@ enough that no round fires) on the small-MLP bench federation:
 * ``enabled``  — the live code with a recording tracer, to document what
   tracing actually costs when you ask for it.
 
+``null_tracer_calls`` is the timing gate's deterministic companion: the
+``disabled`` step's Python calls into the instrumentation modules,
+counted exactly and pinned at ``MAX_NULL_CALLS_PER_STEP``.
+
 Results land in ``BENCH_telemetry.json`` at the repo root.
 """
 
@@ -23,10 +27,14 @@ from repro.data import Dataset
 from repro.nn.models import make_mlp
 
 from .recorder import record_bench
-from .timing import time_interleaved, time_min
+from .timing import instrumentation_calls, time_interleaved, time_min
 
 # The acceptance threshold for the disabled-tracer ("null tracer") path.
 MAX_DISABLED_OVERHEAD = 0.02
+# Calls into the instrumentation modules per step when no round fires:
+# the slot's getter, the worker_step null span, the gradient pass's
+# backend guard and the aggregation schedule's getter.
+MAX_NULL_CALLS_PER_STEP = 6
 
 
 def _make_bench_federation(num_edges=4, per_edge=6):
@@ -67,7 +75,7 @@ def _untraced_step(algo, t):
 
 def test_bench_null_tracer_overhead():
     """Disabled-tracer iteration within 2% of the untraced replica."""
-    telemetry.disable()
+    telemetry.set_tracer(None)
     fed, algo = _make_algo()
     clock = iter(range(1, 10**9))
 
@@ -108,6 +116,24 @@ def test_bench_null_tracer_overhead():
     assert overhead <= MAX_DISABLED_OVERHEAD, (
         f"disabled-tracer iteration {overhead:+.1%} over the untraced "
         f"baseline (budget {MAX_DISABLED_OVERHEAD:.0%})"
+    )
+
+
+def test_bench_null_tracer_calls():
+    """Instrumentation calls of one null-tracer step stay at the pin."""
+    telemetry.set_tracer(None)
+    _, algo = _make_algo()
+    calls = instrumentation_calls(algo)
+    print(f"\n[bench] null instrumentation: {calls} calls per step")
+    record_bench("telemetry", "null_tracer_calls", {
+        "tau": algo.tau,
+        "pi": algo.pi,
+        "calls_per_step": calls,
+        "threshold": MAX_NULL_CALLS_PER_STEP,
+    })
+    assert calls <= MAX_NULL_CALLS_PER_STEP, (
+        f"null-tracer step makes {calls} instrumentation calls "
+        f"(pin {MAX_NULL_CALLS_PER_STEP})"
     )
 
 

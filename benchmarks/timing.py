@@ -1,7 +1,10 @@
-"""Best-of-repeats timers shared by the overhead and speed-up benches."""
+"""Best-of-repeats timers shared by the overhead and speed-up benches,
+and the exact call counter behind the null-instrumentation gates."""
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 
 
@@ -26,3 +29,37 @@ def time_interleaved(fns, repeats=15, iters=20) -> list[list[float]]:
 def time_min(fn, repeats=9, iters=20) -> float:
     """Best-of-repeats mean iteration time of one function."""
     return min(time_interleaved([fn], repeats, iters)[0])
+
+
+def instrumentation_calls(algo) -> int:
+    """Python calls into the instrumentation modules in one ``algo._step``.
+
+    Two steps warm the algorithm up, then the third is counted with
+    :func:`sys.setprofile`: every function entered whose code lives in
+    ``repro/telemetry/tracer.py`` or ``repro/monitoring/`` (the slot's
+    getter, spans, the null object's methods, the hub).  The count is
+    exact on any host, so one more span on the step moves it.
+    """
+    from repro.monitoring import monitor
+    from repro.telemetry import tracer
+
+    tracer_file = tracer.__file__
+    monitoring_dir = os.path.dirname(monitor.__file__) + os.sep
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            filename = frame.f_code.co_filename
+            if filename == tracer_file or filename.startswith(monitoring_dir):
+                calls += 1
+
+    algo._step(1)
+    algo._step(2)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        algo._step(3)
+    finally:
+        sys.setprofile(previous)
+    return calls

@@ -301,14 +301,9 @@ class AsyncExecutionMixin:
         }
 
     def _finish_run(self, history: TrainingHistory) -> TrainingHistory:
-        tally = self._stale_upload_tally()
-        tracer = get_tracer()
-        if tracer.enabled and tally["uploads"]:
-            # Counted before the base class freezes trace_summary.
-            tracer.count("eventsim.stale_uploads", tally["uploads"])
         history = super()._finish_run(history)
         if history.fault_summary is not None:
-            history.fault_summary["stale_uploads"] = tally
+            history.fault_summary["stale_uploads"] = self._stale_upload_tally()
         return history
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from repro.algorithms.hierarchical import HierFAVG
 from repro.compression import Compressor, NoCompression
 from repro.core.federation import Federation
-from repro.telemetry import get_tracer
 
 __all__ = ["QuantizedHierFAVG"]
 
@@ -80,32 +79,25 @@ class QuantizedHierFAVG(HierFAVG):
 
     def _compressed_average(
         self, weights: np.ndarray, deltas: np.ndarray
-    ) -> tuple[np.ndarray, float]:
-        """``Σ wᵢ·C(Δᵢ)`` over the uploaded deltas, and its wire bytes."""
+    ) -> np.ndarray:
+        """``Σ wᵢ·C(Δᵢ)`` over the uploaded deltas.
+
+        Their wire bytes go to ``uplink_payload_bytes``; the ledger
+        counts the same exchanges at full payload.
+        """
         aggregate_delta = np.zeros(self.fed.dim)
         payload = 0.0
         for weight, delta in zip(weights, deltas):
             result = self.compressor.compress(delta)
             payload += result.payload_bytes
             aggregate_delta += weight * result.vector
-        return aggregate_delta, payload
-
-    def _note_uplink(self, payload: float) -> None:
-        # The ledger counts logical exchanges at full payload; the
-        # actual wire bytes after compression live in
-        # ``uplink_payload_bytes`` and the tracer counter below.
         self.uplink_payload_bytes += payload
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.count("comm.compressed_uplink_bytes", payload)
+        return aggregate_delta
 
     def _edge_merge(self, edge: int, rows: slice, outcome) -> None:
         agg, weights = outcome.agg_rows, outcome.agg_weights
         x, sync = self.x[rows], self.worker_sync[rows]
-        aggregate_delta, payload = self._compressed_average(
-            weights, x[agg] - sync[agg]
-        )
-        self._note_uplink(payload)
+        aggregate_delta = self._compressed_average(weights, x[agg] - sync[agg])
         # Sync points diverge under partial redistribution, so
         # reconstruct against the weighted sync average.
         edge_model = weights @ sync[agg] + aggregate_delta
@@ -116,10 +108,9 @@ class QuantizedHierFAVG(HierFAVG):
     def _cloud_merge(self, outcome) -> None:
         agg, weights = outcome.agg_rows, outcome.agg_weights
         models = self._cloud_upload("cloud.models", self.edge_models)
-        aggregate_delta, payload = self._compressed_average(
+        aggregate_delta = self._compressed_average(
             weights, models[agg] - self.edge_sync[agg]
         )
-        self._note_uplink(payload)
         # As on the edge tier, sync points can diverge under faults —
         # reconstruct against the weighted sync average.
         global_model = weights @ self.edge_sync[agg] + aggregate_delta

@@ -35,7 +35,6 @@ import numpy as np
 from repro.core.base import FLAlgorithm
 from repro.core.federation import Federation
 from repro.faults import RoundOutcome, degrade_round
-from repro.monitoring.monitor import get_monitor
 from repro.telemetry import get_tracer
 from repro.utils.validation import (
     check_fraction,
@@ -84,15 +83,15 @@ class TwoTierAlgorithm(FLAlgorithm):
         """
         if t % self.tau:
             return
-        with get_tracer().span("cloud_agg"):
+        tracer = get_tracer()
+        with tracer.span("cloud_agg"):
             outcome = self._round_outcome()
             if outcome.skip:
                 return
             self._server_update(outcome)
             self.history.comm.record_edge_cloud(outcome.events)
-            monitor = get_monitor()
-            if monitor.enabled:
-                monitor.emit(
+            if tracer.monitored:
+                tracer.emit(
                     "cloud_round",
                     iteration=t,
                     tier="cloud",

@@ -61,7 +61,7 @@ from repro.checkpoint.state import (
 )
 from repro.metrics.serialization import history_from_dict, history_to_dict
 from repro.monitoring.events import CHECKPOINT_SAVED
-from repro.monitoring.monitor import get_monitor
+from repro.telemetry import get_tracer
 from repro.utils.validation import check_positive_int
 
 __all__ = ["CheckpointManager", "RestoredRun", "load_resume", "restore"]
@@ -250,9 +250,9 @@ class CheckpointManager:
             -math.inf if accuracy is None else accuracy
         )
         self._prune()
-        monitor = get_monitor()
-        if monitor.enabled:
-            monitor.emit(
+        tracer = get_tracer()
+        if tracer.monitored:
+            tracer.emit(
                 CHECKPOINT_SAVED,
                 iteration=int(iteration),
                 path=str(path),

@@ -53,7 +53,6 @@ from repro.faults import (
 from repro.metrics.history import TrainingHistory
 from repro.monitoring.events import CHECKPOINT_RESTORED
 from repro.monitoring.health import MonitorAbort
-from repro.monitoring.monitor import get_monitor
 from repro.telemetry import get_tracer
 from repro.utils.memory import peak_rss_bytes
 from repro.utils.validation import check_positive, check_positive_int
@@ -253,7 +252,6 @@ class FLAlgorithm:
         One monitor event per tier and round.
         """
         tracer = get_tracer()
-        monitor = get_monitor()
         if t % self.tau == 0:
             with tracer.span("edge_agg"):
                 held: dict[int, float | None] = {}
@@ -265,11 +263,11 @@ class FLAlgorithm:
                     self.history.comm.record_worker_edge(transfers)
             if self._records_gammas:
                 self.history.record_gammas(held)
-            if monitor.enabled:
+            if tracer.monitored:
                 data = {}
                 if self._records_gammas:
                     data["gammas"] = {str(k): v for k, v in held.items()}
-                monitor.emit(
+                tracer.emit(
                     "edge_round",
                     iteration=t,
                     tier="edge",
@@ -282,8 +280,8 @@ class FLAlgorithm:
                 if not outcome.skip:
                     self._cloud_merge(outcome)
                     self.history.comm.record_edge_cloud(outcome.events)
-            if monitor.enabled:
-                monitor.emit(
+            if tracer.monitored:
+                tracer.emit(
                     "cloud_round",
                     iteration=t,
                     tier="cloud",
@@ -370,34 +368,6 @@ class FLAlgorithm:
         return {"eta": self.eta}
 
     # ------------------------------------------------------------------
-    # Monitoring
-    # ------------------------------------------------------------------
-    def _emit_run_start(self, total_iterations: int, eval_every: int) -> None:
-        monitor = get_monitor()
-        if not monitor.enabled:
-            return
-        self._alert_mark = len(monitor.alerts)
-        monitor.emit(
-            "run_start",
-            algorithm=self.name,
-            total_iterations=int(total_iterations),
-            eval_every=int(eval_every),
-            workers=self.fed.num_workers,
-            edges=self.fed.num_edges,
-            dim=self.fed.dim,
-        )
-
-    def _emit_checkpoint_restored(self, restored) -> None:
-        monitor = get_monitor()
-        if not monitor.enabled:
-            return
-        monitor.emit(
-            CHECKPOINT_RESTORED,
-            iteration=restored.iteration,
-            path=str(restored.path),
-        )
-
-    # ------------------------------------------------------------------
     # Driver
     # ------------------------------------------------------------------
     # The clock a run advances on, named in its checkpoints.  "lockstep"
@@ -479,8 +449,17 @@ class FLAlgorithm:
             clock_state = resume_from.driver_state
             self._loss_sum = float(clock_state["running_loss"])
             self._loss_count = int(clock_state["since_eval"])
-        self._emit_run_start(total_iterations, eval_every)
-        self._alerts_seen = self._alert_mark
+        tracer = get_tracer()
+        self._alert_mark = self._alerts_seen = len(tracer.alerts)
+        tracer.emit(
+            "run_start",
+            algorithm=self.name,
+            total_iterations=int(total_iterations),
+            eval_every=int(eval_every),
+            workers=self.fed.num_workers,
+            edges=self.fed.num_edges,
+            dim=self.fed.dim,
+        )
 
         try:
             if resume_from is None:
@@ -490,7 +469,11 @@ class FLAlgorithm:
                 # two series).
                 self._record_eval(0, float("nan"))
             else:
-                self._emit_checkpoint_restored(resume_from)
+                tracer.emit(
+                    CHECKPOINT_RESTORED,
+                    iteration=resume_from.iteration,
+                    path=str(resume_from.path),
+                )
             diverged = self._run_clock(clock_state, stop_on_divergence)
             if diverged is not None:
                 history.diverged = True
@@ -594,8 +577,8 @@ class FLAlgorithm:
             sim_time = self._sim_time()
         if sim_time is not None:
             history.eval_times.append(sim_time)
-        monitor = get_monitor()
-        if not (emit and monitor.enabled):
+        tracer = get_tracer()
+        if not (emit and tracer.monitored):
             return
         # Reads state only (losses already computed, ledger counters),
         # so monitored and unmonitored runs stay bit-exact.  May raise
@@ -612,13 +595,12 @@ class FLAlgorithm:
         }
         if self.faults is not None:
             data["fault_events"] = int(sum(self.faults.counts.values()))
-        monitor.emit("eval", iteration=t, sim_time=sim_time, **data)
+        tracer.emit("eval", iteration=t, sim_time=sim_time, **data)
 
     def _maybe_checkpoint(self, t: int) -> None:
         """Save at barrier ``t`` if it is periodic or an alert is new."""
         checkpoints = self._checkpoints
-        monitor = get_monitor()
-        alerts_now = len(monitor.alerts) if monitor.enabled else 0
+        alerts_now = len(get_tracer().alerts)
         periodic = checkpoints.should_save(t)
         if not periodic and alerts_now <= self._alerts_seen:
             return
@@ -646,10 +628,9 @@ class FLAlgorithm:
             history.trace_summary = tracer.summary()
         if self.faults is not None:
             history.fault_summary = self.faults.summary()
-        monitor = get_monitor()
-        if monitor.enabled:
+        if tracer.monitored:
             history.alerts.extend(
-                alert.to_dict() for alert in monitor.alerts[self._alert_mark:]
+                alert.to_dict() for alert in tracer.alerts[self._alert_mark:]
             )
             if history.aborted_by:
                 status = "aborted"
@@ -657,7 +638,7 @@ class FLAlgorithm:
                 status = "diverged"
             else:
                 status = "finished"
-            monitor.emit(
+            tracer.emit(
                 "run_end",
                 iteration=history.iterations[-1] if history.iterations else 0,
                 status=status,

@@ -14,10 +14,9 @@ plan.  Masks are ``None`` whenever nobody is down, which
 :func:`~repro.faults.degrade_round` resolves to every candidate at the
 caller's own weights.
 
-Realized events are double-counted on purpose: into the injector's own
-``counts`` dict (always, so the ``repro faults`` summary works without
-a tracer) and into the active tracer's ``fault.*`` counters (when
-tracing is enabled).
+Realized events are counted once, into the injector's ``counts`` dict,
+which :meth:`FaultInjector.summary` digests into
+``history.fault_summary``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.faults.plan import FaultPlan
-from repro.telemetry import get_tracer
 from repro.utils.rng import child_seed, make_rng
 from repro.utils.validation import check_positive_int
 
@@ -122,13 +120,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Counting
     # ------------------------------------------------------------------
-    def _count(self, name: str, value: int) -> None:
-        if value:
-            self.counts[name] += int(value)
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.count(name, value)
-
     def note_round(self, kind: str) -> None:
         """Record one aggregation round outcome (pristine/degraded/skipped).
 
@@ -136,7 +127,7 @@ class FaultInjector:
         same as the event engine, which never consults one.
         """
         if self.active:
-            self._count(f"round.{kind}", 1)
+            self.counts[f"round.{kind}"] += 1
 
     # ------------------------------------------------------------------
     # Scripted crashes (checkpoint/recovery testing)
@@ -151,7 +142,7 @@ class FaultInjector:
         must not perturb numerics, see :class:`FaultPlan`).
         """
         if t in self._crash_at:
-            self._count("fault.crash", 1)
+            self.counts["fault.crash"] += 1
             raise InjectedCrash(t)
 
     # ------------------------------------------------------------------
@@ -182,7 +173,7 @@ class FaultInjector:
             return None
         if not mask.any():
             mask[0] = True
-        self._count("fault.worker_drop", int((~mask).sum()))
+        self.counts["fault.worker_drop"] += int((~mask).sum())
         return mask
 
     # ------------------------------------------------------------------
@@ -214,7 +205,7 @@ class FaultInjector:
             mask = None
         self._edge_masks[interval] = mask
         if mask is not None:
-            self._count("fault.edge_outage", int((~mask).sum()))
+            self.counts["fault.edge_outage"] += int((~mask).sum())
         return mask
 
     # ------------------------------------------------------------------
@@ -249,9 +240,9 @@ class FaultInjector:
             if failed:
                 dup_draws[np.asarray(failed, dtype=int)] = False
             duplicates = int(dup_draws.sum())
-        self._count("fault.retry", retries)
-        self._count("fault.msg_loss", len(failed))
-        self._count("fault.msg_dup", duplicates)
+        self.counts["fault.retry"] += retries
+        self.counts["fault.msg_loss"] += len(failed)
+        self.counts["fault.msg_dup"] += duplicates
         return TransferOutcome(
             retries=retries,
             duplicates=duplicates,
@@ -282,7 +273,7 @@ class FaultInjector:
         flags = rng.random(count) < plan.msg_staleness
         if not flags.any():
             return None
-        self._count("fault.msg_stale", int(flags.sum()))
+        self.counts["fault.msg_stale"] += int(flags.sum())
         return flags
 
     # ------------------------------------------------------------------
@@ -318,7 +309,7 @@ class FaultInjector:
         if stale_rows.size and buffer:
             result = matrix.copy()
             result[stale_rows] = buffer[0][stale_rows]
-            self._count("fault.msg_stale", int(stale_rows.size))
+            self.counts["fault.msg_stale"] += int(stale_rows.size)
         buffer.append(matrix.copy())
         return result
 

@@ -3,7 +3,8 @@
 Experiment campaigns (the benches, long sweeps) archive their histories
 to disk so tables can be re-rendered without re-running training.
 Traced runs additionally dump their tracer as JSONL — one span record,
-counter or histogram per line — for offline analysis.
+counter or histogram per line, each in the run-event envelope of the
+monitoring stream — for offline analysis.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import json
 from pathlib import Path
 
 from repro.metrics.history import TrainingHistory
+from repro.monitoring.events import RunEvent
+from repro.monitoring.sinks import load_events_jsonl
 from repro.telemetry.ledger import CommLedger
 from repro.telemetry.tracer import SpanRecord, Tracer
 from repro.utils.io import atomic_write_text
@@ -93,63 +96,58 @@ def load_history(path: str | Path) -> TrainingHistory:
 
 
 def save_trace_jsonl(tracer: Tracer, path: str | Path) -> None:
-    """Dump a tracer as JSONL: one meta/span/counter/histogram per line.
+    """Dump a tracer as run events: one meta/span/counter/histogram a line.
 
-    The first line is a ``meta`` record (record/drop counts); each
-    subsequent line is self-describing via its ``type`` field, so the
-    file streams into any JSONL tool without a schema.
+    Each line is a :class:`~repro.monitoring.events.RunEvent` envelope,
+    so :func:`~repro.monitoring.sinks.load_events_jsonl` reads the file.
+    The first is a ``meta`` event (record/drop counts); a ``span``'s
+    ``wall_time`` is its start on the tracer's clock.
     """
-    lines = [json.dumps({
-        "type": "meta",
-        "records": len(tracer.records),
-        "dropped": tracer.dropped,
-    })]
+    events = [RunEvent(
+        "meta", data={"records": len(tracer.records), "dropped": tracer.dropped}
+    )]
     for record in tracer.records:
-        lines.append(json.dumps({"type": "span", **record.to_dict()}))
+        events.append(RunEvent("span", wall_time=record.start, data={
+            "name": record.name,
+            "duration": record.duration,
+            "parent": record.parent,
+            "depth": record.depth,
+        }))
     for name, value in sorted(tracer.counters.items()):
-        lines.append(json.dumps({
-            "type": "counter", "name": name, "value": value,
-        }))
+        events.append(RunEvent("counter", data={"name": name, "value": value}))
     for name, histogram in sorted(tracer.histograms.items()):
-        lines.append(json.dumps({
-            "type": "histogram", "name": name, **histogram.to_dict(),
-        }))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        events.append(
+            RunEvent("histogram", data={"name": name, **histogram.to_dict()})
+        )
+    for seq, event in enumerate(events):
+        event.seq = seq
+    atomic_write_text(path, "".join(event.to_json() + "\n" for event in events))
 
 
 def load_trace_jsonl(path: str | Path) -> dict:
-    """Read a trace dump written by :func:`save_trace_jsonl`.
+    """Group a trace dump written by :func:`save_trace_jsonl`.
 
     Returns ``{"meta": dict, "spans": [SpanRecord], "counters": {name:
-    value}, "histograms": {name: summary dict}}``.
+    value}, "histograms": {name: summary dict}}``.  Lines are read by
+    :func:`~repro.monitoring.sinks.load_events_jsonl`, with its rule for
+    a partial final line.
     """
     meta: dict = {}
     spans: list[SpanRecord] = []
     counters: dict[str, float] = {}
     histograms: dict[str, dict] = {}
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for index, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError:
-            if index == len(lines) - 1:
-                # A crash mid-append leaves a truncated final record;
-                # the complete prefix is still a valid trace.
-                break
-            raise
-        kind = payload.pop("type")
-        if kind == "meta":
-            meta = payload
-        elif kind == "span":
-            spans.append(SpanRecord.from_dict(payload))
-        elif kind == "counter":
-            counters[payload["name"]] = payload["value"]
-        elif kind == "histogram":
-            histograms[payload.pop("name")] = payload
+    for event in load_events_jsonl(path):
+        data = event.data
+        if event.kind == "meta":
+            meta = data
+        elif event.kind == "span":
+            spans.append(SpanRecord(start=event.wall_time, **data))
+        elif event.kind == "counter":
+            counters[data["name"]] = data["value"]
+        elif event.kind == "histogram":
+            histograms[data.pop("name")] = data
         else:
-            raise ValueError(f"unknown trace record type {kind!r}")
+            raise ValueError(f"unknown trace record kind {event.kind!r}")
     return {
         "meta": meta,
         "spans": spans,

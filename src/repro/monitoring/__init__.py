@@ -1,9 +1,10 @@
 """Live run monitoring: event stream, metrics registry, health alerts.
 
-The streaming counterpart of :mod:`repro.telemetry` — where the tracer
-answers "what happened" after a run, the monitoring layer answers "is
-this run healthy" while it happens.  See ``docs/architecture.md`` §13
-for the stream schema and monitor lifecycle.
+The run-event half of the one instrumentation slot — where the tracer's
+spans answer "where did the time go", the event stream answers "is this
+run healthy" while it happens.  Both are reached through
+:func:`repro.telemetry.get_tracer`.  See ``docs/architecture.md`` §9
+for the slot and §13 for the stream schema and monitor lifecycle.
 """
 
 from repro.monitoring.dashboard import render_dashboard
@@ -30,14 +31,7 @@ from repro.monitoring.health import (
     StalenessRunawayMonitor,
     default_monitors,
 )
-from repro.monitoring.monitor import (
-    NULL_MONITOR,
-    NullMonitor,
-    RunMonitor,
-    get_monitor,
-    monitoring,
-    set_monitor,
-)
+from repro.monitoring.monitor import RunMonitor, monitoring
 from repro.monitoring.registry import MetricsRegistry
 from repro.monitoring.sinks import (
     CallbackSink,
@@ -74,10 +68,6 @@ __all__ = [
     "FaultBudgetMonitor",
     "default_monitors",
     "RunMonitor",
-    "NullMonitor",
-    "NULL_MONITOR",
-    "get_monitor",
-    "set_monitor",
     "monitoring",
     "render_dashboard",
 ]

@@ -24,9 +24,12 @@ trace.  Six kinds circulate:
 An event is a flat JSON-able envelope: the typed header fields below
 plus a free-form ``data`` payload whose keys are stable per kind (the
 schema table lives in ``docs/architecture.md`` §13).  ``wall_time`` is
-seconds on the monotonic clock since the monitor's epoch; ``sim_time``
-is the simulated clock of event-driven runs (``None`` for lockstep
-runs, which have no time axis while running).
+seconds since the channel's epoch — the recording tracer's when tracing
+is on, so events and spans share one clock; ``sim_time`` is the
+simulated clock of event-driven runs (``None`` for lockstep runs, which
+have no time axis while running).  Trace dumps reuse the envelope with
+``meta``/``span``/``counter``/``histogram`` kinds
+(:func:`repro.metrics.save_trace_jsonl`).
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """The monitoring hub: event fan-out, metric folding, health checks.
 
-Mirrors the tracer's active-instance pattern
-(:mod:`repro.telemetry.tracer`): a module-level active monitor that
-instrumented code fetches with :func:`get_monitor` and guards with the
-``enabled`` flag.  The default is :data:`NULL_MONITOR`, whose ``emit``
-is an unconditional no-op — an unmonitored run takes exactly one
-attribute check per instrumentation point and stays bit-exact
+The hub is the run-event half of the one instrumentation slot
+(:mod:`repro.telemetry.tracer`).  Instrumented code fetches the slot
+with :func:`~repro.telemetry.tracer.get_tracer`, guards on its
+``monitored`` flag and calls ``emit``; the default slot,
+:data:`~repro.telemetry.tracer.NULL_TRACER`, answers ``monitored =
+False`` and an ``emit`` that does nothing, so an unmonitored run takes
+one attribute check per instrumentation point and stays bit-exact
 (emission only ever *reads* algorithm state).
 
 A live :class:`RunMonitor` does three things per event, in order:
@@ -22,7 +23,10 @@ A live :class:`RunMonitor` does three things per event, in order:
    drivers can stop cleanly.  ``run_end`` events never escalate: the
    run is already over.
 
-Use the :func:`monitoring` context manager for scoped installation::
+Use the :func:`monitoring` context manager to open a scope: it attaches
+the hub to the active recording tracer (events then read the tracer's
+clock, one epoch for spans and events) or, with tracing off, puts the
+hub itself in the slot::
 
     with monitoring(sinks=[JSONLStreamSink("run.jsonl")],
                     monitors=default_monitors()) as monitor:
@@ -39,15 +43,9 @@ from repro.monitoring.events import ALERT, RUN_END, RunEvent
 from repro.monitoring.health import Alert, HealthMonitor, MonitorAbort
 from repro.monitoring.registry import MetricsRegistry
 from repro.monitoring.sinks import EventSink
+from repro.telemetry.tracer import NullTracer, get_tracer, set_tracer
 
-__all__ = [
-    "RunMonitor",
-    "NullMonitor",
-    "NULL_MONITOR",
-    "get_monitor",
-    "set_monitor",
-    "monitoring",
-]
+__all__ = ["RunMonitor", "monitoring"]
 
 # Eval-event payload keys folded into same-named gauges.
 _EVAL_GAUGES = (
@@ -69,25 +67,40 @@ _POPULATION_GAUGES = (
 )
 
 
-class RunMonitor:
-    """Live event hub for one monitoring session."""
+def _stopwatch():
+    """Seconds on the monotonic clock since this call."""
+    epoch = time.perf_counter()
+    return lambda: time.perf_counter() - epoch
 
-    enabled = True
+
+class RunMonitor(NullTracer):
+    """Live event hub for one monitoring session.
+
+    In the slot by itself it records no spans (the null tracer's
+    ``span``/``count``/``observe``) and answers ``monitored``.
+    ``clock`` gives each event's ``wall_time``: seconds since the
+    channel's epoch; by default since the hub was built.
+    """
+
+    monitored = True
 
     def __init__(
         self,
         sinks: tuple[EventSink, ...] | list[EventSink] = (),
         monitors: tuple[HealthMonitor, ...] | list[HealthMonitor] = (),
         registry: MetricsRegistry | None = None,
-        clock=time.perf_counter,
+        clock=None,
     ):
         self.sinks = list(sinks)
         self.monitors = list(monitors)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.alerts: list[Alert] = []
-        self._clock = clock
-        self._epoch = clock()
+        self.clock = clock if clock is not None else _stopwatch()
         self._seq = 0
+
+    @property
+    def hub(self) -> "RunMonitor":
+        return self
 
     # ------------------------------------------------------------------
     # Emission
@@ -109,7 +122,7 @@ class RunMonitor:
         event = RunEvent(
             kind=kind,
             seq=self._seq,
-            wall_time=self._clock() - self._epoch,
+            wall_time=self.clock(),
             iteration=iteration,
             tier=tier,
             sim_time=sim_time,
@@ -194,58 +207,31 @@ class RunMonitor:
                 registry.set_gauge("repro_total_iterations", iterations)
 
 
-class NullMonitor:
-    """Disabled monitor: every instrumentation point short-circuits.
-
-    ``emit`` is still callable (returns None, records nothing) so
-    call sites may skip the ``enabled`` guard off the hot path.
-    """
-
-    enabled = False
-    sinks: tuple = ()
-    monitors: tuple = ()
-    alerts: tuple = ()
-
-    def emit(self, kind: str, **kwargs) -> None:
-        return None
-
-    def close(self) -> None:
-        return None
-
-
-NULL_MONITOR = NullMonitor()
-
-_active: RunMonitor | NullMonitor = NULL_MONITOR
-
-
-def get_monitor() -> RunMonitor | NullMonitor:
-    """The active monitor (instrumented code calls this per block)."""
-    return _active
-
-
-def set_monitor(monitor: RunMonitor | NullMonitor | None) -> RunMonitor | NullMonitor:
-    """Install ``monitor`` as active; ``None`` resets. Returns previous."""
-    global _active
-    previous = _active
-    _active = NULL_MONITOR if monitor is None else monitor
-    return previous
-
-
 @contextmanager
 def monitoring(
     sinks: tuple[EventSink, ...] | list[EventSink] = (),
     monitors: tuple[HealthMonitor, ...] | list[HealthMonitor] = (),
     registry: MetricsRegistry | None = None,
 ):
-    """Install a fresh :class:`RunMonitor` for the ``with`` body.
+    """Open a fresh :class:`RunMonitor` for the ``with`` body.
 
-    Restores the previously active monitor and closes the sinks on
-    exit (including on exception / :class:`MonitorAbort`).
+    With a recording tracer in the slot the hub is attached to it and
+    stamps events on its clock; otherwise the hub goes in the slot.
+    Either way the slot is restored and the sinks closed on exit
+    (including on exception / :class:`MonitorAbort`).
     """
-    monitor = RunMonitor(sinks=sinks, monitors=monitors, registry=registry)
-    previous = set_monitor(monitor)
+    active = get_tracer()
+    if active.enabled:
+        monitor = RunMonitor(sinks, monitors, registry, clock=active.elapsed)
+        previous, active.hub = active.hub, monitor
+    else:
+        monitor = RunMonitor(sinks, monitors, registry)
+        set_tracer(monitor)
     try:
         yield monitor
     finally:
-        set_monitor(previous)
+        if active.enabled:
+            active.hub = previous
+        else:
+            set_tracer(active)
         monitor.close()

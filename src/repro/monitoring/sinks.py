@@ -107,19 +107,19 @@ class CallbackSink(EventSink):
 def load_events_jsonl(path: str | Path) -> list[RunEvent]:
     """Read a (possibly still-growing) JSONL event stream.
 
-    A truncated trailing line — the writer mid-emit — is skipped rather
-    than raised on, so a live dashboard refresh never crashes on a
-    partial record.
+    Only the final line may fail to parse — the writer mid-emit — and it
+    is skipped, so a live dashboard refresh never crashes on a partial
+    record.  A bad line anywhere else raises: the file is damaged.
     """
     events: list[RunEvent] = []
-    text = Path(path).read_text(encoding="utf-8")
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for index, line in enumerate(lines):
+        if not line.strip():
             continue
         try:
             events.append(RunEvent.from_json(line))
         except ValueError:
-            # Partial trailing record of a live stream.
-            continue
+            if index == len(lines) - 1:
+                break
+            raise
     return events

@@ -54,10 +54,10 @@ import numpy as np
 from repro.checkpoint.state import pack_rngs, set_rng_state
 from repro.core.federation import Federation
 from repro.data.loader import SampleStore
-from repro.monitoring.monitor import get_monitor
 from repro.population.carry import CarryStore
 from repro.population.registry import ClientRegistry
 from repro.population.sampling import CohortSampler
+from repro.telemetry import get_tracer
 from repro.utils.rng import child_seeds, default_rng_states
 
 __all__ = ["PopulationBinder"]
@@ -211,9 +211,9 @@ class PopulationBinder:
         cohort = self._rebind(
             algorithm, self.sampler.draw(period), save_carry=True
         )
-        monitor = get_monitor()
-        if monitor.enabled:
-            monitor.emit(
+        tracer = get_tracer()
+        if tracer.monitored:
+            tracer.emit(
                 "population_round",
                 iteration=int(iteration),
                 registered=self.registry.num_clients,

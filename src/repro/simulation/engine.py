@@ -69,7 +69,6 @@ from repro.simulation.events import (
     EdgeRoundRecord,
     EventSimulation,
 )
-from repro.monitoring.monitor import get_monitor
 from repro.simulation.links import (
     DEFAULT_RETRY_POLICY,
     LINK_PRESETS,
@@ -648,8 +647,8 @@ class EventLoopRunner:
             # A flat closure is the cloud round.
             self._record_cloud_round(round_index, start, finish)
 
-        monitor = get_monitor()
-        if monitor.enabled:
+        tracer = get_tracer()
+        if tracer.monitored:
             # Quorum wait: how long the round held its first arrival
             # before enough fresh uploads closed it.
             wait = (start - min(fresh.values())) if fresh else None
@@ -669,7 +668,7 @@ class EventLoopRunner:
             hook = getattr(self.client, "monitor_round_data", None)
             if hook is not None:
                 data.update(hook(group, round_index))
-            monitor.emit(
+            tracer.emit(
                 "edge_round",
                 iteration=min(round_index * self.tau, self.total_iterations),
                 tier="cloud" if self.flat else "edge",
@@ -719,9 +718,9 @@ class EventLoopRunner:
         )
         self.client.cloud_sync(index, tuple(all_receivers))
         stale_ids = self._record_cloud_round(index, start, finish)
-        monitor = get_monitor()
-        if monitor.enabled:
-            monitor.emit(
+        tracer = get_tracer()
+        if tracer.monitored:
+            tracer.emit(
                 "cloud_round",
                 iteration=min(
                     index * self.tau * self.pi, self.total_iterations

@@ -4,8 +4,10 @@ The subsystem has three parts (see ``docs/architecture.md`` § 9):
 
 * :mod:`repro.telemetry.tracer` — the process-local :class:`Tracer`
   with nestable monotonic-clock spans, counters and histograms, plus
-  the module-level active-tracer switch.  Disabled (the default) it is
-  a strict no-op: the hot paths see the shared :data:`NULL_TRACER`.
+  the module-level instrumentation slot that also carries the
+  run-event stream of :mod:`repro.monitoring`.  Disabled (the default)
+  it is a strict no-op: the hot paths see the shared
+  :data:`NULL_TRACER`.
 * :mod:`repro.telemetry.ledger` — :class:`CommLedger`, the per-run
   communication accountant attached to every
   :class:`~repro.metrics.history.TrainingHistory`; byte totals are
@@ -31,8 +33,6 @@ from repro.telemetry.tracer import (
     SpanRecord,
     SpanStats,
     Tracer,
-    disable,
-    enable,
     get_tracer,
     set_tracer,
     tracing,
@@ -47,8 +47,6 @@ __all__ = [
     "Histogram",
     "get_tracer",
     "set_tracer",
-    "enable",
-    "disable",
     "tracing",
     "CommLedger",
     "BYTES_PER_PARAM",

@@ -32,8 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.telemetry.tracer import get_tracer
-
 __all__ = ["CommLedger", "BYTES_PER_PARAM"]
 
 # The runtime trains in float64 throughout.
@@ -74,19 +72,11 @@ class CommLedger:
         """
         self.worker_edge_events += int(transfers)
         self.worker_edge_rounds += int(rounds)
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.count("comm.worker_edge.transfers", transfers)
-            tracer.count("comm.worker_edge.bytes", transfers * self.vector_bytes)
 
     def record_edge_cloud(self, transfers: int, *, rounds: int = 1) -> None:
         """Record edge↔cloud (or worker↔cloud, for two-tier) traffic."""
         self.edge_cloud_events += int(transfers)
         self.edge_cloud_rounds += int(rounds)
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.count("comm.edge_cloud.transfers", transfers)
-            tracer.count("comm.edge_cloud.bytes", transfers * self.vector_bytes)
 
     # ------------------------------------------------------------------
     # Derived quantities (closed form — cannot drift from the events)

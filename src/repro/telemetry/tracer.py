@@ -1,4 +1,4 @@
-"""Process-local span tracer: timings, counters and histograms.
+"""The instrumentation slot: spans, counters, histograms and run events.
 
 One :class:`Tracer` instance records everything a federated run emits:
 
@@ -7,17 +7,24 @@ One :class:`Tracer` instance records everything a federated run emits:
   with their parent span and nesting depth, and aggregated per name into
   count/total/min/max statistics;
 * **counters** — monotonically accumulated numbers
-  (``tracer.count("comm.worker_edge.transfers", 8)``);
+  (``tracer.count("eventsim.upload_arrived")``);
 * **histograms** — value distributions
   (``tracer.observe("adaptive.gamma", 0.42)``) with count/total/min/max
   and on-demand percentiles.
 
-Tracing is *off by default*.  The module-level active tracer starts as
+The same slot carries the run-event stream: ``tracer.emit(kind, ...)``
+hands one event to the attached
+:class:`~repro.monitoring.monitor.RunMonitor` hub, and
+``tracer.monitored`` says whether one is attached.  Instrumented code
+fetches the slot once per function with :func:`get_tracer` and guards
+event payloads on ``monitored``, spans-only work on ``enabled``.
+
+Both halves are *off by default*.  The slot starts as
 :data:`NULL_TRACER`, whose ``span()`` returns one shared no-op context
-manager and whose ``count``/``observe`` do nothing — no dict churn, no
-allocation, no clock reads — so instrumented hot paths cost one
-attribute lookup when tracing is disabled.  Code that instruments a
-*per-oracle-call* region additionally guards on ``tracer.enabled`` so
+manager and whose ``count``/``observe``/``emit`` do nothing — no dict
+churn, no allocation, no clock reads — so instrumented hot paths cost
+one attribute lookup when nothing is recording.  Code that instruments
+a *per-oracle-call* region additionally guards on ``tracer.enabled`` so
 the disabled path executes zero extra context managers (see
 ``repro.nn.supervised``); per-iteration regions just use
 ``with get_tracer().span(...)`` directly.
@@ -42,8 +49,6 @@ __all__ = [
     "NULL_TRACER",
     "get_tracer",
     "set_tracer",
-    "enable",
-    "disable",
     "tracing",
 ]
 
@@ -57,25 +62,6 @@ class SpanRecord:
     duration: float  # seconds
     parent: str | None
     depth: int
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "start": self.start,
-            "duration": self.duration,
-            "parent": self.parent,
-            "depth": self.depth,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SpanRecord":
-        return cls(
-            name=str(payload["name"]),
-            start=float(payload["start"]),
-            duration=float(payload["duration"]),
-            parent=payload.get("parent"),
-            depth=int(payload.get("depth", 0)),
-        )
 
 
 @dataclass(slots=True)
@@ -211,15 +197,20 @@ _NULL_SPAN = _NullSpan()
 
 
 class NullTracer:
-    """Disabled tracer: every operation is a no-op.
+    """Disabled slot: every operation is a no-op.
 
     A single module-level instance (:data:`NULL_TRACER`) is installed by
-    default; hot paths check ``tracer.enabled`` (a plain class attribute)
-    when even a no-op context manager per call would be too much.
+    default; hot paths check ``tracer.enabled`` (spans) or
+    ``tracer.monitored`` (events), plain class attributes, when even a
+    no-op call would be too much.
     """
 
     __slots__ = ()
     enabled = False
+    monitored = False
+    # The run-event hub this slot's events reach (none here).
+    hub = None
+    alerts: tuple = ()
 
     def span(self, name: str) -> _NullSpan:
         return _NULL_SPAN
@@ -228,6 +219,9 @@ class NullTracer:
         return None
 
     def observe(self, name: str, value: float) -> None:
+        return None
+
+    def emit(self, kind: str, **kwargs) -> None:
         return None
 
 
@@ -241,6 +235,10 @@ class Tracer:
     further spans still update the per-name aggregate statistics but the
     individual records are dropped (``dropped`` counts them), so a long
     run cannot exhaust memory while its phase breakdown stays exact.
+
+    ``hub`` is the run-event hub a ``monitoring()`` scope attached for
+    its duration (``None`` outside one); events stamped through it read
+    this tracer's clock, so spans and events share one epoch.
     """
 
     enabled = True
@@ -256,6 +254,7 @@ class Tracer:
         self.counters: dict[str, float] = {}
         self.histograms: dict[str, Histogram] = {}
         self._stack: list[str] = []
+        self.hub = None
 
     # ------------------------------------------------------------------
     # Recording API
@@ -274,6 +273,15 @@ class Tracer:
         if histogram is None:
             histogram = self.histograms[name] = Histogram()
         histogram.observe(value)
+
+    def emit(self, kind: str, **kwargs):
+        """Hand one run event to the attached hub (no-op without one)."""
+        hub = self.hub
+        return None if hub is None else hub.emit(kind, **kwargs)
+
+    def elapsed(self) -> float:
+        """Seconds on this tracer's clock since its epoch."""
+        return self._clock() - self._epoch
 
     def _finish(self, record: SpanRecord) -> None:
         stats = self.span_stats.get(record.name)
@@ -294,6 +302,17 @@ class Tracer:
     def dropped(self) -> int:
         """Span records discarded after ``max_records`` was reached."""
         return int(self.counters.get("telemetry.dropped", 0))
+
+    @property
+    def monitored(self) -> bool:
+        """Whether a run-event hub is attached."""
+        return self.hub is not None
+
+    @property
+    def alerts(self):
+        """The attached hub's health alerts (empty without one)."""
+        hub = self.hub
+        return () if hub is None else hub.alerts
 
     @property
     def active_span(self) -> str | None:
@@ -322,40 +341,34 @@ class Tracer:
 
 
 # ----------------------------------------------------------------------
-# Module-level active tracer
+# The module-level slot
 # ----------------------------------------------------------------------
 _active: Tracer | NullTracer = NULL_TRACER
 
 
 def get_tracer() -> Tracer | NullTracer:
-    """The process-wide active tracer (the null tracer when disabled)."""
+    """The process-wide instrumentation slot.
+
+    A recording :class:`Tracer`, a
+    :class:`~repro.monitoring.monitor.RunMonitor` hub when only
+    monitoring is on, or :data:`NULL_TRACER` when nothing records.
+    """
     return _active
 
 
 def set_tracer(tracer: Tracer | NullTracer | None) -> Tracer | NullTracer:
-    """Install ``tracer`` as the active tracer (None → the null tracer)."""
+    """Install ``tracer`` in the slot (None → the null tracer)."""
     global _active
     _active = tracer if tracer is not None else NULL_TRACER
     return _active
 
 
-def enable(**kwargs) -> Tracer:
-    """Install (and return) a fresh recording :class:`Tracer`."""
-    tracer = Tracer(**kwargs)
-    set_tracer(tracer)
-    return tracer
-
-
-def disable() -> None:
-    """Restore the no-op null tracer."""
-    set_tracer(NULL_TRACER)
-
-
 @contextmanager
 def tracing(tracer: Tracer | None = None):
-    """Scoped tracing: install a tracer, restore the previous one on exit.
+    """Scoped tracing: install a tracer, restore the previous slot on exit.
 
-    ::
+    An open ``monitoring()`` scope's hub is carried onto the tracer for
+    the scope, so its events keep flowing.  ::
 
         with telemetry.tracing() as tracer:
             history = run_single("HierAdMo", config)
@@ -363,8 +376,10 @@ def tracing(tracer: Tracer | None = None):
     """
     installed = tracer if tracer is not None else Tracer()
     previous = _active
+    own_hub, installed.hub = installed.hub, previous.hub
     set_tracer(installed)
     try:
         yield installed
     finally:
+        installed.hub = own_hub
         set_tracer(previous)

@@ -1,4 +1,4 @@
-"""Tests for the monitoring hub and active-instance plumbing."""
+"""Tests for the monitoring hub and its place in the instrumentation slot."""
 
 import math
 
@@ -10,14 +10,12 @@ from repro.monitoring import (
     RUN_END,
     DivergenceMonitor,
     MonitorAbort,
-    NULL_MONITOR,
     PlateauMonitor,
     RingBufferSink,
     RunMonitor,
-    get_monitor,
     monitoring,
-    set_monitor,
 )
+from repro.telemetry import NULL_TRACER, get_tracer, set_tracer
 
 pytestmark = pytest.mark.monitoring
 
@@ -106,30 +104,34 @@ class TestAlerts:
 
 class TestActiveInstance:
     def test_default_is_null(self):
-        assert get_monitor() is NULL_MONITOR
-        assert NULL_MONITOR.enabled is False
-        assert NULL_MONITOR.emit(EVAL, accuracy=1.0) is None
-        NULL_MONITOR.close()  # no-op
+        assert get_tracer() is NULL_TRACER
+        assert NULL_TRACER.monitored is False
+        assert NULL_TRACER.alerts == ()
+        assert NULL_TRACER.emit(EVAL, accuracy=1.0) is None
 
     def test_set_and_reset(self):
         hub = RunMonitor()
-        previous = set_monitor(hub)
+        set_tracer(hub)
         try:
-            assert get_monitor() is hub
+            assert get_tracer() is hub
+            # Alone in the slot the hub answers events, records no spans.
+            assert hub.monitored and not hub.enabled
+            with hub.span("edge_agg"):
+                pass
         finally:
-            set_monitor(previous)
-        assert get_monitor() is NULL_MONITOR
+            set_tracer(None)
+        assert get_tracer() is NULL_TRACER
 
     def test_context_manager_installs_and_restores(self):
         sink = RingBufferSink()
         with monitoring(sinks=[sink]) as hub:
-            assert get_monitor() is hub
-            get_monitor().emit(EVAL, accuracy=0.1)
-        assert get_monitor() is NULL_MONITOR
+            assert get_tracer() is hub
+            get_tracer().emit(EVAL, accuracy=0.1)
+        assert get_tracer() is NULL_TRACER
         assert sink.emitted == 1
 
     def test_context_manager_restores_on_abort(self):
         with pytest.raises(MonitorAbort):
             with monitoring(monitors=[DivergenceMonitor(abort=True)]) as hub:
                 hub.emit(EVAL, train_loss=math.inf)
-        assert get_monitor() is NULL_MONITOR
+        assert get_tracer() is NULL_TRACER

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro import telemetry
 from repro.algorithms import ALGORITHM_REGISTRY, FedProx, SampledFedAvg
 from repro.algorithms.compressed import QuantizedHierFAVG
 from repro.core.base import FLAlgorithm
@@ -40,17 +39,6 @@ class TestClosedFormBytes:
             ledger.configure(dim=0, payload_multiplier=1.0)
         with pytest.raises(ValueError):
             ledger.configure(dim=10, payload_multiplier=0.0)
-
-    def test_recording_feeds_tracer_counters(self):
-        ledger = CommLedger()
-        ledger.configure(dim=10, payload_multiplier=1.0)
-        with telemetry.tracing() as tracer:
-            ledger.record_worker_edge(4)
-            ledger.record_edge_cloud(2)
-        assert tracer.counters["comm.worker_edge.transfers"] == 4
-        assert tracer.counters["comm.worker_edge.bytes"] == 4 * 10 * 8
-        assert tracer.counters["comm.edge_cloud.transfers"] == 2
-        assert tracer.counters["comm.edge_cloud.bytes"] == 2 * 10 * 8
 
     def test_dict_roundtrip_recomputes_bytes(self):
         ledger = CommLedger()

@@ -1,11 +1,17 @@
-"""Tier-1 smoke test for null-tracer overhead.
+"""Tier-1 checks of the null-instrumentation path.
 
 The authoritative ≤2% bound lives in ``benchmarks/bench_telemetry.py``
-(min-of-many timing on a quiet machine); this test asserts a relaxed
-10% bound so CI noise cannot flake it while still catching a regression
-that puts real work (dict churn, clock reads) on the disabled path.
-The baseline replays the live batched step without its span, so the
-median per-pair overhead sits near zero and the bound can fire.
+(min-of-many timing on a quiet machine); the timing smoke test asserts
+a relaxed 10% bound so CI noise cannot flake it while still catching a
+regression that puts real work (dict churn, clock reads) on the
+disabled path.  The baseline replays the live batched step without its
+span, so the median per-pair overhead sits near zero and the bound can
+fire.
+
+The call-count test is exact on any host: it holds one step's Python
+calls into the instrumentation modules to the pins that
+``benchmarks/bench_monitor.py`` and ``benchmarks/bench_telemetry.py``
+gate, so one more null span on the step fails it every time.
 """
 
 from __future__ import annotations
@@ -15,10 +21,12 @@ import time
 import numpy as np
 import pytest
 
-from repro import telemetry
+from benchmarks import bench_monitor, bench_telemetry
+from benchmarks.timing import instrumentation_calls
 from repro.core import Federation, HierAdMo
 from repro.data import Dataset
 from repro.nn.models import make_mlp
+from repro.telemetry import set_tracer
 
 pytestmark = pytest.mark.telemetry
 
@@ -47,7 +55,7 @@ def _pair_overheads(baseline, candidate, pairs=31, iters=10):
     return overheads
 
 
-def _make_algo():
+def _make_algo(tau=10**9, pi=1):
     rng = np.random.default_rng(7)
     edges = [
         [
@@ -58,7 +66,7 @@ def _make_algo():
     ]
     model = make_mlp(20, (16,), 5, rng=8)
     fed = Federation(model, edges, edges[0][0], batch_size=8, seed=9)
-    algo = HierAdMo(fed, tau=10**9, pi=1)
+    algo = HierAdMo(fed, tau=tau, pi=pi)
     algo.history = fed.new_history("bench", {})
     algo._setup()
     return fed, algo
@@ -79,7 +87,7 @@ def _untraced_step(algo, t):
 
 
 def test_disabled_tracer_overhead_smoke():
-    telemetry.disable()
+    set_tracer(None)
     _, algo = _make_algo()
     clock = iter(range(1, 10**9))
 
@@ -97,4 +105,23 @@ def test_disabled_tracer_overhead_smoke():
         f"(median of interleaved pairs; relaxed CI budget "
         f"{RELAXED_OVERHEAD:.0%}; the strict 2% bound is enforced by "
         "benchmarks/bench_telemetry.py)"
+    )
+
+
+@pytest.mark.parametrize(
+    "tau, pi, pin",
+    [
+        # Both rounds fire on every step: the monitoring bench's case.
+        (1, 1, bench_monitor.MAX_NULL_CALLS_PER_STEP),
+        # No round fires: the telemetry bench's case.
+        (10**9, 1, bench_telemetry.MAX_NULL_CALLS_PER_STEP),
+    ],
+)
+def test_null_instrumentation_calls_per_step(tau, pi, pin):
+    set_tracer(None)
+    _, algo = _make_algo(tau, pi)
+    calls = instrumentation_calls(algo)
+    assert calls <= pin, (
+        f"one null-slot step at tau={tau}, pi={pi} makes {calls} calls "
+        f"into the instrumentation modules (pin {pin})"
     )

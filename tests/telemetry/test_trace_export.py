@@ -8,6 +8,7 @@ import pytest
 
 from repro.metrics import load_trace_jsonl, save_trace_jsonl
 from repro.metrics.history import TrainingHistory
+from repro.monitoring import load_events_jsonl
 from repro.telemetry import Tracer, format_bytes, format_trace_report
 
 pytestmark = pytest.mark.telemetry
@@ -54,10 +55,16 @@ class TestJsonlRoundTrip:
         save_trace_jsonl(_traced_tracer(), path)
         lines = path.read_text().splitlines()
         parsed = [json.loads(line) for line in lines]
-        assert parsed[0]["type"] == "meta"
-        assert {entry["type"] for entry in parsed} == {
+        assert parsed[0]["kind"] == "meta"
+        assert {entry["kind"] for entry in parsed} == {
             "meta", "span", "counter", "histogram",
         }
+        # Run-event envelopes in file order: the event reader reads them.
+        assert [entry["seq"] for entry in parsed] == list(range(len(lines)))
+        events = load_events_jsonl(path)
+        assert [event.kind for event in events] == [
+            entry["kind"] for entry in parsed
+        ]
 
     def test_empty_tracer_roundtrip(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -159,15 +159,16 @@ class TestGlobalSwitch:
             pass
         null.count("c", 3)
         null.observe("h", 1.0)
+        assert null.emit("eval", accuracy=1.0) is None
         assert null.span("a") is null.span("b")  # one shared no-op span
 
     def test_enable_disable_roundtrip(self):
-        tracer = telemetry.enable()
+        tracer = set_tracer(Tracer())
         try:
             assert get_tracer() is tracer
             assert tracer.enabled
         finally:
-            telemetry.disable()
+            set_tracer(None)
         assert get_tracer() is NULL_TRACER
 
     def test_tracing_context_restores_previous(self):
@@ -179,7 +180,7 @@ class TestGlobalSwitch:
                 assert inner is not outer
             assert get_tracer() is outer
         finally:
-            telemetry.disable()
+            set_tracer(None)
 
     def test_tracing_restores_on_exception(self):
         with pytest.raises(ValueError):

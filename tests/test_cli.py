@@ -98,7 +98,8 @@ class TestMonitorCommands:
         return stream
 
     def test_run_monitor_writes_stream(self, tmp_path, capsys):
-        from repro.monitoring import get_monitor, load_events_jsonl
+        from repro.monitoring import load_events_jsonl
+        from repro.telemetry import NULL_TRACER, get_tracer
 
         stream = self.run_monitored(tmp_path, capsys)
         events = load_events_jsonl(stream)
@@ -106,8 +107,8 @@ class TestMonitorCommands:
         assert kinds[0] == "run_start"
         assert kinds[-1] == "run_end"
         assert "eval" in kinds and "edge_round" in kinds
-        # The CLI restores the null monitor after the run.
-        assert not get_monitor().enabled
+        # The CLI restores the null slot after the run.
+        assert get_tracer() is NULL_TRACER
 
     def test_monitor_once_renders_dashboard(self, tmp_path, capsys):
         stream = self.run_monitored(tmp_path, capsys)

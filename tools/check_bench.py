@@ -55,6 +55,7 @@ GATES = {
     },
     "monitor": {
         "null_monitor_overhead": [("disabled_overhead", "within_threshold")],
+        "null_monitor_calls": [("calls_per_step", "within_threshold")],
         "jsonl_sink_throughput": [("events_per_sec", "higher_better")],
     },
     "population": {
@@ -63,6 +64,7 @@ GATES = {
     },
     "telemetry": {
         "null_tracer_overhead": [("disabled_overhead", "within_threshold")],
+        "null_tracer_calls": [("calls_per_step", "within_threshold")],
     },
 }
 
