@@ -7,11 +7,20 @@ plan takes, and the numerics are bit-exact (see ``tests/faults``).  The
 runtime must stay within 2% of a run with no plan attached at all.
 This bench times full short HierAdMo runs both ways on identically
 seeded federations and records the ratio to ``BENCH_faults.json``.
+
+The timing gate depends on host noise, so it has an exact companion,
+``zero_plan_calls``: the Python calls into ``repro/faults/`` during one
+warmed-up lockstep iteration (the clock's per-iteration ``maybe_crash``
+and ``worker_mask`` calls plus ``_step``) at τ = π = 1, where every
+round fires, counted once with the zero plan and once with no plan.
+The zero-plan count is pinned at ``MAX_ZERO_PLAN_CALLS``; one more
+injector call on the iteration fails it on any host.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 
 import numpy as np
@@ -22,10 +31,14 @@ from repro.faults import FaultPlan
 from repro.nn.models import make_mlp
 
 from .recorder import record_bench
+from .timing import calls_into
 
 # Acceptance threshold for the attached-but-all-zero plan.
 MAX_ZERO_PLAN_OVERHEAD = 0.02
 ITERATIONS = 40
+# Python calls into repro/faults/ in one zero-plan iteration at tau=pi=1
+# (no plan: 7).
+MAX_ZERO_PLAN_CALLS = 25
 
 
 def _make_federation(num_edges=2, per_edge=4):
@@ -78,4 +91,50 @@ def test_bench_zero_plan_overhead():
     assert overhead <= MAX_ZERO_PLAN_OVERHEAD, (
         f"zero-fault plan run {overhead:+.1%} over the no-plan baseline "
         f"(budget {MAX_ZERO_PLAN_OVERHEAD:.0%})"
+    )
+
+
+def _lockstep_iteration(algo, t: int) -> None:
+    """One iteration of the lockstep clock's loop: the injector's
+    per-iteration calls, then the step."""
+    faults = algo.faults
+    if faults is not None:
+        faults.maybe_crash(t)
+        algo._up_mask = faults.worker_mask(t)
+    algo._step(t)
+
+
+def fault_calls(attach_zero_plan: bool) -> int:
+    """Python calls into ``repro/faults/`` in one warmed-up iteration."""
+    import repro.faults
+
+    algo = HierAdMo(_make_federation(), tau=1, pi=1)
+    if attach_zero_plan:
+        algo.attach_faults(FaultPlan(seed=0))
+        algo.faults.reset()
+    algo.history = algo.fed.new_history("bench", {})
+    algo._setup()
+    _lockstep_iteration(algo, 1)
+    _lockstep_iteration(algo, 2)
+    faults_dir = os.path.dirname(repro.faults.__file__) + os.sep
+    return calls_into((faults_dir,), lambda: _lockstep_iteration(algo, 3))
+
+
+def test_bench_zero_plan_calls():
+    """The zero plan's injector calls per iteration stay at the pin."""
+    no_plan, zero_plan = fault_calls(False), fault_calls(True)
+    print(
+        f"\n[bench] repro/faults calls per iteration: no plan {no_plan}, "
+        f"zero plan {zero_plan}"
+    )
+    record_bench("faults", "zero_plan_calls", {
+        "tau": 1,
+        "pi": 1,
+        "no_plan_calls": no_plan,
+        "calls_per_iteration": zero_plan,
+        "threshold": MAX_ZERO_PLAN_CALLS,
+    })
+    assert zero_plan <= MAX_ZERO_PLAN_CALLS, (
+        f"a zero-plan iteration makes {zero_plan} calls into repro/faults "
+        f"(pin {MAX_ZERO_PLAN_CALLS})"
     )

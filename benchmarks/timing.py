@@ -31,35 +31,41 @@ def time_min(fn, repeats=9, iters=20) -> float:
     return min(time_interleaved([fn], repeats, iters)[0])
 
 
-def instrumentation_calls(algo) -> int:
-    """Python calls into the instrumentation modules in one ``algo._step``.
+def calls_into(paths: tuple[str, ...], run) -> int:
+    """Python calls into files under ``paths`` while ``run()`` runs.
 
-    Two steps warm the algorithm up, then the third is counted with
-    :func:`sys.setprofile`: every function entered whose code lives in
-    ``repro/telemetry/tracer.py`` or ``repro/monitoring/`` (the slot's
-    getter, spans, the null object's methods, the hub).  The count is
-    exact on any host, so one more span on the step moves it.
+    Counted with :func:`sys.setprofile`: every function entered whose
+    code file starts with one of ``paths``.  The count is exact on any
+    host, so one more call on the measured path moves it.
     """
-    from repro.monitoring import monitor
-    from repro.telemetry import tracer
-
-    tracer_file = tracer.__file__
-    monitoring_dir = os.path.dirname(monitor.__file__) + os.sep
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
-        if event == "call":
-            filename = frame.f_code.co_filename
-            if filename == tracer_file or filename.startswith(monitoring_dir):
-                calls += 1
+        if event == "call" and frame.f_code.co_filename.startswith(paths):
+            calls += 1
 
-    algo._step(1)
-    algo._step(2)
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        algo._step(3)
+        run()
     finally:
         sys.setprofile(previous)
     return calls
+
+
+def instrumentation_calls(algo) -> int:
+    """Python calls into the instrumentation modules in one ``algo._step``.
+
+    Two steps warm the algorithm up, then the third is counted with
+    :func:`calls_into`: every function entered whose code lives in
+    ``repro/telemetry/tracer.py`` or ``repro/monitoring/`` (the slot's
+    getter, spans, the null object's methods, the hub).
+    """
+    from repro.monitoring import monitor
+    from repro.telemetry import tracer
+
+    monitoring_dir = os.path.dirname(monitor.__file__) + os.sep
+    algo._step(1)
+    algo._step(2)
+    return calls_into((tracer.__file__, monitoring_dir), lambda: algo._step(3))

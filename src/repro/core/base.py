@@ -151,9 +151,8 @@ class FLAlgorithm:
     def _gradient_iteration(self, rows: slice | np.ndarray) -> float:
         """The ``rows`` workers' gradients into ``self._grads``; mean loss.
 
-        One :meth:`Federation.gradient_all` call at ``self.x`` (batched
-        engine when available, per-worker loop otherwise) filling the
-        selected rows of the stacked gradient matrix.
+        One :meth:`Federation.gradient_all` call at ``self.x`` filling
+        the selected rows of the stacked gradient matrix.
         """
         losses = self.fed.gradient_all(self.x, rows=rows, out=self._grads)
         return float(losses.mean())

@@ -18,21 +18,14 @@ aggregation helper here is a single ``weights @ matrix`` GEMM and
 redistribution is a row-broadcast assignment.  The helpers also accept
 plain lists of flat vectors (stacked on the fly) for ad-hoc callers.
 
-The gradient oracle comes in two backends.  :meth:`Federation.gradient`
-runs one worker's pass through the shared model; the hot path is
-:meth:`Federation.gradient_all`, which evaluates *all* workers in one
-batched program over a leading worker axis (see
-:mod:`repro.nn.batched` — the whole Table II zoo lowers, including the
-conv/pool/batch-norm families), its inputs gathered from the store in
-one ``np.take``.  It falls back to the per-worker loop for models that
-cannot be lowered (live dropout, custom losses/modules), and while the
-workers' batch lengths differ (a shard shorter than the batch), which
-the store re-derives on every bind; the fallback reason is
-:attr:`Federation.lowering_reason` and is counted on the tracer
-(``worker_step.backend.fallback.<reason>``).  ``backend=`` selects the
-behaviour: ``"auto"`` (default) batches when possible, ``"loop"``
-forces the per-worker loop, ``"batched"`` raises if the model cannot be
-lowered or the initial batches differ in length.
+The gradient oracle is the model's one program
+(:class:`~repro.nn.supervised.SupervisedModel`), whose layers carry a
+leading worker axis.  :meth:`Federation.gradient_all` runs it over the
+selected workers at once, their batches gathered from the store in one
+``np.take``; workers whose shards are shorter than the batch are grouped
+by batch length, one program call per group.
+:meth:`Federation.gradient` runs it for one worker (``R = 1``), reading
+the worker's row with ``next_batch``.
 """
 
 from __future__ import annotations
@@ -42,7 +35,6 @@ import numpy as np
 from repro.data.base import Dataset
 from repro.data.loader import SampleStore
 from repro.metrics.history import TrainingHistory
-from repro.nn.batched import lower_supervised_model
 from repro.nn.supervised import SupervisedModel
 from repro.telemetry import get_tracer
 from repro.topology import Topology
@@ -63,21 +55,29 @@ class Federation:
         *,
         batch_size: int = 64,
         seed: int = 0,
-        backend: str = "auto",
+        store: SampleStore | None = None,
     ):
+        """``store``, when given, already holds the workers' datasets in
+        edge order (the population binder builds it at its provider's
+        width, each slot on its client's stream); otherwise worker ``w``
+        samples from ``child_seed(seed, "sampler", w)``."""
         if not edge_partitions or any(not edge for edge in edge_partitions):
             raise ValueError("edge_partitions must be a non-empty list of "
                              "non-empty worker lists")
         self.model = model
         self.test_set = test_set
         self.batch_size = check_positive_int(batch_size, "batch_size")
-        datasets = [worker for edge in edge_partitions for worker in edge]
-        streams = child_seeds(seed, "sampler", ids=np.arange(len(datasets)))
-        self.store = SampleStore(
-            datasets,
-            batch_size,
-            [np.random.default_rng(stream) for stream in streams.tolist()],
-        )
+        if store is None:
+            datasets = [worker for edge in edge_partitions for worker in edge]
+            streams = child_seeds(
+                seed, "sampler", ids=np.arange(len(datasets))
+            )
+            store = SampleStore(
+                datasets,
+                batch_size,
+                [np.random.default_rng(stream) for stream in streams.tolist()],
+            )
+        self.store = store
         self._initial_params = model.get_flat_params()
         # Workers of an edge occupy a contiguous row block in the stacked
         # (num_workers, dim) state, so each edge's rows are a slice.
@@ -88,22 +88,9 @@ class Federation:
             start += len(edge)
         self.refresh_weights()
 
-        # Batched gradient engine (see module docstring).
-        if backend not in ("auto", "batched", "loop"):
-            raise ValueError(
-                f"backend must be 'auto', 'batched' or 'loop', got {backend!r}"
-            )
-        self._engine, self._refusal = None, None
-        if backend != "loop":
-            self._engine, self._refusal = lower_supervised_model(
-                model, explain=True
-            )
-            if backend == "batched" and self.lowering_reason is not None:
-                raise ValueError(
-                    "backend='batched' but the model cannot be lowered "
-                    f"to the batched engine ({self.lowering_reason}); use "
-                    "backend='auto' for transparent fallback"
-                )
+        # The model is the program every gradient runs; the e2e
+        # benchmark's tracing wraps it under this name.
+        self._engine = model
 
     @property
     def worker_datasets(self) -> list[Dataset]:
@@ -142,24 +129,6 @@ class Federation:
     def dim(self) -> int:
         """Model parameter dimension d."""
         return self._initial_params.size
-
-    @property
-    def lowering_reason(self) -> str | None:
-        """Why :meth:`gradient_all` runs the loop, ``None`` if it batches.
-
-        The model's lowering refusal, or ``"batches:heterogeneous"``
-        while the workers' batch lengths differ; ``None`` also when the
-        loop was forced.
-        """
-        if self._engine is None:
-            return self._refusal
-        return None if self.store.uniform else "batches:heterogeneous"
-
-    @property
-    def gradient_backend(self) -> str:
-        """Active gradient backend: ``"batched"`` or ``"loop"``."""
-        batched = self._engine is not None and self.store.uniform
-        return "batched" if batched else "loop"
 
     def initial_params(self) -> np.ndarray:
         """Copy of the shared initial parameter vector x⁰."""
@@ -208,41 +177,28 @@ class Federation:
         written, each with that worker's gradient.  Returns the
         per-worker batch losses in selection order.
 
-        Uses the batched engine when available, gathering every
-        selected worker's batch from the store in one call, so the
-        mini-batch streams are identical to the per-worker loop; falls
-        back to the loop for non-lowerable models, heterogeneous batch
-        lengths or non-finite parameters (whose divergence semantics
-        are per-worker).
+        One program call when every batch length agrees; otherwise one
+        call per batch length, shortest first.  Every mini-batch equals
+        the one :meth:`gradient` would draw.
         """
         params = np.asarray(params)
-        if self._engine is not None and self.store.uniform:
-            stacked_params = params[rows]
-            if np.isfinite(stacked_params).all():
-                xs, ys = self.store.gather(rows)
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.count("worker_step.backend.batched")
-                grads = out[rows]
-                losses = self._engine.gradient_all(
-                    stacked_params, xs, ys, grads
-                )
-                if not isinstance(rows, slice):
-                    # An index array gathered a copy; scatter it back.
-                    out[rows] = grads
-                return losses
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.count("worker_step.backend.loop")
-            reason = self.lowering_reason
-            if reason is not None:
-                tracer.count(f"worker_step.backend.fallback.{reason}")
-        workers = np.arange(self.num_workers)[rows]
-        losses = np.empty(len(workers))
-        for position, worker in enumerate(workers):
-            _, losses[position] = self.gradient(
-                worker, params[worker], out=out[worker]
-            )
+        if self.store.uniform:
+            return self._run(params, rows, out)
+        selected = np.arange(self.num_workers)[rows]
+        lengths = self.store.batch[selected]
+        losses = np.empty(selected.size)
+        for length in np.unique(lengths).tolist():
+            group = lengths == length
+            losses[group] = self._run(params, selected[group], out)
+        return losses
+
+    def _run(self, params, rows, out) -> np.ndarray:
+        xs, ys = self.store.gather(rows)
+        grads = out[rows]
+        losses = self.model.gradient_all(params[rows], xs, ys, grads)
+        if not isinstance(rows, slice):
+            # An index array gathered a copy; scatter it back.
+            out[rows] = grads
         return losses
 
     # ------------------------------------------------------------------

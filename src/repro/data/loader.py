@@ -62,8 +62,8 @@ class SampleStore:
     ``size[w]`` positions (zeros beyond), a ``cursor[w]``, its batch
     length ``batch[w] = min(batch_size, size[w])`` and its generator
     ``rngs[w]``, which reshuffles the row when its epoch runs out.
-    ``uniform`` (all batch lengths equal, which :meth:`gather` needs) is
-    re-derived on every :meth:`bind`.
+    ``uniform`` (all batch lengths equal, so one :meth:`gather` serves
+    any selection) is re-derived on every :meth:`bind`.
     """
 
     def __init__(self, datasets, batch_size: int, rngs, *, width=None):
@@ -132,9 +132,10 @@ class SampleStore:
 
     def gather(self, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """The selected rows' next batches as ``(R, batch, ...)`` arrays,
-        each row advancing as :meth:`next_batch` would."""
+        each row advancing as :meth:`next_batch` would.  The selected
+        rows must share one batch length."""
         rows = self._rows[rows]
-        batch = int(self.batch[0])
+        batch = int(self.batch[rows].max(initial=0))
         for row in rows[self.cursor[rows] + batch > self.size[rows]].tolist():
             self._reshuffle(row)
         base = rows * self.width

@@ -15,7 +15,11 @@ class Dropout(Module):
     """Zero each element with probability ``p`` during training.
 
     Uses inverted scaling so evaluation is the identity.  The layer owns a
-    seeded generator for reproducible masks.
+    seeded generator for reproducible masks and draws one mask per
+    forward over the whole ``(R, B, ...)`` input, row after row, so
+    row ``r`` gets the ``r``-th block of the stream.  Layers sharing a
+    generator draw in program order: every row of the first layer, then
+    every row of the next.
     """
 
     def __init__(self, p: float = 0.5, rng: np.random.Generator | int | None = None):

@@ -1,8 +1,10 @@
 """Loss functions.
 
-Each loss exposes ``forward(predictions, targets) -> float`` and
-``backward() -> grad_wrt_predictions``.  Gradients are for the *mean* loss
-over the batch, which is what the paper's per-iteration updates use.
+Each loss exposes ``forward(predictions, targets) -> (R,) losses`` over
+``(R, B, C)`` predictions and ``(R, B)`` targets, and ``backward() ->
+grad_wrt_predictions``.  Row ``r``'s loss is the *mean* over its ``B``
+samples, which is what the paper's per-iteration updates use, and the
+gradient is of each row's own mean loss.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ __all__ = ["Loss", "MSELoss", "SoftmaxCrossEntropyLoss"]
 class Loss:
     """Base interface for losses."""
 
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
+    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self) -> np.ndarray:
         raise NotImplementedError
 
-    def __call__(self, predictions: np.ndarray, targets: np.ndarray) -> float:
+    def __call__(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
         return self.forward(predictions, targets)
 
 
@@ -38,18 +40,22 @@ class MSELoss(Loss):
     def __init__(self):
         self._diff: np.ndarray | None = None
 
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
+    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
         targets = np.asarray(targets)
-        if targets.ndim == 1 and predictions.ndim == 2 and predictions.shape[1] > 1:
-            targets = one_hot(targets, predictions.shape[1])
+        if targets.ndim == 2 and predictions.shape[-1] > 1:
+            rows, batch = targets.shape
+            targets = one_hot(
+                targets.ravel(), predictions.shape[-1]
+            ).reshape(rows, batch, predictions.shape[-1])
         targets = targets.reshape(predictions.shape).astype(np.float64)
         self._diff = predictions - targets
-        return float(np.mean(self._diff**2))
+        return np.mean(self._diff**2, axis=(1, 2))
 
     def backward(self) -> np.ndarray:
-        if self._diff is None:
+        diff = self._diff
+        if diff is None:
             raise RuntimeError("backward called before forward")
-        grad = 2.0 * self._diff / self._diff.size
+        grad = 2.0 * diff / (diff.shape[1] * diff.shape[2])
         self._diff = None
         return grad
 
@@ -59,32 +65,32 @@ class SoftmaxCrossEntropyLoss(Loss):
 
     def __init__(self):
         self._probs: np.ndarray | None = None
-        self._labels: np.ndarray | None = None
+        self._picks: tuple | None = None
 
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
+    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
         labels = np.asarray(targets, dtype=np.int64)
-        if predictions.ndim != 2:
+        if predictions.ndim != 3:
             raise ValueError(
-                f"expected (N, classes) logits, got shape {predictions.shape}"
+                f"expected (R, B, classes) logits, got shape {predictions.shape}"
             )
-        if labels.ndim != 1 or labels.shape[0] != predictions.shape[0]:
+        if labels.shape != predictions.shape[:2]:
             raise ValueError(
                 f"labels shape {labels.shape} does not match logits "
                 f"{predictions.shape}"
             )
-        log_probs = log_softmax(predictions, axis=1)
-        self._probs = softmax(predictions, axis=1)
-        self._labels = labels
-        picked = log_probs[np.arange(labels.shape[0]), labels]
-        return float(-picked.mean())
+        rows, batch = labels.shape
+        # Index of every row's every sample's label logit.
+        picks = (np.arange(rows)[:, None], np.arange(batch), labels)
+        self._probs = softmax(predictions, axis=-1)
+        self._picks = picks
+        return -log_softmax(predictions, axis=-1)[picks].mean(axis=1)
 
     def backward(self) -> np.ndarray:
-        if self._probs is None or self._labels is None:
+        if self._probs is None or self._picks is None:
             raise RuntimeError("backward called before forward")
-        n = self._labels.shape[0]
         grad = self._probs.copy()
-        grad[np.arange(n), self._labels] -= 1.0
-        grad /= n
+        grad[self._picks] -= 1.0
+        grad /= grad.shape[1]
         self._probs = None
-        self._labels = None
+        self._picks = None
         return grad

@@ -4,10 +4,6 @@ The paper's CNN "follows the classic structure outlined in [29]" (the
 PySyft federated-MNIST tutorial): two conv+pool stages followed by two
 dense layers.  Channel widths and the dense width scale with the input so
 the same constructor serves full-size and CI-scaled inputs.
-
-Being a flat ``Sequential`` of conv/pool/dense layers, the model lowers
-to the batched multi-worker engine (:mod:`repro.nn.batched`), so
-federations run the whole fleet as one stacked program.
 """
 
 from __future__ import annotations

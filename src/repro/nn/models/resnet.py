@@ -3,7 +3,8 @@
 Matches the torchvision basic-block topology the paper cites [27]: an
 initial conv, four stages of residual basic blocks with stride-2
 downsampling between stages, global average pooling and a dense
-classifier.  A ``width_multiplier`` scales channel counts for CPU runs.
+classifier, as one flat ``Sequential`` whose residual blocks are single
+layers.  A ``width_multiplier`` scales channel counts for CPU runs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,12 @@ RESNET_LAYOUTS: dict[str, list[int]] = {
 
 
 class BasicBlock(Module):
-    """Two 3x3 convs with identity (or 1x1-projected) skip connection."""
+    """Two 3x3 convs with identity (or 1x1-projected) skip connection.
+
+    Its children take their parameter columns in registration order
+    (``Module.bind``); ``proj_conv``/``proj_bn`` are ``None`` on an
+    identity block.
+    """
 
     def __init__(
         self,
@@ -53,8 +59,8 @@ class BasicBlock(Module):
         self.bn2 = BatchNorm2d(out_channels)
         self.relu2 = ReLU()
 
-        self.has_projection = stride != 1 or in_channels != out_channels
-        if self.has_projection:
+        self.proj_conv = self.proj_bn = None
+        if stride != 1 or in_channels != out_channels:
             self.proj_conv = Conv2d(
                 in_channels, out_channels, 1, stride=stride, bias=False,
                 rng=rng,
@@ -64,7 +70,7 @@ class BasicBlock(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = self.relu1.forward(self.bn1.forward(self.conv1.forward(x)))
         out = self.bn2.forward(self.conv2.forward(out))
-        if self.has_projection:
+        if self.proj_conv is not None:
             shortcut = self.proj_bn.forward(self.proj_conv.forward(x))
         else:
             shortcut = x
@@ -79,69 +85,11 @@ class BasicBlock(Module):
                 )
             )
         )
-        if self.has_projection:
+        if self.proj_conv is not None:
             grad_skip = self.proj_conv.backward(self.proj_bn.backward(grad))
         else:
             grad_skip = grad
         return grad_main + grad_skip
-
-
-class _ResNetBody(Module):
-    """Stem + residual stages + global pooling + classifier."""
-
-    def __init__(
-        self,
-        layout: list[int],
-        in_channels: int,
-        num_classes: int,
-        base_width: int,
-        rng: np.random.Generator,
-    ):
-        super().__init__()
-        self.stem_conv = Conv2d(
-            in_channels, base_width, 3, padding=1, bias=False, rng=rng
-        )
-        self.stem_bn = BatchNorm2d(base_width)
-        self.stem_relu = ReLU()
-
-        blocks: list[BasicBlock] = []
-        channels = base_width
-        for stage, num_blocks in enumerate(layout):
-            out_channels = base_width * (2**stage)
-            for block_index in range(num_blocks):
-                stride = 2 if stage > 0 and block_index == 0 else 1
-                blocks.append(BasicBlock(channels, out_channels, stride, rng))
-                channels = out_channels
-        self.blocks = Sequential(*blocks)
-        self.pool = GlobalAvgPool2d()
-        self.fc = Dense(channels, num_classes, rng=rng)
-
-    def batched_stack(self) -> list[Module]:
-        """Layer pipeline for the batched-engine lowering.
-
-        The trunk is a straight pipeline once each residual block is
-        treated as one composite layer; exposing it lets
-        :func:`repro.nn.batched.lower_supervised_model` walk the body
-        without knowing its attribute layout.
-        """
-        return [
-            self.stem_conv, self.stem_bn, self.stem_relu,
-            *self.blocks.layers, self.pool, self.fc,
-        ]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = self.stem_relu.forward(
-            self.stem_bn.forward(self.stem_conv.forward(x))
-        )
-        out = self.blocks.forward(out)
-        return self.fc.forward(self.pool.forward(out))
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad = self.pool.backward(self.fc.backward(grad_output))
-        grad = self.blocks.backward(grad)
-        return self.stem_conv.backward(
-            self.stem_bn.backward(self.stem_relu.backward(grad))
-        )
 
 
 def make_resnet(
@@ -165,7 +113,17 @@ def make_resnet(
         raise ValueError(f"width_multiplier must be > 0, got {width_multiplier}")
     rng = make_rng(rng)
     base_width = max(1, int(round(64 * width_multiplier)))
-    body = _ResNetBody(
-        RESNET_LAYOUTS[layout], in_channels, num_classes, base_width, rng
-    )
-    return SupervisedModel(body, SoftmaxCrossEntropyLoss())
+    layers: list[Module] = [
+        Conv2d(in_channels, base_width, 3, padding=1, bias=False, rng=rng),
+        BatchNorm2d(base_width),
+        ReLU(),
+    ]
+    channels = base_width
+    for stage, num_blocks in enumerate(RESNET_LAYOUTS[layout]):
+        out_channels = base_width * (2**stage)
+        for block_index in range(num_blocks):
+            stride = 2 if stage > 0 and block_index == 0 else 1
+            layers.append(BasicBlock(channels, out_channels, stride, rng))
+            channels = out_channels
+    layers += [GlobalAvgPool2d(), Dense(channels, num_classes, rng=rng)]
+    return SupervisedModel(Sequential(*layers), SoftmaxCrossEntropyLoss())

@@ -4,10 +4,6 @@ Faithful to the torchvision configuration strings the paper cites [30],
 with a ``width_multiplier`` so the same code runs full-size (multiplier 1)
 and CPU/CI scale (multiplier 1/8 or 1/16).  Batch norm follows each conv,
 as in the common ``vgg*_bn`` variants used for CIFAR training.
-
-The flat conv/norm/pool ``Sequential`` lowers to the batched
-multi-worker engine (:mod:`repro.nn.batched`): one stacked program per
-federation instead of a per-worker Python loop.
 """
 
 from __future__ import annotations

@@ -2,20 +2,25 @@
 
 This is the training substrate that stands in for PyTorch in this
 reproduction: a ``Module`` base class with explicit ``forward``/``backward``
-passes, automatic parameter registration, and flat-vector parameter access
-used by the federated-learning layer.
+passes over a leading **worker axis**, automatic parameter registration,
+and flat-vector parameter access used by the federated-learning layer.
+
+Every layer computes ``R`` models at once.  Activations are
+``(R, B, ...)`` arrays, one row of ``B`` samples per model.
+:meth:`Module.bind` points a module at an ``(R, n)`` parameter matrix
+and an ``(R, n)`` gradient matrix (``n = num_params()``): the layer reads
+its weights as zero-copy views of the parameter rows, and ``backward``
+writes each row's gradient into the matching gradient row.  A single
+model is the ``R = 1`` case.
 
 Each module caches whatever it needs during ``forward`` and consumes it in
 the next ``backward`` call, so the intended usage is strictly
-forward-then-backward per batch (exactly what SGD-style training needs).
+bind, then forward, then backward per batch.
 
 Flat-vector access is backed by a :class:`FlatParamBuffer`: one contiguous
-``(dim,)`` float64 vector for the parameters and one for the gradients,
-with every ``Parameter.data`` / ``Parameter.grad`` rebound to a reshaped
-view into those buffers.  ``set_flat_params`` is then a single
-``np.copyto``, ``zero_grad`` one ``fill(0.0)``, and ``get_flat_grads``
-zero-copy — the federated hot path pays no per-call tree traversal or
-re-concatenation (see docs/architecture.md for the ownership rules).
+``(dim,)`` float64 vector with every ``Parameter.data`` rebound to a
+reshaped view into it, so ``set_flat_params`` is a single ``np.copyto``
+(see docs/architecture.md for the ownership rules).
 """
 
 from __future__ import annotations
@@ -26,15 +31,14 @@ __all__ = ["Parameter", "Module", "Sequential", "FlatParamBuffer"]
 
 
 class Parameter:
-    """A trainable array together with its gradient accumulator."""
+    """A trainable array: the single-model value of one weight block."""
 
-    __slots__ = ("data", "grad", "name", "_owner")
+    __slots__ = ("data", "name", "_owner")
 
     def __init__(self, data: np.ndarray, name: str = ""):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
         self.name = name
-        # The FlatParamBuffer whose storage data/grad currently view,
+        # The FlatParamBuffer whose storage data currently views,
         # or None while the parameter still owns standalone arrays.
         self._owner: "FlatParamBuffer | None" = None
 
@@ -53,34 +57,28 @@ class Parameter:
 class FlatParamBuffer:
     """Contiguous flat storage backing a parameter list.
 
-    Owns two ``(dim,)`` float64 vectors — ``data`` for parameter values
-    and ``grad`` for gradients — and rebinds each ``Parameter.data`` /
-    ``Parameter.grad`` to a reshaped view into them.  Layer math keeps
-    reading/writing the parameters as before (views are ordinary
-    arrays); the flat FL interface operates on the whole vector at once.
+    Owns one ``(dim,)`` float64 vector ``data`` and rebinds each
+    ``Parameter.data`` to a reshaped view into it, so the parameters and
+    the flat FL interface share storage.
 
     Binding a parameter into a new buffer steals it from any previous
     one; :meth:`owns` lets the previous holder detect that and rebuild.
-    Only a ``FlatParamBuffer`` may rebind ``Parameter.data``/``.grad`` —
-    everything else must write through the views (``copyto``/``fill``).
+    Only a ``FlatParamBuffer`` may rebind ``Parameter.data`` — everything
+    else must write through the views (``copyto``).
     """
 
-    __slots__ = ("params", "data", "grad", "dim")
+    __slots__ = ("params", "data", "dim")
 
     def __init__(self, params: list[Parameter]):
         self.params = list(params)
         self.dim = sum(p.size for p in self.params)
         self.data = np.empty(self.dim, dtype=np.float64)
-        self.grad = np.zeros(self.dim, dtype=np.float64)
         offset = 0
         for param in self.params:
             end = offset + param.size
             data_view = self.data[offset:end].reshape(param.shape)
-            grad_view = self.grad[offset:end].reshape(param.shape)
             np.copyto(data_view, param.data)
-            np.copyto(grad_view, param.grad)
             param.data = data_view
-            param.grad = grad_view
             param._owner = self
             offset = end
 
@@ -95,9 +93,11 @@ class FlatParamBuffer:
 class Module:
     """Base class for all layers and models.
 
-    Subclasses implement ``forward(x)`` and ``backward(grad_output)``;
-    ``backward`` must accumulate into each parameter's ``.grad`` and return
-    the gradient with respect to the module input.
+    Subclasses implement ``forward(x)`` and ``backward(grad_output)`` on
+    ``(R, B, ...)`` arrays; ``backward`` writes each row's parameter
+    gradient into the bound gradient matrix and returns the gradient
+    with respect to the module input.  A layer with parameters also
+    overrides :meth:`bind`.
 
     Assigning a ``Parameter`` or ``Module`` to an attribute registers it,
     so ``parameters()`` and ``modules()`` walk the tree automatically.
@@ -116,14 +116,16 @@ class Module:
         object.__setattr__(self, "_flat", None)
 
     def __setattr__(self, name: str, value):
-        if isinstance(value, Parameter):
-            self._params[name] = value
-            if not value.name:
-                value.name = name
-            self._invalidate_caches()
-        elif isinstance(value, Module):
-            self._children[name] = value
-            object.__setattr__(value, "_parent", self)
+        # One type check on the common path: layers set their per-pass
+        # caches on every forward.
+        if isinstance(value, (Parameter, Module)):
+            if isinstance(value, Parameter):
+                self._params[name] = value
+                if not value.name:
+                    value.name = name
+            else:
+                self._children[name] = value
+                object.__setattr__(value, "_parent", self)
             self._invalidate_caches()
         object.__setattr__(self, name, value)
 
@@ -199,13 +201,6 @@ class Module:
         return flat
 
     # ------------------------------------------------------------------
-    # Gradient bookkeeping
-    # ------------------------------------------------------------------
-    def zero_grad(self) -> None:
-        """Reset every parameter gradient to zero."""
-        self.flat_buffer().grad.fill(0.0)
-
-    # ------------------------------------------------------------------
     # Flat-vector access (used by the FL algorithms)
     # ------------------------------------------------------------------
     def num_params(self) -> int:
@@ -230,21 +225,30 @@ class Module:
             )
         np.copyto(buffer.data, flat.ravel())
 
-    def get_flat_grads(self) -> np.ndarray:
-        """All parameter gradients as one flat float64 vector.
-
-        Zero-copy: the returned array is a live view of the gradient
-        buffer, valid until the next ``zero_grad``/``backward``.  Copy it
-        if it must survive further training steps.
-        """
-        flat = self.flat_buffer()
-        if not flat.params:
-            raise ValueError("cannot flatten an empty parameter list")
-        return flat.grad
-
     # ------------------------------------------------------------------
     # Compute
     # ------------------------------------------------------------------
+    @property
+    def covered(self) -> int:
+        """Columns of the parameter matrix :meth:`bind` takes."""
+        return self.num_params()
+
+    def bind(self, params: np.ndarray, grads: np.ndarray | None) -> None:
+        """Point the module at ``(R, covered)`` parameter/gradient rows.
+
+        Columns follow :meth:`parameters` order, so each child takes the
+        next block of ``child.covered`` columns.  ``grads`` may be
+        ``None`` for a forward-only pass.
+        """
+        start = 0
+        for child in self._children.values():
+            stop = start + child.covered
+            child.bind(
+                params[:, start:stop],
+                None if grads is None else grads[:, start:stop],
+            )
+            start = stop
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 

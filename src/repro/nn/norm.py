@@ -19,11 +19,18 @@ __all__ = ["BatchNorm1d", "BatchNorm2d"]
 class _BatchNorm(Module):
     """Shared implementation; subclasses define which axes are reduced.
 
-    Training mode normalizes with batch statistics and updates the
-    running buffers; eval mode normalizes with the frozen running
-    statistics and its backward is the elementwise-affine adjoint
-    (gamma/beta gradients plus ``grad * gamma * inv_std``).
+    Training mode normalizes each row of an ``(R, B, ...)`` input with
+    that row's own batch statistics and folds them into the one pair of
+    running buffers in row order, the same ``*= (1-m); += m*stat``
+    update a single model applies per batch.  Eval mode normalizes every
+    row with the running statistics, and its backward is the
+    elementwise-affine adjoint (gamma/beta gradients plus
+    ``grad * gamma * inv_std``).
     """
+
+    # Reduced axes of the (R, B, C[, H, W]) input.
+    _axes: tuple = ()
+    _ndim: int = 0
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
         super().__init__()
@@ -38,13 +45,10 @@ class _BatchNorm(Module):
         self.running_mean = np.zeros(num_features, dtype=np.float64)
         self.running_var = np.ones(num_features, dtype=np.float64)
 
+        self._gamma: np.ndarray | None = None
+        self._beta: np.ndarray | None = None
+        self._grads: np.ndarray | None = None
         self._cache: tuple | None = None
-
-    # Axes over which statistics are computed, and the broadcast shape.
-    _axes: tuple = ()
-
-    def _shape(self, ndim: int) -> tuple:
-        raise NotImplementedError
 
     def get_buffers(self) -> dict[str, np.ndarray]:
         """Copy of the running statistics (not aggregated by FL)."""
@@ -58,73 +62,82 @@ class _BatchNorm(Module):
         np.copyto(self.running_mean, buffers["running_mean"])
         np.copyto(self.running_var, buffers["running_var"])
 
+    def bind(self, params: np.ndarray, grads: np.ndarray | None) -> None:
+        c = self.num_features
+        self._gamma = params[:, :c]
+        self._beta = params[:, c:]
+        self._grads = grads
+
+    def _shape(self, rows: int) -> tuple:
+        """Broadcast shape of a per-row, per-channel statistic."""
+        return (rows, 1, self.num_features) + (1,) * (self._ndim - 3)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
-        shape = self._shape(x.ndim)
+        if x.ndim != self._ndim:
+            raise ValueError(
+                f"{type(self).__name__} expects {self._ndim}-D "
+                f"(R, B, C, ...) input, got {x.ndim}-D"
+            )
+        rows, c = x.shape[0], self.num_features
+        shape = self._shape(rows)
         if self.training:
-            mean = x.mean(axis=self._axes)
+            mean = x.mean(axis=self._axes)  # (R, C)
             var = x.var(axis=self._axes)
-            count = x.size // self.num_features
-            self.running_mean *= 1.0 - self.momentum
-            self.running_mean += self.momentum * mean
+            count = x[0].size // c
             # Unbiased variance for the running estimate, as in PyTorch.
             unbiased = var * count / max(count - 1, 1)
-            self.running_var *= 1.0 - self.momentum
-            self.running_var += self.momentum * unbiased
+            momentum = self.momentum
+            for row in range(rows):
+                self.running_mean *= 1.0 - momentum
+                self.running_mean += momentum * mean[row]
+                self.running_var *= 1.0 - momentum
+                self.running_var += momentum * unbiased[row]
+            inv_std = (1.0 / np.sqrt(var + self.eps)).reshape(shape)
+            x_hat = (x - mean.reshape(shape)) * inv_std
         else:
-            mean = self.running_mean
-            var = self.running_var
-
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
-        out = self.gamma.data.reshape(shape) * x_hat + self.beta.data.reshape(shape)
-        self._cache = (x_hat, inv_std, shape, self.training)
-        return out
+            inv_std = np.broadcast_to(
+                (1.0 / np.sqrt(self.running_var + self.eps)).reshape(
+                    shape[1:]
+                ),
+                shape,
+            )
+            x_hat = (x - self.running_mean.reshape(shape[1:])) * inv_std
+        self._cache = (x_hat, inv_std, self.training)
+        return self._gamma.reshape(shape) * x_hat + self._beta.reshape(shape)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        x_hat, inv_std, shape, trained = self._cache
-        count = grad_output.size // self.num_features
+        x_hat, inv_std, trained = self._cache
+        rows, c = grad_output.shape[0], self.num_features
+        count = grad_output[0].size // c
 
-        self.gamma.grad += (grad_output * x_hat).sum(axis=self._axes)
-        self.beta.grad += grad_output.sum(axis=self._axes)
+        self._grads[:, :c] = (grad_output * x_hat).sum(axis=self._axes)
+        self._grads[:, c:] = grad_output.sum(axis=self._axes)
 
-        gamma = self.gamma.data.reshape(shape)
-        grad_xhat = grad_output * gamma
+        grad_xhat = grad_output * self._gamma.reshape(self._shape(rows))
+        self._cache = None
         if not trained:
             # Eval mode normalizes with *frozen* running statistics, so
             # the map is elementwise-affine in x: no batch-coupling
             # terms in the adjoint.
-            self._cache = None
-            return grad_xhat * inv_std.reshape(shape)
-        sum_grad = grad_xhat.sum(axis=self._axes).reshape(shape)
-        sum_grad_xhat = (grad_xhat * x_hat).sum(axis=self._axes).reshape(shape)
-        grad_input = (
-            inv_std.reshape(shape)
-            / count
-            * (count * grad_xhat - sum_grad - x_hat * sum_grad_xhat)
+            return grad_xhat * inv_std
+        sum_grad = grad_xhat.sum(axis=self._axes, keepdims=True)
+        sum_grad_xhat = (grad_xhat * x_hat).sum(axis=self._axes, keepdims=True)
+        return (
+            inv_std / count * (count * grad_xhat - sum_grad - x_hat * sum_grad_xhat)
         )
-        self._cache = None
-        return grad_input
 
 
 class BatchNorm1d(_BatchNorm):
-    """Batch norm over (N, C) inputs."""
+    """Batch norm over (R, B, C) inputs."""
 
-    _axes = (0,)
-
-    def _shape(self, ndim: int) -> tuple:
-        if ndim != 2:
-            raise ValueError(f"BatchNorm1d expects 2-D input, got {ndim}-D")
-        return (1, self.num_features)
+    _axes = (1,)
+    _ndim = 3
 
 
 class BatchNorm2d(_BatchNorm):
-    """Batch norm over (N, C, H, W) inputs, per channel."""
+    """Batch norm over (R, B, C, H, W) inputs, per channel."""
 
-    _axes = (0, 2, 3)
-
-    def _shape(self, ndim: int) -> tuple:
-        if ndim != 4:
-            raise ValueError(f"BatchNorm2d expects 4-D input, got {ndim}-D")
-        return (1, self.num_features, 1, 1)
+    _axes = (1, 3, 4)
+    _ndim = 5

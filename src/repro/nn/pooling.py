@@ -1,4 +1,9 @@
-"""Spatial pooling layers."""
+"""Spatial pooling layers.
+
+Pooling acts on each image alone, so every layer here folds the row axis
+of an ``(R, B, C, H, W)`` input into the batch axis, pools the
+``(R*B, C, H, W)`` images, and unfolds the result.
+"""
 
 from __future__ import annotations
 
@@ -11,8 +16,22 @@ from repro.utils.validation import check_positive_int
 __all__ = ["MaxPool2d", "AvgPool2d", "GlobalAvgPool2d"]
 
 
+def _fold(x: np.ndarray) -> np.ndarray:
+    """``(R, B, ...)`` -> ``(R*B, ...)``."""
+    return x.reshape((x.shape[0] * x.shape[1],) + x.shape[2:])
+
+
+def _unfold(x: np.ndarray, lead: tuple) -> np.ndarray:
+    """``(R*B, ...)`` -> ``(R, B, ...)`` for ``lead = (R, B)``."""
+    return x.reshape(lead + x.shape[1:])
+
+
 class _Pool2d(Module):
-    """Shared im2col plumbing for max/avg pooling."""
+    """Shared im2col plumbing for max/avg pooling.
+
+    Subclasses pool ``(N, C, H, W)`` images in ``_forward``/``_backward``;
+    the public methods fold and unfold the row axis around them.
+    """
 
     def __init__(self, kernel_size: int, stride: int | None = None):
         super().__init__()
@@ -22,6 +41,14 @@ class _Pool2d(Module):
         )
         self._x_shape: tuple | None = None
         self._out_hw: tuple | None = None
+        self._lead: tuple = ()
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._lead = x.shape[:2]
+        return _unfold(self._forward(_fold(x)), self._lead)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        return _unfold(self._backward(_fold(grad_output)), self._lead)
 
     def _patches(self, x: np.ndarray) -> np.ndarray:
         """Return patches shaped (N*OH*OW*C, K*K)."""
@@ -69,7 +96,7 @@ class MaxPool2d(_Pool2d):
         # Flat patch-element position of each window's winner.
         self._winners: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def _forward(self, x: np.ndarray) -> np.ndarray:
         patches = self._patches(x)
         self._winners = _first_max(patches)
         out = np.take(patches, self._winners)
@@ -77,7 +104,7 @@ class MaxPool2d(_Pool2d):
         out_h, out_w = self._out_hw
         return out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def _backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._winners is None:
             raise RuntimeError("backward called before forward")
         n, c, h, w = self._x_shape
@@ -101,14 +128,14 @@ class MaxPool2d(_Pool2d):
 class AvgPool2d(_Pool2d):
     """Average pooling; gradient spreads uniformly over each window."""
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def _forward(self, x: np.ndarray) -> np.ndarray:
         patches = self._patches(x)
         out = patches.mean(axis=1)
         n, c, _, _ = self._x_shape
         out_h, out_w = self._out_hw
         return out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def _backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._x_shape is None:
             raise RuntimeError("backward called before forward")
         k, s = self.kernel_size, self.stride
@@ -122,22 +149,22 @@ class AvgPool2d(_Pool2d):
 
 
 class GlobalAvgPool2d(Module):
-    """Average over the full spatial extent: (N, C, H, W) -> (N, C)."""
+    """Average over the full spatial extent: (R, B, C, H, W) -> (R, B, C)."""
 
     def __init__(self):
         super().__init__()
         self._x_shape: tuple | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4:
-            raise ValueError(f"expected 4-D input, got shape {x.shape}")
+        if x.ndim != 5:
+            raise ValueError(f"expected 5-D input, got shape {x.shape}")
         self._x_shape = x.shape
-        return x.mean(axis=(2, 3))
+        return _unfold(_fold(x).mean(axis=(2, 3)), x.shape[:2])
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._x_shape is None:
             raise RuntimeError("backward called before forward")
-        n, c, h, w = self._x_shape
-        grad = grad_output[:, :, None, None] / (h * w)
-        self._x_shape = None
-        return np.broadcast_to(grad, (n, c, h, w)).copy()
+        h, w = self._x_shape[3:]
+        grad = grad_output[..., None, None] / (h * w)
+        shape, self._x_shape = self._x_shape, None
+        return np.broadcast_to(grad, shape).copy()

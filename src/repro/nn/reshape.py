@@ -10,7 +10,7 @@ __all__ = ["Flatten"]
 
 
 class Flatten(Module):
-    """Collapse all non-batch dimensions: (N, ...) -> (N, prod(...))."""
+    """Collapse all per-sample dimensions: (R, B, ...) -> (R, B, prod(...))."""
 
     def __init__(self):
         super().__init__()
@@ -18,7 +18,7 @@ class Flatten(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x_shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], x.shape[1], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._x_shape is None:

@@ -103,13 +103,11 @@ class PopulationBinder:
         test_set,
         *,
         batch_size: int = 64,
-        backend: str = "auto",
     ) -> Federation:
         """Materialize period-0's cohort into a fresh federation.
 
-        The federation is built over the initial cohort's shards, and
-        its sample store is rebuilt at the provider's longest shard,
-        every slot sampling from its *client's* stream
+        The federation's sample store is built once, at the provider's
+        longest shard, every slot sampling from its *client's* stream
         (``child_seed(seed, "sampler", client_id)``).  At full
         participation slot ``i`` binds client ``i``, so the federation
         matches the classic construction bit for bit.
@@ -117,6 +115,13 @@ class PopulationBinder:
         cohort = self.sampler.draw(0)
         k = self.sampler.cohort_per_edge
         datasets = list(self.shards.shards(cohort))
+        streams = child_seeds(self.seed, "sampler", ids=cohort)
+        store = SampleStore(
+            datasets,
+            batch_size,
+            [np.random.default_rng(stream) for stream in streams.tolist()],
+            width=self.shards.max_shard_size,
+        )
         fed = Federation(
             model,
             [
@@ -125,15 +130,7 @@ class PopulationBinder:
             ],
             test_set,
             batch_size=batch_size,
-            seed=self.seed,
-            backend=backend,
-        )
-        rngs = fed.store.rngs
-        streams = child_seeds(self.seed, "sampler", ids=cohort)
-        for rng, state in zip(rngs, default_rng_states(streams)):
-            set_rng_state(rng, state)
-        fed.store = SampleStore(
-            datasets, batch_size, rngs, width=self.shards.max_shard_size
+            store=store,
         )
         self.fed = fed
         self.slot_client = cohort.copy()

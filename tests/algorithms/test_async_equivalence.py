@@ -40,7 +40,7 @@ ASYNC_OF = {"HierAdMo": AsyncHierAdMo, "FedAvg": AsyncFedAvg}
 
 
 def run_async(name, *, deployment=None, plan=None, sim_rng=0, **overrides):
-    federation = build_federation("auto")
+    federation = build_federation()
     kwargs = {**ALGORITHMS[name][1], **overrides}
     algorithm = ASYNC_OF[name](
         federation, deployment=deployment, sim_rng=sim_rng, **kwargs

@@ -1,9 +1,12 @@
-"""Federation-level behavior of the batched gradient backend.
+"""Federation-level behavior of the one gradient program.
 
-Covers backend selection (auto / loop / batched), transparent fallback
-for models or federations the engine cannot lower, loop-vs-batched
-equivalence through the *sampler* path (identical mini-batch streams),
-the vectorized edge aggregation, and the single-pass evaluation.
+Every ``gradient_all`` call runs the model's worker-axis program over
+the selected workers, gathered from the sample store; workers whose
+batch lengths differ are grouped by length.  The reference is the
+event clock's path, ``Federation.gradient`` one worker at a time, on
+an identically seeded federation: same mini-batch streams, same
+numbers bit for bit.  Also covered: the vectorized evaluation and the
+relaxed speed gate.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ def _tabular_federation(
     classes=3,
     seed=0,
     batch_size=8,
-    backend="auto",
     model=None,
 ):
     rng = np.random.default_rng(seed)
@@ -56,12 +58,10 @@ def _tabular_federation(
     )
     if model is None:
         model = make_logistic_regression(features, classes, rng=1)
-    return Federation(
-        model, edges, test, batch_size=batch_size, seed=seed, backend=backend
-    )
+    return Federation(model, edges, test, batch_size=batch_size, seed=seed)
 
 
-def _image_federation(backend="auto", model=None):
+def _image_federation(model=None):
     rng = np.random.default_rng(3)
     edges = [
         [
@@ -74,19 +74,11 @@ def _image_federation(backend="auto", model=None):
     test = Dataset(rng.normal(size=(8, 1, 8, 8)), rng.integers(0, 4, 8), 4)
     if model is None:
         model = make_cnn(1, 8, 4, rng=5)
-    return Federation(
-        model,
-        edges,
-        test,
-        batch_size=6,
-        seed=7,
-        backend=backend,
-    )
+    return Federation(model, edges, test, batch_size=6, seed=7)
 
 
 def _dropout_model(features=6, classes=3):
-    """Live dropout layers sharing one generator cannot lower (the
-    loop's worker-major draw order has no layer-major replay)."""
+    """Two live dropout layers sharing one generator."""
     rng = np.random.default_rng(9)
     return SupervisedModel(
         Sequential(
@@ -99,80 +91,145 @@ def _dropout_model(features=6, classes=3):
     )
 
 
+def _program_rows(fed):
+    """Wrap the federation's program; returns the list of the row
+    counts of its calls."""
+    program, rows = fed._engine, []
+
+    def counted(params, xs, ys, grads):
+        rows.append(params.shape[0])
+        return type(program).gradient_all(program, params, xs, ys, grads)
+
+    program.gradient_all = counted
+    return rows
+
+
+def _per_row(fed, params, out, rows=slice(None)):
+    """The event clock's path: ``Federation.gradient`` worker by worker."""
+    workers = np.arange(fed.num_workers)[rows]
+    return np.array(
+        [fed.gradient(w, params[w], out=out[w])[1] for w in workers.tolist()]
+    )
+
+
 # ----------------------------------------------------------------------
-# Backend selection
+# One program call per iteration
 # ----------------------------------------------------------------------
 class TestBackendSelection:
     def test_auto_picks_batched_for_dense_model(self):
-        assert _tabular_federation().gradient_backend == "batched"
-
-    def test_loop_backend_forced(self):
-        fed = _tabular_federation(backend="loop")
-        assert fed.gradient_backend == "loop"
+        fed = _tabular_federation()
+        rows = _program_rows(fed)
+        params = np.zeros((fed.num_workers, fed.dim))
+        fed.gradient_all(params, out=np.empty_like(params))
+        assert rows == [fed.num_workers]
 
     def test_auto_picks_batched_for_conv_model(self):
         fed = _image_federation()
-        assert fed.gradient_backend == "batched"
-        assert fed.lowering_reason is None
-
-    def test_auto_falls_back_for_dropout_model(self):
-        fed = _tabular_federation(model=_dropout_model())
-        assert fed.gradient_backend == "loop"
-        assert fed.lowering_reason == "layer:Dropout(shared-rng)"
-
-    def test_batched_backend_rejects_dropout_model(self):
-        with pytest.raises(ValueError, match=r"Dropout\(shared-rng\)"):
-            _tabular_federation(model=_dropout_model(), backend="batched")
+        rows = _program_rows(fed)
+        params = np.zeros((fed.num_workers, fed.dim))
+        fed.gradient_all(params, out=np.empty_like(params))
+        assert rows == [fed.num_workers]
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            _tabular_federation(backend="turbo")
+        """There is no backend switch left to set."""
+        with pytest.raises(TypeError, match="backend"):
+            Federation(
+                make_logistic_regression(6, 3, rng=1),
+                [[Dataset(np.zeros((4, 6)), np.zeros(4, dtype=int), 3)]],
+                Dataset(np.zeros((4, 6)), np.zeros(4, dtype=int), 3),
+                backend="loop",
+            )
 
     def test_heterogeneous_batch_sizes_fall_back(self):
-        # One worker has fewer samples than batch_size, so its sampler
-        # clamps: batch shapes differ across workers and cannot stack.
-        fed = _tabular_federation(counts=((6, 40), (32,)), batch_size=16)
-        assert fed.gradient_backend == "loop"
-        assert fed.lowering_reason == "batches:heterogeneous"
+        """A shard shorter than the batch clamps its batch length; the
+        rows fall back to one program call per batch length, and every
+        row still equals its one-row pass."""
+        counts, params_rng = ((6, 40), (32,)), np.random.default_rng(4)
+        fed = _tabular_federation(counts=counts, batch_size=16)
+        ref = _tabular_federation(counts=counts, batch_size=16)
+        assert fed.store.batch.tolist() == [6, 16, 16]
+        rows = _program_rows(fed)
+        params = params_rng.normal(size=(fed.num_workers, fed.dim))
+        got, want = np.empty_like(params), np.empty_like(params)
+        losses = fed.gradient_all(params, out=got)
+        assert rows == [1, 2]
+        np.testing.assert_array_equal(losses, _per_row(ref, params, want))
+        np.testing.assert_array_equal(got, want)
+
+    def test_loop_backend_forced(self):
+        """The per-worker loop is the event clock's path: each
+        ``Federation.gradient`` call is one program call at R = 1."""
+        fed = _tabular_federation()
+        rows = _program_rows(fed)
+        params = np.zeros((fed.num_workers, fed.dim))
+        _per_row(fed, params, np.empty_like(params))
+        assert rows == [1] * fed.num_workers
+
+    def test_auto_falls_back_for_dropout_model(self):
+        """Live dropout layers sharing a generator need no fallback:
+        the fleet still runs as one program call."""
+        fed = _tabular_federation(model=_dropout_model())
+        rows = _program_rows(fed)
+        params = np.random.default_rng(2).normal(
+            size=(fed.num_workers, fed.dim)
+        )
+        out = np.empty_like(params)
+        losses = fed.gradient_all(params, out=out)
+        assert rows == [fed.num_workers]
+        assert np.isfinite(losses).all() and np.isfinite(out).all()
+
+    def test_batched_backend_rejects_dropout_model(self):
+        """The shared-generator dropout model is accepted, and its draw
+        order is defined once: identically seeded federations give the
+        same gradients and losses, pass after pass."""
+        fed = _tabular_federation(model=_dropout_model())
+        twin = _tabular_federation(model=_dropout_model())
+        params = np.random.default_rng(3).normal(
+            size=(fed.num_workers, fed.dim)
+        )
+        for _ in range(3):
+            got, want = np.empty_like(params), np.empty_like(params)
+            np.testing.assert_array_equal(
+                fed.gradient_all(params, out=got),
+                twin.gradient_all(params, out=want),
+            )
+            np.testing.assert_array_equal(got, want)
 
     def test_fallback_reason_counter_emitted(self):
+        """With no fallback there is no fallback counter: the dropout
+        model's pass counts nothing under ``worker_step.`` or
+        ``batched.``."""
         fed = _tabular_federation(model=_dropout_model())
         params = np.zeros((fed.num_workers, fed.dim))
-        out = np.empty_like(params)
         with telemetry.tracing() as tracer:
-            fed.gradient_all(params, out=out)
-        assert tracer.counters.get("worker_step.backend.loop") == 1
-        assert (
-            tracer.counters.get(
-                "worker_step.backend.fallback.layer:Dropout(shared-rng)"
-            )
-            == 1
-        )
+            fed.gradient_all(params, out=np.empty_like(params))
+        assert not [
+            key for key in tracer.counters
+            if key.startswith(("worker_step.", "batched."))
+        ]
 
     def test_forced_loop_emits_no_fallback_counter(self):
-        fed = _tabular_federation(backend="loop")
-        assert fed.lowering_reason is None
+        """Neither the one-row passes nor a fleet split by batch length
+        count a backend or fallback."""
+        fed = _tabular_federation(counts=((6, 40), (32,)), batch_size=16)
         params = np.zeros((fed.num_workers, fed.dim))
-        out = np.empty_like(params)
         with telemetry.tracing() as tracer:
-            fed.gradient_all(params, out=out)
-        fallbacks = [
-            key
-            for key in tracer.counters
-            if key.startswith("worker_step.backend.fallback.")
+            _per_row(fed, params, np.empty_like(params))
+            fed.gradient_all(params, out=np.empty_like(params))
+        assert not [
+            key for key in tracer.counters
+            if key.startswith(("worker_step.", "batched."))
         ]
-        assert fallbacks == []
 
 
 # ----------------------------------------------------------------------
-# Table II zoo guard: no silent regression to the loop under auto
+# Table II zoo guard: one program call over the whole fleet
 # ----------------------------------------------------------------------
 class TestTableTwoZooLowers:
-    """Every image model family of Table II must use the batched engine.
+    """Every image model family of Table II runs as one program call.
 
-    A lowering regression (a layer falling off the supported set) would
-    silently flip ``backend="auto"`` to the loop and only show up as a
-    slowdown; these guards turn it into a test failure.
+    A regression that split the fleet into per-worker calls would only
+    show up as a slowdown; these guards turn it into a test failure.
     """
 
     @pytest.mark.parametrize(
@@ -195,18 +252,13 @@ class TestTableTwoZooLowers:
     )
     def test_auto_backend_stays_batched(self, name, factory):
         fed = _image_federation(model=factory())
-        assert fed.gradient_backend == "batched", (
-            f"{name} silently regressed to the loop backend "
-            f"(reason: {fed.lowering_reason})"
-        )
+        rows = _program_rows(fed)
         params = np.random.default_rng(8).normal(
             size=(fed.num_workers, fed.dim), scale=0.2
         )
         out = np.empty_like(params)
-        with telemetry.tracing() as tracer:
-            fed.gradient_all(params, out=out)
-        assert tracer.counters.get("worker_step.backend.batched") == 1
-        assert tracer.counters.get("worker_step.backend.loop") is None
+        fed.gradient_all(params, out=out)
+        assert rows == [fed.num_workers], f"{name} split the fleet"
 
 
 # ----------------------------------------------------------------------
@@ -214,13 +266,11 @@ class TestTableTwoZooLowers:
 # ----------------------------------------------------------------------
 class TestSamplerPathEquivalence:
     def _both(self, **kwargs):
-        return (
-            _tabular_federation(backend="batched", **kwargs),
-            _tabular_federation(backend="loop", **kwargs),
-        )
+        return _tabular_federation(**kwargs), _tabular_federation(**kwargs)
 
     def test_gradient_all_matches_loop_stream(self):
-        """Same seeds => same mini-batch stream => same grads/losses."""
+        """Same seeds => same mini-batch stream => same grads/losses,
+        whether the fleet runs in one call or one worker at a time."""
         batched, loop = self._both()
         params = np.random.default_rng(9).normal(
             size=(batched.num_workers, batched.dim)
@@ -229,11 +279,9 @@ class TestSamplerPathEquivalence:
             got = np.empty_like(params)
             want = np.empty_like(params)
             got_losses = batched.gradient_all(params, out=got)
-            want_losses = loop.gradient_all(params, out=want)
-            np.testing.assert_allclose(
-                got_losses, want_losses, rtol=1e-10, atol=1e-14
-            )
-            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
+            want_losses = _per_row(loop, params, want)
+            np.testing.assert_array_equal(got_losses, want_losses)
+            np.testing.assert_array_equal(got, want)
 
     def test_gradient_all_row_subset(self):
         """Fault-masked rows: only selected rows written, rest intact."""
@@ -245,15 +293,15 @@ class TestSamplerPathEquivalence:
         got = np.full_like(params, -1.0)
         want = np.full_like(params, -1.0)
         got_losses = batched.gradient_all(params, rows=rows, out=got)
-        want_losses = loop.gradient_all(params, rows=rows, out=want)
+        want_losses = _per_row(loop, params, want, rows)
         assert got_losses.shape == (rows.size,)
-        np.testing.assert_allclose(
-            got_losses, want_losses, rtol=1e-10, atol=1e-14
-        )
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
+        np.testing.assert_array_equal(got_losses, want_losses)
+        np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got[1], -1.0)  # untouched row
 
     def test_nonfinite_params_fall_back_to_loop_semantics(self):
+        """A diverged row gets a NaN gradient and loss, as one worker's
+        pass does, and the other rows are unaffected."""
         batched, loop = self._both()
         params = np.random.default_rng(11).normal(
             size=(batched.num_workers, batched.dim)
@@ -262,27 +310,25 @@ class TestSamplerPathEquivalence:
         got = np.empty_like(params)
         want = np.empty_like(params)
         got_losses = batched.gradient_all(params, out=got)
-        want_losses = loop.gradient_all(params, out=want)
+        want_losses = _per_row(loop, params, want)
         assert np.isnan(got_losses[1]) and np.isnan(want_losses[1])
         assert np.isnan(got[1]).all()
         finite = [0, 2]
-        np.testing.assert_allclose(
-            got_losses[finite], want_losses[finite], rtol=1e-10, atol=1e-14
-        )
-        np.testing.assert_allclose(
-            got[finite], want[finite], rtol=1e-10, atol=1e-14
-        )
+        np.testing.assert_array_equal(got_losses[finite], want_losses[finite])
+        np.testing.assert_array_equal(got[finite], want[finite])
 
     def test_backend_counter_emitted(self):
-        batched, loop = self._both()
-        params = np.zeros((batched.num_workers, batched.dim))
-        out = np.empty_like(params)
+        """The traced fleet pass is one forward and one backward span of
+        the program, with no backend counter beside them."""
+        fed = _tabular_federation()
+        params = np.zeros((fed.num_workers, fed.dim))
         with telemetry.tracing() as tracer:
-            batched.gradient_all(params, out=out)
-        assert tracer.counters.get("worker_step.backend.batched") == 1
-        with telemetry.tracing() as tracer:
-            loop.gradient_all(params, out=out)
-        assert tracer.counters.get("worker_step.backend.loop") == 1
+            fed.gradient_all(params, out=np.empty_like(params))
+        assert tracer.span_stats["oracle.forward"].count == 1
+        assert tracer.span_stats["oracle.backward"].count == 1
+        assert not [
+            key for key in tracer.counters if key.startswith("worker_step.")
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -299,7 +345,7 @@ class TestAggregationAndEval:
             np.mean(predictions.argmax(axis=1) == fed.test_set.y)
         )
         want_loss = float(
-            fed.model.loss_fn.forward(predictions, fed.test_set.y)
+            fed.model.loss_fn.forward(predictions[None], fed.test_set.y[None])[0]
         )
         assert accuracy == pytest.approx(want_accuracy)
         assert loss == pytest.approx(want_loss)
@@ -319,31 +365,25 @@ def _time_min(fn, repeats=5, iters=8):
 
 
 def test_batched_not_slower_than_loop():
-    """CI-safe gate: the batched engine must never lose to the loop.
+    """CI-safe gate: one fleet pass must never lose to W one-row passes.
 
-    The authoritative ≥3x speedup bound lives in
-    ``benchmarks/bench_batched.py``; here we only assert the batched
-    pass is no slower (with headroom for timer noise) so a regression
+    The slow side is the event clock's path, ``Federation.gradient``
+    once per worker, on the same program.  The authoritative >=3x bound
+    lives in ``benchmarks/bench_batched.py``; here the fleet pass only
+    has to be no slower (with headroom for timer noise), so a regression
     that de-vectorizes the hot path fails tier-1.
     """
     counts = tuple((48,) * 4 for _ in range(4))  # 16 workers
     model = make_mlp(20, (32,), 5, rng=2)
-    batched = _tabular_federation(
-        counts=counts, features=20, classes=5, model=model, backend="batched"
+    fed = _tabular_federation(
+        counts=counts, features=20, classes=5, model=model
     )
-    model_loop = make_mlp(20, (32,), 5, rng=2)
-    loop = _tabular_federation(
-        counts=counts, features=20, classes=5, model=model_loop,
-        backend="loop",
-    )
-    params = np.random.default_rng(6).normal(size=(16, batched.dim))
+    params = np.random.default_rng(6).normal(size=(16, fed.dim))
     out = np.empty_like(params)
 
-    batched_time = _time_min(
-        lambda: batched.gradient_all(params, out=out)
-    )
-    loop_time = _time_min(lambda: loop.gradient_all(params, out=out))
+    batched_time = _time_min(lambda: fed.gradient_all(params, out=out))
+    loop_time = _time_min(lambda: _per_row(fed, params, out))
     assert batched_time <= loop_time * 1.10, (
-        f"batched gradient pass slower than loop: "
+        f"fleet gradient pass slower than one-row passes: "
         f"{batched_time * 1e6:.1f}us vs {loop_time * 1e6:.1f}us"
     )

@@ -12,6 +12,7 @@ from repro.data import (
     train_test_split,
 )
 from repro.nn.models import make_cnn, make_linear_regression
+from tests.integration.test_golden_trajectories import PATHS, one_row_at_a_time
 
 
 def mse_federation(seed=0):
@@ -32,15 +33,14 @@ def mse_federation(seed=0):
     return Federation(model, edges, edges[0][0], batch_size=8, seed=seed)
 
 
-def cnn_federation(backend):
+def cnn_federation():
     """Conv/ReLU/max-pool model: 2 edges x 2 workers on 8x8 images."""
     corpus = make_synthetic_mnist(240, image_size=8, rng=21)
     train, test = train_test_split(corpus, 0.25, rng=22)
     parts = partition_xclass(train, 4, 3, rng=23)
     model = make_cnn(1, 8, 10, width=3, hidden=16, rng=24)
     return Federation(
-        model, [parts[0:2], parts[2:4]], test, batch_size=8, seed=25,
-        backend=backend,
+        model, [parts[0:2], parts[2:4]], test, batch_size=8, seed=25
     )
 
 
@@ -76,11 +76,13 @@ class TestDivergenceGuard:
             len(history.iterations) if on_event_clock else 0
         )
 
-    @pytest.mark.parametrize("backend", ["batched", "loop"])
-    def test_huge_lr_cnn_diverges_and_stops(self, backend):
-        """NaN and inf pass through ReLU and max pooling to the loss."""
-        federation = cnn_federation(backend)
-        assert federation.gradient_backend == backend
+    @pytest.mark.parametrize("path", PATHS)
+    def test_huge_lr_cnn_diverges_and_stops(self, path):
+        """NaN and inf pass through ReLU and max pooling to the loss,
+        on the fleet program and one row at a time."""
+        federation = cnn_federation()
+        if path == "loop":
+            one_row_at_a_time(federation)
         history = FedAvg(federation, eta=1e6, tau=3).run(30, eval_every=10)
         assert history.diverged
         assert history.diverged_at == 5

@@ -92,24 +92,48 @@ ALGORITHMS = {
 }
 
 
-def build_federation(backend: str = "auto") -> Federation:
+# How a run computes its workers' gradients: the whole fleet in one
+# program call per iteration, or one ``Federation.gradient`` call (the
+# event clock's one-row program) per worker.
+PATHS = ("batched", "loop")
+
+
+def one_row_at_a_time(federation: Federation) -> Federation:
+    """Route ``federation.gradient_all`` through ``Federation.gradient``,
+    one worker after another, each on its own next mini-batch."""
+
+    def gradient_all(params, *, rows=slice(None), out):
+        workers = np.arange(federation.num_workers)[rows]
+        losses = np.empty(workers.size)
+        for position, worker in enumerate(workers.tolist()):
+            _, losses[position] = federation.gradient(
+                worker, params[worker], out=out[worker]
+            )
+        return losses
+
+    federation.gradient_all = gradient_all
+    return federation
+
+
+def build_federation() -> Federation:
     """Fresh 2-edge x 2-worker non-i.i.d. logistic federation (seeded)."""
     corpus = make_synthetic_mnist(600, rng=11).flattened()
     train, test = train_test_split(corpus, 0.25, rng=12)
     parts = partition_xclass(train, 4, 3, rng=3)
     edges = [parts[0:2], parts[2:4]]
     model = make_logistic_regression(train.num_features, 10, rng=4)
-    return Federation(
-        model, edges, test, batch_size=16, seed=5, backend=backend
-    )
+    return Federation(model, edges, test, batch_size=16, seed=5)
 
 
 def run_algorithm(
-    name: str, traced: bool = False, backend: str = "auto"
+    name: str, traced: bool = False, path: str = "batched"
 ) -> dict:
     """One seeded run; returns the history as plain JSON-able lists."""
     cls, kwargs = ALGORITHMS[name]
-    algorithm = cls(build_federation(backend), **kwargs)
+    federation = build_federation()
+    if path == "loop":
+        one_row_at_a_time(federation)
+    algorithm = cls(federation, **kwargs)
     if traced:
         with telemetry.tracing():
             history = algorithm.run(TOTAL_ITERATIONS, eval_every=EVAL_EVERY)
@@ -127,22 +151,23 @@ def run_algorithm(
     }
 
 
-def build_cnn_federation(backend: str = "auto") -> Federation:
+def build_cnn_federation() -> Federation:
     """2-edge x 2-worker non-i.i.d. CNN federation on 8x8 images."""
     corpus = make_synthetic_mnist(240, image_size=8, rng=21)
     train, test = train_test_split(corpus, 0.25, rng=22)
     parts = partition_xclass(train, 4, 3, rng=23)
     edges = [parts[0:2], parts[2:4]]
     model = make_cnn(1, 8, 10, width=3, hidden=16, rng=24)
-    return Federation(
-        model, edges, test, batch_size=8, seed=25, backend=backend
-    )
+    return Federation(model, edges, test, batch_size=8, seed=25)
 
 
-def run_cnn_algorithm(name: str, backend: str = "loop") -> dict:
+def run_cnn_algorithm(name: str, path: str = "batched") -> dict:
     """One seeded CNN run; same JSON-able history as the logistic runs."""
     cls, kwargs = CNN_ALGORITHMS[name]
-    algorithm = cls(build_cnn_federation(backend), **kwargs)
+    federation = build_cnn_federation()
+    if path == "loop":
+        one_row_at_a_time(federation)
+    algorithm = cls(federation, **kwargs)
     history = algorithm.run(CNN_ITERATIONS, eval_every=EVAL_EVERY)
     return {
         "iterations": list(history.iterations),
@@ -166,19 +191,17 @@ def _load_cnn_goldens() -> dict:
         return json.load(handle)
 
 
-@pytest.mark.parametrize(
-    "backend", ["batched", "loop"]
-)
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize(
     "traced", [False, True], ids=["untraced", "traced"]
 )
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-def test_matches_seed_trajectory(name, traced, backend):
-    """Goldens must hold with tracing off AND on, and under BOTH
-    gradient backends: neither instrumentation nor the batched engine
-    may perturb the numerics beyond roundoff."""
+def test_matches_seed_trajectory(name, traced, path):
+    """Goldens must hold with tracing off AND on, whether the fleet runs
+    as one program call or one row at a time: neither instrumentation
+    nor the worker axis may perturb the numerics beyond roundoff."""
     golden = _load_goldens()[name]
-    fresh = run_algorithm(name, traced=traced, backend=backend)
+    fresh = run_algorithm(name, traced=traced, path=path)
 
     assert fresh["iterations"] == golden["iterations"]
     # Iteration 0 has no training batches; its train_loss is nan (the
@@ -203,58 +226,58 @@ def test_matches_seed_trajectory(name, traced, backend):
         ), f"{name} gamma trace drifted from the seed implementation"
 
 
-@pytest.mark.parametrize("backend", ["batched", "loop"])
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("name", sorted(CNN_ALGORITHMS))
-def test_cnn_matches_golden_trajectory(name, backend):
-    """The conv/pool lowerings must replay the loop-generated CNN
-    goldens exactly (to roundoff) — the batched engine is a pure
-    performance change on image models too."""
+def test_cnn_matches_golden_trajectory(name, path):
+    """The conv/pool layers must replay the CNN goldens (to roundoff)
+    on the fleet program and one row at a time."""
     golden = _load_cnn_goldens()[name]
-    fresh = run_cnn_algorithm(name, backend=backend)
+    fresh = run_cnn_algorithm(name, path=path)
 
     assert fresh["iterations"] == golden["iterations"]
     assert math.isnan(fresh["train_loss"][0])
     for series in ("test_accuracy", "test_loss"):
         assert np.allclose(
             fresh[series], golden[series], rtol=1e-8, atol=1e-10
-        ), f"cnn/{name}.{series} drifted between backends"
+        ), f"cnn/{name}.{series} drifted from the golden"
     assert np.allclose(
         fresh["train_loss"][1:],
         golden["train_loss"][1:],
         rtol=1e-8,
         atol=1e-10,
-    ), f"cnn/{name}.train_loss drifted between backends"
+    ), f"cnn/{name}.train_loss drifted from the golden"
     for fresh_round, golden_round in zip(
         fresh["gamma_trace"], golden["gamma_trace"]
     ):
         assert np.allclose(
             fresh_round, golden_round, rtol=1e-8, atol=1e-10
-        ), f"cnn/{name} gamma trace drifted between backends"
+        ), f"cnn/{name} gamma trace drifted from the golden"
 
 
 def test_cnn_federation_uses_batched_backend():
-    """The CNN config must actually engage the batched engine (a
-    lowering regression would silently re-run these goldens on the
-    loop and hide the coverage)."""
-    federation = build_cnn_federation("auto")
-    assert federation.gradient_backend == "batched"
-    assert federation.lowering_reason is None
+    """Each lockstep iteration of the CNN goldens is one program call
+    over all four workers."""
+    federation = build_cnn_federation()
+    program = federation._engine
+    rows = []
+    gradient_all = program.gradient_all
+
+    def counted(params, *args):
+        rows.append(params.shape[0])
+        return gradient_all(params, *args)
+
+    program.gradient_all = counted
     cls, kwargs = CNN_ALGORITHMS["FedAvg"]
-    with telemetry.tracing() as tracer:
-        cls(federation, **kwargs).run(6, eval_every=6)
-    assert tracer.counters.get("worker_step.backend.batched", 0) > 0
-    assert "worker_step.backend.loop" not in tracer.counters
+    cls(federation, **kwargs).run(6, eval_every=6)
+    assert rows == [4] * 6
 
 
 def _regenerate() -> None:
     goldens = {name: run_algorithm(name) for name in sorted(ALGORITHMS)}
     GOLDEN_PATH.write_text(json.dumps(goldens, indent=1))
     print(f"wrote {GOLDEN_PATH} ({len(goldens)} algorithms)")
-    # CNN goldens are pinned by the per-worker loop oracle: the batched
-    # engine is then required to reproduce them at rtol 1e-8.
     cnn_goldens = {
-        name: run_cnn_algorithm(name, backend="loop")
-        for name in sorted(CNN_ALGORITHMS)
+        name: run_cnn_algorithm(name) for name in sorted(CNN_ALGORITHMS)
     }
     CNN_GOLDEN_PATH.write_text(json.dumps(cnn_goldens, indent=1))
     print(f"wrote {CNN_GOLDEN_PATH} ({len(cnn_goldens)} algorithms)")

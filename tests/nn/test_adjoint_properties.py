@@ -3,7 +3,7 @@
 For a bias-free linear operator L (Dense or Conv2d), the backward pass
 must be its exact adjoint: ⟨L(x), y⟩ = ⟨x, Lᵀ(y)⟩ for all x, y.  This is
 a stronger and much faster check than finite differences, and hypothesis
-drives it across shapes.
+drives it across shapes.  Each case runs one row of the worker axis.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Conv2d, Dense
+from tests.nn.rows import bind_rows
 
 
 class TestDenseAdjoint:
@@ -25,9 +26,9 @@ class TestDenseAdjoint:
     def test_adjoint_identity(self, n, d_in, d_out, seed):
         rng = np.random.default_rng(seed)
         layer = Dense(d_in, d_out, bias=False, rng=seed)
-        x = rng.normal(size=(n, d_in))
-        y = rng.normal(size=(n, d_out))
-        layer.zero_grad()
+        bind_rows(layer)
+        x = rng.normal(size=(1, n, d_in))
+        y = rng.normal(size=(1, n, d_out))
         forward = layer.forward(x)
         grad_x = layer.backward(y)
         lhs = float(np.sum(forward * y))
@@ -39,12 +40,12 @@ class TestDenseAdjoint:
     def test_weight_gradient_is_outer_product_sum(self, seed):
         rng = np.random.default_rng(seed)
         layer = Dense(4, 3, bias=False, rng=seed)
+        grads = bind_rows(layer)
         x = rng.normal(size=(5, 4))
         y = rng.normal(size=(5, 3))
-        layer.zero_grad()
-        layer.forward(x)
-        layer.backward(y)
-        assert np.allclose(layer.weight.grad, y.T @ x)
+        layer.forward(x[None])
+        layer.backward(y[None])
+        assert np.allclose(grads[0].reshape(3, 4), y.T @ x)
 
 
 class TestConvAdjoint:
@@ -66,10 +67,10 @@ class TestConvAdjoint:
         layer = Conv2d(
             c_in, c_out, k, stride=stride, padding=pad, bias=False, rng=seed
         )
-        x = rng.normal(size=(n, c_in, size, size))
+        bind_rows(layer)
+        x = rng.normal(size=(1, n, c_in, size, size))
         forward = layer.forward(x)
         y = rng.normal(size=forward.shape)
-        layer.zero_grad()
         grad_x = layer.backward(y)
         lhs = float(np.sum(forward * y))
         rhs = float(np.sum(x * grad_x))
@@ -80,8 +81,9 @@ class TestConvAdjoint:
     def test_linearity_in_input(self, seed):
         rng = np.random.default_rng(seed)
         layer = Conv2d(2, 3, 3, bias=False, rng=seed)
-        a = rng.normal(size=(2, 2, 5, 5))
-        b = rng.normal(size=(2, 2, 5, 5))
+        bind_rows(layer)
+        a = rng.normal(size=(1, 2, 2, 5, 5))
+        b = rng.normal(size=(1, 2, 2, 5, 5))
         assert np.allclose(
             layer.forward(a + 2.0 * b),
             layer.forward(a) + 2.0 * layer.forward(b),

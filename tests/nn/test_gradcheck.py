@@ -5,10 +5,10 @@ backward pass is right, FL training dynamics above it are trustworthy.
 Each check builds a tiny net ending in a scalar-producing loss and
 compares analytic and numeric gradients at random coordinates.
 
-The batched engine's worker-stacked adjoints (conv / pool / batch norm
-over a leading worker axis) are checked the same way, against central
-differences of the *program's own* per-row losses — independent of the
-batched-vs-loop oracle equivalence asserted in ``test_batched.py``.
+Multi-row passes (conv / pool / batch norm over a leading worker axis
+of several rows) are checked the same way, against central differences
+of the program's own per-row losses — a second check, independent of
+the tape oracle of ``test_batched.py``.
 """
 
 import numpy as np
@@ -32,12 +32,6 @@ from repro.nn import (
     SupervisedModel,
     Tanh,
 )
-from repro.nn.batched import (
-    _BatchedBasicBlock,
-    _BatchedBatchNorm,
-    _BatchedChain,
-    lower_supervised_model,
-)
 
 RNG = np.random.default_rng(1234)
 
@@ -51,17 +45,26 @@ def check_model_gradient(model, x, y, num_coords=10, eps=1e-6, tol=2e-4):
     for index in coords:
         plus = params.copy()
         plus[index] += eps
-        model.set_flat_params(plus)
-        model.module.train()
-        loss_plus = model.loss_fn.forward(model.module.forward(x), y)
+        loss_plus = model.gradient(x, y, plus)[1]
         minus = params.copy()
         minus[index] -= eps
-        model.set_flat_params(minus)
-        loss_minus = model.loss_fn.forward(model.module.forward(x), y)
+        loss_minus = model.gradient(x, y, minus)[1]
         numeric = (loss_plus - loss_minus) / (2 * eps)
         assert analytic[index] == pytest.approx(numeric, abs=tol), (
             f"coord {index}: analytic={analytic[index]}, numeric={numeric}"
         )
+
+
+def eval_pass(model, params, xs, ys):
+    """``(grads, losses)`` of one pass with batch norm on its running
+    statistics, through the module's public bind/forward/backward."""
+    grads = np.zeros_like(params)
+    model.module.eval()
+    model.module.bind(params, grads)
+    losses = model.loss_fn.forward(model.module.forward(xs), ys)
+    model.module.backward(model.loss_fn.backward())
+    model.module.train()
+    return grads, losses
 
 
 def image_batch(n=4, c=2, size=6):
@@ -178,7 +181,7 @@ class TestBatchNormGrad:
         net = Sequential(Dense(4, 6, rng=1), BatchNorm1d(6), Dense(6, 3, rng=2))
         model = SupervisedModel(net, SoftmaxCrossEntropyLoss())
         # Populate the running statistics, then freeze them.
-        net.forward(RNG.normal(size=(32, 4)))
+        model.gradient(RNG.normal(size=(32, 4)), labels(32))
         check_eval_model_gradient(model, RNG.normal(size=(8, 4)), labels(8))
 
     def test_batchnorm2d_eval_mode(self):
@@ -187,78 +190,55 @@ class TestBatchNormGrad:
             Flatten(), Dense(3 * 6 * 6, 3, rng=2),
         )
         model = SupervisedModel(net, SoftmaxCrossEntropyLoss())
-        net.forward(image_batch(8))
+        model.gradient(image_batch(8), labels(8))
         check_eval_model_gradient(model, image_batch(), labels())
 
 
 def check_eval_model_gradient(model, x, y, num_coords=8, eps=1e-6, tol=2e-4):
     """Gradcheck with the module in eval mode (frozen batch-norm stats)."""
     params = model.get_flat_params()
-    model.module.eval()
-    model.module.zero_grad()
-    predictions = model.module.forward(x)
-    model.loss_fn.forward(predictions, y)
-    model.module.backward(model.loss_fn.backward())
-    analytic = model.module.get_flat_grads()
+    analytic = eval_pass(model, params[None], x[None], y[None])[0][0]
     coords = RNG.choice(params.size, size=min(num_coords, params.size),
                         replace=False)
     for index in coords:
         plus = params.copy()
         plus[index] += eps
         model.set_flat_params(plus)
-        model.module.eval()
-        loss_plus = model.loss_fn.forward(model.module.forward(x), y)
+        loss_plus = model.loss(x, y)
         minus = params.copy()
         minus[index] -= eps
         model.set_flat_params(minus)
-        loss_minus = model.loss_fn.forward(model.module.forward(x), y)
+        loss_minus = model.loss(x, y)
         numeric = (loss_plus - loss_minus) / (2 * eps)
         assert analytic[index] == pytest.approx(numeric, abs=tol), (
             f"coord {index}: analytic={analytic[index]}, numeric={numeric}"
         )
     model.set_flat_params(params)
-    model.module.train()
 
 
 # ----------------------------------------------------------------------
-# Batched (worker-stacked) adjoints
+# Multi-row (worker-stacked) adjoints
 # ----------------------------------------------------------------------
-def _batched_norm_layers(layers):
-    """All _BatchedBatchNorm instances in a lowered layer pipeline."""
-    found = []
-    for layer in layers:
-        if isinstance(layer, _BatchedBatchNorm):
-            found.append(layer)
-        elif isinstance(layer, _BatchedChain):
-            found.extend(_batched_norm_layers(layer.layers))
-        elif isinstance(layer, _BatchedBasicBlock):
-            found.extend(_batched_norm_layers(layer._children()))
-    return found
-
-
 def check_batched_gradient(
     model, xs, ys, *, freeze_bn=False, num_coords=8, eps=1e-6, tol=2e-4
 ):
-    """Gradcheck ``BatchedProgram.gradient_all`` against its own losses.
+    """Gradcheck a multi-row pass against its own per-row losses.
 
-    Each worker row's loss depends only on that row's parameters, so the
+    Each row's loss depends only on that row's parameters, so the
     analytic row gradients are checked against central differences of
-    the matching per-row loss.
+    the matching per-row loss.  ``freeze_bn`` runs batch norm on its
+    running statistics.
     """
-    program = lower_supervised_model(model)
-    assert program is not None, "model unexpectedly failed to lower"
-    if freeze_bn:
-        norms = _batched_norm_layers(program.layers)
-        assert norms, "freeze_bn=True but the model has no batch norm"
-        for norm in norms:
-            norm.frozen = True
+    def run(params):
+        if freeze_bn:
+            return eval_pass(model, params, xs, ys)
+        grads = np.empty_like(params)
+        return grads, model.gradient_all(params, xs, ys, grads)
 
     rows = xs.shape[0]
     params = np.stack([model.get_flat_params()] * rows)
     params += RNG.normal(size=params.shape, scale=0.05)
-    grads = np.empty_like(params)
-    scratch = np.empty_like(params)
-    program.gradient_all(params, xs, ys, grads)
+    grads, _ = run(params)
 
     flat_coords = RNG.choice(
         params.size, size=min(num_coords, params.size), replace=False
@@ -267,10 +247,10 @@ def check_batched_gradient(
         row, index = divmod(int(flat_index), params.shape[1])
         plus = params.copy()
         plus[row, index] += eps
-        loss_plus = program.gradient_all(plus, xs, ys, scratch)[row]
+        loss_plus = run(plus)[1][row]
         minus = params.copy()
         minus[row, index] -= eps
-        loss_minus = program.gradient_all(minus, xs, ys, scratch)[row]
+        loss_minus = run(minus)[1][row]
         numeric = (loss_plus - loss_minus) / (2 * eps)
         assert grads[row, index] == pytest.approx(numeric, abs=tol), (
             f"row {row} coord {index}: analytic={grads[row, index]}, "
@@ -341,7 +321,7 @@ class TestBatchedAdjoints:
             Flatten(), Dense(3 * 6 * 6, 3, rng=2),
         )
         model = SupervisedModel(net, SoftmaxCrossEntropyLoss())
-        net.forward(image_batch(8, 2, 6))  # populate running stats
+        model.gradient(image_batch(8, 2, 6), labels(8))  # running stats
         check_batched_gradient(
             model, worker_images(), worker_labels(), freeze_bn=True
         )
@@ -351,7 +331,7 @@ class TestBatchedAdjoints:
             Dense(4, 6, rng=1), BatchNorm1d(6), Dense(6, 3, rng=2)
         )
         model = SupervisedModel(net, SoftmaxCrossEntropyLoss())
-        net.forward(RNG.normal(size=(32, 4)))
+        model.gradient(RNG.normal(size=(32, 4)), labels(32))
         xs = RNG.normal(size=(3, 5, 4))
         check_batched_gradient(
             model, xs, worker_labels(n=5), freeze_bn=True
@@ -360,8 +340,8 @@ class TestBatchedAdjoints:
     def test_basic_block_train_mode(self):
         """Train-mode residual block: batch-norm adjoints are NOT
         elementwise here, so this catches any relu/bn ordering slip in
-        ``_BatchedBasicBlock.backward`` that frozen-stats checks (where
-        the BN adjoint commutes with the ReLU mask) cannot see."""
+        ``BasicBlock.backward`` that frozen-stats checks (where the BN
+        adjoint commutes with the ReLU mask) cannot see."""
         model = _basic_block_model(stride=2)
         check_batched_gradient(
             model, worker_images(n=4), worker_labels(n=4), tol=5e-4
@@ -389,13 +369,8 @@ def _basic_block_model(stride: int) -> SupervisedModel:
 
 
 class TestBasicBlockGrad:
-    """Per-worker (loop backend) train-mode residual block gradchecks.
-
-    The loop backend is the oracle for the batched equivalence suite, so
-    its own train-mode block backward must be finite-difference-checked
-    independently — otherwise a shared adjoint-order bug passes every
-    equivalence test.
-    """
+    """One-row train-mode residual block gradchecks, a second check of
+    the block's adjoint beside the tape oracle."""
 
     def test_projection_block_train_mode(self):
         model = _basic_block_model(stride=2)

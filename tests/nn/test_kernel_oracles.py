@@ -127,9 +127,10 @@ def check_maxpool(x, kernel, stride, rng):
 
     want_out, want_grad = reference_maxpool(x, kernel, stride, grad_output)
     pool = MaxPool2d(kernel, stride)
-    out = pool.forward(x)
+    # One row of the worker axis: the layer folds it into the batch.
+    out = pool.forward(x[None])[0]
     assert_same_bits(out, want_out)
-    assert_same_bits(pool.backward(grad_output), want_grad)
+    assert_same_bits(pool.backward(grad_output[None])[0], want_grad)
     return out
 
 
@@ -177,8 +178,8 @@ class TestMaxPoolOracle:
 
 RELU_SPECIALS = (0.0, -0.0, np.inf, -np.inf)
 # Memory layouts ReLU reads: C-contiguous NCHW, the (N, C, H, W) view of
-# a conv's channels-last GEMM output, and the lowered program's
-# (R, B, C, H, W) view of the same.
+# a conv's channels-last GEMM output, and the program's (R, B, C, H, W)
+# view of the same.
 RELU_LAYOUTS = {
     "c-contiguous": ((2, 3, 4, 5), None),
     "channels-last": ((2, 4, 5, 3), (0, 3, 1, 2)),

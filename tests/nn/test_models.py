@@ -136,4 +136,4 @@ class TestResnet:
             m for m in model.module.modules() if isinstance(m, BasicBlock)
         ]
         assert len(blocks) == 8
-        assert sum(block.has_projection for block in blocks) == 3
+        assert sum(block.proj_conv is not None for block in blocks) == 3

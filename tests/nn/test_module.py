@@ -5,13 +5,16 @@ import pytest
 
 from repro.nn import Dense, ReLU, Sequential
 from repro.nn.module import FlatParamBuffer, Module, Parameter
+from tests.nn.rows import bind_rows
 
 
 class TestParameter:
     def test_grad_allocated_zero(self):
+        """No gradient storage is allocated beside a parameter or its
+        flat buffer: gradients live only in the matrix a pass binds."""
         param = Parameter(np.ones((2, 3)))
-        assert param.grad.shape == (2, 3)
-        assert not param.grad.any()
+        assert not hasattr(param, "grad")
+        assert not hasattr(Dense(2, 3, rng=0).flat_buffer(), "grad")
 
     def test_casts_to_float64(self):
         param = Parameter(np.array([1, 2], dtype=np.int32))
@@ -71,18 +74,25 @@ class TestFlatParams:
             layer.set_flat_params(np.zeros(3))
 
     def test_zero_grad(self):
+        """Backward writes the bound gradient rows instead of adding to
+        them, so nothing needs zeroing: a pass into a dirty matrix gives
+        the same gradient as a pass into a clean one."""
         layer = Dense(2, 2, rng=0)
-        x = np.ones((4, 2))
-        layer.backward_input = layer.forward(x)
-        layer.backward(np.ones((4, 2)))
-        assert layer.get_flat_grads().any()
-        layer.zero_grad()
-        assert not layer.get_flat_grads().any()
+        grads = bind_rows(layer, rows=2)
+        x = np.arange(12.0).reshape(2, 3, 2)
+        layer.forward(x)
+        layer.backward(np.ones((2, 3, 2)))
+        clean = grads.copy()
+        grads[:] = 7.0
+        layer.forward(x)
+        layer.backward(np.ones((2, 3, 2)))
+        assert clean.any()
+        np.testing.assert_array_equal(grads, clean)
 
 
 class TestFlatParamBuffer:
     def test_parameters_view_shared_storage(self):
-        """After buffer creation, param.data/grad view the flat vectors."""
+        """After buffer creation, param.data views the flat vector."""
         layer = Dense(3, 2, rng=0)
         buffer = layer.flat_buffer()
         assert isinstance(buffer, FlatParamBuffer)
@@ -96,12 +106,13 @@ class TestFlatParamBuffer:
         assert buffer.data[1] == -7.0
 
     def test_grads_zero_copy(self):
+        """Backward writes each row's gradient straight into the bound
+        gradient matrix: there is no gradient copy to collect."""
         layer = Dense(2, 2, rng=0)
-        flat_grads = layer.get_flat_grads()
-        layer.weight.grad += 3.0
-        assert flat_grads[: layer.weight.size].sum() == 3.0 * 4
-        layer.zero_grad()
-        assert not flat_grads.any()  # same storage, zeroed by fill
+        grads = bind_rows(layer, rows=2)
+        layer.forward(np.ones((2, 3, 2)))
+        layer.backward(np.ones((2, 3, 2)))
+        assert (grads == 3.0).all()  # each entry sums 3 samples of 1 * 1
 
     def test_buffer_cached_across_calls(self):
         net = Sequential(Dense(3, 4, rng=0), Dense(4, 2, rng=1))
@@ -139,19 +150,34 @@ class TestFlatParamBuffer:
         assert np.array_equal(net.get_flat_params(), reference)
 
     def test_forward_backward_unchanged_by_buffering(self):
-        x = np.random.default_rng(0).normal(size=(5, 3))
+        """Binding a layer to copies of its flat vector computes what
+        binding it to its parameters' own values does."""
+        x = np.random.default_rng(0).normal(size=(1, 5, 3))
         fresh = Dense(3, 2, rng=7)
+        values = np.concatenate([p.data.ravel() for p in fresh.parameters()])
+        fresh_grads = np.zeros((1, values.size))
+        fresh.bind(values[None], fresh_grads)
         expected = fresh.forward(x)
         buffered = Dense(3, 2, rng=7)
-        buffered.flat_buffer()
+        buffered_grads = bind_rows(buffered)
         assert np.allclose(buffered.forward(x), expected)
-        grad_out = np.ones((5, 2))
+        grad_out = np.ones((1, 5, 2))
         assert np.allclose(
             buffered.backward(grad_out), fresh.backward(grad_out)
         )
-        assert np.allclose(
-            buffered.get_flat_grads(), fresh.get_flat_grads()
+        assert np.allclose(buffered_grads, fresh_grads)
+
+    def test_bind_splits_columns_in_parameter_order(self):
+        """A container hands each child the next block of columns."""
+        net = Sequential(Dense(3, 4, rng=0), ReLU(), Dense(4, 2, rng=1))
+        params = np.arange(2.0 * net.num_params()).reshape(2, -1)
+        net.bind(params, np.zeros_like(params))
+        first, last = net.layers[0], net.layers[2]
+        assert first.covered == 16 and last.covered == 10
+        np.testing.assert_array_equal(
+            first._w, params[:, :12].reshape(2, 4, 3)
         )
+        np.testing.assert_array_equal(last._b, params[:, 24:])
 
 
 class TestSequential:
@@ -159,7 +185,8 @@ class TestSequential:
         first = Dense(2, 3, rng=0)
         second = Dense(3, 1, rng=1)
         net = Sequential(first, second)
-        x = np.random.default_rng(0).normal(size=(5, 2))
+        bind_rows(net)
+        x = np.random.default_rng(0).normal(size=(1, 5, 2))
         expected = second.forward(first.forward(x))
         assert np.allclose(net.forward(x), expected)
 

@@ -14,6 +14,7 @@ from repro.nn import (
     Tanh,
 )
 from repro.nn.functional import log_softmax, softmax
+from tests.nn.rows import bind_rows
 
 
 class TestExtremeActivations:
@@ -72,7 +73,8 @@ class TestExtremeTrainingInputs:
     def test_batchnorm_single_feature_variance_floor(self):
         """Constant batch: variance 0, eps must keep the output finite."""
         layer = BatchNorm1d(3)
-        out = layer.forward(np.full((8, 3), 7.0))
+        bind_rows(layer)
+        out = layer.forward(np.full((1, 8, 3), 7.0))
         assert np.isfinite(out).all()
         assert np.allclose(out, 0.0, atol=1e-6)
 

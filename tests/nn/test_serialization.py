@@ -6,6 +6,7 @@ import pytest
 from repro.nn import BatchNorm1d, Dense, ReLU, Sequential
 from repro.nn.models import make_cnn
 from repro.nn.serialization import load_weights, save_weights
+from tests.nn.rows import bind_rows
 
 
 def small_net(rng=0):
@@ -34,7 +35,8 @@ class TestRoundtrip:
 
     def test_batchnorm_buffers_roundtrip(self, tmp_path):
         net = Sequential(Dense(4, 6, rng=0), BatchNorm1d(6))
-        net.forward(np.random.default_rng(1).normal(size=(32, 4)))
+        bind_rows(net)
+        net.forward(np.random.default_rng(1).normal(size=(1, 32, 4)))
         path = tmp_path / "bn.npz"
         save_weights(net, path)
         clone = Sequential(Dense(4, 6, rng=9), BatchNorm1d(6))
@@ -65,7 +67,8 @@ class TestStrictLoading:
 
     def bn_net(self, rng=0):
         net = Sequential(Dense(4, 6, rng=rng), BatchNorm1d(6))
-        net.forward(np.random.default_rng(1).normal(size=(16, 4)))
+        bind_rows(net)
+        net.forward(np.random.default_rng(1).normal(size=(1, 16, 4)))
         return net
 
     def test_missing_key_rejected(self, tmp_path):

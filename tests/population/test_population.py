@@ -11,18 +11,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.algorithms import FedADC, FedNAG
 from repro.core import HierAdMo
 from repro.core.federation import Federation
-from repro.checkpoint.state import rng_state
+from repro.checkpoint.state import rng_state, set_rng_state
 from repro.data import Dataset
+from repro.data.loader import SampleStore
 from repro.data.shards import ListShards, PrototypeShards
 from repro.monitoring import monitoring
 from repro.nn.models import make_logistic_regression
 from repro.population import ClientRegistry, CohortSampler, PopulationBinder
 from repro.utils.memory import current_rss_bytes, peak_rss_bytes
-from repro.utils.rng import child_seed
+from repro.utils.rng import child_seed, child_seeds, default_rng_states
+from tests.integration.test_golden_trajectories import one_row_at_a_time
 
 pytestmark = pytest.mark.population
 
@@ -215,6 +216,58 @@ def _make_binder(
     return binder
 
 
+def test_build_federation_constructs_one_sample_store(monkeypatch):
+    """The initial cohort's store is built once, at the provider's
+    width, each slot on its client's stream.  It equals, bit for bit,
+    the store a classic federation over the cohort would build, re-seeded
+    to the cohort's streams and rebuilt at that width."""
+    rng = np.random.default_rng(1)
+    shards = ListShards(
+        [
+            Dataset(rng.normal(size=(n, 5)), rng.integers(0, 3, n), 3)
+            for n in (9, 30, 4, 12, 7, 25, 11, 6, 40, 8, 10, 5)
+        ]
+    )
+    binder = PopulationBinder(
+        ClientRegistry.from_shards(shards, 2), shards,
+        cohort_per_edge=2, seed=11,
+    )
+    built = []
+    init = SampleStore.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SampleStore, "__init__", counted)
+    test = Dataset(rng.normal(size=(8, 5)), rng.integers(0, 3, 8), 3)
+    fed = binder.build_federation(
+        make_logistic_regression(5, 3, rng=2), test, batch_size=8
+    )
+    assert built == [fed.store]
+    monkeypatch.undo()
+
+    cohort = binder.slot_client
+    assert cohort.tolist() != list(range(cohort.size))
+    datasets = list(shards.shards(cohort))
+    classic = Federation(
+        make_logistic_regression(5, 3, rng=2),
+        [datasets[:2], datasets[2:]], test, batch_size=8, seed=11,
+    )
+    rngs = classic.store.rngs
+    streams = child_seeds(11, "sampler", ids=cohort)
+    for generator, state in zip(rngs, default_rng_states(streams)):
+        set_rng_state(generator, state)
+    want = SampleStore(datasets, 8, rngs, width=shards.max_shard_size)
+    got = fed.store
+    assert got.width == want.width == 40
+    for name in ("x", "y", "order", "cursor", "size", "batch"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert [g.bit_generator.state for g in got.rngs] == [
+        g.bit_generator.state for g in want.rngs
+    ]
+
+
 def _make_algorithm(cls, kwargs, **binder_kwargs):
     binder = _make_binder(**binder_kwargs)
     algorithm = cls(binder.fed, **kwargs)
@@ -325,7 +378,7 @@ class TestBinder:
         )
 
 
-def _short_shard_algorithm(backend: str) -> HierAdMo:
+def _short_shard_algorithm() -> HierAdMo:
     """Shards of 40 and 5 samples at batch 16.  The seed-3 cohort starts
     on the four 5-sample shards, so every batch has 5 samples, and the
     first rebind brings in a 40-sample shard."""
@@ -342,32 +395,49 @@ def _short_shard_algorithm(backend: str) -> HierAdMo:
     )
     test = Dataset(rng.normal(size=(16, 6)), rng.integers(0, 3, 16), 3)
     binder.build_federation(
-        make_logistic_regression(6, 3, rng=4), test,
-        batch_size=16, backend=backend,
+        make_logistic_regression(6, 3, rng=4), test, batch_size=16
     )
     algorithm = HierAdMo(binder.fed, eta=0.05, tau=2, pi=2)
     algorithm.attach_population(binder)
     return algorithm
 
 
-def test_rebind_to_mixed_batch_lengths_falls_back_to_the_loop():
-    """Equal batch lengths are re-derived on every bind: a rebind that
-    mixes 5- and 16-sample batches takes the loop instead of stacking
-    them, and the run equals the forced loop bit for bit."""
-    algorithm = _short_shard_algorithm("auto")
+def test_rebind_to_mixed_batch_lengths_groups_rows_by_length():
+    """Equal batch lengths are re-derived on every bind: after a rebind
+    that mixes 5- and 16-sample batches, each iteration makes one
+    program call per batch length, shortest first, and the run equals
+    one driven row by row through ``Federation.gradient``, bit for bit."""
+    algorithm = _short_shard_algorithm()
     assert algorithm.population.slot_client.tolist() == [2, 3, 6, 7]
-    assert algorithm.fed.gradient_backend == "batched"
-    with telemetry.tracing() as tracer:
-        history = algorithm.run(12, eval_every=4)
-    counters = tracer.counters
-    assert counters.get("worker_step.backend.batched", 0) > 0
-    assert counters.get(
-        "worker_step.backend.fallback.batches:heterogeneous", 0
-    ) > 0
-    loop = _short_shard_algorithm("loop").run(12, eval_every=4)
+    fed = algorithm.fed
+    program, gradient_all = fed._engine, fed.gradient_all
+    batches: list[int] = []
+    iterations: list[tuple[list[int], list[int]]] = []
+
+    def program_call(params, xs, ys, grads):
+        batches.append(xs.shape[1])
+        return type(program).gradient_all(program, params, xs, ys, grads)
+
+    def iteration(params, *, rows=slice(None), out):
+        batches.clear()
+        losses = gradient_all(params, rows=rows, out=out)
+        selected = np.arange(fed.num_workers)[rows]
+        iterations.append((list(batches), fed.store.batch[selected].tolist()))
+        return losses
+
+    program.gradient_all = program_call
+    fed.gradient_all = iteration
+    history = algorithm.run(12, eval_every=4)
+    for calls, lengths in iterations:
+        assert calls == sorted(set(lengths))
+    assert any(len(calls) == 2 for calls, _ in iterations)
+
+    per_row = _short_shard_algorithm()
+    one_row_at_a_time(per_row.fed)
+    reference = per_row.run(12, eval_every=4)
     for series in ("test_accuracy", "test_loss", "train_loss"):
         np.testing.assert_array_equal(
-            getattr(history, series), getattr(loop, series)
+            getattr(history, series), getattr(reference, series)
         )
 
 

@@ -4,8 +4,9 @@ Three acceptance guarantees of the population layer:
 
 * **Full participation is the identity** — a virtual federation whose
   cohort covers the whole registered population must reproduce every
-  golden trajectory at rtol 1e-8 on both gradient backends (same
-  worker order, same derived sampler streams, zero rebinds);
+  golden trajectory at rtol 1e-8, with the fleet run as one program
+  call or one row at a time (same worker order, same derived sampler
+  streams, zero rebinds);
 * **The batched rebind is the per-client loop** — sampled runs through
   :class:`PopulationBinder` and the reference :class:`LoopBinder` end
   bit-identical;
@@ -42,13 +43,15 @@ from tests.integration.test_golden_trajectories import (
     ALGORITHMS,
     EVAL_EVERY,
     TOTAL_ITERATIONS,
+    PATHS,
     _load_goldens,
+    one_row_at_a_time,
 )
 
 pytestmark = pytest.mark.population
 
 
-def build_virtual_golden_algorithm(name: str, backend: str = "auto"):
+def build_virtual_golden_algorithm(name: str, path: str = "batched"):
     """The goldens' federation rebuilt through the population layer.
 
     Same corpus, partitions, model and seeds as the classic
@@ -62,21 +65,21 @@ def build_virtual_golden_algorithm(name: str, backend: str = "auto"):
     shards = ListShards(parts)
     registry = ClientRegistry.from_shards(shards, 2)
     binder = PopulationBinder(registry, shards, cohort_per_edge=2, seed=5)
-    federation = binder.build_federation(
-        model, test, batch_size=16, backend=backend
-    )
+    federation = binder.build_federation(model, test, batch_size=16)
+    if path == "loop":
+        one_row_at_a_time(federation)
     cls, kwargs = ALGORITHMS[name]
     algorithm = cls(federation, **kwargs)
     algorithm.attach_population(binder)
     return algorithm
 
 
-@pytest.mark.parametrize("backend", ["batched", "loop"])
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-def test_full_participation_matches_goldens(name, backend):
+def test_full_participation_matches_goldens(name, path):
     """Cohort == population reproduces all goldens at rtol 1e-8."""
     golden = _load_goldens()[name]
-    algorithm = build_virtual_golden_algorithm(name, backend)
+    algorithm = build_virtual_golden_algorithm(name, path)
     assert algorithm.population.sampler.full_participation
     history = algorithm.run(TOTAL_ITERATIONS, eval_every=EVAL_EVERY)
 

@@ -8,10 +8,12 @@ disabled path.  The baseline replays the live batched step without its
 span, so the median per-pair overhead sits near zero and the bound can
 fire.
 
-The call-count test is exact on any host: it holds one step's Python
+The call-count tests are exact on any host: they hold one step's Python
 calls into the instrumentation modules to the pins that
 ``benchmarks/bench_monitor.py`` and ``benchmarks/bench_telemetry.py``
-gate, so one more null span on the step fails it every time.
+gate, and one lockstep iteration's calls into ``repro/faults/`` under
+the zero fault plan to the pin of ``benchmarks/bench_faults.py``, so
+one more null span or injector call fails them every time.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks import bench_monitor, bench_telemetry
+from benchmarks import bench_faults, bench_monitor, bench_telemetry
 from benchmarks.timing import instrumentation_calls
 from repro.core import Federation, HierAdMo
 from repro.data import Dataset
@@ -124,4 +126,13 @@ def test_null_instrumentation_calls_per_step(tau, pi, pin):
     assert calls <= pin, (
         f"one null-slot step at tau={tau}, pi={pi} makes {calls} calls "
         f"into the instrumentation modules (pin {pin})"
+    )
+
+
+def test_zero_fault_plan_calls_per_iteration():
+    calls = bench_faults.fault_calls(attach_zero_plan=True)
+    pin = bench_faults.MAX_ZERO_PLAN_CALLS
+    assert calls <= pin, (
+        f"one zero-plan lockstep iteration makes {calls} calls into "
+        f"repro/faults (pin {pin})"
     )

@@ -155,13 +155,13 @@ class TestCheckBench:
 class TestFingerprint:
     """``tools/fingerprint.py`` makes "bit-exact" a diff that can fail."""
 
-    RUNS = ["sync/HierAdMo/batched", "sync/FedAvg/loop"]
+    RUNS = ["sync/HierAdMo/batched", "sync/FedAvg/batched"]
 
     def test_matrix_covers_goldens_and_workloads(self):
         tool = load_tool("fingerprint")
         kinds = [name.split("/")[0] for name in tool.MATRIX]
         counts = {kind: kinds.count(kind) for kind in kinds}
-        # 15 sync and 3 CNN goldens on two backends; 4 workloads x 2 seeds;
+        # 15 sync and 3 CNN goldens; 4 workloads x 2 seeds;
         # 2 async algorithms x 2 quorums x clean/faults; 4 populations
         # and the short-shards one;
         # both clocks with checkpoints and monitor, and crash-resumed;
@@ -170,7 +170,7 @@ class TestFingerprint:
         # three-tier goldens and 3 plans x 3 policies on the 9 two-tier
         # ones.
         assert counts == {
-            "sync": 30, "cnn": 6, "faults": 15 + 6 * 15 + 9 * 9, "e2e": 8,
+            "sync": 15, "cnn": 3, "faults": 15 + 6 * 15 + 9 * 9, "e2e": 8,
             "async": 8, "population": 5, "lifecycle": 2, "resume": 2,
             "sim": 3,
         }

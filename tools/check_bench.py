@@ -52,6 +52,7 @@ GATES = {
     },
     "faults": {
         "zero_plan_overhead": [("overhead", "within_threshold")],
+        "zero_plan_calls": [("calls_per_iteration", "within_threshold")],
     },
     "monitor": {
         "null_monitor_overhead": [("disabled_overhead", "within_threshold")],

@@ -17,10 +17,11 @@ GEMM's summation order, so both sides must share it.
 
 The matrix (``MATRIX``):
 
-* ``sync/<name>/<backend>``: the 15 sync goldens of
-  ``tests/integration/test_golden_trajectories.py``, on the batched and
-  the loop backend;
-* ``cnn/<name>/<backend>``: the 3 CNN goldens, on both backends;
+* ``sync/<name>/batched``: the 15 sync goldens of
+  ``tests/integration/test_golden_trajectories.py`` (the suffix keeps
+  the names of files written while a loop backend still had rows of
+  its own);
+* ``cnn/<name>/batched``: the 3 CNN goldens;
 * ``faults/<name>/<plan>/<policy>``: the 15 sync goldens under a fault
   plan: the zero plan once per golden, and each single-kind plan of
   ``FAULT_PLANS`` under every degradation policy.  The two-tier goldens
@@ -109,7 +110,6 @@ from tests.integration import test_golden_trajectories as goldens  # noqa: E402
 from tests.population import test_virtual_equivalence as population  # noqa: E402
 
 SERIES = ("iterations", "test_accuracy", "test_loss", "train_loss", "eval_times")
-BACKENDS = ("batched", "loop")
 E2E_SEEDS = (1, 2)
 ASYNC_NAMES = ("AsyncHierAdMo", "AsyncFedAvg")
 # Stale uploads three rounds deep trip the staleness monitor, so the
@@ -149,21 +149,21 @@ def _ran(algorithm, iterations: int, eval_every: int) -> dict:
     return digest(algorithm, algorithm.run(iterations, eval_every=eval_every))
 
 
-def _golden(name: str, backend: str, cnn: bool) -> dict:
+def _golden(name: str, cnn: bool) -> dict:
     if cnn:
         cls, kwargs = goldens.CNN_ALGORITHMS[name]
-        federation = goldens.build_cnn_federation(backend)
+        federation = goldens.build_cnn_federation()
         iterations = goldens.CNN_ITERATIONS
     else:
         cls, kwargs = goldens.ALGORITHMS[name]
-        federation = goldens.build_federation(backend)
+        federation = goldens.build_federation()
         iterations = goldens.TOTAL_ITERATIONS
     return _ran(cls(federation, **kwargs), iterations, goldens.EVAL_EVERY)
 
 
 def _faulted(name: str, plan_name: str, policy: str) -> dict:
     cls, kwargs = goldens.ALGORITHMS[name]
-    algorithm = cls(goldens.build_federation("auto"), **kwargs)
+    algorithm = cls(goldens.build_federation(), **kwargs)
     plan, counter = FAULT_PLANS[plan_name]
     algorithm.attach_faults(plan, policy=policy)
     record = _ran(algorithm, goldens.TOTAL_ITERATIONS, goldens.EVAL_EVERY)
@@ -193,7 +193,7 @@ def _async_algorithm(name: str, quorum: float):
     _, kwargs = goldens.ALGORITHMS[name.removeprefix("Async")]
     deployment = None if quorum == 1.0 else straggler_deployment(quorum)
     return ASYNC_ALGORITHM_REGISTRY[name](
-        goldens.build_federation("auto"), deployment=deployment, **kwargs
+        goldens.build_federation(), deployment=deployment, **kwargs
     )
 
 
@@ -235,7 +235,7 @@ def _clock_algorithm(clock: str, crash_at: int | None = None):
     at quorum 0.5 with ``ASYNC_FAULTS``.  ``crash_at`` adds a crash."""
     if clock == "lockstep":
         cls, kwargs = goldens.ALGORITHMS["HierAdMo"]
-        algorithm = cls(goldens.build_federation("auto"), **kwargs)
+        algorithm = cls(goldens.build_federation(), **kwargs)
         plan = None
     else:
         algorithm = _async_algorithm("AsyncHierAdMo", 0.5)
@@ -337,14 +337,12 @@ def _simulated(quorum: float) -> dict:
 
 MATRIX = {
     **{
-        f"sync/{name}/{backend}": partial(_golden, name, backend, False)
+        f"sync/{name}/batched": partial(_golden, name, False)
         for name in sorted(goldens.ALGORITHMS)
-        for backend in BACKENDS
     },
     **{
-        f"cnn/{name}/{backend}": partial(_golden, name, backend, True)
+        f"cnn/{name}/batched": partial(_golden, name, True)
         for name in sorted(goldens.CNN_ALGORITHMS)
-        for backend in BACKENDS
     },
     **{
         f"faults/{name}/{plan}/{policy}": partial(_faulted, name, plan, policy)

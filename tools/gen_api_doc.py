@@ -15,7 +15,6 @@ from pathlib import Path
 MODULES = [
     "repro",
     "repro.nn",
-    "repro.nn.batched",
     "repro.nn.models",
     "repro.nn.optim",
     "repro.nn.schedulers",
