@@ -1,5 +1,6 @@
-"""Best-of-repeats timers shared by the overhead and speed-up benches,
-and the exact call counter behind the null-instrumentation gates."""
+"""Best-of-repeats timers shared by the overhead, speed-up and
+throughput benches, and the exact call counter behind the
+null-instrumentation gates."""
 
 from __future__ import annotations
 
@@ -29,6 +30,31 @@ def time_interleaved(fns, repeats=15, iters=20) -> list[list[float]]:
 def time_min(fn, repeats=9, iters=20) -> float:
     """Best-of-repeats mean iteration time of one function."""
     return min(time_interleaved([fn], repeats, iters)[0])
+
+
+def rate_per_probe(measure, runs=3) -> tuple[float, float, float]:
+    """Throughput normalized to the machine: ``(per_probe, rate, probe)``.
+
+    ``measure()`` does the work once and returns ``(events, seconds)``.
+    Each of the ``runs`` calls is bracketed by two readings of the
+    pure-Python probe loop of :func:`benchmarks.e2e.child.probe`, whose
+    mean is the machine's speed during that call.  The call's rate times
+    that probe is the events handled in one probe loop: a host that is
+    slower at the moment slows both, so a gate can compare ``per_probe``
+    with a number recorded at another time.  Returns the best call's
+    ``per_probe``, its events per second and its probe seconds.
+    """
+    from benchmarks.e2e.child import probe
+
+    best = None
+    for _ in range(runs):
+        before = probe()
+        events, seconds = measure()
+        probe_seconds = (before + probe()) / 2
+        rate = events / seconds
+        if best is None or rate * probe_seconds > best[0]:
+            best = (rate * probe_seconds, rate, probe_seconds)
+    return best
 
 
 def calls_into(paths: tuple[str, ...], run) -> int:

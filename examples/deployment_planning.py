@@ -11,15 +11,16 @@ training involved — pure deployment timing).
 Run:  python examples/deployment_planning.py
 """
 
+from dataclasses import replace
+
 from repro.simulation import (
-    ThreeTierTimeline,
-    TwoTierTimeline,
+    AsyncDeployment,
+    EventDrivenSimulator,
+    Timeline,
     add_stragglers,
-    estimate_three_tier_energy,
-    estimate_two_tier_energy,
+    estimate_energy,
     worker_device_pool,
 )
-from repro.simulation.events import EventDrivenSimulator
 from repro.topology import Topology
 
 MODEL_BYTES = 1.6e6  # ~200k float64 parameters
@@ -29,27 +30,26 @@ T, TAU, PI = 400, 10, 2
 def main() -> None:
     topology = Topology.uniform(4, 4, 100)
     devices = worker_device_pool(topology.num_workers)
+    deployment = AsyncDeployment(devices, MODEL_BYTES)
 
     print(f"Fleet: {topology.num_workers} workers under "
           f"{topology.num_edges} edges; model {MODEL_BYTES / 1e6:.1f} MB; "
           f"T={T}, tau={TAU}, pi={PI}\n")
 
     # Question 1: three-tier vs two-tier total campaign time.
-    three = EventDrivenSimulator(topology, devices, MODEL_BYTES).simulate(
+    three = EventDrivenSimulator(topology, deployment).simulate(
         T, TAU, PI, rng=0
     )
-    two = TwoTierTimeline(
-        topology.num_workers, devices, MODEL_BYTES
-    ).simulate(T, TAU * PI, rng=0)
+    two = Timeline(topology, deployment, flat=True).simulate(
+        T, TAU * PI, rng=0
+    )
     print("1. Architecture choice (same aggregation budget):")
     print(f"   three-tier campaign: {three.total_time:8.1f}s")
     print(f"   two-tier campaign:   {two[-1]:8.1f}s "
           f"({two[-1] / three.total_time:.2f}x slower — WAN every round)\n")
 
     # Question 2: how much does the coarse model overstate?
-    coarse = ThreeTierTimeline(topology, devices, MODEL_BYTES).simulate(
-        T, TAU, PI, rng=0
-    )
+    coarse = Timeline(topology, deployment).simulate(T, TAU, PI, rng=0)
     print("2. Model fidelity:")
     print(f"   coarse per-iteration-max estimate: {coarse[-1]:8.1f}s "
           f"(+{(coarse[-1] / three.total_time - 1) * 100:.0f}% vs "
@@ -60,7 +60,8 @@ def main() -> None:
     print("3. Straggler tolerance (15% of iterations 10x slower):")
     for quorum in (1.0, 0.75, 0.5):
         result = EventDrivenSimulator(
-            topology, straggling, MODEL_BYTES, quorum=quorum
+            topology,
+            replace(deployment, worker_devices=straggling, quorum=quorum),
         ).simulate(T, TAU, PI, rng=1)
         late = sum(len(r.workers_late) for r in result.edge_rounds)
         folded = sum(len(r.workers_stale) for r in result.edge_rounds)
@@ -70,12 +71,8 @@ def main() -> None:
     print("   the records name exactly which workers were late when.")
 
     # Question 4: device energy budget.
-    three_energy = estimate_three_tier_energy(
-        topology, devices, MODEL_BYTES, T, TAU, PI
-    )
-    two_energy = estimate_two_tier_energy(
-        topology.num_workers, devices, MODEL_BYTES, T, TAU * PI
-    )
+    three_energy = estimate_energy(deployment, T, TAU)
+    two_energy = estimate_energy(deployment, T, TAU * PI, flat=True)
     print("\n4. Worker energy budget (compute + radio):")
     print(f"   three-tier: {three_energy.total_joules:7.0f} J "
           f"(radio {three_energy.radio_joules:.0f} J on the LAN)")

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.core.federation import Federation
 from repro.core.hieradmo import HierAdMo
-from repro.algorithms.twotier import FedAvg
+from repro.algorithms.twotier import FedAvg, TwoTierAlgorithm
 from repro.faults import EVERYONE, block_rows
 from repro.metrics.history import TrainingHistory
 from repro.simulation.devices import worker_device_pool
@@ -64,9 +64,13 @@ class AsyncExecutionMixin:
     """
 
     DRIVER_KIND = "event"
-    # Two-tier subclasses set True: one all-worker group uploading over
-    # the WAN, with no separate cloud barrier.
+    # Set per class: two-tier classes run flat, one all-worker group
+    # uploading over the WAN, with no separate cloud barrier.
     FLAT = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.FLAT = issubclass(cls, TwoTierAlgorithm)
 
     def __init__(
         self,
@@ -397,7 +401,6 @@ class AsyncFedAvg(AsyncExecutionMixin, FedAvg):
     """Event-driven FedAvg: staleness-decayed averaging at the cloud."""
 
     name = "AsyncFedAvg"
-    FLAT = True
 
     CKPT_ARRAYS = FedAvg.CKPT_ARRAYS + ("_server_x", "_eval_x", "_stale_x")
 

@@ -14,8 +14,9 @@ Version 2 stores per-client and per-worker state as columnar tables
 (a few members per thousand clients, not a few per client); a reader
 refuses every other version, version 1 included.
 
-Durability comes from write-then-rename: the archive is written to a
-temp file *in the destination directory* (same filesystem), flushed and
+Durability comes from write-then-rename
+(:func:`repro.utils.io.replace_into`): the archive is written to a temp
+file *in the destination directory* (same filesystem), flushed and
 fsynced, then moved over the final name with :func:`os.replace`.  A
 crash mid-save leaves at worst a stray temp file; the previous
 checkpoint under the final name is never touched.  There is no LATEST
@@ -28,12 +29,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import zipfile
 from pathlib import Path
 from zlib import crc32
 
 import numpy as np
+
+from repro.utils.io import replace_into
 
 __all__ = [
     "FORMAT_NAME",
@@ -108,29 +110,11 @@ def write_checkpoint(
         dtype=np.uint8,
     )
     target = checkpoint_path(directory, iteration)
-    # Temp file in the destination directory: os.replace is then a
-    # same-filesystem rename, which is atomic on POSIX.
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f".{_PREFIX}", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez(handle, **{MANIFEST_KEY: blob}, **arrays)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, target)
-    except BaseException:
-        with_suppressed_oserror(os.unlink, tmp_name)
-        raise
+    with replace_into(target) as tmp, open(tmp, "wb") as handle:
+        np.savez(handle, **{MANIFEST_KEY: blob}, **arrays)
+        handle.flush()
+        os.fsync(handle.fileno())
     return target
-
-
-def with_suppressed_oserror(func, *args) -> None:
-    """Best-effort cleanup call (the original error stays primary)."""
-    try:
-        func(*args)
-    except OSError:
-        pass
 
 
 def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:

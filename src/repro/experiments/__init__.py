@@ -46,11 +46,7 @@ from repro.experiments.table2 import (
     run_table2,
     run_table2_column,
 )
-from repro.experiments.timing import (
-    PAYLOAD_MULTIPLIERS,
-    TimedResult,
-    run_time_to_accuracy,
-)
+from repro.experiments.timing import TimedResult, run_time_to_accuracy
 
 __all__ = [
     "ExperimentConfig",
@@ -78,7 +74,6 @@ __all__ = [
     "best_fixed_gamma",
     "TimedResult",
     "run_time_to_accuracy",
-    "PAYLOAD_MULTIPLIERS",
     "generate_report",
     "ReportScale",
     "GridResult",

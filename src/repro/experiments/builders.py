@@ -12,7 +12,7 @@ import numpy as np
 from repro.algorithms import (
     ALGORITHM_REGISTRY,
     ASYNC_ALGORITHM_REGISTRY,
-    THREE_TIER_ALGORITHMS,
+    TwoTierAlgorithm,
 )
 from repro.algorithms.compressed import QuantizedHierFAVG
 from repro.algorithms.fedprox import FedProx
@@ -44,6 +44,7 @@ __all__ = [
     "build_federation",
     "build_algorithm",
     "needs_flat_features",
+    "algorithm_class",
     "is_three_tier",
 ]
 
@@ -230,25 +231,27 @@ def build_algorithm(
     return algorithm
 
 
-def _construct_algorithm(
-    name: str, federation: Federation, config: ExperimentConfig
-) -> FLAlgorithm:
-    extensions = {
-        "QuantizedHierFAVG": QuantizedHierFAVG,
-        "FedProx": FedProx,
-        "SampledFedAvg": SampledFedAvg,
-    }
+def algorithm_class(name: str) -> type[FLAlgorithm]:
+    """The class :func:`build_algorithm` constructs for ``name``."""
     registry = {
         **ALGORITHM_REGISTRY,
         **ASYNC_ALGORITHM_REGISTRY,
-        **extensions,
+        "QuantizedHierFAVG": QuantizedHierFAVG,
+        "FedProx": FedProx,
+        "SampledFedAvg": SampledFedAvg,
     }
     if name not in registry:
         raise ValueError(
             f"unknown algorithm {name!r}; choose from "
             f"{sorted(registry)}"
         )
-    cls = registry[name]
+    return registry[name]
+
+
+def _construct_algorithm(
+    name: str, federation: Federation, config: ExperimentConfig
+) -> FLAlgorithm:
+    cls = algorithm_class(name)
     eta = config.eta
 
     if name == "AsyncHierAdMo":
@@ -294,5 +297,5 @@ def _construct_algorithm(
 
 
 def is_three_tier(name: str) -> bool:
-    """Whether an algorithm uses the edge level."""
-    return name in THREE_TIER_ALGORITHMS
+    """Whether an algorithm uses the edge level (is not two-tier)."""
+    return not issubclass(algorithm_class(name), TwoTierAlgorithm)

@@ -4,41 +4,34 @@ Replays each algorithm's accuracy-vs-iteration trace against the device
 and link delay models to compute the wall-clock time at which it first
 reaches the target accuracy (0.95 in the paper).  Three-tier algorithms
 replay on the three-tier timeline (LAN to the edge, WAN only every
-τ·π); two-tier baselines pay the WAN on every aggregation.
+τ·π); two-tier algorithms (subclasses of ``TwoTierAlgorithm``) replay on
+its flat case, paying the WAN on every aggregation.
 
 Momentum-shipping algorithms (HierAdMo/HierAdMo-R/FedNAG/FastSlowMo/
 FedADC/Mime) transfer model + momentum, i.e. a 2× payload; the factor
 comes from each class's ``payload_multiplier`` attribute (see
-:mod:`repro.telemetry.ledger`).
+:mod:`repro.telemetry.ledger`), so the timing model can never drift
+from the measured byte accounting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.algorithms import ALGORITHM_REGISTRY
-from repro.experiments.builders import build_federation, is_three_tier
+from repro.algorithms import TwoTierAlgorithm
+from repro.experiments.builders import algorithm_class, build_federation
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_many
 from repro.metrics.history import TrainingHistory
 from repro.simulation import (
-    ThreeTierTimeline,
-    TwoTierTimeline,
+    AsyncDeployment,
+    Timeline,
     time_to_accuracy,
     worker_device_pool,
 )
 from repro.utils.rng import RngStreams
 
-__all__ = ["TimedResult", "run_time_to_accuracy", "PAYLOAD_MULTIPLIERS"]
-
-# Model+momentum shippers pay 2x traffic; plain model shippers pay 1x.
-# Sourced from each algorithm class's ``payload_multiplier`` attribute —
-# the same value the telemetry communication ledger uses — so the timing
-# model can never drift from the measured byte accounting.
-PAYLOAD_MULTIPLIERS: dict[str, float] = {
-    name: cls.payload_multiplier
-    for name, cls in ALGORITHM_REGISTRY.items()
-}
+__all__ = ["TimedResult", "run_time_to_accuracy"]
 
 
 @dataclass(frozen=True)
@@ -85,7 +78,6 @@ def run_time_to_accuracy(
     histories = run_many(algorithms, base_config)
 
     federation = build_federation(base_config)
-    payload_bytes = federation.dim * 8.0  # float64 parameters
     topology = federation.topology
     devices = worker_device_pool(topology.num_workers)
     if straggler_probability > 0.0:
@@ -98,32 +90,18 @@ def run_time_to_accuracy(
 
     out: dict[str, TimedResult] = {}
     for name, history in histories.items():
-        multiplier = PAYLOAD_MULTIPLIERS.get(name, 1.0)
-        if is_three_tier(name):
-            timeline = ThreeTierTimeline(
-                topology,
-                devices,
-                payload_bytes,
-                payload_multiplier=multiplier,
-            )
-            times = timeline.simulate(
-                base_config.total_iterations,
-                base_config.tau,
-                base_config.pi,
-                rng=streams.get("timeline", name),
-            )
-        else:
-            timeline = TwoTierTimeline(
-                topology.num_workers,
-                devices,
-                payload_bytes,
-                payload_multiplier=multiplier,
-            )
-            times = timeline.simulate(
-                base_config.total_iterations,
-                base_config.two_tier_tau,
-                rng=streams.get("timeline", name),
-            )
+        cls = algorithm_class(name)
+        flat = issubclass(cls, TwoTierAlgorithm)
+        # float64 parameters, times what the class ships per parameter
+        deployment = AsyncDeployment(
+            devices, federation.dim * 8.0 * cls.payload_multiplier
+        )
+        times = Timeline(topology, deployment, flat=flat).simulate(
+            base_config.total_iterations,
+            base_config.two_tier_tau if flat else base_config.tau,
+            base_config.pi,
+            rng=streams.get("timeline", name),
+        )
         seconds = time_to_accuracy(history, times, target)
         out[name] = TimedResult(
             algorithm=name,

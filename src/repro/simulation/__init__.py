@@ -20,8 +20,7 @@ from repro.simulation.events import (
 from repro.simulation.energy import (
     CampaignEnergy,
     EnergyModel,
-    estimate_three_tier_energy,
-    estimate_two_tier_energy,
+    estimate_energy,
 )
 from repro.simulation.links import (
     DEFAULT_RETRY_POLICY,
@@ -30,11 +29,7 @@ from repro.simulation.links import (
     RetryPolicy,
 )
 from repro.simulation.stragglers import StragglerDevice, add_stragglers
-from repro.simulation.timeline import (
-    ThreeTierTimeline,
-    TwoTierTimeline,
-    time_to_accuracy,
-)
+from repro.simulation.timeline import Timeline, time_to_accuracy
 
 __all__ = [
     "DeviceProfile",
@@ -56,9 +51,7 @@ __all__ = [
     "EventLoopRunner",
     "EnergyModel",
     "CampaignEnergy",
-    "estimate_three_tier_energy",
-    "estimate_two_tier_energy",
-    "ThreeTierTimeline",
-    "TwoTierTimeline",
+    "estimate_energy",
+    "Timeline",
     "time_to_accuracy",
 ]

@@ -3,8 +3,8 @@
 Mobile-FL system papers report device energy alongside wall-clock; the
 paper's motivation (keep traffic off the WAN) also has an energy
 reading, since radio transmission dominates many mobile energy budgets.
-This module estimates a campaign's energy from the same schedule
-parameters the timelines use:
+This module estimates a campaign's energy from the same deployment and
+schedule parameters the replay uses:
 
 * compute energy = per-iteration compute time × device active power,
 * radio energy   = bytes transferred × per-byte transmit/receive cost,
@@ -17,12 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.simulation.devices import DeviceProfile
-from repro.topology import Topology
+from repro.simulation.engine import AsyncDeployment
 from repro.utils.validation import check_positive, check_positive_int
 
-__all__ = ["EnergyModel", "CampaignEnergy", "estimate_three_tier_energy",
-           "estimate_two_tier_energy"]
+__all__ = ["EnergyModel", "CampaignEnergy", "estimate_energy"]
 
 
 @dataclass(frozen=True)
@@ -56,89 +54,40 @@ class CampaignEnergy:
         return self.compute_joules + self.radio_joules
 
 
-def _compute_energy(
-    worker_devices: list[DeviceProfile],
-    total_iterations: int,
-    model: EnergyModel,
-) -> float:
-    seconds = sum(
-        device.mean_seconds * total_iterations for device in worker_devices
-    )
-    return seconds * model.active_power_watts
-
-
-def estimate_three_tier_energy(
-    topology: Topology,
-    worker_devices: list[DeviceProfile],
-    payload_bytes: float,
-    total_iterations: int,
-    tau: int,
-    pi: int,
-    *,
-    model: EnergyModel | None = None,
-) -> CampaignEnergy:
-    """Expected worker-side energy of a three-tier campaign.
-
-    Workers transmit/receive once per edge round; the edge↔cloud WAN
-    hops do not hit worker radios (that is the architecture's energy
-    win).  ``pi`` only matters for completeness of the signature here.
-    """
-    check_positive_int(total_iterations, "total_iterations")
-    check_positive_int(tau, "tau")
-    check_positive_int(pi, "pi")
-    check_positive(payload_bytes, "payload_bytes")
-    if len(worker_devices) != topology.num_workers:
-        raise ValueError(
-            f"{len(worker_devices)} devices for {topology.num_workers} workers"
-        )
-    model = model if model is not None else EnergyModel()
-
-    compute = _compute_energy(worker_devices, total_iterations, model)
-    edge_rounds = total_iterations // tau
-    megabytes = (
-        2.0 * payload_bytes / 1e6 * edge_rounds * topology.num_workers
-    )
-    return CampaignEnergy(
-        compute_joules=compute,
-        radio_joules=megabytes * model.radio_joules_per_megabyte,
-    )
-
-
-def estimate_two_tier_energy(
-    num_workers: int,
-    worker_devices: list[DeviceProfile],
-    payload_bytes: float,
+def estimate_energy(
+    deployment: AsyncDeployment,
     total_iterations: int,
     tau: int,
     *,
+    flat: bool = False,
     model: EnergyModel | None = None,
     wan_energy_multiplier: float = 3.0,
 ) -> CampaignEnergy:
-    """Expected worker-side energy of a two-tier campaign.
+    """Expected worker-side energy of a campaign that syncs every ``tau``.
 
-    Every aggregation crosses the access network to the cloud;
+    Workers transmit/receive one payload per sync.  Three-tier syncs
+    stay on the LAN to the edge; the edge↔cloud WAN hops do not hit
+    worker radios (that is the architecture's energy win).  A ``flat``
+    (two-tier) campaign's syncs cross the access network to the cloud;
     ``wan_energy_multiplier`` captures the higher per-byte radio cost of
     long-haul sessions (retransmissions, longer radio-active windows).
     """
-    check_positive_int(num_workers, "num_workers")
     check_positive_int(total_iterations, "total_iterations")
     check_positive_int(tau, "tau")
-    check_positive(payload_bytes, "payload_bytes")
     check_positive(wan_energy_multiplier, "wan_energy_multiplier")
-    if len(worker_devices) != num_workers:
-        raise ValueError(
-            f"{len(worker_devices)} devices for {num_workers} workers"
-        )
     model = model if model is not None else EnergyModel()
+    devices = deployment.worker_devices
 
-    compute = _compute_energy(worker_devices, total_iterations, model)
+    seconds = sum(
+        device.mean_seconds * total_iterations for device in devices
+    )
     rounds = total_iterations // tau
-    megabytes = 2.0 * payload_bytes / 1e6 * rounds * num_workers
+    megabytes = 2.0 * deployment.payload_bytes / 1e6 * rounds * len(devices)
     return CampaignEnergy(
-        compute_joules=compute,
+        compute_joules=seconds * model.active_power_watts,
         radio_joules=(
             megabytes
             * model.radio_joules_per_megabyte
-            * wan_energy_multiplier
+            * (wan_energy_multiplier if flat else 1.0)
         ),
     )

@@ -174,11 +174,15 @@ class EventQueue:
 
 @dataclass
 class AsyncDeployment:
-    """Physical deployment an event-driven run executes on.
+    """Physical deployment a run is timed on.
 
-    Bundles the worker, edge and cloud devices, the LAN and WAN links
-    and the edge quorum, so constructors take one argument instead of
-    seven.
+    Bundles the worker, edge and cloud devices, the LAN and WAN links,
+    the bytes of one transfer and the edge quorum, so the event engine,
+    :class:`~repro.simulation.events.EventDrivenSimulator`, the coarse
+    :class:`~repro.simulation.timeline.Timeline` and the energy estimate
+    all take one argument instead of seven.  A two-tier (flat) run uses
+    the WAN and the cloud device only.  ``payload_bytes`` already
+    includes the algorithm's payload multiplier.
     """
 
     worker_devices: list[DeviceProfile]

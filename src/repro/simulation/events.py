@@ -1,6 +1,6 @@
 """Discrete-event simulation of hierarchical FL deployments.
 
-The replay timelines in :mod:`repro.simulation.timeline` advance a single
+The coarse replay in :mod:`repro.simulation.timeline` advances a single
 global clock per iteration (max over workers), which slightly
 over-synchronizes: real workers only meet at aggregation barriers, so a
 fast worker can be several iterations ahead within an edge interval.
@@ -27,12 +27,14 @@ Algorithm 1 exactly when ``quorum=1.0``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.simulation.devices import DeviceProfile
-from repro.simulation.links import LinkProfile
 from repro.topology import Topology
+
+if TYPE_CHECKING:  # the engine imports this module's round records
+    from repro.simulation.engine import AsyncDeployment
 
 __all__ = ["EdgeRoundRecord", "CloudRoundRecord", "EventSimulation",
            "EventDrivenSimulator"]
@@ -115,40 +117,19 @@ class EventDrivenSimulator:
     """Simulate a three-tier deployment at event granularity.
 
     The simulation is an :class:`~repro.simulation.engine.EventLoopRunner`
-    run whose client does no numerics: it only records when each worker
+    run on ``deployment`` (devices, links, payload bytes, edge quorum)
+    whose client does no numerics: it only records when each worker
     first finished each local step.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        worker_devices: list[DeviceProfile],
-        payload_bytes: float,
-        *,
-        edge_device: DeviceProfile | None = None,
-        cloud_device: DeviceProfile | None = None,
-        lan: LinkProfile | None = None,
-        wan: LinkProfile | None = None,
-        quorum: float = 1.0,
-    ):
-        # Imported here: the engine imports this module's round records.
-        from repro.simulation.engine import AsyncDeployment
-
-        if len(worker_devices) != topology.num_workers:
+    def __init__(self, topology: Topology, deployment: AsyncDeployment):
+        if len(deployment.worker_devices) != topology.num_workers:
             raise ValueError(
-                f"{len(worker_devices)} devices for "
+                f"{len(deployment.worker_devices)} devices for "
                 f"{topology.num_workers} workers"
             )
         self.topology = topology
-        self.deployment = AsyncDeployment(
-            worker_devices,
-            payload_bytes,
-            edge_device=edge_device,
-            cloud_device=cloud_device,
-            lan=lan,
-            wan=wan,
-            quorum=quorum,
-        )
+        self.deployment = deployment
 
     def simulate(
         self,

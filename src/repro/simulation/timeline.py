@@ -3,8 +3,8 @@
 The paper trains once on a GPU server, keeps the iteration trace, samples
 real device/link delays, and replays the trace against those delays to
 compute what the wall-clock time *would have been* on the physical
-three-tier (or two-tier) deployment.  These functions do exactly that
-replay against the synthetic delay profiles:
+three-tier (or two-tier) deployment.  :class:`Timeline` does exactly
+that replay against the synthetic delay profiles:
 
 * within an edge interval, workers compute in parallel, so each
   iteration's duration is the max over the participating workers'
@@ -12,286 +12,175 @@ replay against the synthetic delay profiles:
 * an edge aggregation adds worker→edge upload (max over workers), the
   edge's aggregation compute, and edge→worker download (max);
 * a cloud aggregation adds edge→cloud WAN upload (max over edges), cloud
-  compute and WAN download — two-tier algorithms instead pay the WAN on
-  *every* aggregation because workers talk to the cloud directly.
+  compute and WAN download.
 
-Momentum-carrying algorithms ship both model and momentum state, which
-``payload_multiplier`` captures (2.0 for FedNAG/HierAdMo-style traffic).
+The two-tier deployment is the ``flat`` case, as in
+``EventLoopRunner(flat=True)``: one group of all workers syncs with the
+cloud over the WAN, so two-tier algorithms pay the WAN on *every*
+aggregation, and there is no separate cloud tier.
+
+Momentum-carrying algorithms ship both model and momentum state; callers
+fold that ``payload_multiplier`` into the deployment's ``payload_bytes``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.faults import FaultPlan
 from repro.metrics.history import TrainingHistory
-from repro.simulation.devices import DEVICE_PRESETS, DeviceProfile
+from repro.simulation.devices import DeviceProfile
+from repro.simulation.engine import AsyncDeployment
+from repro.simulation.links import LinkProfile, RetryPolicy
 from repro.telemetry import get_tracer
-from repro.simulation.links import (
-    LINK_PRESETS,
-    LinkProfile,
-    RetryPolicy,
-)
 from repro.topology import Topology
 from repro.utils.rng import make_rng
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import check_positive_int
 
-__all__ = [
-    "ThreeTierTimeline",
-    "TwoTierTimeline",
-    "time_to_accuracy",
-]
+__all__ = ["Timeline", "time_to_accuracy"]
 
 
 @dataclass
-class ThreeTierTimeline:
-    """Delay replay for a client–edge–cloud deployment."""
+class Timeline:
+    """Delay replay of one deployment: client–edge–cloud, or ``flat``."""
 
     topology: Topology
-    worker_devices: list[DeviceProfile]
-    payload_bytes: float
-    edge_device: DeviceProfile = field(
-        default_factory=lambda: DEVICE_PRESETS["macbook_pro_i7"]
-    )
-    cloud_device: DeviceProfile = field(
-        default_factory=lambda: DEVICE_PRESETS["gpu_tower_2080ti"]
-    )
-    lan: LinkProfile = field(
-        default_factory=lambda: LINK_PRESETS["wifi_5ghz"]
-    )
-    wan: LinkProfile = field(
-        default_factory=lambda: LINK_PRESETS["wan_internet"]
-    )
-    payload_multiplier: float = 1.0
+    deployment: AsyncDeployment
     # Message-loss pricing: with a fault plan attached, every simulated
     # transfer may be lost with ``fault_plan.msg_loss`` probability and
     # is then retried under ``retry_policy`` (timeout + backoff +
     # retransmission all added to the wall clock).
     fault_plan: FaultPlan | None = None
     retry_policy: RetryPolicy | None = None
+    flat: bool = False
 
     def __post_init__(self):
-        if len(self.worker_devices) != self.topology.num_workers:
+        devices = self.deployment.worker_devices
+        if len(devices) != self.topology.num_workers:
             raise ValueError(
-                f"{len(self.worker_devices)} device profiles for "
+                f"{len(devices)} device profiles for "
                 f"{self.topology.num_workers} workers"
             )
-        check_positive(self.payload_bytes, "payload_bytes")
-        check_positive(self.payload_multiplier, "payload_multiplier")
+        if self.deployment.quorum < 1.0:
+            raise ValueError(
+                "the replay waits for every worker at every sync; a quorum "
+                f"of {self.deployment.quorum} needs EventDrivenSimulator"
+            )
 
     def simulate(
         self,
         total_iterations: int,
         tau: int,
-        pi: int,
+        pi: int = 1,
         rng: np.random.Generator | int | None = None,
     ) -> np.ndarray:
         """Cumulative wall-clock time after each local iteration.
 
-        Returns an array of length ``total_iterations + 1`` whose entry
-        ``t`` is the elapsed time when local iteration ``t`` has finished
-        everywhere (including any aggregation scheduled at ``t``).
+        Workers sync every ``tau`` iterations and, unless ``flat``,
+        edges sync with the cloud every ``tau * pi``.  Returns an array
+        of length ``total_iterations + 1`` whose entry ``t`` is the
+        elapsed time when local iteration ``t`` has finished everywhere
+        (including any aggregation scheduled at ``t``).
         """
         check_positive_int(total_iterations, "total_iterations")
         check_positive_int(tau, "tau")
         check_positive_int(pi, "pi")
         rng = make_rng(rng)
-        payload = self.payload_bytes * self.payload_multiplier
+        dep = self.deployment
+        topology = self.topology
 
         compute = np.stack(
             [
                 device.sample_iterations(total_iterations, rng)
-                for device in self.worker_devices
+                for device in dep.worker_devices
             ]
         )  # (workers, T)
 
-        times = np.empty(total_iterations + 1)
-        times[0] = 0.0
-        clock = 0.0
-        edge_rounds = cloud_rounds = 0
+        # (period, members per group, link, aggregating device, counter)
+        if self.flat:
+            tiers = [
+                (tau, [topology.num_workers], dep.wan, dep.cloud_device,
+                 "rounds"),
+            ]
+        else:
+            edges = [
+                topology.workers_in_edge(edge)
+                for edge in range(topology.num_edges)
+            ]
+            tiers = [
+                (tau, edges, dep.lan, dep.edge_device, "edge_rounds"),
+                (tau * pi, [topology.num_edges], dep.wan, dep.cloud_device,
+                 "cloud_rounds"),
+            ]
+        rounds = [0] * len(tiers)
         retries = 0
+        times = np.empty(total_iterations + 1)
+        times[0] = clock = 0.0
         for t in range(1, total_iterations + 1):
             # Parallel workers: the slowest defines the iteration.
             clock += float(compute[:, t - 1].max())
-            if t % tau == 0:
-                seconds, round_retries = self._edge_round(payload, rng)
-                clock += seconds
-                retries += round_retries
-                edge_rounds += 1
-            if t % (tau * pi) == 0:
-                seconds, round_retries = self._cloud_round(payload, rng)
-                clock += seconds
-                retries += round_retries
-                cloud_rounds += 1
+            for tier, (period, members, link, device, _) in enumerate(tiers):
+                if t % period == 0:
+                    seconds, sync_retries = self._sync(
+                        members, link, device, rng
+                    )
+                    clock += seconds
+                    retries += sync_retries
+                    rounds[tier] += 1
             times[t] = clock
         tracer = get_tracer()
         if tracer.enabled:
-            tracer.count("sim.three_tier.edge_rounds", edge_rounds)
-            tracer.count("sim.three_tier.cloud_rounds", cloud_rounds)
+            prefix = "sim.two_tier." if self.flat else "sim.three_tier."
+            transfers = retries
+            for (_, members, _, _, counter), count in zip(tiers, rounds):
+                tracer.count(prefix + counter, count)
+                transfers += 2 * count * sum(members)
             if retries:
-                tracer.count("sim.three_tier.retries", retries)
-            tracer.count(
-                "sim.three_tier.bytes",
-                payload
-                * (
-                    2 * edge_rounds * self.topology.num_workers
-                    + 2 * cloud_rounds * self.topology.num_edges
-                    + retries
-                ),
-            )
+                tracer.count(prefix + "retries", retries)
+            tracer.count(prefix + "bytes", dep.payload_bytes * transfers)
         return times
 
-    @property
-    def _loss_prob(self) -> float:
-        plan = self.fault_plan
-        return plan.msg_loss if plan is not None else 0.0
-
-    def _transfer(
-        self, link: LinkProfile, payload: float, rng: np.random.Generator
+    def _sync(
+        self,
+        members: list[int],
+        link: LinkProfile,
+        device: DeviceProfile,
+        rng: np.random.Generator,
     ) -> tuple[float, int]:
-        """(seconds, retries) of one transfer under the fault plan."""
-        loss = self._loss_prob
-        if loss <= 0.0:
-            return link.transfer_time(payload, rng), 0
-        return link.transfer_time_with_retries(
-            payload, rng, loss_prob=loss, policy=self.retry_policy
-        )
+        """(seconds, retries) of one synchronisation.
 
-    def _edge_round(
-        self, payload: float, rng: np.random.Generator
-    ) -> tuple[float, int]:
-        """Worker→edge sync: edges run in parallel, take the slowest."""
+        Each group's ``members`` upload over ``link``, ``device``
+        aggregates, and the result is downloaded; groups sync in
+        parallel, so the slowest one counts.
+        """
         slowest = 0.0
         retries = 0
-        for edge in range(self.topology.num_edges):
-            workers = self.topology.workers_in_edge(edge)
+        for size in members:
             upload = download = 0.0
-            for _ in range(workers):
-                seconds, r = self._transfer(self.lan, payload, rng)
+            for _ in range(size):
+                seconds, r = self._transfer(link, rng)
                 upload = max(upload, seconds)
                 retries += r
-            for _ in range(workers):
-                seconds, r = self._transfer(self.lan, payload, rng)
+            for _ in range(size):
+                seconds, r = self._transfer(link, rng)
                 download = max(download, seconds)
                 retries += r
-            aggregate = self.edge_device.sample_aggregation(rng)
+            aggregate = device.sample_aggregation(rng)
             slowest = max(slowest, upload + aggregate + download)
         return slowest, retries
 
-    def _cloud_round(
-        self, payload: float, rng: np.random.Generator
-    ) -> tuple[float, int]:
-        """Edge→cloud sync over the WAN."""
-        upload = download = 0.0
-        retries = 0
-        for _ in range(self.topology.num_edges):
-            seconds, r = self._transfer(self.wan, payload, rng)
-            upload = max(upload, seconds)
-            retries += r
-        for _ in range(self.topology.num_edges):
-            seconds, r = self._transfer(self.wan, payload, rng)
-            download = max(download, seconds)
-            retries += r
-        aggregate = self.cloud_device.sample_aggregation(rng)
-        return upload + aggregate + download, retries
-
-
-@dataclass
-class TwoTierTimeline:
-    """Delay replay for a flat worker–cloud deployment.
-
-    Every aggregation crosses the public Internet because each worker
-    talks to the cloud directly (the paper's Fig. 1 left).
-    """
-
-    num_workers: int
-    worker_devices: list[DeviceProfile]
-    payload_bytes: float
-    cloud_device: DeviceProfile = field(
-        default_factory=lambda: DEVICE_PRESETS["gpu_tower_2080ti"]
-    )
-    wan: LinkProfile = field(
-        default_factory=lambda: LINK_PRESETS["wan_internet"]
-    )
-    payload_multiplier: float = 1.0
-    fault_plan: FaultPlan | None = None
-    retry_policy: RetryPolicy | None = None
-
-    def __post_init__(self):
-        check_positive_int(self.num_workers, "num_workers")
-        if len(self.worker_devices) != self.num_workers:
-            raise ValueError(
-                f"{len(self.worker_devices)} device profiles for "
-                f"{self.num_workers} workers"
-            )
-        check_positive(self.payload_bytes, "payload_bytes")
-        check_positive(self.payload_multiplier, "payload_multiplier")
-
-    def simulate(
-        self,
-        total_iterations: int,
-        tau: int,
-        rng: np.random.Generator | int | None = None,
-    ) -> np.ndarray:
-        """Cumulative wall-clock time after each local iteration."""
-        check_positive_int(total_iterations, "total_iterations")
-        check_positive_int(tau, "tau")
-        rng = make_rng(rng)
-        payload = self.payload_bytes * self.payload_multiplier
-
-        compute = np.stack(
-            [
-                device.sample_iterations(total_iterations, rng)
-                for device in self.worker_devices
-            ]
-        )
-
-        times = np.empty(total_iterations + 1)
-        times[0] = 0.0
-        clock = 0.0
-        rounds = 0
-        retries = 0
-        for t in range(1, total_iterations + 1):
-            clock += float(compute[:, t - 1].max())
-            if t % tau == 0:
-                upload = download = 0.0
-                for _ in range(self.num_workers):
-                    seconds, r = self._transfer(payload, rng)
-                    upload = max(upload, seconds)
-                    retries += r
-                for _ in range(self.num_workers):
-                    seconds, r = self._transfer(payload, rng)
-                    download = max(download, seconds)
-                    retries += r
-                clock += (
-                    upload
-                    + self.cloud_device.sample_aggregation(rng)
-                    + download
-                )
-                rounds += 1
-            times[t] = clock
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.count("sim.two_tier.rounds", rounds)
-            if retries:
-                tracer.count("sim.two_tier.retries", retries)
-            tracer.count(
-                "sim.two_tier.bytes",
-                payload * (2 * rounds * self.num_workers + retries),
-            )
-        return times
-
     def _transfer(
-        self, payload: float, rng: np.random.Generator
+        self, link: LinkProfile, rng: np.random.Generator
     ) -> tuple[float, int]:
-        """(seconds, retries) of one WAN transfer under the fault plan."""
+        """(seconds, retries) of one transfer under the fault plan."""
+        payload = self.deployment.payload_bytes
         plan = self.fault_plan
         loss = plan.msg_loss if plan is not None else 0.0
         if loss <= 0.0:
-            return self.wan.transfer_time(payload, rng), 0
-        return self.wan.transfer_time_with_retries(
+            return link.transfer_time(payload, rng), 0
+        return link.transfer_time_with_retries(
             payload, rng, loss_prob=loss, policy=self.retry_policy
         )
 
@@ -304,8 +193,8 @@ def time_to_accuracy(
     """Wall-clock seconds at which the run first reached ``target``.
 
     ``times`` must be the cumulative-time array whose index is the local
-    iteration (as produced by the timelines above).  Returns ``None`` if
-    the accuracy never reached the target.
+    iteration (as produced by :meth:`Timeline.simulate`).  Returns
+    ``None`` if the accuracy never reached the target.
     """
     iteration = history.iterations_to_accuracy(target)
     if iteration is None:

@@ -5,6 +5,7 @@ import pytest
 from repro.experiments import (
     ExperimentConfig,
     best_fixed_gamma,
+    build_federation,
     fig2_sweep_config,
     format_results_table,
     run_adaptive_comparison,
@@ -17,6 +18,7 @@ from repro.experiments import (
     run_tau_sweep,
     run_time_to_accuracy,
 )
+from repro.telemetry import tracing
 
 TINY = ExperimentConfig(
     model="logistic",
@@ -135,6 +137,62 @@ class TestTiming:
             ("FedAvg",), target=1.01, base_config=TINY
         )
         assert results["FedAvg"].seconds is None
+
+    # name -> (replayed flat, models shipped per transfer)
+    PRICING = {
+        "HierAdMo": (False, 2.0),
+        "HierAdMo-R": (False, 2.0),
+        "HierFAVG": (False, 1.0),
+        "CFL": (False, 1.0),
+        "QuantizedHierFAVG": (False, 1.0),
+        "AsyncHierAdMo": (False, 2.0),
+        "FedAvg": (True, 1.0),
+        "FedNAG": (True, 2.0),
+        "FedMom": (True, 1.0),
+        "SlowMo": (True, 1.0),
+        "FastSlowMo": (True, 2.0),
+        "FedADC": (True, 2.0),
+        "Mime": (True, 2.0),
+        "FedProx": (True, 1.0),
+        "SampledFedAvg": (True, 1.0),
+        "AsyncFedAvg": (True, 1.0),
+    }
+
+    def test_prices_each_run_by_its_class(self):
+        """A run replays on its own schedule and payload: three-tier
+        runs sync with the edge every τ and the cloud every τ·π, two-tier
+        runs sync with the cloud every τ·π, and every transfer carries
+        the class's models (QuantizedHierFAVG trains three-tier;
+        AsyncHierAdMo ships model and momentum)."""
+        federation = build_federation(TINY)
+        workers = federation.topology.num_workers
+        edges = federation.topology.num_edges
+        model_bytes = federation.dim * 8.0
+        steps, tau, pi = TINY.total_iterations, TINY.tau, TINY.pi
+        for name, (flat, models) in self.PRICING.items():
+            with tracing() as tracer:
+                run_time_to_accuracy((name,), target=0.2, base_config=TINY)
+            counters = tracer.counters
+            if flat:
+                rounds = steps // (tau * pi)
+                assert counters["sim.two_tier.rounds"] == rounds, name
+                assert "sim.three_tier.bytes" not in counters, name
+                transfers = 2 * rounds * workers
+                billed = counters["sim.two_tier.bytes"]
+            else:
+                edge_rounds, cloud_rounds = steps // tau, steps // (tau * pi)
+                assert (
+                    counters["sim.three_tier.edge_rounds"] == edge_rounds
+                ), name
+                assert (
+                    counters["sim.three_tier.cloud_rounds"] == cloud_rounds
+                ), name
+                assert "sim.two_tier.bytes" not in counters, name
+                transfers = 2 * (edge_rounds * workers + cloud_rounds * edges)
+                billed = counters["sim.three_tier.bytes"]
+            assert billed == pytest.approx(
+                model_bytes * models * transfers, rel=1e-12
+            ), name
 
 
 class TestFormatting:

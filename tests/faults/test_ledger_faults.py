@@ -13,9 +13,9 @@ from repro import telemetry
 from repro.core import HierAdMo
 from repro.faults import FaultPlan
 from repro.simulation import (
+    AsyncDeployment,
     RetryPolicy,
-    ThreeTierTimeline,
-    TwoTierTimeline,
+    Timeline,
     worker_device_pool,
 )
 from repro.simulation.links import LinkProfile
@@ -118,16 +118,15 @@ class TestTimelinePricing:
 
     def test_three_tier_plan_slows_and_bills(self):
         topo = Topology.uniform(2, 2, 50)
-        devices = worker_device_pool(4)
         payload = 1e5
+        deployment = AsyncDeployment(worker_device_pool(4), payload)
         with telemetry.tracing() as clean_tracer:
-            clean = ThreeTierTimeline(topo, devices, payload).simulate(
+            clean = Timeline(topo, deployment).simulate(
                 20, tau=5, pi=2, rng=3
             )
         with telemetry.tracing() as tracer:
-            faulted = ThreeTierTimeline(
-                topo, devices, payload,
-                fault_plan=FaultPlan(msg_loss=0.5),
+            faulted = Timeline(
+                topo, deployment, fault_plan=FaultPlan(msg_loss=0.5)
             ).simulate(20, tau=5, pi=2, rng=3)
 
         retries = tracer.counters["sim.three_tier.retries"]
@@ -141,17 +140,20 @@ class TestTimelinePricing:
         )
 
     def test_two_tier_plan_slows_and_bills(self):
-        devices = worker_device_pool(4)
+        topo = Topology.uniform(2, 2, 50)
         payload = 2e5
+        deployment = AsyncDeployment(worker_device_pool(4), payload)
         with telemetry.tracing() as clean_tracer:
-            clean = TwoTierTimeline(4, devices, payload).simulate(
+            clean = Timeline(topo, deployment, flat=True).simulate(
                 20, tau=5, rng=6
             )
         with telemetry.tracing() as tracer:
-            faulted = TwoTierTimeline(
-                4, devices, payload,
+            faulted = Timeline(
+                topo,
+                deployment,
                 fault_plan=FaultPlan(msg_loss=0.5),
                 retry_policy=RetryPolicy(max_retries=2),
+                flat=True,
             ).simulate(20, tau=5, rng=6)
 
         retries = tracer.counters["sim.two_tier.retries"]

@@ -2,24 +2,17 @@
 
 import pytest
 
-from repro.simulation import worker_device_pool
-from repro.simulation.energy import (
-    EnergyModel,
-    estimate_three_tier_energy,
-    estimate_two_tier_energy,
-)
-from repro.topology import Topology
+from repro.simulation import AsyncDeployment, worker_device_pool
+from repro.simulation.energy import EnergyModel, estimate_energy
 
-TOPO = Topology.uniform(2, 2, 100)
 DEVICES = worker_device_pool(4)
 PAYLOAD = 1e6  # 1 MB
+DEPLOYMENT = AsyncDeployment(DEVICES, PAYLOAD)
 
 
 class TestThreeTier:
     def test_components_positive(self):
-        energy = estimate_three_tier_energy(
-            TOPO, DEVICES, PAYLOAD, 100, tau=10, pi=2
-        )
+        energy = estimate_energy(DEPLOYMENT, 100, tau=10)
         assert energy.compute_joules > 0
         assert energy.radio_joules > 0
         assert energy.total_joules == pytest.approx(
@@ -27,61 +20,61 @@ class TestThreeTier:
         )
 
     def test_compute_scales_with_iterations(self):
-        a = estimate_three_tier_energy(TOPO, DEVICES, PAYLOAD, 100, 10, 2)
-        b = estimate_three_tier_energy(TOPO, DEVICES, PAYLOAD, 200, 10, 2)
+        a = estimate_energy(DEPLOYMENT, 100, 10)
+        b = estimate_energy(DEPLOYMENT, 200, 10)
         assert b.compute_joules == pytest.approx(2 * a.compute_joules)
 
     def test_radio_scales_with_round_count(self):
-        frequent = estimate_three_tier_energy(
-            TOPO, DEVICES, PAYLOAD, 100, tau=5, pi=2
-        )
-        rare = estimate_three_tier_energy(
-            TOPO, DEVICES, PAYLOAD, 100, tau=20, pi=2
-        )
+        frequent = estimate_energy(DEPLOYMENT, 100, tau=5)
+        rare = estimate_energy(DEPLOYMENT, 100, tau=20)
         assert frequent.radio_joules == pytest.approx(
             4 * rare.radio_joules
         )
 
     def test_known_radio_value(self):
         model = EnergyModel(radio_joules_per_megabyte=1.0)
-        energy = estimate_three_tier_energy(
-            TOPO, DEVICES, 1e6, 10, tau=10, pi=1, model=model
+        energy = estimate_energy(
+            AsyncDeployment(DEVICES, 1e6), 10, tau=10, model=model
         )
         # 1 round x 4 workers x 2 MB (up+down) x 1 J/MB.
         assert energy.radio_joules == pytest.approx(8.0)
 
     def test_device_count_validation(self):
-        with pytest.raises(ValueError):
-            estimate_three_tier_energy(
-                TOPO, worker_device_pool(3), PAYLOAD, 10, 5, 2
-            )
+        """The worker count is the deployment's device count."""
+        three = estimate_energy(
+            AsyncDeployment(worker_device_pool(3), PAYLOAD), 10, 5
+        )
+        four = estimate_energy(DEPLOYMENT, 10, 5)
+        assert three.radio_joules == pytest.approx(0.75 * four.radio_joules)
 
 
 class TestTwoTierComparison:
     def test_two_tier_radio_costlier_at_matched_budget(self):
         """The architecture's energy story: same aggregation budget,
         two-tier radios pay the WAN multiplier."""
-        three = estimate_three_tier_energy(
-            TOPO, DEVICES, PAYLOAD, 200, tau=10, pi=2
-        )
-        two = estimate_two_tier_energy(
-            4, DEVICES, PAYLOAD, 200, tau=20
-        )
+        three = estimate_energy(DEPLOYMENT, 200, tau=10)
+        two = estimate_energy(DEPLOYMENT, 200, tau=20, flat=True)
         # Two-tier has half the rounds but 3x per-byte cost => 1.5x radio.
-        assert two.radio_joules > three.radio_joules
+        assert two.radio_joules == pytest.approx(1.5 * three.radio_joules)
         assert two.compute_joules == pytest.approx(three.compute_joules)
 
     def test_multiplier_knob(self):
-        cheap = estimate_two_tier_energy(
-            4, DEVICES, PAYLOAD, 100, 10, wan_energy_multiplier=1.0
+        cheap = estimate_energy(
+            DEPLOYMENT, 100, 10, flat=True, wan_energy_multiplier=1.0
         )
-        pricey = estimate_two_tier_energy(
-            4, DEVICES, PAYLOAD, 100, 10, wan_energy_multiplier=5.0
+        pricey = estimate_energy(
+            DEPLOYMENT, 100, 10, flat=True, wan_energy_multiplier=5.0
         )
         assert pricey.radio_joules == pytest.approx(5 * cheap.radio_joules)
+        # Three-tier syncs stay on the LAN: the WAN multiplier is unused.
+        assert estimate_energy(
+            DEPLOYMENT, 100, 10, wan_energy_multiplier=5.0
+        ) == cheap
 
     def test_validation(self):
         with pytest.raises(ValueError):
             EnergyModel(active_power_watts=0)
         with pytest.raises(ValueError):
-            estimate_two_tier_energy(3, DEVICES, PAYLOAD, 10, 5)
+            estimate_energy(DEPLOYMENT, 0, 5)
+        with pytest.raises(ValueError):
+            estimate_energy(DEPLOYMENT, 10, 5, wan_energy_multiplier=0.0)

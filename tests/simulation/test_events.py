@@ -3,19 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.simulation import add_stragglers, worker_device_pool
+from repro.simulation import (
+    AsyncDeployment,
+    Timeline,
+    add_stragglers,
+    worker_device_pool,
+)
 from repro.simulation.events import EventDrivenSimulator
 from repro.topology import Topology
 
 
-def simulator(quorum=1.0, num_edges=2, workers_per_edge=2, **kwargs):
+def simulator(quorum=1.0, num_edges=2, workers_per_edge=2):
     topo = Topology.uniform(num_edges, workers_per_edge, 10)
     return EventDrivenSimulator(
         topo,
-        worker_device_pool(topo.num_workers),
-        payload_bytes=1e5,
-        quorum=quorum,
-        **kwargs,
+        AsyncDeployment(
+            worker_device_pool(topo.num_workers), 1e5, quorum=quorum
+        ),
     )
 
 
@@ -23,7 +27,9 @@ def straggler_simulator(quorum):
     """16 workers under 4 edges, 15% of steps stalled 10x."""
     topo = Topology.uniform(4, 4, 100)
     devices = add_stragglers(worker_device_pool(topo.num_workers), 0.15, 10.0)
-    return EventDrivenSimulator(topo, devices, 8e5, quorum=quorum)
+    return EventDrivenSimulator(
+        topo, AsyncDeployment(devices, 8e5, quorum=quorum)
+    )
 
 
 class TestStructure:
@@ -179,19 +185,19 @@ class TestPhysicalConsistency:
     def test_device_mismatch_raises(self):
         topo = Topology.uniform(2, 2, 10)
         with pytest.raises(ValueError):
-            EventDrivenSimulator(topo, worker_device_pool(3), 1e5)
+            EventDrivenSimulator(
+                topo, AsyncDeployment(worker_device_pool(3), 1e5)
+            )
 
     def test_event_sim_close_to_barrier_timeline(self):
         """With quorum=1 the event simulation is a barrier process too;
         its total time should be within ~2x of the coarse timeline."""
-        from repro.simulation import ThreeTierTimeline
-
         topo = Topology.uniform(2, 2, 10)
-        devices = worker_device_pool(4)
-        event_total = EventDrivenSimulator(
-            topo, devices, 1e5
-        ).simulate(40, tau=5, pi=2, rng=5).total_time
-        coarse = ThreeTierTimeline(topo, devices, 1e5).simulate(
+        deployment = AsyncDeployment(worker_device_pool(4), 1e5)
+        event_total = EventDrivenSimulator(topo, deployment).simulate(
+            40, tau=5, pi=2, rng=5
+        ).total_time
+        coarse = Timeline(topo, deployment).simulate(
             40, tau=5, pi=2, rng=5
         )[-1]
         assert event_total == pytest.approx(coarse, rel=1.0)

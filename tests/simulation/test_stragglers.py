@@ -5,7 +5,8 @@ import pytest
 
 from repro.simulation import (
     DEVICE_PRESETS,
-    ThreeTierTimeline,
+    AsyncDeployment,
+    Timeline,
     worker_device_pool,
 )
 from repro.simulation.stragglers import StragglerDevice, add_stragglers
@@ -61,11 +62,14 @@ class TestStragglerDevice:
 class TestTimelineIntegration:
     def test_stragglers_slow_the_timeline(self):
         topo = Topology.uniform(2, 2, 50)
-        healthy = ThreeTierTimeline(
-            topo, worker_device_pool(4), 1e5
+        healthy = Timeline(
+            topo, AsyncDeployment(worker_device_pool(4), 1e5)
         ).simulate(40, tau=5, pi=2, rng=3)
-        straggling = ThreeTierTimeline(
-            topo, add_stragglers(worker_device_pool(4), 0.2, 8.0), 1e5
+        straggling = Timeline(
+            topo,
+            AsyncDeployment(
+                add_stragglers(worker_device_pool(4), 0.2, 8.0), 1e5
+            ),
         ).simulate(40, tau=5, pi=2, rng=3)
         assert straggling[-1] > healthy[-1]
 

@@ -5,9 +5,10 @@ import pytest
 
 from repro.metrics import TrainingHistory
 from repro.simulation import (
-    DEVICE_PRESETS,
-    ThreeTierTimeline,
-    TwoTierTimeline,
+    AsyncDeployment,
+    DeviceProfile,
+    LinkProfile,
+    Timeline,
     time_to_accuracy,
     worker_device_pool,
 )
@@ -18,19 +19,62 @@ PAYLOAD = 4e6  # 4 MB model: large enough that WAN serialization matters
 
 def three_tier(payload_multiplier=1.0):
     topo = Topology.uniform(2, 2, 100)
-    return ThreeTierTimeline(
-        topo,
-        worker_device_pool(4),
-        PAYLOAD,
-        payload_multiplier=payload_multiplier,
+    return Timeline(
+        topo, AsyncDeployment(worker_device_pool(4), PAYLOAD * payload_multiplier)
     )
 
 
 def two_tier(payload_multiplier=1.0):
-    return TwoTierTimeline(
-        4, worker_device_pool(4), PAYLOAD,
-        payload_multiplier=payload_multiplier,
+    topo = Topology.uniform(2, 2, 100)
+    return Timeline(
+        topo,
+        AsyncDeployment(worker_device_pool(4), PAYLOAD * payload_multiplier),
+        flat=True,
     )
+
+
+def fixed_delays(flat=False):
+    """Deterministic devices and links, so a replay has a closed form."""
+    deployment = AsyncDeployment(
+        [DeviceProfile("worker", 0.1, sigma=0.0)] * 4,
+        1e6,
+        edge_device=DeviceProfile("edge", 0.03, sigma=0.0),
+        cloud_device=DeviceProfile("cloud", 0.004, sigma=0.0),
+        lan=LinkProfile("lan", 100.0, 0.002, jitter_sigma=0.0),
+        wan=LinkProfile("wan", 10.0, 0.05, jitter_sigma=0.0),
+    )
+    return Timeline(Topology([[10], [10, 10, 10]]), deployment, flat=flat)
+
+
+# One transfer of 1e6 bytes: half the RTT plus the serialization.
+LAN_SECONDS = 0.001 + 8e6 / 100e6
+WAN_SECONDS = 0.025 + 8e6 / 10e6
+
+
+class TestClosedForm:
+    """Against hand-summed delays: each sync is an upload, one
+    aggregation (0.1x the device's iteration) and a download."""
+
+    def test_three_tier(self):
+        times = fixed_delays().simulate(20, tau=5, pi=2, rng=0)
+        edge_round = 2 * LAN_SECONDS + 0.003
+        cloud_round = 2 * WAN_SECONDS + 0.0004
+        assert times[4] == pytest.approx(0.4)
+        assert times[5] == pytest.approx(0.5 + edge_round)
+        assert times[10] == pytest.approx(1.0 + 2 * edge_round + cloud_round)
+        assert times[-1] == pytest.approx(
+            2.0 + 4 * edge_round + 2 * cloud_round
+        )
+
+    def test_flat_has_no_cloud_tier(self):
+        """Every sync crosses the WAN to the cloud device; ``pi`` is not
+        used."""
+        round_seconds = 2 * WAN_SECONDS + 0.0004
+        for pi in (1, 3):
+            times = fixed_delays(flat=True).simulate(20, tau=10, pi=pi, rng=0)
+            assert times[9] == pytest.approx(0.9)
+            assert times[10] == pytest.approx(1.0 + round_seconds)
+            assert times[-1] == pytest.approx(2.0 + 2 * round_seconds)
 
 
 class TestThreeTierTimeline:
@@ -68,7 +112,14 @@ class TestThreeTierTimeline:
     def test_device_count_validation(self):
         topo = Topology.uniform(2, 2, 10)
         with pytest.raises(ValueError):
-            ThreeTierTimeline(topo, worker_device_pool(3), PAYLOAD)
+            Timeline(topo, AsyncDeployment(worker_device_pool(3), PAYLOAD))
+
+    def test_partial_quorum_refused(self):
+        """The replay has no quorum: every sync waits for everyone."""
+        topo = Topology.uniform(2, 2, 10)
+        deployment = AsyncDeployment(worker_device_pool(4), PAYLOAD, quorum=0.5)
+        with pytest.raises(ValueError, match="quorum"):
+            Timeline(topo, deployment)
 
 
 class TestTwoTierTimeline:

@@ -3,23 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.simulation import (
-    ThreeTierTimeline,
-    TwoTierTimeline,
-    worker_device_pool,
-)
+from repro.simulation import AsyncDeployment, Timeline, worker_device_pool
 from repro.topology import Topology
 
 
-def timeline(**kwargs):
+def timeline(payload_bytes=1e5, **kwargs):
     topo = Topology.uniform(2, 2, 10)
-    defaults = dict(
-        topology=topo,
-        worker_devices=worker_device_pool(4),
-        payload_bytes=1e5,
-    )
-    defaults.update(kwargs)
-    return ThreeTierTimeline(**defaults)
+    deployment = AsyncDeployment(worker_device_pool(4), payload_bytes)
+    return Timeline(topo, deployment, **kwargs)
 
 
 class TestEdgeCases:
@@ -44,13 +35,17 @@ class TestEdgeCases:
             timeline(payload_bytes=0)
 
     def test_two_tier_single_worker(self):
-        two = TwoTierTimeline(1, worker_device_pool(1), 1e5)
+        two = Timeline(
+            Topology([[10]]),
+            AsyncDeployment(worker_device_pool(1), 1e5),
+            flat=True,
+        )
         times = two.simulate(10, tau=5, rng=0)
         assert (np.diff(times) > 0).all()
 
     def test_unbalanced_topology(self):
         topo = Topology([[10], [10, 10, 10]])
-        three = ThreeTierTimeline(topo, worker_device_pool(4), 1e5)
+        three = Timeline(topo, AsyncDeployment(worker_device_pool(4), 1e5))
         times = three.simulate(12, tau=4, pi=3, rng=1)
         assert times.shape == (13,)
         assert (np.diff(times) > 0).all()

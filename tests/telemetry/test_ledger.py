@@ -8,7 +8,6 @@ import pytest
 from repro.algorithms import ALGORITHM_REGISTRY, FedProx, SampledFedAvg
 from repro.algorithms.compressed import QuantizedHierFAVG
 from repro.core.base import FLAlgorithm
-from repro.experiments.timing import PAYLOAD_MULTIPLIERS
 from repro.metrics.history import TrainingHistory
 from repro.telemetry import BYTES_PER_PARAM, CommLedger
 
@@ -87,10 +86,6 @@ class TestHistoryCompatDelegation:
 
 
 class TestPayloadRegistry:
-    def test_timing_table_sources_registry(self):
-        for name, cls in ALGORITHM_REGISTRY.items():
-            assert PAYLOAD_MULTIPLIERS[name] == cls.payload_multiplier, name
-
     def test_every_algorithm_declares_a_multiplier(self):
         classes = dict(ALGORITHM_REGISTRY)
         classes["QuantizedHierFAVG"] = QuantizedHierFAVG

@@ -73,7 +73,7 @@ class TestCheckBench:
         document = json.loads((REPO / "BENCH_monitor.json").read_text())
         # >20% throughput drop on a higher-better key must trip the gate.
         entry = document["entries"]["jsonl_sink_throughput"]
-        entry["events_per_sec"] = entry["events_per_sec"] * 0.5
+        entry["events_per_probe"] = entry["events_per_probe"] * 0.5
         (fresh / "BENCH_monitor.json").write_text(json.dumps(document))
         assert tool.main(["--fresh", str(fresh)]) == 1
         captured = capsys.readouterr()
@@ -97,15 +97,15 @@ class TestCheckBench:
         fresh.mkdir()
         document = json.loads((REPO / "BENCH_monitor.json").read_text())
         entry = document["entries"]["jsonl_sink_throughput"]
-        entry["events_per_sec"] = entry["events_per_sec"] * 0.9
+        entry["events_per_probe"] = entry["events_per_probe"] * 0.9
         (fresh / "BENCH_monitor.json").write_text(json.dumps(document))
         assert tool.main(["--fresh", str(fresh)]) == 0
 
     UNJUDGED_BY_SELF_CHECK = [
         "batched/batched_cnn.speedup",
         "batched/gradient_pass_16worker_mlp.speedup",
-        "eventsim/engine_event_throughput.events_per_second",
-        "monitor/jsonl_sink_throughput.events_per_sec",
+        "eventsim/engine_event_throughput.events_per_probe",
+        "monitor/jsonl_sink_throughput.events_per_probe",
     ]
 
     def test_self_check_names_the_keys_it_cannot_judge(self, capsys):
@@ -165,14 +165,14 @@ class TestFingerprint:
         # 2 async algorithms x 2 quorums x clean/faults; 4 populations
         # and the short-shards one;
         # both clocks with checkpoints and monitor, and crash-resumed;
-        # the event simulator at 3 quorums.  Fault rows: the zero plan
-        # per golden, then 5 single-kind plans x 3 policies on the 6
-        # three-tier goldens and 3 plans x 3 policies on the 9 two-tier
-        # ones.
+        # the event simulator at 3 quorums; the coarse replay, three-tier
+        # and flat, in 4 cases.  Fault rows: the zero plan per golden,
+        # then 5 single-kind plans x 3 policies on the 6 three-tier
+        # goldens and 3 plans x 3 policies on the 9 two-tier ones.
         assert counts == {
             "sync": 15, "cnn": 3, "faults": 15 + 6 * 15 + 9 * 9, "e2e": 8,
             "async": 8, "population": 5, "lifecycle": 2, "resume": 2,
-            "sim": 3,
+            "sim": 3, "timeline": 2 * 4,
         }
 
     def test_every_fault_plan_realizes_and_moves_its_row(self):

@@ -12,8 +12,11 @@ against the committed baselines and fails on a real regression:
   the entry's own committed ``threshold`` field — the same absolute
   gate the bench asserts, re-checked from the recorded numbers.
 
-Raw microsecond timings are deliberately *not* gated: they shift with
-the machine, while ratios (speedup, overhead) are self-normalizing.
+Raw microsecond timings and raw rates are deliberately *not* gated:
+they shift with the machine, while ratios (speedup, overhead) are
+self-normalizing.  Throughputs are gated as ``events_per_probe``, the
+rate times a pure-Python probe loop's duration
+(``benchmarks/timing.py::rate_per_probe``).
 Missing files, entries or keys are reported but never fail the check —
 a partial bench run only validates what it measured.  With no
 ``--fresh`` the committed files are compared with themselves, so each
@@ -48,7 +51,7 @@ GATES = {
         "checkpoint_overhead": [("overhead", "within_threshold")],
     },
     "eventsim": {
-        "engine_event_throughput": [("events_per_second", "higher_better")],
+        "engine_event_throughput": [("events_per_probe", "higher_better")],
     },
     "faults": {
         "zero_plan_overhead": [("overhead", "within_threshold")],
@@ -57,7 +60,7 @@ GATES = {
     "monitor": {
         "null_monitor_overhead": [("disabled_overhead", "within_threshold")],
         "null_monitor_calls": [("calls_per_step", "within_threshold")],
-        "jsonl_sink_throughput": [("events_per_sec", "higher_better")],
+        "jsonl_sink_throughput": [("events_per_probe", "higher_better")],
     },
     "population": {
         "bounded_memory": [("rss_ratio_1m_over_10k", "within_threshold")],

@@ -49,7 +49,12 @@ The matrix (``MATRIX``):
 * ``resume/<clock>``: the same two runs crash at an iteration that is
   not a checkpoint, and a fresh instance resumes from the latest one;
 * ``sim/q<quorum>``: ``EventDrivenSimulator`` on 16 workers under 4
-  edges with stragglers, at quorum 1.0, 0.75 and 0.5.
+  edges with stragglers, at quorum 1.0, 0.75 and 0.5;
+* ``timeline/<three-tier|two-tier>/<case>``: the coarse ``Timeline``
+  replay, three-tier and flat, on 8 workers under uneven edges:
+  clean, under ``msg_loss`` 0.3 with a custom ``RetryPolicy``, with
+  stragglers, and at a T that is not a multiple of τ
+  (``TIMELINE_CASES``).
 
 Each run records its history series as ``float.hex`` (iterations,
 accuracies, losses, ``eval_times``, ``gamma_trace``), the divergence
@@ -61,7 +66,9 @@ reason of each ``checkpoint_saved``; wall time, RSS, paths and sizes
 vary from run to run and are left out.  Lifecycle and resume runs add
 ``checkpoints.driver``: the sha256 of each saved checkpoint's driver
 state, as canonical JSON.  Simulator rows digest the edge and cloud
-round records and ``iteration_times`` (floats as ``float.hex``).
+round records and ``iteration_times`` (floats as ``float.hex``);
+timeline rows digest the replayed times, the energy estimate and the
+replay's ``sim.*`` tracer counters.
 ``--diff`` names every run and field that moved, with the largest
 relative change of each moved series, and exits 1 when anything moved.
 """
@@ -103,7 +110,11 @@ from repro.faults import DEGRADATION_POLICIES, FaultPlan, InjectedCrash  # noqa:
 from repro.monitoring import RingBufferSink, default_monitors, monitoring  # noqa: E402
 from repro.nn.models import make_logistic_regression  # noqa: E402
 from repro.population import ClientRegistry, PopulationBinder  # noqa: E402
-from repro.simulation import EventDrivenSimulator, add_stragglers, worker_device_pool  # noqa: E402
+from repro.simulation import (  # noqa: E402
+    AsyncDeployment, EventDrivenSimulator, RetryPolicy, Timeline, add_stragglers,
+    estimate_energy, worker_device_pool,
+)
+from repro.telemetry import tracing  # noqa: E402
 from repro.topology import Topology  # noqa: E402
 from tests.algorithms.test_async_equivalence import straggler_deployment  # noqa: E402
 from tests.integration import test_golden_trajectories as goldens  # noqa: E402
@@ -139,6 +150,15 @@ CHECKPOINT_EVERY = 5
 # first checkpoint it must have written.
 CRASH_AT = {"lockstep": 17, "event": 22}
 SIM_QUORUMS = (1.0, 0.75, 0.5)
+# Coarse replays: (T, tau, pi, msg_loss, stragglers) per case; the
+# two-tier replay syncs every tau*pi iterations.
+TIMELINE_CASES = {
+    "clean": (200, 10, 2, 0.0, False),
+    "loss": (200, 10, 2, 0.3, False),
+    "stragglers": (200, 10, 2, 0.0, True),
+    "ragged": (37, 5, 3, 0.0, False),
+}
+TIMELINE_TIERS = ("three-tier", "two-tier")
 
 
 # ----------------------------------------------------------------------
@@ -326,12 +346,41 @@ def _simulated(quorum: float) -> dict:
     topology = Topology.uniform(4, 4, 100)
     devices = add_stragglers(worker_device_pool(topology.num_workers), 0.15, 10.0)
     result = EventDrivenSimulator(
-        topology, devices, 8e5, quorum=quorum
+        topology, AsyncDeployment(devices, 8e5, quorum=quorum)
     ).simulate(200, tau=10, pi=2, rng=1)
     return {
         "sim.edge_rounds": canonical([asdict(r) for r in result.edge_rounds]),
         "sim.cloud_rounds": canonical([asdict(r) for r in result.cloud_rounds]),
         "sim.iteration_times": [_hex(v) for v in result.iteration_times],
+    }
+
+
+def _timeline(tier: str, case: str) -> dict:
+    """One coarse replay on 8 workers under uneven edges, with a payload
+    multiplier of 2 folded into the deployment's bytes, digested with
+    the energy estimate of the same schedule and the ``sim.*`` counters."""
+    total, tau, pi, loss, stragglers = TIMELINE_CASES[case]
+    topology = Topology([[100] * 3, [100], [100] * 4])
+    devices = worker_device_pool(topology.num_workers)
+    if stragglers:
+        devices = add_stragglers(devices, 0.15, 10.0)
+    deployment = AsyncDeployment(devices, 4e5 * 2.0)
+    flat = tier == "two-tier"
+    sync_every = tau * pi if flat else tau
+    replay = Timeline(
+        topology,
+        deployment,
+        fault_plan=FaultPlan(msg_loss=loss) if loss else None,
+        retry_policy=RetryPolicy(max_retries=2, timeout_seconds=0.3, backoff_factor=1.5),
+        flat=flat,
+    )
+    with tracing() as tracer:
+        times = replay.simulate(total, sync_every, pi, rng=5)
+    energy = estimate_energy(deployment, total, sync_every, flat=flat)
+    return {
+        "timeline.times": [_hex(v) for v in times],
+        "timeline.energy": canonical(asdict(energy)),
+        "timeline.counters": canonical(tracer.counters),
     }
 
 
@@ -370,6 +419,11 @@ MATRIX = {
     **{f"lifecycle/{clock}": partial(_lifecycle, clock) for clock in CLOCKS},
     **{f"resume/{clock}": partial(_resume, clock) for clock in CLOCKS},
     **{f"sim/q{quorum}": partial(_simulated, quorum) for quorum in SIM_QUORUMS},
+    **{
+        f"timeline/{tier}/{case}": partial(_timeline, tier, case)
+        for tier in TIMELINE_TIERS
+        for case in TIMELINE_CASES
+    },
 }
 
 
