@@ -4,8 +4,8 @@ One worker_step gradient pass of the one worker-axis program, timed two
 ways on the same federation:
 
 * ``one_row`` — W one-row passes, ``Federation.gradient`` once per
-  worker (the event clock's path: one small GEMM/conv stack per worker,
-  Python dispatch between them);
+  worker (one small GEMM/conv stack per worker, Python dispatch between
+  them);
 * ``batched`` — one ``Federation.gradient_all`` pass over the whole
   fleet (stacked worker-axis GEMMs).
 

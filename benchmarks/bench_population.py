@@ -19,11 +19,18 @@ stream; no rebind can be cheaper than those draws.  The gated number is
 the rebind's time over the time of just those draws for as many
 clients, timed interleaved on the same machine, so it normalizes
 itself.  A per-client seeding or bookkeeping cost shows up in it.
+
+That ratio moves with host load, so it has an exact companion,
+``rebind_calls``: the Python calls into ``repro/`` during one
+warmed-up rebind at 1M clients, counted at two cohort sizes and split
+into a fixed part and a per-arrival part, each pinned.  One more call
+per arriving client, or per rebind, fails it on any host.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import time
 
 import numpy as np
@@ -36,7 +43,7 @@ from repro.population import ClientRegistry, PopulationBinder
 from repro.utils.memory import current_rss_bytes, peak_rss_bytes
 
 from .recorder import record_bench
-from .timing import time_interleaved
+from .timing import calls_into, time_interleaved
 
 # 4 edges x 64 per edge: fixed cohort of 256 materialized slots.
 NUM_EDGES = 4
@@ -48,11 +55,19 @@ MAX_RSS_RATIO = 1.5
 # its clients' draws on a 2-CPU host; seeding each client's generators
 # one by one measured ~3.3x.
 MAX_REBIND_OVER_DRAWS = 2.5
+# Cohorts per edge of the two counted rebinds (64 and 128 arrivals), and
+# the pinned calls: each arrival's carry lookup, shard draw, dataset,
+# generator re-point and store row; the fixed part is the cohort draw
+# and the batched seeding and bind.
+REBIND_CALL_COHORTS = (16, 32)
+MAX_REBIND_CALLS = {"fixed_calls": 123, "calls_per_arrival": 6}
 
 SIZES = (("10k", 10_000), ("100k", 100_000), ("1m", 1_000_000))
 
 
-def _binder(population: int) -> PopulationBinder:
+def _binder(
+    population: int, cohort_per_edge: int = COHORT_PER_EDGE
+) -> PopulationBinder:
     shards = PrototypeShards(
         population,
         num_features=32,
@@ -62,7 +77,7 @@ def _binder(population: int) -> PopulationBinder:
     )
     registry = ClientRegistry.from_shards(shards, NUM_EDGES, uniform=True)
     binder = PopulationBinder(
-        registry, shards, cohort_per_edge=COHORT_PER_EDGE, seed=11
+        registry, shards, cohort_per_edge=cohort_per_edge, seed=11
     )
     model = make_logistic_regression(32, 10, rng=4)
     binder.build_federation(model, shards.test_set(256), batch_size=32)
@@ -180,3 +195,49 @@ def test_bench_population_rebind():
         f"a rebind costs {ratio:.2f}x its clients' own draws "
         f"(budget {MAX_REBIND_OVER_DRAWS}x)"
     )
+
+
+def rebind_calls(cohort_per_edge: int) -> tuple[int, int]:
+    """``(arrivals, calls)`` of one warmed-up rebind at 1M clients: the
+    Python calls into ``repro/`` it makes, counted exactly."""
+    import repro
+
+    binder = _binder(1_000_000, cohort_per_edge)
+    algorithm = HierAdMo(binder.fed, eta=0.05, tau=TAU, pi=2)
+    algorithm.attach_population(binder)
+    algorithm._setup()
+    binder.reset(algorithm)
+    binder.resample(algorithm, 1)
+    before = binder.slot_client.copy()
+    repro_dir = os.path.dirname(repro.__file__) + os.sep
+    calls = calls_into((repro_dir,), lambda: binder.resample(algorithm, 2))
+    return int((binder.slot_client != before).sum()), calls
+
+
+def test_bench_population_rebind_calls():
+    """A rebind's calls: a pinned fixed part plus a pinned part per
+    arriving client."""
+    (few, few_calls), (many, many_calls) = map(
+        rebind_calls, REBIND_CALL_COHORTS
+    )
+    per_arrival = (many_calls - few_calls) / (many - few)
+    measured = {
+        "fixed_calls": few_calls - per_arrival * few,
+        "calls_per_arrival": per_arrival,
+    }
+    print(
+        f"\n[bench] repro calls per rebind at 1M clients: {few_calls} for "
+        f"{few} arrivals, {many_calls} for {many}: "
+        f"{measured['fixed_calls']:g} + {per_arrival:g} per arrival"
+    )
+    record_bench("population", "rebind_calls", {
+        "population": 1_000_000,
+        "arrivals": [few, many],
+        "calls": [few_calls, many_calls],
+        **measured,
+        "threshold": MAX_REBIND_CALLS,
+    })
+    for key, pin in MAX_REBIND_CALLS.items():
+        assert measured[key] <= pin, (
+            f"a rebind's {key} is {measured[key]:g} (pin {pin:g})"
+        )

@@ -4,7 +4,10 @@ These run ``FLAlgorithm.run`` on the event clock
 (:class:`repro.simulation.engine.EventLoopRunner`) instead of the
 lockstep clock: each worker's gradient steps fire at its simulated
 completion time, and aggregation closes on whatever model versions have
-arrived when the edge quorum is met.  Two variants ship:
+arrived when the edge quorum is met.  The engine hands the steps that
+finished between two of its decisions over as one wave:
+``local_steps`` runs them as one ``Federation.gradient_all`` call and
+one worker rule over their rows, in event order.  Two variants ship:
 
 * :class:`AsyncFedAvg` — workers under the cloud directly; round
   closure averages the fresh arrivals plus any buffered stale uploads
@@ -56,8 +59,8 @@ class AsyncExecutionMixin:
 
     Mix in *before* the algorithm class.  Swaps the run's lockstep clock
     for the event clock (``FLAlgorithm.run`` stays the driver) and
-    implements the runner's client protocol.  Each worker event applies
-    the lockstep worker rule ``_local_update`` to that worker's row.  A
+    implements the runner's client protocol.  Each wave of worker steps
+    applies the lockstep worker rule ``_local_update`` to its rows.  A
     closure that aggregates calls the concrete subclass's
     ``_merge_arrivals``; ``resync_worker`` and ``cloud_sync`` come from
     the subclass too.
@@ -176,21 +179,32 @@ class AsyncExecutionMixin:
             np.arange(rows.start, rows.stop) for rows in fed.edge_slices
         ]
 
-    def local_step(self, worker: int, t: int) -> float:
-        """One gradient step of ``worker`` at nominal iteration ``t``."""
-        if self.eta_schedule is not None:
-            self.eta = check_positive(
-                self.eta_schedule(t - 1), "scheduled eta"
-            )
+    def local_steps(self, workers, ts, times) -> np.ndarray:
+        """One gradient step of each ``workers[i]`` at nominal iteration
+        ``ts[i]``: one program call and one worker rule over their rows.
+
+        The rows stay in the engine's event order, so batch norm folds
+        its running buffers, ``track_mu`` appends its norms and the
+        train-loss window adds the losses in the order the steps
+        finished.  With an ``eta_schedule`` each row steps with η(t−1)
+        of its own ``t``.
+        """
+        rows = np.array(workers)
+        schedule = self.eta_schedule
+        if schedule is not None:
+            etas = [
+                check_positive(schedule(t - 1), "scheduled eta") for t in ts
+            ]
+            self.eta = np.array(etas)[:, None]
         with get_tracer().span("worker_step"):
-            _, loss = self.fed.gradient(
-                worker, self.x[worker], out=self._grads[worker]
-            )
-            self._local_update(slice(worker, worker + 1))
-        loss = float(loss)
-        self._loss_sum += loss
-        self._loss_count += 1
-        return loss
+            losses = self.fed.gradient_all(self.x, rows=rows, out=self._grads)
+            self._local_update(rows)
+        if schedule is not None:
+            self.eta = etas[-1]
+        for loss in losses.tolist():
+            self._loss_sum += loss
+        self._loss_count += len(workers)
+        return losses
 
     def round_complete(self, round_index: int, time: float) -> None:
         """Barrier notification: every group finished ``round_index``."""

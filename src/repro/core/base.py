@@ -29,10 +29,10 @@ stop, monitor aborts) and advances time through one clock method,
 iterations; the event clock of
 :class:`repro.algorithms.AsyncExecutionMixin` runs the
 :class:`~repro.simulation.engine.EventLoopRunner` and applies the same
-worker rule to one worker per event.  Both clocks end each round at a
-barrier where the shared helpers run: the scheduled evaluation, the
-cohort rebind and the periodic-or-alert checkpoint, which stores the
-clock's state with the train-loss window.
+worker rule to each wave of worker steps the engine hands over.  Both
+clocks end each round at a barrier where the shared helpers run: the
+scheduled evaluation, the cohort rebind and the periodic-or-alert
+checkpoint, which stores the clock's state with the train-loss window.
 """
 
 from __future__ import annotations

@@ -57,6 +57,17 @@ class DeviceProfile:
             return np.full(count, self.mean_seconds)
         return rng.lognormal(self._mu(), self.sigma, size=count)
 
+    def sample_iteration(self, rng: np.random.Generator) -> float:
+        """One iteration's compute delay, drawn as a scalar.
+
+        The same value as ``sample_iterations(1, rng)[0]``, leaving
+        ``rng`` in the same state, without the array round trip (the
+        event engine draws one per worker step).
+        """
+        if self.sigma == 0:
+            return self.mean_seconds
+        return rng.lognormal(self._mu(), self.sigma)
+
     def sample_aggregation(
         self, rng: np.random.Generator | int | None = None
     ) -> float:

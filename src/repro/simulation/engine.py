@@ -6,8 +6,8 @@ aggregations fire at their simulated times.  The deployment simulator
 engine with a client that computes nothing.  Four event kinds circulate:
 
 * ``worker_compute_done`` — one worker finished one local iteration at
-  its simulated completion time; the algorithm's gradient step for that
-  worker fires *inside* the event handler,
+  its simulated completion time; the runner queues that worker's
+  gradient step in the current *wave* (below),
 * ``upload_arrived`` — a finished interval's state reached the
   aggregator over the LAN/WAN (message loss, duplication and staleness
   fates from an attached :class:`~repro.faults.FaultInjector` are
@@ -24,9 +24,13 @@ numerics.  The runner is the event clock of the one run driver,
 clock method and is its client.  A client is duck-typed and provides::
 
     group_members          list of flat worker-id arrays, one per group
-    local_step(w, t)       one gradient step of worker w at nominal
-                           iteration t; adds the batch loss to the
-                           driver's train-loss window and returns it
+    local_steps(ws, ts, times)
+                           one gradient step of each worker ws[i] at
+                           nominal iteration ts[i], which finished at
+                           simulated times[i]; rows in event order, no
+                           worker twice; adds the batch losses to the
+                           driver's train-loss window in that order and
+                           returns them
     snapshot_stale(w)      buffer worker w's state for a later stale fold
     resync_worker(w, g)    worker w downloads group g's current model
     close_round(g, r, fresh, stale, receivers, upload_events, dark)
@@ -42,6 +46,35 @@ clock method and is its client.  A client is duck-typed and provides::
 The optional ``checkpoint_hook(t)`` runs between events after a barrier
 at nominal iteration ``t``; the driver saves the runner's
 :meth:`EventLoopRunner.state_dict` there as the clock's state.
+
+**Waves.**  Between two client calls, a worker's step reads and writes
+only that worker's rows, so the runner does not hand each step over
+when it pops it.  It queues the computing steps and runs the queue (the
+wave) as one ``local_steps`` call before anything that could observe
+them or be observed after them:
+
+* every other client call (``snapshot_stale``, ``resync_worker``,
+  ``close_round``, ``cloud_sync``, ``round_complete``), so every
+  quorum and cloud event flushes first;
+* every fault-injector query: an upload's ``transfer_outcome`` and
+  ``stale_flags``, and a ``worker_mask`` for an iteration not yet
+  cached;
+* the checkpoint hook, so a checkpoint never sees a queued step;
+* queuing a second step of a worker already in the wave;
+* the end of :meth:`EventLoopRunner.run`.
+
+Between two flushes the runner touches only its own clocks, heap and
+generator, so every client call, fault draw and checkpoint happens in
+the same state as when each step ran at its pop.  A scripted crash
+(``maybe_crash``) drops the queued wave, as a killed process loses its
+uncheckpointed work.  The runner reads a wave's losses in event order:
+the first non-finite one sets ``diverged_at``, ``diverged_loss`` and
+``last_event_time`` (that step's event time), and with
+``stop_on_divergence`` nothing runs after it.  Rows queued behind it may
+already have been computed; they are never billed, aggregated or
+evaluated.  The runner's own counters (``queue.processed``,
+``uploads_sent``, the ``eventsim.*`` tracer counts) can include events
+popped after the diverging step, before its wave ran.
 
 Per-node message buffers (the arrived-but-not-yet-folded uploads) follow
 the per-node mailbox idiom of asynchronous FL simulators: a late or
@@ -59,7 +92,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,18 +138,23 @@ _WAITING = 1
 _DONE = 2
 
 
-@dataclass(order=True, frozen=True)
-class Event:
+class _Diverged(Exception):
+    """A wave's loss went non-finite; unwinds the run to its end."""
+
+
+class Event(NamedTuple):
     """One scheduled occurrence on the shared queue.
 
     Ordered by ``(time, seq)``: simultaneous events pop in push (FIFO)
-    order, which keeps replays bit-deterministic.
+    order, which keeps replays bit-deterministic.  ``seq`` is unique per
+    queue, so the heap's tuple comparisons (done in C) never reach
+    ``kind`` or ``data``.
     """
 
     time: float
     seq: int
-    kind: str = field(compare=False)
-    data: dict = field(compare=False)
+    kind: str
+    data: dict
 
 
 class EventQueue:
@@ -129,7 +168,7 @@ class EventQueue:
 
     def push(self, time: float, kind: str, **data) -> Event:
         """Schedule ``kind`` at simulated ``time``."""
-        if not (np.isfinite(time) and time >= 0.0):
+        if not (math.isfinite(time) and time >= 0.0):
             raise ValueError(f"event time must be finite and >= 0, got {time}")
         event = Event(float(time), self._seq, kind, data)
         self._seq += 1
@@ -323,7 +362,9 @@ class EventLoopRunner:
         self.last_event_time = 0.0
         self.diverged_at: int | None = None
         self.diverged_loss = float("nan")
-        self._aborted = False
+        # The wave: worker -> (t, event time) of each queued step, in
+        # event order (dicts keep insertion order).
+        self._wave: dict[int, tuple[int, float]] = {}
         self._edge_records: list[EdgeRoundRecord] = []
         self._cloud_records: list[CloudRoundRecord] = []
 
@@ -351,13 +392,14 @@ class EventLoopRunner:
         limit = 1000 + 100 * self.num_workers * self.total_iterations
         tracer = get_tracer()
         try:
-            while self.queue and not self._aborted:
+            while self.queue:
                 if (
                     self.checkpoint_hook is not None
                     and self._notified > self._ckpt_notified
                 ):
                     # Between events, right after a round barrier: the
                     # client evaluated, every group's state is final.
+                    self._flush()
                     self._ckpt_notified = self._notified
                     self.checkpoint_hook(
                         min(self._notified * self.tau, self.total_iterations)
@@ -382,6 +424,9 @@ class EventLoopRunner:
                 if tracer.enabled:
                     tracer.count(f"eventsim.{event.kind}")
                 handlers[event.kind](event)
+            self._flush()
+        except _Diverged:
+            pass
         finally:
             # Build the result even when a handler raised (e.g. a
             # MonitorAbort escalated by a health monitor) so callers can
@@ -416,9 +461,7 @@ class EventLoopRunner:
         version = self._version[worker]
         length = self._interval_length(version + 1)
         t = version * self.tau + (length - self._steps_left[worker] + 1)
-        delay = float(
-            self.dep.worker_devices[worker].sample_iterations(1, self.rng)[0]
-        )
+        delay = self.dep.worker_devices[worker].sample_iteration(self.rng)
         self.queue.push(
             self._clock[worker] + delay, EVENT_WORKER_STEP, worker=worker, t=t
         )
@@ -427,6 +470,7 @@ class EventLoopRunner:
         if self.faults is None:
             return True
         if t not in self._worker_masks:
+            self._flush()
             self._worker_masks[t] = self.faults.worker_mask(t)
         mask = self._worker_masks[t]
         return mask is None or bool(mask[worker])
@@ -438,23 +482,41 @@ class EventLoopRunner:
         t = event.data["t"]
         self._clock[worker] = event.time
         if self._worker_up(t, worker):
-            loss = self.client.local_step(worker, t)
-            if not np.isfinite(loss):
-                self.diverged_at = t
-                self.diverged_loss = float(loss)
-                if self.stop_on_divergence:
-                    self._aborted = True
-                    return
+            if worker in self._wave:
+                self._flush()
+            self._wave[worker] = (t, event.time)
         self._steps_left[worker] -= 1
         if self._steps_left[worker] > 0:
             self._schedule_step(worker)
         else:
             self._send_upload(worker, event.time)
 
+    def _flush(self) -> None:
+        """Run the queued wave as one ``local_steps`` call.
+
+        Raises :class:`_Diverged` at the first non-finite loss when the
+        run stops on divergence, so nothing runs after that step.
+        """
+        wave = self._wave
+        if not wave:
+            return
+        self._wave = {}
+        ts, times = zip(*wave.values())
+        losses = self.client.local_steps(list(wave), ts, times)
+        for t, time, loss in zip(ts, times, losses):
+            if not math.isfinite(loss):
+                self.diverged_at = t
+                self.diverged_loss = float(loss)
+                if self.stop_on_divergence:
+                    self.last_event_time = time
+                    raise _Diverged
+
     # ------------------------------------------------------------------
     # Uploads and the per-group message buffer
     # ------------------------------------------------------------------
     def _send_upload(self, worker: int, time: float) -> None:
+        if self.faults is not None:
+            self._flush()
         group = int(self._group_of[worker])
         self._phase[worker] = _WAITING
         self.uploads_sent += 1
@@ -525,6 +587,7 @@ class EventLoopRunner:
             version = round_index - 1 - max(
                 1, self.faults.plan.staleness_intervals
             )
+        self._flush()
         self.client.snapshot_stale(worker)
         self._stale[group][worker] = version
         # The quorum closed without this upload — record it for the next
@@ -567,6 +630,7 @@ class EventLoopRunner:
     # Round closure
     # ------------------------------------------------------------------
     def _on_quorum_met(self, event: Event) -> None:
+        self._flush()
         group = event.data["group"]
         self._closing[group] = False
         round_index = self._next_round[group]
@@ -714,6 +778,7 @@ class EventLoopRunner:
     # Cloud synchronization
     # ------------------------------------------------------------------
     def _on_cloud_sync(self, event: Event) -> None:
+        self._flush()
         index = event.data["index"]
         start = event.time
         finish = start + self.dep.cloud_device.sample_aggregation(self.rng)

@@ -162,7 +162,7 @@ class _StepClock:
     """Runner client that times the steps and computes nothing.
 
     The engine's schedule does not depend on the numerics, so every
-    hook but ``local_step`` is a no-op.
+    hook but ``local_steps`` is a no-op.
     """
 
     def __init__(self, topology: Topology):
@@ -172,17 +172,18 @@ class _StepClock:
         ]
 
     def bind(self, runner) -> None:
-        self.runner = runner
         # first_done[w, t-1]: when worker w first finished step t (0.0
         # if it skipped it after a resync).
         self.first_done = np.zeros(
             (runner.num_workers, runner.total_iterations)
         )
 
-    def local_step(self, worker: int, t: int) -> float:
-        if not self.first_done[worker, t - 1]:
-            self.first_done[worker, t - 1] = self.runner.last_event_time
-        return 0.0
+    def local_steps(self, workers, ts, times) -> list[float]:
+        first_done = self.first_done
+        for worker, t, time in zip(workers, ts, times):
+            if not first_done[worker, t - 1]:
+                first_done[worker, t - 1] = time
+        return [0.0] * len(workers)
 
     def _ignore(self, *args, **kwargs) -> None:
         pass

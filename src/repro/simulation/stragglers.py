@@ -64,6 +64,13 @@ class StragglerDevice:
         delays[stalls] *= self.factor
         return delays
 
+    def sample_iteration(self, rng: np.random.Generator) -> float:
+        """``sample_iterations(1, rng)[0]`` as scalar draws."""
+        delay = self.base.sample_iteration(rng)
+        if rng.random() < self.probability:
+            delay *= self.factor
+        return delay
+
     def sample_aggregation(
         self, rng: np.random.Generator | int | None = None
     ) -> float:

@@ -2,10 +2,11 @@
 
 Every ``gradient_all`` call runs the model's worker-axis program over
 the selected workers, gathered from the sample store; workers whose
-batch lengths differ are grouped by length.  The reference is the
-event clock's path, ``Federation.gradient`` one worker at a time, on
-an identically seeded federation: same mini-batch streams, same
-numbers bit for bit.  Also covered: the vectorized evaluation and the
+batch lengths differ are grouped by length.  The reference is
+``Federation.gradient``, the program's R = 1 case, one worker at a time
+on an identically seeded federation: same mini-batch streams, same
+numbers bit for bit.  (The event clock runs ``gradient_all`` too, one
+call per wave of worker steps.)  Also covered: the vectorized evaluation and the
 relaxed speed gate.
 """
 
@@ -105,7 +106,7 @@ def _program_rows(fed):
 
 
 def _per_row(fed, params, out, rows=slice(None)):
-    """The event clock's path: ``Federation.gradient`` worker by worker."""
+    """The one-row reference: ``Federation.gradient`` worker by worker."""
     workers = np.arange(fed.num_workers)[rows]
     return np.array(
         [fed.gradient(w, params[w], out=out[w])[1] for w in workers.tolist()]
@@ -157,7 +158,7 @@ class TestBackendSelection:
         np.testing.assert_array_equal(got, want)
 
     def test_loop_backend_forced(self):
-        """The per-worker loop is the event clock's path: each
+        """The per-worker loop of the reference: each
         ``Federation.gradient`` call is one program call at R = 1."""
         fed = _tabular_federation()
         rows = _program_rows(fed)
@@ -367,7 +368,7 @@ def _time_min(fn, repeats=5, iters=8):
 def test_batched_not_slower_than_loop():
     """CI-safe gate: one fleet pass must never lose to W one-row passes.
 
-    The slow side is the event clock's path, ``Federation.gradient``
+    The slow side is the one-row reference, ``Federation.gradient``
     once per worker, on the same program.  The authoritative >=3x bound
     lives in ``benchmarks/bench_batched.py``; here the fleet pass only
     has to be no slower (with headroom for timer noise), so a regression

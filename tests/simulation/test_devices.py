@@ -33,6 +33,19 @@ class TestDeviceProfile:
         b = device.sample_iterations(5, rng=42)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("sigma", [0.25, 0.0])
+    def test_scalar_draw_is_the_one_element_draw(self, sigma):
+        """The event engine's scalar draw gives the value of a size-1
+        draw and leaves the generator in the same state."""
+        device = DeviceProfile("x", 0.1, sigma=sigma)
+        for seed in range(50):
+            scalar, array = (np.random.default_rng(seed) for _ in range(2))
+            for _ in range(20):
+                delay = device.sample_iteration(scalar)
+                assert isinstance(delay, float)
+                assert delay == device.sample_iterations(1, array)[0]
+            assert scalar.bit_generator.state == array.bit_generator.state
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DeviceProfile("x", 0.0)

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.simulation import AsyncDeployment, worker_device_pool
+from repro.faults import FaultInjector, FaultPlan
+from repro.simulation import (
+    AsyncDeployment,
+    add_stragglers,
+    worker_device_pool,
+)
 from repro.simulation.engine import (
     EVENT_CLOUD_SYNC,
     EVENT_QUORUM_MET,
@@ -77,11 +82,14 @@ class StubClient:
         self.snapshots: list[int] = []
         self.completed: list[int] = []
 
-    def local_step(self, worker, t):
-        self.steps.append((worker, t))
-        if self.diverge_at is not None and t >= self.diverge_at:
-            return float("nan")
-        return 1.0
+    def local_steps(self, workers, ts, times):
+        self.steps.extend(zip(workers, ts))
+        return [
+            float("nan")
+            if self.diverge_at is not None and t >= self.diverge_at
+            else 1.0
+            for t in ts
+        ]
 
     def snapshot_stale(self, worker):
         self.snapshots.append(worker)
@@ -244,3 +252,154 @@ class TestStalenessBookkeeping:
             EventLoopRunner(
                 client, deployment, tau=3, total_iterations=6, rng=0
             )
+
+
+# ----------------------------------------------------------------------
+# Waves: the flush contract
+# ----------------------------------------------------------------------
+FAULT_QUERIES = (
+    "worker_mask", "edge_mask", "transfer_outcome", "stale_flags", "note_round",
+)
+
+
+class RecordingClient(StubClient):
+    """Logs every protocol call in order with the size of the runner's
+    queued wave and its last event time at that moment (a
+    ``local_steps`` call logs its rows).
+
+    ``nan_row`` makes the first wave that has that row return NaN
+    there; ``nan_call`` is that call's index in the log.
+    """
+
+    def __init__(self, nan_row=None, **kwargs):
+        super().__init__(**kwargs)
+        self.log: list[tuple] = []
+        self.nan_row = nan_row
+        self.nan_call = None
+        self.runner = None
+
+    def _note(self, name):
+        runner = self.runner
+        self.log.append((name, len(runner._wave), runner.last_event_time))
+
+    def local_steps(self, workers, ts, times):
+        self.log.append(
+            ("local_steps", list(workers), list(ts), list(times),
+             self.runner.uploads_sent)
+        )
+        losses = super().local_steps(workers, ts, times)
+        if self.nan_call is None and self.nan_row is not None and (
+            len(workers) > self.nan_row
+        ):
+            losses[self.nan_row] = float("nan")
+            self.nan_call = len(self.log) - 1
+        return losses
+
+    def snapshot_stale(self, worker):
+        self._note("snapshot_stale")
+        super().snapshot_stale(worker)
+
+    def resync_worker(self, worker, group):
+        self._note("resync_worker")
+        super().resync_worker(worker, group)
+
+    def close_round(self, *args, **kwargs):
+        self._note("close_round")
+        super().close_round(*args, **kwargs)
+
+    def cloud_sync(self, index, receivers):
+        self._note("cloud_sync")
+        super().cloud_sync(index, receivers)
+
+    def round_complete(self, round_index, time):
+        self._note("round_complete")
+        super().round_complete(round_index, time)
+
+
+class RecordingFaults:
+    """A fault injector whose queries log into the client's call log."""
+
+    def __init__(self, injector, client):
+        self._injector = injector
+        self._client = client
+
+    def __getattr__(self, name):
+        attribute = getattr(self._injector, name)
+        if name not in FAULT_QUERIES:
+            return attribute
+
+        def query(*args, **kwargs):
+            self._client._note(name)
+            return attribute(*args, **kwargs)
+
+        return query
+
+
+def recorded_run(client, *, total=30):
+    """8 workers under 2 edges at quorum 0.5, with stragglers, every
+    fault kind and a checkpoint hook at each barrier."""
+    deployment = AsyncDeployment(
+        add_stragglers(worker_device_pool(8), 0.3, 6.0),
+        payload_bytes=1e5,
+        quorum=0.5,
+    )
+    plan = FaultPlan(
+        seed=3, worker_dropout=0.1, edge_outage=0.1, msg_loss=0.1,
+        msg_duplication=0.1, msg_staleness=0.2,
+    )
+    runner = EventLoopRunner(
+        client, deployment, tau=3, pi=2, total_iterations=total, rng=4,
+        faults=FaultInjector(plan, num_workers=8, num_edges=2),
+    )
+    client.runner = runner
+    runner.faults = RecordingFaults(runner.faults, client)
+    runner.checkpoint_hook = lambda t: client._note("checkpoint_hook")
+    runner.run()
+    return runner
+
+
+def waves(log):
+    return [entry for entry in log if entry[0] == "local_steps"]
+
+
+class TestWaves:
+    def test_waves_hold_each_worker_once_in_event_order(self):
+        client = RecordingClient(num_workers=8, num_groups=2)
+        recorded_run(client)
+        steps = waves(client.log)
+        assert max(len(workers) for _, workers, *_ in steps) >= 3
+        assert sum(len(workers) for _, workers, *_ in steps) > len(steps)
+        for _, workers, ts, times, _ in steps:
+            assert len(set(workers)) == len(workers)
+            assert times == sorted(times)
+        # Concatenated, the waves are the steps in the order they popped.
+        every_time = [time for _, _, _, times, _ in steps for time in times]
+        assert every_time == sorted(every_time)
+
+    def test_every_other_call_finds_the_wave_empty(self):
+        client = RecordingClient(num_workers=8, num_groups=2)
+        recorded_run(client)
+        others = [entry for entry in client.log if entry[0] != "local_steps"]
+        assert {name for name, *_ in others} == {
+            "snapshot_stale", "resync_worker", "close_round", "cloud_sync",
+            "round_complete", "checkpoint_hook", *FAULT_QUERIES,
+        }
+        assert [entry for entry in others if entry[1]] == []
+
+    def test_nan_in_a_wave_stops_at_that_row(self):
+        client = RecordingClient(nan_row=1, num_workers=8, num_groups=2)
+        runner = recorded_run(client)
+        diverging = client.nan_call
+        _, workers, ts, times, uploads = client.log[diverging]
+        assert len(workers) >= 2
+        assert runner.diverged_at == ts[1]
+        assert np.isnan(runner.diverged_loss)
+        assert runner.last_event_time == times[1]
+        # No later client call or fault query, and no further upload.
+        assert diverging == len(client.log) - 1
+        assert all(
+            entry[2] <= times[1]
+            for entry in client.log if entry[0] != "local_steps"
+        )
+        assert runner.uploads_sent == uploads
+        assert runner.result is not None

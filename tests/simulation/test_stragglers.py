@@ -6,6 +6,7 @@ import pytest
 from repro.simulation import (
     DEVICE_PRESETS,
     AsyncDeployment,
+    DeviceProfile,
     Timeline,
     worker_device_pool,
 )
@@ -22,6 +23,22 @@ class TestStragglerDevice:
         a = wrapped.sample_iterations(20, rng=0)
         b = self.base().sample_iterations(20, rng=0)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("sigma", [0.25, 0.0])
+    def test_scalar_draw_is_the_one_element_draw(self, sigma):
+        """Scalar draws give the size-1 draws' value (stalled or not)
+        and leave the generator in the same state."""
+        base = DeviceProfile("x", 0.1, sigma=sigma)
+        wrapped = StragglerDevice(base, 0.5, 8.0)
+        stalled = 0
+        for seed in range(50):
+            scalar, array = (np.random.default_rng(seed) for _ in range(2))
+            for _ in range(20):
+                delay = wrapped.sample_iteration(scalar)
+                assert delay == wrapped.sample_iterations(1, array)[0]
+                stalled += delay > 2 * base.mean_seconds
+            assert scalar.bit_generator.state == array.bit_generator.state
+        assert 0 < stalled < 1000
 
     def test_stalls_increase_delays(self):
         wrapped = StragglerDevice(self.base(), 0.5, 10.0)

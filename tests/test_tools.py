@@ -91,6 +91,23 @@ class TestCheckBench:
         assert tool.main(["--fresh", str(fresh)]) == 1
         assert "exceeds the committed threshold" in capsys.readouterr().err
 
+    def test_per_key_thresholds(self, tmp_path, capsys):
+        """An entry gating two keys bounds each by its own threshold:
+        one more rebind call per arrival, or per rebind, fails."""
+        tool = load_tool("check_bench")
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        committed = json.loads((REPO / "BENCH_population.json").read_text())
+        for key in ("calls_per_arrival", "fixed_calls"):
+            document = json.loads(json.dumps(committed))
+            entry = document["entries"]["rebind_calls"]
+            entry[key] = entry["threshold"][key] + 1
+            (fresh / "BENCH_population.json").write_text(json.dumps(document))
+            assert tool.main(["--fresh", str(fresh)]) == 1
+            err = capsys.readouterr().err
+            assert f"population/rebind_calls.{key}" in err
+            assert err.count("REGRESSION") == 1
+
     def test_small_drop_within_tolerance_passes(self, tmp_path):
         tool = load_tool("check_bench")
         fresh = tmp_path / "fresh"
@@ -162,8 +179,9 @@ class TestFingerprint:
         kinds = [name.split("/")[0] for name in tool.MATRIX]
         counts = {kind: kinds.count(kind) for kind in kinds}
         # 15 sync and 3 CNN goldens; 4 workloads x 2 seeds;
-        # 2 async algorithms x 2 quorums x clean/faults; 4 populations
-        # and the short-shards one;
+        # 2 async algorithms x 2 quorums x clean/faults, plus the
+        # diverging, resnet10, track-mu and eta-schedule event-clock
+        # rows; 4 populations and the short-shards one;
         # both clocks with checkpoints and monitor, and crash-resumed;
         # the event simulator at 3 quorums; the coarse replay, three-tier
         # and flat, in 4 cases.  Fault rows: the zero plan per golden,
@@ -171,7 +189,7 @@ class TestFingerprint:
         # goldens and 3 plans x 3 policies on the 9 two-tier ones.
         assert counts == {
             "sync": 15, "cnn": 3, "faults": 15 + 6 * 15 + 9 * 9, "e2e": 8,
-            "async": 8, "population": 5, "lifecycle": 2, "resume": 2,
+            "async": 12, "population": 5, "lifecycle": 2, "resume": 2,
             "sim": 3, "timeline": 2 * 4,
         }
 

@@ -8,9 +8,11 @@ against the committed baselines and fails on a real regression:
 
 * ``higher_better`` keys (speedups, throughputs) must not drop more
   than ``--tolerance`` (default 20%) below the baseline value;
-* ``within_threshold`` keys (overhead ratios) must stay at or below
-  the entry's own committed ``threshold`` field — the same absolute
-  gate the bench asserts, re-checked from the recorded numbers.
+* ``within_threshold`` keys (overhead ratios, exact call counts) must
+  stay at or below the entry's own committed ``threshold`` field — the
+  same absolute gate the bench asserts, re-checked from the recorded
+  numbers.  An entry gating several keys records one threshold per key
+  (``threshold: {key: bound}``).
 
 Raw microsecond timings and raw rates are deliberately *not* gated:
 they shift with the machine, while ratios (speedup, overhead) are
@@ -65,6 +67,10 @@ GATES = {
     "population": {
         "bounded_memory": [("rss_ratio_1m_over_10k", "within_threshold")],
         "rebind_cost": [("rebind_over_draws", "within_threshold")],
+        "rebind_calls": [
+            ("fixed_calls", "within_threshold"),
+            ("calls_per_arrival", "within_threshold"),
+        ],
     },
     "telemetry": {
         "null_tracer_overhead": [("disabled_overhead", "within_threshold")],
@@ -119,6 +125,8 @@ def compare_entry(
                 )
         elif kind == "within_threshold":
             threshold = fresh.get("threshold")
+            if isinstance(threshold, dict):
+                threshold = threshold.get(key)
             if threshold is None:
                 notes.append(
                     f"{stem}/{entry}: no committed threshold, skipped"

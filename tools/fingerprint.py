@@ -36,6 +36,13 @@ The matrix (``MATRIX``):
   deployment) and 0.5 (the stragglers of
   ``tests/algorithms/test_async_equivalence.py``), without and with
   ``ASYNC_FAULTS``;
+* four more event-clock rows, each on state that a wave of worker
+  steps must keep in event order: ``async/AsyncHierAdMo/diverging``
+  (η=1e6 on an 8-worker MSE federation with stragglers and message
+  faults, stopping mid-run), ``async/AsyncHierAdMo/resnet10`` (batch
+  norm's running buffers at quorum 0.5 with ``ASYNC_FAULTS``),
+  ``async/AsyncHierAdMo/track-mu`` (eq. 30's norms) and
+  ``async/AsyncFedAvg/eta-schedule`` (a per-step η);
 * ``population/<name>``: HierAdMo, FedNAG, FedADC and AsyncHierAdMo on
   the sampled 24-client population with uneven ``ListShards`` of
   ``tests/population/test_virtual_equivalence.py``, and
@@ -100,15 +107,21 @@ if __name__ == "__main__":
 import numpy as np  # noqa: E402
 
 from benchmarks.e2e.workloads import WORKLOADS, build as build_workload  # noqa: E402
-from repro.algorithms import ASYNC_ALGORITHM_REGISTRY, TwoTierAlgorithm  # noqa: E402
+from repro.algorithms import (  # noqa: E402
+    ASYNC_ALGORITHM_REGISTRY, AsyncHierAdMo, TwoTierAlgorithm,
+)
 from repro.checkpoint import CheckpointManager  # noqa: E402
 from repro.checkpoint.format import read_manifest  # noqa: E402
-from repro.core import HierAdMo  # noqa: E402
-from repro.data import Dataset  # noqa: E402
+from repro.core import Federation, HierAdMo  # noqa: E402
+from repro.data import (  # noqa: E402
+    Dataset, make_synthetic_mnist, partition_xclass, train_test_split,
+)
 from repro.data.shards import ListShards  # noqa: E402
 from repro.faults import DEGRADATION_POLICIES, FaultPlan, InjectedCrash  # noqa: E402
 from repro.monitoring import RingBufferSink, default_monitors, monitoring  # noqa: E402
-from repro.nn.models import make_logistic_regression  # noqa: E402
+from repro.nn.models import (  # noqa: E402
+    make_linear_regression, make_logistic_regression, make_resnet,
+)
 from repro.population import ClientRegistry, PopulationBinder  # noqa: E402
 from repro.simulation import (  # noqa: E402
     AsyncDeployment, EventDrivenSimulator, RetryPolicy, Timeline, add_stragglers,
@@ -221,6 +234,61 @@ def _async(name: str, quorum: float, faulted: bool) -> dict:
     algorithm = _async_algorithm(name, quorum)
     if faulted:
         algorithm.attach_faults(ASYNC_FAULTS)
+    return _ran(algorithm, goldens.TOTAL_ITERATIONS, goldens.EVAL_EVERY)
+
+
+def _diverging() -> dict:
+    """AsyncHierAdMo at eta=1e6 on the MSE federation of
+    ``tests/core/test_divergence_guard.py`` widened to 2 x 4 workers,
+    under stragglers and message faults: it stops mid-run."""
+    def dataset(seed):
+        rng = np.random.default_rng(seed)
+        return Dataset(rng.normal(size=(20, 5)), rng.integers(0, 3, 20), 3)
+
+    edges = [[dataset(s) for s in (1, 2, 3, 4)], [dataset(s) for s in (5, 6, 7, 8)]]
+    federation = Federation(
+        make_linear_regression(5, 3, rng=5), edges, edges[0][0], batch_size=8, seed=0
+    )
+    algorithm = AsyncHierAdMo(
+        federation, eta=1e6, tau=3, pi=2,
+        deployment=straggler_deployment(0.5, num_workers=8), sim_rng=4,
+    )
+    algorithm.attach_faults(FaultPlan(
+        seed=3, worker_dropout=0.1, msg_loss=0.1, msg_staleness=0.1,
+        msg_duplication=0.05,
+    ))
+    return _ran(algorithm, 60, 6)
+
+
+def _resnet() -> dict:
+    """AsyncHierAdMo on a batch-norm ResNet at quorum 0.5 with faults."""
+    corpus = make_synthetic_mnist(240, image_size=8, rng=21)
+    train, test = train_test_split(corpus, 0.25, rng=22)
+    parts = partition_xclass(train, 4, 3, rng=23)
+    model = make_resnet("resnet10", 1, 10, width_multiplier=1 / 16, rng=24)
+    federation = Federation(model, [parts[0:2], parts[2:4]], test, batch_size=8, seed=25)
+    algorithm = AsyncHierAdMo(
+        federation, eta=0.05, tau=3, pi=2, deployment=straggler_deployment(0.5)
+    )
+    algorithm.attach_faults(ASYNC_FAULTS)
+    return _ran(algorithm, goldens.CNN_ITERATIONS, goldens.EVAL_EVERY)
+
+
+def _track_mu() -> dict:
+    """AsyncHierAdMo at quorum 0.5 recording eq. 30's norms, in order
+    (checkpoint values, so digested with the rest)."""
+    _, kwargs = goldens.ALGORITHMS["HierAdMo"]
+    algorithm = AsyncHierAdMo(
+        goldens.build_federation(), deployment=straggler_deployment(0.5),
+        track_mu=True, **kwargs,
+    )
+    return _ran(algorithm, goldens.TOTAL_ITERATIONS, goldens.EVAL_EVERY)
+
+
+def _eta_schedule() -> dict:
+    """AsyncFedAvg at quorum 0.5 whose eta halves every 5 iterations."""
+    algorithm = _async_algorithm("AsyncFedAvg", 0.5)
+    algorithm.eta_schedule = lambda t: 0.05 * 0.5 ** (t // 5)
     return _ran(algorithm, goldens.TOTAL_ITERATIONS, goldens.EVAL_EVERY)
 
 
@@ -411,6 +479,10 @@ MATRIX = {
         for quorum in (1.0, 0.5)
         for faulted in (False, True)
     },
+    "async/AsyncHierAdMo/diverging": _diverging,
+    "async/AsyncHierAdMo/resnet10": _resnet,
+    "async/AsyncHierAdMo/track-mu": _track_mu,
+    "async/AsyncFedAvg/eta-schedule": _eta_schedule,
     **{
         f"population/{name}": partial(_population, name)
         for name in POPULATION_NAMES
