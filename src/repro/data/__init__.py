@@ -6,7 +6,7 @@ from repro.data.diagnostics import (
     js_divergence_from_global,
     label_distribution_matrix,
 )
-from repro.data.loader import BatchSampler, SampleStore
+from repro.data.loader import SampleStore
 from repro.data.real import (
     load_mnist_idx,
     load_or_synthesize,
@@ -34,7 +34,6 @@ from repro.data.synthetic import (
 __all__ = [
     "Dataset",
     "train_test_split",
-    "BatchSampler",
     "SampleStore",
     "partition",
     "partition_iid",

@@ -1,13 +1,12 @@
-"""Mini-batch sampling.
+"""Mini-batch sampling: the federation's sample store.
 
-A batch stream cycles through reshuffled epochs of its dataset, yielding
-fixed-size batches forever — the per-iteration mini-batch SGD of
-Algorithm 1 (the paper uses batch size 64) — with permutations from its
-own generator, so every experiment's gradient sequence is reproducible.
-:class:`BatchSampler` is one stream (the centralized trainer's);
-:class:`SampleStore` holds every worker's stream of a federation, row
-``w`` yielding a :class:`BatchSampler`'s batches over worker ``w``'s
-dataset and generator.
+A worker's batch stream cycles through reshuffled epochs of its dataset,
+yielding fixed-size batches forever — the per-iteration mini-batch SGD
+of Algorithm 1 (the paper uses batch size 64) — with permutations from
+the worker's own generator, so every experiment's gradient sequence is
+reproducible.  :class:`SampleStore` holds every worker's stream of a
+federation as one row of fixed-width arrays; centralized training is
+the one-row store of a one-worker federation.
 """
 
 from __future__ import annotations
@@ -15,42 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.base import Dataset
-from repro.utils.rng import make_rng
 from repro.utils.validation import check_positive_int
 
-__all__ = ["BatchSampler", "SampleStore"]
-
-
-class BatchSampler:
-    """Infinite stream of shuffled mini-batches over a dataset."""
-
-    def __init__(
-        self,
-        dataset: Dataset,
-        batch_size: int,
-        rng: np.random.Generator | int | None = None,
-    ):
-        # The empty-dataset check must come first: an empty dataset is the
-        # more fundamental problem, and clamping batch_size against
-        # len(dataset) == 0 would otherwise report a batch-size error.
-        if len(dataset) == 0:
-            raise ValueError("cannot sample from an empty dataset")
-        self.dataset = dataset
-        self.batch_size = min(
-            check_positive_int(batch_size, "batch_size"), len(dataset)
-        )
-        self.rng = make_rng(rng)
-        self._order = self.rng.permutation(len(dataset))
-        self._cursor = 0
-
-    def next_batch(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return the next ``(x, y)`` mini-batch, reshuffling per epoch."""
-        if self._cursor + self.batch_size > self._order.size:
-            self._order = self.rng.permutation(len(self.dataset))
-            self._cursor = 0
-        take = self._order[self._cursor : self._cursor + self.batch_size]
-        self._cursor += self.batch_size
-        return self.dataset.x[take], self.dataset.y[take]
+__all__ = ["SampleStore"]
 
 
 class SampleStore:

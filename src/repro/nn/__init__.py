@@ -14,9 +14,7 @@ from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.norm import BatchNorm1d, BatchNorm2d
 from repro.nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from repro.nn.reshape import Flatten
-from repro.nn.serialization import load_weights, save_weights
 from repro.nn.supervised import SupervisedModel
-from repro.nn.trainer import CentralizedTrainer
 
 __all__ = [
     "Module",
@@ -39,7 +37,4 @@ __all__ = [
     "MSELoss",
     "SoftmaxCrossEntropyLoss",
     "SupervisedModel",
-    "save_weights",
-    "load_weights",
-    "CentralizedTrainer",
 ]

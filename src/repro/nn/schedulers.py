@@ -1,8 +1,9 @@
 """Learning-rate schedules.
 
-Schedules return the learning rate for iteration ``t`` (0-indexed); the
-federated runners can pass ``eta_schedule`` hooks through to workers,
-and the centralized optimizers accept a new ``lr`` per step.
+Schedules return the learning rate for iteration ``t`` (0-indexed); an
+algorithm's ``eta_schedule`` hook takes one, and every worker step reads
+its η from it.  A centralized run is a one-worker federation, so it
+takes the same hook.
 """
 
 from __future__ import annotations

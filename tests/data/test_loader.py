@@ -1,4 +1,4 @@
-"""Tests for mini-batch samplers and the federation's sample store."""
+"""Tests for the federation's sample store and its batch-stream oracle."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,10 @@ from repro.checkpoint.state import (
     rng_state,
 )
 from repro.core import Federation
-from repro.data import BatchSampler, Dataset, SampleStore
+from repro.data import Dataset, SampleStore
 from repro.nn.models import make_logistic_regression
 from repro.utils.rng import child_seed
+from tests.data.sampler import BatchSampler
 
 
 def toy(n=10):
@@ -103,8 +104,7 @@ def _federation(datasets, batch_size):
 
 def _draw(store, selector):
     """(rows, batches) of one call: ``gather`` on a selector while the
-    batch lengths agree, else each selected row's ``next_batch`` (what
-    the federation's loop fallback does)."""
+    batch lengths agree, else each selected row's ``next_batch``."""
     kind, picks = selector
     workers = np.arange(len(store.rngs))
     if kind == "row":

@@ -33,12 +33,12 @@ from repro.data import (
     partition_xclass,
     train_test_split,
 )
-from repro.data.loader import BatchSampler
 from repro.data.shards import ListShards, PrototypeShards
 from repro.faults import FaultPlan, InjectedCrash
 from repro.nn.models import make_logistic_regression
 from repro.population import ClientRegistry, PopulationBinder
 from repro.utils.rng import child_seed
+from tests.data.sampler import BatchSampler
 from tests.integration.test_golden_trajectories import (
     ALGORITHMS,
     EVAL_EVERY,

@@ -5,6 +5,7 @@ import importlib
 import pytest
 
 import repro
+from tests.test_tools import load_gen_api_doc
 
 
 class TestTopLevel:
@@ -16,25 +17,7 @@ class TestTopLevel:
             assert hasattr(repro, name), name
 
     @pytest.mark.parametrize(
-        "module",
-        [
-            "repro.nn",
-            "repro.nn.models",
-            "repro.nn.optim",
-            "repro.nn.schedulers",
-            "repro.data",
-            "repro.topology",
-            "repro.core",
-            "repro.algorithms",
-            "repro.faults",
-            "repro.simulation",
-            "repro.theory",
-            "repro.metrics",
-            "repro.experiments",
-            "repro.compression",
-            "repro.utils",
-            "repro.cli",
-        ],
+        "module", [*load_gen_api_doc().MODULES, "repro.cli"]
     )
     def test_submodule_all_resolves(self, module):
         mod = importlib.import_module(module)
@@ -47,7 +30,13 @@ class TestTopLevel:
         assert set(THREE_TIER_ALGORITHMS) | set(TWO_TIER_ALGORITHMS) == set(
             ALGORITHM_REGISTRY
         )
-        assert len(ALGORITHM_REGISTRY) == 11  # HierAdMo + HierAdMo-R + 9?
+        assert set(ALGORITHM_REGISTRY) == {
+            # three-tier
+            "HierAdMo", "HierAdMo-R", "HierFAVG", "CFL",
+            # two-tier
+            "FastSlowMo", "FedADC", "FedMom", "SlowMo", "FedNAG", "Mime",
+            "FedAvg",
+        }
 
     def test_registry_names_match_class_names(self):
         from repro import ALGORITHM_REGISTRY

@@ -2,10 +2,13 @@
 
 import importlib.util
 import json
+import pkgutil
 import sys
 from pathlib import Path
 
 import numpy as np
+
+import repro
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -32,10 +35,19 @@ class TestGenApiDoc:
         assert after == before  # committed doc is in sync with the code
 
     def test_covers_all_public_modules(self):
+        """Every subpackage of ``repro`` is in ``MODULES``, and every
+        module there has its section in the committed doc."""
         tool = load_gen_api_doc()
+        packages = {
+            info.name
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if info.ispkg
+        }
+        missing = packages - set(tool.MODULES)
+        assert not missing, sorted(missing)
         text = (REPO / "docs" / "api.md").read_text()
         for module in tool.MODULES:
-            assert f"`{module}`" in text
+            assert f"## `{module}`" in text
 
     def test_every_row_has_summary(self):
         text = (REPO / "docs" / "api.md").read_text()

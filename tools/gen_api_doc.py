@@ -16,7 +16,6 @@ MODULES = [
     "repro",
     "repro.nn",
     "repro.nn.models",
-    "repro.nn.optim",
     "repro.nn.schedulers",
     "repro.data",
     "repro.topology",
@@ -25,6 +24,7 @@ MODULES = [
     "repro.checkpoint",
     "repro.faults",
     "repro.simulation",
+    "repro.population",
     "repro.compression",
     "repro.theory",
     "repro.telemetry",
