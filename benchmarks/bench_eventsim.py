@@ -7,11 +7,15 @@ Quantifies two deployment questions the coarse timeline cannot answer:
 * how much a straggler-tolerant edge quorum buys under heavy-tail
   worker delays,
 
-plus two gates on the execution engine itself, recorded to
+plus three gates on the execution engine itself, recorded to
 ``BENCH_eventsim.json``:
 
 * event-processing throughput of a full async training run, gated as
-  events per probe loop (``benchmarks.timing.rate_per_probe``), and
+  events per probe loop (``benchmarks.timing.rate_per_probe``),
+* its exact companion, ``engine_waves``: the waves (``local_steps``
+  calls) in which seed-1 ``async_stragglers`` runs its 14,200 worker
+  steps, pinned at the recorded count, so an engine that flushes its
+  wave more often fails on any host, and
 * async-vs-sync simulated time-to-accuracy under stragglers — the
   whole point of quorum-based closure is that partial rounds reach the
   same accuracy in far less simulated wall-clock time.
@@ -35,6 +39,7 @@ from repro.simulation import (
 from repro.topology import Topology
 
 from .conftest import run_once
+from .e2e.workloads import WORKLOADS, build
 from .recorder import record_bench
 from .timing import rate_per_probe
 
@@ -44,6 +49,11 @@ PAYLOAD = 8e5  # ~100k float64 parameters
 # the initial eval, short enough to keep the bench under a second.
 TRAIN_ITERATIONS = 60
 MIN_EVENTS_PER_SEC = 200.0
+# Seed-1 async_stragglers at its full plan: 14,200 worker steps, run in
+# 3,091 waves since the pure fault queries stopped flushing the wave
+# (4,554 when each upload's transfer_outcome flushed it).
+WAVES_STEPS = 14_200
+MAX_WAVES = 3_091
 
 
 def _make_federation(num_edges=2, per_edge=4, seed=7):
@@ -157,6 +167,43 @@ def test_bench_engine_event_throughput(benchmark):
         },
     )
     assert rate > MIN_EVENTS_PER_SEC
+
+
+def test_bench_engine_waves():
+    """The waves of seed-1 ``async_stragglers``, counted exactly.
+
+    Built as ``tools/fingerprint.py`` builds it (the e2e workload at its
+    full plan, no checkpoints, no monitor); every ``local_steps`` call
+    the engine makes is one wave.
+    """
+    spec = WORKLOADS["async_stragglers"]
+    _, algorithm = build(spec, 1, spec.full)
+    calls = []
+    local_steps = algorithm.local_steps
+
+    def counted(workers, ts, times):
+        calls.append(len(workers))
+        return local_steps(workers, ts, times)
+
+    algorithm.local_steps = counted
+    algorithm.run(spec.full.iterations, eval_every=spec.full.eval_every)
+    waves, steps = len(calls), sum(calls)
+    print(f"\n[bench] async_stragglers seed 1: {steps} steps in {waves} "
+          f"waves ({steps / waves:.2f} per wave, pin {MAX_WAVES})")
+    record_bench(
+        "eventsim",
+        "engine_waves",
+        {
+            "workload": "async_stragglers",
+            "seed": 1,
+            "steps": steps,
+            "waves": waves,
+            "steps_per_wave": round(steps / waves, 3),
+            "threshold": MAX_WAVES,
+        },
+    )
+    assert steps == WAVES_STEPS
+    assert waves <= MAX_WAVES, f"{waves} waves (pin {MAX_WAVES})"
 
 
 def test_bench_async_vs_sync_time_to_accuracy(benchmark):

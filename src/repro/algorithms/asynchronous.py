@@ -6,8 +6,9 @@ lockstep clock: each worker's gradient steps fire at its simulated
 completion time, and aggregation closes on whatever model versions have
 arrived when the edge quorum is met.  The engine hands the steps that
 finished between two of its decisions over as one wave:
-``local_steps`` runs them as one ``Federation.gradient_all`` call and
-one worker rule over their rows, in event order.  Two variants ship:
+``local_steps`` runs them as one ``Federation.gradient_all`` call, then
+applies the worker rule in place on each row, in event order.  Two
+variants ship:
 
 * :class:`AsyncFedAvg` — workers under the cloud directly; round
   closure averages the fresh arrivals plus any buffered stale uploads
@@ -60,8 +61,8 @@ class AsyncExecutionMixin:
     Mix in *before* the algorithm class.  Swaps the run's lockstep clock
     for the event clock (``FLAlgorithm.run`` stays the driver) and
     implements the runner's client protocol.  Each wave of worker steps
-    applies the lockstep worker rule ``_local_update`` to its rows.  A
-    closure that aggregates calls the concrete subclass's
+    applies the lockstep worker rule ``_local_update`` to each of its
+    rows.  A closure that aggregates calls the concrete subclass's
     ``_merge_arrivals``; ``resync_worker`` and ``cloud_sync`` come from
     the subclass too.
     """
@@ -181,26 +182,30 @@ class AsyncExecutionMixin:
 
     def local_steps(self, workers, ts, times) -> np.ndarray:
         """One gradient step of each ``workers[i]`` at nominal iteration
-        ``ts[i]``: one program call and one worker rule over their rows.
+        ``ts[i]``: one program call over their rows, then the worker rule
+        in place on each row.
 
         The rows stay in the engine's event order, so batch norm folds
         its running buffers, ``track_mu`` appends its norms and the
         train-loss window adds the losses in the order the steps
-        finished.  With an ``eta_schedule`` each row steps with η(t−1)
-        of its own ``t``.
+        finished.  The rule runs once per row on ``slice(w, w + 1)``, so
+        it reads and writes views of the worker's rows, not gathered
+        copies; with an ``eta_schedule`` ``self.eta`` is that row's
+        η(t−1).
         """
-        rows = np.array(workers)
         schedule = self.eta_schedule
         if schedule is not None:
             etas = [
                 check_positive(schedule(t - 1), "scheduled eta") for t in ts
             ]
-            self.eta = np.array(etas)[:, None]
         with get_tracer().span("worker_step"):
-            losses = self.fed.gradient_all(self.x, rows=rows, out=self._grads)
-            self._local_update(rows)
-        if schedule is not None:
-            self.eta = etas[-1]
+            losses = self.fed.gradient_all(
+                self.x, rows=np.array(workers), out=self._grads
+            )
+            for row, worker in enumerate(workers):
+                if schedule is not None:
+                    self.eta = etas[row]
+                self._local_update(slice(worker, worker + 1))
         for loss in losses.tolist():
             self._loss_sum += loss
         self._loss_count += len(workers)

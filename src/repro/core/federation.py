@@ -154,8 +154,10 @@ class Federation:
     ) -> tuple[np.ndarray, float]:
         """``(∇F_{i,ℓ}(params), batch loss)`` on worker's next mini-batch.
 
-        ``out``, when given, receives the gradient in place (the stacked
-        hot path passes its grad-matrix row to avoid an allocation).
+        ``out``, when given, receives the gradient in place.  No run
+        path calls this: it is the R = 1 reference that the tests and
+        ``benchmarks/bench_batched.py`` check :meth:`gradient_all`
+        against.
         """
         x, y = self.store.next_batch(worker)
         return self.model.gradient(x, y, params, out=out)
@@ -194,11 +196,13 @@ class Federation:
 
     def _run(self, params, rows, out) -> np.ndarray:
         xs, ys = self.store.gather(rows)
-        grads = out[rows]
+        if isinstance(rows, slice):
+            return self.model.gradient_all(params[rows], xs, ys, out[rows])
+        # An index selection's rows are not a view of ``out``: the program
+        # fills a fresh block, which is scattered back.
+        grads = np.empty((len(rows), out.shape[1]), dtype=out.dtype)
         losses = self.model.gradient_all(params[rows], xs, ys, grads)
-        if not isinstance(rows, slice):
-            # An index array gathered a copy; scatter it back.
-            out[rows] = grads
+        out[rows] = grads
         return losses
 
     # ------------------------------------------------------------------

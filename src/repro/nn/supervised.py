@@ -172,8 +172,9 @@ class SupervisedModel:
         The program at ``R = 1``: evaluated at ``params`` when given
         (the module's own parameters are not touched), else at the
         module's parameters.  ``out``, when given, receives the gradient
-        in place and is returned (the federated event clock passes its
-        grad-matrix row).
+        in place and is returned.  The tests and
+        ``benchmarks/bench_batched.py`` use it as the R = 1 reference for
+        :meth:`gradient_all`; ``repro.theory`` calls it without ``out``.
         """
         if params is None:
             params = self.module.flat_buffer().data

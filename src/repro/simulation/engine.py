@@ -54,25 +54,34 @@ wave) as one ``local_steps`` call before anything that could observe
 them or be observed after them:
 
 * every other client call (``snapshot_stale``, ``resync_worker``,
-  ``close_round``, ``cloud_sync``, ``round_complete``), so every
-  quorum and cloud event flushes first;
-* every fault-injector query: an upload's ``transfer_outcome`` and
-  ``stale_flags``, and a ``worker_mask`` for an iteration not yet
-  cached;
+  ``close_round``, ``cloud_sync``, ``round_complete``), so every late
+  upload and every quorum and cloud event flushes first;
 * the checkpoint hook, so a checkpoint never sees a queued step;
 * queuing a second step of a worker already in the wave;
 * the end of :meth:`EventLoopRunner.run`.
 
-Between two flushes the runner touches only its own clocks, heap and
-generator, so every client call, fault draw and checkpoint happens in
-the same state as when each step ran at its pop.  A scripted crash
-(``maybe_crash``) drops the queued wave, as a killed process loses its
-uncheckpointed work.  The runner reads a wave's losses in event order:
-the first non-finite one sets ``diverged_at``, ``diverged_loss`` and
-``last_event_time`` (that step's event time), and with
-``stop_on_divergence`` nothing runs after it.  Rows queued behind it may
-already have been computed; they are never billed, aggregated or
-evaluated.  The runner's own counters (``queue.processed``,
+The fault queries the runner makes while popping (an upload's
+``transfer_outcome`` and ``stale_flags``, a ``worker_mask`` for an
+iteration not yet cached) do not flush: each is a pure function of the
+plan seed and a message sequence number or an iteration, and reads no
+client state.  ``edge_mask`` and ``note_round`` run after a closure's
+flush.  Between two flushes the runner touches only its own clocks,
+heap and generator and the injector's tallies, so every client call,
+fault draw and checkpoint happens in the same state as when each step
+ran at its pop.  A scripted crash (``maybe_crash``) drops the queued
+wave, as a killed process loses its uncheckpointed work.
+
+The runner reads a wave's losses in event order: the first non-finite
+one sets ``diverged_at``, ``diverged_loss`` and ``last_event_time``
+(that step's event time), and with ``stop_on_divergence`` nothing runs
+after it.  Rows queued behind it may already have been computed; they
+are never billed, aggregated or evaluated.  The fault queries made
+after the diverging step was queued are undone too: before each query
+made while a wave is queued, the runner marks the injector's tallies
+(:meth:`~repro.faults.FaultInjector.mark`), and it rewinds the injector
+to the first mark taken after that row was queued, so
+``fault_summary`` counts what a run stepping at each pop would have
+realized.  The runner's own counters (``queue.processed``,
 ``uploads_sent``, the ``eventsim.*`` tracer counts) can include events
 popped after the diverging step, before its wave ran.
 
@@ -365,6 +374,9 @@ class EventLoopRunner:
         # The wave: worker -> (t, event time) of each queued step, in
         # event order (dicts keep insertion order).
         self._wave: dict[int, tuple[int, float]] = {}
+        # The injector's tallies before the fault queries made while the
+        # wave is queued: (rows queued, mark), the first at each size.
+        self._marks: list[tuple[int, tuple]] = []
         self._edge_records: list[EdgeRoundRecord] = []
         self._cloud_records: list[CloudRoundRecord] = []
 
@@ -470,7 +482,7 @@ class EventLoopRunner:
         if self.faults is None:
             return True
         if t not in self._worker_masks:
-            self._flush()
+            self._mark()
             self._worker_masks[t] = self.faults.worker_mask(t)
         mask = self._worker_masks[t]
         return mask is None or bool(mask[worker])
@@ -491,32 +503,45 @@ class EventLoopRunner:
         else:
             self._send_upload(worker, event.time)
 
+    def _mark(self) -> None:
+        """Mark the injector's tallies before a fault query made while a
+        wave is queued, so a diverging row can rewind the queries made
+        after it was queued (only the first mark at a wave size counts).
+        """
+        queued = len(self._wave)
+        if queued and (not self._marks or self._marks[-1][0] != queued):
+            self._marks.append((queued, self.faults.mark()))
+
     def _flush(self) -> None:
         """Run the queued wave as one ``local_steps`` call.
 
         Raises :class:`_Diverged` at the first non-finite loss when the
-        run stops on divergence, so nothing runs after that step.
+        run stops on divergence, so nothing runs after that step, and
+        rewinds the fault queries made after that row was queued.
         """
         wave = self._wave
         if not wave:
             return
         self._wave = {}
+        marks, self._marks = self._marks, []
         ts, times = zip(*wave.values())
         losses = self.client.local_steps(list(wave), ts, times)
-        for t, time, loss in zip(ts, times, losses):
+        for row, (t, time, loss) in enumerate(zip(ts, times, losses)):
             if not math.isfinite(loss):
                 self.diverged_at = t
                 self.diverged_loss = float(loss)
                 if self.stop_on_divergence:
                     self.last_event_time = time
+                    for queued, mark in marks:
+                        if queued > row:
+                            self.faults.rewind(mark)
+                            break
                     raise _Diverged
 
     # ------------------------------------------------------------------
     # Uploads and the per-group message buffer
     # ------------------------------------------------------------------
     def _send_upload(self, worker: int, time: float) -> None:
-        if self.faults is not None:
-            self._flush()
         group = int(self._group_of[worker])
         self._phase[worker] = _WAITING
         self.uploads_sent += 1
@@ -524,6 +549,7 @@ class EventLoopRunner:
         failed = False
         stale_forced = False
         if self.faults is not None:
+            self._mark()
             outcome = self.faults.transfer_outcome(1)
             retries = outcome.retries
             # Duplicates are billed (the wire moved them) but have no

@@ -62,14 +62,14 @@ def _tabular_federation(
     return Federation(model, edges, test, batch_size=batch_size, seed=seed)
 
 
-def _image_federation(model=None):
+def _image_federation(model=None, workers=2):
     rng = np.random.default_rng(3)
     edges = [
         [
             Dataset(
                 rng.normal(size=(12, 1, 8, 8)), rng.integers(0, 4, 12), 4
             )
-            for _ in range(2)
+            for _ in range(workers)
         ]
     ]
     test = Dataset(rng.normal(size=(8, 1, 8, 8)), rng.integers(0, 4, 8), 4)
@@ -299,6 +299,41 @@ class TestSamplerPathEquivalence:
         np.testing.assert_array_equal(got_losses, want_losses)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got[1], -1.0)  # untouched row
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            None,
+            lambda: make_cnn(1, 8, 4, rng=5),
+            lambda: make_resnet(
+                "resnet10", 1, 4, width_multiplier=1 / 16, rng=7
+            ),
+        ],
+        ids=["logistic", "cnn", "resnet10"],
+    )
+    def test_index_selection_writes_only_its_rows(self, factory):
+        """An index selection's gradients land in their rows of a
+        NaN-filled ``out``, equal bit for bit to the one-row reference;
+        every other row stays NaN."""
+        if factory is None:
+            batched, loop = self._both(counts=((24, 40), (32, 16)))
+        else:
+            batched, loop = (
+                _image_federation(model=factory(), workers=4)
+                for _ in range(2)
+            )
+        params = np.random.default_rng(12).normal(
+            size=(batched.num_workers, batched.dim), scale=0.2
+        )
+        rows = np.array([3, 0, 2])
+        got = np.full_like(params, np.nan)
+        want = np.full_like(params, np.nan)
+        got_losses = batched.gradient_all(params, rows=rows, out=got)
+        want_losses = _per_row(loop, params, want, rows)
+        np.testing.assert_array_equal(got_losses, want_losses)
+        assert np.isfinite(got[rows]).all()
+        np.testing.assert_array_equal(got[rows], want[rows])
+        assert np.isnan(got[1]).all()
 
     def test_nonfinite_params_fall_back_to_loop_semantics(self):
         """A diverged row gets a NaN gradient and loss, as one worker's

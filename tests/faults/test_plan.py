@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.checkpoint.state import injector_state, restore_injector
 from repro.faults import (
     DEGRADATION_POLICIES,
     FaultInjector,
@@ -12,6 +13,8 @@ from repro.faults import (
     NO_TRANSFER_FAULTS,
     check_policy,
 )
+from repro.faults.injector import MSG_BLOCK
+from repro.utils.rng import child_seed
 
 pytestmark = pytest.mark.faults
 
@@ -122,6 +125,123 @@ class TestInjectorDeterminism:
         matrix = np.ones((2, 3))
         assert injector.stale_substitute("cloud.x", matrix) is matrix
         assert all(v == 0 for v in injector.counts.values())
+
+
+class ReferenceMessageFaults:
+    """The message-fault queries as the plan defines them, one transfer
+    at a time: query k draws from a fresh
+    ``default_rng(child_seed(seed, "msg", k))``.  Covers plans with loss,
+    duplication and staleness all on."""
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.sequence = 0
+        self.counts = {
+            "fault.retry": 0, "fault.msg_loss": 0, "fault.msg_dup": 0,
+            "fault.msg_stale": 0,
+        }
+
+    def _rng(self):
+        self.sequence += 1
+        return np.random.default_rng(
+            child_seed(self.plan.seed, "msg", self.sequence)
+        )
+
+    def transfer_outcome(self):
+        """``(retries, duplicates, failed)`` of one transfer."""
+        plan = self.plan
+        rng = self._rng()
+        attempts = rng.random((plan.max_retries + 1, 1))[:, 0]
+        lost = [draw < plan.msg_loss for draw in attempts]
+        failed = all(lost)
+        retries = plan.max_retries if failed else lost.index(False)
+        duplicate = rng.random(1)[0] < plan.msg_duplication and not failed
+        self.counts["fault.retry"] += retries
+        self.counts["fault.msg_loss"] += int(failed)
+        self.counts["fault.msg_dup"] += int(duplicate)
+        return retries, int(duplicate), (0,) if failed else ()
+
+    def stale_flag(self):
+        stale = self._rng().random(1)[0] < self.plan.msg_staleness
+        self.counts["fault.msg_stale"] += int(stale)
+        return stale
+
+
+class TestMessageStreams:
+    """Batch-seeded message streams against per-query seeding."""
+
+    PLAN = FaultPlan(
+        seed=3, msg_loss=0.1, msg_duplication=0.1, msg_staleness=0.2
+    )
+    KEYS = ("fault.retry", "fault.msg_loss", "fault.msg_dup",
+            "fault.msg_stale")
+
+    def _agree(self, injector, reference, queries):
+        for _ in range(queries):
+            outcome = injector.transfer_outcome(1)
+            assert (
+                outcome.retries, outcome.duplicates, outcome.failed
+            ) == reference.transfer_outcome()
+            flags = injector.stale_flags(1)
+            assert (flags is not None) == reference.stale_flag()
+        assert injector._msg_sequence == reference.sequence
+        assert {
+            key: injector.counts[key] for key in self.KEYS
+        } == reference.counts
+
+    @pytest.mark.parametrize("max_retries", [None, 0])
+    def test_every_query_matches_fresh_seeding(self, max_retries):
+        """Over three blocks; without retries a lost transfer fails."""
+        plan = self.PLAN
+        if max_retries is not None:
+            plan = FaultPlan(**{**plan.to_dict(), "max_retries": max_retries})
+        injector = FaultInjector(plan, num_workers=4, num_edges=2)
+        reference = ReferenceMessageFaults(plan)
+        # Two sequence numbers per pair of queries.
+        self._agree(injector, reference, 3 * MSG_BLOCK // 2 + 7)
+        assert reference.sequence > 3 * MSG_BLOCK
+        realized = "fault.msg_loss" if max_retries == 0 else "fault.retry"
+        for key in (realized, "fault.msg_dup", "fault.msg_stale"):
+            assert reference.counts[key] > 0
+
+    def test_reset_replays_from_the_start(self):
+        injector = FaultInjector(self.PLAN, num_workers=4, num_edges=2)
+        self._agree(injector, ReferenceMessageFaults(self.PLAN), 150)
+        injector.reset()
+        self._agree(injector, ReferenceMessageFaults(self.PLAN), 300)
+
+    def test_restored_sequence_moves_back_and_forward(self):
+        """As a checkpoint restore sets it: back into an earlier block,
+        then forward past the seeded one."""
+        injector = FaultInjector(self.PLAN, num_workers=4, num_edges=2)
+        reference = ReferenceMessageFaults(self.PLAN)
+        snapshots = []
+        for queries in (40, 2 * MSG_BLOCK):
+            self._agree(injector, reference, queries)
+            snapshots.append(
+                (injector_state(injector), reference.sequence,
+                 dict(reference.counts))
+            )
+        early, late = snapshots
+        for state, sequence, counts in (early, late, early):
+            injector.reset()
+            restore_injector(injector, *state)
+            reference = ReferenceMessageFaults(self.PLAN)
+            reference.sequence, reference.counts = sequence, dict(counts)
+            self._agree(injector, reference, 60)
+
+    def test_rewind_undoes_the_queries_since_a_mark(self):
+        injector = FaultInjector(self.PLAN, num_workers=4, num_edges=2)
+        reference = ReferenceMessageFaults(self.PLAN)
+        self._agree(injector, reference, 10)
+        mark = injector.mark()
+        counts = dict(injector.counts)
+        for _ in range(5):
+            injector.transfer_outcome(1)
+            injector.stale_flags(1)
+        injector.rewind(mark)
+        assert injector.counts == counts
+        self._agree(injector, reference, 10)
 
 
 class TestSurvivorFloor:

@@ -257,30 +257,43 @@ class TestStalenessBookkeeping:
 # ----------------------------------------------------------------------
 # Waves: the flush contract
 # ----------------------------------------------------------------------
-FAULT_QUERIES = (
-    "worker_mask", "edge_mask", "transfer_outcome", "stale_flags", "note_round",
+# Pure functions of the plan seed and a sequence number or iteration:
+# they read no client state, so they may run while a wave is queued.
+PURE_QUERIES = ("worker_mask", "transfer_outcome", "stale_flags")
+FAULT_QUERIES = (*PURE_QUERIES, "edge_mask", "note_round")
+CLIENT_CALLS = (
+    "snapshot_stale", "resync_worker", "close_round", "cloud_sync",
+    "round_complete",
+)
+RECORDED_PLAN = FaultPlan(
+    seed=3, worker_dropout=0.1, edge_outage=0.1, msg_loss=0.1,
+    msg_duplication=0.1, msg_staleness=0.2,
 )
 
 
 class RecordingClient(StubClient):
     """Logs every protocol call in order with the size of the runner's
-    queued wave and its last event time at that moment (a
-    ``local_steps`` call logs its rows).
+    queued wave, its last event time at that moment and the call's
+    arguments (a ``local_steps`` call logs its rows).
 
-    ``nan_row`` makes the first wave that has that row return NaN
-    there; ``nan_call`` is that call's index in the log.
+    ``nan_row`` makes the first wave from the ``nan_wave``-th on that
+    has that row return NaN there; ``nan_call`` is that call's index in
+    the log.
     """
 
-    def __init__(self, nan_row=None, **kwargs):
+    def __init__(self, nan_row=None, nan_wave=0, **kwargs):
         super().__init__(**kwargs)
         self.log: list[tuple] = []
         self.nan_row = nan_row
+        self.nan_wave = nan_wave
         self.nan_call = None
         self.runner = None
 
-    def _note(self, name):
+    def _note(self, name, args=()):
         runner = self.runner
-        self.log.append((name, len(runner._wave), runner.last_event_time))
+        self.log.append(
+            (name, len(runner._wave), runner.last_event_time, args)
+        )
 
     def local_steps(self, workers, ts, times):
         self.log.append(
@@ -288,8 +301,11 @@ class RecordingClient(StubClient):
              self.runner.uploads_sent)
         )
         losses = super().local_steps(workers, ts, times)
-        if self.nan_call is None and self.nan_row is not None and (
-            len(workers) > self.nan_row
+        if (
+            self.nan_call is None
+            and self.nan_row is not None
+            and len(waves(self.log)) > self.nan_wave
+            and len(workers) > self.nan_row
         ):
             losses[self.nan_row] = float("nan")
             self.nan_call = len(self.log) - 1
@@ -328,9 +344,9 @@ class RecordingFaults:
         if name not in FAULT_QUERIES:
             return attribute
 
-        def query(*args, **kwargs):
-            self._client._note(name)
-            return attribute(*args, **kwargs)
+        def query(*args):
+            self._client._note(name, args)
+            return attribute(*args)
 
         return query
 
@@ -343,13 +359,9 @@ def recorded_run(client, *, total=30):
         payload_bytes=1e5,
         quorum=0.5,
     )
-    plan = FaultPlan(
-        seed=3, worker_dropout=0.1, edge_outage=0.1, msg_loss=0.1,
-        msg_duplication=0.1, msg_staleness=0.2,
-    )
     runner = EventLoopRunner(
         client, deployment, tau=3, pi=2, total_iterations=total, rng=4,
-        faults=FaultInjector(plan, num_workers=8, num_edges=2),
+        faults=FaultInjector(RECORDED_PLAN, num_workers=8, num_edges=2),
     )
     client.runner = runner
     runner.faults = RecordingFaults(runner.faults, client)
@@ -377,17 +389,28 @@ class TestWaves:
         assert every_time == sorted(every_time)
 
     def test_every_other_call_finds_the_wave_empty(self):
+        """Every client call and the checkpoint hook flush the wave
+        first; the pure fault queries do not, and do see it queued."""
         client = RecordingClient(num_workers=8, num_groups=2)
         recorded_run(client)
         others = [entry for entry in client.log if entry[0] != "local_steps"]
         assert {name for name, *_ in others} == {
-            "snapshot_stale", "resync_worker", "close_round", "cloud_sync",
-            "round_complete", "checkpoint_hook", *FAULT_QUERIES,
+            *CLIENT_CALLS, "checkpoint_hook", *FAULT_QUERIES,
         }
-        assert [entry for entry in others if entry[1]] == []
+        assert [
+            entry for entry in others
+            if entry[1] and entry[0] not in PURE_QUERIES
+        ] == []
+        assert {name for name, queued, *_ in others if queued} == set(
+            PURE_QUERIES
+        )
 
     def test_nan_in_a_wave_stops_at_that_row(self):
-        client = RecordingClient(nan_row=1, num_workers=8, num_groups=2)
+        # The 7th wave: message queries ran both before and after its
+        # row 1 was queued.
+        client = RecordingClient(
+            nan_row=1, nan_wave=6, num_workers=8, num_groups=2
+        )
         runner = recorded_run(client)
         diverging = client.nan_call
         _, workers, ts, times, uploads = client.log[diverging]
@@ -395,11 +418,38 @@ class TestWaves:
         assert runner.diverged_at == ts[1]
         assert np.isnan(runner.diverged_loss)
         assert runner.last_event_time == times[1]
-        # No later client call or fault query, and no further upload.
+        # No later client call or checkpoint, and no further upload.
         assert diverging == len(client.log) - 1
         assert all(
             entry[2] <= times[1]
-            for entry in client.log if entry[0] != "local_steps"
+            for entry in client.log
+            if entry[0] in (*CLIENT_CALLS, "checkpoint_hook")
         )
         assert runner.uploads_sent == uploads
         assert runner.result is not None
+        # The fault queries logged after row 1 was queued are not part
+        # of the run: a fresh injector that replays only those before it
+        # (at an earlier event time, or at its own event before it was
+        # queued) ends with the run's tallies.
+        queries = [
+            entry for entry in client.log if entry[0] in FAULT_QUERIES
+        ]
+        before = [
+            entry for entry in queries
+            if entry[2] < times[1] or (entry[2] == times[1] and entry[1] <= 1)
+        ]
+        # This wave queried the message stream on both sides of row 1.
+        last_flush = max(
+            i for i, entry in enumerate(client.log[:diverging])
+            if entry[0] == "local_steps"
+        )
+        assert {
+            queued > 1
+            for name, queued, *_ in client.log[last_flush + 1:diverging]
+            if name == "transfer_outcome"
+        } == {False, True}
+        replay = FaultInjector(RECORDED_PLAN, num_workers=8, num_edges=2)
+        for name, _, _, args in before:
+            getattr(replay, name)(*args)
+        assert runner.faults.counts == replay.counts
+        assert runner.faults._msg_sequence == replay._msg_sequence

@@ -44,15 +44,12 @@ class TestTopLevel:
         for name, cls in ALGORITHM_REGISTRY.items():
             assert cls.name == name
 
-    def test_docstrings_everywhere(self):
+    @pytest.mark.parametrize("module_name", load_gen_api_doc().MODULES)
+    def test_docstrings_everywhere(self, module_name):
         """Every public module and class carries a docstring."""
-        for module_name in (
-            "repro", "repro.core", "repro.algorithms", "repro.theory",
-            "repro.simulation", "repro.data", "repro.nn",
-        ):
-            module = importlib.import_module(module_name)
-            assert module.__doc__, module_name
-            for name in getattr(module, "__all__", []):
-                obj = getattr(module, name)
-                if isinstance(obj, type):
-                    assert obj.__doc__, f"{module_name}.{name}"
+        module = importlib.import_module(module_name)
+        assert module.__doc__, module_name
+        for name in getattr(module, "__all__", []):
+            obj = getattr(module, name)
+            if isinstance(obj, type):
+                assert obj.__doc__, f"{module_name}.{name}"

@@ -54,6 +54,7 @@ GATES = {
     },
     "eventsim": {
         "engine_event_throughput": [("events_per_probe", "higher_better")],
+        "engine_waves": [("waves", "within_threshold")],
     },
     "faults": {
         "zero_plan_overhead": [("overhead", "within_threshold")],
