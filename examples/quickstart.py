@@ -39,8 +39,8 @@ def main() -> None:
         print(f"{t:9d}  {accuracy:8.3f}  {loss:5.3f}  {bar}")
 
     print(f"\nfinal accuracy: {history.final_accuracy:.3f}")
-    print(f"edge aggregations: {history.worker_edge_rounds}, "
-          f"cloud aggregations: {history.edge_cloud_rounds}")
+    print(f"edge aggregations: {history.comm.worker_edge_rounds}, "
+          f"cloud aggregations: {history.comm.edge_cloud_rounds}")
 
     mean_gammas = [
         sum(trace.values()) / len(trace) for trace in history.gamma_trace

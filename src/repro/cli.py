@@ -32,8 +32,21 @@ from repro.experiments import (
 from repro.experiments.table2 import TABLE2_COMBOS
 from repro.faults import DEGRADATION_POLICIES, FaultPlan
 from repro.metrics import save_history
+from repro.telemetry import format_fault_summary
 
 __all__ = ["main", "build_parser"]
+
+
+def _dashboard_width(text: str) -> int:
+    """``--width``: an integer the dashboard layout can fill."""
+    from repro.monitoring.dashboard import MIN_WIDTH
+
+    width = int(text)
+    if width < MIN_WIDTH:
+        raise argparse.ArgumentTypeError(
+            f"must be >= {MIN_WIDTH}, got {width}"
+        )
+    return width
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -134,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="refresh period in seconds when following",
     )
     monitor_parser.add_argument(
-        "--width", type=int, default=64, help="dashboard width in columns"
+        "--width", type=_dashboard_width, default=64,
+        help="dashboard width in columns",
     )
 
     table_parser = sub.add_parser("table2", help="one Table II column")
@@ -396,30 +410,9 @@ def main(argv: list[str] | None = None) -> int:
             args.algorithm, config,
             fault_plan=plan, degradation=args.policy,
         )
-        summary = history.fault_summary or {}
-        rounds = summary.get("rounds", {})
-        total = rounds.get("total", 0)
-        survived = rounds.get("pristine", 0) + rounds.get("degraded", 0)
         print(f"{args.algorithm}: final accuracy "
               f"{history.final_accuracy:.4f} under policy {args.policy}")
-        print(f"rounds: {survived}/{total} survived "
-              f"({rounds.get('pristine', 0)} pristine, "
-              f"{rounds.get('degraded', 0)} degraded, "
-              f"{rounds.get('skipped', 0)} skipped)")
-        events = summary.get("events", {})
-        realized = {k: v for k, v in sorted(events.items()) if v}
-        if realized:
-            print("injected events:")
-            for name, count in realized.items():
-                print(f"  {name:<18} {count}")
-        else:
-            print("injected events: none realized")
-        stale = summary.get("stale_uploads")
-        if stale is not None:
-            print(f"stale uploads: {stale.get('uploads', 0)} across "
-                  f"{stale.get('rounds_with_stale', 0)}/"
-                  f"{stale.get('cloud_rounds', 0)} cloud rounds "
-                  f"(workers: {stale.get('workers', [])})")
+        print(format_fault_summary(history.fault_summary or {}))
         return 0
 
     if args.command == "timing":

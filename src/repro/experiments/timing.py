@@ -112,15 +112,3 @@ def run_time_to_accuracy(
             edge_cloud_bytes=history.comm.edge_cloud_bytes,
         )
     return out
-
-
-def _speedups(results: dict[str, TimedResult]) -> dict[str, float]:
-    """Speedup of HierAdMo over each baseline that reached the target."""
-    reference = results.get("HierAdMo")
-    if reference is None or reference.seconds is None:
-        return {}
-    return {
-        name: result.seconds / reference.seconds
-        for name, result in results.items()
-        if name != "HierAdMo" and result.seconds is not None
-    }

@@ -38,7 +38,8 @@ class TrainingHistory:
     gamma_trace: list[dict[int, float]] = field(default_factory=list)
 
     # Communication ledger: rounds, transfers and (closed-form) bytes per
-    # tier.  Algorithms record through ``comm`` directly.
+    # tier, the run's one home for them.  Algorithms record through
+    # ``comm`` directly.
     comm: CommLedger = field(default_factory=CommLedger)
 
     # Aggregated tracer view (``Tracer.summary()``) when the run executed
@@ -59,31 +60,6 @@ class TrainingHistory:
     # names the monitor that stopped the run via ``MonitorAbort``.
     alerts: list[dict] = field(default_factory=list)
     aborted_by: str | None = None
-
-    # ------------------------------------------------------------------
-    # Legacy communication counters
-    # ------------------------------------------------------------------
-    # Deprecated: ``worker_edge_rounds`` / ``edge_cloud_rounds`` predate
-    # the ledger.  They remain as delegating properties so existing
-    # callers keep working, but the ledger is the single source of truth
-    # — the two cannot drift because there is no second store.
-    @property
-    def worker_edge_rounds(self) -> int:
-        """Edge aggregation rounds (deprecated alias of ``comm``)."""
-        return self.comm.worker_edge_rounds
-
-    @worker_edge_rounds.setter
-    def worker_edge_rounds(self, value: int) -> None:
-        self.comm.worker_edge_rounds = int(value)
-
-    @property
-    def edge_cloud_rounds(self) -> int:
-        """Cloud aggregation rounds (deprecated alias of ``comm``)."""
-        return self.comm.edge_cloud_rounds
-
-    @edge_cloud_rounds.setter
-    def edge_cloud_rounds(self, value: int) -> None:
-        self.comm.edge_cloud_rounds = int(value)
 
     def record_eval(
         self,
@@ -150,17 +126,3 @@ class TrainingHistory:
             np.asarray(self.iterations, dtype=np.int64),
             np.asarray(self.test_accuracy, dtype=np.float64),
         )
-
-    def summary(self) -> dict:
-        """Compact dict for result tables."""
-        return {
-            "algorithm": self.algorithm,
-            "final_accuracy": self.final_accuracy,
-            "best_accuracy": self.best_accuracy,
-            "iterations": self.iterations[-1] if self.iterations else 0,
-            "worker_edge_rounds": self.worker_edge_rounds,
-            "edge_cloud_rounds": self.edge_cloud_rounds,
-            "worker_edge_bytes": self.comm.worker_edge_bytes,
-            "edge_cloud_bytes": self.comm.edge_cloud_bytes,
-            "total_bytes": self.comm.total_bytes,
-        }

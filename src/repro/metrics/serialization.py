@@ -38,10 +38,6 @@ def history_to_dict(history: TrainingHistory) -> dict:
             {str(k): v for k, v in record.items()}
             for record in history.gamma_trace
         ],
-        # Legacy counters kept top-level for older readers; "comm" is the
-        # full ledger (events + payload geometry).
-        "worker_edge_rounds": history.worker_edge_rounds,
-        "edge_cloud_rounds": history.edge_cloud_rounds,
         "comm": history.comm.to_dict(),
         "trace_summary": history.trace_summary,
         "fault_summary": history.fault_summary,
@@ -53,7 +49,16 @@ def history_to_dict(history: TrainingHistory) -> dict:
 
 
 def history_from_dict(payload: dict) -> TrainingHistory:
-    """Inverse of :func:`history_to_dict`."""
+    """Inverse of :func:`history_to_dict`.
+
+    Raises :class:`ValueError` on a payload without the ``comm`` ledger
+    (a pre-ledger file): the ledger is the only record of its rounds.
+    """
+    if "comm" not in payload:
+        raise ValueError(
+            "history payload has no 'comm' ledger; files written before "
+            "the communication ledger cannot be loaded"
+        )
     history = TrainingHistory(
         algorithm=payload["algorithm"],
         config=dict(payload.get("config", {})),
@@ -67,12 +72,7 @@ def history_from_dict(payload: dict) -> TrainingHistory:
         {int(k): float(v) for k, v in record.items()}
         for record in payload.get("gamma_trace", [])
     ]
-    if "comm" in payload:
-        history.comm = CommLedger.from_dict(payload["comm"])
-    else:
-        # Pre-ledger payloads carried only the round counters.
-        history.worker_edge_rounds = int(payload.get("worker_edge_rounds", 0))
-        history.edge_cloud_rounds = int(payload.get("edge_cloud_rounds", 0))
+    history.comm = CommLedger.from_dict(payload["comm"])
     history.trace_summary = payload.get("trace_summary")
     history.fault_summary = payload.get("fault_summary")
     history.diverged = bool(payload.get("diverged", False))

@@ -1,9 +1,11 @@
-"""Live run monitoring: event stream, metrics registry, health alerts.
+"""Live run monitoring: event stream, sinks, health alerts, dashboard.
 
 The run-event half of the one instrumentation slot — where the tracer's
 spans answer "where did the time go", the event stream answers "is this
 run healthy" while it happens.  Both are reached through
-:func:`repro.telemetry.get_tracer`.  See ``docs/architecture.md`` §9
+:func:`repro.telemetry.get_tracer`.  The stream is the record: the hub
+derives no metrics of its own, and every view of a run (the dashboard,
+the JSONL file) reads the events.  See ``docs/architecture.md`` §9
 for the slot and §13 for the stream schema and monitor lifecycle.
 """
 
@@ -32,7 +34,6 @@ from repro.monitoring.health import (
     default_monitors,
 )
 from repro.monitoring.monitor import RunMonitor, monitoring
-from repro.monitoring.registry import MetricsRegistry
 from repro.monitoring.sinks import (
     CallbackSink,
     EventSink,
@@ -57,7 +58,6 @@ __all__ = [
     "JSONLStreamSink",
     "CallbackSink",
     "load_events_jsonl",
-    "MetricsRegistry",
     "Alert",
     "MonitorAbort",
     "HealthMonitor",

@@ -28,13 +28,23 @@ from repro.monitoring.events import (
 )
 from repro.telemetry.reporting import format_bytes
 
-__all__ = ["render_dashboard"]
+__all__ = ["MIN_WIDTH", "render_dashboard"]
 
 _SPARK_SEVERITY = {"critical": "!!", "warning": " !"}
 
+# Columns a sparkline row spends on its label: ``accuracy  `` for the
+# eval series; ``  edge NNN `` plus the latest γ, with room to spare,
+# for a γ row.
+_SERIES_LABEL = 10
+_GAMMA_LABEL = 24
+
+# The narrowest dashboard: every sparkline keeps both ends of its
+# series, which takes two columns.
+MIN_WIDTH = _GAMMA_LABEL + 2
+
 
 def _downsample(values: list[float], width: int) -> list[float]:
-    """Stride-sample a series to at most ``width`` points, keeping ends."""
+    """Stride-sample to at most ``width`` (>= 2) points, keeping ends."""
     if len(values) <= width:
         return values
     step = (len(values) - 1) / (width - 1)
@@ -73,9 +83,13 @@ def _rate_suffix(evals: list[RunEvent], key: str) -> str:
 
 
 def render_dashboard(events: list[RunEvent], width: int = 64) -> str:
-    """One screenful of dashboard text for the given event stream."""
-    if width < 16:
-        raise ValueError(f"width must be >= 16, got {width}")
+    """One screenful of dashboard text for the given event stream.
+
+    ``width`` (at least :data:`MIN_WIDTH`) sizes the rules and the
+    sparklines and truncates alert lines.
+    """
+    if width < MIN_WIDTH:
+        raise ValueError(f"width must be >= {MIN_WIDTH}, got {width}")
     if not events:
         return "(no events yet)\n"
 
@@ -107,7 +121,7 @@ def render_dashboard(events: list[RunEvent], width: int = 64) -> str:
     accuracies = [e.data.get("accuracy") for e in evals]
     accuracies = [float(a) for a in accuracies if a is not None]
     if accuracies:
-        spark = sparkline(_downsample(accuracies, width - 10))
+        spark = sparkline(_downsample(accuracies, width - _SERIES_LABEL))
         lines.append(f"accuracy  {spark}")
         lines.append(
             f"  latest {_fmt(accuracies[-1])}   best {_fmt(max(accuracies))}"
@@ -115,7 +129,7 @@ def render_dashboard(events: list[RunEvent], width: int = 64) -> str:
     train_losses = [e.data.get("train_loss") for e in evals]
     train_losses = [float(v) for v in train_losses if v is not None]
     if any(math.isfinite(v) for v in train_losses):
-        spark = sparkline(_downsample(train_losses, width - 10))
+        spark = sparkline(_downsample(train_losses, width - _SERIES_LABEL))
         finite = [v for v in train_losses if math.isfinite(v)]
         lines.append(f"trainloss {spark}")
         lines.append(f"  latest {_fmt(finite[-1])}")
@@ -130,7 +144,7 @@ def render_dashboard(events: list[RunEvent], width: int = 64) -> str:
         lines.append("gamma per edge")
         for edge in sorted(gamma_series, key=lambda k: (len(k), k))[:8]:
             series = gamma_series[edge]
-            spark = sparkline(_downsample(series, width - 24))
+            spark = sparkline(_downsample(series, width - _GAMMA_LABEL))
             lines.append(
                 f"  edge {edge:>3} {spark} {series[-1]:.4f}"
             )

@@ -3,8 +3,8 @@
 A :class:`HealthMonitor` subscribes to the run-event stream through the
 hub and answers one question per event: *is this run still healthy?*
 When the answer is no it returns an :class:`Alert` — a structured
-record that the hub fans out to every sink (as an ``alert`` event),
-counts in the metrics registry, and attaches to the run's
+record that the hub fans out to every sink (as an ``alert`` event)
+and the run attaches to its
 :class:`~repro.metrics.history.TrainingHistory` (serialized with it).
 
 A monitor constructed with ``abort=True`` additionally stops the run:
@@ -306,6 +306,8 @@ class StalenessRunawayMonitor(HealthMonitor):
                 f"max_stale_fraction must be in (0, 1], got "
                 f"{max_stale_fraction}"
             )
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
         self.max_staleness = int(max_staleness)
         self.max_stale_fraction = float(max_stale_fraction)
         self.window = int(window)

@@ -1,4 +1,4 @@
-"""The monitoring hub: event fan-out, metric folding, health checks.
+"""The monitoring hub: event stamping, fan-out and health checks.
 
 The hub is the run-event half of the one instrumentation slot
 (:mod:`repro.telemetry.tracer`).  Instrumented code fetches the slot
@@ -9,29 +9,33 @@ False`` and an ``emit`` that does nothing, so an unmonitored run takes
 one attribute check per instrumentation point and stays bit-exact
 (emission only ever *reads* algorithm state).
 
-A live :class:`RunMonitor` does three things per event, in order:
+A live :class:`RunMonitor` does two things per event, in order:
 
-1. folds the event into its :class:`~repro.monitoring.registry.MetricsRegistry`
-   (latest accuracy/loss gauges, per-tier round counters, γ per edge,
-   byte totals);
-2. fans the event out to every sink;
-3. offers the event to each health monitor; any returned
+1. stamps it (sequence number and wall time) and fans it out to every
+   sink;
+2. offers it to each health monitor; any returned
    :class:`~repro.monitoring.health.Alert` is recorded on
-   ``monitor.alerts``, dispatched to the sinks as an ``alert`` event,
-   counted in the registry, and — for monitors constructed with
-   ``abort=True`` — escalated as :class:`MonitorAbort` so the run
-   drivers can stop cleanly.  ``run_end`` events never escalate: the
-   run is already over.
+   ``monitor.alerts``, dispatched to the sinks as an ``alert`` event
+   and — for monitors constructed with ``abort=True`` — escalated as
+   :class:`MonitorAbort` so the run drivers can stop cleanly.
+   ``run_end`` events never escalate: the run is already over.
+
+The hub keeps no derived metrics: the event stream is the record.
+Accuracy, bytes per tier, γ per edge and round counts are fields of
+the events (or counts over them), which sinks keep and
+:func:`~repro.monitoring.dashboard.render_dashboard` reads; the run's
+totals are ``history.comm`` and ``history.gamma_trace``.
 
 Use the :func:`monitoring` context manager to open a scope: it attaches
 the hub to the active recording tracer (events then read the tracer's
 clock, one epoch for spans and events) or, with tracing off, puts the
 hub itself in the slot::
 
-    with monitoring(sinks=[JSONLStreamSink("run.jsonl")],
+    sink = RingBufferSink()
+    with monitoring(sinks=[sink, JSONLStreamSink("run.jsonl")],
                     monitors=default_monitors()) as monitor:
         history = algorithm.run()
-    print(monitor.registry.exposition())
+    print(render_dashboard(sink.snapshot()))
 """
 
 from __future__ import annotations
@@ -41,30 +45,10 @@ from contextlib import contextmanager
 
 from repro.monitoring.events import ALERT, RUN_END, RunEvent
 from repro.monitoring.health import Alert, HealthMonitor, MonitorAbort
-from repro.monitoring.registry import MetricsRegistry
 from repro.monitoring.sinks import EventSink
 from repro.telemetry.tracer import NullTracer, get_tracer, set_tracer
 
 __all__ = ["RunMonitor", "monitoring"]
-
-# Eval-event payload keys folded into same-named gauges.
-_EVAL_GAUGES = (
-    ("accuracy", "repro_test_accuracy"),
-    ("test_loss", "repro_test_loss"),
-    ("train_loss", "repro_train_loss"),
-    ("worker_edge_bytes", "repro_worker_edge_bytes"),
-    ("edge_cloud_bytes", "repro_edge_cloud_bytes"),
-    ("total_bytes", "repro_total_bytes"),
-    ("peak_rss_bytes", "repro_peak_rss_bytes"),
-)
-
-# Population-round payload keys folded into same-named gauges.
-_POPULATION_GAUGES = (
-    ("registered", "repro_population_registered"),
-    ("cohort", "repro_population_cohort"),
-    ("materialized", "repro_population_materialized"),
-    ("carried", "repro_population_carried"),
-)
 
 
 def _stopwatch():
@@ -88,12 +72,10 @@ class RunMonitor(NullTracer):
         self,
         sinks: tuple[EventSink, ...] | list[EventSink] = (),
         monitors: tuple[HealthMonitor, ...] | list[HealthMonitor] = (),
-        registry: MetricsRegistry | None = None,
         clock=None,
     ):
         self.sinks = list(sinks)
         self.monitors = list(monitors)
-        self.registry = registry if registry is not None else MetricsRegistry()
         self.alerts: list[Alert] = []
         self.clock = clock if clock is not None else _stopwatch()
         self._seq = 0
@@ -114,7 +96,7 @@ class RunMonitor(NullTracer):
         sim_time: float | None = None,
         **data,
     ) -> RunEvent:
-        """Build, fold, fan out and health-check one event.
+        """Build, fan out and health-check one event.
 
         Raises :class:`MonitorAbort` when an aborting health monitor
         fires on this event (never for ``run_end``).
@@ -129,7 +111,6 @@ class RunMonitor(NullTracer):
             data=data,
         )
         self._seq += 1
-        self._fold(event)
         for sink in self.sinks:
             sink.emit(event)
         escalate: Alert | None = None
@@ -154,9 +135,6 @@ class RunMonitor(NullTracer):
     # ------------------------------------------------------------------
     def _record_alert(self, alert: Alert) -> None:
         self.alerts.append(alert)
-        self.registry.inc_counter(
-            "repro_alerts_total", labels={"monitor": alert.monitor}
-        )
         event = RunEvent(
             kind=ALERT,
             seq=self._seq,
@@ -168,50 +146,11 @@ class RunMonitor(NullTracer):
         for sink in self.sinks:
             sink.emit(event)
 
-    def _fold(self, event: RunEvent) -> None:
-        registry = self.registry
-        registry.inc_counter("repro_events_total", labels={"kind": event.kind})
-        if event.kind == "eval":
-            registry.set_gauge("repro_iteration", event.iteration)
-            for key, gauge in _EVAL_GAUGES:
-                value = event.data.get(key)
-                if value is not None:
-                    registry.set_gauge(gauge, value)
-        elif event.kind in ("edge_round", "cloud_round"):
-            registry.inc_counter(
-                "repro_rounds_total", labels={"tier": event.tier or event.kind}
-            )
-            for edge, gamma in (event.data.get("gammas") or {}).items():
-                registry.set_gauge(
-                    "repro_gamma", gamma, labels={"edge": edge}
-                )
-            if event.data.get("forced"):
-                registry.inc_counter("repro_forced_closures_total")
-            stale = event.data.get("staleness")
-            if stale:
-                registry.inc_counter("repro_stale_folds_total", len(stale))
-            stale_uploads = event.data.get("stale_uploads")
-            if stale_uploads:
-                registry.inc_counter(
-                    "repro_stale_uploads_total", stale_uploads
-                )
-        elif event.kind == "population_round":
-            registry.inc_counter("repro_population_rounds_total")
-            for key, gauge in _POPULATION_GAUGES:
-                value = event.data.get(key)
-                if value is not None:
-                    registry.set_gauge(gauge, value)
-        elif event.kind == "run_start":
-            iterations = event.data.get("total_iterations")
-            if iterations is not None:
-                registry.set_gauge("repro_total_iterations", iterations)
-
 
 @contextmanager
 def monitoring(
     sinks: tuple[EventSink, ...] | list[EventSink] = (),
     monitors: tuple[HealthMonitor, ...] | list[HealthMonitor] = (),
-    registry: MetricsRegistry | None = None,
 ):
     """Open a fresh :class:`RunMonitor` for the ``with`` body.
 
@@ -222,10 +161,10 @@ def monitoring(
     """
     active = get_tracer()
     if active.enabled:
-        monitor = RunMonitor(sinks, monitors, registry, clock=active.elapsed)
+        monitor = RunMonitor(sinks, monitors, clock=active.elapsed)
         previous, active.hub = active.hub, monitor
     else:
-        monitor = RunMonitor(sinks, monitors, registry)
+        monitor = RunMonitor(sinks, monitors)
         set_tracer(monitor)
     try:
         yield monitor

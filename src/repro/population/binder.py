@@ -91,7 +91,8 @@ class PopulationBinder:
         # reads back {"rows": [one row per ``_carried`` array],
         #  "rng": generator state}.
         self.carry = CarryStore()
-        # Distinct clients ever materialized (gauge only).
+        # Distinct clients ever materialized (reported by the
+        # ``population_round`` event only).
         self._seen: set[int] = set()
 
     # ------------------------------------------------------------------

@@ -25,13 +25,16 @@ Typical use::
 """
 
 from repro.telemetry.ledger import BYTES_PER_PARAM, CommLedger
-from repro.telemetry.reporting import format_bytes, format_trace_report
+from repro.telemetry.reporting import (
+    format_bytes,
+    format_fault_summary,
+    format_trace_report,
+)
 from repro.telemetry.tracer import (
     NULL_TRACER,
-    Histogram,
     NullTracer,
     SpanRecord,
-    SpanStats,
+    Stats,
     Tracer,
     get_tracer,
     set_tracer,
@@ -43,13 +46,13 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "SpanRecord",
-    "SpanStats",
-    "Histogram",
+    "Stats",
     "get_tracer",
     "set_tracer",
     "tracing",
     "CommLedger",
     "BYTES_PER_PARAM",
     "format_trace_report",
+    "format_fault_summary",
     "format_bytes",
 ]

@@ -1,17 +1,19 @@
 """Render a traced run as the ``repro trace`` breakdown tables.
 
-Three sections: per-phase wall-clock (where the run's time went, by span
-name), the communication ledger (events and bytes per tier), and the
-top-k slowest individual spans.  Pure string formatting — all numbers
-come from the :class:`~repro.telemetry.tracer.Tracer` and the history's
-:class:`~repro.telemetry.ledger.CommLedger`.
+Sections: per-phase wall-clock (where the run's time went, by span
+name), the communication ledger (events and bytes per tier), the fault
+digest when the run had a plan (:func:`format_fault_summary`, which
+``repro faults`` prints on its own), and the top-k slowest individual
+spans.  Pure string formatting — all numbers come from the
+:class:`~repro.telemetry.tracer.Tracer` and the history's
+:class:`~repro.telemetry.ledger.CommLedger` and ``fault_summary``.
 """
 
 from __future__ import annotations
 
 from repro.telemetry.tracer import Tracer
 
-__all__ = ["format_trace_report", "format_bytes"]
+__all__ = ["format_trace_report", "format_fault_summary", "format_bytes"]
 
 # Span names printed first, in pipeline order; anything else follows
 # alphabetically (oracle.* sub-spans, adapt_gamma, user spans, ...).
@@ -115,15 +117,16 @@ def _comm_section(ledger, lines: list[str]) -> None:
     )
 
 
-def _fault_section(fault_summary: dict, lines: list[str]) -> None:
+def format_fault_summary(fault_summary: dict) -> str:
+    """A run's ``fault_summary`` as text: rounds, events, stale uploads."""
     rounds = fault_summary.get("rounds", {})
-    lines.append(
-        "rounds: "
-        f"{rounds.get('pristine', 0)} pristine, "
-        f"{rounds.get('degraded', 0)} degraded, "
-        f"{rounds.get('skipped', 0)} skipped "
-        f"(of {rounds.get('total', 0)})"
-    )
+    pristine = rounds.get("pristine", 0)
+    degraded = rounds.get("degraded", 0)
+    lines = [
+        f"rounds: {pristine + degraded}/{rounds.get('total', 0)} survived "
+        f"({pristine} pristine, {degraded} degraded, "
+        f"{rounds.get('skipped', 0)} skipped)"
+    ]
     events = fault_summary.get("events", {})
     rows = [
         [name, str(value)]
@@ -131,9 +134,10 @@ def _fault_section(fault_summary: dict, lines: list[str]) -> None:
         if value
     ]
     if rows:
+        lines.append("injected events:")
         lines.extend(_format_rows(["event", "count"], rows))
     else:
-        lines.append("(no fault events realized)")
+        lines.append("injected events: none realized")
     stale = fault_summary.get("stale_uploads")
     if stale:
         lines.append(
@@ -143,6 +147,7 @@ def _fault_section(fault_summary: dict, lines: list[str]) -> None:
             f"{stale.get('rounds_with_stale', 0)} of "
             f"{stale.get('cloud_rounds', 0)} cloud rounds"
         )
+    return "\n".join(lines)
 
 
 def _top_spans_section(tracer: Tracer, k: int, lines: list[str]) -> None:
@@ -184,7 +189,7 @@ def format_trace_report(tracer: Tracer, history=None, *, top: int = 5) -> str:
     if history is not None and history.fault_summary is not None:
         lines.append("")
         lines.append("== fault injection ==")
-        _fault_section(history.fault_summary, lines)
+        lines.append(format_fault_summary(history.fault_summary))
     lines.append("")
     lines.append(f"== top {top} slowest spans ==")
     _top_spans_section(tracer, top, lines)

@@ -5,12 +5,12 @@ One :class:`Tracer` instance records everything a federated run emits:
 * **spans** — nestable timed regions (``with tracer.span("edge_agg"):``)
   measured on the monotonic clock (:func:`time.perf_counter`), recorded
   with their parent span and nesting depth, and aggregated per name into
-  count/total/min/max statistics;
+  :class:`Stats` (count/total/min/max/mean);
 * **counters** — monotonically accumulated numbers
   (``tracer.count("eventsim.upload_arrived")``);
-* **histograms** — value distributions
-  (``tracer.observe("adaptive.gamma", 0.42)``) with count/total/min/max
-  and on-demand percentiles.
+* **histograms** — observed values
+  (``tracer.observe("adaptive.gamma", 0.42)``), aggregated per name into
+  the same :class:`Stats`.
 
 The same slot carries the run-event stream: ``tracer.emit(kind, ...)``
 hands one event to the attached
@@ -42,8 +42,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "SpanRecord",
-    "SpanStats",
-    "Histogram",
+    "Stats",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
@@ -65,21 +64,26 @@ class SpanRecord:
 
 
 @dataclass(slots=True)
-class SpanStats:
-    """Aggregated per-name span statistics."""
+class Stats:
+    """Streaming count/total/min/max/mean of one named series.
+
+    The per-name aggregate of both span durations (``span_stats``) and
+    observed values (``histograms``); constant memory, however long the
+    run.
+    """
 
     count: int = 0
     total: float = 0.0
     min: float = float("inf")
-    max: float = 0.0
+    max: float = float("-inf")
 
-    def add(self, duration: float) -> None:
+    def add(self, value: float) -> None:
         self.count += 1
-        self.total += duration
-        if duration < self.min:
-            self.min = duration
-        if duration > self.max:
-            self.max = duration
+        self.total += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
 
     @property
     def mean(self) -> float:
@@ -90,59 +94,7 @@ class SpanStats:
             "count": self.count,
             "total": self.total,
             "min": self.min if self.count else 0.0,
-            "max": self.max,
-            "mean": self.mean,
-        }
-
-
-class Histogram:
-    """Value distribution: streaming moments plus the raw values.
-
-    Raw values are kept (traced runs are short — thousands of
-    observations, not millions) so percentiles are exact.
-    """
-
-    __slots__ = ("values", "total", "min", "max")
-
-    def __init__(self) -> None:
-        self.values: list[float] = []
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.values.append(value)
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    @property
-    def mean(self) -> float:
-        return self.total / len(self.values) if self.values else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Exact q-th percentile (nearest-rank), q in [0, 100]."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"q must be in [0, 100], got {q}")
-        if not self.values:
-            raise ValueError("empty histogram has no percentiles")
-        ordered = sorted(self.values)
-        rank = max(0, min(len(ordered) - 1, round(q / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min if self.values else 0.0,
-            "max": self.max if self.values else 0.0,
+            "max": self.max if self.count else 0.0,
             "mean": self.mean,
         }
 
@@ -250,9 +202,9 @@ class Tracer:
         self._epoch = clock()
         self.max_records = int(max_records)
         self.records: list[SpanRecord] = []
-        self.span_stats: dict[str, SpanStats] = {}
+        self.span_stats: dict[str, Stats] = {}
         self.counters: dict[str, float] = {}
-        self.histograms: dict[str, Histogram] = {}
+        self.histograms: dict[str, Stats] = {}
         self._stack: list[str] = []
         self.hub = None
 
@@ -271,8 +223,8 @@ class Tracer:
         """Record one observation into the named histogram."""
         histogram = self.histograms.get(name)
         if histogram is None:
-            histogram = self.histograms[name] = Histogram()
-        histogram.observe(value)
+            histogram = self.histograms[name] = Stats()
+        histogram.add(float(value))
 
     def emit(self, kind: str, **kwargs):
         """Hand one run event to the attached hub (no-op without one)."""
@@ -286,7 +238,7 @@ class Tracer:
     def _finish(self, record: SpanRecord) -> None:
         stats = self.span_stats.get(record.name)
         if stats is None:
-            stats = self.span_stats[record.name] = SpanStats()
+            stats = self.span_stats[record.name] = Stats()
         stats.add(record.duration)
         if len(self.records) < self.max_records:
             self.records.append(record)

@@ -1,4 +1,4 @@
-"""Process-memory introspection for the monitoring gauges and benches."""
+"""Process-memory introspection for the monitoring events and benches."""
 
 from __future__ import annotations
 

@@ -45,8 +45,8 @@ class TestHierFAVG:
         history = HierFAVG(tiny_federation, eta=0.05, tau=5, pi=2).run(
             20, eval_every=20
         )
-        assert history.worker_edge_rounds == 4
-        assert history.edge_cloud_rounds == 2
+        assert history.comm.worker_edge_rounds == 4
+        assert history.comm.edge_cloud_rounds == 2
 
     def test_learns(self, tiny_federation):
         history = HierFAVG(tiny_federation, eta=0.05, tau=5, pi=2).run(
@@ -117,8 +117,8 @@ class TestCFL:
         history = CFL(tiny_federation, eta=0.05, tau=5, pi=2).run(
             20, eval_every=20
         )
-        assert history.worker_edge_rounds == 4
-        assert history.edge_cloud_rounds == 2
+        assert history.comm.worker_edge_rounds == 4
+        assert history.comm.edge_cloud_rounds == 2
 
 
 class TestHierarchyBenefit:

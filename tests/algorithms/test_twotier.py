@@ -44,7 +44,7 @@ class TestFedAvg:
         history = FedAvg(tiny_federation, eta=0.05, tau=5).run(
             20, eval_every=20
         )
-        assert history.edge_cloud_rounds == 4
+        assert history.comm.edge_cloud_rounds == 4
 
 
 class TestReductionsToFedAvg:

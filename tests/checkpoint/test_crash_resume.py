@@ -65,8 +65,8 @@ def assert_bit_exact(golden, resumed, *, eval_times=False):
     if eval_times:
         assert resumed.eval_times == golden.eval_times
     assert resumed.comm.total_bytes == golden.comm.total_bytes
-    assert resumed.worker_edge_rounds == golden.worker_edge_rounds
-    assert resumed.edge_cloud_rounds == golden.edge_cloud_rounds
+    assert resumed.comm.worker_edge_rounds == golden.comm.worker_edge_rounds
+    assert resumed.comm.edge_cloud_rounds == golden.comm.edge_cloud_rounds
 
 
 def crash_then_resume(

@@ -76,8 +76,8 @@ class TestSynchronizationInvariants:
         algo = HierAdMo(tiny_federation, tau=5, pi=2)
         history = algo.run(30, eval_every=30)
         assert len(history.gamma_trace) == 6  # K = T / tau
-        assert history.worker_edge_rounds == 6
-        assert history.edge_cloud_rounds == 3  # P = T / (tau*pi)
+        assert history.comm.worker_edge_rounds == 6
+        assert history.comm.edge_cloud_rounds == 3  # P = T / (tau*pi)
 
     def test_gammas_within_bounds(self, tiny_federation):
         algo = HierAdMo(tiny_federation, tau=5, pi=2)

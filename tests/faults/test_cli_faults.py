@@ -1,5 +1,7 @@
 """The ``repro faults`` subcommand and the resilience sweep."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -17,6 +19,20 @@ FAST = [
     "--tau", "3", "--pi", "2",
 ]
 
+ROUNDS = re.compile(
+    r"rounds: (\d+)/(\d+) survived "
+    r"\((\d+) pristine, (\d+) degraded, (\d+) skipped\)"
+)
+
+
+def round_tallies(out):
+    survived, total, pristine, degraded, skipped = map(
+        int, ROUNDS.search(out).groups()
+    )
+    assert survived == pristine + degraded
+    assert total == survived + skipped
+    return survived, total, skipped
+
 
 class TestFaultsCommand:
     def test_summarizes_injected_vs_survived(self, capsys):
@@ -28,14 +44,18 @@ class TestFaultsCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "final accuracy" in out
-        assert "survived" in out
-        assert "injected events:" in out
-        assert "fault.worker_drop" in out
+        survived, total, _ = round_tallies(out)
+        assert total > 0 and survived <= total
+        assert "injected events:\n" in out
+        assert re.search(r"^fault\.worker_drop +[1-9]", out, re.M)
+        assert re.search(r"^fault\.msg_dup +[1-9]", out, re.M)
 
     def test_zero_plan_reports_no_events(self, capsys):
         code = main(["faults", "--algorithm", "FedAvg", *FAST])
         out = capsys.readouterr().out
         assert code == 0
+        survived, total, skipped = round_tallies(out)
+        assert survived == total and skipped == 0
         assert "injected events: none realized" in out
 
     def test_policy_choices_enforced(self):

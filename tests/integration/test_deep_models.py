@@ -46,7 +46,7 @@ class TestDeepModelsEndToEnd:
             12, eval_every=6
         )
         assert np.isfinite(history.test_loss).all()
-        assert history.worker_edge_rounds == 4
+        assert history.comm.worker_edge_rounds == 4
 
     def test_batchnorm_models_stay_finite_under_param_swapping(
         self, cifar_split

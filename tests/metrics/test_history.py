@@ -93,9 +93,3 @@ class TestSerialization:
         iterations, accuracy = history.accuracy_curve()
         assert np.array_equal(iterations, [0, 10, 20, 30])
         assert accuracy[-1] == 0.95
-
-    def test_summary_fields(self, history):
-        summary = history.summary()
-        assert summary["algorithm"] == "test"
-        assert summary["final_accuracy"] == 0.95
-        assert summary["iterations"] == 30

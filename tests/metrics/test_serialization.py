@@ -18,8 +18,9 @@ def history():
     h.record_eval(0, 0.1, 2.3, 2.3)
     h.record_eval(10, 0.8, 0.5, 0.6)
     h.record_gammas({0: 0.5, 1: 0.25})
-    h.worker_edge_rounds = 3
-    h.edge_cloud_rounds = 1
+    h.comm.configure(dim=10, payload_multiplier=2.0)
+    h.comm.record_worker_edge(12, rounds=3)
+    h.comm.record_edge_cloud(2, rounds=1)
     return h
 
 
@@ -30,7 +31,22 @@ class TestRoundtrip:
         assert restored.config == history.config
         assert restored.test_accuracy == history.test_accuracy
         assert restored.gamma_trace == history.gamma_trace
-        assert restored.worker_edge_rounds == 3
+        assert restored.comm.to_dict() == history.comm.to_dict()
+        assert restored.comm.worker_edge_rounds == 3
+        assert restored.comm.edge_cloud_rounds == 1
+
+    def test_ledger_is_the_only_round_record(self, history):
+        payload = history_to_dict(history)
+        assert "worker_edge_rounds" not in payload
+        assert "edge_cloud_rounds" not in payload
+        assert payload["comm"]["worker_edge_rounds"] == 3
+
+    def test_payload_without_ledger_refused(self, history):
+        payload = history_to_dict(history)
+        del payload["comm"]
+        payload["worker_edge_rounds"] = 3
+        with pytest.raises(ValueError, match="'comm'"):
+            history_from_dict(payload)
 
     def test_file_roundtrip(self, history, tmp_path):
         path = tmp_path / "run.json"

@@ -14,8 +14,20 @@ from repro.monitoring import (
     RunEvent,
     render_dashboard,
 )
+from repro.monitoring.dashboard import MIN_WIDTH
 
 pytestmark = pytest.mark.monitoring
+
+
+def gamma_stream(rounds):
+    """``rounds`` edge rounds: edge 0's γ rises, edge 1's falls."""
+    events = [RunEvent(kind=RUN_START, data={"algorithm": "X"})]
+    for r in range(rounds):
+        events.append(RunEvent(
+            kind=EDGE_ROUND, seq=r + 1, iteration=r, tier="edge",
+            data={"gammas": {"0": 0.1 + 0.05 * r, "1": 0.9 - 0.05 * r}},
+        ))
+    return events
 
 
 def make_stream(*, with_end=True, with_alert=False):
@@ -150,3 +162,70 @@ class TestRender:
             line for line in text.splitlines() if line.startswith("accuracy")
         )
         assert len(spark_line) <= 40
+
+
+class TestWidths:
+    """Every width ``render_dashboard`` accepts renders every panel."""
+
+    @pytest.mark.parametrize("rounds", [1, 2, 3, 12])
+    @pytest.mark.parametrize(
+        "width", [MIN_WIDTH, MIN_WIDTH + 1, MIN_WIDTH + 2, 40, 64]
+    )
+    def test_gamma_rows_at_boundary_widths(self, width, rounds):
+        text = render_dashboard(gamma_stream(rounds), width=width)
+        rows = [line for line in text.splitlines() if line.startswith("  edge")]
+        assert len(rows) == 2
+        sparks = [row.split()[2] for row in rows]
+        for spark in sparks:
+            assert len(spark) == min(rounds, width - 24)
+        if rounds > 1:
+            # Downsampling keeps both ends of each series.
+            rising, falling = sparks
+            assert (rising[0], rising[-1]) == ("▁", "█")
+            assert (falling[0], falling[-1]) == ("█", "▁")
+
+    @pytest.mark.parametrize("width", [16, 24, MIN_WIDTH - 1])
+    def test_narrower_widths_refused(self, width):
+        with pytest.raises(ValueError, match=f">= {MIN_WIDTH}"):
+            render_dashboard(gamma_stream(3), width=width)
+
+    def test_full_stream_at_minimum_width(self):
+        text = render_dashboard(make_stream(with_alert=True), width=MIN_WIDTH)
+        assert "gamma per edge" in text
+        assert "alerts (1)" in text
+
+
+class TestDerivedLines:
+    """The dashboard is the one derived view of these payloads."""
+
+    def test_population_line_reads_the_last_round(self):
+        events = make_stream(with_end=False)
+        for seq, (cohort, materialized, carried) in enumerate(
+            [(8, 8, 0), (8, 13, 5)], start=len(events)
+        ):
+            events.append(RunEvent(
+                kind="population_round", seq=seq, iteration=10 * seq,
+                data={"registered": 1_000_000, "cohort": cohort,
+                      "materialized": materialized, "carried": carried},
+            ))
+        text = render_dashboard(events)
+        assert (
+            "population: 1000000 registered  cohort 8  materialized 13"
+            "  carried 5"
+        ) in text.splitlines()
+
+    def test_no_population_line_without_rounds(self):
+        assert "population:" not in render_dashboard(make_stream())
+
+    def test_peak_rss_line_reads_the_last_eval(self):
+        events = make_stream(with_end=False)
+        for event, rss in zip(
+            (e for e in events if e.kind == EVAL),
+            (10, 20, 30, 40, 48 * 1024 ** 2),
+        ):
+            event.data["peak_rss_bytes"] = rss
+        lines = render_dashboard(events).splitlines()
+        assert f"{'peak rss':<12} {'48.00 MiB':>12}" in lines
+
+    def test_no_peak_rss_line_without_a_reading(self):
+        assert "peak rss" not in render_dashboard(make_stream())

@@ -177,6 +177,21 @@ class TestStalenessRunaway:
         assert alert is not None
         assert alert.data["stale"] == 6
 
+    def test_one_round_window_fires(self):
+        monitor = StalenessRunawayMonitor(
+            max_staleness=10, max_stale_fraction=0.5, window=1
+        )
+        assert monitor.observe(
+            round_event(0, staleness=[1, 1, 1], members=4)
+        ) is not None
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_empty_window_refused(self, window):
+        # deque(maxlen=0) keeps no round, so the fraction alert could
+        # never fire.
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            StalenessRunawayMonitor(window=window)
+
     def test_rearms_after_stale_free_round(self):
         monitor = StalenessRunawayMonitor(max_staleness=2)
         assert monitor.observe(round_event(0, staleness=[2])) is not None

@@ -190,20 +190,22 @@ class TestOtherAlgorithms:
         assert all(e.data["participants"] == 4 for e in cloud)
 
 
-class TestRegistryFolding:
-    def test_final_gauges_match_history(self, federation_factory):
-        algorithm = HierAdMo(federation_factory(), **ALGO_KW)
-        with monitoring() as hub:
-            history = algorithm.run(**RUN_KW)
-        registry = hub.registry
-        assert registry.gauge("repro_test_accuracy") == pytest.approx(
-            history.final_accuracy
-        )
-        assert registry.gauge("repro_total_bytes") == pytest.approx(
-            history.comm.total_bytes
-        )
-        assert registry.counter(
-            "repro_rounds_total", labels={"tier": "edge"}
-        ) == 6
-        exposition = hub.registry.exposition()
-        assert "# TYPE repro_test_accuracy gauge" in exposition
+class TestStreamIsTheRecord:
+    """The run's numbers read off its event stream are the history's."""
+
+    def test_final_eval_and_rounds_match_history(self, federation_factory):
+        history, sink = run_lockstep(federation_factory, monitored=True)
+        events = sink.snapshot()
+        last_eval = [e for e in events if e.kind == "eval"][-1]
+        assert last_eval.data["accuracy"] == history.final_accuracy
+        assert last_eval.data["total_bytes"] == history.comm.total_bytes
+        kinds = [e.kind for e in events]
+        assert kinds.count("edge_round") == history.comm.worker_edge_rounds
+        assert kinds.count("edge_round") == 6
+        assert kinds.count("cloud_round") == history.comm.edge_cloud_rounds
+        gammas = [
+            {int(edge): gamma for edge, gamma in e.data["gammas"].items()}
+            for e in events
+            if e.kind == "edge_round"
+        ]
+        assert gammas == history.gamma_trace

@@ -39,30 +39,6 @@ class TestEmit:
         first, second = sink.snapshot()
         assert 0.0 <= first.wall_time <= second.wall_time
 
-    def test_eval_folds_gauges(self):
-        hub = RunMonitor()
-        hub.emit(EVAL, iteration=20, accuracy=0.8, test_loss=0.3,
-                 total_bytes=1024.0)
-        assert hub.registry.gauge("repro_test_accuracy") == 0.8
-        assert hub.registry.gauge("repro_iteration") == 20
-        assert hub.registry.gauge("repro_total_bytes") == 1024.0
-        assert hub.registry.counter(
-            "repro_events_total", labels={"kind": EVAL}
-        ) == 1
-
-    def test_round_folds_counters_and_gammas(self):
-        hub = RunMonitor()
-        hub.emit("edge_round", tier="edge", gammas={"0": 0.5, "1": 0.25},
-                 forced=True, staleness=[1, 2])
-        hub.emit("cloud_round", tier="cloud", stale_uploads=3)
-        registry = hub.registry
-        assert registry.counter("repro_rounds_total", labels={"tier": "edge"}) == 1
-        assert registry.counter("repro_rounds_total", labels={"tier": "cloud"}) == 1
-        assert registry.gauge("repro_gamma", labels={"edge": "1"}) == 0.25
-        assert registry.counter("repro_forced_closures_total") == 1
-        assert registry.counter("repro_stale_folds_total") == 2
-        assert registry.counter("repro_stale_uploads_total") == 3
-
 
 class TestAlerts:
     def test_alert_recorded_and_dispatched(self):
@@ -76,9 +52,6 @@ class TestAlerts:
         assert hub.alerts[0].monitor == "plateau"
         kinds = [e.kind for e in sink.snapshot()]
         assert kinds == [EVAL, EVAL, ALERT]
-        assert hub.registry.counter(
-            "repro_alerts_total", labels={"monitor": "plateau"}
-        ) == 1
 
     def test_aborting_monitor_escalates(self):
         hub = RunMonitor(monitors=[DivergenceMonitor(abort=True)])

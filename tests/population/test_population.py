@@ -18,7 +18,7 @@ from repro.checkpoint.state import rng_state, set_rng_state
 from repro.data import Dataset
 from repro.data.loader import SampleStore
 from repro.data.shards import ListShards, PrototypeShards
-from repro.monitoring import monitoring
+from repro.monitoring import RingBufferSink, monitoring
 from repro.nn.models import make_logistic_regression
 from repro.population import ClientRegistry, CohortSampler, PopulationBinder
 from repro.utils.memory import current_rss_bytes, peak_rss_bytes
@@ -325,24 +325,24 @@ class TestBinder:
         binder = algorithm.population
         algorithm._setup()
         binder.reset(algorithm)
-        with monitoring() as monitor:
+        sink = RingBufferSink()
+        with monitoring(sinks=[sink]):
             binder.resample(algorithm, 1, iteration=6)
-        registry = monitor.registry
-        assert (
-            registry.gauge("repro_population_registered")
-            == binder.registry.num_clients
-        )
-        assert (
-            registry.gauge("repro_population_cohort")
-            == binder.sampler.cohort_size
-        )
-        assert registry.gauge("repro_population_materialized") >= 6
+        (event,) = sink.snapshot()
+        assert event.kind == "population_round"
+        assert event.iteration == 6
+        assert event.data["registered"] == binder.registry.num_clients
+        assert event.data["cohort"] == binder.sampler.cohort_size
+        assert event.data["materialized"] >= 6
 
     def test_eval_events_carry_peak_rss(self):
         algorithm = _make_algorithm(FedNAG, {"eta": 0.05, "tau": 6})
-        with monitoring() as monitor:
+        sink = RingBufferSink()
+        with monitoring(sinks=[sink]):
             algorithm.run(6, eval_every=6)
-        assert (monitor.registry.gauge("repro_peak_rss_bytes") or 0) > 0
+        evals = [e for e in sink.snapshot() if e.kind == "eval"]
+        assert evals
+        assert all(e.data["peak_rss_bytes"] > 0 for e in evals)
 
     def test_nonuniform_weights_refresh_on_rebind(self):
         rng = np.random.default_rng(0)

@@ -1,5 +1,5 @@
-"""Communication ledger: closed-form bytes, compat delegation, payload
-registry agreement."""
+"""Communication ledger: closed-form bytes and payload registry
+agreement."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 from repro.algorithms import ALGORITHM_REGISTRY, FedProx, SampledFedAvg
 from repro.algorithms.compressed import QuantizedHierFAVG
 from repro.core.base import FLAlgorithm
-from repro.metrics.history import TrainingHistory
 from repro.telemetry import BYTES_PER_PARAM, CommLedger
 
 pytestmark = pytest.mark.telemetry
@@ -50,39 +49,6 @@ class TestClosedFormBytes:
         restored = CommLedger.from_dict(payload)
         assert restored.worker_edge_bytes == ledger.worker_edge_bytes
         assert restored.to_dict() == ledger.to_dict()
-
-
-class TestHistoryCompatDelegation:
-    def test_round_counters_delegate_to_ledger(self):
-        history = TrainingHistory(algorithm="x", config={})
-        history.comm.record_worker_edge(4)
-        history.comm.record_edge_cloud(2)
-        assert history.worker_edge_rounds == 1
-        assert history.edge_cloud_rounds == 1
-
-    def test_legacy_setters_write_through(self):
-        history = TrainingHistory(algorithm="x", config={})
-        history.worker_edge_rounds = 3
-        history.edge_cloud_rounds = 5
-        assert history.comm.worker_edge_rounds == 3
-        assert history.comm.edge_cloud_rounds == 5
-
-    def test_legacy_increment_cannot_drift(self):
-        history = TrainingHistory(algorithm="x", config={})
-        history.worker_edge_rounds += 1
-        history.comm.record_worker_edge(4)
-        # Both mutation styles land on the same counter.
-        assert history.worker_edge_rounds == 2
-
-    def test_summary_exposes_bytes(self):
-        history = TrainingHistory(algorithm="x", config={})
-        history.comm.configure(dim=10, payload_multiplier=1.0)
-        history.comm.record_worker_edge(4)
-        history.record_eval(0, 0.5, 1.0, float("nan"))
-        summary = history.summary()
-        assert summary["worker_edge_bytes"] == 4 * 10 * 8
-        assert summary["edge_cloud_bytes"] == 0
-        assert summary["total_bytes"] == 4 * 10 * 8
 
 
 class TestPayloadRegistry:

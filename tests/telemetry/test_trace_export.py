@@ -9,7 +9,12 @@ import pytest
 from repro.metrics import load_trace_jsonl, save_trace_jsonl
 from repro.metrics.history import TrainingHistory
 from repro.monitoring import load_events_jsonl
-from repro.telemetry import Tracer, format_bytes, format_trace_report
+from repro.telemetry import (
+    Tracer,
+    format_bytes,
+    format_fault_summary,
+    format_trace_report,
+)
 
 pytestmark = pytest.mark.telemetry
 
@@ -126,6 +131,22 @@ class TestReportRendering:
             "stale uploads: 14 (from 3 workers) across 5 of 6 cloud rounds"
             in text
         )
+
+    def test_trace_and_faults_share_one_fault_renderer(self):
+        history = TrainingHistory(algorithm="HierAdMo", config={})
+        history.fault_summary = {
+            "rounds": {"pristine": 3, "degraded": 2, "skipped": 1,
+                       "total": 6},
+            "events": {"fault.worker_drop": 4, "fault.msg_loss": 0},
+        }
+        block = format_fault_summary(history.fault_summary)
+        assert block.splitlines()[0] == (
+            "rounds: 5/6 survived (3 pristine, 2 degraded, 1 skipped)"
+        )
+        assert "fault.worker_drop" in block
+        assert "fault.msg_loss" not in block  # not realized
+        text = format_trace_report(_traced_tracer(), history)
+        assert "== fault injection ==\n" + block + "\n" in text
 
     def test_format_bytes_units(self):
         assert format_bytes(512) == "512 B"

@@ -8,6 +8,7 @@ from repro import telemetry
 from repro.telemetry import (
     NULL_TRACER,
     NullTracer,
+    Stats,
     Tracer,
     get_tracer,
     set_tracer,
@@ -118,22 +119,34 @@ class TestCountersAndHistograms:
         tracer.count("bytes", 2.5)
         assert tracer.counters == {"events": 5, "bytes": 2.5}
 
-    def test_histogram_moments_and_percentiles(self, tracer):
+    def test_histogram_moments(self, tracer):
         for value in (1.0, 2.0, 3.0, 4.0):
             tracer.observe("gamma", value)
         histogram = tracer.histograms["gamma"]
         assert histogram.count == 4
+        assert histogram.total == 10.0
         assert histogram.mean == pytest.approx(2.5)
         assert histogram.min == 1.0
         assert histogram.max == 4.0
-        assert histogram.percentile(0) == 1.0
-        assert histogram.percentile(100) == 4.0
-        assert histogram.percentile(50) in (2.0, 3.0)
 
-    def test_empty_histogram_has_no_percentiles(self, tracer):
-        tracer.observe("h", 1.0)
-        with pytest.raises(ValueError):
-            tracer.histograms["h"].percentile(101)
+    def test_negative_series_keeps_its_max(self, tracer):
+        for value in (-3.0, -1.5, -2.0):
+            tracer.observe("cosine", value)
+        assert tracer.histograms["cosine"].to_dict() == {
+            "count": 3, "total": -6.5, "min": -3.0, "max": -1.5,
+            "mean": pytest.approx(-6.5 / 3),
+        }
+
+    def test_spans_and_histograms_share_one_stats_class(self, tracer, clock):
+        with tracer.span("phase"):
+            clock.advance(0.25)
+        tracer.observe("h", 0.25)
+        spans, values = tracer.span_stats["phase"], tracer.histograms["h"]
+        assert type(spans) is type(values) is Stats
+        assert spans.to_dict() == values.to_dict()
+        assert Stats().to_dict() == {
+            "count": 0, "total": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0,
+        }
 
     def test_summary_is_json_able(self, tracer, clock):
         with tracer.span("phase"):

@@ -122,6 +122,22 @@ class TestMonitorCommands:
         assert "rounds: edge" in out
         assert "alerts" in out
 
+    def test_monitor_once_renders_every_accepted_width(
+        self, tmp_path, capsys
+    ):
+        from repro.monitoring.dashboard import MIN_WIDTH
+
+        stream = self.run_monitored(tmp_path, capsys)
+        for width in (MIN_WIDTH, MIN_WIDTH + 1, 64):
+            args = ["monitor", "--once", "--width", str(width), str(stream)]
+            assert main(args) == 0
+            assert "gamma per edge" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["monitor", "--once", "--width", str(MIN_WIDTH - 1),
+                  str(stream)])
+        assert excinfo.value.code == 2
+        assert f"must be >= {MIN_WIDTH}" in capsys.readouterr().err
+
     def test_monitor_once_missing_stream(self, tmp_path):
         with pytest.raises(SystemExit, match="no event stream"):
             main(["monitor", "--once", str(tmp_path / "absent.jsonl")])
