@@ -15,14 +15,10 @@ Quickstart::
     print(history.final_accuracy)
 """
 
-from repro.algorithms import (
-    ALGORITHM_REGISTRY,
-    THREE_TIER_ALGORITHMS,
-    TWO_TIER_ALGORITHMS,
-)
+from repro.algorithms import ALGORITHM_REGISTRY, THREE_TIER_ALGORITHMS
 from repro.checkpoint import CheckpointManager
 from repro.core import Federation, HierAdMo, HierAdMoR
-from repro.data import Dataset, make_dataset, partition, train_test_split
+from repro.data import Dataset, make_dataset, train_test_split
 from repro import telemetry
 from repro.experiments import ExperimentConfig, run_many, run_single
 from repro.faults import DEGRADATION_POLICIES, FaultPlan
@@ -39,7 +35,6 @@ __all__ = [
     "Topology",
     "Dataset",
     "make_dataset",
-    "partition",
     "train_test_split",
     "TrainingHistory",
     "ExperimentConfig",
@@ -47,7 +42,6 @@ __all__ = [
     "run_many",
     "ALGORITHM_REGISTRY",
     "THREE_TIER_ALGORITHMS",
-    "TWO_TIER_ALGORITHMS",
     "FaultPlan",
     "DEGRADATION_POLICIES",
     "CheckpointManager",

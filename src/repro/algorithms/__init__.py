@@ -50,21 +50,11 @@ ASYNC_ALGORITHM_REGISTRY = {
 }
 
 THREE_TIER_ALGORITHMS = ("HierAdMo", "HierAdMo-R", "HierFAVG", "CFL")
-TWO_TIER_ALGORITHMS = (
-    "FastSlowMo",
-    "FedADC",
-    "FedMom",
-    "SlowMo",
-    "FedNAG",
-    "Mime",
-    "FedAvg",
-)
 
 __all__ = [
     "ALGORITHM_REGISTRY",
     "ASYNC_ALGORITHM_REGISTRY",
     "THREE_TIER_ALGORITHMS",
-    "TWO_TIER_ALGORITHMS",
     "TwoTierAlgorithm",
     "FedAvg",
     "FedNAG",

@@ -212,11 +212,17 @@ class AsyncExecutionMixin:
         return losses
 
     def round_complete(self, round_index: int, time: float) -> None:
-        """Barrier notification: every group finished ``round_index``."""
+        """Barrier notification: every group finished ``round_index``.
+
+        A tiered round whose closures aggregated anywhere left its γℓ
+        in ``_gamma_pending``; it bills one edge round here, once, as
+        the lockstep clock bills a scheduled round.
+        """
+        gammas = self._gamma_pending.pop(round_index, None)
+        if gammas is not None:
+            self.history.comm.record_worker_edge(0)
         if self._records_gammas:
-            self.history.record_gammas(
-                self._gamma_pending.pop(round_index, {})
-            )
+            self.history.record_gammas(gammas or {})
         # Every group has aggregated and redistributed, so a cohort
         # rebind here sees broadcast-coherent rows; the engine calls the
         # checkpoint hook only after this returns.
@@ -269,7 +275,9 @@ class AsyncExecutionMixin:
                 return
             recv = np.asarray(receivers, dtype=int)
             self._merge_arrivals(group, round_index, fresh, stale, recv)
-            self._bill(upload_events + recv.size)
+            # A flat round is its one group's closure; a tiered round is
+            # billed at its barrier (``round_complete``).
+            self._bill(upload_events + recv.size, rounds=int(self.FLAT))
 
     def _bill(self, transfers: int, *, rounds: int = 1) -> None:
         """Bill worker transfers on their link: the WAN if flat."""

@@ -27,11 +27,9 @@ from repro.checkpoint.manager import (
 from repro.checkpoint.state import (
     federation_state,
     injector_state,
-    pack_rng,
     pack_rngs,
     restore_federation,
     restore_injector,
-    rng_state,
     set_rng_state,
     unpack_rng,
 )
@@ -50,9 +48,7 @@ __all__ = [
     "RestoredRun",
     "load_resume",
     "restore",
-    "rng_state",
     "set_rng_state",
-    "pack_rng",
     "pack_rngs",
     "unpack_rng",
     "federation_state",

@@ -32,9 +32,9 @@ the whole federation + algorithm from the manifest's stored experiment
 config for runs launched through the experiment builders (the CLI
 path).
 
-Retention keeps the newest ``keep_last`` checkpoints plus the one with
-the best recorded test accuracy (``keep_best``); everything else is
-pruned after each successful save.
+Retention keeps the newest :data:`KEEP_LAST` checkpoints plus the one
+with the best recorded test accuracy; everything else is pruned after
+each successful save.
 """
 
 from __future__ import annotations
@@ -65,6 +65,10 @@ from repro.telemetry import get_tracer
 from repro.utils.validation import check_positive_int
 
 __all__ = ["CheckpointManager", "RestoredRun", "load_resume", "restore"]
+
+# Retention: the newest KEEP_LAST checkpoints survive a prune, plus the
+# best-accuracy one.
+KEEP_LAST = 3
 
 _ALGO_PREFIX = "algo:"
 
@@ -162,16 +166,12 @@ class CheckpointManager:
         directory: str | Path,
         *,
         every: int = 0,
-        keep_last: int = 3,
-        keep_best: bool = True,
         config=None,
     ):
         self.directory = Path(directory)
         if every:
             check_positive_int(every, "every")
         self.every = int(every)
-        self.keep_last = check_positive_int(keep_last, "keep_last")
-        self.keep_best = bool(keep_best)
         # Stored into every manifest so `restore()` can rebuild the
         # federation; accepts an ExperimentConfig, a dict, or None.
         if config is not None and is_dataclass(config):
@@ -289,12 +289,10 @@ class CheckpointManager:
 
     def _prune(self) -> None:
         paths = list_checkpoints(self.directory)
-        if len(paths) <= self.keep_last:
+        if len(paths) <= KEEP_LAST:
             return
-        keep = set(paths[-self.keep_last:])
-        if self.keep_best:
-            best = max(paths, key=self._accuracy_of)
-            keep.add(best)
+        keep = set(paths[-KEEP_LAST:])
+        keep.add(max(paths, key=self._accuracy_of))
         for path in paths:
             if path not in keep:
                 try:

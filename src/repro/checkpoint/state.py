@@ -6,7 +6,7 @@ matrices lives here:
 * **RNG streams** — a ``numpy`` :class:`~numpy.random.Generator` round-
   trips through ``bit_generator.state``, a plain JSON-able dict (Python
   ``json`` handles the 128-bit PCG64 integers natively), or packs into
-  one ``uint64`` row of :data:`RNG_WORDS` words (:func:`pack_rng` /
+  one ``uint64`` row of :data:`RNG_WORDS` words (:func:`pack_rngs` /
   :func:`unpack_rng`) so that many streams store as one table;
 * **batch streams** — each row of a federation's
   :class:`~repro.data.loader.SampleStore` is its generator state plus
@@ -35,9 +35,7 @@ from repro.checkpoint.format import CheckpointError
 
 __all__ = [
     "RNG_WORDS",
-    "rng_state",
     "set_rng_state",
-    "pack_rng",
     "pack_rngs",
     "unpack_rng",
     "federation_state",
@@ -50,13 +48,8 @@ __all__ = [
 # ----------------------------------------------------------------------
 # RNG streams
 # ----------------------------------------------------------------------
-def rng_state(generator: np.random.Generator) -> dict:
-    """JSON-able snapshot of a numpy Generator."""
-    return generator.bit_generator.state
-
-
 def set_rng_state(generator: np.random.Generator, state: dict) -> None:
-    """Inverse of :func:`rng_state` (the bit generators must match)."""
+    """Apply a ``bit_generator.state`` dict (the bit generators must match)."""
     generator.bit_generator.state = state
 
 
@@ -88,13 +81,8 @@ def pack_rngs(generators) -> np.ndarray:
     return np.array(words, dtype=np.uint64).reshape(-1, RNG_WORDS)
 
 
-def pack_rng(generator: np.random.Generator) -> np.ndarray:
-    """A PCG64 generator's state as one ``uint64`` row of RNG_WORDS words."""
-    return pack_rngs([generator])[0]
-
-
 def unpack_rng(words: np.ndarray) -> dict:
-    """Inverse of :func:`pack_rng`: the ``bit_generator.state`` dict."""
+    """One :func:`pack_rngs` row back to its ``bit_generator.state`` dict."""
     hi_state, lo_state, hi_inc, lo_inc, has_uint32, uinteger = (
         int(word) for word in words
     )
@@ -113,22 +101,12 @@ def unpack_rng(words: np.ndarray) -> dict:
 # Federation: batch streams + model buffers
 # ----------------------------------------------------------------------
 def _norm_layers(model):
-    from repro.nn.norm import _BatchNorm
+    from repro.nn.norm import BatchNorm2d
 
     return [
         layer
         for layer in model.module.modules()
-        if isinstance(layer, _BatchNorm)
-    ]
-
-
-def _dropout_layers(model):
-    from repro.nn.dropout import Dropout
-
-    return [
-        layer
-        for layer in model.module.modules()
-        if isinstance(layer, Dropout) and layer.p > 0.0
+        if isinstance(layer, BatchNorm2d)
     ]
 
 
@@ -138,7 +116,7 @@ def _used(store) -> np.ndarray:
 
 
 def federation_state(federation) -> tuple[dict, dict[str, np.ndarray]]:
-    """Snapshot batch-stream cursors, BatchNorm buffers and dropout RNGs."""
+    """Snapshot batch-stream cursors and BatchNorm buffers."""
     store = federation.store
     values: dict = {"samplers": store.cursor.tolist()}
     arrays: dict[str, np.ndarray] = {
@@ -151,11 +129,6 @@ def federation_state(federation) -> tuple[dict, dict[str, np.ndarray]]:
     for index, layer in enumerate(_norm_layers(federation.model)):
         for key, buffer in layer.get_buffers().items():
             arrays[f"fed:bn{index}:{key}"] = np.asarray(buffer)
-    dropout = _dropout_layers(federation.model)
-    if dropout:
-        # Live dropout masks consume a training-only RNG stream that
-        # must resume exactly where the snapshot left it.
-        values["dropout"] = [rng_state(layer.rng) for layer in dropout]
     return values, arrays
 
 
@@ -191,17 +164,6 @@ def restore_federation(
             for key in buffers
         }
         layer.set_buffers(restored)
-    # ``.get``: only models with live dropout layers record the key.
-    dropout_states = values.get("dropout")
-    if dropout_states:
-        layers = _dropout_layers(federation.model)
-        if len(dropout_states) != len(layers):
-            raise ValueError(
-                f"checkpoint has {len(dropout_states)} dropout layers, "
-                f"model has {len(layers)}"
-            )
-        for layer, state in zip(layers, dropout_states):
-            set_rng_state(layer.rng, state)
 
 
 # ----------------------------------------------------------------------

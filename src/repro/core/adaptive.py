@@ -90,9 +90,8 @@ class AdaptiveGammaController:
     One controller instance serves all edges: the accumulators live in
     stacked ``(num_workers, dim)`` matrices, filled for a selection of
     workers at once via :meth:`accumulate_step` (one row per event on
-    the event clock; :meth:`accumulate` is its per-worker reference);
-    each edge aggregation calls :meth:`gamma_for_edge` then
-    :meth:`reset_workers`.
+    the event clock); each edge aggregation calls :meth:`gamma_for_edge`
+    then :meth:`reset_workers`.
     """
 
     def __init__(self, num_workers: int, dim: int, mode: str = "velocity"):
@@ -105,28 +104,6 @@ class AdaptiveGammaController:
         # velocity carries the redistribution jump, not training signal).
         self._boundary = np.ones(num_workers, dtype=bool)
 
-    def accumulate(
-        self,
-        worker: int,
-        grad: np.ndarray,
-        y_prev: np.ndarray,
-        velocity: np.ndarray,
-    ) -> None:
-        """Record one local iteration of ``worker``.
-
-        ``y_prev`` is the worker's y before the update (the literal eq.-6
-        accumulator); ``velocity`` is ``y_new − y_prev``.
-        """
-        if self.mode == "velocity":
-            if self._boundary[worker]:
-                self._boundary[worker] = False
-                return
-            self.grad_sums[worker] += grad
-            self.momentum_sums[worker] += velocity
-        else:
-            self.grad_sums[worker] += grad
-            self.momentum_sums[worker] += y_prev
-
     def accumulate_step(
         self,
         rows,
@@ -138,7 +115,8 @@ class AdaptiveGammaController:
 
         ``rows`` is a row selector (``slice(None)`` or flat worker ids);
         the matrices hold the selected rows' values in selection order.
-        Equivalent to calling :meth:`accumulate` per selected worker.
+        ``y_prev`` is each worker's y before the update (the literal
+        eq.-6 accumulator); ``velocities`` are ``y_new − y_prev``.
         Unselected (absent) workers take no step: their boundary flags,
         like their accumulators, stay untouched.
         """

@@ -1,11 +1,6 @@
 """Dataset substrate: synthetic corpora, loaders and federated partitioners."""
 
 from repro.data.base import Dataset, train_test_split
-from repro.data.diagnostics import (
-    heterogeneity_summary,
-    js_divergence_from_global,
-    label_distribution_matrix,
-)
 from repro.data.loader import SampleStore
 from repro.data.real import (
     load_mnist_idx,
@@ -16,7 +11,6 @@ from repro.data.real import (
     write_idx,
 )
 from repro.data.partition import (
-    partition,
     partition_dirichlet,
     partition_iid,
     partition_xclass,
@@ -35,7 +29,6 @@ __all__ = [
     "Dataset",
     "train_test_split",
     "SampleStore",
-    "partition",
     "partition_iid",
     "partition_xclass",
     "partition_dirichlet",
@@ -52,7 +45,4 @@ __all__ = [
     "read_cifar10_binary",
     "write_cifar10_binary",
     "load_or_synthesize",
-    "label_distribution_matrix",
-    "js_divergence_from_global",
-    "heterogeneity_summary",
 ]

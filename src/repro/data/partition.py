@@ -21,7 +21,6 @@ __all__ = [
     "partition_iid",
     "partition_xclass",
     "partition_dirichlet",
-    "partition",
 ]
 
 
@@ -171,22 +170,3 @@ def partition_dirichlet(
     arrays = [np.asarray(sorted(a), dtype=np.int64) for a in assignment]
     return _subsets(dataset, arrays)
 
-
-def partition(
-    dataset: Dataset,
-    num_workers: int,
-    scheme: str = "iid",
-    rng: np.random.Generator | int | None = None,
-    **kwargs,
-) -> list[Dataset]:
-    """Dispatch on scheme name: ``iid``, ``xclass`` or ``dirichlet``."""
-    schemes = {
-        "iid": partition_iid,
-        "xclass": partition_xclass,
-        "dirichlet": partition_dirichlet,
-    }
-    if scheme not in schemes:
-        raise ValueError(
-            f"unknown scheme {scheme!r}; choose from {sorted(schemes)}"
-        )
-    return schemes[scheme](dataset, num_workers, rng=rng, **kwargs)

@@ -6,13 +6,11 @@ from repro.experiments.builders import (
     build_datasets,
     build_federation,
     build_model,
-    is_three_tier,
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import GridResult, format_grid, run_grid
 from repro.experiments.noniid import (
     NONIID_ALGORITHMS,
-    run_dirichlet_sweep,
     run_noniid_sweep,
 )
 from repro.experiments.replication import (
@@ -21,13 +19,6 @@ from repro.experiments.replication import (
     run_replicated,
 )
 from repro.experiments.report import ReportScale, generate_report
-from repro.experiments.resilience import (
-    RESILIENCE_ALGORITHMS,
-    ResilienceResult,
-    format_resilience,
-    run_resilience_sweep,
-    severity_plan,
-)
 from repro.experiments.runner import (
     format_results_table,
     run_many,
@@ -42,8 +33,6 @@ from repro.experiments.sweeps import (
 from repro.experiments.table2 import (
     TABLE2_ALGORITHMS,
     TABLE2_COMBOS,
-    format_table2,
-    run_table2,
     run_table2_column,
 )
 from repro.experiments.timing import TimedResult, run_time_to_accuracy
@@ -54,22 +43,18 @@ __all__ = [
     "build_datasets",
     "build_model",
     "build_algorithm",
-    "is_three_tier",
     "run_single",
     "run_many",
     "format_results_table",
     "TABLE2_COMBOS",
     "TABLE2_ALGORITHMS",
-    "run_table2",
     "run_table2_column",
-    "format_table2",
     "fig2_sweep_config",
     "run_tau_sweep",
     "run_pi_sweep",
     "run_fixed_product_sweep",
     "NONIID_ALGORITHMS",
     "run_noniid_sweep",
-    "run_dirichlet_sweep",
     "run_adaptive_comparison",
     "best_fixed_gamma",
     "TimedResult",
@@ -82,9 +67,4 @@ __all__ = [
     "ReplicatedResult",
     "run_replicated",
     "format_replicated",
-    "RESILIENCE_ALGORITHMS",
-    "ResilienceResult",
-    "severity_plan",
-    "run_resilience_sweep",
-    "format_resilience",
 ]

@@ -9,11 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms import (
-    ALGORITHM_REGISTRY,
-    ASYNC_ALGORITHM_REGISTRY,
-    TwoTierAlgorithm,
-)
+from repro.algorithms import ALGORITHM_REGISTRY, ASYNC_ALGORITHM_REGISTRY
 from repro.algorithms.compressed import QuantizedHierFAVG
 from repro.algorithms.fedprox import FedProx
 from repro.algorithms.participation import SampledFedAvg
@@ -45,7 +41,6 @@ __all__ = [
     "build_algorithm",
     "needs_flat_features",
     "algorithm_class",
-    "is_three_tier",
 ]
 
 
@@ -295,7 +290,3 @@ def _construct_algorithm(
         )
     raise ValueError(f"no construction rule for {name!r}")
 
-
-def is_three_tier(name: str) -> bool:
-    """Whether an algorithm uses the edge level (is not two-tier)."""
-    return not issubclass(algorithm_class(name), TwoTierAlgorithm)

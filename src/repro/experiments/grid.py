@@ -27,10 +27,6 @@ class GridResult:
     final_accuracy: float
     best_accuracy: float
 
-    @property
-    def overrides_dict(self) -> dict:
-        return dict(self.overrides)
-
 
 def run_grid(
     algorithms: tuple[str, ...],

@@ -11,7 +11,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_many
 from repro.metrics.history import TrainingHistory
 
-__all__ = ["NONIID_ALGORITHMS", "run_noniid_sweep", "run_dirichlet_sweep"]
+__all__ = ["NONIID_ALGORITHMS", "run_noniid_sweep"]
 
 # The subset the paper plots in Fig. 2(e–g).
 NONIID_ALGORITHMS = (
@@ -44,29 +44,3 @@ def run_noniid_sweep(
         out[x] = run_many(algorithms, config)
     return out
 
-
-def run_dirichlet_sweep(
-    alphas: tuple[float, ...] = (0.1, 1.0, 10.0),
-    *,
-    algorithms: tuple[str, ...] = NONIID_ALGORITHMS,
-    base_config: ExperimentConfig | None = None,
-) -> dict[float, dict[str, TrainingHistory]]:
-    """Dirichlet(α) companion sweep: {α -> {algorithm -> history}}.
-
-    Smaller α = stronger label skew — the continuous analogue of the
-    paper's discrete x-class levels, standard in the wider FL literature.
-    """
-    if base_config is None:
-        base_config = ExperimentConfig(
-            dataset="mnist",
-            model="logistic",
-            scheme="dirichlet",
-            total_iterations=240,
-        )
-    out: dict[float, dict[str, TrainingHistory]] = {}
-    for alpha in alphas:
-        config = base_config.with_overrides(
-            scheme="dirichlet", dirichlet_alpha=alpha
-        )
-        out[alpha] = run_many(algorithms, config)
-    return out

@@ -2,8 +2,9 @@
 
 ``generate_report`` runs a configurable slice of the paper's artifacts
 and renders a markdown report with the measured numbers next to the
-paper's qualitative claims — the machinery behind EXPERIMENTS.md and the
-CLI's ``report`` command.
+paper's qualitative claims — the CLI's ``report`` command.  The record
+in EXPERIMENTS.md comes from the claim benches (``benchmarks/``), not
+from this module.
 
 Two scales are built in:
 

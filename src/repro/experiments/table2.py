@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from repro.algorithms import ALGORITHM_REGISTRY
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import format_results_table, run_many
+from repro.experiments.runner import run_many
 
 __all__ = [
     "TABLE2_COMBOS",
     "TABLE2_ALGORITHMS",
     "run_table2_column",
-    "run_table2",
-    "format_table2",
 ]
 
 # (column name, config overrides).  Convex combos use the paper's
@@ -78,32 +76,3 @@ def run_table2_column(
     histories = run_many(algorithms, config)
     return {name: history.final_accuracy for name, history in histories.items()}
 
-
-def run_table2(
-    combos: list[str] | tuple[str, ...] | None = None,
-    *,
-    algorithms: tuple[str, ...] = TABLE2_ALGORITHMS,
-    base_config: ExperimentConfig | None = None,
-) -> dict[str, dict[str, float]]:
-    """Full table: {algorithm -> {combo -> accuracy}}."""
-    if combos is None:
-        combos = tuple(TABLE2_COMBOS)
-    table: dict[str, dict[str, float]] = {name: {} for name in algorithms}
-    for combo in combos:
-        column = run_table2_column(
-            combo, algorithms=algorithms, base_config=base_config
-        )
-        for name, accuracy in column.items():
-            table[name][combo] = accuracy
-    return table
-
-
-def format_table2(table: dict[str, dict[str, float]]) -> str:
-    """Paper-style rendering, HierAdMo first."""
-    order = [name for name in ALGORITHM_REGISTRY if name in table]
-    return format_results_table(
-        table,
-        row_order=order,
-        value_format="{:.4f}",
-        title="Table II reproduction (final test accuracy)",
-    )

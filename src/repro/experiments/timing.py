@@ -33,6 +33,9 @@ from repro.utils.rng import RngStreams
 
 __all__ = ["TimedResult", "run_time_to_accuracy"]
 
+# Seed of the delay replay's streams (one per algorithm, by name).
+TIMELINE_SEED = 7
+
 
 @dataclass(frozen=True)
 class TimedResult:
@@ -56,7 +59,6 @@ def run_time_to_accuracy(
     *,
     target: float = 0.95,
     base_config: ExperimentConfig | None = None,
-    timeline_seed: int = 7,
     straggler_probability: float = 0.0,
     straggler_factor: float = 8.0,
 ) -> dict[str, TimedResult]:
@@ -86,7 +88,7 @@ def run_time_to_accuracy(
         devices = add_stragglers(
             devices, straggler_probability, straggler_factor
         )
-    streams = RngStreams(timeline_seed)
+    streams = RngStreams(TIMELINE_SEED)
 
     out: dict[str, TimedResult] = {}
     for name, history in histories.items():

@@ -1,11 +1,10 @@
 """Evaluation metrics and training histories."""
 
-from repro.metrics.ascii_plot import ascii_curve, compare_curves, sparkline
+from repro.metrics.ascii_plot import compare_curves, sparkline
 from repro.metrics.classification import (
     confusion_matrix,
     macro_f1,
     per_class_accuracy,
-    top_k_accuracy,
 )
 from repro.metrics.history import TrainingHistory
 from repro.metrics.serialization import (
@@ -21,10 +20,8 @@ __all__ = [
     "TrainingHistory",
     "confusion_matrix",
     "per_class_accuracy",
-    "top_k_accuracy",
     "macro_f1",
     "sparkline",
-    "ascii_curve",
     "compare_curves",
     "history_to_dict",
     "history_from_dict",

@@ -1,17 +1,14 @@
 """Terminal plots for training curves.
 
 The examples and the CLI render accuracy curves without any plotting
-dependency: a fixed-size character grid for curves and one-line
-sparklines for compact comparisons.
+dependency, as one-line sparklines for compact comparisons.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.validation import check_positive_int
-
-__all__ = ["sparkline", "ascii_curve", "compare_curves"]
+__all__ = ["sparkline", "compare_curves"]
 
 _BLOCKS = "▁▂▃▄▅▆▇█"
 
@@ -41,59 +38,6 @@ def sparkline(values, low: float | None = None, high: float | None = None) -> st
     return "".join(
         _BLOCKS[i] if ok else " " for i, ok in zip(indices, finite)
     )
-
-
-def ascii_curve(
-    xs,
-    ys,
-    *,
-    width: int = 60,
-    height: int = 12,
-    label: str = "",
-) -> str:
-    """Multi-line scatter/curve plot on a character grid."""
-    check_positive_int(width, "width")
-    check_positive_int(height, "height")
-    xs = np.asarray(list(xs), dtype=np.float64)
-    ys = np.asarray(list(ys), dtype=np.float64)
-    if xs.size != ys.size or xs.size == 0:
-        raise ValueError("xs and ys must be equal-length and non-empty")
-    # Points with a non-finite coordinate are skipped (NaN markers such
-    # as the pre-training train_loss entry must not break plotting).
-    finite = np.isfinite(xs) & np.isfinite(ys)
-    if not finite.any():
-        raise ValueError("no finite points to plot")
-
-    x_low, x_high = float(xs[finite].min()), float(xs[finite].max())
-    y_low, y_high = float(ys[finite].min()), float(ys[finite].max())
-    x_span = max(x_high - x_low, 1e-12)
-    y_span = max(y_high - y_low, 1e-12)
-
-    grid = [[" "] * width for _ in range(height)]
-    for x, y, ok in zip(xs, ys, finite):
-        if not ok:
-            continue
-        col = int((x - x_low) / x_span * (width - 1))
-        row = height - 1 - int((y - y_low) / y_span * (height - 1))
-        grid[row][col] = "*"
-
-    lines = []
-    if label:
-        lines.append(label)
-    for row_index, row in enumerate(grid):
-        if row_index == 0:
-            margin = f"{y_high:8.3f} |"
-        elif row_index == height - 1:
-            margin = f"{y_low:8.3f} |"
-        else:
-            margin = " " * 9 + "|"
-        lines.append(margin + "".join(row))
-    lines.append(" " * 9 + "+" + "-" * width)
-    lines.append(
-        " " * 10 + f"{x_low:<10.0f}" + " " * max(width - 20, 0)
-        + f"{x_high:>10.0f}"
-    )
-    return "\n".join(lines)
 
 
 def compare_curves(histories: dict, *, width: int = 40) -> str:

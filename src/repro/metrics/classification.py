@@ -14,7 +14,6 @@ from repro.utils.validation import check_positive_int
 __all__ = [
     "confusion_matrix",
     "per_class_accuracy",
-    "top_k_accuracy",
     "macro_f1",
 ]
 
@@ -48,22 +47,6 @@ def per_class_accuracy(
         return np.where(
             totals > 0, np.diag(matrix) / totals, np.nan
         )
-
-
-def top_k_accuracy(
-    scores: np.ndarray, y_true: np.ndarray, k: int
-) -> float:
-    """Fraction of samples whose true label is among the top-k scores."""
-    check_positive_int(k, "k")
-    scores = np.asarray(scores, dtype=np.float64)
-    y_true = np.asarray(y_true, dtype=np.int64)
-    if scores.ndim != 2 or scores.shape[0] != y_true.shape[0]:
-        raise ValueError(
-            f"scores {scores.shape} incompatible with labels {y_true.shape}"
-        )
-    k = min(k, scores.shape[1])
-    top = np.argpartition(scores, -k, axis=1)[:, -k:]
-    return float(np.mean((top == y_true[:, None]).any(axis=1)))
 
 
 def macro_f1(

@@ -20,8 +20,7 @@ from repro.telemetry.tracer import SpanRecord, Tracer
 from repro.utils.io import atomic_write_text
 
 __all__ = ["history_to_dict", "history_from_dict", "save_history",
-           "load_history", "save_history_csv", "save_trace_jsonl",
-           "load_trace_jsonl"]
+           "load_history", "save_trace_jsonl", "load_trace_jsonl"]
 
 
 def history_to_dict(history: TrainingHistory) -> dict:
@@ -155,15 +154,3 @@ def load_trace_jsonl(path: str | Path) -> dict:
         "histograms": histograms,
     }
 
-
-def save_history_csv(history: TrainingHistory, path: str | Path) -> None:
-    """Write the evaluation series as CSV (for spreadsheets/plotting)."""
-    lines = ["iteration,test_accuracy,test_loss,train_loss"]
-    for row in zip(
-        history.iterations,
-        history.test_accuracy,
-        history.test_loss,
-        history.train_loss,
-    ):
-        lines.append(",".join(repr(value) for value in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -17,7 +17,6 @@ from repro.monitoring.events import (
     CLOUD_ROUND,
     EDGE_ROUND,
     EVAL,
-    EVENT_KINDS,
     RUN_END,
     RUN_START,
     RunEvent,
@@ -35,7 +34,6 @@ from repro.monitoring.health import (
 )
 from repro.monitoring.monitor import RunMonitor, monitoring
 from repro.monitoring.sinks import (
-    CallbackSink,
     EventSink,
     JSONLStreamSink,
     RingBufferSink,
@@ -44,7 +42,6 @@ from repro.monitoring.sinks import (
 
 __all__ = [
     "RunEvent",
-    "EVENT_KINDS",
     "RUN_START",
     "EVAL",
     "EDGE_ROUND",
@@ -56,7 +53,6 @@ __all__ = [
     "EventSink",
     "RingBufferSink",
     "JSONLStreamSink",
-    "CallbackSink",
     "load_events_jsonl",
     "Alert",
     "MonitorAbort",

@@ -86,7 +86,7 @@ def render_dashboard(events: list[RunEvent], width: int = 64) -> str:
     """One screenful of dashboard text for the given event stream.
 
     ``width`` (at least :data:`MIN_WIDTH`) sizes the rules and the
-    sparklines and truncates alert lines.
+    sparklines, and every row is cut to it.
     """
     if width < MIN_WIDTH:
         raise ValueError(f"width must be >= {MIN_WIDTH}, got {width}")
@@ -222,9 +222,10 @@ def render_dashboard(events: list[RunEvent], width: int = 64) -> str:
             marker = _SPARK_SEVERITY.get(severity, " ?")
             monitor = event.data.get("monitor", "?")
             message = event.data.get("message", "")
-            line = f"{marker} [{monitor}] iter {event.iteration}: {message}"
-            lines.append(line[:width])
+            lines.append(
+                f"{marker} [{monitor}] iter {event.iteration}: {message}"
+            )
     else:
         lines.append("alerts: none")
 
-    return "\n".join(lines) + "\n"
+    return "".join(line[:width] + "\n" for line in lines)

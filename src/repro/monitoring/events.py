@@ -46,7 +46,6 @@ __all__ = [
     "CHECKPOINT_SAVED",
     "CHECKPOINT_RESTORED",
     "RUN_END",
-    "EVENT_KINDS",
     "RunEvent",
 ]
 
@@ -58,18 +57,6 @@ ALERT = "alert"
 CHECKPOINT_SAVED = "checkpoint_saved"
 CHECKPOINT_RESTORED = "checkpoint_restored"
 RUN_END = "run_end"
-
-EVENT_KINDS = (
-    RUN_START,
-    EVAL,
-    EDGE_ROUND,
-    CLOUD_ROUND,
-    ALERT,
-    CHECKPOINT_SAVED,
-    CHECKPOINT_RESTORED,
-    RUN_END,
-)
-
 
 @dataclass(slots=True)
 class RunEvent:

@@ -40,6 +40,16 @@ __all__ = [
     "default_monitors",
 ]
 
+# Thresholds of the standard battery.
+EXPLODE_FACTOR = 1e3  # train loss this many times the first one diverged
+PATIENCE = 5  # evals without improvement that make a plateau
+MIN_DELTA = 1e-3  # the accuracy gain that counts as improvement
+STARVATION_STREAK = 3  # consecutive forced closures that starve a group
+MAX_STALENESS = 3  # a fold this many rounds old is runaway staleness
+MAX_STALE_FRACTION = 0.5  # stale share of members over the window
+STALE_WINDOW = 5  # edge rounds the stale share is taken over
+FAULT_BUDGET = 1000  # realized fault events a run may absorb
+
 
 @dataclass(slots=True)
 class Alert:
@@ -122,19 +132,14 @@ class DivergenceMonitor(HealthMonitor):
 
     Fires (severity ``critical``) when an ``eval`` event carries a
     non-finite train/test loss, or a finite train loss more than
-    ``explode_factor`` times the first finite train loss of the run.
+    :data:`EXPLODE_FACTOR` times the first finite train loss of the run.
     Fires once — a diverging run does not recover.
     """
 
     name = "divergence"
 
-    def __init__(self, *, explode_factor: float = 1e3, abort: bool = False):
+    def __init__(self, *, abort: bool = False):
         super().__init__(abort=abort)
-        if explode_factor <= 1.0:
-            raise ValueError(
-                f"explode_factor must be > 1, got {explode_factor}"
-            )
-        self.explode_factor = float(explode_factor)
         self._reference: float | None = None
         self._fired = False
 
@@ -167,12 +172,12 @@ class DivergenceMonitor(HealthMonitor):
             # The first finite value anchors the explosion reference.
             self._reference = float(train)
             return None
-        if abs(train) > self.explode_factor * max(abs(self._reference), 1e-12):
+        if abs(train) > EXPLODE_FACTOR * max(abs(self._reference), 1e-12):
             self._fired = True
             return self._alert(
                 event,
                 f"train loss {train:.3g} exploded past "
-                f"{self.explode_factor:g}x the initial {self._reference:.3g}",
+                f"{EXPLODE_FACTOR:g}x the initial {self._reference:.3g}",
                 severity="critical",
                 loss=float(train),
                 reference=self._reference,
@@ -183,27 +188,15 @@ class DivergenceMonitor(HealthMonitor):
 class PlateauMonitor(HealthMonitor):
     """Test accuracy stopped improving.
 
-    Fires (once per stall episode) when ``patience`` consecutive
+    Fires (once per stall episode) when :data:`PATIENCE` consecutive
     ``eval`` events fail to improve the best seen accuracy by at least
-    ``min_delta``; re-arms as soon as accuracy improves again.
+    :data:`MIN_DELTA`; re-arms as soon as accuracy improves again.
     """
 
     name = "plateau"
 
-    def __init__(
-        self,
-        *,
-        patience: int = 5,
-        min_delta: float = 1e-3,
-        abort: bool = False,
-    ):
+    def __init__(self, *, abort: bool = False):
         super().__init__(abort=abort)
-        if patience < 1:
-            raise ValueError(f"patience must be >= 1, got {patience}")
-        if min_delta < 0:
-            raise ValueError(f"min_delta must be >= 0, got {min_delta}")
-        self.patience = int(patience)
-        self.min_delta = float(min_delta)
         self._best = -math.inf
         self._stalled = 0
         self._fired = False
@@ -214,14 +207,14 @@ class PlateauMonitor(HealthMonitor):
         accuracy = event.data.get("accuracy")
         if accuracy is None or not math.isfinite(accuracy):
             return None
-        if accuracy >= self._best + self.min_delta:
+        if accuracy >= self._best + MIN_DELTA:
             self._best = float(accuracy)
             self._stalled = 0
             self._fired = False
             return None
         self._best = max(self._best, float(accuracy))
         self._stalled += 1
-        if self._stalled >= self.patience and not self._fired:
+        if self._stalled >= PATIENCE and not self._fired:
             self._fired = True
             return self._alert(
                 event,
@@ -238,18 +231,16 @@ class QuorumStarvationMonitor(HealthMonitor):
 
     The event-driven engine closes a round that can no longer reach its
     quorum (``forced=True`` on the ``edge_round`` event).  An
-    occasional forced closure is survivable message loss; ``threshold``
-    *consecutive* ones on the same group mean the group is starved and
-    the configured quorum is unreachable.  Re-arms on a clean closure.
+    occasional forced closure is survivable message loss;
+    :data:`STARVATION_STREAK` *consecutive* ones on the same group mean
+    the group is starved and the configured quorum is unreachable.
+    Re-arms on a clean closure.
     """
 
     name = "quorum_starvation"
 
-    def __init__(self, *, threshold: int = 3, abort: bool = False):
+    def __init__(self, *, abort: bool = False):
         super().__init__(abort=abort)
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        self.threshold = int(threshold)
         self._streaks: dict[int, int] = {}
         self._fired: set[int] = set()
 
@@ -263,7 +254,7 @@ class QuorumStarvationMonitor(HealthMonitor):
             return None
         streak = self._streaks.get(group, 0) + 1
         self._streaks[group] = streak
-        if streak >= self.threshold and group not in self._fired:
+        if streak >= STARVATION_STREAK and group not in self._fired:
             self._fired.add(group)
             return self._alert(
                 event,
@@ -279,39 +270,18 @@ class StalenessRunawayMonitor(HealthMonitor):
     """Stale contributions are aging past the useful horizon.
 
     Watches the staleness values folded at each ``edge_round``.  Fires
-    when a fold arrives ``max_staleness`` or more rounds old, or when
-    more than ``max_stale_fraction`` of the members folded stale over
-    the last ``window`` rounds — a federation whose buffers only ever
-    grow older is drifting, not converging.  Re-arms after a
-    stale-free round.
+    when a fold arrives :data:`MAX_STALENESS` or more rounds old, or
+    when more than :data:`MAX_STALE_FRACTION` of the members folded
+    stale over the last :data:`STALE_WINDOW` rounds — a federation
+    whose buffers only ever grow older is drifting, not converging.
+    Re-arms after a stale-free round.
     """
 
     name = "staleness_runaway"
 
-    def __init__(
-        self,
-        *,
-        max_staleness: int = 3,
-        max_stale_fraction: float = 0.5,
-        window: int = 5,
-        abort: bool = False,
-    ):
+    def __init__(self, *, abort: bool = False):
         super().__init__(abort=abort)
-        if max_staleness < 1:
-            raise ValueError(
-                f"max_staleness must be >= 1, got {max_staleness}"
-            )
-        if not 0.0 < max_stale_fraction <= 1.0:
-            raise ValueError(
-                f"max_stale_fraction must be in (0, 1], got "
-                f"{max_stale_fraction}"
-            )
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.max_staleness = int(max_staleness)
-        self.max_stale_fraction = float(max_stale_fraction)
-        self.window = int(window)
-        self._recent: deque[tuple[int, int]] = deque(maxlen=self.window)
+        self._recent: deque[tuple[int, int]] = deque(maxlen=STALE_WINDOW)
         self._fired = False
 
     def observe(self, event: RunEvent) -> Alert | None:
@@ -324,28 +294,28 @@ class StalenessRunawayMonitor(HealthMonitor):
             self._fired = False
             return None
         worst = max(staleness)
-        if worst >= self.max_staleness and not self._fired:
+        if worst >= MAX_STALENESS and not self._fired:
             self._fired = True
             return self._alert(
                 event,
                 f"stale contribution {worst} rounds old folded at edge "
                 f"{event.data.get('group', '?')} "
-                f"(limit {self.max_staleness})",
+                f"(limit {MAX_STALENESS})",
                 staleness=worst,
             )
         total_members = sum(m for _, m in self._recent)
         total_stale = sum(s for s, _ in self._recent)
         if (
             total_members
-            and len(self._recent) == self.window
-            and total_stale / total_members > self.max_stale_fraction
+            and len(self._recent) == self._recent.maxlen
+            and total_stale / total_members > MAX_STALE_FRACTION
             and not self._fired
         ):
             self._fired = True
             return self._alert(
                 event,
                 f"{total_stale}/{total_members} contributions stale over "
-                f"the last {self.window} rounds",
+                f"the last {self._recent.maxlen} rounds",
                 stale=total_stale,
                 members=total_members,
             )
@@ -357,37 +327,35 @@ class FaultBudgetMonitor(HealthMonitor):
 
     ``eval`` events from runs with an attached
     :class:`~repro.faults.FaultInjector` carry the cumulative
-    ``fault_events`` count; once it passes ``budget`` the deployment is
-    degrading faster than the experiment accounted for.  Fires once.
+    ``fault_events`` count; once it passes :data:`FAULT_BUDGET` the
+    deployment is degrading faster than the experiment accounted for.
+    Fires once.
     """
 
     name = "fault_budget"
 
-    def __init__(self, *, budget: int = 1000, abort: bool = False):
+    def __init__(self, *, abort: bool = False):
         super().__init__(abort=abort)
-        if budget < 1:
-            raise ValueError(f"budget must be >= 1, got {budget}")
-        self.budget = int(budget)
         self._fired = False
 
     def observe(self, event: RunEvent) -> Alert | None:
         if event.kind != EVAL or self._fired:
             return None
         realized = event.data.get("fault_events")
-        if realized is None or realized <= self.budget:
+        if realized is None or realized <= FAULT_BUDGET:
             return None
         self._fired = True
         return self._alert(
             event,
             f"{int(realized)} realized fault events exceeded the budget "
-            f"of {self.budget}",
+            f"of {FAULT_BUDGET}",
             fault_events=int(realized),
-            budget=self.budget,
+            budget=FAULT_BUDGET,
         )
 
 
 def default_monitors(*, abort: bool = False) -> list[HealthMonitor]:
-    """The standard battery with default thresholds.
+    """The standard battery, at the module's thresholds.
 
     ``abort`` applies only to the divergence monitor — the one
     condition a run can never recover from; the rest always just alert.

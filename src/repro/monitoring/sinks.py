@@ -1,7 +1,7 @@
 """Pluggable destinations for the run-event stream.
 
 A sink receives every :class:`~repro.monitoring.events.RunEvent` the
-hub dispatches, in emission order.  Three implementations cover the
+hub dispatches, in emission order.  Two implementations cover the
 monitoring use cases:
 
 * :class:`RingBufferSink` — bounded in-memory history (the dashboard's
@@ -9,8 +9,7 @@ monitoring use cases:
   tests);
 * :class:`JSONLStreamSink` — line-buffered streaming JSONL file: every
   event is a complete line the moment ``emit`` returns, so a concurrent
-  ``repro monitor`` (or ``tail -f``) always reads whole records;
-* :class:`CallbackSink` — arbitrary ``fn(event)`` for embedding.
+  ``repro monitor`` (or ``tail -f``) always reads whole records.
 
 Sinks must never mutate the event and must not raise on ``close`` being
 called twice (run teardown paths overlap).
@@ -27,9 +26,11 @@ __all__ = [
     "EventSink",
     "RingBufferSink",
     "JSONLStreamSink",
-    "CallbackSink",
     "load_events_jsonl",
 ]
+
+# Events a RingBufferSink holds before the oldest fall off.
+RING_CAPACITY = 4096
 
 
 class EventSink:
@@ -43,13 +44,10 @@ class EventSink:
 
 
 class RingBufferSink(EventSink):
-    """Keep the last ``capacity`` events in memory."""
+    """Keep the last :data:`RING_CAPACITY` events in memory."""
 
-    def __init__(self, capacity: int = 4096):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = int(capacity)
-        self.events: deque[RunEvent] = deque(maxlen=self.capacity)
+    def __init__(self):
+        self.events: deque[RunEvent] = deque(maxlen=RING_CAPACITY)
         self.emitted = 0
 
     def emit(self, event: RunEvent) -> None:
@@ -90,18 +88,6 @@ class JSONLStreamSink(EventSink):
         if self._file is not None:
             self._file.close()
             self._file = None
-
-
-class CallbackSink(EventSink):
-    """Forward every event to a callable."""
-
-    def __init__(self, fn):
-        if not callable(fn):
-            raise TypeError(f"callback must be callable, got {fn!r}")
-        self.fn = fn
-
-    def emit(self, event: RunEvent) -> None:
-        self.fn(event)
 
 
 def load_events_jsonl(path: str | Path) -> list[RunEvent]:

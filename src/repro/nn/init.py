@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["zeros", "xavier_uniform", "kaiming_normal", "kaiming_uniform"]
+__all__ = ["zeros", "kaiming_normal", "kaiming_uniform"]
 
 
 def zeros(shape: tuple) -> np.ndarray:
@@ -16,36 +16,27 @@ def zeros(shape: tuple) -> np.ndarray:
     return np.zeros(shape, dtype=np.float64)
 
 
-def _fan_in_out(shape: tuple) -> tuple[int, int]:
-    """Compute (fan_in, fan_out) for dense and conv weight shapes.
+def _fan_in(shape: tuple) -> int:
+    """Compute fan_in for dense and conv weight shapes.
 
     Dense weights are (out, in); conv weights are (out, in, kh, kw) where
-    the receptive-field size multiplies both fans.
+    the receptive-field size multiplies the fan.
     """
     if len(shape) < 2:
         raise ValueError(f"fan computation needs >=2-D shape, got {shape}")
     receptive = int(np.prod(shape[2:])) if len(shape) > 2 else 1
-    fan_out = shape[0] * receptive
-    fan_in = shape[1] * receptive
-    return fan_in, fan_out
-
-
-def xavier_uniform(shape: tuple, rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier uniform init: U(-a, a), a = sqrt(6 / (fan_in+fan_out))."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float64)
+    return shape[1] * receptive
 
 
 def kaiming_normal(shape: tuple, rng: np.random.Generator) -> np.ndarray:
     """He normal init for ReLU networks: N(0, sqrt(2 / fan_in))."""
-    fan_in, _ = _fan_in_out(shape)
+    fan_in = _fan_in(shape)
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape).astype(np.float64)
 
 
 def kaiming_uniform(shape: tuple, rng: np.random.Generator) -> np.ndarray:
     """He uniform init for ReLU networks: U(-b, b), b = sqrt(6 / fan_in)."""
-    fan_in, _ = _fan_in_out(shape)
+    fan_in = _fan_in(shape)
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(np.float64)

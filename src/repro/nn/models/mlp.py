@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.activations import ReLU, Tanh
-from repro.nn.dropout import Dropout
+from repro.nn.activations import ReLU
 from repro.nn.linear import Dense
 from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.module import Sequential
@@ -20,26 +19,17 @@ from repro.utils.validation import check_positive_int
 
 __all__ = ["make_mlp"]
 
-_ACTIVATIONS = {"relu": ReLU, "tanh": Tanh}
-
 
 def make_mlp(
     in_features: int,
     hidden: tuple[int, ...],
     num_classes: int,
     *,
-    activation: str = "relu",
-    dropout: float = 0.0,
     rng: np.random.Generator | int | None = None,
 ) -> SupervisedModel:
-    """Dense stack ``in -> hidden... -> classes`` with cross-entropy."""
+    """ReLU dense stack ``in -> hidden... -> classes`` with cross-entropy."""
     check_positive_int(in_features, "in_features")
     check_positive_int(num_classes, "num_classes")
-    if activation not in _ACTIVATIONS:
-        raise ValueError(
-            f"activation must be one of {sorted(_ACTIVATIONS)}, "
-            f"got {activation!r}"
-        )
     rng = make_rng(rng)
 
     layers: list = []
@@ -47,9 +37,7 @@ def make_mlp(
     for size in hidden:
         check_positive_int(size, "hidden width")
         layers.append(Dense(width, size, rng=rng))
-        layers.append(_ACTIVATIONS[activation]())
-        if dropout > 0:
-            layers.append(Dropout(dropout, rng=rng))
+        layers.append(ReLU())
         width = size
     layers.append(Dense(width, num_classes, rng=rng))
     return SupervisedModel(Sequential(*layers), SoftmaxCrossEntropyLoss())

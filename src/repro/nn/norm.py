@@ -1,4 +1,4 @@
-"""Batch normalization layers.
+"""Batch normalization.
 
 Running statistics are buffers, not Parameters: they are excluded from the
 flat parameter vector the FL algorithms aggregate, matching common FL
@@ -11,13 +11,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.module import Module, Parameter
-from repro.utils.validation import check_positive_int, check_probability
+from repro.utils.validation import check_positive_int
 
-__all__ = ["BatchNorm1d", "BatchNorm2d"]
+__all__ = ["BatchNorm2d"]
+
+# Running-statistics momentum and the variance floor (PyTorch's
+# defaults); every model in the zoo uses these.
+MOMENTUM = 0.1
+EPS = 1e-5
+
+# Reduced axes of the (R, B, C, H, W) input.
+_AXES = (1, 3, 4)
 
 
-class _BatchNorm(Module):
-    """Shared implementation; subclasses define which axes are reduced.
+class BatchNorm2d(Module):
+    """Batch norm over (R, B, C, H, W) inputs, per channel.
 
     Training mode normalizes each row of an ``(R, B, ...)`` input with
     that row's own batch statistics and folds them into the one pair of
@@ -28,17 +36,9 @@ class _BatchNorm(Module):
     ``grad * gamma * inv_std``).
     """
 
-    # Reduced axes of the (R, B, C[, H, W]) input.
-    _axes: tuple = ()
-    _ndim: int = 0
-
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, num_features: int):
         super().__init__()
         self.num_features = check_positive_int(num_features, "num_features")
-        self.momentum = check_probability(momentum, "momentum")
-        if eps <= 0:
-            raise ValueError(f"eps must be > 0, got {eps}")
-        self.eps = float(eps)
 
         self.gamma = Parameter(np.ones(num_features, dtype=np.float64), "gamma")
         self.beta = Parameter(np.zeros(num_features, dtype=np.float64), "beta")
@@ -70,33 +70,33 @@ class _BatchNorm(Module):
 
     def _shape(self, rows: int) -> tuple:
         """Broadcast shape of a per-row, per-channel statistic."""
-        return (rows, 1, self.num_features) + (1,) * (self._ndim - 3)
+        return (rows, 1, self.num_features, 1, 1)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != self._ndim:
+        if x.ndim != 5:
             raise ValueError(
-                f"{type(self).__name__} expects {self._ndim}-D "
-                f"(R, B, C, ...) input, got {x.ndim}-D"
+                f"BatchNorm2d expects 5-D (R, B, C, H, W) input, "
+                f"got {x.ndim}-D"
             )
         rows, c = x.shape[0], self.num_features
         shape = self._shape(rows)
         if self.training:
-            mean = x.mean(axis=self._axes)  # (R, C)
-            var = x.var(axis=self._axes)
+            mean = x.mean(axis=_AXES)  # (R, C)
+            var = x.var(axis=_AXES)
             count = x[0].size // c
             # Unbiased variance for the running estimate, as in PyTorch.
             unbiased = var * count / max(count - 1, 1)
-            momentum = self.momentum
+            momentum = MOMENTUM
             for row in range(rows):
                 self.running_mean *= 1.0 - momentum
                 self.running_mean += momentum * mean[row]
                 self.running_var *= 1.0 - momentum
                 self.running_var += momentum * unbiased[row]
-            inv_std = (1.0 / np.sqrt(var + self.eps)).reshape(shape)
+            inv_std = (1.0 / np.sqrt(var + EPS)).reshape(shape)
             x_hat = (x - mean.reshape(shape)) * inv_std
         else:
             inv_std = np.broadcast_to(
-                (1.0 / np.sqrt(self.running_var + self.eps)).reshape(
+                (1.0 / np.sqrt(self.running_var + EPS)).reshape(
                     shape[1:]
                 ),
                 shape,
@@ -112,8 +112,8 @@ class _BatchNorm(Module):
         rows, c = grad_output.shape[0], self.num_features
         count = grad_output[0].size // c
 
-        self._grads[:, :c] = (grad_output * x_hat).sum(axis=self._axes)
-        self._grads[:, c:] = grad_output.sum(axis=self._axes)
+        self._grads[:, :c] = (grad_output * x_hat).sum(axis=_AXES)
+        self._grads[:, c:] = grad_output.sum(axis=_AXES)
 
         grad_xhat = grad_output * self._gamma.reshape(self._shape(rows))
         self._cache = None
@@ -122,22 +122,9 @@ class _BatchNorm(Module):
             # the map is elementwise-affine in x: no batch-coupling
             # terms in the adjoint.
             return grad_xhat * inv_std
-        sum_grad = grad_xhat.sum(axis=self._axes, keepdims=True)
-        sum_grad_xhat = (grad_xhat * x_hat).sum(axis=self._axes, keepdims=True)
+        sum_grad = grad_xhat.sum(axis=_AXES, keepdims=True)
+        sum_grad_xhat = (grad_xhat * x_hat).sum(axis=_AXES, keepdims=True)
         return (
             inv_std / count * (count * grad_xhat - sum_grad - x_hat * sum_grad_xhat)
         )
 
-
-class BatchNorm1d(_BatchNorm):
-    """Batch norm over (R, B, C) inputs."""
-
-    _axes = (1,)
-    _ndim = 3
-
-
-class BatchNorm2d(_BatchNorm):
-    """Batch norm over (R, B, C, H, W) inputs, per channel."""
-
-    _axes = (1, 3, 4)
-    _ndim = 5

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import _fold_indices, col2im, conv_output_size, im2col
+from repro.nn.functional import _fold_indices, conv_output_size, im2col
 from repro.nn.module import Module
 from repro.utils.validation import check_positive_int
 
-__all__ = ["MaxPool2d", "AvgPool2d", "GlobalAvgPool2d"]
+__all__ = ["MaxPool2d", "GlobalAvgPool2d"]
 
 
 def _fold(x: np.ndarray) -> np.ndarray:
@@ -24,42 +24,6 @@ def _fold(x: np.ndarray) -> np.ndarray:
 def _unfold(x: np.ndarray, lead: tuple) -> np.ndarray:
     """``(R*B, ...)`` -> ``(R, B, ...)`` for ``lead = (R, B)``."""
     return x.reshape(lead + x.shape[1:])
-
-
-class _Pool2d(Module):
-    """Shared im2col plumbing for max/avg pooling.
-
-    Subclasses pool ``(N, C, H, W)`` images in ``_forward``/``_backward``;
-    the public methods fold and unfold the row axis around them.
-    """
-
-    def __init__(self, kernel_size: int, stride: int | None = None):
-        super().__init__()
-        self.kernel_size = check_positive_int(kernel_size, "kernel_size")
-        self.stride = check_positive_int(
-            stride if stride is not None else kernel_size, "stride"
-        )
-        self._x_shape: tuple | None = None
-        self._out_hw: tuple | None = None
-        self._lead: tuple = ()
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._lead = x.shape[:2]
-        return _unfold(self._forward(_fold(x)), self._lead)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return _unfold(self._backward(_fold(grad_output)), self._lead)
-
-    def _patches(self, x: np.ndarray) -> np.ndarray:
-        """Return patches shaped (N*OH*OW*C, K*K)."""
-        _, _, h, w = x.shape
-        k, s = self.kernel_size, self.stride
-        out_h = conv_output_size(h, k, s, 0)
-        out_w = conv_output_size(w, k, s, 0)
-        self._x_shape = x.shape
-        self._out_hw = (out_h, out_w)
-        # (N*OH*OW, C*K*K) patch rows split into one row per channel.
-        return im2col(x, k, k, s, 0).reshape(-1, k * k)
 
 
 def _first_max(patches: np.ndarray) -> np.ndarray:
@@ -88,20 +52,44 @@ def _first_max(patches: np.ndarray) -> np.ndarray:
     return winners
 
 
-class MaxPool2d(_Pool2d):
-    """Max pooling; gradient routes to the argmax element of each window."""
+class MaxPool2d(Module):
+    """Max pooling; gradient routes to the argmax element of each window.
+
+    ``_forward``/``_backward`` pool ``(N, C, H, W)`` images; the public
+    methods fold and unfold the row axis around them.
+    """
 
     def __init__(self, kernel_size: int, stride: int | None = None):
-        super().__init__(kernel_size, stride)
+        super().__init__()
+        self.kernel_size = check_positive_int(kernel_size, "kernel_size")
+        self.stride = check_positive_int(
+            stride if stride is not None else kernel_size, "stride"
+        )
+        self._x_shape: tuple | None = None
+        self._out_hw: tuple | None = None
+        self._lead: tuple = ()
         # Flat patch-element position of each window's winner.
         self._winners: np.ndarray | None = None
 
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._lead = x.shape[:2]
+        return _unfold(self._forward(_fold(x)), self._lead)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        return _unfold(self._backward(_fold(grad_output)), self._lead)
+
     def _forward(self, x: np.ndarray) -> np.ndarray:
-        patches = self._patches(x)
+        n, c, h, w = x.shape
+        k, s = self.kernel_size, self.stride
+        out_h = conv_output_size(h, k, s, 0)
+        out_w = conv_output_size(w, k, s, 0)
+        self._x_shape = x.shape
+        self._out_hw = (out_h, out_w)
+        # (N*OH*OW, C*K*K) patch rows split into one (N*OH*OW*C, K*K)
+        # row per channel.
+        patches = im2col(x, k, k, s, 0).reshape(-1, k * k)
         self._winners = _first_max(patches)
         out = np.take(patches, self._winners)
-        n, c, _, _ = self._x_shape
-        out_h, out_w = self._out_hw
         return out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
 
     def _backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -123,29 +111,6 @@ class MaxPool2d(_Pool2d):
         ).reshape(n, c, h, w)
         self._winners = None
         return grad.astype(grad_output.dtype, copy=False)
-
-
-class AvgPool2d(_Pool2d):
-    """Average pooling; gradient spreads uniformly over each window."""
-
-    def _forward(self, x: np.ndarray) -> np.ndarray:
-        patches = self._patches(x)
-        out = patches.mean(axis=1)
-        n, c, _, _ = self._x_shape
-        out_h, out_w = self._out_hw
-        return out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
-
-    def _backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise RuntimeError("backward called before forward")
-        k, s = self.kernel_size, self.stride
-        grad_flat = grad_output.transpose(0, 2, 3, 1).ravel()
-        # (N*OH*OW*C, K*K) per-window shares are the (N*OH*OW, C*K*K)
-        # patch rows col2im folds back.
-        grad_patches = np.repeat(
-            grad_flat[:, None] / (k * k), k * k, axis=1
-        )
-        return col2im(grad_patches, self._x_shape, k, k, s, 0)
 
 
 class GlobalAvgPool2d(Module):

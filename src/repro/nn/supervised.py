@@ -28,28 +28,11 @@ __all__ = ["SupervisedModel"]
 
 
 class SupervisedModel:
-    """A trainable model with a loss attached.
+    """A trainable model with a loss attached."""
 
-    ``weight_decay`` adds L2 regularization at the gradient level
-    (``grad += weight_decay * params``), matching the common
-    decoupled-from-loss implementation; it does not change the reported
-    loss value.
-    """
-
-    def __init__(
-        self,
-        module: Module,
-        loss: Loss | None = None,
-        *,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, module: Module, loss: Loss | None = None):
         self.module = module
         self.loss_fn = loss if loss is not None else SoftmaxCrossEntropyLoss()
-        if weight_decay < 0:
-            raise ValueError(
-                f"weight_decay must be >= 0, got {weight_decay}"
-            )
-        self.weight_decay = float(weight_decay)
         self.layers = (
             list(module.layers) if isinstance(module, Sequential) else [module]
         )
@@ -144,18 +127,16 @@ class SupervisedModel:
                 with tracer.span("oracle.forward"):
                     losses = self.loss_fn.forward(self._forward(xs), ys)
                 with tracer.span("oracle.backward"):
-                    self._backward(params, grads, losses)
+                    self._backward(grads, losses)
             else:
                 losses = self.loss_fn.forward(self._forward(xs), ys)
-                self._backward(params, grads, losses)
+                self._backward(grads, losses)
         return losses
 
-    def _backward(self, params, grads, losses) -> None:
+    def _backward(self, grads, losses) -> None:
         grad = self.loss_fn.backward()
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
-        if self.weight_decay > 0.0:
-            grads += self.weight_decay * params
         if not np.isfinite(losses).all():
             grads[~np.isfinite(losses)] = np.nan
 

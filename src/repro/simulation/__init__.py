@@ -19,7 +19,6 @@ from repro.simulation.events import (
 )
 from repro.simulation.energy import (
     CampaignEnergy,
-    EnergyModel,
     estimate_energy,
 )
 from repro.simulation.links import (
@@ -49,7 +48,6 @@ __all__ = [
     "EventQueue",
     "AsyncDeployment",
     "EventLoopRunner",
-    "EnergyModel",
     "CampaignEnergy",
     "estimate_energy",
     "Timeline",

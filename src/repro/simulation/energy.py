@@ -18,28 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.simulation.engine import AsyncDeployment
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import check_positive_int
 
-__all__ = ["EnergyModel", "CampaignEnergy", "estimate_energy"]
+__all__ = ["CampaignEnergy", "estimate_energy"]
 
-
-@dataclass(frozen=True)
-class EnergyModel:
-    """Power/energy coefficients for one device class.
-
-    ``active_power_watts`` while computing; ``radio_joules_per_megabyte``
-    covers transmit+receive on the device's access link (WiFi-class
-    defaults; cellular is several times higher).
-    """
-
-    active_power_watts: float = 4.0
-    radio_joules_per_megabyte: float = 0.6
-
-    def __post_init__(self):
-        check_positive(self.active_power_watts, "active_power_watts")
-        check_positive(
-            self.radio_joules_per_megabyte, "radio_joules_per_megabyte"
-        )
+# A WiFi-class device: its power while computing, and the transmit plus
+# receive cost of its access link (cellular is several times higher).
+ACTIVE_POWER_WATTS = 4.0
+RADIO_JOULES_PER_MEGABYTE = 0.6
+# The higher per-byte radio cost of long-haul sessions (retransmissions,
+# longer radio-active windows) that a two-tier campaign's syncs pay.
+WAN_ENERGY_MULTIPLIER = 3.0
 
 
 @dataclass(frozen=True)
@@ -60,22 +49,17 @@ def estimate_energy(
     tau: int,
     *,
     flat: bool = False,
-    model: EnergyModel | None = None,
-    wan_energy_multiplier: float = 3.0,
 ) -> CampaignEnergy:
     """Expected worker-side energy of a campaign that syncs every ``tau``.
 
     Workers transmit/receive one payload per sync.  Three-tier syncs
     stay on the LAN to the edge; the edge↔cloud WAN hops do not hit
     worker radios (that is the architecture's energy win).  A ``flat``
-    (two-tier) campaign's syncs cross the access network to the cloud;
-    ``wan_energy_multiplier`` captures the higher per-byte radio cost of
-    long-haul sessions (retransmissions, longer radio-active windows).
+    (two-tier) campaign's syncs cross the access network to the cloud
+    at :data:`WAN_ENERGY_MULTIPLIER` times the per-byte radio cost.
     """
     check_positive_int(total_iterations, "total_iterations")
     check_positive_int(tau, "tau")
-    check_positive(wan_energy_multiplier, "wan_energy_multiplier")
-    model = model if model is not None else EnergyModel()
     devices = deployment.worker_devices
 
     seconds = sum(
@@ -84,10 +68,10 @@ def estimate_energy(
     rounds = total_iterations // tau
     megabytes = 2.0 * deployment.payload_bytes / 1e6 * rounds * len(devices)
     return CampaignEnergy(
-        compute_joules=seconds * model.active_power_watts,
+        compute_joules=seconds * ACTIVE_POWER_WATTS,
         radio_joules=(
             megabytes
-            * model.radio_joules_per_megabyte
-            * (wan_energy_multiplier if flat else 1.0)
+            * RADIO_JOULES_PER_MEGABYTE
+            * (WAN_ENERGY_MULTIPLIER if flat else 1.0)
         ),
     )

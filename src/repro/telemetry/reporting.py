@@ -11,6 +11,7 @@ spans.  Pure string formatting — all numbers come from the
 
 from __future__ import annotations
 
+from repro.faults.plan import FaultPlan
 from repro.telemetry.tracer import Tracer
 
 __all__ = ["format_trace_report", "format_fault_summary", "format_bytes"]
@@ -118,7 +119,30 @@ def _comm_section(ledger, lines: list[str]) -> None:
 
 
 def format_fault_summary(fault_summary: dict) -> str:
-    """A run's ``fault_summary`` as text: rounds, events, stale uploads."""
+    """A run's ``fault_summary`` as text: rounds, events, stale uploads.
+
+    Under the zero plan the injector stays inactive and tallies nothing,
+    so the digest says no faults were planned instead of a 0/0 tally.
+    """
+    plan = fault_summary.get("plan")
+    if plan is not None and FaultPlan.from_dict(plan).is_zero:
+        lines = ["faults: none planned (zero plan), no rounds tallied"]
+    else:
+        lines = _fault_tally(fault_summary)
+    stale = fault_summary.get("stale_uploads")
+    if stale:
+        lines.append(
+            "stale uploads: "
+            f"{stale.get('uploads', 0)} "
+            f"(from {len(stale.get('workers', ()))} workers) across "
+            f"{stale.get('rounds_with_stale', 0)} of "
+            f"{stale.get('cloud_rounds', 0)} cloud rounds"
+        )
+    return "\n".join(lines)
+
+
+def _fault_tally(fault_summary: dict) -> list[str]:
+    """The round outcomes and realized events of an active injector."""
     rounds = fault_summary.get("rounds", {})
     pristine = rounds.get("pristine", 0)
     degraded = rounds.get("degraded", 0)
@@ -138,16 +162,7 @@ def format_fault_summary(fault_summary: dict) -> str:
         lines.extend(_format_rows(["event", "count"], rows))
     else:
         lines.append("injected events: none realized")
-    stale = fault_summary.get("stale_uploads")
-    if stale:
-        lines.append(
-            "stale uploads: "
-            f"{stale.get('uploads', 0)} "
-            f"(from {len(stale.get('workers', ()))} workers) across "
-            f"{stale.get('rounds_with_stale', 0)} of "
-            f"{stale.get('cloud_rounds', 0)} cloud rounds"
-        )
-    return "\n".join(lines)
+    return lines
 
 
 def _top_spans_section(tracer: Tracer, k: int, lines: list[str]) -> None:

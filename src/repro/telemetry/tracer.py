@@ -179,11 +179,14 @@ class NullTracer:
 
 NULL_TRACER = NullTracer()
 
+# Span records a Tracer keeps; later spans only update the aggregates.
+MAX_RECORDS = 250_000
+
 
 class Tracer:
     """Recording tracer: spans, counters and histograms.
 
-    ``max_records`` bounds the per-span-record memory: once reached,
+    :data:`MAX_RECORDS` bounds the per-span-record memory: once reached,
     further spans still update the per-name aggregate statistics but the
     individual records are dropped (``dropped`` counts them), so a long
     run cannot exhaust memory while its phase breakdown stays exact.
@@ -195,12 +198,9 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, *, clock=time.perf_counter, max_records: int = 250_000):
-        if max_records <= 0:
-            raise ValueError(f"max_records must be positive, got {max_records}")
+    def __init__(self, *, clock=time.perf_counter):
         self._clock = clock
         self._epoch = clock()
-        self.max_records = int(max_records)
         self.records: list[SpanRecord] = []
         self.span_stats: dict[str, Stats] = {}
         self.counters: dict[str, float] = {}
@@ -240,7 +240,7 @@ class Tracer:
         if stats is None:
             stats = self.span_stats[record.name] = Stats()
         stats.add(record.duration)
-        if len(self.records) < self.max_records:
+        if len(self.records) < MAX_RECORDS:
             self.records.append(record)
         else:
             # Counted rather than silently discarded: the drop total
@@ -252,7 +252,7 @@ class Tracer:
     # ------------------------------------------------------------------
     @property
     def dropped(self) -> int:
-        """Span records discarded after ``max_records`` was reached."""
+        """Span records discarded after :data:`MAX_RECORDS` was reached."""
         return int(self.counters.get("telemetry.dropped", 0))
 
     @property

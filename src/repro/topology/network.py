@@ -3,20 +3,14 @@
 Captures the paper's §III-A structure — which workers sit under which edge
 node and how many samples each holds — and derives the aggregation weights
 ``D_{i,ℓ}/D_ℓ`` (worker within edge) and ``D_ℓ/D`` (edge within cloud)
-used throughout Algorithm 1.  :meth:`Topology.to_networkx` is the only
-code that needs networkx, and it imports networkx when called.
+used throughout Algorithm 1.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.utils.validation import check_positive_int
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 __all__ = ["Topology"]
 
@@ -46,17 +40,6 @@ class Topology:
         check_positive_int(samples_per_worker, "samples_per_worker")
         return cls(
             [[samples_per_worker] * workers_per_edge for _ in range(num_edges)]
-        )
-
-    @classmethod
-    def from_partitions(cls, edge_partitions: list[list]) -> "Topology":
-        """Derive sample counts from partitioned datasets.
-
-        ``edge_partitions[ℓ][i]`` is the worker-(i,ℓ) dataset (anything
-        with ``len``).
-        """
-        return cls(
-            [[len(worker) for worker in edge] for edge in edge_partitions]
         )
 
     # ------------------------------------------------------------------
@@ -116,60 +99,10 @@ class Topology:
     # ------------------------------------------------------------------
     # Index mapping
     # ------------------------------------------------------------------
-    def flat_index(self, edge: int, worker: int) -> int:
-        """Map (edge ℓ, local worker i) to the flat worker index."""
-        if not 0 <= edge < self.num_edges:
-            raise IndexError(f"edge {edge} out of range [0, {self.num_edges})")
-        if not 0 <= worker < self.workers_in_edge(edge):
-            raise IndexError(
-                f"worker {worker} out of range for edge {edge} "
-                f"({self.workers_in_edge(edge)} workers)"
-            )
-        return sum(self.workers_in_edge(e) for e in range(edge)) + worker
-
-    def edge_of(self, flat_index: int) -> tuple[int, int]:
-        """Inverse of :meth:`flat_index`: flat index -> (edge, local worker)."""
-        if flat_index < 0:
-            raise IndexError(f"negative worker index {flat_index}")
-        remaining = flat_index
-        for edge in range(self.num_edges):
-            size = self.workers_in_edge(edge)
-            if remaining < size:
-                return edge, remaining
-            remaining -= size
-        raise IndexError(
-            f"worker index {flat_index} out of range [0, {self.num_workers})"
-        )
-
     def edge_worker_indices(self, edge: int) -> list[int]:
         """Flat indices of all workers under edge ℓ."""
         start = sum(self.workers_in_edge(e) for e in range(edge))
         return list(range(start, start + self.workers_in_edge(edge)))
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-    def to_networkx(self) -> nx.Graph:
-        """Graph view: cloud -- edge ℓ -- worker (i, ℓ), with sample attrs."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_node("cloud", tier="cloud")
-        for edge in range(self.num_edges):
-            edge_name = f"edge{edge}"
-            graph.add_node(
-                edge_name, tier="edge", samples=self.edge_samples(edge)
-            )
-            graph.add_edge("cloud", edge_name, link="wan")
-            for worker in range(self.workers_in_edge(edge)):
-                worker_name = f"worker{edge}.{worker}"
-                graph.add_node(
-                    worker_name,
-                    tier="worker",
-                    samples=self.sample_counts[edge][worker],
-                )
-                graph.add_edge(edge_name, worker_name, link="lan")
-        return graph
 
     def __repr__(self) -> str:
         return (

@@ -1,10 +1,5 @@
-"""Shared utilities: seeded RNG streams, parameter flattening, validation."""
+"""Shared utilities: seeded RNG streams, atomic writes, validation."""
 
-from repro.utils.flatten import (
-    flatten_arrays,
-    unflatten_like,
-    zeros_like_flat,
-)
 from repro.utils.io import atomic_write_text, replace_into
 from repro.utils.rng import (
     RngStreams,
@@ -27,9 +22,6 @@ __all__ = [
     "child_seeds",
     "default_rng_states",
     "make_rng",
-    "flatten_arrays",
-    "unflatten_like",
-    "zeros_like_flat",
     "replace_into",
     "atomic_write_text",
     "check_fraction",

@@ -32,7 +32,6 @@ from repro.experiments.builders import (
     build_model,
 )
 from repro.nn.models import make_logistic_regression
-from repro.nn.schedulers import StepDecayLR
 from repro.utils.rng import child_seed
 from tests.data.sampler import BatchSampler
 
@@ -175,7 +174,7 @@ class TestCentralizedReference:
         """An ``eta_schedule`` sets the η of every step."""
         plain = one_worker(split, FedAvg, eta=0.05).run(30, eval_every=30)
         algorithm = one_worker(split, FedAvg, eta=999.0)  # overwritten
-        algorithm.eta_schedule = StepDecayLR(0.05, step_size=1000)
+        algorithm.eta_schedule = lambda t: 0.05
         history = algorithm.run(30, eval_every=30)
         assert algorithm.eta == 0.05
         assert history.test_loss == plain.test_loss

@@ -23,10 +23,9 @@ from repro.checkpoint.state import (
     RNG_WORDS,
     federation_state,
     injector_state,
-    pack_rng,
+    pack_rngs,
     restore_federation,
     restore_injector,
-    rng_state,
     set_rng_state,
     unpack_rng,
 )
@@ -80,7 +79,7 @@ class TestRngStreams:
     def test_generator_state_roundtrips_through_json(self):
         generator = np.random.default_rng(42)
         generator.random(10)
-        snapshot = json.loads(json.dumps(rng_state(generator)))
+        snapshot = json.loads(json.dumps(generator.bit_generator.state))
         golden = generator.random(5)
         fresh = np.random.default_rng(0)
         set_rng_state(fresh, snapshot)
@@ -98,11 +97,11 @@ class TestRngStreams:
         }
         # An odd number of 32-bit draws leaves half a word buffered.
         generator.integers(0, 1 << 32, size=3, dtype=np.uint32)
-        state = rng_state(generator)
+        state = generator.bit_generator.state
         assert state["has_uint32"] == 1
         assert state["state"]["state"] >> 64 and state["state"]["inc"] >> 64
 
-        packed = pack_rng(generator)
+        packed = pack_rngs([generator])[0]
         assert packed.dtype == np.uint64 and packed.shape == (RNG_WORDS,)
         write_checkpoint(tmp_path, 1, {}, {"rng": packed})
         _, arrays = read_checkpoint(tmp_path / "ckpt-00000001.npz")
@@ -118,7 +117,7 @@ class TestRngStreams:
     def test_non_pcg64_generator_refused(self):
         generator = np.random.Generator(np.random.MT19937(0))
         with pytest.raises(CheckpointError, match="PCG64"):
-            pack_rng(generator)
+            pack_rngs([generator])[0]
 
     def test_batch_samplers_resume_mid_epoch(self):
         federation = build_federation()

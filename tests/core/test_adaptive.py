@@ -11,6 +11,13 @@ from repro.core.adaptive import (
     adapt_gamma,
     cosine_agreement,
 )
+from tests.core.gamma_oracle import accumulate
+
+
+def step(controller, worker, grad, y_prev, velocity):
+    """One local iteration of ``worker``, as the event clock records it."""
+    rows = slice(worker, worker + 1)
+    controller.accumulate_step(rows, grad[None], y_prev[None], velocity[None])
 
 
 class TestAdaptGamma:
@@ -123,31 +130,31 @@ class TestCosineAgreement:
 class TestController:
     def test_velocity_mode_skips_boundary_step(self):
         controller = AdaptiveGammaController(1, 3, mode="velocity")
-        controller.accumulate(0, np.ones(3), np.ones(3), np.ones(3))
+        step(controller, 0, np.ones(3), np.ones(3), np.ones(3))
         assert not controller.grad_sums[0].any()  # first step skipped
-        controller.accumulate(0, np.ones(3), np.ones(3), np.ones(3))
+        step(controller, 0, np.ones(3), np.ones(3), np.ones(3))
         assert controller.grad_sums[0].sum() == 3.0
         assert controller.momentum_sums[0].sum() == 3.0
 
     def test_y_mode_accumulates_immediately(self):
         controller = AdaptiveGammaController(1, 3, mode="y")
-        controller.accumulate(0, np.ones(3), 2 * np.ones(3), np.ones(3))
+        step(controller, 0, np.ones(3), 2 * np.ones(3), np.ones(3))
         assert controller.grad_sums[0].sum() == 3.0
         assert controller.momentum_sums[0].sum() == 6.0  # y_prev, not velocity
 
     def test_reset_restores_boundary_skip(self):
         controller = AdaptiveGammaController(2, 2, mode="velocity")
         for _ in range(3):
-            controller.accumulate(0, np.ones(2), np.ones(2), np.ones(2))
+            step(controller, 0, np.ones(2), np.ones(2), np.ones(2))
         controller.reset_workers([0])
         assert not controller.grad_sums[0].any()
-        controller.accumulate(0, np.ones(2), np.ones(2), np.ones(2))
+        step(controller, 0, np.ones(2), np.ones(2), np.ones(2))
         assert not controller.grad_sums[0].any()  # boundary skip again
 
     def test_reset_only_named_workers(self):
         controller = AdaptiveGammaController(2, 2, mode="y")
-        controller.accumulate(0, np.ones(2), np.ones(2), np.ones(2))
-        controller.accumulate(1, np.ones(2), np.ones(2), np.ones(2))
+        step(controller, 0, np.ones(2), np.ones(2), np.ones(2))
+        step(controller, 1, np.ones(2), np.ones(2), np.ones(2))
         controller.reset_workers([0])
         assert not controller.grad_sums[0].any()
         assert controller.grad_sums[1].any()
@@ -155,8 +162,8 @@ class TestController:
     def test_gamma_for_edge_agreeing_workers(self):
         controller = AdaptiveGammaController(2, 2, mode="y")
         for worker in range(2):
-            controller.accumulate(
-                worker, np.array([1.0, 0.0]), np.array([-1.0, 0.0]),
+            step(
+                controller, worker, np.array([1.0, 0.0]), np.array([-1.0, 0.0]),
                 np.zeros(2),
             )
         gamma = controller.gamma_for_edge([0, 1], np.array([0.5, 0.5]))
@@ -195,8 +202,8 @@ class TestController:
             velocity = rng.normal(size=(chosen.size, 3))
             stacked.accumulate_step(rows, grads, y_prev, velocity)
             for position, worker in enumerate(chosen):
-                looped.accumulate(
-                    worker,
+                accumulate(
+                    looped, worker,
                     grads[position],
                     y_prev[position],
                     velocity[position],
@@ -211,8 +218,8 @@ class TestController:
     def test_gamma_for_edge_accepts_slice(self):
         controller = AdaptiveGammaController(3, 2, mode="y")
         for worker in range(3):
-            controller.accumulate(
-                worker, np.array([1.0, 0.0]), np.array([-1.0, 0.0]),
+            step(
+                controller, worker, np.array([1.0, 0.0]), np.array([-1.0, 0.0]),
                 np.zeros(2),
             )
         by_list = controller.gamma_for_edge([0, 1], np.array([0.5, 0.5]))

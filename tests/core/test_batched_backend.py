@@ -21,7 +21,6 @@ import pytest
 from repro import telemetry
 from repro.core import Federation
 from repro.data import Dataset
-from repro.nn import Dense, Dropout, Sequential, SupervisedModel
 from repro.nn.models import (
     make_cnn,
     make_logistic_regression,
@@ -76,20 +75,6 @@ def _image_federation(model=None, workers=2):
     if model is None:
         model = make_cnn(1, 8, 4, rng=5)
     return Federation(model, edges, test, batch_size=6, seed=7)
-
-
-def _dropout_model(features=6, classes=3):
-    """Two live dropout layers sharing one generator."""
-    rng = np.random.default_rng(9)
-    return SupervisedModel(
-        Sequential(
-            Dense(features, 8, rng=0),
-            Dropout(0.3, rng=rng),
-            Dense(8, 8, rng=1),
-            Dropout(0.3, rng=rng),
-            Dense(8, classes, rng=2),
-        )
-    )
 
 
 def _program_rows(fed):
@@ -166,41 +151,10 @@ class TestBackendSelection:
         _per_row(fed, params, np.empty_like(params))
         assert rows == [1] * fed.num_workers
 
-    def test_auto_falls_back_for_dropout_model(self):
-        """Live dropout layers sharing a generator need no fallback:
-        the fleet still runs as one program call."""
-        fed = _tabular_federation(model=_dropout_model())
-        rows = _program_rows(fed)
-        params = np.random.default_rng(2).normal(
-            size=(fed.num_workers, fed.dim)
-        )
-        out = np.empty_like(params)
-        losses = fed.gradient_all(params, out=out)
-        assert rows == [fed.num_workers]
-        assert np.isfinite(losses).all() and np.isfinite(out).all()
-
-    def test_batched_backend_rejects_dropout_model(self):
-        """The shared-generator dropout model is accepted, and its draw
-        order is defined once: identically seeded federations give the
-        same gradients and losses, pass after pass."""
-        fed = _tabular_federation(model=_dropout_model())
-        twin = _tabular_federation(model=_dropout_model())
-        params = np.random.default_rng(3).normal(
-            size=(fed.num_workers, fed.dim)
-        )
-        for _ in range(3):
-            got, want = np.empty_like(params), np.empty_like(params)
-            np.testing.assert_array_equal(
-                fed.gradient_all(params, out=got),
-                twin.gradient_all(params, out=want),
-            )
-            np.testing.assert_array_equal(got, want)
-
     def test_fallback_reason_counter_emitted(self):
-        """With no fallback there is no fallback counter: the dropout
-        model's pass counts nothing under ``worker_step.`` or
-        ``batched.``."""
-        fed = _tabular_federation(model=_dropout_model())
+        """With no fallback there is no fallback counter: a fleet pass
+        counts nothing under ``worker_step.`` or ``batched.``."""
+        fed = _tabular_federation()
         params = np.zeros((fed.num_workers, fed.dim))
         with telemetry.tracing() as tracer:
             fed.gradient_all(params, out=np.empty_like(params))

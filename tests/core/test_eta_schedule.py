@@ -1,11 +1,10 @@
-"""Tests for learning-rate schedules in federated algorithms."""
+"""Tests for the ``eta_schedule`` hook: any callable ``t -> eta``."""
 
 import numpy as np
 import pytest
 
 from repro.algorithms import FedAvg
 from repro.core import HierAdMo
-from repro.nn.schedulers import ConstantLR, StepDecayLR
 
 
 class TestEtaSchedule:
@@ -27,7 +26,7 @@ class TestEtaSchedule:
         plain_history = plain.run(12, eval_every=4)
 
         scheduled = FedAvg(federation_factory(), eta=999.0, tau=4)
-        scheduled.eta_schedule = ConstantLR(0.05)
+        scheduled.eta_schedule = lambda t: 0.05
         scheduled_history = scheduled.run(12, eval_every=4)
         assert np.allclose(
             plain_history.test_loss, scheduled_history.test_loss, atol=1e-12
@@ -35,7 +34,7 @@ class TestEtaSchedule:
 
     def test_decay_with_hieradmo(self, tiny_federation):
         algo = HierAdMo(tiny_federation, eta=0.05, tau=4, pi=2)
-        algo.eta_schedule = StepDecayLR(0.05, step_size=8, factor=0.5)
+        algo.eta_schedule = lambda t: 0.05 * 0.5 ** (t // 8)
         history = algo.run(16, eval_every=8)
         # Last applied at t-1 = 15: 15 // 8 = 1 decay step.
         assert algo.eta == pytest.approx(0.025)

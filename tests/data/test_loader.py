@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.checkpoint.state import (
-    federation_state,
-    restore_federation,
-    rng_state,
-)
+from repro.checkpoint.state import federation_state, restore_federation
 from repro.core import Federation
 from repro.data import Dataset, SampleStore
 from repro.nn.models import make_logistic_regression
@@ -169,7 +165,7 @@ class TestSampleStoreStreams:
             np.testing.assert_array_equal(
                 fed.store.order[row, :size], sampler._order
             )
-            assert rng_state(fed.store.rngs[row]) == rng_state(sampler.rng)
+            assert fed.store.rngs[row].bit_generator.state == sampler.rng.bit_generator.state
 
     def test_bind_rederives_uniform_batches(self):
         short, long_ = _datasets([5, 5]), _datasets([40])

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.data import (
     Dataset,
-    partition,
     partition_dirichlet,
     partition_iid,
     partition_xclass,
@@ -146,19 +145,3 @@ class TestDirichlet:
     def test_cover_property(self, workers):
         ds = tagged_dataset(30 * workers, 4, seed=workers)
         assert_exact_cover(ds, partition_dirichlet(ds, workers, 0.3, rng=1))
-
-
-class TestDispatch:
-    def test_named_schemes(self):
-        ds = tagged_dataset(60, 5)
-        assert_exact_cover(ds, partition(ds, 3, "iid", rng=0))
-        assert_exact_cover(
-            ds, partition(ds, 3, "xclass", rng=0, classes_per_worker=2)
-        )
-        assert_exact_cover(
-            ds, partition(ds, 3, "dirichlet", rng=0, alpha=1.0)
-        )
-
-    def test_unknown_scheme_raises(self):
-        with pytest.raises(ValueError, match="unknown scheme"):
-            partition(tagged_dataset(10, 2), 2, "sorted")

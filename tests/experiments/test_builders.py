@@ -10,7 +10,6 @@ from repro.experiments import (
     build_datasets,
     build_federation,
     build_model,
-    is_three_tier,
 )
 
 FAST = dict(num_samples=300, total_iterations=10)
@@ -123,9 +122,3 @@ class TestBuildAlgorithm:
         for name in ("FedProx", "SampledFedAvg", "QuantizedHierFAVG"):
             algorithm = build_algorithm(name, federation, config)
             assert type(algorithm).__name__ == name
-
-    def test_is_three_tier(self):
-        assert is_three_tier("HierAdMo")
-        assert is_three_tier("HierFAVG")
-        assert not is_three_tier("FedAvg")
-        assert not is_three_tier("SlowMo")

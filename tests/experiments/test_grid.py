@@ -42,10 +42,6 @@ class TestRunGrid:
         with pytest.raises(ValueError):
             run_grid(("FedAvg",), {}, base_config=TINY)
 
-    def test_overrides_dict(self):
-        results = run_grid(("FedAvg",), {"eta": [0.02]}, base_config=TINY)
-        assert results[0].overrides_dict == {"eta": 0.02}
-
 
 class TestFormatGrid:
     def test_sorted_by_accuracy(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.metrics import TrainingHistory
-from repro.metrics.ascii_plot import ascii_curve, compare_curves, sparkline
+from repro.metrics.ascii_plot import compare_curves, sparkline
 
 
 class TestSparkline:
@@ -36,41 +36,6 @@ class TestSparkline:
 
     def test_nan_in_constant_series(self):
         assert sparkline([5.0, float("nan"), 5.0]) == "▁ ▁"
-
-
-class TestAsciiCurve:
-    def test_dimensions(self):
-        text = ascii_curve(range(10), range(10), width=30, height=8)
-        lines = text.split("\n")
-        assert len(lines) == 8 + 2  # grid + axis + x labels
-        assert any("*" in line for line in lines)
-
-    def test_label_included(self):
-        text = ascii_curve([0, 1], [0, 1], label="accuracy")
-        assert text.startswith("accuracy")
-
-    def test_mismatched_lengths_raise(self):
-        with pytest.raises(ValueError):
-            ascii_curve([1, 2], [1])
-
-    def test_nan_points_skipped(self):
-        """A NaN y value (pre-training train_loss) is dropped, the rest
-        plot with bounds from the finite points only."""
-        text = ascii_curve([0, 1, 2], [float("nan"), 1.0, 2.0], height=4)
-        assert "2.000" in text and "1.000" in text
-        assert "nan" not in text
-
-    def test_all_nan_raises(self):
-        with pytest.raises(ValueError, match="finite"):
-            ascii_curve([0, 1], [float("nan")] * 2)
-
-    def test_monotone_curve_descends_grid(self):
-        """Top-left to bottom-right for a decreasing series."""
-        text = ascii_curve(range(5), [4, 3, 2, 1, 0], width=5, height=5)
-        grid_lines = [l for l in text.split("\n") if "|" in l]
-        first_star_col = grid_lines[0].index("*")
-        last_star_col = grid_lines[-1].index("*")
-        assert first_star_col < last_star_col
 
 
 class TestCompareCurves:

@@ -7,7 +7,6 @@ from repro.metrics.classification import (
     confusion_matrix,
     macro_f1,
     per_class_accuracy,
-    top_k_accuracy,
 )
 
 
@@ -44,32 +43,6 @@ class TestPerClassAccuracy:
         assert acc[0] == 0.5
         assert acc[1] == 1.0
         assert np.isnan(acc[2])  # class 2 absent
-
-
-class TestTopK:
-    def test_k1_equals_argmax_accuracy(self):
-        scores = np.array([[0.1, 0.9], [0.8, 0.2]])
-        assert top_k_accuracy(scores, np.array([1, 0]), 1) == 1.0
-        assert top_k_accuracy(scores, np.array([0, 1]), 1) == 0.0
-
-    def test_k_covers_more(self):
-        rng = np.random.default_rng(1)
-        scores = rng.normal(size=(50, 10))
-        labels = rng.integers(0, 10, 50)
-        assert top_k_accuracy(scores, labels, 5) >= top_k_accuracy(
-            scores, labels, 1
-        )
-
-    def test_k_at_least_num_classes_is_one(self):
-        scores = np.random.default_rng(2).normal(size=(10, 4))
-        labels = np.random.default_rng(3).integers(0, 4, 10)
-        assert top_k_accuracy(scores, labels, 10) == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            top_k_accuracy(np.zeros(3), np.zeros(3, dtype=int), 1)
-        with pytest.raises(ValueError):
-            top_k_accuracy(np.zeros((3, 2)), np.zeros(3, dtype=int), 0)
 
 
 class TestMacroF1:

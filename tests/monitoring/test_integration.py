@@ -116,7 +116,7 @@ class TestAbort:
     def stall_monitors(self):
         # A vanishing η keeps the model frozen so accuracy can never improve and
         # the plateau monitor trips deterministically.
-        return [PlateauMonitor(patience=2, min_delta=1e-9, abort=True)]
+        return [PlateauMonitor(abort=True)]
 
     def test_lockstep_abort(self, federation_factory, stall_monitors):
         algorithm = HierAdMo(federation_factory(), **{**ALGO_KW, "eta": 1e-9})

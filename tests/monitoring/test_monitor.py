@@ -15,6 +15,7 @@ from repro.monitoring import (
     RunMonitor,
     monitoring,
 )
+from repro.monitoring.health import PATIENCE
 from repro.telemetry import NULL_TRACER, get_tracer, set_tracer
 
 pytestmark = pytest.mark.monitoring
@@ -43,15 +44,13 @@ class TestEmit:
 class TestAlerts:
     def test_alert_recorded_and_dispatched(self):
         sink = RingBufferSink()
-        hub = RunMonitor(
-            sinks=[sink], monitors=[PlateauMonitor(patience=1)]
-        )
-        hub.emit(EVAL, iteration=0, accuracy=0.5)
-        hub.emit(EVAL, iteration=10, accuracy=0.5)
+        hub = RunMonitor(sinks=[sink], monitors=[PlateauMonitor()])
+        for t in range(PATIENCE + 1):
+            hub.emit(EVAL, iteration=10 * t, accuracy=0.5)
         assert len(hub.alerts) == 1
         assert hub.alerts[0].monitor == "plateau"
         kinds = [e.kind for e in sink.snapshot()]
-        assert kinds == [EVAL, EVAL, ALERT]
+        assert kinds == [EVAL] * (PATIENCE + 1) + [ALERT]
 
     def test_aborting_monitor_escalates(self):
         hub = RunMonitor(monitors=[DivergenceMonitor(abort=True)])

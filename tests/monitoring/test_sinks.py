@@ -7,13 +7,13 @@ import pytest
 from repro.metrics import load_trace_jsonl, save_trace_jsonl
 from repro.monitoring import (
     EVAL,
-    CallbackSink,
     EventSink,
     JSONLStreamSink,
     RingBufferSink,
     RunEvent,
     load_events_jsonl,
 )
+from repro.monitoring.sinks import RING_CAPACITY
 from repro.telemetry import Tracer
 
 pytestmark = pytest.mark.monitoring
@@ -25,23 +25,21 @@ def make_events(n):
 
 class TestRingBuffer:
     def test_keeps_last_capacity(self):
-        sink = RingBufferSink(capacity=3)
-        for event in make_events(5):
+        sink = RingBufferSink()
+        for event in make_events(RING_CAPACITY + 2):
             sink.emit(event)
-        assert [e.seq for e in sink.snapshot()] == [2, 3, 4]
-        assert sink.emitted == 5
+        assert [e.seq for e in sink.snapshot()] == list(
+            range(2, RING_CAPACITY + 2)
+        )
+        assert sink.emitted == RING_CAPACITY + 2
         assert sink.dropped == 2
 
     def test_no_drops_below_capacity(self):
-        sink = RingBufferSink(capacity=10)
+        sink = RingBufferSink()
         for event in make_events(4):
             sink.emit(event)
         assert sink.dropped == 0
         assert len(sink.snapshot()) == 4
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            RingBufferSink(capacity=0)
 
 
 class TestJSONLStream:
@@ -135,19 +133,6 @@ class TestOneReader:
         self.cut(path, 1)
         with pytest.raises(json.JSONDecodeError):
             kinds(path)
-
-
-class TestCallback:
-    def test_forwards_events(self):
-        seen = []
-        sink = CallbackSink(seen.append)
-        for event in make_events(2):
-            sink.emit(event)
-        assert [e.seq for e in seen] == [0, 1]
-
-    def test_rejects_non_callable(self):
-        with pytest.raises(TypeError):
-            CallbackSink(42)
 
 
 class TestBase:

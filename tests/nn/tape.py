@@ -207,11 +207,6 @@ def power(a: Node, exponent: float) -> Node:
     )
 
 
-def tanh(a: Node) -> Node:
-    value = np.tanh(a.value)
-    return _record(value, (a, lambda g: g * (1.0 - value**2)))
-
-
 # ----------------------------------------------------------------------
 # Layers, forward only, from their definitions
 # ----------------------------------------------------------------------
@@ -258,10 +253,6 @@ def relu(x: Node) -> Node:
 
 def max_pool(x: Node, kernel: int, stride: int) -> Node:
     return amax(windows(x, kernel, stride), (4, 5))
-
-
-def avg_pool(x: Node, kernel: int, stride: int) -> Node:
-    return mean(windows(x, kernel, stride), (4, 5))
 
 
 def global_avg_pool(x: Node) -> Node:

@@ -15,22 +15,17 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    AvgPool2d,
-    BatchNorm1d,
     BatchNorm2d,
     Conv2d,
     Dense,
     Flatten,
     GlobalAvgPool2d,
-    LeakyReLU,
     MaxPool2d,
     MSELoss,
     ReLU,
     Sequential,
-    Sigmoid,
     SoftmaxCrossEntropyLoss,
     SupervisedModel,
-    Tanh,
 )
 
 RNG = np.random.default_rng(1234)
@@ -126,14 +121,6 @@ class TestPoolingGrad:
         model = SupervisedModel(net, SoftmaxCrossEntropyLoss())
         check_model_gradient(model, image_batch(), labels())
 
-    def test_avgpool(self):
-        net = Sequential(
-            Conv2d(2, 2, 3, padding=1, rng=1), AvgPool2d(2), Flatten(),
-            Dense(2 * 3 * 3, 3, rng=2),
-        )
-        model = SupervisedModel(net, SoftmaxCrossEntropyLoss())
-        check_model_gradient(model, image_batch(), labels())
-
     def test_global_avgpool(self):
         net = Sequential(
             Conv2d(2, 4, 3, padding=1, rng=1), GlobalAvgPool2d(),
@@ -150,11 +137,8 @@ class TestPoolingGrad:
 
 
 class TestActivationGrads:
-    @pytest.mark.parametrize(
-        "activation", [ReLU, Sigmoid, Tanh, lambda: LeakyReLU(0.1)]
-    )
-    def test_activation(self, activation):
-        net = Sequential(Dense(4, 6, rng=1), activation(), Dense(6, 3, rng=2))
+    def test_activation(self):
+        net = Sequential(Dense(4, 6, rng=1), ReLU(), Dense(6, 3, rng=2))
         model = SupervisedModel(net, SoftmaxCrossEntropyLoss())
         # Shift inputs away from ReLU's kink to keep finite diffs clean.
         x = RNG.normal(size=(5, 4)) + 0.05
@@ -170,21 +154,8 @@ class TestBatchNormGrad:
         model = SupervisedModel(net, SoftmaxCrossEntropyLoss())
         check_model_gradient(model, image_batch(), labels(), tol=5e-4)
 
-    def test_batchnorm1d(self):
-        net = Sequential(Dense(4, 6, rng=1), BatchNorm1d(6), Dense(6, 3, rng=2))
-        model = SupervisedModel(net, SoftmaxCrossEntropyLoss())
-        check_model_gradient(model, RNG.normal(size=(8, 4)), labels(8),
-                             tol=5e-4)
-
-    def test_batchnorm1d_eval_mode(self):
-        """Eval-mode backward: frozen running stats, affine adjoint."""
-        net = Sequential(Dense(4, 6, rng=1), BatchNorm1d(6), Dense(6, 3, rng=2))
-        model = SupervisedModel(net, SoftmaxCrossEntropyLoss())
-        # Populate the running statistics, then freeze them.
-        model.gradient(RNG.normal(size=(32, 4)), labels(32))
-        check_eval_model_gradient(model, RNG.normal(size=(8, 4)), labels(8))
-
     def test_batchnorm2d_eval_mode(self):
+        """Eval-mode backward: frozen running stats, affine adjoint."""
         net = Sequential(
             Conv2d(2, 3, 3, padding=1, rng=1), BatchNorm2d(3), ReLU(),
             Flatten(), Dense(3 * 6 * 6, 3, rng=2),
@@ -289,8 +260,8 @@ class TestBatchedAdjoints:
     def test_pooling_chain(self):
         net = Sequential(
             Conv2d(2, 2, 3, padding=1, rng=1), MaxPool2d(2), ReLU(),
-            Conv2d(2, 3, 3, padding=1, rng=2), AvgPool2d(3, stride=1),
-            Flatten(), Dense(3, 3, rng=3),
+            Conv2d(2, 3, 3, padding=1, rng=2), GlobalAvgPool2d(),
+            Dense(3, 3, rng=3),
         )
         model = SupervisedModel(net, SoftmaxCrossEntropyLoss())
         # Nudge off MaxPool tie points for clean finite differences.
@@ -307,7 +278,7 @@ class TestBatchedAdjoints:
 
     def test_batchnorm2d_train_mode(self):
         net = Sequential(
-            Conv2d(2, 3, 3, padding=1, rng=1), BatchNorm2d(3), Tanh(),
+            Conv2d(2, 3, 3, padding=1, rng=1), BatchNorm2d(3), ReLU(),
             Flatten(), Dense(3 * 6 * 6, 3, rng=2),
         )
         model = SupervisedModel(net, SoftmaxCrossEntropyLoss())
@@ -324,17 +295,6 @@ class TestBatchedAdjoints:
         model.gradient(image_batch(8, 2, 6), labels(8))  # running stats
         check_batched_gradient(
             model, worker_images(), worker_labels(), freeze_bn=True
-        )
-
-    def test_batchnorm1d_frozen_running_stats(self):
-        net = Sequential(
-            Dense(4, 6, rng=1), BatchNorm1d(6), Dense(6, 3, rng=2)
-        )
-        model = SupervisedModel(net, SoftmaxCrossEntropyLoss())
-        model.gradient(RNG.normal(size=(32, 4)), labels(32))
-        xs = RNG.normal(size=(3, 5, 4))
-        check_batched_gradient(
-            model, xs, worker_labels(n=5), freeze_bn=True
         )
 
     def test_basic_block_train_mode(self):

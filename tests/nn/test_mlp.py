@@ -1,7 +1,6 @@
 """Tests for the MLP builder."""
 
 import numpy as np
-import pytest
 
 from repro.nn.models.mlp import make_mlp
 
@@ -18,25 +17,6 @@ class TestMlp:
         model = make_mlp(6, (), 3, rng=0)
         assert model.num_params == 6 * 3 + 3
 
-    def test_tanh_activation(self):
-        model = make_mlp(4, (8,), 2, activation="tanh", rng=0)
-        grad, loss = model.gradient(
-            RNG.normal(size=(6, 4)), RNG.integers(0, 2, 6)
-        )
-        assert np.isfinite(grad).all()
-
-    def test_dropout_layers_present(self):
-        from repro.nn.dropout import Dropout
-
-        model = make_mlp(4, (8, 8), 2, dropout=0.2, rng=0)
-        dropouts = [
-            m for m in model.module.modules() if isinstance(m, Dropout)
-        ]
-        assert len(dropouts) == 2
-
-    def test_unknown_activation_raises(self):
-        with pytest.raises(ValueError, match="activation"):
-            make_mlp(4, (8,), 2, activation="gelu")
 
     def test_learns_xor_like_problem(self):
         """A hidden layer is genuinely used: solves a non-linear task."""

@@ -4,34 +4,18 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    BatchNorm1d,
+    BatchNorm2d,
     Dense,
     ReLU,
     Sequential,
-    Sigmoid,
     SoftmaxCrossEntropyLoss,
     SupervisedModel,
-    Tanh,
 )
 from repro.nn.functional import log_softmax, softmax
 from tests.nn.rows import bind_rows
 
 
 class TestExtremeActivations:
-    @pytest.mark.parametrize("scale", [1e-30, 1e-6, 1e6, 1e30])
-    def test_sigmoid_finite(self, scale):
-        layer = Sigmoid()
-        x = np.array([-scale, 0.0, scale])
-        out = layer.forward(x)
-        assert np.isfinite(out).all()
-        grad = layer.backward(np.ones(3))
-        assert np.isfinite(grad).all()
-
-    @pytest.mark.parametrize("scale", [1e-30, 1e6, 1e30])
-    def test_tanh_finite(self, scale):
-        layer = Tanh()
-        out = layer.forward(np.array([-scale, scale]))
-        assert np.isfinite(out).all()
 
     def test_softmax_huge_logits(self):
         logits = np.array([[1e300, -1e300, 0.0]])
@@ -72,9 +56,9 @@ class TestExtremeTrainingInputs:
 
     def test_batchnorm_single_feature_variance_floor(self):
         """Constant batch: variance 0, eps must keep the output finite."""
-        layer = BatchNorm1d(3)
+        layer = BatchNorm2d(3)
         bind_rows(layer)
-        out = layer.forward(np.full((1, 8, 3), 7.0))
+        out = layer.forward(np.full((1, 8, 3, 1, 1), 7.0))
         assert np.isfinite(out).all()
         assert np.allclose(out, 0.0, atol=1e-6)
 

@@ -38,7 +38,6 @@ def _cases():
         ("reshape", lambda a: T.reshape(a, (4, -1)), [(2, 2, 3)]),
         ("log_softmax", lambda a: T.log_softmax(a), [(4, 6)]),
         ("power", lambda a: T.power(a, -0.5), [(3, 4)]),
-        ("tanh", lambda a: T.tanh(a), [(3, 4)]),
     ]
 
 

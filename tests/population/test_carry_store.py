@@ -17,7 +17,7 @@ import pytest
 from repro.checkpoint import CheckpointError, CheckpointManager
 from repro.checkpoint.format import read_checkpoint, write_checkpoint
 from repro.checkpoint.manager import load_resume
-from repro.checkpoint.state import pack_rng, unpack_rng
+from repro.checkpoint.state import pack_rngs, unpack_rng
 from repro.core import HierAdMo
 from repro.data.shards import PrototypeShards
 from repro.nn.models import make_logistic_regression
@@ -46,7 +46,7 @@ def _entry(rng, client_id):
         rng.normal(size=4), rng.normal(size=(2, 3)), rng.random() < 0.5,
         order, np.int64(rng.integers(0, size)),
     ]
-    return rows, pack_rng(generator)
+    return rows, pack_rngs([generator])[0]
 
 
 def _record(rows, rng):

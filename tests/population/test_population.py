@@ -14,7 +14,7 @@ import pytest
 from repro.algorithms import FedADC, FedNAG
 from repro.core import HierAdMo
 from repro.core.federation import Federation
-from repro.checkpoint.state import rng_state, set_rng_state
+from repro.checkpoint.state import set_rng_state
 from repro.data import Dataset
 from repro.data.loader import SampleStore
 from repro.data.shards import ListShards, PrototypeShards
@@ -311,12 +311,12 @@ class TestBinder:
         binder.reset(algorithm)
         store = binder.fed.store
         before = [store.x.copy(), store.order.copy(), store.cursor.copy()]
-        states = [rng_state(rng) for rng in store.rngs]
+        states = [rng.bit_generator.state for rng in store.rngs]
         binder.resample(algorithm, 5)
         assert binder.fed.store is store
         for array, after in zip(before, (store.x, store.order, store.cursor)):
             np.testing.assert_array_equal(after, array)
-        assert [rng_state(rng) for rng in store.rngs] == states
+        assert [rng.bit_generator.state for rng in store.rngs] == states
         np.testing.assert_array_equal(binder.slot_client, np.arange(6))
         assert binder.carry == {}
 
@@ -453,7 +453,7 @@ def _slot_state(binder, algorithm, slot) -> tuple:
         rows.append(getattr(obj, leaf)[slot].copy())
     store = binder.fed.store
     stream = {
-        "rng": rng_state(store.rngs[slot]),
+        "rng": store.rngs[slot].bit_generator.state,
         "cursor": int(store.cursor[slot]),
         "order": store.order[slot, :store.size[slot]].copy(),
     }

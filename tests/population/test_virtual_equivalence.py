@@ -25,7 +25,7 @@ import pytest
 
 from repro.algorithms import AsyncFedAvg, AsyncHierAdMo, FedADC, FedNAG
 from repro.checkpoint import CheckpointManager
-from repro.checkpoint.state import pack_rng, rng_state, set_rng_state
+from repro.checkpoint.state import pack_rngs, set_rng_state
 from repro.core import HierAdMo
 from repro.data import (
     Dataset,
@@ -142,7 +142,7 @@ def assert_row_is_sampler(store, row, sampler) -> None:
     np.testing.assert_array_equal(store.order[row, :size], sampler._order)
     np.testing.assert_array_equal(store.x[row, :size], sampler.dataset.x)
     np.testing.assert_array_equal(store.y[row, :size], sampler.dataset.y)
-    assert rng_state(store.rngs[row]) == rng_state(sampler.rng)
+    assert store.rngs[row].bit_generator.state == sampler.rng.bit_generator.state
 
 
 class LoopBinder(PopulationBinder):
@@ -171,7 +171,7 @@ class LoopBinder(PopulationBinder):
             for slot in free if save_carry else ():
                 self.carry.extend(
                     [current[slot]], arrays, [slot],
-                    pack_rng(store.rngs[slot])[None],
+                    pack_rngs([store.rngs[slot]])[0][None],
                 )
             for slot, client in zip(free, arriving):
                 dataset = self.shards.shard(client)
@@ -285,8 +285,8 @@ def test_batched_rebind_matches_per_client_loop(name):
     store, other = batched.fed.store, loop.fed.store
     for name in ("x", "y", "order", "cursor", "size", "batch"):
         np.testing.assert_array_equal(getattr(store, name), getattr(other, name))
-    assert [rng_state(rng) for rng in store.rngs] == [
-        rng_state(rng) for rng in other.rngs
+    assert [rng.bit_generator.state for rng in store.rngs] == [
+        rng.bit_generator.state for rng in other.rngs
     ]
 
 

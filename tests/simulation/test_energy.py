@@ -3,7 +3,11 @@
 import pytest
 
 from repro.simulation import AsyncDeployment, worker_device_pool
-from repro.simulation.energy import EnergyModel, estimate_energy
+from repro.simulation.energy import (
+    RADIO_JOULES_PER_MEGABYTE,
+    WAN_ENERGY_MULTIPLIER,
+    estimate_energy,
+)
 
 DEVICES = worker_device_pool(4)
 PAYLOAD = 1e6  # 1 MB
@@ -32,12 +36,11 @@ class TestThreeTier:
         )
 
     def test_known_radio_value(self):
-        model = EnergyModel(radio_joules_per_megabyte=1.0)
-        energy = estimate_energy(
-            AsyncDeployment(DEVICES, 1e6), 10, tau=10, model=model
+        energy = estimate_energy(AsyncDeployment(DEVICES, 1e6), 10, tau=10)
+        # 1 round x 4 workers x 2 MB (up+down) at the per-MB cost.
+        assert energy.radio_joules == pytest.approx(
+            8.0 * RADIO_JOULES_PER_MEGABYTE
         )
-        # 1 round x 4 workers x 2 MB (up+down) x 1 J/MB.
-        assert energy.radio_joules == pytest.approx(8.0)
 
     def test_device_count_validation(self):
         """The worker count is the deployment's device count."""
@@ -58,23 +61,18 @@ class TestTwoTierComparison:
         assert two.radio_joules == pytest.approx(1.5 * three.radio_joules)
         assert two.compute_joules == pytest.approx(three.compute_joules)
 
-    def test_multiplier_knob(self):
-        cheap = estimate_energy(
-            DEPLOYMENT, 100, 10, flat=True, wan_energy_multiplier=1.0
+    def test_wan_multiplier_prices_flat_syncs_only(self):
+        """At one schedule, a flat campaign's radios pay the WAN
+        multiplier and a three-tier campaign's LAN syncs do not."""
+        three = estimate_energy(DEPLOYMENT, 100, 10)
+        flat = estimate_energy(DEPLOYMENT, 100, 10, flat=True)
+        assert flat.radio_joules == pytest.approx(
+            WAN_ENERGY_MULTIPLIER * three.radio_joules
         )
-        pricey = estimate_energy(
-            DEPLOYMENT, 100, 10, flat=True, wan_energy_multiplier=5.0
-        )
-        assert pricey.radio_joules == pytest.approx(5 * cheap.radio_joules)
-        # Three-tier syncs stay on the LAN: the WAN multiplier is unused.
-        assert estimate_energy(
-            DEPLOYMENT, 100, 10, wan_energy_multiplier=5.0
-        ) == cheap
+        assert flat.compute_joules == three.compute_joules
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            EnergyModel(active_power_watts=0)
-        with pytest.raises(ValueError):
             estimate_energy(DEPLOYMENT, 0, 5)
         with pytest.raises(ValueError):
-            estimate_energy(DEPLOYMENT, 10, 5, wan_energy_multiplier=0.0)
+            estimate_energy(DEPLOYMENT, 10, 0)

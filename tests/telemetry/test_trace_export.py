@@ -15,6 +15,7 @@ from repro.telemetry import (
     format_fault_summary,
     format_trace_report,
 )
+from repro.telemetry import tracer as tracer_module
 
 pytestmark = pytest.mark.telemetry
 
@@ -104,8 +105,9 @@ class TestReportRendering:
         assert "communication ledger" not in text
         assert "per-phase wall clock" in text
 
-    def test_report_surfaces_dropped_records(self):
-        tracer = Tracer(max_records=2)
+    def test_report_surfaces_dropped_records(self, monkeypatch):
+        monkeypatch.setattr(tracer_module, "MAX_RECORDS", 2)
+        tracer = Tracer()
         for _ in range(5):
             with tracer.span("s"):
                 pass

@@ -131,7 +131,9 @@ class TestMonitorCommands:
         for width in (MIN_WIDTH, MIN_WIDTH + 1, 64):
             args = ["monitor", "--once", "--width", str(width), str(stream)]
             assert main(args) == 0
-            assert "gamma per edge" in capsys.readouterr().out
+            out = capsys.readouterr().out
+            assert "gamma per edge" in out
+            assert max(len(line) for line in out.splitlines()) <= width
         with pytest.raises(SystemExit) as excinfo:
             main(["monitor", "--once", "--width", str(MIN_WIDTH - 1),
                   str(stream)])

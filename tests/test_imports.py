@@ -1,11 +1,10 @@
-"""Cold start: importing and running repro loads neither scipy nor networkx.
+"""Cold start: importing and running repro does not load scipy.
 
-Only two helpers use those libraries, and each imports its library when
-called: :func:`repro.theory.adaptation.moments_for_distribution`
-(``scipy.integrate``) and :meth:`repro.topology.Topology.to_networkx`
-(``networkx``).  The guard below runs a fresh interpreter, so a module
-imported by an earlier test in this process cannot hide a top-level
-import; the in-process tests pin what the two helpers still return.
+Only one helper uses scipy, and it imports ``scipy.integrate`` when
+called: :func:`repro.theory.adaptation.moments_for_distribution`.  The
+guard below runs a fresh interpreter, so a module imported by an
+earlier test in this process cannot hide a top-level import; the
+in-process tests pin what the helper still returns.
 """
 
 import json
@@ -21,11 +20,10 @@ from repro.theory.adaptation import (
     adaptive_gamma_moments,
     moments_for_distribution,
 )
-from repro.topology import Topology
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-GUARDED = ("scipy", "networkx")
+GUARDED = ("scipy",)
 
 # Imports the public surface, then trains a small CNN HierAdMo federation
 # with a checkpoint manager, restores it from its newest checkpoint, and
@@ -78,7 +76,7 @@ SCRIPT = textwrap.dedent(
 )
 
 
-def test_training_paths_load_neither_scipy_nor_networkx():
+def test_training_paths_do_not_load_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")])
@@ -112,23 +110,3 @@ class TestQuadratureMoments:
         cap = 0.99
         expected = cap**2 / 2 - cap**3 / 3 + cap * (1 - cap) ** 2 / 2
         assert mean == pytest.approx(expected, rel=1e-6)
-
-
-class TestNetworkxView:
-    def test_nodes_and_links(self):
-        graph = Topology([[10, 20], [30]]).to_networkx()
-        assert dict(graph.nodes(data=True)) == {
-            "cloud": {"tier": "cloud"},
-            "edge0": {"tier": "edge", "samples": 30},
-            "worker0.0": {"tier": "worker", "samples": 10},
-            "worker0.1": {"tier": "worker", "samples": 20},
-            "edge1": {"tier": "edge", "samples": 30},
-            "worker1.0": {"tier": "worker", "samples": 30},
-        }
-        assert sorted(graph.edges(data="link")) == [
-            ("cloud", "edge0", "wan"),
-            ("cloud", "edge1", "wan"),
-            ("edge0", "worker0.0", "lan"),
-            ("edge0", "worker0.1", "lan"),
-            ("edge1", "worker1.0", "lan"),
-        ]

@@ -22,16 +22,6 @@ class TestConstruction:
         assert topo.num_workers == 12
         assert topo.total_samples == 300
 
-    def test_from_partitions(self):
-        class Fake:
-            def __init__(self, n):
-                self.n = n
-
-            def __len__(self):
-                return self.n
-
-        topo = Topology.from_partitions([[Fake(5), Fake(7)], [Fake(3)]])
-        assert topo.sample_counts == [[5, 7], [3]]
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
@@ -71,34 +61,12 @@ class TestWeights:
 
 
 class TestIndexing:
-    def test_flat_index_layout(self):
-        topo = Topology([[1, 1], [1, 1, 1]])
-        assert topo.flat_index(0, 0) == 0
-        assert topo.flat_index(0, 1) == 1
-        assert topo.flat_index(1, 0) == 2
-        assert topo.flat_index(1, 2) == 4
-
-    def test_edge_of_inverse(self):
-        topo = Topology([[1, 1], [1, 1, 1]])
-        for flat in range(topo.num_workers):
-            edge, local = topo.edge_of(flat)
-            assert topo.flat_index(edge, local) == flat
 
     def test_edge_worker_indices(self):
         topo = Topology([[1, 1], [1, 1, 1]])
         assert topo.edge_worker_indices(0) == [0, 1]
         assert topo.edge_worker_indices(1) == [2, 3, 4]
 
-    def test_out_of_range(self):
-        topo = Topology([[1]])
-        with pytest.raises(IndexError):
-            topo.flat_index(1, 0)
-        with pytest.raises(IndexError):
-            topo.flat_index(0, 1)
-        with pytest.raises(IndexError):
-            topo.edge_of(1)
-        with pytest.raises(IndexError):
-            topo.edge_of(-1)
 
     @given(
         st.lists(
@@ -109,20 +77,12 @@ class TestIndexing:
     )
     @settings(max_examples=30, deadline=None)
     def test_roundtrip_property(self, counts):
+        """The edges' worker blocks tile the flat index range in order."""
         topo = Topology(counts)
-        for flat in range(topo.num_workers):
-            edge, local = topo.edge_of(flat)
-            assert topo.flat_index(edge, local) == flat
+        flat = [
+            index
+            for edge in range(topo.num_edges)
+            for index in topo.edge_worker_indices(edge)
+        ]
+        assert flat == list(range(topo.num_workers))
         assert topo.global_worker_weights().sum() == pytest.approx(1.0)
-
-
-class TestExport:
-    def test_networkx_structure(self):
-        topo = Topology([[10, 20], [30]])
-        graph = topo.to_networkx()
-        assert graph.number_of_nodes() == 1 + 2 + 3
-        assert graph.degree["cloud"] == 2
-        assert graph.nodes["edge0"]["samples"] == 30
-        assert graph.nodes["worker1.0"]["samples"] == 30
-        assert graph.edges["edge0", "worker0.0"]["link"] == "lan"
-        assert graph.edges["cloud", "edge1"]["link"] == "wan"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.flatten import flatten_arrays, unflatten_like, zeros_like_flat
+from tests.utils.flatten import flatten_arrays, unflatten_like, zeros_like_flat
 
 
 @st.composite
