@@ -1,14 +1,8 @@
 """Event-driven deployment simulation bench (extension).
 
-Quantifies two deployment questions the coarse timeline cannot answer:
-
-* how much wall-clock the barrier process actually costs vs the
-  per-iteration-max approximation, and
-* how much a straggler-tolerant edge quorum buys under heavy-tail
-  worker delays,
-
-plus three gates on the execution engine itself, recorded to
-``BENCH_eventsim.json``:
+Quantifies how much a straggler-tolerant edge quorum buys under
+heavy-tail worker delays, plus three gates on the execution engine
+itself, recorded to ``BENCH_eventsim.json``:
 
 * event-processing throughput of a full async training run, gated as
   events per probe loop (``benchmarks.timing.rate_per_probe``),
@@ -32,7 +26,6 @@ from repro.nn.models import make_mlp
 from repro.simulation import (
     AsyncDeployment,
     EventDrivenSimulator,
-    Timeline,
     add_stragglers,
     worker_device_pool,
 )
@@ -72,27 +65,6 @@ def _make_federation(num_edges=2, per_edge=4, seed=7):
 def _straggler_deployment(quorum, num_workers=8):
     devices = add_stragglers(worker_device_pool(num_workers), 0.25, 10.0)
     return AsyncDeployment(devices, payload_bytes=PAYLOAD, quorum=quorum)
-
-
-def test_event_vs_coarse_timeline(benchmark):
-    topo = Topology.uniform(4, 4, 100)
-    deployment = AsyncDeployment(worker_device_pool(topo.num_workers), PAYLOAD)
-
-    def evaluate():
-        event = EventDrivenSimulator(topo, deployment).simulate(
-            200, tau=10, pi=2, rng=0
-        )
-        coarse = Timeline(topo, deployment).simulate(
-            200, tau=10, pi=2, rng=0
-        )
-        return event.total_time, float(coarse[-1])
-
-    event_total, coarse_total = run_once(benchmark, evaluate)
-    print(f"\nevent-driven total: {event_total:8.1f}s")
-    print(f"coarse timeline:    {coarse_total:8.1f}s "
-          f"(+{(coarse_total / event_total - 1) * 100:.1f}% over-sync)")
-    # Barrier process is never slower than per-iteration max sync.
-    assert event_total <= coarse_total * 1.01
 
 
 def test_quorum_under_stragglers(benchmark):

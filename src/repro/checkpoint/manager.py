@@ -270,10 +270,6 @@ class CheckpointManager:
         path, manifest, arrays = found
         return RestoredRun(path=path, manifest=manifest, arrays=arrays)
 
-    def load(self, path: str | Path) -> RestoredRun:
-        """Load one specific checkpoint file (verified)."""
-        return load_resume(path)
-
     # ------------------------------------------------------------------
     def _accuracy_of(self, path: Path) -> float:
         cached = self._accuracies.get(path)

@@ -12,7 +12,7 @@ trade-off:
 * :class:`NoCompression` — identity, for uniform call sites.
 
 Each operator reports its payload in bytes, which plugs directly into
-:mod:`repro.simulation`'s timelines.
+an :class:`~repro.simulation.AsyncDeployment`'s ``payload_bytes``.
 """
 
 from __future__ import annotations

@@ -64,10 +64,6 @@ class Dataset:
             self.name,
         )
 
-    def class_counts(self) -> np.ndarray:
-        """Histogram of labels over [0, num_classes)."""
-        return np.bincount(self.y, minlength=self.num_classes)
-
 
 def train_test_split(
     dataset: Dataset,

@@ -2,7 +2,7 @@
 
 A million-client federation cannot pre-materialize a million
 :class:`~repro.data.base.Dataset` objects.  A *shard provider* instead
-answers ``shard(client_id)`` lazily: only the clients of the currently
+answers ``shards(client_ids)`` lazily: only the clients of the currently
 sampled cohort hold live arrays, everything else exists as a seed.
 
 Two providers cover the library's needs:
@@ -49,9 +49,6 @@ class ListShards:
     @property
     def num_clients(self) -> int:
         return len(self.datasets)
-
-    def shard(self, client_id: int) -> Dataset:
-        return self.datasets[client_id]
 
     def shards(self, client_ids) -> Iterator[Dataset]:
         """The datasets of ``client_ids``, in order."""
@@ -106,9 +103,6 @@ class PrototypeShards:
         self.prototypes = proto_rng.normal(
             size=(self.num_classes, self.num_features)
         )
-
-    def shard(self, client_id: int) -> Dataset:
-        return next(self.shards([client_id]))
 
     def shards(self, client_ids) -> Iterator[Dataset]:
         """The shards of ``client_ids``, in order, drawn as they are taken.

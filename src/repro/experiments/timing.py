@@ -2,10 +2,12 @@
 
 Replays each algorithm's accuracy-vs-iteration trace against the device
 and link delay models to compute the wall-clock time at which it first
-reaches the target accuracy (0.95 in the paper).  Three-tier algorithms
-replay on the three-tier timeline (LAN to the edge, WAN only every
-τ·π); two-tier algorithms (subclasses of ``TwoTierAlgorithm``) replay on
-its flat case, paying the WAN on every aggregation.
+reaches the target accuracy (0.95 in the paper).  The replay is the
+event clock of :class:`~repro.simulation.events.EventDrivenSimulator`
+at quorum 1.0: three-tier algorithms sync with their edge over the LAN
+every τ and with the cloud over the WAN every τ·π; two-tier algorithms
+(subclasses of ``TwoTierAlgorithm``) replay flat, syncing with the
+cloud over the WAN every τ·π.
 
 Momentum-shipping algorithms (HierAdMo/HierAdMo-R/FedNAG/FastSlowMo/
 FedADC/Mime) transfer model + momentum, i.e. a 2× payload; the factor
@@ -18,14 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.algorithms import TwoTierAlgorithm
 from repro.experiments.builders import algorithm_class, build_federation
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_many
-from repro.metrics.history import TrainingHistory
 from repro.simulation import (
     AsyncDeployment,
-    Timeline,
+    EventDrivenSimulator,
     time_to_accuracy,
     worker_device_pool,
 )
@@ -43,7 +46,7 @@ class TimedResult:
 
     The byte fields are the *measured* traffic from the run's
     communication ledger (closed-form events × dim × 8 × multiplier),
-    not the timeline model's estimate.
+    not the replay's estimate.
     """
 
     algorithm: str
@@ -98,12 +101,14 @@ def run_time_to_accuracy(
         deployment = AsyncDeployment(
             devices, federation.dim * 8.0 * cls.payload_multiplier
         )
-        times = Timeline(topology, deployment, flat=flat).simulate(
+        simulator = EventDrivenSimulator(topology, deployment, flat=flat)
+        replay = simulator.simulate(
             base_config.total_iterations,
             base_config.two_tier_tau if flat else base_config.tau,
             base_config.pi,
             rng=streams.get("timeline", name),
         )
+        times = np.concatenate(([0.0], replay.iteration_times))
         seconds = time_to_accuracy(history, times, target)
         out[name] = TimedResult(
             algorithm=name,

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.telemetry.ledger import CommLedger
 
 __all__ = ["TrainingHistory"]
@@ -119,10 +117,3 @@ class TrainingHistory:
             if accuracy >= target:
                 return time
         return None
-
-    def accuracy_curve(self) -> tuple[np.ndarray, np.ndarray]:
-        """(iterations, accuracy) arrays for plotting."""
-        return (
-            np.asarray(self.iterations, dtype=np.int64),
-            np.asarray(self.test_accuracy, dtype=np.float64),
-        )

@@ -186,15 +186,11 @@ class SupervisedModel:
         """Mean loss on ``(x, y)`` in eval mode."""
         return self._loss_of(self.predict(x), y)
 
-    def accuracy(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Top-1 accuracy (argmax over the output dimension)."""
-        return self._accuracy_of(self.predict(x), y)
-
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
         """``(accuracy, loss)`` on ``(x, y)`` from one forward pass.
 
-        Equivalent to calling :meth:`accuracy` and :meth:`loss`, but the
-        test set is traversed once instead of twice.
+        The accuracy is top-1 (argmax over the output dimension); the
+        loss is :meth:`loss`'s, without a second pass over the set.
         """
         predictions = self.predict(x)
         return self._accuracy_of(predictions, y), self._loss_of(predictions, y)

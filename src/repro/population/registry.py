@@ -85,9 +85,6 @@ class ClientRegistry:
         return cls(num_edges, num_clients // num_edges, weights=weights)
 
     # ------------------------------------------------------------------
-    def edge_of(self, client_id: int) -> int:
-        return int(client_id) // self.clients_per_edge
-
     def clients_of_edge(self, edge: int) -> range:
         """The (contiguous) client-id range registered under ``edge``."""
         if not 0 <= edge < self.num_edges:
@@ -96,13 +93,6 @@ class ClientRegistry:
             )
         start = edge * self.clients_per_edge
         return range(start, start + self.clients_per_edge)
-
-    def client_weights(self, client_ids) -> np.ndarray:
-        """Raw (unnormalized) sample weights of the given clients."""
-        client_ids = np.asarray(client_ids, dtype=np.int64)
-        if self.weights is None:
-            return np.ones(client_ids.size, dtype=np.float64)
-        return self.weights[client_ids]
 
     def __repr__(self) -> str:
         return (

@@ -60,10 +60,6 @@ class CohortSampler:
     def cohort_size(self) -> int:
         return self.cohort_per_edge * self.registry.num_edges
 
-    @property
-    def full_participation(self) -> bool:
-        return self.cohort_per_edge == self.registry.clients_per_edge
-
     def draw(self, period: int) -> np.ndarray:
         """Sorted client ids of period ``p``'s cohort (edge-major)."""
         registry = self.registry

@@ -1,4 +1,4 @@
-"""Trace-driven delay simulation (devices, links, timelines)."""
+"""Trace-driven delay simulation (devices, links, the event clock)."""
 
 from repro.simulation.devices import (
     DEVICE_PRESETS,
@@ -16,19 +16,14 @@ from repro.simulation.events import (
     EdgeRoundRecord,
     EventDrivenSimulator,
     EventSimulation,
+    time_to_accuracy,
 )
 from repro.simulation.energy import (
     CampaignEnergy,
     estimate_energy,
 )
-from repro.simulation.links import (
-    DEFAULT_RETRY_POLICY,
-    LINK_PRESETS,
-    LinkProfile,
-    RetryPolicy,
-)
+from repro.simulation.links import LINK_PRESETS, LinkProfile
 from repro.simulation.stragglers import StragglerDevice, add_stragglers
-from repro.simulation.timeline import Timeline, time_to_accuracy
 
 __all__ = [
     "DeviceProfile",
@@ -36,8 +31,6 @@ __all__ = [
     "worker_device_pool",
     "LinkProfile",
     "LINK_PRESETS",
-    "RetryPolicy",
-    "DEFAULT_RETRY_POLICY",
     "StragglerDevice",
     "add_stragglers",
     "EventDrivenSimulator",
@@ -50,6 +43,5 @@ __all__ = [
     "EventLoopRunner",
     "CampaignEnergy",
     "estimate_energy",
-    "Timeline",
     "time_to_accuracy",
 ]

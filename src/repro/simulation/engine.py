@@ -112,11 +112,7 @@ from repro.simulation.events import (
     EdgeRoundRecord,
     EventSimulation,
 )
-from repro.simulation.links import (
-    DEFAULT_RETRY_POLICY,
-    LINK_PRESETS,
-    LinkProfile,
-)
+from repro.simulation.links import LINK_PRESETS, LinkProfile
 from repro.telemetry import get_tracer
 from repro.utils.rng import make_rng
 from repro.utils.validation import (
@@ -140,6 +136,12 @@ EVENT_WORKER_STEP = "worker_compute_done"
 EVENT_UPLOAD_ARRIVED = "upload_arrived"
 EVENT_QUORUM_MET = "edge_quorum_met"
 EVENT_CLOUD_SYNC = "cloud_sync"
+
+# Retransmission pricing of an upload that realized retries: each resend
+# waits out the loss timeout, which grows by the backoff factor per
+# resend, then pays a fresh transfer.
+RETRY_TIMEOUT_SECONDS = 0.5
+RETRY_BACKOFF = 2.0
 
 # Worker phases.
 _COMPUTING = 0
@@ -226,11 +228,11 @@ class AsyncDeployment:
 
     Bundles the worker, edge and cloud devices, the LAN and WAN links,
     the bytes of one transfer and the edge quorum, so the event engine,
-    :class:`~repro.simulation.events.EventDrivenSimulator`, the coarse
-    :class:`~repro.simulation.timeline.Timeline` and the energy estimate
-    all take one argument instead of seven.  A two-tier (flat) run uses
-    the WAN and the cloud device only.  ``payload_bytes`` already
-    includes the algorithm's payload multiplier.
+    :class:`~repro.simulation.events.EventDrivenSimulator` and the
+    energy estimate all take one argument instead of seven.  A two-tier
+    (flat) run uses the WAN and the cloud device only.
+    ``payload_bytes`` already includes the algorithm's payload
+    multiplier.
     """
 
     worker_devices: list[DeviceProfile]
@@ -566,13 +568,12 @@ class EventLoopRunner:
             return
         delay = self._upload_link.transfer_time(self.dep.payload_bytes,
                                                 self.rng)
-        if retries:
-            wait = DEFAULT_RETRY_POLICY.timeout_seconds
-            for _ in range(retries):
-                delay += wait + self._upload_link.transfer_time(
-                    self.dep.payload_bytes, self.rng
-                )
-                wait *= DEFAULT_RETRY_POLICY.backoff_factor
+        wait = RETRY_TIMEOUT_SECONDS
+        for _ in range(retries):
+            delay += wait + self._upload_link.transfer_time(
+                self.dep.payload_bytes, self.rng
+            )
+            wait *= RETRY_BACKOFF
         self._inflight[group].add(worker)
         self.queue.push(
             time + delay,

@@ -1,27 +1,27 @@
 """Discrete-event simulation of hierarchical FL deployments.
 
-The coarse replay in :mod:`repro.simulation.timeline` advances a single
-global clock per iteration (max over workers), which slightly
-over-synchronizes: real workers only meet at aggregation barriers, so a
-fast worker can be several iterations ahead within an edge interval.
-This module simulates the deployment at event granularity, on the event
-engine of :mod:`repro.simulation.engine` with a client that computes
-nothing:
+The deployment simulator, and the one clock Fig. 2(h)/(l) prices a run
+on, runs the event engine of :mod:`repro.simulation.engine` with a
+client that computes nothing:
 
 * each worker is an independent process computing its τ local
   iterations (per-iteration delays sampled from its device profile),
-  then uploading to its edge node;
+  then uploading to its edge node, so workers meet only at the
+  aggregation barriers of Algorithm 1;
 * an edge node aggregates when its quorum is met — all workers for the
   paper's synchronous setting (``quorum=1.0``), or a fraction for
   asynchronous-flavoured deployments — then downloads the result back.
   A late upload is buffered and folded into a later round with its
   staleness, and its sender resumes from the current round;
-* every π edge rounds the edges synchronize with the cloud over the WAN.
+* every π edge rounds the edges synchronize with the cloud over the WAN;
+* a ``flat`` (two-tier) deployment is one group of all workers
+  uploading straight to the cloud device over the WAN: each closure is
+  the cloud round, and π is not used.
 
-Outputs the engine's per-round records plus per-iteration completion
-times, so time-to-accuracy studies can also quantify how much a
-straggler quorum buys.  Statistics match the barrier structure of
-Algorithm 1 exactly when ``quorum=1.0``.
+Outputs the engine's per-round records plus the per-iteration clock,
+which :func:`time_to_accuracy` joins with a run's accuracy curve.
+Statistics match the barrier structure of Algorithm 1 exactly when
+``quorum=1.0``.
 """
 
 from __future__ import annotations
@@ -33,11 +33,12 @@ import numpy as np
 
 from repro.topology import Topology
 
-if TYPE_CHECKING:  # the engine imports this module's round records
+if TYPE_CHECKING:  # annotations; the engine imports this module's records
+    from repro.metrics.history import TrainingHistory
     from repro.simulation.engine import AsyncDeployment
 
 __all__ = ["EdgeRoundRecord", "CloudRoundRecord", "EventSimulation",
-           "EventDrivenSimulator"]
+           "EventDrivenSimulator", "time_to_accuracy"]
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,14 @@ class EventSimulation:
 
     edge_rounds: list[EdgeRoundRecord] = field(default_factory=list)
     cloud_rounds: list[CloudRoundRecord] = field(default_factory=list)
-    # iteration_times[t-1]: the running maximum, over steps 1..t, of the
-    # time the last worker first finished that step.  A worker resynced
-    # after missing a quorum can skip or repeat steps; at quorum 1.0
-    # every worker runs every step once and the curve strictly rises.
+    # iteration_times[t-1]: the time by which every worker has finished
+    # step t and every round that closes at t has finished, as a running
+    # maximum over steps 1..t.  Round r of a tier closes at r times its
+    # period (τ, or τ·π for the cloud); the short tail round the engine
+    # closes at T when T is not a multiple is no round of Algorithm 1,
+    # so the clock does not wait for it.  A worker resynced after
+    # missing a quorum can skip or repeat steps; at quorum 1.0 every
+    # worker runs every step once and the curve strictly rises.
     iteration_times: np.ndarray | None = None
 
     @property
@@ -94,35 +99,25 @@ class EventSimulation:
         )
         return max(last_edge, last_cloud)
 
-    def time_at_iteration(self, t: int) -> float:
-        """Global time by which iteration ``t`` was complete.
-
-        ``t`` is the paper's 1-indexed iteration count, matching the
-        ``iteration_times`` convention above (entry t-1) and the replay
-        timelines' ``times[t]`` axis: ``t=0`` is the start of the run
-        (time 0.0) and ``t=T`` the final iteration.
-        """
-        if self.iteration_times is None:
-            raise ValueError("simulation did not record iteration times")
-        if not 0 <= t <= self.iteration_times.size:
-            raise ValueError(
-                f"iteration {t} outside [0, {self.iteration_times.size}]"
-            )
-        if t == 0:
-            return 0.0
-        return float(self.iteration_times[t - 1])
-
 
 class EventDrivenSimulator:
-    """Simulate a three-tier deployment at event granularity.
+    """Simulate one deployment at event granularity, three-tier or flat.
 
     The simulation is an :class:`~repro.simulation.engine.EventLoopRunner`
     run on ``deployment`` (devices, links, payload bytes, edge quorum)
     whose client does no numerics: it only records when each worker
-    first finished each local step.
+    first finished each local step.  ``flat`` is the runner's flat mode:
+    one group of all workers on the WAN at the cloud device, whose every
+    closure is the cloud round (π is not used).
     """
 
-    def __init__(self, topology: Topology, deployment: AsyncDeployment):
+    def __init__(
+        self,
+        topology: Topology,
+        deployment: AsyncDeployment,
+        *,
+        flat: bool = False,
+    ):
         if len(deployment.worker_devices) != topology.num_workers:
             raise ValueError(
                 f"{len(deployment.worker_devices)} devices for "
@@ -130,6 +125,7 @@ class EventDrivenSimulator:
             )
         self.topology = topology
         self.deployment = deployment
+        self.flat = bool(flat)
 
     def simulate(
         self,
@@ -141,7 +137,7 @@ class EventDrivenSimulator:
         """Run the deployment for ``total_iterations`` local iterations."""
         from repro.simulation.engine import EventLoopRunner
 
-        client = _StepClock(self.topology)
+        client = _StepClock(self.topology, self.flat)
         runner = EventLoopRunner(
             client,
             self.deployment,
@@ -149,13 +145,46 @@ class EventDrivenSimulator:
             pi=pi,
             total_iterations=total_iterations,
             rng=rng,
+            flat=self.flat,
         )
         client.bind(runner)
         result = runner.run()
-        result.iteration_times = np.maximum.accumulate(
-            client.first_done.max(axis=0)
-        )
+        # The clock: when the last worker first finished each step,
+        # raised at each closing iteration to its rounds' finish.
+        done = client.first_done.max(axis=0)
+        cloud_period = tau if self.flat else tau * pi
+        for period, records in (
+            (tau, result.edge_rounds),
+            (cloud_period, result.cloud_rounds),
+        ):
+            for record in records:
+                t = record.round_index * period
+                if t <= total_iterations:
+                    done[t - 1] = max(done[t - 1], record.finish_time)
+        result.iteration_times = np.maximum.accumulate(done)
         return result
+
+
+def time_to_accuracy(
+    history: TrainingHistory,
+    times: np.ndarray,
+    target: float,
+) -> float | None:
+    """Wall-clock seconds at which the run first reached ``target``.
+
+    ``times[t]`` is the clock after local iteration ``t``: 0.0 followed
+    by :attr:`EventSimulation.iteration_times`.  Returns ``None`` if the
+    accuracy never reached the target.
+    """
+    iteration = history.iterations_to_accuracy(target)
+    if iteration is None:
+        return None
+    if iteration >= times.size:
+        raise ValueError(
+            f"history evaluates iteration {iteration} but the clock "
+            f"covers only {times.size - 1} iterations"
+        )
+    return float(times[iteration])
 
 
 class _StepClock:
@@ -165,11 +194,14 @@ class _StepClock:
     hook but ``local_steps`` is a no-op.
     """
 
-    def __init__(self, topology: Topology):
-        self.group_members = [
-            topology.edge_worker_indices(edge)
-            for edge in range(topology.num_edges)
-        ]
+    def __init__(self, topology: Topology, flat: bool):
+        if flat:
+            self.group_members = [np.arange(topology.num_workers)]
+        else:
+            self.group_members = [
+                topology.edge_worker_indices(edge)
+                for edge in range(topology.num_edges)
+            ]
 
     def bind(self, runner) -> None:
         # first_done[w, t-1]: when worker w first finished step t (0.0

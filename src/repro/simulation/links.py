@@ -7,15 +7,8 @@ Models the three link classes of the paper's testbed:
 * anything ↔ cloud: the public Internet across two ISPs (slow, jittery).
 
 Transfer time = RTT/2 + payload/bandwidth, with multiplicative lognormal
-jitter on the bandwidth term.
-
-Lossy links retransmit: :class:`RetryPolicy` gives the sender a loss
-timeout and an exponential backoff, and
-:meth:`LinkProfile.transfer_time_with_retries` prices each lost attempt
-as timeout + backoff + a fresh transfer.  With ``loss_prob = 0`` the
-method consumes exactly the same RNG stream as
-:meth:`LinkProfile.transfer_time`, so fault-free replays stay
-bit-identical to the plain timeline.
+jitter on the bandwidth term.  The event engine prices a lost upload's
+resends on top of this (:data:`repro.simulation.engine.RETRY_BACKOFF`).
 """
 
 from __future__ import annotations
@@ -25,39 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.utils.rng import make_rng
-from repro.utils.validation import check_positive, check_probability
+from repro.utils.validation import check_positive
 
-__all__ = ["LinkProfile", "LINK_PRESETS", "RetryPolicy",
-           "DEFAULT_RETRY_POLICY"]
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Sender-side retransmission behaviour for a lossy link.
-
-    A lost attempt is detected after ``timeout_seconds``; the sender
-    then waits nothing further and retransmits, with the timeout growing
-    by ``backoff_factor`` per successive loss of the same message.  At
-    most ``max_retries`` retransmissions are attempted.
-    """
-
-    max_retries: int = 3
-    timeout_seconds: float = 0.5
-    backoff_factor: float = 2.0
-
-    def __post_init__(self):
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        check_positive(self.timeout_seconds, "timeout_seconds")
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-
-
-DEFAULT_RETRY_POLICY = RetryPolicy()
+__all__ = ["LinkProfile", "LINK_PRESETS"]
 
 
 @dataclass(frozen=True)
@@ -90,40 +53,6 @@ class LinkProfile:
         if self.jitter_sigma > 0:
             serialization *= rng.lognormal(0.0, self.jitter_sigma)
         return self.rtt_seconds / 2.0 + serialization
-
-    def transfer_time_with_retries(
-        self,
-        payload_bytes: float,
-        rng: np.random.Generator | int | None = None,
-        *,
-        loss_prob: float = 0.0,
-        policy: RetryPolicy | None = None,
-    ) -> tuple[float, int]:
-        """One-way delay of a transfer over a lossy link.
-
-        Returns ``(seconds, retries)``.  Each lost attempt costs the
-        current loss timeout plus a fresh transfer; the timeout backs
-        off multiplicatively.  After ``policy.max_retries``
-        retransmissions the message is given up on (the degradation
-        layer treats the sender as absent), but the wasted attempts'
-        time is still charged.
-        """
-        check_probability(loss_prob, "loss_prob")
-        rng = make_rng(rng)
-        total = self.transfer_time(payload_bytes, rng)
-        if loss_prob <= 0.0:
-            return total, 0
-        if policy is None:
-            policy = DEFAULT_RETRY_POLICY
-        retries = 0
-        wait = policy.timeout_seconds
-        for _ in range(policy.max_retries):
-            if rng.random() >= loss_prob:
-                break
-            total += wait + self.transfer_time(payload_bytes, rng)
-            wait *= policy.backoff_factor
-            retries += 1
-        return total, retries
 
 
 LINK_PRESETS: dict[str, LinkProfile] = {

@@ -3,9 +3,9 @@
 Real mobile deployments have heavy-tailed delays: a phone throttles, a
 WiFi link retransmits.  :class:`StragglerDevice` wraps any
 :class:`~repro.simulation.devices.DeviceProfile` so each iteration is,
-with probability ``probability``, slowed by ``factor``.  Because the
-timeline takes the max over workers per iteration, a single straggler
-stalls its whole edge — quantifying the paper's motivation for keeping
+with probability ``probability``, slowed by ``factor``.  Because an edge
+round at quorum 1.0 waits for its last upload, a single straggler stalls
+its whole edge — quantifying the paper's motivation for keeping
 synchronization local.
 """
 

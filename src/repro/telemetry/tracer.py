@@ -266,11 +266,6 @@ class Tracer:
         hub = self.hub
         return () if hub is None else hub.alerts
 
-    @property
-    def active_span(self) -> str | None:
-        """Name of the innermost span currently open (None outside spans)."""
-        return self._stack[-1] if self._stack else None
-
     def top_spans(self, k: int = 5) -> list[SpanRecord]:
         """The ``k`` slowest recorded spans, slowest first."""
         return sorted(self.records, key=lambda r: r.duration, reverse=True)[:k]

@@ -164,9 +164,5 @@ class RngStreams:
             )
         return self._streams[key]
 
-    def spawn(self, *names: str | int) -> "RngStreams":
-        """Return a new family rooted at a child seed of this one."""
-        return RngStreams(child_seed(self.seed, *names))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngStreams(seed={self.seed}, open={len(self._streams)})"

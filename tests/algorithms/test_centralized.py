@@ -188,7 +188,7 @@ class TestCentralizedReference:
         history = algorithm.run(30, eval_every=30)
         model = algorithm.fed.model
         assert np.array_equal(model.get_flat_params(), algorithm.x[0])
-        assert model.accuracy(test.x, test.y) == history.final_accuracy
+        assert model.evaluate(test.x, test.y)[0] == history.final_accuracy
 
     def test_history_algorithm_tag(self, split):
         history = one_worker(split, FedAvg, eta=0.05).run(10, eval_every=10)

@@ -46,10 +46,6 @@ class TestDataset:
         assert flat.feature_shape == (48,)
         assert len(flat) == 5
 
-    def test_class_counts(self):
-        ds = Dataset(np.zeros((4, 1)), np.array([0, 0, 2, 1]), 3)
-        assert np.array_equal(ds.class_counts(), [2, 1, 1])
-
 
 class TestTrainTestSplit:
     def test_sizes(self):

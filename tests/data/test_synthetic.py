@@ -191,7 +191,7 @@ class TestLearnability:
             grad, _ = model.gradient(ds.x[idx], ds.y[idx], params)
             params -= 0.05 * grad
         model.set_flat_params(params)
-        assert model.accuracy(ds.x, ds.y) > 0.8
+        assert model.evaluate(ds.x, ds.y)[0] > 0.8
 
     def test_har_learnable(self):
         ds = make_synthetic_har(400, rng=3)
@@ -203,4 +203,4 @@ class TestLearnability:
             grad, _ = model.gradient(ds.x[idx], ds.y[idx], params)
             params -= 0.05 * grad
         model.set_flat_params(params)
-        assert model.accuracy(ds.x, ds.y) > 0.7
+        assert model.evaluate(ds.x, ds.y)[0] > 0.7

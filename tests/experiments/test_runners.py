@@ -18,7 +18,8 @@ from repro.experiments import (
     run_tau_sweep,
     run_time_to_accuracy,
 )
-from repro.telemetry import tracing
+from repro.experiments import timing
+from repro.simulation import EventDrivenSimulator
 
 TINY = ExperimentConfig(
     model="logistic",
@@ -138,6 +139,50 @@ class TestTiming:
         )
         assert results["FedAvg"].seconds is None
 
+    def test_seconds_read_the_replay_clock(self, monkeypatch):
+        """A run that first reaches the target at iteration t took the
+        replay's ``iteration_times[t-1]``: its clock starts at the run
+        start."""
+        replays = {}
+
+        class RecordingSimulator(EventDrivenSimulator):
+            def simulate(self, *args, **kwargs):
+                result = super().simulate(*args, **kwargs)
+                replays[self.flat] = result
+                return result
+
+        monkeypatch.setattr(
+            timing, "EventDrivenSimulator", RecordingSimulator
+        )
+        results = run_time_to_accuracy(
+            ("HierAdMo", "FedAvg"), target=0.1, base_config=TINY
+        )
+        for name, flat in (("HierAdMo", False), ("FedAvg", True)):
+            result = results[name]
+            assert result.iteration > 0, name
+            assert result.seconds == replays[flat].iteration_times[
+                result.iteration - 1
+            ], name
+
+    def test_stragglers_move_only_the_clock(self):
+        """Stragglers slow the replay; the training runs, their
+        iterations to target and their bytes do not move."""
+        names = ("HierAdMo", "FedAvg")
+        healthy = run_time_to_accuracy(names, target=0.1, base_config=TINY)
+        straggling = run_time_to_accuracy(
+            names,
+            target=0.1,
+            base_config=TINY,
+            straggler_probability=0.5,
+        )
+        for name in names:
+            a, b = healthy[name], straggling[name]
+            assert b.seconds > a.seconds, name
+            assert b.iteration == a.iteration, name
+            assert b.final_accuracy == a.final_accuracy, name
+            assert b.worker_edge_bytes == a.worker_edge_bytes, name
+            assert b.edge_cloud_bytes == a.edge_cloud_bytes, name
+
     # name -> (replayed flat, models shipped per transfer)
     PRICING = {
         "HierAdMo": (False, 2.0),
@@ -158,41 +203,44 @@ class TestTiming:
         "AsyncFedAvg": (True, 1.0),
     }
 
-    def test_prices_each_run_by_its_class(self):
-        """A run replays on its own schedule and payload: three-tier
-        runs sync with the edge every τ and the cloud every τ·π, two-tier
-        runs sync with the cloud every τ·π, and every transfer carries
-        the class's models (QuantizedHierFAVG trains three-tier;
-        AsyncHierAdMo ships model and momentum)."""
+    def test_prices_each_run_by_its_class(self, monkeypatch):
+        """A run replays on its own schedule and payload: three-tier runs
+        close an edge round every τ and a cloud round every τ·π, two-tier
+        runs replay flat (one group, whose every round is the cloud
+        round) every τ·π, and every transfer carries the class's models
+        (QuantizedHierFAVG trains three-tier; AsyncHierAdMo ships model
+        and momentum)."""
+        replays = []
+
+        class RecordingSimulator(EventDrivenSimulator):
+            def simulate(self, *args, **kwargs):
+                result = super().simulate(*args, **kwargs)
+                replays.append((self, result))
+                return result
+
+        monkeypatch.setattr(
+            timing, "EventDrivenSimulator", RecordingSimulator
+        )
         federation = build_federation(TINY)
-        workers = federation.topology.num_workers
         edges = federation.topology.num_edges
         model_bytes = federation.dim * 8.0
         steps, tau, pi = TINY.total_iterations, TINY.tau, TINY.pi
         for name, (flat, models) in self.PRICING.items():
-            with tracing() as tracer:
-                run_time_to_accuracy((name,), target=0.2, base_config=TINY)
-            counters = tracer.counters
-            if flat:
-                rounds = steps // (tau * pi)
-                assert counters["sim.two_tier.rounds"] == rounds, name
-                assert "sim.three_tier.bytes" not in counters, name
-                transfers = 2 * rounds * workers
-                billed = counters["sim.two_tier.bytes"]
-            else:
-                edge_rounds, cloud_rounds = steps // tau, steps // (tau * pi)
-                assert (
-                    counters["sim.three_tier.edge_rounds"] == edge_rounds
-                ), name
-                assert (
-                    counters["sim.three_tier.cloud_rounds"] == cloud_rounds
-                ), name
-                assert "sim.two_tier.bytes" not in counters, name
-                transfers = 2 * (edge_rounds * workers + cloud_rounds * edges)
-                billed = counters["sim.three_tier.bytes"]
-            assert billed == pytest.approx(
-                model_bytes * models * transfers, rel=1e-12
+            replays.clear()
+            run_time_to_accuracy((name,), target=0.2, base_config=TINY)
+            ((simulator, result),) = replays
+            assert simulator.flat is flat, name
+            assert simulator.deployment.quorum == 1.0, name
+            assert simulator.deployment.payload_bytes == pytest.approx(
+                model_bytes * models, rel=1e-12
             ), name
+            cloud_rounds = steps // (tau * pi)
+            if flat:
+                assert {r.edge for r in result.edge_rounds} == {0}, name
+                assert len(result.edge_rounds) == cloud_rounds, name
+            else:
+                assert len(result.edge_rounds) == edges * steps // tau, name
+            assert len(result.cloud_rounds) == cloud_rounds, name
 
 
 class TestFormatting:

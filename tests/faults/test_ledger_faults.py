@@ -1,25 +1,17 @@
-"""Fault accounting (satellite S5): ledger bytes and timeline pricing.
+"""Fault accounting: ledger bytes.
 
 Retried and duplicated messages are pure cost — no numeric effect — so
 their entire footprint must show up in the books: CommLedger bytes grow
-by exactly ``events x dim x 8 x payload_multiplier``, and the simulated
-wall clock strictly increases with every retransmission.
+by exactly ``events x dim x 8 x payload_multiplier``.  The event
+engine's wall-clock price of a retry is tested in
+``tests/simulation/test_engine.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.core import HierAdMo
 from repro.faults import FaultPlan
-from repro.simulation import (
-    AsyncDeployment,
-    RetryPolicy,
-    Timeline,
-    worker_device_pool,
-)
-from repro.simulation.links import LinkProfile
-from repro.topology import Topology
 
 from tests.conftest import build_tiny_federation
 
@@ -84,83 +76,3 @@ class TestLedgerExactness:
             ledger.dim * 8 * ledger.payload_multiplier
         )
 
-
-class TestTimelinePricing:
-    LOSSLESS = LinkProfile(
-        "det", bandwidth_mbps=10.0, rtt_seconds=0.01, jitter_sigma=0.0
-    )
-
-    def test_wall_clock_strictly_increases_with_retries(self):
-        """Deterministic link, guaranteed loss: time is strictly
-        monotone in the retry budget (timeout + backoff + resend)."""
-        previous = None
-        for max_retries in range(5):
-            seconds, retries = self.LOSSLESS.transfer_time_with_retries(
-                1e5,
-                rng=0,
-                loss_prob=1.0,
-                policy=RetryPolicy(
-                    max_retries=max_retries,
-                    timeout_seconds=0.2,
-                    backoff_factor=2.0,
-                ),
-            )
-            assert retries == max_retries
-            if previous is not None:
-                assert seconds > previous
-            previous = seconds
-
-    def test_lossless_path_matches_plain_transfer(self):
-        link = LinkProfile("jittery", bandwidth_mbps=10.0, rtt_seconds=0.01)
-        seconds, retries = link.transfer_time_with_retries(1e5, rng=7)
-        assert retries == 0
-        assert seconds == link.transfer_time(1e5, rng=7)
-
-    def test_three_tier_plan_slows_and_bills(self):
-        topo = Topology.uniform(2, 2, 50)
-        payload = 1e5
-        deployment = AsyncDeployment(worker_device_pool(4), payload)
-        with telemetry.tracing() as clean_tracer:
-            clean = Timeline(topo, deployment).simulate(
-                20, tau=5, pi=2, rng=3
-            )
-        with telemetry.tracing() as tracer:
-            faulted = Timeline(
-                topo, deployment, fault_plan=FaultPlan(msg_loss=0.5)
-            ).simulate(20, tau=5, pi=2, rng=3)
-
-        retries = tracer.counters["sim.three_tier.retries"]
-        assert retries > 0
-        assert faulted[-1] > clean[-1]
-        # Retried bytes are billed on top of the nominal traffic.
-        assert (
-            tracer.counters["sim.three_tier.bytes"]
-            - clean_tracer.counters["sim.three_tier.bytes"]
-            == payload * retries
-        )
-
-    def test_two_tier_plan_slows_and_bills(self):
-        topo = Topology.uniform(2, 2, 50)
-        payload = 2e5
-        deployment = AsyncDeployment(worker_device_pool(4), payload)
-        with telemetry.tracing() as clean_tracer:
-            clean = Timeline(topo, deployment, flat=True).simulate(
-                20, tau=5, rng=6
-            )
-        with telemetry.tracing() as tracer:
-            faulted = Timeline(
-                topo,
-                deployment,
-                fault_plan=FaultPlan(msg_loss=0.5),
-                retry_policy=RetryPolicy(max_retries=2),
-                flat=True,
-            ).simulate(20, tau=5, rng=6)
-
-        retries = tracer.counters["sim.two_tier.retries"]
-        assert retries > 0
-        assert faulted[-1] > clean[-1]
-        assert (
-            tracer.counters["sim.two_tier.bytes"]
-            - clean_tracer.counters["sim.two_tier.bytes"]
-            == payload * retries
-        )

@@ -1,6 +1,5 @@
 """Tests for TrainingHistory."""
 
-import numpy as np
 import pytest
 
 from repro.metrics import TrainingHistory
@@ -87,9 +86,3 @@ class TestTimeToAccuracyEdgeCases:
         # Empty eval_times aligns with empty iterations: no crossing.
         assert h.time_to_accuracy(0.1) is None
 
-
-class TestSerialization:
-    def test_curve_arrays(self, history):
-        iterations, accuracy = history.accuracy_curve()
-        assert np.array_equal(iterations, [0, 10, 20, 30])
-        assert accuracy[-1] == 0.95

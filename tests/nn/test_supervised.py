@@ -103,7 +103,7 @@ class TestEvaluation:
         x = RNG.normal(size=(6, 6))
         logits = model.predict(x)
         y = logits.argmax(axis=1)
-        assert model.accuracy(x, y) == 1.0
+        assert model.evaluate(x, y)[0] == 1.0
 
     def test_accuracy_requires_2d_output(self):
         class Scalar(Dense):
@@ -112,7 +112,7 @@ class TestEvaluation:
         model = SupervisedModel(Dense(3, 1, rng=0))
         # 2-D output with one column still works (degenerate but valid).
         x = RNG.normal(size=(4, 3))
-        assert model.accuracy(x, np.zeros(4, dtype=int)) == 1.0
+        assert model.evaluate(x, np.zeros(4, dtype=int))[0] == 1.0
 
     def test_batched_predict_matches_single(self, model):
         x = RNG.normal(size=(10, 6))

@@ -35,10 +35,9 @@ class TestClientRegistry:
     def test_contiguous_edge_blocks(self):
         registry = ClientRegistry(3, 5)
         assert registry.num_clients == 15
+        assert registry.clients_of_edge(0) == range(0, 5)
         assert registry.clients_of_edge(1) == range(5, 10)
-        assert registry.edge_of(0) == 0
-        assert registry.edge_of(7) == 1
-        assert registry.edge_of(14) == 2
+        assert registry.clients_of_edge(2) == range(10, 15)
 
     def test_edge_out_of_range(self):
         with pytest.raises(IndexError):
@@ -48,9 +47,6 @@ class TestClientRegistry:
         registry = ClientRegistry(2, 500_000)
         assert registry.num_clients == 1_000_000
         assert registry.weights is None
-        np.testing.assert_array_equal(
-            registry.client_weights([0, 999_999]), [1.0, 1.0]
-        )
 
     def test_weights_validated(self):
         with pytest.raises(ValueError, match="shape"):
@@ -70,9 +66,7 @@ class TestClientRegistry:
             for n in (8, 12, 8, 8)
         ]
         registry = ClientRegistry.from_shards(ListShards(datasets), 2)
-        np.testing.assert_array_equal(
-            registry.client_weights([0, 1, 2, 3]), [8, 12, 8, 8]
-        )
+        np.testing.assert_array_equal(registry.weights, [8, 12, 8, 8])
 
     def test_from_shards_requires_even_split(self):
         shards = PrototypeShards(9, samples_per_client=8, seed=0)
@@ -108,14 +102,14 @@ class TestCohortSampler:
 
     def test_full_participation_identity_shortcut(self):
         sampler = self._sampler(clients_per_edge=6, cohort=6, edges=2)
-        assert sampler.full_participation
+        assert sampler.cohort_per_edge == sampler.registry.clients_per_edge
         np.testing.assert_array_equal(sampler.draw(0), np.arange(12))
         np.testing.assert_array_equal(sampler.draw(99), np.arange(12))
 
     def test_cohort_clamped_to_edge_size(self):
         sampler = self._sampler(clients_per_edge=4, cohort=10, edges=2)
         assert sampler.cohort_per_edge == 4
-        assert sampler.full_participation
+        assert sampler.registry.clients_per_edge == 4
 
     def test_partial_draw_cost_independent_of_population(self):
         """Floyd sampling touches O(k) values even at 1M clients."""
@@ -133,8 +127,8 @@ class TestPrototypeShards:
         shards = PrototypeShards(
             100, num_features=12, num_classes=4, samples_per_client=10, seed=3
         )
-        first = shards.shard(42)
-        again = shards.shard(42)
+        (first,) = shards.shards([42])
+        (again,) = shards.shards([42])
         np.testing.assert_array_equal(first.x, again.x)
         np.testing.assert_array_equal(first.y, again.y)
         assert first.x.shape == (10, 12)
@@ -142,15 +136,16 @@ class TestPrototypeShards:
 
     def test_shards_differ_per_client(self):
         shards = PrototypeShards(10, samples_per_client=16, seed=3)
-        assert not np.array_equal(shards.shard(0).x, shards.shard(1).x)
+        first, second = shards.shards([0, 1])
+        assert not np.array_equal(first.x, second.x)
 
     def test_class_subset_restriction(self):
         shards = PrototypeShards(
             10, num_classes=10, classes_per_client=2,
             samples_per_client=32, seed=5,
         )
-        for client in range(10):
-            assert np.unique(shards.shard(client).y).size <= 2
+        for shard in shards.shards(range(10)):
+            assert np.unique(shard.y).size <= 2
 
     def test_test_set_deterministic(self):
         shards = PrototypeShards(10, samples_per_client=16, seed=3)
@@ -179,7 +174,7 @@ class TestPrototypeShards:
         with pytest.raises(IndexError, match="out of range"):
             shards.shards([3, 10])
         with pytest.raises(IndexError, match="out of range"):
-            shards.shard(-1)
+            shards.shards([-1])
 
 
 def _reference_shard(shards, client_id):

@@ -80,7 +80,8 @@ def test_full_participation_matches_goldens(name, path):
     """Cohort == population reproduces all goldens at rtol 1e-8."""
     golden = _load_goldens()[name]
     algorithm = build_virtual_golden_algorithm(name, path)
-    assert algorithm.population.sampler.full_participation
+    sampler = algorithm.population.sampler
+    assert sampler.cohort_per_edge == sampler.registry.clients_per_edge
     history = algorithm.run(TOTAL_ITERATIONS, eval_every=EVAL_EVERY)
 
     assert list(history.iterations) == golden["iterations"]
@@ -174,7 +175,7 @@ class LoopBinder(PopulationBinder):
                     pack_rngs([store.rngs[slot]])[0][None],
                 )
             for slot, client in zip(free, arriving):
-                dataset = self.shards.shard(client)
+                (dataset,) = self.shards.shards([client])
                 seed = child_seed(self.seed, "sampler", client)
                 sampler = BatchSampler(
                     dataset, self.fed.batch_size, np.random.default_rng(seed)
@@ -214,8 +215,8 @@ def make_sampled_algorithm(
         shards = ListShards(
             [
                 Dataset(shard.x[:size], shard.y[:size], shard.num_classes)
-                for shard, size in (
-                    (shards.shard(c), (8, 12, 16)[c % 3]) for c in range(24)
+                for shard, size in zip(
+                    shards.shards(range(24)), [8, 12, 16] * 8
                 )
             ]
         )

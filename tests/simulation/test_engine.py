@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan, TransferOutcome
 from repro.simulation import (
     AsyncDeployment,
+    DeviceProfile,
+    LinkProfile,
     add_stragglers,
     worker_device_pool,
 )
+from repro.simulation import engine
 from repro.simulation.engine import (
     EVENT_CLOUD_SYNC,
     EVENT_QUORUM_MET,
@@ -252,6 +255,162 @@ class TestStalenessBookkeeping:
             EventLoopRunner(
                 client, deployment, tau=3, total_iterations=6, rng=0
             )
+
+
+# ----------------------------------------------------------------------
+# Retry pricing: the wall-clock cost of a resent upload
+# ----------------------------------------------------------------------
+class ScriptedRetries:
+    """An active injector whose one fault is ``retries`` resends of the
+    first upload; every other query realizes nothing."""
+
+    active = True
+
+    def __init__(self, retries):
+        self.pending = [retries]
+
+    def transfer_outcome(self, count):
+        retries = self.pending.pop() if self.pending else 0
+        return TransferOutcome(retries=retries)
+
+    def stale_flags(self, count):
+        return None
+
+    def worker_mask(self, t):
+        return None
+
+    def edge_mask(self, round_index):
+        return None
+
+    def mark(self):
+        return None
+
+    def note_round(self, kind):
+        pass
+
+    def maybe_crash(self, t):
+        pass
+
+
+class BillingClient(StubClient):
+    """Sums the transfers the runner bills to each closed round."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.transfers = 0
+
+    def close_round(self, group, round_index, fresh, stale, receivers,
+                    upload_events, *, dark=False):
+        super().close_round(group, round_index, fresh, stale, receivers,
+                            upload_events, dark=dark)
+        self.transfers += upload_events
+
+
+class TestRetryPricing:
+    """On a zero-jitter LAN and zero-sigma devices, resend i of an
+    upload (counting from 0) costs a 0.5 s timeout doubled i times plus
+    one fresh transfer."""
+
+    LAN = LinkProfile("lan", 100.0, 0.002, jitter_sigma=0.0)
+    PAYLOAD = 1e6
+
+    def arrival(self, retries):
+        """When one worker's one upload, resent ``retries`` times,
+        reaches its edge (the round starts at its last fresh arrival)."""
+        deployment = AsyncDeployment(
+            [DeviceProfile("worker", 0.1, sigma=0.0)],
+            self.PAYLOAD,
+            edge_device=DeviceProfile("edge", 0.03, sigma=0.0),
+            cloud_device=DeviceProfile("cloud", 0.004, sigma=0.0),
+            lan=self.LAN,
+        )
+        runner = EventLoopRunner(
+            StubClient(num_workers=1, num_groups=1),
+            deployment,
+            tau=1,
+            total_iterations=1,
+            faults=ScriptedRetries(retries),
+            rng=0,
+        )
+        (record,) = runner.run().edge_rounds
+        assert record.workers_included == (0,)
+        return record.start_time
+
+    def test_each_resend_adds_a_backed_off_timeout_and_a_transfer(self):
+        transfer = self.LAN.transfer_time(self.PAYLOAD)
+        clean = self.arrival(0)
+        assert clean == pytest.approx(0.1 + transfer, rel=1e-12)
+        previous = clean
+        for retries in range(1, 6):
+            arrival = self.arrival(retries)
+            expected = sum(0.5 * 2.0**i + transfer for i in range(retries))
+            assert arrival - clean == pytest.approx(expected, rel=1e-12)
+            assert arrival > previous
+            previous = arrival
+
+    @pytest.mark.parametrize(
+        "name, value", [("RETRY_TIMEOUT_SECONDS", 0.2), ("RETRY_BACKOFF", 3.0)]
+    )
+    def test_each_send_reads_the_module_constants(
+        self, monkeypatch, name, value
+    ):
+        monkeypatch.setattr(engine, name, value)
+        timeout, backoff = engine.RETRY_TIMEOUT_SECONDS, engine.RETRY_BACKOFF
+        transfer = self.LAN.transfer_time(self.PAYLOAD)
+        expected = sum(timeout * backoff**i + transfer for i in range(3))
+        assert self.arrival(3) - self.arrival(0) == pytest.approx(
+            expected, rel=1e-12
+        )
+
+    def test_an_upload_sent_once_prices_as_fault_free(self):
+        """An active injector that realizes no resend draws no extra
+        link delay: on jittery links and sampled devices the rounds
+        equal the fault-free run's bit for bit."""
+
+        def rounds(faults):
+            result = make_runner(StubClient(), faults=faults).run()
+            return result.edge_rounds, result.cloud_rounds
+
+        assert rounds(ScriptedRetries(0)) == rounds(None)
+
+    @pytest.mark.parametrize("flat", [False, True], ids=["three-tier", "flat"])
+    def test_message_loss_slows_and_bills(self, flat):
+        """Every realized resend is billed to its round as one more
+        transfer, and on zero-jitter links and zero-sigma devices the
+        lossy run ends later than the clean one."""
+
+        def run(plan):
+            client = BillingClient(flat=flat)
+            deployment = AsyncDeployment(
+                [DeviceProfile("worker", 0.1, sigma=0.0)] * 4,
+                self.PAYLOAD,
+                edge_device=DeviceProfile("edge", 0.03, sigma=0.0),
+                cloud_device=DeviceProfile("cloud", 0.004, sigma=0.0),
+                lan=self.LAN,
+                wan=LinkProfile("wan", 10.0, 0.05, jitter_sigma=0.0),
+            )
+            faults = FaultInjector(plan, num_workers=4, num_edges=2)
+            result = EventLoopRunner(
+                client,
+                deployment,
+                tau=5,
+                pi=2,
+                total_iterations=20,
+                faults=faults,
+                rng=0,
+                flat=flat,
+            ).run()
+            return client.transfers, result.total_time, faults.summary()
+
+        clean_transfers, clean_time, _ = run(FaultPlan())
+        transfers, time, summary = run(
+            FaultPlan(seed=3, msg_loss=0.5, max_retries=20)
+        )
+        retries = summary["events"]["fault.retry"]
+        assert summary["events"]["fault.msg_loss"] == 0  # none failed
+        assert retries > 0
+        assert transfers - clean_transfers == retries
+        assert time > clean_time
 
 
 # ----------------------------------------------------------------------

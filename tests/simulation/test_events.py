@@ -5,7 +5,6 @@ import pytest
 
 from repro.simulation import (
     AsyncDeployment,
-    Timeline,
     add_stragglers,
     worker_device_pool,
 )
@@ -69,29 +68,46 @@ class TestStructure:
         assert np.array_equal(a.iteration_times, b.iteration_times)
         assert a.total_time == b.total_time
 
+    @pytest.mark.parametrize("quorum", [1.0, 0.5])
+    def test_closing_iterations_wait_for_their_rounds(self, quorum):
+        """Edge round r closes at iteration r·τ and cloud round k at
+        k·τ·π; the clock there is no earlier than the round's finish.
+        The tail round at T=22 is no round of the schedule."""
+        result = simulator(quorum=quorum).simulate(22, tau=5, pi=2, rng=0)
+        times = result.iteration_times
+        tail = [r for r in result.edge_rounds if r.round_index == 5]
+        assert len(tail) == 2
+        for record in result.edge_rounds:
+            if record.round_index < 5:
+                assert times[record.round_index * 5 - 1] >= record.finish_time
+        assert [r.round_index for r in result.cloud_rounds] == [1, 2]
+        for record in result.cloud_rounds:
+            assert times[record.round_index * 10 - 1] >= record.finish_time
+
+    def test_flat_closing_iterations_wait_for_their_rounds(self):
+        """A flat closure is the cloud round, closing at every multiple
+        of τ (π is not used); the tail round at T=22 is not waited for."""
+        topo = Topology.uniform(2, 2, 10)
+        result = EventDrivenSimulator(
+            topo, AsyncDeployment(worker_device_pool(4), 1e5), flat=True
+        ).simulate(22, tau=5, pi=2, rng=0)
+        times = result.iteration_times
+        assert [r.round_index for r in result.cloud_rounds] == [
+            1, 2, 3, 4, 5,
+        ]
+        for record in result.cloud_rounds[:-1]:
+            assert times[record.round_index * 5 - 1] >= record.finish_time
+        assert times[-1] < result.cloud_rounds[-1].finish_time
+
+    def test_full_quorum_clock_ends_with_the_last_round(self):
+        result = simulator().simulate(20, tau=5, pi=2, rng=0)
+        assert result.iteration_times[-1] == result.total_time
+
     def test_partial_final_interval(self):
         """T not divisible by tau: the tail interval still aggregates."""
         result = simulator().simulate(12, tau=5, pi=2, rng=0)
         assert result.iteration_times.shape == (12,)
         assert len(result.edge_rounds) == 3 * 2
-
-    def test_time_at_iteration(self):
-        """1-indexed convention: t=0 is the run start, t=T the last
-        iteration (regression for the off-by-one that read entry ``t``
-        from a "1-indexed entry t-1" array)."""
-        result = simulator().simulate(10, tau=5, pi=2, rng=0)
-        assert result.time_at_iteration(0) == 0.0
-        assert result.time_at_iteration(1) == result.iteration_times[0]
-        assert result.time_at_iteration(10) == result.iteration_times[-1]
-        assert (
-            result.time_at_iteration(0)
-            < result.time_at_iteration(9)
-            < result.time_at_iteration(10)
-        )
-        with pytest.raises(ValueError):
-            result.time_at_iteration(11)
-        with pytest.raises(ValueError):
-            result.time_at_iteration(-1)
 
 
 class TestQuorumSemantics:
@@ -188,19 +204,3 @@ class TestPhysicalConsistency:
             EventDrivenSimulator(
                 topo, AsyncDeployment(worker_device_pool(3), 1e5)
             )
-
-    def test_event_sim_close_to_barrier_timeline(self):
-        """With quorum=1 the event simulation is a barrier process too;
-        its total time should be within ~2x of the coarse timeline."""
-        topo = Topology.uniform(2, 2, 10)
-        deployment = AsyncDeployment(worker_device_pool(4), 1e5)
-        event_total = EventDrivenSimulator(topo, deployment).simulate(
-            40, tau=5, pi=2, rng=5
-        ).total_time
-        coarse = Timeline(topo, deployment).simulate(
-            40, tau=5, pi=2, rng=5
-        )[-1]
-        assert event_total == pytest.approx(coarse, rel=1.0)
-        # The event model is never slower: per-iteration max sync in the
-        # coarse model upper-bounds the barrier-per-interval process.
-        assert event_total <= coarse * 1.05

@@ -7,7 +7,7 @@ from repro.simulation import (
     DEVICE_PRESETS,
     AsyncDeployment,
     DeviceProfile,
-    Timeline,
+    EventDrivenSimulator,
     worker_device_pool,
 )
 from repro.simulation.stragglers import StragglerDevice, add_stragglers
@@ -79,16 +79,18 @@ class TestStragglerDevice:
 class TestTimelineIntegration:
     def test_stragglers_slow_the_timeline(self):
         topo = Topology.uniform(2, 2, 50)
-        healthy = Timeline(
+        healthy = EventDrivenSimulator(
             topo, AsyncDeployment(worker_device_pool(4), 1e5)
         ).simulate(40, tau=5, pi=2, rng=3)
-        straggling = Timeline(
+        straggling = EventDrivenSimulator(
             topo,
             AsyncDeployment(
                 add_stragglers(worker_device_pool(4), 0.2, 8.0), 1e5
             ),
         ).simulate(40, tau=5, pi=2, rng=3)
-        assert straggling[-1] > healthy[-1]
+        assert (
+            straggling.iteration_times[-1] > healthy.iteration_times[-1]
+        )
 
     def test_pool_wrapping(self):
         pool = add_stragglers(worker_device_pool(6), 0.1, 5.0)

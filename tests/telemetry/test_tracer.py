@@ -63,27 +63,19 @@ class TestSpans:
         assert outer.parent is None
         assert outer.duration == pytest.approx(0.3)
 
-    def test_active_span_tracks_stack(self, tracer):
-        assert tracer.active_span is None
-        with tracer.span("a"):
-            assert tracer.active_span == "a"
-            with tracer.span("b"):
-                assert tracer.active_span == "b"
-            assert tracer.active_span == "a"
-        assert tracer.active_span is None
-
     def test_exception_still_records_and_unwinds(self, tracer, clock):
         with pytest.raises(RuntimeError):
             with tracer.span("boom"):
                 clock.advance(1.0)
                 raise RuntimeError("failure inside the span")
-        assert tracer.active_span is None
         (record,) = tracer.records
         assert record.duration == pytest.approx(1.0)
-        # The tracer remains usable after the exception.
+        # The tracer remains usable after the exception, and the failed
+        # span is no longer open: the next one is top-level.
         with tracer.span("after"):
             pass
         assert tracer.records[-1].depth == 0
+        assert tracer.records[-1].parent is None
 
     def test_per_name_aggregates(self, tracer, clock):
         for duration in (0.1, 0.3, 0.2):

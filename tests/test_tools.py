@@ -195,14 +195,15 @@ class TestFingerprint:
         # diverging, resnet10, track-mu and eta-schedule event-clock
         # rows; 4 populations and the short-shards one;
         # both clocks with checkpoints and monitor, and crash-resumed;
-        # the event simulator at 3 quorums; the coarse replay, three-tier
-        # and flat, in 4 cases.  Fault rows: the zero plan per golden,
-        # then 5 single-kind plans x 3 policies on the 6 three-tier
-        # goldens and 3 plans x 3 policies on the 9 two-tier ones.
+        # the event simulator at 3 quorums; the Fig. 2(h)/(l) replay,
+        # three-tier and flat, in 3 cases.  Fault rows: the zero plan
+        # per golden, then 5 single-kind plans x 3 policies on the 6
+        # three-tier goldens and 3 plans x 3 policies on the 9 two-tier
+        # ones.
         assert counts == {
             "sync": 15, "cnn": 3, "faults": 15 + 6 * 15 + 9 * 9, "e2e": 8,
             "async": 12, "population": 5, "lifecycle": 2, "resume": 2,
-            "sim": 3, "timeline": 2 * 4,
+            "sim": 3, "replay": 2 * 3,
         }
 
     def test_every_fault_plan_realizes_and_moves_its_row(self):

@@ -103,15 +103,6 @@ class TestRngStreams:
         b = RngStreams(9).get("x", 1).random(4)
         assert np.array_equal(a, b)
 
-    def test_spawn_changes_root(self):
-        parent = RngStreams(9)
-        child = parent.spawn("sub")
-        assert child.seed != parent.seed
-        assert np.array_equal(
-            child.get("x").random(3),
-            RngStreams(9).spawn("sub").get("x").random(3),
-        )
-
     def test_mixed_name_types(self):
         streams = RngStreams(3)
         assert streams.get("w", 0) is not streams.get("w", "0") or True

@@ -57,11 +57,10 @@ The matrix (``MATRIX``):
   not a checkpoint, and a fresh instance resumes from the latest one;
 * ``sim/q<quorum>``: ``EventDrivenSimulator`` on 16 workers under 4
   edges with stragglers, at quorum 1.0, 0.75 and 0.5;
-* ``timeline/<three-tier|two-tier>/<case>``: the coarse ``Timeline``
-  replay, three-tier and flat, on 8 workers under uneven edges:
-  clean, under ``msg_loss`` 0.3 with a custom ``RetryPolicy``, with
-  stragglers, and at a T that is not a multiple of τ
-  (``TIMELINE_CASES``).
+* ``replay/<three-tier|two-tier>/<case>``: the Fig. 2(h)/(l) replay,
+  ``EventDrivenSimulator`` at quorum 1.0, three-tier and flat, on 8
+  workers under uneven edges: clean, with stragglers, and at a T that
+  is not a multiple of τ (``REPLAY_CASES``).
 
 Each run records its history series as ``float.hex`` (iterations,
 accuracies, losses, ``eval_times``, ``gamma_trace``), the divergence
@@ -74,8 +73,7 @@ vary from run to run and are left out.  Lifecycle and resume runs add
 ``checkpoints.driver``: the sha256 of each saved checkpoint's driver
 state, as canonical JSON.  Simulator rows digest the edge and cloud
 round records and ``iteration_times`` (floats as ``float.hex``);
-timeline rows digest the replayed times, the energy estimate and the
-replay's ``sim.*`` tracer counters.
+replay rows digest ``iteration_times`` and the energy estimate.
 ``--diff`` names every run and field that moved, with the largest
 relative change of each moved series, and exits 1 when anything moved.
 """
@@ -124,10 +122,9 @@ from repro.nn.models import (  # noqa: E402
 )
 from repro.population import ClientRegistry, PopulationBinder  # noqa: E402
 from repro.simulation import (  # noqa: E402
-    AsyncDeployment, EventDrivenSimulator, RetryPolicy, Timeline, add_stragglers,
-    estimate_energy, worker_device_pool,
+    AsyncDeployment, EventDrivenSimulator, add_stragglers, estimate_energy,
+    worker_device_pool,
 )
-from repro.telemetry import tracing  # noqa: E402
 from repro.topology import Topology  # noqa: E402
 from tests.algorithms.test_async_equivalence import straggler_deployment  # noqa: E402
 from tests.integration import test_golden_trajectories as goldens  # noqa: E402
@@ -163,15 +160,14 @@ CHECKPOINT_EVERY = 5
 # first checkpoint it must have written.
 CRASH_AT = {"lockstep": 17, "event": 22}
 SIM_QUORUMS = (1.0, 0.75, 0.5)
-# Coarse replays: (T, tau, pi, msg_loss, stragglers) per case; the
+# Fig. 2(h)/(l) replays: (T, tau, pi, stragglers) per case; the
 # two-tier replay syncs every tau*pi iterations.
-TIMELINE_CASES = {
-    "clean": (200, 10, 2, 0.0, False),
-    "loss": (200, 10, 2, 0.3, False),
-    "stragglers": (200, 10, 2, 0.0, True),
-    "ragged": (37, 5, 3, 0.0, False),
+REPLAY_CASES = {
+    "clean": (200, 10, 2, False),
+    "stragglers": (200, 10, 2, True),
+    "ragged": (37, 5, 3, False),
 }
-TIMELINE_TIERS = ("three-tier", "two-tier")
+REPLAY_TIERS = ("three-tier", "two-tier")
 
 
 # ----------------------------------------------------------------------
@@ -423,11 +419,11 @@ def _simulated(quorum: float) -> dict:
     }
 
 
-def _timeline(tier: str, case: str) -> dict:
-    """One coarse replay on 8 workers under uneven edges, with a payload
+def _replay(tier: str, case: str) -> dict:
+    """One replay on 8 workers under uneven edges, with a payload
     multiplier of 2 folded into the deployment's bytes, digested with
-    the energy estimate of the same schedule and the ``sim.*`` counters."""
-    total, tau, pi, loss, stragglers = TIMELINE_CASES[case]
+    the energy estimate of the same schedule."""
+    total, tau, pi, stragglers = REPLAY_CASES[case]
     topology = Topology([[100] * 3, [100], [100] * 4])
     devices = worker_device_pool(topology.num_workers)
     if stragglers:
@@ -435,20 +431,13 @@ def _timeline(tier: str, case: str) -> dict:
     deployment = AsyncDeployment(devices, 4e5 * 2.0)
     flat = tier == "two-tier"
     sync_every = tau * pi if flat else tau
-    replay = Timeline(
-        topology,
-        deployment,
-        fault_plan=FaultPlan(msg_loss=loss) if loss else None,
-        retry_policy=RetryPolicy(max_retries=2, timeout_seconds=0.3, backoff_factor=1.5),
-        flat=flat,
+    result = EventDrivenSimulator(topology, deployment, flat=flat).simulate(
+        total, sync_every, pi, rng=5
     )
-    with tracing() as tracer:
-        times = replay.simulate(total, sync_every, pi, rng=5)
     energy = estimate_energy(deployment, total, sync_every, flat=flat)
     return {
-        "timeline.times": [_hex(v) for v in times],
-        "timeline.energy": canonical(asdict(energy)),
-        "timeline.counters": canonical(tracer.counters),
+        "replay.iteration_times": [_hex(v) for v in result.iteration_times],
+        "replay.energy": canonical(asdict(energy)),
     }
 
 
@@ -492,9 +481,9 @@ MATRIX = {
     **{f"resume/{clock}": partial(_resume, clock) for clock in CLOCKS},
     **{f"sim/q{quorum}": partial(_simulated, quorum) for quorum in SIM_QUORUMS},
     **{
-        f"timeline/{tier}/{case}": partial(_timeline, tier, case)
-        for tier in TIMELINE_TIERS
-        for case in TIMELINE_CASES
+        f"replay/{tier}/{case}": partial(_replay, tier, case)
+        for tier in REPLAY_TIERS
+        for case in REPLAY_CASES
     },
 }
 
