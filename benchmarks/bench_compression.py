@@ -61,6 +61,11 @@ def test_compression_tradeoff(benchmark):
     assert results["top10%"][0] >= results["float64"][0] - 0.15
 
 
+def _seconds(value: float | None) -> str:
+    """A time to target, or ``never`` for a run that did not reach it."""
+    return "never" if value is None else f"{round(value, 1)}s"
+
+
 def test_straggler_sensitivity(benchmark):
     """Stragglers hurt, but the hierarchy keeps the damage local: the
     three-tier leader still beats the two-tier baselines."""
@@ -81,9 +86,9 @@ def test_straggler_sensitivity(benchmark):
     healthy, straggling = run_once(benchmark, evaluate)
     print("\n                 healthy    with stragglers")
     for name in ("HierAdMo", "FedAvg"):
-        h = healthy[name].seconds
-        s = straggling[name].seconds
-        print(f"  {name:<12} {h and round(h,1)}s       {s and round(s,1)}s")
+        h = _seconds(healthy[name].seconds)
+        s = _seconds(straggling[name].seconds)
+        print(f"  {name:<12} {h:<10} {s}")
     assert straggling["HierAdMo"].seconds is not None
     assert straggling["HierAdMo"].seconds > healthy["HierAdMo"].seconds
     if straggling["FedAvg"].seconds is not None:

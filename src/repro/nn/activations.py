@@ -20,6 +20,9 @@ class ReLU(Module):
 
     def __init__(self):
         super().__init__()
+        self._reset()
+
+    def _reset(self) -> None:
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -59,6 +59,9 @@ class Conv2d(Module):
         if bias:
             self.bias = Parameter(init_mod.zeros((out_channels,)), "bias")
 
+        self._reset()
+
+    def _reset(self) -> None:
         self._w: np.ndarray | None = None
         self._b: np.ndarray | None = None
         self._grads: np.ndarray | None = None
@@ -68,6 +71,16 @@ class Conv2d(Module):
         # passes alternate, and re-allocating (and page-faulting) a
         # large buffer at every switch costs more than keeping both.
         self._scratch: dict[tuple, np.ndarray] = {}
+
+    def macs(self, shape: tuple) -> tuple[int, tuple]:
+        _, h, w = shape
+        k, s, p = self.kernel_size, self.stride, self.padding
+        out_h = conv_output_size(h, k, s, p)
+        out_w = conv_output_size(w, k, s, p)
+        return (
+            out_h * out_w * self.in_channels * k * k * self.out_channels,
+            (self.out_channels, out_h, out_w),
+        )
 
     def bind(self, params: np.ndarray, grads: np.ndarray | None) -> None:
         size = self.weight.size

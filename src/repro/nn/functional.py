@@ -13,8 +13,6 @@ __all__ = [
     "conv_output_size",
     "im2col",
     "col2im",
-    "softmax",
-    "log_softmax",
     "one_hot",
 ]
 
@@ -97,6 +95,10 @@ def im2col(
 # ``np.bincount`` pass over the batch-sized map with no transpose copy.
 # Geometries are few (one per conv/pool layer shape and batch size),
 # but the cache is bounded anyway so pathological callers cannot leak.
+# The row blocks of a split pass read and fill it from several threads
+# without a lock: an entry is a pure function of its key, so two threads
+# that miss on one key store equal arrays, and a clear only costs a
+# rebuild.
 _FOLD_INDEX_CACHE: dict[tuple, np.ndarray] = {}
 _FOLD_INDEX_CACHE_MAX = 64
 
@@ -169,19 +171,6 @@ def col2im(
     if padding > 0:
         return padded[:, :, padding:-padding, padding:-padding]
     return padded
-
-
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically-stable softmax."""
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically-stable log-softmax."""
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

@@ -43,10 +43,16 @@ class Dense(Module):
         self.use_bias = bias
         if bias:
             self.bias = Parameter(init_mod.zeros((out_features,)), "bias")
+        self._reset()
+
+    def _reset(self) -> None:
         self._w: np.ndarray | None = None
         self._b: np.ndarray | None = None
         self._grads: np.ndarray | None = None
         self._x: np.ndarray | None = None
+
+    def macs(self, shape: tuple) -> tuple[int, tuple]:
+        return self.in_features * self.out_features, (self.out_features,)
 
     def bind(self, params: np.ndarray, grads: np.ndarray | None) -> None:
         size = self.weight.size

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import log_softmax, one_hot, softmax
+from repro.nn.functional import one_hot
 
 __all__ = ["Loss", "MSELoss", "SoftmaxCrossEntropyLoss"]
 
@@ -61,7 +61,15 @@ class MSELoss(Loss):
 
 
 class SoftmaxCrossEntropyLoss(Loss):
-    """Softmax + cross-entropy over integer class labels."""
+    """Softmax + cross-entropy over integer class labels.
+
+    One max, one ``exp`` and one row sum per forward serve both the
+    probabilities the backward needs and the picked log-probabilities
+    ``shifted - log(sum)`` of the loss (numerically stable for any
+    finite logits).  The ``exp`` array becomes the probabilities and
+    then the backward's gradient in place, so a forward and backward
+    allocate one ``(R, B, classes)`` array beyond the shifted logits.
+    """
 
     def __init__(self):
         self._probs: np.ndarray | None = None
@@ -81,14 +89,20 @@ class SoftmaxCrossEntropyLoss(Loss):
         rows, batch = labels.shape
         # Index of every row's every sample's label logit.
         picks = (np.arange(rows)[:, None], np.arange(batch), labels)
-        self._probs = softmax(predictions, axis=-1)
+        shifted = predictions - predictions.max(axis=-1, keepdims=True)
+        probs = np.exp(shifted)
+        total = probs.sum(axis=-1, keepdims=True)
+        picked = shifted[picks] - np.log(total[..., 0])
+        probs /= total
+        self._probs = probs
         self._picks = picks
-        return -log_softmax(predictions, axis=-1)[picks].mean(axis=1)
+        return -picked.mean(axis=1)
 
     def backward(self) -> np.ndarray:
         if self._probs is None or self._picks is None:
             raise RuntimeError("backward called before forward")
-        grad = self._probs.copy()
+        # The probabilities serve one backward, so it edits them in place.
+        grad = self._probs
         grad[self._picks] -= 1.0
         grad /= grad.shape[1]
         self._probs = None

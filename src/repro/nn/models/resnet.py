@@ -67,6 +67,16 @@ class BasicBlock(Module):
             )
             self.proj_bn = BatchNorm2d(out_channels)
 
+    def macs(self, shape: tuple) -> tuple[int, tuple]:
+        # The registered children, not the slots: a tracer may have
+        # wrapped those.
+        children = self._children
+        first, hidden = children["conv1"].macs(shape)
+        second, out = children["conv2"].macs(hidden)
+        projection = children.get("proj_conv")
+        skip = 0 if projection is None else projection.macs(shape)[0]
+        return first + second + skip, out
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = self.relu1.forward(self.bn1.forward(self.conv1.forward(x)))
         out = self.bn2.forward(self.conv2.forward(out))

@@ -15,7 +15,9 @@ model is the ``R = 1`` case.
 
 Each module caches whatever it needs during ``forward`` and consumes it in
 the next ``backward`` call, so the intended usage is strictly
-bind, then forward, then backward per batch.
+bind, then forward, then backward per batch.  :meth:`Module.replica`
+copies a module tree without that state, so another thread can run
+other rows through the copy (see ``SupervisedModel.gradient_all``).
 
 Flat-vector access is backed by a :class:`FlatParamBuffer`: one contiguous
 ``(dim,)`` float64 vector with every ``Parameter.data`` rebound to a
@@ -24,6 +26,8 @@ reshaped view into it, so ``set_flat_params`` is a single ``np.copyto``
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -255,6 +259,40 @@ class Module:
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def macs(self, shape: tuple) -> tuple[int, tuple]:
+        """``(multiply-adds, output shape)`` of one sample's forward.
+
+        ``shape`` is one sample's input shape (no row or batch axis).
+        Only the GEMM layers count (:class:`~repro.nn.linear.Dense` and
+        :class:`~repro.nn.conv.Conv2d`); this default is a layer that
+        keeps its input's shape and multiplies nothing.
+        """
+        return 0, shape
+
+    def _reset(self) -> None:
+        """Forget the bound rows and every per-pass cache (none here)."""
+
+    def replica(self) -> "Module":
+        """A copy of this module tree that shares no per-pass state.
+
+        The copy shares the configuration and the ``Parameter`` objects
+        (a pass reads only the rows :meth:`bind` hands it; never take a
+        replica's flat buffer, which would steal the bindings) and
+        registers a replica of every child of the module tree.  It
+        starts with none of this module's bound rows, caches or
+        scratch (``_reset``), so a pass on it in another thread touches
+        nothing this module's own pass uses.
+        """
+        clone = copy.copy(self)
+        for name in ("_parent", "_param_cache", "_module_cache", "_flat"):
+            object.__setattr__(clone, name, None)
+        object.__setattr__(clone, "_params", dict(self._params))
+        object.__setattr__(clone, "_children", {})
+        for name, child in self._children.items():
+            setattr(clone, name, child.replica())
+        clone._reset()
+        return clone
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 
@@ -290,6 +328,18 @@ class Sequential(Module):
         for layer in reversed(self.layers):
             grad_output = layer.backward(grad_output)
         return grad_output
+
+    def macs(self, shape: tuple) -> tuple[int, tuple]:
+        total = 0
+        for layer in self.layers:
+            count, shape = layer.macs(shape)
+            total += count
+        return total, shape
+
+    def replica(self) -> "Sequential":
+        clone = super().replica()
+        clone.layers = list(clone._children.values())
+        return clone
 
     def __len__(self) -> int:
         return len(self.layers)

@@ -34,7 +34,15 @@ class BatchNorm2d(Module):
     row with the running statistics, and its backward is the
     elementwise-affine adjoint (gamma/beta gradients plus
     ``grad * gamma * inv_std``).
+
+    A :meth:`replica` runs a later row block of a split pass in another
+    thread.  It folds nothing: it keeps its rows' statistics until the
+    pass, after the blocks join, hands them to the original's
+    :meth:`fold_from`, block by block in row order.
     """
+
+    # Whether training statistics wait for fold_from (replicas only).
+    defers = False
 
     def __init__(self, num_features: int):
         super().__init__()
@@ -44,11 +52,35 @@ class BatchNorm2d(Module):
         self.beta = Parameter(np.zeros(num_features, dtype=np.float64), "beta")
         self.running_mean = np.zeros(num_features, dtype=np.float64)
         self.running_var = np.ones(num_features, dtype=np.float64)
+        self._reset()
 
+    def _reset(self) -> None:
         self._gamma: np.ndarray | None = None
         self._beta: np.ndarray | None = None
         self._grads: np.ndarray | None = None
         self._cache: tuple | None = None
+        # (mean, unbiased variance) per row, waiting for fold_from.
+        self._pending: tuple | None = None
+
+    def replica(self) -> "BatchNorm2d":
+        clone = super().replica()
+        clone.defers = True
+        return clone
+
+    def fold_from(self, replica: "BatchNorm2d") -> None:
+        """Fold a replica's last training rows into the running buffers."""
+        mean, unbiased = replica._pending
+        replica._pending = None
+        self._fold(mean, unbiased)
+
+    def _fold(self, mean: np.ndarray, unbiased: np.ndarray) -> None:
+        """``*= (1-m); += m*stat`` for each row's statistics, in row order."""
+        momentum = MOMENTUM
+        for row in range(mean.shape[0]):
+            self.running_mean *= 1.0 - momentum
+            self.running_mean += momentum * mean[row]
+            self.running_var *= 1.0 - momentum
+            self.running_var += momentum * unbiased[row]
 
     def get_buffers(self) -> dict[str, np.ndarray]:
         """Copy of the running statistics (not aggregated by FL)."""
@@ -86,12 +118,10 @@ class BatchNorm2d(Module):
             count = x[0].size // c
             # Unbiased variance for the running estimate, as in PyTorch.
             unbiased = var * count / max(count - 1, 1)
-            momentum = MOMENTUM
-            for row in range(rows):
-                self.running_mean *= 1.0 - momentum
-                self.running_mean += momentum * mean[row]
-                self.running_var *= 1.0 - momentum
-                self.running_var += momentum * unbiased[row]
+            if self.defers:
+                self._pending = (mean, unbiased)
+            else:
+                self._fold(mean, unbiased)
             inv_std = (1.0 / np.sqrt(var + EPS)).reshape(shape)
             x_hat = (x - mean.reshape(shape)) * inv_std
         else:

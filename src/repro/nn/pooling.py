@@ -65,11 +65,19 @@ class MaxPool2d(Module):
         self.stride = check_positive_int(
             stride if stride is not None else kernel_size, "stride"
         )
+        self._reset()
+
+    def _reset(self) -> None:
         self._x_shape: tuple | None = None
         self._out_hw: tuple | None = None
         self._lead: tuple = ()
         # Flat patch-element position of each window's winner.
         self._winners: np.ndarray | None = None
+
+    def macs(self, shape: tuple) -> tuple[int, tuple]:
+        c, h, w = shape
+        k, s = self.kernel_size, self.stride
+        return 0, (c, conv_output_size(h, k, s, 0), conv_output_size(w, k, s, 0))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._lead = x.shape[:2]
@@ -118,7 +126,13 @@ class GlobalAvgPool2d(Module):
 
     def __init__(self):
         super().__init__()
+        self._reset()
+
+    def _reset(self) -> None:
         self._x_shape: tuple | None = None
+
+    def macs(self, shape: tuple) -> tuple[int, tuple]:
+        return 0, shape[:1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 5:

@@ -14,7 +14,13 @@ class Flatten(Module):
 
     def __init__(self):
         super().__init__()
+        self._reset()
+
+    def _reset(self) -> None:
         self._x_shape: tuple | None = None
+
+    def macs(self, shape: tuple) -> tuple[int, tuple]:
+        return 0, (int(np.prod(shape)),)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x_shape = x.shape

@@ -12,9 +12,17 @@ exactly the operations federated learning needs:
 * ``loss(x, y)`` / ``accuracy(x, y)`` / ``evaluate(x, y)`` — a
   forward-only ``R = 1`` pass with batch norm on its running statistics,
 * flat get/set of the parameter vector.
+
+A heavy ``gradient_all`` pass splits its rows into two contiguous
+blocks on two threads, when the process may use two CPUs and its
+forward multiply-adds (``Module.macs``) pay for the second thread: see
+:meth:`SupervisedModel.gradient_all`.
 """
 
 from __future__ import annotations
+
+import copy
+import os
 
 import numpy as np
 
@@ -22,9 +30,48 @@ from repro.nn.conv import Conv2d
 from repro.nn.linear import Dense
 from repro.nn.losses import Loss, SoftmaxCrossEntropyLoss
 from repro.nn.module import Module, Sequential
+from repro.nn.norm import BatchNorm2d
 from repro.telemetry import get_tracer
 
 __all__ = ["SupervisedModel"]
+
+# Forward multiply-adds per row block of a split pass: a pass runs
+# min(MAX_BLOCKS, CPUs, rows, macs // SPLIT_MACS) blocks.  Below two
+# blocks' worth, handing rows to a thread costs more than the second
+# core gives back (the measured crossover is in CHANGES.md).
+SPLIT_MACS = 2_000_000
+# Row blocks a pass may use: the crossover was measured one thread
+# against two blocks, and more blocks of the same pass are smaller
+# blocks, each paying the per-layer Python cost, so a wider split is
+# not assumed to pay.
+MAX_BLOCKS = 2
+
+
+def _cpus() -> int:
+    """CPUs in this process's affinity (every CPU where none is kept)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The worker threads of split passes, a ThreadPoolExecutor built at the
+# first split; it starts a thread only when no idle one takes the block.
+# A forked child inherits the pool object but none of its threads, so a
+# pool built in another process is replaced (``_pool_pid``).
+_pool = None
+_pool_pid = 0
+
+
+def _executor():
+    global _pool, _pool_pid
+    if _pool is None or _pool_pid != os.getpid():
+        # Imported here: concurrent.futures loads logging, which would
+        # add milliseconds to the start of every process.
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(_cpus(), thread_name_prefix="repro-rows")
+        _pool_pid = os.getpid()
+    return _pool
 
 
 class SupervisedModel:
@@ -54,6 +101,13 @@ class SupervisedModel:
             # The program discards the gradient w.r.t. the data, so the
             # first layer skips its input-gradient GEMM (and col2im).
             self.layers[0].needs_input_grad = False
+        self._norms = [
+            layer for layer in module.modules() if isinstance(layer, BatchNorm2d)
+        ]
+        # One replica per extra row block, built at the first split that
+        # needs it, and one sample's forward multiply-adds per shape.
+        self._replicas: list[SupervisedModel] = []
+        self._sample_macs: dict[tuple, int] = {}
 
     # ------------------------------------------------------------------
     # Parameter access
@@ -96,6 +150,18 @@ class SupervisedModel:
         the stacked ``(R, B, ...)`` input and ``ys`` the ``(R, B)``
         targets.  Every gradient row is written in place.
 
+        A pass whose forward takes at least ``2 * SPLIT_MACS``
+        multiply-adds splits its rows into ``min(MAX_BLOCKS, CPUs, R,
+        macs // SPLIT_MACS)`` contiguous blocks whose sizes differ by at
+        most one.  This thread runs the first block on the model's own
+        layers; a persistent pool runs each other block on a replica of
+        the module tree.  Every row's arithmetic is the one-thread
+        pass's, so gradients and losses match it bit for bit, and batch
+        norm folds the blocks' statistics after they join, in row order.
+        A pass never splits under a recording tracer, so every span
+        comes from one thread.  It returns, or raises a block's
+        exception, only once every block has finished.
+
         Divergence is handled per row.  A row with non-finite parameters
         is left out of the pass: it gets an all-NaN gradient and a NaN
         loss, and batch norm's running statistics never see it.  A row
@@ -105,21 +171,74 @@ class SupervisedModel:
         ``stop_on_divergence`` sees the NaN loss instead).
         """
         if np.isfinite(params).all():
-            return self._run(params, xs, ys, grads)
+            return self._pass(params, xs, ys, grads)
         finite = np.isfinite(params).all(axis=1)
         keep = np.flatnonzero(finite)
         losses = np.full(finite.size, np.nan)
         if keep.size:
             kept = grads[keep]
-            losses[keep] = self._run(params[keep], xs[keep], ys[keep], kept)
+            losses[keep] = self._pass(params[keep], xs[keep], ys[keep], kept)
             grads[keep] = kept
         grads[~finite] = np.nan
         return losses
 
-    def _run(self, params, xs, ys, grads) -> np.ndarray:
+    def _blocks(self, xs: np.ndarray) -> int:
+        """Row blocks of a pass over ``xs``: 1 unless it pays to split."""
+        rows = xs.shape[0]
+        if rows < 2:
+            return 1
+        shape = xs.shape[2:]
+        per_sample = self._sample_macs.get(shape)
+        if per_sample is None:
+            per_sample = self._sample_macs[shape] = self.module.macs(shape)[0]
+        blocks = min(rows, MAX_BLOCKS, rows * xs.shape[1] * per_sample // SPLIT_MACS)
+        return 1 if blocks < 2 else min(blocks, _cpus())
+
+    def _pass(self, params, xs, ys, grads) -> np.ndarray:
+        tracer = get_tracer()
+        blocks = 1 if tracer.enabled else self._blocks(xs)
+        if blocks == 1:
+            return self._run(tracer, params, xs, ys, grads)
+        replicas = self._replicas
+        while len(replicas) < blocks - 1:
+            replicas.append(
+                SupervisedModel(self.module.replica(), copy.copy(self.loss_fn))
+            )
+        size, extra = divmod(xs.shape[0], blocks)
+        bounds = [0]
+        for block in range(blocks):
+            bounds.append(bounds[-1] + size + (block < extra))
+        spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        pool = _executor()
+        futures = [
+            pool.submit(
+                replica._run, tracer, params[rows], xs[rows], ys[rows], grads[rows]
+            )
+            for replica, rows in zip(replicas, spans[1:])
+        ]
+        losses = np.empty(xs.shape[0])
+        try:
+            first = spans[0]
+            losses[first] = self._run(
+                tracer, params[first], xs[first], ys[first], grads[first]
+            )
+        finally:
+            for future in futures:
+                # Waits for the block; its exception is raised below.
+                future.exception()
+        for future, rows in zip(futures, spans[1:]):
+            losses[rows] = future.result()
+        # The errstate of _run, which this thread has left: a diverging
+        # block's statistics may be infinite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for replica in replicas[: blocks - 1]:
+                for norm, twin in zip(self._norms, replica._norms):
+                    norm.fold_from(twin)
+        return losses
+
+    def _run(self, tracer, params, xs, ys, grads) -> np.ndarray:
         # The oracle spans exist only while a recording tracer is
         # installed: the disabled branch costs one attribute check.
-        tracer = get_tracer()
         with np.errstate(over="ignore", invalid="ignore"):
             self.module.train()
             self._bind(params, grads)

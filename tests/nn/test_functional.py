@@ -1,4 +1,4 @@
-"""Tests for im2col/col2im, softmax and one-hot utilities."""
+"""Tests for im2col/col2im and one-hot, and the softmax oracle (tests/nn/softmax.py)."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,9 @@ from repro.nn.functional import (
     col2im,
     conv_output_size,
     im2col,
-    log_softmax,
     one_hot,
-    softmax,
 )
+from tests.nn.softmax import log_softmax, softmax
 
 
 class TestConvOutputSize:

@@ -7,7 +7,8 @@ one mean loss per row; these cases use a single row.
 import numpy as np
 import pytest
 
-from repro.nn.functional import one_hot, softmax
+from repro.nn.functional import one_hot
+from tests.nn.softmax import log_softmax, softmax
 from repro.nn.losses import MSELoss, SoftmaxCrossEntropyLoss
 
 
@@ -89,3 +90,23 @@ class TestCrossEntropy:
         value = loss.forward(logits, np.array([[1]]))
         assert np.isfinite(value)
         assert np.isfinite(loss.backward()).all()
+
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 1e3, 1e300])
+    def test_matches_two_pass_oracle_bit_for_bit(self, scale):
+        """One max/exp/sum gives the losses and gradients of separate
+        softmax and log-softmax passes exactly, huge logits included."""
+        rng = np.random.default_rng(7)
+        logits = rng.normal(size=(3, 6, 5)) * scale
+        logits[1, 2] = [1e308, -1e308, 0.0, 1e308, 5.0]
+        y = rng.integers(0, 5, (3, 6))
+        loss = SoftmaxCrossEntropyLoss()
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = loss.forward(logits, y)
+            grad = loss.backward()
+            picks = (np.arange(3)[:, None], np.arange(6), y)
+            want = -log_softmax(logits)[picks].mean(axis=1)
+            want_grad = softmax(logits)
+        want_grad[picks] -= 1.0
+        want_grad /= 6
+        np.testing.assert_array_equal(value, want)
+        np.testing.assert_array_equal(grad, want_grad)

@@ -11,7 +11,7 @@ from repro.nn import (
     SoftmaxCrossEntropyLoss,
     SupervisedModel,
 )
-from repro.nn.functional import log_softmax, softmax
+from tests.nn.softmax import log_softmax, softmax
 from tests.nn.rows import bind_rows
 
 

@@ -196,15 +196,41 @@ class TestFingerprint:
         # rows; 4 populations and the short-shards one;
         # both clocks with checkpoints and monitor, and crash-resumed;
         # the event simulator at 3 quorums; the Fig. 2(h)/(l) replay,
-        # three-tier and flat, in 3 cases.  Fault rows: the zero plan
-        # per golden, then 5 single-kind plans x 3 policies on the 6
-        # three-tier goldens and 3 plans x 3 policies on the 9 two-tier
-        # ones.
+        # three-tier and flat, in 3 cases; the 3 CNN goldens and the
+        # ResNet-10 federation on split passes.  Fault rows: the zero
+        # plan per golden, then 5 single-kind plans x 3 policies on the
+        # 6 three-tier goldens and 3 plans x 3 policies on the 9
+        # two-tier ones.
         assert counts == {
             "sync": 15, "cnn": 3, "faults": 15 + 6 * 15 + 9 * 9, "e2e": 8,
             "async": 12, "population": 5, "lifecycle": 2, "resume": 2,
-            "sim": 3, "replay": 2 * 3,
+            "sim": 3, "replay": 2 * 3, "split": 4,
         }
+
+    def test_split_rows_equal_one_thread_rows(self, monkeypatch):
+        """A split/cnn row runs 3 uneven row blocks per pass and digests
+        to its one-thread cnn/ row, field for field; the ResNet row's
+        batch norms fold across the blocks."""
+        from repro.nn import supervised
+
+        tool = load_tool("fingerprint")
+        blocks = []
+        real = supervised.SupervisedModel._blocks
+
+        def counted(self, xs):
+            blocks.append(real(self, xs))
+            return blocks[-1]
+
+        monkeypatch.setattr(supervised.SupervisedModel, "_blocks", counted)
+        settings = (supervised.SPLIT_MACS, supervised.MAX_BLOCKS, supervised._cpus)
+        runs = tool.fingerprint(
+            ["cnn/HierAdMo/batched", "split/cnn/HierAdMo", "split/resnet10/HierAdMo"]
+        )["runs"]
+        assert (supervised.SPLIT_MACS, supervised.MAX_BLOCKS, supervised._cpus) == settings
+        assert all("error" not in run for run in runs.values())
+        assert runs["split/cnn/HierAdMo"] == runs["cnn/HierAdMo/batched"]
+        assert set(blocks) == {1, 3}
+        assert any(field.startswith("buffers.") for field in runs["split/resnet10/HierAdMo"])
 
     def test_every_fault_plan_realizes_and_moves_its_row(self):
         """Each single-kind plan fires at least once and moves the

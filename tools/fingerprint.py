@@ -60,7 +60,15 @@ The matrix (``MATRIX``):
 * ``replay/<three-tier|two-tier>/<case>``: the Fig. 2(h)/(l) replay,
   ``EventDrivenSimulator`` at quorum 1.0, three-tier and flat, on 8
   workers under uneven edges: clean, with stragglers, and at a T that
-  is not a multiple of τ (``REPLAY_CASES``).
+  is not a multiple of τ (``REPLAY_CASES``);
+* ``split/cnn/<name>`` and ``split/resnet10/HierAdMo``: the 3 CNN
+  goldens, and the ResNet-10 federation of ``async/AsyncHierAdMo/resnet10``
+  run as lockstep HierAdMo (batch norm's buffers in play), with every
+  ``gradient_all`` pass of two or more rows split into ``SPLIT_BLOCKS``
+  row blocks (2, 1 and 1 of the 4 workers) on any host.  A library
+  without ``repro.nn.supervised.SPLIT_MACS`` runs them on one thread,
+  so a diff against such a parent compares one-thread with split
+  passes directly, and ``split/cnn/<name>`` equals ``cnn/<name>/batched``.
 
 Each run records its history series as ``float.hex`` (iterations,
 accuracies, losses, ``eval_times``, ``gamma_trace``), the divergence
@@ -168,6 +176,8 @@ REPLAY_CASES = {
     "ragged": (37, 5, 3, False),
 }
 REPLAY_TIERS = ("three-tier", "two-tier")
+# Row blocks of every pass in the split/* rows.
+SPLIT_BLOCKS = 3
 
 
 # ----------------------------------------------------------------------
@@ -256,18 +266,45 @@ def _diverging() -> dict:
     return _ran(algorithm, 60, 6)
 
 
-def _resnet() -> dict:
-    """AsyncHierAdMo on a batch-norm ResNet at quorum 0.5 with faults."""
+def _resnet_federation() -> Federation:
+    """2 x 2 workers of a batch-norm ResNet-10 on 8x8 images."""
     corpus = make_synthetic_mnist(240, image_size=8, rng=21)
     train, test = train_test_split(corpus, 0.25, rng=22)
     parts = partition_xclass(train, 4, 3, rng=23)
     model = make_resnet("resnet10", 1, 10, width_multiplier=1 / 16, rng=24)
-    federation = Federation(model, [parts[0:2], parts[2:4]], test, batch_size=8, seed=25)
+    return Federation(model, [parts[0:2], parts[2:4]], test, batch_size=8, seed=25)
+
+
+def _resnet() -> dict:
+    """AsyncHierAdMo on a batch-norm ResNet at quorum 0.5 with faults."""
     algorithm = AsyncHierAdMo(
-        federation, eta=0.05, tau=3, pi=2, deployment=straggler_deployment(0.5)
+        _resnet_federation(), eta=0.05, tau=3, pi=2,
+        deployment=straggler_deployment(0.5),
     )
     algorithm.attach_faults(ASYNC_FAULTS)
     return _ran(algorithm, goldens.CNN_ITERATIONS, goldens.EVAL_EVERY)
+
+
+def _split_resnet() -> dict:
+    _, kwargs = goldens.CNN_ALGORITHMS["HierAdMo"]
+    algorithm = HierAdMo(_resnet_federation(), **kwargs)
+    return _ran(algorithm, goldens.CNN_ITERATIONS, goldens.EVAL_EVERY)
+
+
+def _split(run) -> dict:
+    """``run()`` with every pass of two or more rows split into
+    ``SPLIT_BLOCKS`` blocks, where the library splits passes at all."""
+    from repro.nn import supervised
+
+    if not hasattr(supervised, "SPLIT_MACS"):
+        return run()
+    saved = supervised.SPLIT_MACS, supervised.MAX_BLOCKS, supervised._cpus
+    supervised.SPLIT_MACS, supervised.MAX_BLOCKS = 1, SPLIT_BLOCKS
+    supervised._cpus = lambda: SPLIT_BLOCKS
+    try:
+        return run()
+    finally:
+        supervised.SPLIT_MACS, supervised.MAX_BLOCKS, supervised._cpus = saved
 
 
 def _track_mu() -> dict:
@@ -485,6 +522,11 @@ MATRIX = {
         for tier in REPLAY_TIERS
         for case in REPLAY_CASES
     },
+    **{
+        f"split/cnn/{name}": partial(_split, partial(_golden, name, True))
+        for name in sorted(goldens.CNN_ALGORITHMS)
+    },
+    "split/resnet10/HierAdMo": partial(_split, _split_resnet),
 }
 
 
