@@ -25,6 +25,13 @@ That ratio moves with host load, so it has an exact companion,
 warmed-up rebind at 1M clients, counted at two cohort sizes and split
 into a fixed part and a per-arrival part, each pinned.  One more call
 per arriving client, or per rebind, fails it on any host.
+
+``carry_bytes`` pins the row bytes the carry store holds after a fixed,
+seeded HierAdMo run at 1M clients.  A rebind follows a round barrier,
+where the departing clients' momentum rows are copies of one broadcast
+and their accumulators are zero, and the store keeps each distinct row
+of a departing batch once.  The count repeats exactly on any host, and
+a store that kept every entry's rows again would hold 15 times the pin.
 """
 
 from __future__ import annotations
@@ -57,10 +64,15 @@ MAX_RSS_RATIO = 1.5
 MAX_REBIND_OVER_DRAWS = 2.5
 # Cohorts per edge of the two counted rebinds (64 and 128 arrivals), and
 # the pinned calls: each arrival's carry lookup, shard draw, dataset,
-# generator re-point and store row; the fixed part is the cohort draw
-# and the batched seeding and bind.
+# generator re-point and store row; the fixed part is the cohort draw,
+# the batched seeding and bind, and the carry store's grouping of each
+# carried column (six for HierAdMo) into one new batch.
 REBIND_CALL_COHORTS = (16, 32)
-MAX_REBIND_CALLS = {"fixed_calls": 123, "calls_per_arrival": 6}
+MAX_REBIND_CALLS = {"fixed_calls": 128, "calls_per_arrival": 6}
+# Carry row bytes after CARRY_ITERATIONS of HierAdMo (three departing
+# batches of about 256 clients each).
+CARRY_ITERATIONS = 20
+MAX_CARRY_BYTES = 432_851
 
 SIZES = (("10k", 10_000), ("100k", 100_000), ("1m", 1_000_000))
 
@@ -241,3 +253,40 @@ def test_bench_population_rebind_calls():
         assert measured[key] <= pin, (
             f"a rebind's {key} is {measured[key]:g} (pin {pin:g})"
         )
+
+
+def carry_bytes() -> dict:
+    """The carry store after a seeded HierAdMo run at 1M clients: its
+    entries, the row bytes its pools hold, and the bytes a dense table
+    of the same entries' rows would take."""
+    binder = _binder(1_000_000)
+    algorithm = HierAdMo(binder.fed, eta=0.05, tau=TAU, pi=2)
+    algorithm.attach_population(binder)
+    algorithm.run(CARRY_ITERATIONS, eval_every=CARRY_ITERATIONS)
+    carry = binder.carry
+    rows = next(iter(carry.values()))["rows"]
+    return {
+        "entries": len(carry),
+        "row_bytes": carry.row_bytes,
+        "dense_bytes": len(carry) * sum(np.asarray(row).nbytes for row in rows),
+    }
+
+
+def test_bench_population_carry_bytes():
+    """The carry store's row bytes after a fixed run, pinned exactly."""
+    measured = carry_bytes()
+    print(
+        f"\n[bench] carry after {CARRY_ITERATIONS} HierAdMo iterations at "
+        f"1M clients: {measured['entries']} entries, "
+        f"{measured['row_bytes']} row bytes (dense {measured['dense_bytes']})"
+    )
+    record_bench("population", "carry_bytes", {
+        "population": 1_000_000,
+        "iterations": CARRY_ITERATIONS,
+        **measured,
+        "threshold": MAX_CARRY_BYTES,
+    })
+    assert measured["row_bytes"] <= MAX_CARRY_BYTES, (
+        f"the carry store holds {measured['row_bytes']} row bytes "
+        f"(pin {MAX_CARRY_BYTES})"
+    )

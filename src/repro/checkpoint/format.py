@@ -11,8 +11,12 @@ resume.  The CRC hashes each array's buffer in place, so a large
 checkpoint is not copied to be checksummed.
 
 Version 2 stores per-client and per-worker state as columnar tables
-(a few members per thousand clients, not a few per client); a reader
-refuses every other version, version 1 included.
+(a fixed set of members, not a few per client); a reader refuses every
+other version, version 1 included.  Within version 2, a population's
+carried clients are pools of distinct rows plus per-entry references
+and offsets (:mod:`repro.population.carry`); a file whose carried
+clients are in the older per-block layouts raises
+:class:`CheckpointError` naming the carry format when it is resumed.
 
 Durability comes from write-then-rename
 (:func:`repro.utils.io.replace_into`): the archive is written to a temp

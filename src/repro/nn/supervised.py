@@ -15,7 +15,8 @@ exactly the operations federated learning needs:
 
 A heavy ``gradient_all`` pass splits its rows into two contiguous
 blocks on two threads, when the process may use two CPUs and its
-forward multiply-adds (``Module.macs``) pay for the second thread: see
+forward multiply-adds (``Module.macs``), in all and per leaf-layer
+call, pay for the second thread: see
 :meth:`SupervisedModel.gradient_all`.
 """
 
@@ -40,6 +41,14 @@ __all__ = ["SupervisedModel"]
 # blocks' worth, handing rows to a thread costs more than the second
 # core gives back (the measured crossover is in CHANGES.md).
 SPLIT_MACS = 2_000_000
+# Forward multiply-adds per leaf-layer call (a module without children)
+# that the smallest block must reach: each call also pays a fixed Python
+# and dispatch cost, which a block of a small deep model does not
+# amortize.
+# Measured one thread against two blocks (CHANGES.md): ResNet-18 loses
+# at 88 K per call and gains at 176 K, ResNet-10 loses at 59 K and gains
+# at 117 K, and VGG-16 loses at 85 K.
+SPLIT_CALL_MACS = 100_000
 # Row blocks a pass may use: the crossover was measured one thread
 # against two blocks, and more blocks of the same pass are smaller
 # blocks, each paying the per-layer Python cost, so a wider split is
@@ -105,9 +114,11 @@ class SupervisedModel:
             layer for layer in module.modules() if isinstance(layer, BatchNorm2d)
         ]
         # One replica per extra row block, built at the first split that
-        # needs it, and one sample's forward multiply-adds per shape.
+        # needs it, one sample's forward multiply-adds per shape, and the
+        # leaf-layer calls of a forward.
         self._replicas: list[SupervisedModel] = []
         self._sample_macs: dict[tuple, int] = {}
+        self._layer_calls = sum(not m._children for m in module.modules())
 
     # ------------------------------------------------------------------
     # Parameter access
@@ -153,11 +164,13 @@ class SupervisedModel:
         A pass whose forward takes at least ``2 * SPLIT_MACS``
         multiply-adds splits its rows into ``min(MAX_BLOCKS, CPUs, R,
         macs // SPLIT_MACS)`` contiguous blocks whose sizes differ by at
-        most one.  This thread runs the first block on the model's own
-        layers; a persistent pool runs each other block on a replica of
-        the module tree.  Every row's arithmetic is the one-thread
-        pass's, so gradients and losses match it bit for bit, and batch
-        norm folds the blocks' statistics after they join, in row order.
+        most one, if the smallest block's multiply-adds per leaf-layer
+        call reach ``SPLIT_CALL_MACS``.  This thread runs the first
+        block on the model's own layers; a persistent pool runs each
+        other block on a replica of the module tree.  Every row's
+        arithmetic is the one-thread pass's, so gradients and losses
+        match it bit for bit, and batch norm folds the blocks'
+        statistics after they join, in row order.
         A pass never splits under a recording tracer, so every span
         comes from one thread.  It returns, or raises a block's
         exception, only once every block has finished.
@@ -191,8 +204,14 @@ class SupervisedModel:
         per_sample = self._sample_macs.get(shape)
         if per_sample is None:
             per_sample = self._sample_macs[shape] = self.module.macs(shape)[0]
-        blocks = min(rows, MAX_BLOCKS, rows * xs.shape[1] * per_sample // SPLIT_MACS)
-        return 1 if blocks < 2 else min(blocks, _cpus())
+        per_row = xs.shape[1] * per_sample
+        blocks = min(rows, MAX_BLOCKS, rows * per_row // SPLIT_MACS)
+        if blocks < 2:
+            return 1
+        blocks = min(blocks, _cpus())
+        if rows // blocks * per_row < SPLIT_CALL_MACS * self._layer_calls:
+            return 1
+        return blocks
 
     def _pass(self, params, xs, ys, grads) -> np.ndarray:
         tracer = get_tracer()

@@ -15,10 +15,13 @@ Slot-pool lifecycle (per edge block, each rebind period):
   LRU-ish fast path; at full participation every client is retained and
   a virtual run is bit-identical to a classic federation);
 * **departing** clients save a compact carry-forward record into the
-  columnar :class:`~repro.population.carry.CarryStore`: the rows of the
+  :class:`~repro.population.carry.CarryStore`: the rows of the
   algorithm's declared ``CLIENT_STATE`` arrays (its per-client
   momentum/optimizer buffers), its store row's permutation and cursor,
-  and its generator state.  The model row ``x`` is deliberately *not*
+  and its generator state.  A rebind follows a round barrier, where
+  the clients an edge reached hold copies of one broadcast row and
+  zeroed accumulators, so the store keeps each distinct row of a
+  departing batch once.  The model row ``x`` is deliberately *not*
   carried — a client rejoining adopts the current broadcast model,
   exactly like ``SampledFedAvg`` participants start from the server
   model;
@@ -38,7 +41,8 @@ the golden trajectories.
 
 A rebind handles the whole slot pool as one batch: one set difference
 finds every edge's departures and arrivals, the departures enter the
-carry store in one :meth:`~repro.population.carry.CarryStore.extend`,
+carry store in one :meth:`~repro.population.carry.CarryStore.extend`
+(one vectorized grouping of each carried column),
 the arrivals' sampler and shard streams are seeded together
 (:func:`~repro.utils.rng.default_rng_states`), and their shards enter
 the federation's :class:`~repro.data.loader.SampleStore` in one
@@ -87,9 +91,9 @@ class PopulationBinder:
         self.fed: Federation | None = None
         # slot -> client id for the currently materialized cohort.
         self.slot_client: np.ndarray | None = None
-        # Evicted clients' state in columnar tables; ``carry[client_id]``
-        # reads back {"rows": [one row per ``_carried`` array],
-        #  "rng": generator state}.
+        # Evicted clients' state, one pool of distinct rows per departing
+        # batch; ``carry[client_id]`` reads back {"rows": [one row per
+        # ``_carried`` array], "rng": generator state}.
         self.carry = CarryStore()
         # Distinct clients ever materialized (reported by the
         # ``population_round`` event only).
@@ -268,8 +272,9 @@ class PopulationBinder:
         disturb them, hence ``carry``-free rebinding) and *before* the
         federation's batch streams are restored (which then overwrite
         the freshly derived per-client streams with the exact
-        checkpointed permutations and cursors).  The carry store adopts
-        its tables from ``arrays`` rather than copying them.
+        checkpointed permutations and cursors).  The carry store slices
+        its pools and tables out of ``arrays`` as views rather than
+        copying them.
         """
         self.carry.clear()
         target = np.asarray(values["slot_client"], dtype=np.int64)

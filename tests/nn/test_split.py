@@ -1,6 +1,7 @@
 """The row-parallel pass: a heavy ``gradient_all`` split across threads.
 
-A pass whose forward multiply-adds reach ``2 * SPLIT_MACS`` runs its
+A pass whose forward multiply-adds reach ``2 * SPLIT_MACS``, and whose
+smallest block reaches ``SPLIT_CALL_MACS`` per leaf-layer call, runs its
 rows as contiguous blocks, the first on the model's own layers in the
 calling thread and each other one on a replica of the module tree in a
 pool thread.  The oracle is the one-thread pass of an identical model:
@@ -64,6 +65,7 @@ CASES = sorted(
 def force(monkeypatch, blocks: int) -> None:
     """Split every pass of two or more rows into ``min(blocks, R)``."""
     monkeypatch.setattr(supervised, "SPLIT_MACS", 1)
+    monkeypatch.setattr(supervised, "SPLIT_CALL_MACS", 0)
     monkeypatch.setattr(supervised, "MAX_BLOCKS", blocks)
     monkeypatch.setattr(supervised, "_cpus", lambda: blocks)
 
@@ -328,13 +330,52 @@ def _workload_pass(name: str, rows: int):
 @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
 def test_decision_rule_on_the_workloads(monkeypatch, name, rows, macs, splits, cpus):
     """cnn_hieradmo and resnet_fedavg split into two blocks wherever two
-    CPUs are free, and into no more on a larger affinity;
-    population_1m and async_stragglers never split; nothing splits on
-    one CPU."""
+    CPUs are free (982 K and 352 K multiply-adds per leaf-layer call in
+    a block), and into no more on a larger affinity; population_1m and
+    async_stragglers never split; nothing splits on one CPU."""
     model, xs = _workload_pass(name, rows)
     assert rows * xs.shape[1] * model.module.macs(xs.shape[2:])[0] == macs
+    if splits:
+        per_call = macs // 2 // model._layer_calls
+        assert per_call >= 3 * supervised.SPLIT_CALL_MACS
     monkeypatch.setattr(supervised, "_cpus", lambda: cpus)
     assert model._blocks(xs) == (min(cpus, 2) if splits else 1)
+
+
+@pytest.mark.parametrize(
+    "layout,channels,image,rows,batch,per_call,splits",
+    [
+        # Measured one thread against two blocks on 2 CPUs: these three
+        # ran 1.21x, 1.07x and 1.30x slower split ...
+        ("resnet18", 3, 10, 2, 16, 88_059, False),
+        ("resnet18", 3, 10, 3, 16, 88_059, False),
+        ("resnet10", 1, 8, 8, 8, 58_572, False),
+        # ... and these gained, 0.92x and 0.90x.
+        ("resnet18", 3, 10, 4, 16, 176_119, True),
+        ("resnet10", 1, 8, 16, 8, 117_145, True),
+    ],
+)
+def test_small_deep_passes_keep_one_thread(
+    monkeypatch, layout, channels, image, rows, batch, per_call, splits
+):
+    """Past ``2 * SPLIT_MACS``, a pass splits only if its smallest
+    block's multiply-adds per leaf-layer call reach SPLIT_CALL_MACS."""
+    model = make_resnet(layout, channels, 10, width_multiplier=1 / 16, rng=0)
+    xs = np.broadcast_to(0.0, (rows, batch, channels, image, image))
+    per_sample = model.module.macs(xs.shape[2:])[0]
+    assert rows * batch * per_sample >= 2 * supervised.SPLIT_MACS
+    assert rows // 2 * batch * per_sample // model._layer_calls == per_call
+    monkeypatch.setattr(supervised, "_cpus", lambda: 2)
+    assert model._blocks(xs) == (2 if splits else 1)
+
+
+def test_layer_calls():
+    """Leaf layers of a forward: the CNN's 10, ResNet-10's 35 (six per
+    block, eight with a projection) and ResNet-18's 59."""
+    assert make_cnn(1, 10, 10, width=8, hidden=32, rng=0)._layer_calls == 10
+    for layout, calls in (("resnet10", 35), ("resnet18", 59)):
+        model = make_resnet(layout, 1, 10, width_multiplier=1 / 16, rng=0)
+        assert model._layer_calls == calls
 
 
 def test_layer_multiply_adds():

@@ -194,7 +194,8 @@ class TestFingerprint:
         # 2 async algorithms x 2 quorums x clean/faults, plus the
         # diverging, resnet10, track-mu and eta-schedule event-clock
         # rows; 4 populations and the short-shards one;
-        # both clocks with checkpoints and monitor, and crash-resumed;
+        # both clocks with checkpoints and monitor, and crash-resumed,
+        # and a crash-resumed sampled population;
         # the event simulator at 3 quorums; the Fig. 2(h)/(l) replay,
         # three-tier and flat, in 3 cases; the 3 CNN goldens and the
         # ResNet-10 federation on split passes.  Fault rows: the zero
@@ -203,9 +204,18 @@ class TestFingerprint:
         # two-tier ones.
         assert counts == {
             "sync": 15, "cnn": 3, "faults": 15 + 6 * 15 + 9 * 9, "e2e": 8,
-            "async": 12, "population": 5, "lifecycle": 2, "resume": 2,
+            "async": 12, "population": 5, "lifecycle": 2, "resume": 3,
             "sim": 3, "replay": 2 * 3, "split": 4,
         }
+
+    def test_population_resume_row_carries_through_the_checkpoint(self):
+        """resume/population resumes from a checkpoint that carries
+        clients, and carried clients return after the resume."""
+        tool = load_tool("fingerprint")
+        run = tool.fingerprint(["resume/population"])["runs"]["resume/population"]
+        assert "error" not in run, run.get("error")
+        assert run["population.returned"]
+        assert run["checkpoints.driver"]
 
     def test_split_rows_equal_one_thread_rows(self, monkeypatch):
         """A split/cnn row runs 3 uneven row blocks per pass and digests
@@ -222,11 +232,17 @@ class TestFingerprint:
             return blocks[-1]
 
         monkeypatch.setattr(supervised.SupervisedModel, "_blocks", counted)
-        settings = (supervised.SPLIT_MACS, supervised.MAX_BLOCKS, supervised._cpus)
+        settings = (
+            supervised.SPLIT_MACS, supervised.SPLIT_CALL_MACS,
+            supervised.MAX_BLOCKS, supervised._cpus,
+        )
         runs = tool.fingerprint(
             ["cnn/HierAdMo/batched", "split/cnn/HierAdMo", "split/resnet10/HierAdMo"]
         )["runs"]
-        assert (supervised.SPLIT_MACS, supervised.MAX_BLOCKS, supervised._cpus) == settings
+        assert (
+            supervised.SPLIT_MACS, supervised.SPLIT_CALL_MACS,
+            supervised.MAX_BLOCKS, supervised._cpus,
+        ) == settings
         assert all("error" not in run for run in runs.values())
         assert runs["split/cnn/HierAdMo"] == runs["cnn/HierAdMo/batched"]
         assert set(blocks) == {1, 3}

@@ -72,6 +72,7 @@ GATES = {
             ("fixed_calls", "within_threshold"),
             ("calls_per_arrival", "within_threshold"),
         ],
+        "carry_bytes": [("row_bytes", "within_threshold")],
     },
     "telemetry": {
         "null_tracer_overhead": [("disabled_overhead", "within_threshold")],

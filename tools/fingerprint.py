@@ -55,6 +55,12 @@ The matrix (``MATRIX``):
   ``CheckpointManager`` saving every ``CHECKPOINT_EVERY`` iterations;
 * ``resume/<clock>``: the same two runs crash at an iteration that is
   not a checkpoint, and a fresh instance resumes from the latest one;
+* ``resume/population``: HierAdMo on the uneven sampled population of
+  ``population/*`` under a worker-dropout plan (a dropped worker's
+  carried rows are not broadcast copies) crashes at an iteration that
+  is not a checkpoint, after rebinds have carried clients, and a fresh
+  instance resumes; a row whose checkpoint carries no client, or whose
+  resumed run sees no carried client return, is recorded as an error;
 * ``sim/q<quorum>``: ``EventDrivenSimulator`` on 16 workers under 4
   edges with stragglers, at quorum 1.0, 0.75 and 0.5;
 * ``replay/<three-tier|two-tier>/<case>``: the Fig. 2(h)/(l) replay,
@@ -65,10 +71,12 @@ The matrix (``MATRIX``):
   goldens, and the ResNet-10 federation of ``async/AsyncHierAdMo/resnet10``
   run as lockstep HierAdMo (batch norm's buffers in play), with every
   ``gradient_all`` pass of two or more rows split into ``SPLIT_BLOCKS``
-  row blocks (2, 1 and 1 of the 4 workers) on any host.  A library
-  without ``repro.nn.supervised.SPLIT_MACS`` runs them on one thread,
-  so a diff against such a parent compares one-thread with split
-  passes directly, and ``split/cnn/<name>`` equals ``cnn/<name>/batched``.
+  row blocks (2, 1 and 1 of the 4 workers) on any host, patching
+  ``SPLIT_MACS`` and, where the library has it, ``SPLIT_CALL_MACS``.
+  A library without ``repro.nn.supervised.SPLIT_MACS`` runs them on one
+  thread, so a diff against such a parent compares one-thread with
+  split passes directly, and ``split/cnn/<name>`` equals
+  ``cnn/<name>/batched``.
 
 Each run records its history series as ``float.hex`` (iterations,
 accuracies, losses, ``eval_times``, ``gamma_trace``), the divergence
@@ -167,6 +175,10 @@ CHECKPOINT_EVERY = 5
 # fast groups run ahead of its barriers, so it crashes later than the
 # first checkpoint it must have written.
 CRASH_AT = {"lockstep": 17, "event": 22}
+# resume/population: the dropout plan and a crash point that is not a
+# checkpoint iteration.
+POPULATION_FAULTS = FaultPlan(seed=4, worker_dropout=0.2)
+POPULATION_CRASH_AT = 17
 SIM_QUORUMS = (1.0, 0.75, 0.5)
 # Fig. 2(h)/(l) replays: (T, tau, pi, stragglers) per case; the
 # two-tier replay syncs every tau*pi iterations.
@@ -298,13 +310,17 @@ def _split(run) -> dict:
 
     if not hasattr(supervised, "SPLIT_MACS"):
         return run()
-    saved = supervised.SPLIT_MACS, supervised.MAX_BLOCKS, supervised._cpus
-    supervised.SPLIT_MACS, supervised.MAX_BLOCKS = 1, SPLIT_BLOCKS
-    supervised._cpus = lambda: SPLIT_BLOCKS
+    forced = {"SPLIT_MACS": 1, "MAX_BLOCKS": SPLIT_BLOCKS, "_cpus": lambda: SPLIT_BLOCKS}
+    if hasattr(supervised, "SPLIT_CALL_MACS"):  # newer than SPLIT_MACS
+        forced["SPLIT_CALL_MACS"] = 0
+    saved = {name: getattr(supervised, name) for name in forced}
+    for name, value in forced.items():
+        setattr(supervised, name, value)
     try:
         return run()
     finally:
-        supervised.SPLIT_MACS, supervised.MAX_BLOCKS, supervised._cpus = saved
+        for name, value in saved.items():
+            setattr(supervised, name, value)
 
 
 def _track_mu() -> dict:
@@ -443,6 +459,53 @@ def _resume(clock: str) -> dict:
     return record
 
 
+def _population_algorithm(crash_at: int | None = None):
+    cls, kwargs = POPULATION["HierAdMo"]
+    algorithm = population.make_sampled_algorithm(cls, kwargs, uneven=True)
+    plan = POPULATION_FAULTS
+    if crash_at is not None:
+        plan = replace(plan, crash_iterations=(crash_at,))
+    algorithm.attach_faults(plan)
+    return algorithm
+
+
+def _resume_population() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        manager = _DigestingManager(tmp)
+        try:
+            _population_algorithm(POPULATION_CRASH_AT).run(
+                36, eval_every=6, checkpoints=manager
+            )
+        except InjectedCrash:
+            pass
+        else:
+            raise RuntimeError(f"no crash at iteration {POPULATION_CRASH_AT}")
+        restored = manager.load_latest()
+    if not restored.manifest["population"]["carry"]["entries"]:
+        raise RuntimeError("the resumed checkpoint carries no client")
+    resumed = _population_algorithm()
+    carry = resumed.population.carry
+    returned = []
+    pop = carry.pop
+
+    def tracked(client_id):
+        record = pop(client_id)
+        if record is not None:
+            returned.append(client_id)
+        return record
+
+    carry.pop = tracked
+    history = resumed.run(36, eval_every=6, resume_from=restored)
+    if not returned:
+        raise RuntimeError("no carried client returned after the resume")
+    if not history.fault_summary["events"]["fault.worker_drop"]:
+        raise RuntimeError("the dropout plan realized no fault.worker_drop")
+    record = digest(resumed, history)
+    record["checkpoints.driver"] = manager.driver_digests
+    record["population.returned"] = returned
+    return record
+
+
 def _simulated(quorum: float) -> dict:
     topology = Topology.uniform(4, 4, 100)
     devices = add_stragglers(worker_device_pool(topology.num_workers), 0.15, 10.0)
@@ -516,6 +579,7 @@ MATRIX = {
     "population/HierAdMo/short-shards": _short_shards,
     **{f"lifecycle/{clock}": partial(_lifecycle, clock) for clock in CLOCKS},
     **{f"resume/{clock}": partial(_resume, clock) for clock in CLOCKS},
+    "resume/population": _resume_population,
     **{f"sim/q{quorum}": partial(_simulated, quorum) for quorum in SIM_QUORUMS},
     **{
         f"replay/{tier}/{case}": partial(_replay, tier, case)
