@@ -1,14 +1,14 @@
 """Virtual-population scaling benchmark (PR acceptance: bounded RSS).
 
 A million *registered* clients must cost what the *cohort* costs: the
-registry stores metadata only, shards are generated on demand, and the
-federation's stacked buffers hold one row per materialized slot.  This
+binder keeps no per-client state, shards are generated on demand, and
+the federation's stacked buffers hold one row per materialized slot.  This
 bench trains the same fixed cohort (4 edges x 64 clients = 256 slots,
 always <= 256) over populations of 10k, 100k and 1M registered
 clients and records rounds/sec plus resident memory at each scale.
 
 The gated number is the RSS ratio between the 1M and 10k runs: if any
-per-client state leaked into the registry or binder, a 100x population
+per-client state leaked into the binder, a 100x population
 step would blow the ratio far past the committed threshold (a
 fully-materialized design would sit near 100x).  Raw throughput is
 recorded ungated — it shifts with the machine; the ratio does not.
@@ -46,7 +46,7 @@ from repro.algorithms import FedAvg
 from repro.core import HierAdMo
 from repro.data.shards import PrototypeShards
 from repro.nn.models import make_logistic_regression
-from repro.population import ClientRegistry, PopulationBinder
+from repro.population import PopulationBinder
 from repro.utils.memory import current_rss_bytes, peak_rss_bytes
 
 from .recorder import record_bench
@@ -68,7 +68,7 @@ MAX_REBIND_OVER_DRAWS = 2.5
 # the batched seeding and bind, and the carry store's grouping of each
 # carried column (six for HierAdMo) into one new batch.
 REBIND_CALL_COHORTS = (16, 32)
-MAX_REBIND_CALLS = {"fixed_calls": 128, "calls_per_arrival": 6}
+MAX_REBIND_CALLS = {"fixed_calls": 124, "calls_per_arrival": 6}
 # Carry row bytes after CARRY_ITERATIONS of HierAdMo (three departing
 # batches of about 256 clients each).
 CARRY_ITERATIONS = 20
@@ -87,9 +87,8 @@ def _binder(
         samples_per_client=64,
         seed=11,
     )
-    registry = ClientRegistry.from_shards(shards, NUM_EDGES, uniform=True)
     binder = PopulationBinder(
-        registry, shards, cohort_per_edge=cohort_per_edge, seed=11
+        shards, num_edges=NUM_EDGES, cohort_per_edge=cohort_per_edge, seed=11
     )
     model = make_logistic_regression(32, 10, rng=4)
     binder.build_federation(model, shards.test_set(256), batch_size=32)
@@ -116,7 +115,8 @@ def _train_once(population: int) -> dict:
         "iterations_per_sec": ITERATIONS / elapsed,
         "rss_bytes": current_rss_bytes(),
         "peak_rss_bytes": peak_rss_bytes(),
-        "materialized": len(binder._seen),
+        # Every client bound so far is bound now or carried.
+        "materialized": binder.cohort_size + len(binder.carry),
     }
 
 
@@ -163,7 +163,7 @@ def test_bench_population_rebind():
     algorithm._setup()
     binder.reset(algorithm)
     shards = binder.shards
-    cohort = binder.sampler.cohort_size
+    cohort = binder.cohort_size
     periods = iter(range(1, 10**6))
     arrivals = []
 

@@ -12,7 +12,7 @@ variants ship:
 
 * :class:`AsyncFedAvg` — workers under the cloud directly; round
   closure averages the fresh arrivals plus any buffered stale uploads
-  with weights decayed by ``staleness_decay ** s``,
+  with weights decayed by ``STALENESS_DECAY ** s``,
 * :class:`AsyncHierAdMo` — the three-tier algorithm with *stale-momentum
   correction*: a buffered stale momentum contribution is contracted
   toward the edge's last distributed aggregate
@@ -35,7 +35,8 @@ federation (T=30) ``eval_every=3`` moves the test loss by up to 19.6%
 relative against lockstep; ``eval_every=6`` matches bit for bit.
 Histories gain a simulated-time axis (``eval_times``), which makes the
 paper's Fig. 2 h/l time-to-accuracy comparison emergent rather than
-re-priced after the fact.
+re-priced after the fact.  A non-finite step loss ends the run at that
+step on this clock too; nothing switches that off.
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ from repro.telemetry import get_tracer
 from repro.utils.validation import check_positive
 
 __all__ = ["AsyncExecutionMixin", "AsyncFedAvg", "AsyncHierAdMo"]
+
+# A stale upload's weight is multiplied by this once per version it
+# missed; a test that needs another decay patches it.
+STALENESS_DECAY = 0.5
 
 
 class AsyncExecutionMixin:
@@ -81,7 +86,6 @@ class AsyncExecutionMixin:
         federation: Federation,
         *,
         deployment: AsyncDeployment | None = None,
-        staleness_decay: float = 0.5,
         sim_rng=0,
         **kwargs,
     ):
@@ -92,11 +96,6 @@ class AsyncExecutionMixin:
                 payload_bytes=federation.dim * 8.0 * self.payload_multiplier,
             )
         self.deployment = deployment
-        if not 0.0 < staleness_decay <= 1.0:
-            raise ValueError(
-                f"staleness_decay must be in (0, 1], got {staleness_decay}"
-            )
-        self.staleness_decay = float(staleness_decay)
         self.sim_rng = sim_rng
         self.runner: EventLoopRunner | None = None
 
@@ -104,7 +103,7 @@ class AsyncExecutionMixin:
         return {
             **super().config(),
             "quorum": self.deployment.quorum,
-            "staleness_decay": self.staleness_decay,
+            "staleness_decay": STALENESS_DECAY,
         }
 
     @property
@@ -130,14 +129,14 @@ class AsyncExecutionMixin:
     def _global_params(self) -> np.ndarray:
         return self.fed.global_average_workers(self._eval_x)
 
-    def _run_clock(
-        self, state: dict | None, stop_on_divergence: bool
-    ) -> tuple[int, float] | None:
+    def _run_clock(self, state: dict | None) -> tuple[int, float] | None:
         """Run the event loop; round barriers call back ``round_complete``.
 
-        Resuming restores the full engine state — event queue, in-flight
-        uploads, simulation RNG — and replays the remaining events
-        bit-exact with an uninterrupted run.
+        The first non-finite step loss ends the run, as on the lockstep
+        clock: the engine stops at that step and its ``(t, loss)`` is
+        returned.  Resuming restores the full engine state — event
+        queue, in-flight uploads, simulation RNG — and replays the
+        remaining events bit-exact with an uninterrupted run.
         """
         runner = self.runner = EventLoopRunner(
             self,
@@ -148,14 +147,13 @@ class AsyncExecutionMixin:
             faults=self.faults,
             rng=self.sim_rng,
             flat=self.FLAT,
-            stop_on_divergence=stop_on_divergence,
         )
         if state is not None:
             runner.load_state_dict(state)
         if self._checkpoints is not None:
             runner.checkpoint_hook = self._maybe_checkpoint
         runner.run(resume=state is not None)
-        if stop_on_divergence and runner.diverged_at is not None:
+        if runner.diverged_at is not None:
             return runner.diverged_at, runner.diverged_loss
         return None
 
@@ -288,7 +286,7 @@ class AsyncExecutionMixin:
     def _stale_rows(self, stale: tuple[tuple[int, int], ...]):
         """Worker ids of a closure's stale pairs, and ``decay**s`` each."""
         ids = np.array([w for w, _ in stale], dtype=int)
-        decays = np.array([self.staleness_decay**s for _, s in stale])
+        decays = np.array([STALENESS_DECAY**s for _, s in stale])
         return ids, decays
 
     # ------------------------------------------------------------------

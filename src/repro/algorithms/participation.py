@@ -17,9 +17,12 @@ from repro.algorithms.twotier import TwoTierAlgorithm
 from repro.core.federation import Federation
 from repro.faults import degrade_round
 from repro.utils.rng import make_rng
-from repro.utils.validation import check_in_range
 
 __all__ = ["SampledFedAvg"]
+
+# The fraction of workers sampled each round; a test that needs another
+# fraction patches it.
+PARTICIPATION = 0.5
 
 
 class SampledFedAvg(TwoTierAlgorithm):
@@ -36,18 +39,14 @@ class SampledFedAvg(TwoTierAlgorithm):
         *,
         eta: float = 0.01,
         tau: int = 20,
-        participation: float = 0.5,
-        rng=None,
+        rng,
     ):
         super().__init__(federation, eta=eta, tau=tau)
-        check_in_range(participation, "participation", 0.0, 1.0)
-        if participation <= 0.0:
-            raise ValueError("participation must be > 0")
-        self.participation = float(participation)
+        # The participant draws' generator (a seed or a Generator).
         self.rng = make_rng(rng)
 
     def config(self) -> dict:
-        return {**super().config(), "participation": self.participation}
+        return {**super().config(), "participation": PARTICIPATION}
 
     def _setup(self) -> None:
         super()._setup()
@@ -57,7 +56,7 @@ class SampledFedAvg(TwoTierAlgorithm):
     def _sample_round(self) -> None:
         """Draw this round's participants (at least one)."""
         num_workers = self.fed.num_workers
-        count = max(1, int(round(self.participation * num_workers)))
+        count = max(1, int(round(PARTICIPATION * num_workers)))
         chosen = self.rng.choice(num_workers, size=count, replace=False)
         self.active = sorted(int(i) for i in chosen)
         # Participants start from the server model.

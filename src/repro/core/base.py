@@ -80,14 +80,14 @@ class FLAlgorithm:
         federation: Federation,
         *,
         eta: float = 0.01,
-        eta_schedule=None,
     ):
         self.fed = federation
         self.eta = check_positive(eta, "eta")
-        # Optional callable t -> learning rate (0-indexed iteration);
-        # applied before every _step so every algorithm supports decayed
-        # or warmed-up learning rates without per-algorithm code.
-        self.eta_schedule = eta_schedule
+        # Optional callable t -> learning rate (0-indexed iteration), set
+        # on the instance; applied before every _step so every algorithm
+        # supports decayed or warmed-up learning rates without
+        # per-algorithm code.
+        self.eta_schedule = None
         # Fault injection (off by default): an attached injector feeds
         # the per-iteration availability mask consulted by the worker
         # loops and aggregations; ``None`` mask = everyone up.
@@ -95,8 +95,8 @@ class FLAlgorithm:
         self.degradation = "renormalize"
         self._up_mask: np.ndarray | None = None
         # Virtual-population binder (off by default): when attached,
-        # the run driver rebinds the materialized cohort at every
-        # resample boundary (see repro.population.binder).
+        # the run driver rebinds the materialized cohort at every round
+        # boundary τ (see repro.population.binder).
         self.population = None
         # Index into the active monitor's alert list at run start, so
         # only this run's alerts land on its history.
@@ -129,17 +129,15 @@ class FLAlgorithm:
         """Attach a virtual-population binder to this run.
 
         The binder must own this algorithm's federation (its slot pool
-        maps into the same stacked buffers).  ``resample_every``
-        defaults to the algorithm's round length ``tau`` so cohorts
-        change exactly at aggregation boundaries, where worker rows are
-        broadcast-equal and slot adoption is well-defined.
+        maps into the same stacked buffers).  Cohorts change every
+        ``tau`` iterations, exactly at aggregation boundaries, where
+        worker rows are broadcast-equal and slot adoption is
+        well-defined.
         """
         if binder.fed is not self.fed:
             raise ValueError(
                 "population binder was built for a different federation"
             )
-        if binder.resample_every is None:
-            binder.resample_every = int(getattr(self, "tau", 1))
         self.population = binder
         return binder
 
@@ -380,8 +378,6 @@ class FLAlgorithm:
         total_iterations: int,
         *,
         eval_every: int | None = None,
-        history: TrainingHistory | None = None,
-        stop_on_divergence: bool = True,
         checkpoints=None,
         resume_from=None,
     ) -> TrainingHistory:
@@ -392,9 +388,9 @@ class FLAlgorithm:
         barriers, so on the event clock ``eval_every`` is rounded up to
         a multiple of ``tau``.
 
-        With ``stop_on_divergence`` (default), a non-finite training
-        loss ends the run early and marks ``history.diverged`` instead
-        of silently training on NaNs for the remaining iterations.
+        A non-finite training loss ends the run early and marks
+        ``history.diverged`` instead of silently training on NaNs for
+        the remaining iterations.
 
         ``checkpoints`` takes a
         :class:`~repro.checkpoint.CheckpointManager`: the driver saves a
@@ -402,9 +398,8 @@ class FLAlgorithm:
         schedule selects, and additionally whenever a health monitor
         raised a fresh alert.  ``resume_from`` takes a
         :class:`~repro.checkpoint.RestoredRun` written by the same clock;
-        the run then continues from the snapshot, bit-exact with an
-        uninterrupted run (the ``history`` argument is ignored in favor
-        of the checkpointed one).
+        the run then continues from the snapshot and its history,
+        bit-exact with an uninterrupted run.
         """
         total_iterations = check_positive_int(
             total_iterations, "total_iterations"
@@ -423,7 +418,7 @@ class FLAlgorithm:
                     f"{self.DRIVER_KIND!r} driver"
                 )
             history = resume_from.build_history()
-        if history is None:
+        else:
             history = self.fed.new_history(self.name, self.config())
         self.history = history
         history.comm.configure(
@@ -473,7 +468,7 @@ class FLAlgorithm:
                     iteration=resume_from.iteration,
                     path=str(resume_from.path),
                 )
-            diverged = self._run_clock(clock_state, stop_on_divergence)
+            diverged = self._run_clock(clock_state)
             if diverged is not None:
                 history.diverged = True
                 history.diverged_at, step_loss = diverged
@@ -490,9 +485,7 @@ class FLAlgorithm:
     # ------------------------------------------------------------------
     # Clock hooks (the lockstep clock; the event clock overrides them)
     # ------------------------------------------------------------------
-    def _run_clock(
-        self, state: dict | None, stop_on_divergence: bool
-    ) -> tuple[int, float] | None:
+    def _run_clock(self, state: dict | None) -> tuple[int, float] | None:
         """Advance the run to the end; ``(t, loss)`` if it diverged.
 
         ``state`` is the checkpointed clock state when resuming.
@@ -509,7 +502,7 @@ class FLAlgorithm:
             if faults is not None:
                 self._up_mask = faults.worker_mask(t)
             step_loss = self._step(t)
-            if stop_on_divergence and not np.isfinite(step_loss):
+            if not np.isfinite(step_loss):
                 return t, step_loss
             self._loss_sum += step_loss
             self._loss_count += 1
@@ -547,14 +540,8 @@ class FLAlgorithm:
             self._record_eval(t, train_loss, sim_time=sim_time)
             self._loss_sum, self._loss_count = 0.0, 0
         population = self.population
-        if (
-            population is not None
-            and t % population.resample_every == 0
-            and t < total
-        ):
-            population.resample(
-                self, t // population.resample_every, iteration=t
-            )
+        if population is not None and t % self.tau == 0 and t < total:
+            population.resample(self, t // self.tau, iteration=t)
 
     def _record_eval(
         self,

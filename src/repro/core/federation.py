@@ -100,10 +100,11 @@ class Federation:
     def refresh_weights(self) -> None:
         """Derive the topology and weights from the workers' sample counts.
 
-        Also called after rebinding when shard sizes differ across
-        clients: the weights then reflect the materialized cohort's sample
-        counts (renormalized within edge and globally, the same
-        re-weighting ``SampledFedAvg`` applies to its participants).
+        The population binder calls it again when a bind changes some
+        slot's sample count: the weights then reflect the materialized
+        cohort's sample counts (renormalized within edge and globally,
+        the same re-weighting ``SampledFedAvg`` applies to its
+        participants).
         """
         sizes = self.store.size.tolist()
         self.topology = Topology([sizes[block] for block in self.edge_slices])

@@ -19,10 +19,9 @@ Two providers cover the library's needs:
   eviction or a crash/resume yields bit-identical arrays.  Memory is
   O(prototypes + one shard), independent of the registered population.
 
-Both providers expose ``shard_size(client_id)`` without materializing
-the shard, which the population layer uses for aggregation weights,
-``max_shard_size``, the width of the federation's sample-store rows,
-and ``shards(client_ids)``, which yields a cohort's shards in order.
+Both providers expose ``num_clients``, ``max_shard_size``, the width of
+the federation's sample-store rows, and ``shards(client_ids)``, which
+yields a cohort's shards in order.
 """
 
 from __future__ import annotations
@@ -53,9 +52,6 @@ class ListShards:
     def shards(self, client_ids) -> Iterator[Dataset]:
         """The datasets of ``client_ids``, in order."""
         return (self.datasets[c] for c in np.asarray(client_ids).tolist())
-
-    def shard_size(self, client_id: int) -> int:
-        return len(self.datasets[client_id])
 
     @property
     def max_shard_size(self) -> int:
@@ -146,17 +142,14 @@ class PrototypeShards:
             x += self.prototypes[y]
             yield Dataset(x, y, self.num_classes, name=f"shard{client}")
 
-    def shard_size(self, client_id: int) -> int:
-        return self.samples_per_client
-
     @property
     def max_shard_size(self) -> int:
         return self.samples_per_client
 
-    def test_set(self, num_samples: int, *, seed_name: str = "test") -> Dataset:
+    def test_set(self, num_samples: int) -> Dataset:
         """A shared held-out set drawn from the same prototypes."""
         check_positive_int(num_samples, "num_samples")
-        rng = np.random.default_rng(child_seed(self.seed, seed_name))
+        rng = np.random.default_rng(child_seed(self.seed, "test"))
         y = rng.integers(self.num_classes, size=num_samples)
         x = self.prototypes[y] + self.noise * rng.normal(
             size=(num_samples, self.num_features)

@@ -172,7 +172,7 @@ def build_federation(config: ExperimentConfig) -> Federation:
 
 def _build_virtual_federation(config: ExperimentConfig) -> Federation:
     from repro.data.shards import PrototypeShards
-    from repro.population import ClientRegistry, PopulationBinder
+    from repro.population import PopulationBinder
 
     shards = PrototypeShards(
         config.population,
@@ -182,14 +182,10 @@ def _build_virtual_federation(config: ExperimentConfig) -> Federation:
         classes_per_client=config.classes_per_worker,
         seed=config.seed,
     )
-    registry = ClientRegistry.from_shards(
-        shards, config.num_edges, uniform=True
-    )
-    cohort = config.cohort_per_edge or config.workers_per_edge
     binder = PopulationBinder(
-        registry,
         shards,
-        cohort_per_edge=cohort,
+        num_edges=config.num_edges,
+        cohort_per_edge=config.cohort_per_edge or config.workers_per_edge,
         seed=config.seed,
     )
     test = shards.test_set(max(64, config.samples_per_client * 4))
@@ -258,8 +254,13 @@ def _construct_algorithm(
         return cls(federation, eta=eta, tau=config.two_tier_tau)
     if name == "QuantizedHierFAVG":
         return cls(federation, eta=eta, tau=config.tau, pi=config.pi)
-    if name in ("FedProx", "SampledFedAvg"):
+    if name == "FedProx":
         return cls(federation, eta=eta, tau=config.two_tier_tau)
+    if name == "SampledFedAvg":
+        return cls(
+            federation, eta=eta, tau=config.two_tier_tau,
+            rng=RngStreams(config.seed).get("participation"),
+        )
 
     if name == "HierAdMo":
         return cls(

@@ -41,7 +41,6 @@ class Conv2d(Module):
         padding: int = 0,
         bias: bool = True,
         rng: np.random.Generator | int | None = None,
-        weight_init=init_mod.kaiming_normal,
     ):
         super().__init__()
         self.in_channels = check_positive_int(in_channels, "in_channels")
@@ -54,7 +53,7 @@ class Conv2d(Module):
 
         rng = make_rng(rng)
         shape = (out_channels, in_channels, kernel_size, kernel_size)
-        self.weight = Parameter(weight_init(shape, rng), "weight")
+        self.weight = Parameter(init_mod.kaiming_normal(shape, rng), "weight")
         self.use_bias = bias
         if bias:
             self.bias = Parameter(init_mod.zeros((out_channels,)), "bias")

@@ -29,20 +29,17 @@ class Dense(Module):
         in_features: int,
         out_features: int,
         *,
-        bias: bool = True,
         rng: np.random.Generator | int | None = None,
-        weight_init=init_mod.kaiming_uniform,
     ):
         super().__init__()
         self.in_features = check_positive_int(in_features, "in_features")
         self.out_features = check_positive_int(out_features, "out_features")
         rng = make_rng(rng)
         self.weight = Parameter(
-            weight_init((out_features, in_features), rng), "weight"
+            init_mod.kaiming_uniform((out_features, in_features), rng),
+            "weight",
         )
-        self.use_bias = bias
-        if bias:
-            self.bias = Parameter(init_mod.zeros((out_features,)), "bias")
+        self.bias = Parameter(init_mod.zeros((out_features,)), "bias")
         self._reset()
 
     def _reset(self) -> None:
@@ -61,7 +58,7 @@ class Dense(Module):
         self._w = params[:, :size].reshape(
             params.shape[0], self.out_features, self.in_features
         )
-        self._b = params[:, size:] if self.use_bias else None
+        self._b = params[:, size:]
         self._grads = grads
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -72,8 +69,7 @@ class Dense(Module):
             )
         self._x = x
         out = np.matmul(x, self._w.transpose(0, 2, 1))
-        if self._b is not None:
-            out += self._b[:, None, :]
+        out += self._b[:, None, :]
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
@@ -83,8 +79,7 @@ class Dense(Module):
         rows, size = grad_output.shape[0], self.weight.size
         grad_w = np.matmul(grad_output.transpose(0, 2, 1), x)
         self._grads[:, :size] = grad_w.reshape(rows, size)
-        if self.use_bias:
-            self._grads[:, size:] = grad_output.sum(axis=1)
+        self._grads[:, size:] = grad_output.sum(axis=1)
         self._x = None
         if not self.needs_input_grad:
             return None

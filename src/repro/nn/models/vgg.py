@@ -42,8 +42,6 @@ def make_vgg(
     num_classes: int,
     *,
     width_multiplier: float = 1.0,
-    batch_norm: bool = True,
-    classifier_hidden: int | None = None,
     rng: np.random.Generator | int | None = None,
 ) -> SupervisedModel:
     """Build a VGG network for square inputs of ``image_size``.
@@ -71,16 +69,13 @@ def make_vgg(
             continue
         out_channels = max(1, int(round(item * width_multiplier)))
         layers.append(Conv2d(channels, out_channels, 3, padding=1, rng=rng))
-        if batch_norm:
-            layers.append(BatchNorm2d(out_channels))
+        layers.append(BatchNorm2d(out_channels))
         layers.append(ReLU())
         channels = out_channels
 
     layers.append(Flatten())
     flat = channels * size * size
-    hidden = classifier_hidden
-    if hidden is None:
-        hidden = max(num_classes, int(round(512 * width_multiplier)))
+    hidden = max(num_classes, int(round(512 * width_multiplier)))
     layers.append(Dense(flat, hidden, rng=rng))
     layers.append(ReLU())
     layers.append(Dense(hidden, num_classes, rng=rng))

@@ -180,8 +180,8 @@ class SupervisedModel:
         loss, and batch norm's running statistics never see it.  A row
         whose batch loss is non-finite gets an all-NaN gradient.  The
         pass runs under ``np.errstate``, so overflow in a diverging run
-        cannot leak ``RuntimeWarning``s (the run loop's
-        ``stop_on_divergence`` sees the NaN loss instead).
+        cannot leak ``RuntimeWarning``s (the run loop's divergence stop
+        sees the NaN loss instead).
         """
         if np.isfinite(params).all():
             return self._pass(params, xs, ys, grads)

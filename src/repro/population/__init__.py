@@ -1,15 +1,13 @@
-"""Virtual-client populations: registry, cohort sampling, materialization.
+"""Virtual-client populations: cohort sampling and materialization.
 
 The population layer decouples the *registered* fleet (possibly
-millions of clients, metadata only) from the *materialized* cohort
-(the federation's stacked ``(W, dim)`` buffers).  See
-:mod:`repro.population.binder` for the slot-pool lifecycle and the
-carry-forward contract, and ``docs/architecture.md`` §15 for the full
-design.
+millions of clients, described by a shard provider) from the
+*materialized* cohort (the federation's stacked ``(W, dim)`` buffers).
+See :mod:`repro.population.binder` for the cohort draw, the slot-pool
+lifecycle and the carry-forward contract, and ``docs/architecture.md``
+§15 for the full design.
 """
 
 from repro.population.binder import PopulationBinder
-from repro.population.registry import ClientRegistry
-from repro.population.sampling import CohortSampler
 
-__all__ = ["ClientRegistry", "CohortSampler", "PopulationBinder"]
+__all__ = ["PopulationBinder"]

@@ -1,12 +1,27 @@
 """Lazy cohort materialization into the stacked worker buffers.
 
-The :class:`PopulationBinder` is the bridge between a virtual
-:class:`~repro.population.registry.ClientRegistry` (metadata only) and
-the live :class:`~repro.core.federation.Federation` an algorithm
-actually trains: the federation's ``(W, dim)`` stacked state holds one
-*slot* per cohort member, and the binder maps slots to client ids,
-rebinding them as the :class:`~repro.population.sampling.CohortSampler`
-draws new cohorts.
+The :class:`PopulationBinder` is the bridge between a registered
+population (possibly millions of clients, described by a shard provider
+and an edge count) and the live
+:class:`~repro.core.federation.Federation` an algorithm actually trains:
+the federation's ``(W, dim)`` stacked state holds one *slot* per cohort
+member, and the binder maps slots to client ids, rebinding them at every
+round boundary ``τ`` of the attached algorithm.
+
+A registered client costs nothing until it is drawn: edge ``ℓ`` owns the
+contiguous client-id block ``[ℓ·n, (ℓ+1)·n)``, ``n`` the clients per
+edge, and per-client randomness is derived, not stored.  Period ``p``'s
+cohort draws ``cohort_per_edge`` clients of each edge from a fresh
+generator on ``child_seed(seed, "cohort", p, edge)``, so a draw is a pure
+function of ``(seed, p, edge)``: crash/resume replays the same cohorts
+with nothing to checkpoint.  Two properties of the draw matter:
+
+* **identity shortcut** — a cohort covering the whole edge is the edge's
+  client ids in order, drawn without consuming randomness, so a
+  full-participation virtual run is structurally identical to a classic
+  federation (same worker order, same derived sampler streams);
+* **bounded cost** — a partial draw uses Floyd's algorithm, O(k) time
+  and memory in the cohort size ``k``, never O(population).
 
 Slot-pool lifecycle (per edge block, each rebind period):
 
@@ -32,6 +47,11 @@ Slot-pool lifecycle (per edge block, each rebind period):
   generalized across cohort membership).  A *fresh* client adopts the
   slot's current rows, which at fault-free round boundaries equal the
   post-round broadcast.
+
+A client ever materialized is either bound now or carried, so the
+``population_round`` event's ``materialized`` count is the cohort size
+plus ``len(carry)``.  Aggregation weights follow the bound shards' sample
+counts: a bind that changes them re-derives the federation's weights.
 
 Per-client mini-batch streams are keyed by **client id**, not slot:
 client ``c`` always samples from ``child_seed(seed, "sampler", c)``,
@@ -59,35 +79,46 @@ from repro.checkpoint.state import pack_rngs, set_rng_state
 from repro.core.federation import Federation
 from repro.data.loader import SampleStore
 from repro.population.carry import CarryStore
-from repro.population.registry import ClientRegistry
-from repro.population.sampling import CohortSampler
 from repro.telemetry import get_tracer
-from repro.utils.rng import child_seeds, default_rng_states
+from repro.utils.rng import child_seed, child_seeds, default_rng_states
+from repro.utils.validation import check_positive_int
 
 __all__ = ["PopulationBinder"]
 
 
+def _floyd_sample(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """k distinct values from range(n) in O(k) (Floyd's algorithm)."""
+    chosen: set[int] = set()
+    for j in range(n - k, n):
+        t = int(rng.integers(0, j + 1))
+        chosen.add(t if t not in chosen else j)
+    return np.fromiter(chosen, dtype=np.int64, count=k)
+
+
 class PopulationBinder:
-    """Slot pool binding a sampled cohort into a federation's buffers."""
+    """Slot pool binding a sampled cohort into a federation's buffers.
+
+    The ``shards`` provider's ``num_clients`` registered clients split
+    evenly over ``num_edges`` edges, and each period binds
+    ``cohort_per_edge`` clients of every edge (at most all of them).
+    """
 
     def __init__(
-        self,
-        registry: ClientRegistry,
-        shards,
-        *,
-        cohort_per_edge: int,
-        seed: int = 0,
-        resample_every: int | None = None,
+        self, shards, *, num_edges: int, cohort_per_edge: int, seed: int
     ):
-        self.registry = registry
-        self.shards = shards
-        self.sampler = CohortSampler(
-            registry, cohort_per_edge, seed=seed
+        self.num_edges = check_positive_int(num_edges, "num_edges")
+        if shards.num_clients % num_edges:
+            raise ValueError(
+                f"{shards.num_clients} clients do not split evenly over "
+                f"{num_edges} edges"
+            )
+        self.clients_per_edge = shards.num_clients // num_edges
+        self.cohort_per_edge = min(
+            check_positive_int(cohort_per_edge, "cohort_per_edge"),
+            self.clients_per_edge,
         )
+        self.shards = shards
         self.seed = int(seed)
-        # Rebind cadence in iterations; ``None`` until attached (the
-        # algorithm's round length τ is the natural default).
-        self.resample_every = resample_every
         self.fed: Federation | None = None
         # slot -> client id for the currently materialized cohort.
         self.slot_client: np.ndarray | None = None
@@ -95,9 +126,25 @@ class PopulationBinder:
         # batch; ``carry[client_id]`` reads back {"rows": [one row per
         # ``_carried`` array], "rng": generator state}.
         self.carry = CarryStore()
-        # Distinct clients ever materialized (reported by the
-        # ``population_round`` event only).
-        self._seen: set[int] = set()
+
+    @property
+    def cohort_size(self) -> int:
+        return self.cohort_per_edge * self.num_edges
+
+    def draw(self, period: int) -> np.ndarray:
+        """Sorted client ids of period ``p``'s cohort (edge-major)."""
+        n, k = self.clients_per_edge, self.cohort_per_edge
+        if k == n:
+            return np.arange(n * self.num_edges)
+        blocks = []
+        for edge in range(self.num_edges):
+            rng = np.random.default_rng(
+                child_seed(self.seed, "cohort", period, edge)
+            )
+            picks = _floyd_sample(rng, n, k)
+            picks.sort()
+            blocks.append(picks + edge * n)
+        return np.concatenate(blocks)
 
     # ------------------------------------------------------------------
     # Federation construction
@@ -117,8 +164,8 @@ class PopulationBinder:
         participation slot ``i`` binds client ``i``, so the federation
         matches the classic construction bit for bit.
         """
-        cohort = self.sampler.draw(0)
-        k = self.sampler.cohort_per_edge
+        cohort = self.draw(0)
+        k = self.cohort_per_edge
         datasets = list(self.shards.shards(cohort))
         streams = child_seeds(self.seed, "sampler", ids=cohort)
         store = SampleStore(
@@ -131,7 +178,7 @@ class PopulationBinder:
             model,
             [
                 datasets[e * k:(e + 1) * k]
-                for e in range(self.registry.num_edges)
+                for e in range(self.num_edges)
             ],
             test_set,
             batch_size=batch_size,
@@ -139,7 +186,6 @@ class PopulationBinder:
         )
         self.fed = fed
         self.slot_client = cohort.copy()
-        self._seen.update(cohort.tolist())
         return fed
 
     # ------------------------------------------------------------------
@@ -173,9 +219,12 @@ class PopulationBinder:
         is re-pointed at the arriving client's stream instead of a new
         one being seeded.  Fresh clients' streams are seeded in one
         batch, every arrival's shard enters the store in one call, and
-        returning clients then get their carried rows back.
+        returning clients then get their carried rows back.  A bind that
+        changes the slots' sample counts re-derives the federation's
+        aggregation weights.
         """
         store = self.fed.store
+        sizes = store.size[slots]
         records = [self.carry.pop(client) for client in clients.tolist()]
         fresh = np.array([record is None for record in records], dtype=bool)
         streams = child_seeds(self.seed, "sampler", ids=clients[fresh])
@@ -189,8 +238,7 @@ class PopulationBinder:
                 for array, row in zip(carried, record["rows"]):
                     array[slot] = row
                 set_rng_state(store.rngs[slot], record["rng"])
-        self._seen.update(clients.tolist())
-        if self.registry.weights is not None:
+        if not np.array_equal(store.size[slots], sizes):
             self.fed.refresh_weights()
 
     # ------------------------------------------------------------------
@@ -204,24 +252,23 @@ class PopulationBinder:
                 "build_federation() before running"
             )
         self.carry.clear()
-        self._rebind(algorithm, self.sampler.draw(0), save_carry=False)
+        self._rebind(algorithm, self.draw(0), save_carry=False)
 
     def resample(
         self, algorithm, period: int, *, iteration: int = 0
     ) -> np.ndarray:
         """Draw period ``p``'s cohort and rebind the slot pool."""
-        cohort = self._rebind(
-            algorithm, self.sampler.draw(period), save_carry=True
-        )
+        cohort = self._rebind(algorithm, self.draw(period), save_carry=True)
         tracer = get_tracer()
         if tracer.monitored:
+            carried = len(self.carry)
             tracer.emit(
                 "population_round",
                 iteration=int(iteration),
-                registered=self.registry.num_clients,
+                registered=self.shards.num_clients,
                 cohort=int(cohort.size),
-                materialized=len(self._seen),
-                carried=len(self.carry),
+                materialized=int(cohort.size) + carried,
+                carried=carried,
             )
         return cohort
 
@@ -257,9 +304,6 @@ class PopulationBinder:
             "slot_client": [int(c) for c in self.slot_client],
             "carry": carry_values,
         }
-        arrays["pop:seen"] = np.fromiter(
-            sorted(self._seen), dtype=np.int64, count=len(self._seen)
-        )
         return values, arrays
 
     def restore(
@@ -274,7 +318,8 @@ class PopulationBinder:
         the freshly derived per-client streams with the exact
         checkpointed permutations and cursors).  The carry store slices
         its pools and tables out of ``arrays`` as views rather than
-        copying them.
+        copying them.  A ``pop:seen`` member (older checkpoints list the
+        clients ever materialized) is not read: that count is derived.
         """
         self.carry.clear()
         target = np.asarray(values["slot_client"], dtype=np.int64)
@@ -290,6 +335,4 @@ class PopulationBinder:
                 algorithm, slots, clients, self.shards.shards(clients)
             )
             self.slot_client[slots] = clients
-        self._seen = set(arrays["pop:seen"].tolist())
-        self._seen.update(target.tolist())
         self.carry.restore(values["carry"], arrays, "pop:carry:")

@@ -46,24 +46,10 @@ class DeviceProfile:
         # E[lognormal(mu, sigma)] = exp(mu + sigma^2/2)  =>  solve for mu.
         return float(np.log(self.mean_seconds) - self.sigma**2 / 2.0)
 
-    def sample_iterations(
-        self, count: int, rng: np.random.Generator | int | None = None
-    ) -> np.ndarray:
-        """Per-iteration compute delays for ``count`` local iterations."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        rng = make_rng(rng)
-        if self.sigma == 0:
-            return np.full(count, self.mean_seconds)
-        return rng.lognormal(self._mu(), self.sigma, size=count)
-
     def sample_iteration(self, rng: np.random.Generator) -> float:
-        """One iteration's compute delay, drawn as a scalar.
-
-        The same value as ``sample_iterations(1, rng)[0]``, leaving
-        ``rng`` in the same state, without the array round trip (the
-        event engine draws one per worker step).
-        """
+        """One local iteration's compute delay, drawn as a scalar (the
+        event engine draws one per worker step); ``sigma`` 0 draws
+        nothing."""
         if self.sigma == 0:
             return self.mean_seconds
         return rng.lognormal(self._mu(), self.sigma)

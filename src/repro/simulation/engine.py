@@ -73,8 +73,8 @@ wave, as a killed process loses its uncheckpointed work.
 
 The runner reads a wave's losses in event order: the first non-finite
 one sets ``diverged_at``, ``diverged_loss`` and ``last_event_time``
-(that step's event time), and with ``stop_on_divergence`` nothing runs
-after it.  Rows queued behind it may already have been computed; they
+(that step's event time) and ends the run, so nothing runs after it;
+the engine has no switch to train on.  Rows queued behind it may already have been computed; they
 are never billed, aggregated or evaluated.  The fault queries made
 after the diverging step was queued are undone too: before each query
 made while a wave is queued, the runner marks the injector's tallies
@@ -268,7 +268,7 @@ class EventLoopRunner:
     its cloud round too), ``stale_log`` the realized
     ``(group, round, worker, staleness)`` folds, and
     ``diverged_at``/``diverged_loss`` the abort point when a non-finite
-    loss stopped the run.
+    loss stopped the run (a non-finite loss always does).
     """
 
     def __init__(
@@ -282,7 +282,6 @@ class EventLoopRunner:
         faults=None,
         rng=None,
         flat: bool = False,
-        stop_on_divergence: bool = True,
     ):
         self.client = client
         self.dep = deployment
@@ -300,7 +299,6 @@ class EventLoopRunner:
         self.faults = faults if faults is not None and faults.active else None
         self.rng = make_rng(rng)
         self.flat = bool(flat)
-        self.stop_on_divergence = bool(stop_on_divergence)
 
         self.groups = [
             np.asarray(group, dtype=int) for group in client.group_members
@@ -517,9 +515,9 @@ class EventLoopRunner:
     def _flush(self) -> None:
         """Run the queued wave as one ``local_steps`` call.
 
-        Raises :class:`_Diverged` at the first non-finite loss when the
-        run stops on divergence, so nothing runs after that step, and
-        rewinds the fault queries made after that row was queued.
+        Raises :class:`_Diverged` at the first non-finite loss, so
+        nothing runs after that step, and rewinds the fault queries made
+        after that row was queued.
         """
         wave = self._wave
         if not wave:
@@ -532,13 +530,12 @@ class EventLoopRunner:
             if not math.isfinite(loss):
                 self.diverged_at = t
                 self.diverged_loss = float(loss)
-                if self.stop_on_divergence:
-                    self.last_event_time = time
-                    for queued, mark in marks:
-                        if queued > row:
-                            self.faults.rewind(mark)
-                            break
-                    raise _Diverged
+                self.last_event_time = time
+                for queued, mark in marks:
+                    if queued > row:
+                        self.faults.rewind(mark)
+                        break
+                raise _Diverged
 
     # ------------------------------------------------------------------
     # Uploads and the per-group message buffer

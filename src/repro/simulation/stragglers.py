@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.simulation.devices import DeviceProfile
-from repro.utils.rng import make_rng
 from repro.utils.validation import check_positive, check_probability
 
 __all__ = ["StragglerDevice", "add_stragglers"]
@@ -55,17 +54,9 @@ class StragglerDevice:
             1.0 + self.probability * (self.factor - 1.0)
         )
 
-    def sample_iterations(
-        self, count: int, rng: np.random.Generator | int | None = None
-    ) -> np.ndarray:
-        rng = make_rng(rng)
-        delays = self.base.sample_iterations(count, rng)
-        stalls = rng.random(count) < self.probability
-        delays[stalls] *= self.factor
-        return delays
-
     def sample_iteration(self, rng: np.random.Generator) -> float:
-        """``sample_iterations(1, rng)[0]`` as scalar draws."""
+        """The base device's delay, then one uniform draw that stalls it
+        by ``factor`` with probability ``probability``."""
         delay = self.base.sample_iteration(rng)
         if rng.random() < self.probability:
             delay *= self.factor

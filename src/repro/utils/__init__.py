@@ -10,7 +10,6 @@ from repro.utils.rng import (
 )
 from repro.utils.validation import (
     check_fraction,
-    check_in_range,
     check_positive,
     check_positive_int,
     check_probability,
@@ -25,7 +24,6 @@ __all__ = [
     "replace_into",
     "atomic_write_text",
     "check_fraction",
-    "check_in_range",
     "check_positive",
     "check_positive_int",
     "check_probability",

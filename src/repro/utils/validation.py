@@ -13,7 +13,6 @@ __all__ = [
     "check_positive_int",
     "check_probability",
     "check_fraction",
-    "check_in_range",
     "check_quorum",
 ]
 
@@ -60,20 +59,5 @@ def check_quorum(value: float, name: str = "quorum") -> float:
         raise ValueError(
             f"{name} must be in (0, 1] — at least one upload must be "
             f"awaited — got {value!r}"
-        )
-    return float(value)
-
-
-def check_in_range(
-    value: float, name: str, low: float, high: float, *, inclusive: bool = True
-) -> float:
-    """Validate ``low <= value <= high`` (or strict) and return it."""
-    if not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    ok = low <= value <= high if inclusive else low < value < high
-    if not ok:
-        bracket = "[]" if inclusive else "()"
-        raise ValueError(
-            f"{name} must be in {bracket[0]}{low}, {high}{bracket[1]}, got {value!r}"
         )
     return float(value)

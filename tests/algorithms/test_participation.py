@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.algorithms import FedAvg
+from repro.algorithms import FedAvg, participation
 from repro.algorithms.participation import SampledFedAvg
 
 from tests.conftest import build_tiny_federation
@@ -11,25 +11,20 @@ from tests.conftest import build_tiny_federation
 
 class TestSampling:
     def test_participant_count(self, tiny_federation):
-        algo = SampledFedAvg(
-            tiny_federation, eta=0.05, tau=4, participation=0.5, rng=0
-        )
+        algo = SampledFedAvg(tiny_federation, eta=0.05, tau=4, rng=0)
         algo.history = tiny_federation.new_history("x", {})
         algo._setup()
         assert len(algo.active) == 2  # half of 4
 
-    def test_at_least_one_participant(self, tiny_federation):
-        algo = SampledFedAvg(
-            tiny_federation, eta=0.05, tau=4, participation=0.01, rng=0
-        )
+    def test_at_least_one_participant(self, tiny_federation, monkeypatch):
+        monkeypatch.setattr(participation, "PARTICIPATION", 0.01)
+        algo = SampledFedAvg(tiny_federation, eta=0.05, tau=4, rng=0)
         algo.history = tiny_federation.new_history("x", {})
         algo._setup()
         assert len(algo.active) == 1
 
     def test_participants_resampled_each_round(self, tiny_federation):
-        algo = SampledFedAvg(
-            tiny_federation, eta=0.05, tau=2, participation=0.5, rng=1
-        )
+        algo = SampledFedAvg(tiny_federation, eta=0.05, tau=2, rng=1)
         algo.history = tiny_federation.new_history("x", {})
         algo._setup()
         seen = set()
@@ -39,10 +34,11 @@ class TestSampling:
         assert len(seen) > 1  # the subset changes over rounds
 
     def test_full_participation_equals_fedavg_server_model(
-        self, federation_factory
+        self, federation_factory, monkeypatch
     ):
+        monkeypatch.setattr(participation, "PARTICIPATION", 1.0)
         sampled = SampledFedAvg(
-            federation_factory(), eta=0.05, tau=4, participation=1.0, rng=0
+            federation_factory(), eta=0.05, tau=4, rng=0
         ).run(12, eval_every=4)
         plain = FedAvg(federation_factory(), eta=0.05, tau=4).run(
             12, eval_every=4
@@ -55,16 +51,16 @@ class TestSampling:
 
     def test_learns(self, tiny_federation):
         history = SampledFedAvg(
-            tiny_federation, eta=0.05, tau=5, participation=0.5, rng=2
+            tiny_federation, eta=0.05, tau=5, rng=2
         ).run(100, eval_every=25)
         assert history.final_accuracy > 0.4
 
-    def test_validation(self, tiny_federation):
-        with pytest.raises(ValueError):
-            SampledFedAvg(tiny_federation, participation=0.0)
-        with pytest.raises(ValueError):
-            SampledFedAvg(tiny_federation, participation=1.5)
+    def test_participant_stream_is_required(self, tiny_federation):
+        # No default: a run never seeds its draws from OS entropy.
+        with pytest.raises(TypeError, match="rng"):
+            SampledFedAvg(tiny_federation)
 
-    def test_config_records_participation(self, tiny_federation):
-        algo = SampledFedAvg(tiny_federation, participation=0.25, rng=0)
+    def test_config_records_participation(self, tiny_federation, monkeypatch):
+        monkeypatch.setattr(participation, "PARTICIPATION", 0.25)
+        algo = SampledFedAvg(tiny_federation, rng=0)
         assert algo.config()["participation"] == 0.25

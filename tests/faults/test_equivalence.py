@@ -67,7 +67,7 @@ def test_sampled_fedavg_matches_faulted_fedavg(mnist_split):
         WINDOWS,
         eta=0.05,
         tau=TAU,
-        participation=0.5,
+        rng=0,
     )
     sampled_history = sampled.run(TOTAL, eval_every=TOTAL)
 
@@ -109,7 +109,7 @@ def test_equivalence_breaks_without_matching_sets(mnist_split):
         WINDOWS,
         eta=0.05,
         tau=TAU,
-        participation=0.5,
+        rng=0,
     )
     sampled.run(TOTAL, eval_every=TOTAL)
 

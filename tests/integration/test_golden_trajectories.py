@@ -85,10 +85,7 @@ ALGORITHMS = {
         {"eta": 0.05, "tau": 6, "gamma": 0.5, "beta": 0.5, "alpha": 1.0},
     ),
     "FedProx": (FedProx, {"eta": 0.05, "tau": 6, "mu": 0.1}),
-    "SampledFedAvg": (
-        SampledFedAvg,
-        {"eta": 0.05, "tau": 6, "participation": 0.5, "rng": 7},
-    ),
+    "SampledFedAvg": (SampledFedAvg, {"eta": 0.05, "tau": 6, "rng": 7}),
 }
 
 

@@ -1,8 +1,11 @@
 """Bit-for-bit reproducibility of full experiment runs."""
 
 import numpy as np
+import pytest
 
+from repro.algorithms import ALGORITHM_REGISTRY, ASYNC_ALGORITHM_REGISTRY
 from repro.experiments import ExperimentConfig, run_single
+from repro.experiments.builders import algorithm_class
 
 CONFIG = ExperimentConfig(
     model="logistic",
@@ -32,3 +35,34 @@ class TestReproducibility:
             a = run_single(name, CONFIG)
             b = run_single(name, CONFIG)
             assert a.test_loss == b.test_loss, name
+
+
+# Every name the builders construct: both registries and the extensions.
+BUILDABLE = sorted(
+    {*ALGORITHM_REGISTRY, *ASYNC_ALGORITHM_REGISTRY}
+    | {"QuantizedHierFAVG", "FedProx", "SampledFedAvg"}
+)
+TINY = ExperimentConfig(
+    model="logistic",
+    num_samples=200,
+    total_iterations=12,
+    tau=2,
+    pi=2,
+    eval_every=4,
+    seed=1,
+)
+
+
+@pytest.mark.parametrize("name", BUILDABLE)
+def test_every_buildable_algorithm_is_reproducible(name):
+    """Two runs of one config agree exactly: no run path draws from OS
+    entropy."""
+    assert algorithm_class(name).__name__
+    a = run_single(name, TINY)
+    b = run_single(name, TINY)
+    assert a.iterations == b.iterations
+    for series in ("test_accuracy", "test_loss", "train_loss"):
+        np.testing.assert_array_equal(
+            getattr(a, series), getattr(b, series), err_msg=series
+        )
+    assert a.comm.to_dict() == b.comm.to_dict()

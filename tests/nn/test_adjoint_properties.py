@@ -1,7 +1,7 @@
 """Adjoint-identity property tests for linear layers.
 
-For a bias-free linear operator L (Dense or Conv2d), the backward pass
-must be its exact adjoint: ⟨L(x), y⟩ = ⟨x, Lᵀ(y)⟩ for all x, y.  This is
+For a linear operator L (a bias-free Conv2d, or a Dense, whose bias
+starts at zero), the backward pass must be its exact adjoint: ⟨L(x), y⟩ = ⟨x, Lᵀ(y)⟩ for all x, y.  This is
 a stronger and much faster check than finite differences, and hypothesis
 drives it across shapes.  Each case runs one row of the worker axis.
 """
@@ -25,7 +25,7 @@ class TestDenseAdjoint:
     @settings(max_examples=40, deadline=None)
     def test_adjoint_identity(self, n, d_in, d_out, seed):
         rng = np.random.default_rng(seed)
-        layer = Dense(d_in, d_out, bias=False, rng=seed)
+        layer = Dense(d_in, d_out, rng=seed)
         bind_rows(layer)
         x = rng.normal(size=(1, n, d_in))
         y = rng.normal(size=(1, n, d_out))
@@ -39,13 +39,14 @@ class TestDenseAdjoint:
     @settings(max_examples=20, deadline=None)
     def test_weight_gradient_is_outer_product_sum(self, seed):
         rng = np.random.default_rng(seed)
-        layer = Dense(4, 3, bias=False, rng=seed)
+        layer = Dense(4, 3, rng=seed)
         grads = bind_rows(layer)
         x = rng.normal(size=(5, 4))
         y = rng.normal(size=(5, 3))
         layer.forward(x[None])
         layer.backward(y[None])
-        assert np.allclose(grads[0].reshape(3, 4), y.T @ x)
+        assert np.allclose(grads[0, :12].reshape(3, 4), y.T @ x)
+        assert np.allclose(grads[0, 12:], y.sum(axis=0))
 
 
 class TestConvAdjoint:

@@ -107,8 +107,7 @@ class _Row:
             return h
         if kind == "Dense":
             weight = self.param((layer.out_features, layer.in_features))
-            bias = self.param((layer.out_features,)) if layer.use_bias else None
-            return T.dense(h, weight, bias)
+            return T.dense(h, weight, self.param((layer.out_features,)))
         if kind == "Conv2d":
             return self.conv(layer, h)
         if kind == "BatchNorm2d":

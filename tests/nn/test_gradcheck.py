@@ -79,12 +79,6 @@ class TestDenseGrad:
         model = SupervisedModel(Dense(5, 3, rng=1), MSELoss())
         check_model_gradient(model, RNG.normal(size=(6, 5)), labels(6))
 
-    def test_dense_no_bias(self):
-        model = SupervisedModel(
-            Dense(4, 2, bias=False, rng=1), SoftmaxCrossEntropyLoss()
-        )
-        check_model_gradient(model, RNG.normal(size=(5, 4)), labels(5, 2))
-
 
 class TestConvGrad:
     def test_conv_basic(self):

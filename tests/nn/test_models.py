@@ -88,17 +88,15 @@ class TestVgg:
         convs = [m for m in model.module.modules() if isinstance(m, Conv2d)]
         assert len(convs) == 13  # VGG16 = 13 conv + 3 dense (we use 2 dense)
 
-    def test_no_batchnorm_option(self):
+    def test_batchnorm_follows_each_conv(self):
+        from repro.nn.conv import Conv2d
         from repro.nn.norm import BatchNorm2d
 
-        model = make_vgg(
-            "vgg11", 3, 8, 10, width_multiplier=1 / 16,
-            batch_norm=False, rng=0,
-        )
-        norms = [
-            m for m in model.module.modules() if isinstance(m, BatchNorm2d)
-        ]
-        assert not norms
+        model = make_vgg("vgg11", 3, 8, 10, width_multiplier=1 / 16, rng=0)
+        layers = model.module.layers
+        convs = [i for i, m in enumerate(layers) if isinstance(m, Conv2d)]
+        assert convs
+        assert all(isinstance(layers[i + 1], BatchNorm2d) for i in convs)
 
 
 class TestResnet:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Dense, ReLU, Sequential, SupervisedModel
+from repro.nn import Conv2d, Dense, ReLU, Sequential, SupervisedModel
 from repro.nn.models import (
     make_cnn,
     make_linear_regression,
@@ -62,8 +62,8 @@ class TestRegistration:
         assert len(net.modules()) >= 4  # container + layers
 
     def test_no_bias_variant(self):
-        layer = Dense(3, 2, bias=False, rng=0)
-        assert len(layer.parameters()) == 1
+        layer = Conv2d(2, 3, 3, bias=False, rng=0)
+        assert [p.name for p in layer.parameters()] == ["weight"]
 
 
 class TestTrainEval:

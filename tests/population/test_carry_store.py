@@ -25,7 +25,7 @@ from repro.checkpoint.state import pack_rngs, unpack_rng
 from repro.core import HierAdMo
 from repro.data.shards import PrototypeShards
 from repro.nn.models import make_logistic_regression
-from repro.population import ClientRegistry, PopulationBinder
+from repro.population import PopulationBinder
 from repro.population import carry
 from repro.population.carry import CarryStore
 from tests.population.test_virtual_equivalence import (
@@ -315,10 +315,7 @@ def _binder_with_carry(carried: int, batches: int = 1):
     shards = PrototypeShards(
         12, num_features=24, num_classes=6, samples_per_client=20, seed=9
     )
-    binder = PopulationBinder(
-        ClientRegistry.from_shards(shards, 2), shards,
-        cohort_per_edge=3, seed=9,
-    )
+    binder = PopulationBinder(shards, num_edges=2, cohort_per_edge=3, seed=9)
     binder.build_federation(
         make_logistic_regression(24, 6, rng=4), shards.test_set(80),
         batch_size=8,

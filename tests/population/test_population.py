@@ -1,4 +1,4 @@
-"""Virtual-population unit battery: registry, sampler, shards, binder.
+"""Virtual-population unit battery: cohort draws, shards, binder.
 
 The carry-forward property at the heart of the tentpole — a client
 sampled at round ``r`` and again at round ``r + k`` resumes with
@@ -20,7 +20,7 @@ from repro.data.loader import SampleStore
 from repro.data.shards import ListShards, PrototypeShards
 from repro.monitoring import RingBufferSink, monitoring
 from repro.nn.models import make_logistic_regression
-from repro.population import ClientRegistry, CohortSampler, PopulationBinder
+from repro.population import PopulationBinder
 from repro.utils.memory import current_rss_bytes, peak_rss_bytes
 from repro.utils.rng import child_seed, child_seeds, default_rng_states
 from tests.integration.test_golden_trajectories import one_row_at_a_time
@@ -29,70 +29,68 @@ pytestmark = pytest.mark.population
 
 
 # ----------------------------------------------------------------------
-# Registry
+# Edge blocks and cohort draws
 # ----------------------------------------------------------------------
-class TestClientRegistry:
-    def test_contiguous_edge_blocks(self):
-        registry = ClientRegistry(3, 5)
-        assert registry.num_clients == 15
-        assert registry.clients_of_edge(0) == range(0, 5)
-        assert registry.clients_of_edge(1) == range(5, 10)
-        assert registry.clients_of_edge(2) == range(10, 15)
+def _unbuilt_binder(clients_per_edge=100, cohort=8, edges=3, seed=4):
+    """A binder over ``edges * clients_per_edge`` registered clients,
+    with no federation built (the draw needs none)."""
+    shards = PrototypeShards(edges * clients_per_edge, samples_per_client=1)
+    return PopulationBinder(
+        shards, num_edges=edges, cohort_per_edge=cohort, seed=seed
+    )
 
-    def test_edge_out_of_range(self):
-        with pytest.raises(IndexError):
-            ClientRegistry(2, 4).clients_of_edge(2)
 
-    def test_uniform_registry_stores_no_arrays(self):
-        registry = ClientRegistry(2, 500_000)
-        assert registry.num_clients == 1_000_000
-        assert registry.weights is None
+class TestEdgeBlocks:
+    def test_clients_split_evenly_over_edges(self):
+        binder = _unbuilt_binder(clients_per_edge=5, cohort=5, edges=3)
+        assert binder.clients_per_edge == 5
+        # Full participation binds every edge's contiguous block.
+        np.testing.assert_array_equal(binder.draw(0), np.arange(15))
 
-    def test_weights_validated(self):
-        with pytest.raises(ValueError, match="shape"):
-            ClientRegistry(2, 3, weights=np.ones(5))
-        with pytest.raises(ValueError, match="positive"):
-            ClientRegistry(2, 3, weights=np.zeros(6))
-
-    def test_from_shards_equal_sizes_stay_uniform(self):
-        shards = PrototypeShards(8, samples_per_client=16, seed=0)
-        registry = ClientRegistry.from_shards(shards, 2)
-        assert registry.weights is None
-
-    def test_from_shards_uneven_sizes_become_weights(self):
-        rng = np.random.default_rng(0)
-        datasets = [
-            Dataset(rng.normal(size=(n, 4)), rng.integers(0, 2, n), 2)
-            for n in (8, 12, 8, 8)
+    def test_million_clients_cost_no_per_client_state(self):
+        binder = _unbuilt_binder(clients_per_edge=500_000, cohort=4, edges=2)
+        assert binder.shards.num_clients == 1_000_000
+        assert binder.cohort_size == 8
+        arrays = [
+            value for value in vars(binder).values()
+            if isinstance(value, np.ndarray)
         ]
-        registry = ClientRegistry.from_shards(ListShards(datasets), 2)
-        np.testing.assert_array_equal(registry.weights, [8, 12, 8, 8])
+        assert arrays == []
 
-    def test_from_shards_requires_even_split(self):
+    def test_requires_even_split(self):
         shards = PrototypeShards(9, samples_per_client=8, seed=0)
         with pytest.raises(ValueError, match="evenly"):
-            ClientRegistry.from_shards(shards, 2)
+            PopulationBinder(shards, num_edges=2, cohort_per_edge=2, seed=0)
 
 
-# ----------------------------------------------------------------------
-# Cohort sampler
-# ----------------------------------------------------------------------
-class TestCohortSampler:
-    def _sampler(self, clients_per_edge=100, cohort=8, edges=3, seed=4):
-        registry = ClientRegistry(edges, clients_per_edge)
-        return CohortSampler(registry, cohort, seed=seed)
-
+class TestCohortDraw:
     def test_draw_is_deterministic(self):
-        sampler = self._sampler()
-        np.testing.assert_array_equal(sampler.draw(7), sampler.draw(7))
+        binder = _unbuilt_binder()
+        np.testing.assert_array_equal(binder.draw(7), binder.draw(7))
 
     def test_draws_differ_across_periods(self):
-        sampler = self._sampler()
-        assert not np.array_equal(sampler.draw(0), sampler.draw(1))
+        binder = _unbuilt_binder()
+        assert not np.array_equal(binder.draw(0), binder.draw(1))
+
+    def test_draw_is_keyed_by_seed_period_and_edge(self):
+        """Each edge's picks come from ``child_seed(seed, "cohort", p,
+        edge)`` alone, by Floyd's algorithm."""
+        binder = _unbuilt_binder(clients_per_edge=50, cohort=5, edges=4, seed=6)
+        cohort = binder.draw(3)
+        for edge in range(4):
+            rng = np.random.default_rng(child_seed(6, "cohort", 3, edge))
+            chosen: set[int] = set()
+            for j in range(45, 50):
+                t = int(rng.integers(0, j + 1))
+                chosen.add(t if t not in chosen else j)
+            np.testing.assert_array_equal(
+                cohort[edge * 5:(edge + 1) * 5],
+                np.array(sorted(chosen)) + edge * 50,
+            )
 
     def test_blocks_are_stratified_and_sorted(self):
-        sampler = self._sampler(clients_per_edge=50, cohort=5, edges=4)
-        cohort = sampler.draw(3)
+        binder = _unbuilt_binder(clients_per_edge=50, cohort=5, edges=4)
+        cohort = binder.draw(3)
         assert cohort.size == 20
         for edge in range(4):
             block = cohort[edge * 5 : (edge + 1) * 5]
@@ -101,20 +99,20 @@ class TestCohortSampler:
             assert block.max() < (edge + 1) * 50
 
     def test_full_participation_identity_shortcut(self):
-        sampler = self._sampler(clients_per_edge=6, cohort=6, edges=2)
-        assert sampler.cohort_per_edge == sampler.registry.clients_per_edge
-        np.testing.assert_array_equal(sampler.draw(0), np.arange(12))
-        np.testing.assert_array_equal(sampler.draw(99), np.arange(12))
+        binder = _unbuilt_binder(clients_per_edge=6, cohort=6, edges=2)
+        assert binder.cohort_per_edge == binder.clients_per_edge
+        np.testing.assert_array_equal(binder.draw(0), np.arange(12))
+        np.testing.assert_array_equal(binder.draw(99), np.arange(12))
 
     def test_cohort_clamped_to_edge_size(self):
-        sampler = self._sampler(clients_per_edge=4, cohort=10, edges=2)
-        assert sampler.cohort_per_edge == 4
-        assert sampler.registry.clients_per_edge == 4
+        binder = _unbuilt_binder(clients_per_edge=4, cohort=10, edges=2)
+        assert binder.cohort_per_edge == 4
+        assert binder.clients_per_edge == 4
 
     def test_partial_draw_cost_independent_of_population(self):
         """Floyd sampling touches O(k) values even at 1M clients."""
-        sampler = self._sampler(clients_per_edge=500_000, cohort=64, edges=2)
-        cohort = sampler.draw(0)
+        binder = _unbuilt_binder(clients_per_edge=500_000, cohort=64, edges=2)
+        cohort = binder.draw(0)
         assert cohort.size == 128
         assert np.unique(cohort).size == 128
 
@@ -202,9 +200,8 @@ def _make_binder(
         population, num_features=24, num_classes=6,
         samples_per_client=samples, seed=seed,
     )
-    registry = ClientRegistry.from_shards(shards, edges)
     binder = PopulationBinder(
-        registry, shards, cohort_per_edge=cohort, seed=seed
+        shards, num_edges=edges, cohort_per_edge=cohort, seed=seed
     )
     model = make_logistic_regression(24, 6, rng=4)
     binder.build_federation(model, shards.test_set(80), batch_size=8)
@@ -223,10 +220,7 @@ def test_build_federation_constructs_one_sample_store(monkeypatch):
             for n in (9, 30, 4, 12, 7, 25, 11, 6, 40, 8, 10, 5)
         ]
     )
-    binder = PopulationBinder(
-        ClientRegistry.from_shards(shards, 2), shards,
-        cohort_per_edge=2, seed=11,
-    )
+    binder = PopulationBinder(shards, num_edges=2, cohort_per_edge=2, seed=11)
     built = []
     init = SampleStore.__init__
 
@@ -274,8 +268,7 @@ class TestBinder:
     def test_reset_requires_federation(self):
         shards = PrototypeShards(8, samples_per_client=8, seed=0)
         binder = PopulationBinder(
-            ClientRegistry.from_shards(shards, 2), shards,
-            cohort_per_edge=2, seed=0,
+            shards, num_edges=2, cohort_per_edge=2, seed=0
         )
         with pytest.raises(RuntimeError, match="build_federation"):
             binder.reset(object())
@@ -284,7 +277,7 @@ class TestBinder:
         binder = _make_binder(population=1000, edges=2, cohort=4, samples=4)
         assert isinstance(binder.fed, Federation)
         assert binder.fed.num_workers == 8
-        assert binder.registry.num_clients == 1000
+        assert binder.shards.num_clients == 1000
 
     def test_attach_population_rejects_foreign_federation(self):
         binder = _make_binder()
@@ -293,9 +286,19 @@ class TestBinder:
         with pytest.raises(ValueError, match="federation"):
             algorithm.attach_population(binder)
 
-    def test_resample_every_defaults_to_tau(self):
+    def test_cohort_rebinds_every_tau(self):
         algorithm = _make_algorithm(HierAdMo, {"eta": 0.05, "tau": 3, "pi": 2})
-        assert algorithm.population.resample_every == 3
+        binder = algorithm.population
+        calls = []
+        resample = binder.resample
+
+        def tracked(algorithm, period, *, iteration):
+            calls.append((period, iteration))
+            return resample(algorithm, period, iteration=iteration)
+
+        binder.resample = tracked
+        algorithm.run(12, eval_every=12)
+        assert calls == [(1, 3), (2, 6), (3, 9)]
 
     def test_full_participation_resample_is_identity(self):
         algorithm = _make_algorithm(
@@ -326,9 +329,11 @@ class TestBinder:
         (event,) = sink.snapshot()
         assert event.kind == "population_round"
         assert event.iteration == 6
-        assert event.data["registered"] == binder.registry.num_clients
-        assert event.data["cohort"] == binder.sampler.cohort_size
-        assert event.data["materialized"] >= 6
+        assert event.data["registered"] == binder.shards.num_clients
+        assert event.data["cohort"] == binder.cohort_size
+        assert event.data["materialized"] == (
+            binder.cohort_size + len(binder.carry)
+        )
 
     def test_eval_events_carry_peak_rss(self):
         algorithm = _make_algorithm(FedNAG, {"eta": 0.05, "tau": 6})
@@ -346,10 +351,8 @@ class TestBinder:
             for n in (8, 12, 16, 8, 12, 16)
         ]
         shards = ListShards(datasets)
-        registry = ClientRegistry.from_shards(shards, 2)
-        assert registry.weights is not None
         binder = PopulationBinder(
-            registry, shards, cohort_per_edge=2, seed=1
+            shards, num_edges=2, cohort_per_edge=2, seed=1
         )
         test = Dataset(
             rng.normal(size=(16, 6)), rng.integers(0, 3, 16), 3
@@ -362,15 +365,36 @@ class TestBinder:
         binder.reset(algorithm)
         period = next(
             p for p in range(1, 50)
-            if not np.array_equal(binder.sampler.draw(p), binder.slot_client)
+            if not np.array_equal(binder.draw(p), binder.slot_client)
         )
         binder.resample(algorithm, period)
         sizes = np.array(
             [len(d) for d in binder.fed.worker_datasets], dtype=np.float64
         )
+        assert len(set(sizes)) > 1
         np.testing.assert_allclose(
             binder.fed.global_worker_w, sizes / sizes.sum()
         )
+
+    def test_equal_sizes_keep_the_weights(self, monkeypatch):
+        """A bind that leaves every slot's sample count as it was does
+        not re-derive the weights."""
+        algorithm = _make_algorithm(
+            FedNAG, {"eta": 0.05, "tau": 2}, population=40, cohort=2
+        )
+        binder = algorithm.population
+        algorithm._setup()
+        binder.reset(algorithm)
+        refreshed = []
+        monkeypatch.setattr(
+            binder.fed, "refresh_weights", lambda: refreshed.append(1)
+        )
+        period = next(
+            p for p in range(1, 50)
+            if not np.array_equal(binder.draw(p), binder.slot_client)
+        )
+        binder.resample(algorithm, period)
+        assert refreshed == []
 
 
 def _short_shard_algorithm() -> HierAdMo:
@@ -384,10 +408,7 @@ def _short_shard_algorithm() -> HierAdMo:
             for n in (40, 40, 5, 5, 40, 40, 5, 5)
         ]
     )
-    binder = PopulationBinder(
-        ClientRegistry.from_shards(shards, 2), shards,
-        cohort_per_edge=2, seed=3,
-    )
+    binder = PopulationBinder(shards, num_edges=2, cohort_per_edge=2, seed=3)
     test = Dataset(rng.normal(size=(16, 6)), rng.integers(0, 3, 16), 3)
     binder.build_federation(
         make_logistic_regression(6, 3, rng=4), test, batch_size=16
@@ -499,10 +520,7 @@ def test_returning_client_resumes_bit_identical_state(cls, kwargs):
     shards = PrototypeShards(
         12, num_features=24, num_classes=6, samples_per_client=20, seed=9
     )
-    registry = ClientRegistry.from_shards(shards, 2)
-    binder = _RecordingBinder(
-        registry, shards, cohort_per_edge=3, seed=9
-    )
+    binder = _RecordingBinder(shards, num_edges=2, cohort_per_edge=3, seed=9)
     model = make_logistic_regression(24, 6, rng=4)
     binder.build_federation(model, shards.test_set(80), batch_size=8)
     algorithm = cls(binder.fed, **kwargs)
@@ -535,7 +553,7 @@ def test_fresh_client_adopts_broadcast_rows():
     before = algorithm.x.copy()
     period = next(
         p for p in range(1, 50)
-        if set(map(int, binder.sampler.draw(p)))
+        if set(map(int, binder.draw(p)))
         - set(map(int, binder.slot_client))
         - set(binder.carry)
     )

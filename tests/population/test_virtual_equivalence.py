@@ -35,8 +35,9 @@ from repro.data import (
 )
 from repro.data.shards import ListShards, PrototypeShards
 from repro.faults import FaultPlan, InjectedCrash
+from repro.monitoring import RingBufferSink, monitoring
 from repro.nn.models import make_logistic_regression
-from repro.population import ClientRegistry, PopulationBinder
+from repro.population import PopulationBinder
 from repro.utils.rng import child_seed
 from tests.data.sampler import BatchSampler
 from tests.integration.test_golden_trajectories import (
@@ -62,9 +63,9 @@ def build_virtual_golden_algorithm(name: str, path: str = "batched"):
     train, test = train_test_split(corpus, 0.25, rng=12)
     parts = partition_xclass(train, 4, 3, rng=3)
     model = make_logistic_regression(train.num_features, 10, rng=4)
-    shards = ListShards(parts)
-    registry = ClientRegistry.from_shards(shards, 2)
-    binder = PopulationBinder(registry, shards, cohort_per_edge=2, seed=5)
+    binder = PopulationBinder(
+        ListShards(parts), num_edges=2, cohort_per_edge=2, seed=5
+    )
     federation = binder.build_federation(model, test, batch_size=16)
     if path == "loop":
         one_row_at_a_time(federation)
@@ -80,8 +81,8 @@ def test_full_participation_matches_goldens(name, path):
     """Cohort == population reproduces all goldens at rtol 1e-8."""
     golden = _load_goldens()[name]
     algorithm = build_virtual_golden_algorithm(name, path)
-    sampler = algorithm.population.sampler
-    assert sampler.cohort_per_edge == sampler.registry.clients_per_edge
+    binder = algorithm.population
+    assert binder.cohort_per_edge == binder.clients_per_edge
     history = algorithm.run(TOTAL_ITERATIONS, eval_every=EVAL_EVERY)
 
     assert list(history.iterations) == golden["iterations"]
@@ -159,11 +160,11 @@ class LoopBinder(PopulationBinder):
 
     def _rebind(self, algorithm, cohort, *, save_carry):
         current = self.slot_client
-        k = self.sampler.cohort_per_edge
+        k = self.cohort_per_edge
         store = self.fed.store
         arrays = self._carried(algorithm)
         rebound = False
-        for edge in range(self.registry.num_edges):
+        for edge in range(self.num_edges):
             old = current[edge * k:(edge + 1) * k].tolist()
             new = cohort[edge * k:(edge + 1) * k].tolist()
             free = [edge * k + i for i, c in enumerate(old) if c not in new]
@@ -192,8 +193,9 @@ class LoopBinder(PopulationBinder):
                     sampler._cursor = int(record["rows"][-1])
                 assert_row_is_sampler(store, slot, sampler)
                 current[slot] = client
-                self._seen.add(client)
-        if rebound and self.registry.weights is not None:
+        if rebound:
+            # Re-derived whether or not the bound sizes changed: the
+            # weights are a function of the sizes alone.
             self.fed.refresh_weights()
         return cohort
 
@@ -220,8 +222,7 @@ def make_sampled_algorithm(
                 )
             ]
         )
-    registry = ClientRegistry.from_shards(shards, 2)
-    binder = binder_cls(registry, shards, cohort_per_edge=3, seed=9)
+    binder = binder_cls(shards, num_edges=2, cohort_per_edge=3, seed=9)
     model = make_logistic_regression(24, 6, rng=4)
     binder.build_federation(model, test_set, batch_size=8)
     algorithm = cls(binder.fed, **kwargs)
@@ -280,7 +281,6 @@ def test_batched_rebind_matches_per_client_loop(name):
     np.testing.assert_array_equal(
         batched.population.slot_client, loop.population.slot_client
     )
-    assert batched.population._seen == loop.population._seen
     assert len(loop.population.carry) > 0
     assert_same_carry(batched.population.carry, loop.population.carry)
     store, other = batched.fed.store, loop.fed.store
@@ -345,13 +345,120 @@ def test_sampled_resume_restores_binder_state(name, tmp_path):
     )
     assert_same_carry(resumed_binder.carry, golden_binder.carry)
     sizes = set()
+    shards = golden_binder.shards
     for client_id, record in golden_binder.carry.items():
-        size = golden_binder.shards.shard_size(client_id)
+        (shard,) = shards.shards([client_id])
+        size = len(shard)
         order = record["rows"][-2]
         np.testing.assert_array_equal(np.sort(order[:size]), np.arange(size))
         assert not order[size:].any()
         sizes.add(size)
     assert len(sizes) == (3 if uneven else 1)
+
+
+def _observed_rounds(algorithm, **run_kwargs):
+    """Run ``algorithm`` under a monitor; return its ``population_round``
+    events as ``(iteration, materialized)``, and per rebind the
+    iteration, the number of distinct clients bound since the run began
+    and ``len(carry)`` plus the cohort size."""
+    binder = algorithm.population
+    resample = binder.resample
+    seen: set[int] = set()
+    rebinds = []
+
+    def tracked(algorithm, period, *, iteration):
+        cohort = resample(algorithm, period, iteration=iteration)
+        seen.update(binder.slot_client.tolist())
+        rebinds.append(
+            (iteration, len(seen), len(binder.carry) + binder.cohort_size)
+        )
+        return cohort
+
+    def reset(algorithm, reset=binder.reset):
+        reset(algorithm)
+        seen.update(binder.slot_client.tolist())
+
+    binder.resample = tracked
+    binder.reset = reset
+    sink = RingBufferSink()
+    with monitoring(sinks=[sink]):
+        algorithm.run(24, eval_every=6, **run_kwargs)
+    events = [
+        (event.iteration, event.data["materialized"])
+        for event in sink.snapshot()
+        if event.kind == "population_round"
+    ]
+    return events, rebinds
+
+
+@pytest.mark.checkpoint
+@pytest.mark.parametrize("name", ["HierAdMo", "FedNAG"])
+def test_materialized_is_carry_plus_cohort(name, tmp_path):
+    """``materialized`` counts every client bound since the run began:
+    the cohort plus the carry store, in an uninterrupted run and after
+    a crash-resume, and no checkpoint stores that count."""
+    cls, kwargs = SAMPLED_CASES[name]
+    algorithm = make_sampled_algorithm(cls, kwargs)
+    events, rebinds = _observed_rounds(algorithm)
+    assert not hasattr(algorithm.population, "_seen")
+    assert len(events) == len(rebinds) > 0
+    for (iteration, materialized), (at, seen, derived) in zip(events, rebinds):
+        assert iteration == at
+        assert materialized == seen == derived
+    assert events[-1][1] > algorithm.population.cohort_size
+
+    crashing = make_sampled_algorithm(cls, kwargs)
+    crashing.attach_faults(replace(FaultPlan(), crash_iterations=(17,)))
+    manager = CheckpointManager(tmp_path, every=5)
+    with pytest.raises(InjectedCrash):
+        crashing.run(24, eval_every=6, checkpoints=manager)
+    restored = manager.load_latest()
+    assert not any(key.startswith("pop:seen") for key in restored.arrays)
+    resumed = make_sampled_algorithm(cls, kwargs)
+    resumed_events, resumed_rebinds = _observed_rounds(
+        resumed, resume_from=restored
+    )
+    assert resumed_events == [e for e in events if e[0] > restored.iteration]
+    for (_, materialized), (_, _, derived) in zip(
+        resumed_events, resumed_rebinds
+    ):
+        assert materialized == derived
+
+
+@pytest.mark.checkpoint
+def test_checkpoint_with_a_seen_member_resumes_bit_exact(
+    tmp_path, monkeypatch
+):
+    """Older checkpoints also hold ``pop:seen``, the clients ever bound.
+    Resuming from one ignores the member and stays bit-exact."""
+    cls, kwargs = SAMPLED_CASES["HierAdMo"]
+    golden_algorithm = make_sampled_algorithm(cls, kwargs)
+    golden = golden_algorithm.run(24, eval_every=6)
+    state = PopulationBinder.state
+
+    def with_seen(self):
+        values, arrays = state(self)
+        arrays["pop:seen"] = np.union1d(
+            self.slot_client, np.fromiter(self.carry, dtype=np.int64)
+        )
+        return values, arrays
+
+    monkeypatch.setattr(PopulationBinder, "state", with_seen)
+    crashing = make_sampled_algorithm(cls, kwargs)
+    crashing.attach_faults(replace(FaultPlan(), crash_iterations=(17,)))
+    manager = CheckpointManager(tmp_path, every=5)
+    with pytest.raises(InjectedCrash):
+        crashing.run(24, eval_every=6, checkpoints=manager)
+    monkeypatch.undo()
+    restored = manager.load_latest()
+    assert "pop:seen" in restored.arrays
+    resumed = make_sampled_algorithm(cls, kwargs)
+    history = resumed.run(24, eval_every=6, resume_from=restored)
+    assert_histories_match(golden, history)
+    np.testing.assert_array_equal(
+        resumed.population.slot_client, golden_algorithm.population.slot_client
+    )
+    assert_same_carry(resumed.population.carry, golden_algorithm.population.carry)
 
 
 @pytest.mark.eventsim
@@ -369,4 +476,4 @@ def test_async_sampled_cohort_runs_and_is_deterministic(name):
     np.testing.assert_array_equal(
         first.population.slot_client, second.population.slot_client
     )
-    assert len(first.population._seen) > first.population.sampler.cohort_size
+    assert len(first.population.carry) > 0

@@ -6,21 +6,27 @@ import pytest
 from repro.simulation import DEVICE_PRESETS, DeviceProfile, worker_device_pool
 
 
+def draws(device, count, seed):
+    """``count`` successive scalar draws from one seeded generator."""
+    rng = np.random.default_rng(seed)
+    return np.array([device.sample_iteration(rng) for _ in range(count)])
+
+
 class TestDeviceProfile:
     def test_sample_count_and_positivity(self):
         device = DeviceProfile("x", 0.1)
-        delays = device.sample_iterations(100, rng=0)
+        delays = draws(device, 100, seed=0)
         assert delays.shape == (100,)
         assert (delays > 0).all()
 
     def test_mean_calibration(self):
         device = DeviceProfile("x", 0.1, sigma=0.3)
-        delays = device.sample_iterations(200_000, rng=0)
+        delays = draws(device, 200_000, seed=0)
         assert delays.mean() == pytest.approx(0.1, rel=0.02)
 
     def test_zero_sigma_deterministic(self):
         device = DeviceProfile("x", 0.05, sigma=0.0)
-        delays = device.sample_iterations(10, rng=0)
+        delays = draws(device, 10, seed=0)
         assert np.allclose(delays, 0.05)
 
     def test_aggregation_cheaper_than_iteration(self):
@@ -29,30 +35,31 @@ class TestDeviceProfile:
 
     def test_deterministic_given_seed(self):
         device = DeviceProfile("x", 0.1)
-        a = device.sample_iterations(5, rng=42)
-        b = device.sample_iterations(5, rng=42)
+        a = draws(device, 5, seed=42)
+        b = draws(device, 5, seed=42)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("sigma", [0.25, 0.0])
-    def test_scalar_draw_is_the_one_element_draw(self, sigma):
-        """The event engine's scalar draw gives the value of a size-1
-        draw and leaves the generator in the same state."""
+    def test_draw_is_one_lognormal_at_the_mean(self, sigma):
+        """Each draw is one lognormal whose mean is ``mean_seconds``
+        (``sigma`` 0: the mean itself, drawing nothing), and leaves the
+        generator where that one draw leaves it."""
         device = DeviceProfile("x", 0.1, sigma=sigma)
+        mu = np.log(0.1) - sigma**2 / 2
         for seed in range(50):
-            scalar, array = (np.random.default_rng(seed) for _ in range(2))
+            rng, reference = (np.random.default_rng(seed) for _ in range(2))
             for _ in range(20):
-                delay = device.sample_iteration(scalar)
+                delay = device.sample_iteration(rng)
                 assert isinstance(delay, float)
-                assert delay == device.sample_iterations(1, array)[0]
-            assert scalar.bit_generator.state == array.bit_generator.state
+                want = reference.lognormal(mu, sigma) if sigma else 0.1
+                assert delay == want
+            assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_validation(self):
         with pytest.raises(ValueError):
             DeviceProfile("x", 0.0)
         with pytest.raises(ValueError):
             DeviceProfile("x", 0.1, sigma=-0.1)
-        with pytest.raises(ValueError):
-            DeviceProfile("x", 0.1).sample_iterations(-1)
 
 
 class TestPresets:

@@ -239,13 +239,6 @@ class TestStalenessBookkeeping:
         # The abort is immediate: nothing past the first bad step.
         assert max(t for _, t in client.steps) == 4
 
-    def test_divergence_can_be_ignored(self):
-        client = StubClient(diverge_at=4)
-        runner = make_runner(client, stop_on_divergence=False)
-        runner.run()
-        assert runner.diverged_at is not None
-        assert client.completed == [1, 2, 3, 4]
-
     def test_device_count_mismatch_raises(self):
         client = StubClient()
         deployment = AsyncDeployment(

@@ -12,6 +12,7 @@ from repro.simulation import (
 )
 from repro.simulation.stragglers import StragglerDevice, add_stragglers
 from repro.topology import Topology
+from tests.simulation.test_devices import draws
 
 
 class TestStragglerDevice:
@@ -19,38 +20,48 @@ class TestStragglerDevice:
         return DEVICE_PRESETS["laptop_i3_m380"]
 
     def test_zero_probability_matches_base(self):
-        wrapped = StragglerDevice(self.base(), 0.0, 10.0)
-        a = wrapped.sample_iterations(20, rng=0)
-        b = self.base().sample_iterations(20, rng=0)
-        assert np.array_equal(a, b)
+        """Each draw is the base device's draw from the same state."""
+        base = self.base()
+        wrapped = StragglerDevice(base, 0.0, 10.0)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            reference = np.random.default_rng()
+            reference.bit_generator.state = rng.bit_generator.state
+            assert wrapped.sample_iteration(rng) == base.sample_iteration(
+                reference
+            )
 
     @pytest.mark.parametrize("sigma", [0.25, 0.0])
-    def test_scalar_draw_is_the_one_element_draw(self, sigma):
-        """Scalar draws give the size-1 draws' value (stalled or not)
-        and leave the generator in the same state."""
+    def test_draw_is_the_base_draw_then_one_stall_draw(self, sigma):
+        """A draw is the base delay, then one uniform that stalls it by
+        ``factor`` below ``probability``, and leaves the generator where
+        those draws leave it."""
         base = DeviceProfile("x", 0.1, sigma=sigma)
         wrapped = StragglerDevice(base, 0.5, 8.0)
         stalled = 0
         for seed in range(50):
-            scalar, array = (np.random.default_rng(seed) for _ in range(2))
+            rng, reference = (np.random.default_rng(seed) for _ in range(2))
             for _ in range(20):
-                delay = wrapped.sample_iteration(scalar)
-                assert delay == wrapped.sample_iterations(1, array)[0]
-                stalled += delay > 2 * base.mean_seconds
-            assert scalar.bit_generator.state == array.bit_generator.state
+                delay = wrapped.sample_iteration(rng)
+                want = base.sample_iteration(reference)
+                if reference.random() < 0.5:
+                    want *= 8.0
+                    stalled += 1
+                assert delay == want
+            assert rng.bit_generator.state == reference.bit_generator.state
         assert 0 < stalled < 1000
 
     def test_stalls_increase_delays(self):
         wrapped = StragglerDevice(self.base(), 0.5, 10.0)
-        slow = wrapped.sample_iterations(5000, rng=1).mean()
-        fast = self.base().sample_iterations(5000, rng=1).mean()
+        slow = draws(wrapped, 5000, seed=1).mean()
+        fast = draws(self.base(), 5000, seed=1).mean()
         assert slow > 2 * fast
 
     def test_effective_mean(self):
         wrapped = StragglerDevice(self.base(), 0.1, 11.0)
         expected = self.base().mean_seconds * 2.0
         assert wrapped.mean_seconds == pytest.approx(expected)
-        observed = wrapped.sample_iterations(100_000, rng=2).mean()
+        observed = draws(wrapped, 100_000, seed=2).mean()
         assert observed == pytest.approx(expected, rel=0.05)
 
     def test_aggregation_unaffected(self):

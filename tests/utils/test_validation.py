@@ -4,7 +4,6 @@ import pytest
 
 from repro.utils.validation import (
     check_fraction,
-    check_in_range,
     check_positive,
     check_positive_int,
     check_probability,
@@ -57,18 +56,3 @@ class TestCheckFraction:
     def test_rejects(self, value):
         with pytest.raises(ValueError, match="gamma"):
             check_fraction(value, "gamma")
-
-
-class TestCheckInRange:
-    def test_inclusive_bounds(self):
-        assert check_in_range(1.0, "v", 1.0, 2.0) == 1.0
-        assert check_in_range(2.0, "v", 1.0, 2.0) == 2.0
-
-    def test_exclusive_bounds(self):
-        with pytest.raises(ValueError):
-            check_in_range(1.0, "v", 1.0, 2.0, inclusive=False)
-        assert check_in_range(1.5, "v", 1.0, 2.0, inclusive=False) == 1.5
-
-    def test_rejects_non_number(self):
-        with pytest.raises(ValueError):
-            check_in_range("x", "v", 0, 1)

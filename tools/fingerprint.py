@@ -48,7 +48,11 @@ The matrix (``MATRIX``):
   ``tests/population/test_virtual_equivalence.py``, and
   ``population/HierAdMo/short-shards``: 8 clients with shards of 40 and
   5 samples at batch 16, whose rebinds switch between equal and mixed
-  batch lengths;
+  batch lengths.  The sampled populations come from the test helper of
+  the checkout under test; the short-shards binder is built through
+  whichever constructor its library has (``PopulationBinder(shards,
+  num_edges=...)``, or a ``ClientRegistry`` where the library still
+  has one);
 * ``lifecycle/<clock>``: HierAdMo on the lockstep clock and
   AsyncHierAdMo at quorum 0.5 with faults on the event clock, run under
   a ring-buffer monitor with the default health monitors and a
@@ -136,7 +140,7 @@ from repro.monitoring import RingBufferSink, default_monitors, monitoring  # noq
 from repro.nn.models import (  # noqa: E402
     make_linear_regression, make_logistic_regression, make_resnet,
 )
-from repro.population import ClientRegistry, PopulationBinder  # noqa: E402
+import repro.population  # noqa: E402
 from repro.simulation import (  # noqa: E402
     AsyncDeployment, EventDrivenSimulator, add_stragglers, estimate_energy,
     worker_device_pool,
@@ -347,6 +351,19 @@ def _population(name: str) -> dict:
     return _ran(algorithm, 36, 6)
 
 
+def _binder(shards, *, num_edges: int, cohort_per_edge: int, seed: int):
+    """A binder over ``shards`` through the library's own constructor."""
+    library = repro.population
+    if hasattr(library, "ClientRegistry"):  # older than the folded binder
+        return library.PopulationBinder(
+            library.ClientRegistry.from_shards(shards, num_edges), shards,
+            cohort_per_edge=cohort_per_edge, seed=seed,
+        )
+    return library.PopulationBinder(
+        shards, num_edges=num_edges, cohort_per_edge=cohort_per_edge, seed=seed
+    )
+
+
 def _short_shards() -> dict:
     """The seed-3 cohort starts on the four 5-sample shards (uniform
     batches of 5); the first rebind brings in a 40-sample shard."""
@@ -357,9 +374,7 @@ def _short_shards() -> dict:
             for n in (40, 40, 5, 5, 40, 40, 5, 5)
         ]
     )
-    binder = PopulationBinder(
-        ClientRegistry.from_shards(shards, 2), shards, cohort_per_edge=2, seed=3
-    )
+    binder = _binder(shards, num_edges=2, cohort_per_edge=2, seed=3)
     test = Dataset(rng.normal(size=(16, 6)), rng.integers(0, 3, 16), 3)
     binder.build_federation(make_logistic_regression(6, 3, rng=4), test, batch_size=16)
     algorithm = HierAdMo(binder.fed, eta=0.05, tau=2, pi=2)
